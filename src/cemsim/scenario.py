@@ -18,6 +18,7 @@ The same scenario can be assembled under different dispatch strategies:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -501,12 +502,23 @@ def price_schedule(scenario: Scenario) -> PriceSchedule | None:
 
 
 def effort_estimator(scenario: Scenario) -> EffortEstimator:
+    """The scenario's effort estimator, memoized per record text.
+
+    Training and the forecast provider of one bundle share the returned
+    callable, so each distinct job text is scored once (one POST for a
+    remote estimator) however many samples and windows read it.
+    """
     spec = scenario.forecast["effort_estimator"]
     if spec["kind"] == "heuristic":
-        return estimate_effort_heuristic
-    url = spec["url"]
-    timeout_s = spec.get("timeout_s", 10.0)
-    return lambda text: estimate_effort_remote(text, url, timeout_s)
+        estimate = estimate_effort_heuristic
+    else:
+        url = spec["url"]
+        timeout_s = spec.get("timeout_s", 10.0)
+
+        def estimate(text: str) -> float:
+            return estimate_effort_remote(text, url, timeout_s)
+
+    return functools.lru_cache(maxsize=None)(estimate)
 
 
 @dataclass
@@ -560,11 +572,44 @@ def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
     )
 
 
-def _window_steps(now_ns: int, end_ns: int, step_ns: int) -> int:
-    """Steps from now to the earlier of the day boundary and the horizon."""
-    day_end = (now_ns // NS_PER_DAY + 1) * NS_PER_DAY
-    bound = min(day_end, end_ns)
-    return max((bound - now_ns) // step_ns, 0)
+class _DayForecast:
+    """Rest-of-day forecast series, computed once and handed out as slices.
+
+    The ``compute(now_ns, count)`` given to :meth:`window` returns the
+    (loads, pvs, prices) of the ``count`` steps from ``now_ns`` to the
+    planning bound: the earlier of the next day boundary and the horizon
+    end.  Each value depends only on its step's time (and ``key``), never
+    on ``now_ns``, so a later ``now`` on the same step grid gets a
+    bitwise-equal slice of the cached series.
+
+    Cache key: (planning bound, ``key``).  The series is recomputed from
+    ``now`` when the bound moves (a new day), when ``key`` changes, or when
+    ``now`` is not a whole number of steps after the cached start.
+    """
+
+    def __init__(self, end_ns: int, step_seconds: int) -> None:
+        self._end_ns = end_ns
+        self._step_seconds = float(step_seconds)
+        self._step_ns = step_seconds * NS_PER_SECOND
+        self._key: tuple | None = None
+        self._start_ns = 0
+        self._series: tuple = ((), (), ())
+
+    def window(self, now_ns: int, key: object, compute: Callable[[int, int], tuple]) -> ForecastWindow | None:
+        step_ns = self._step_ns
+        bound = min((now_ns // NS_PER_DAY + 1) * NS_PER_DAY, self._end_ns)
+        count = (bound - now_ns) // step_ns
+        if count < 1:
+            return None
+        offset, misaligned = divmod(now_ns - self._start_ns, step_ns)
+        if (bound, key) != self._key or offset < 0 or misaligned:
+            self._series = compute(now_ns, count)
+            self._key = (bound, key)
+            self._start_ns = now_ns
+            offset = 0
+        loads, pvs, prices = self._series
+        end = offset + count
+        return ForecastWindow(self._step_seconds, loads[offset:end], pvs[offset:end], prices[offset:end])
 
 
 def perfect_forecast_provider(
@@ -573,18 +618,18 @@ def perfect_forecast_provider(
     end_ns: int,
     step_seconds: int,
 ) -> Callable[[int], ForecastWindow | None]:
-    """Oracle forecasts: the realized series itself, planned to day's end."""
-    step_ns = step_seconds * NS_PER_SECOND
+    """Oracle forecasts: the realized series itself, planned to day's end.
 
-    def provider(now_ns: int) -> ForecastWindow | None:
-        count = _window_steps(now_ns, end_ns, step_ns)
-        if count < 1:
-            return None
+    The series is sampled once per planning day (see :class:`_DayForecast`).
+    """
+
+    def compute(now_ns: int, count: int) -> tuple:
         loads, pvs = sample_series(config, now_ns, float(step_seconds), count)
         prices = schedule.prices_for_window(now_ns, float(step_seconds), count)
-        return ForecastWindow(float(step_seconds), tuple(loads), tuple(pvs), tuple(prices))
+        return tuple(loads), tuple(pvs), tuple(prices)
 
-    return provider
+    day = _DayForecast(end_ns, step_seconds)
+    return lambda now_ns: day.window(now_ns, None, compute)
 
 
 def predictor_forecast_provider(
@@ -600,22 +645,28 @@ def predictor_forecast_provider(
 
     Load predictions at each future step use only context records already
     recorded at decision time; negative predictions clamp to zero.
+
+    The series is cached per planning day and per known-record set: the
+    cache key holds the identities of the records ``context_query`` returns
+    at ``now``, so the series is recomputed from ``now`` whenever a record
+    becomes known or expires.  A prediction depends only on its step's time
+    and the known records, so a slice of the cached series is bitwise the
+    series a fresh computation at ``now`` would give.
     """
     step_ns = step_seconds * NS_PER_SECOND
 
-    def provider(now_ns: int) -> ForecastWindow | None:
-        count = _window_steps(now_ns, end_ns, step_ns)
-        if count < 1:
-            return None
-        known = context_query(records, now_ns)
-        loads = []
-        pvs = []
-        for i in range(1, count + 1):
-            t = now_ns + i * step_ns
-            loads.append(max(predictor.predict(known, t, effort_fn), 0.0))
-            pvs.append(pv_power_at(config, t))
+    def compute(known: list[ContextRecord], now_ns: int, count: int) -> tuple:
+        times = [now_ns + i * step_ns for i in range(1, count + 1)]
+        loads = tuple(max(predictor.predict(known, t, effort_fn), 0.0) for t in times)
+        pvs = tuple(pv_power_at(config, t) for t in times)
         prices = schedule.prices_for_window(now_ns, float(step_seconds), count)
-        return ForecastWindow(float(step_seconds), tuple(loads), tuple(pvs), tuple(prices))
+        return loads, pvs, tuple(prices)
+
+    day = _DayForecast(end_ns, step_seconds)
+
+    def provider(now_ns: int) -> ForecastWindow | None:
+        known = context_query(records, now_ns)
+        return day.window(now_ns, tuple(map(id, known)), lambda start, count: compute(known, start, count))
 
     return provider
 

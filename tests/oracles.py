@@ -1,6 +1,9 @@
 """Reference implementations used only by tests.
 
-These deliberately share no code with the shipped solvers.  The charging
+The DP and LP oracles deliberately share no code with the shipped solvers.
+``greedy_charging`` is the shipped greedy before its candidate walk was
+rewritten; it shares only the plan type, the error type and the compensated
+cost sum, so plans can be compared bit for bit.  The DP charging
 oracle does dynamic programming over cumulative purchased energy, restricted
 to the grid of values where an optimal schedule can sit: the feasibility
 boundaries of every step, plus (when per-step purchases are capped) every
@@ -14,6 +17,8 @@ import math
 from collections import deque
 
 import numpy as np
+
+from cemsim.control import ChargingPlan, InfeasibleProblemError, _plan_cost
 
 JOULES_PER_KWH = 3.6e6
 
@@ -163,3 +168,97 @@ def linprog_charging(
         return None
     assert result.status == 0, result.message
     return float(result.fun)
+
+
+def greedy_charging(problem):
+    """Price-order greedy as first shipped: the tie-break reference.
+
+    For every shortfall boundary k it rescans the whole price order, so it
+    costs O(T) candidate visits per boundary.  The shipped solver must
+    return an equal ChargingPlan (bitwise) or raise InfeasibleProblemError
+    with the same step_index and reason.
+    """
+    horizon = problem.horizon
+    dt = problem.step_seconds
+    capacity = problem.capacity_j
+    e_min = problem.soc_min * capacity
+    e_max = problem.soc_max * capacity
+    e_start = min(max(problem.soc_initial, problem.soc_min), problem.soc_max) * capacity
+    eps = 1e-9 * max(capacity, 1.0)
+
+    load = np.asarray(problem.load_w, dtype=np.float64)
+    pv = np.asarray(problem.pv_w, dtype=np.float64)
+    prices = np.asarray(problem.prices, dtype=np.float64)
+    net = (pv - load) * dt  # J gained per step before purchases
+
+    # free[j]: stored energy at boundary j (after step j-1) with zero purchases
+    free = np.empty(horizon + 1)
+    free[0] = e_start
+    free[1:] = e_start + np.cumsum(net)
+
+    # In cumulative-purchase space: bought[j] = sum of purchases in steps < j.
+    ceiling = e_max - free[1:]  # bought[j] above this overfills storage
+    shortfall = np.maximum(e_min - free[1:], 0.0)  # bought[j] below this underruns
+    required = np.maximum.accumulate(shortfall)  # purchases never expire
+
+    cap_per_step = np.inf if problem.max_grid_power_w is None else problem.max_grid_power_w * dt
+
+    for j in range(horizon):
+        if ceiling[j] < -eps:
+            raise InfeasibleProblemError(j, "generation overfills the storage band")
+        if required[j] > ceiling[j] + eps:
+            raise InfeasibleProblemError(j, "shortfall exceeds storage headroom")
+        if required[j] > cap_per_step * (j + 1) + eps:
+            raise InfeasibleProblemError(j, "shortfall exceeds the grid power cap")
+
+    purchases = np.zeros(horizon)  # J bought per step
+    bought = np.zeros(horizon + 1)  # cumulative purchases at each boundary
+    # Candidate steps, cheapest first; price ties prefer the later step.
+    order = np.lexsort((-np.arange(horizon), prices))
+    barrier = 0  # steps before this cannot push energy past a saturated boundary
+
+    for k in range(1, horizon + 1):
+        need = required[k - 1] - bought[k]
+        if need <= 0.0:
+            continue
+        for t in order:
+            if need <= 0.0:
+                break
+            if t >= k or t < barrier:
+                continue
+            room = cap_per_step - purchases[t]
+            if room <= 0.0:
+                continue
+            # Boundaries strictly between purchase step and target boundary
+            # must be able to hold the carried energy.
+            if t + 1 <= k - 1:
+                segment = ceiling[t : k - 1] - bought[t + 1 : k]
+                low = int(np.argmin(segment))
+                headroom = float(segment[low])
+                if headroom <= 0.0:
+                    saturated = t + 1 + low
+                    if saturated > barrier:
+                        barrier = saturated
+                    continue
+            else:
+                headroom = np.inf
+            take = need if need <= room else room
+            if headroom < take:
+                take = headroom
+            purchases[t] += take
+            bought[t + 1 :] += take
+            need = required[k - 1] - bought[k]
+        if need > eps:
+            raise InfeasibleProblemError(k - 1, "shortfall exceeds storage headroom")
+
+    energy = free + bought
+    grid_power = tuple(float(v) for v in purchases / dt)
+    soc_trajectory = tuple(float(v) for v in energy / capacity)
+    return ChargingPlan(
+        step_seconds=dt,
+        grid_power_w=grid_power,
+        soc_trajectory=soc_trajectory,
+        prices=problem.prices,
+        total_cost=_plan_cost(problem.prices, grid_power, dt),
+        purchased_energy_j=float(bought[-1]),
+    )

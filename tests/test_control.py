@@ -26,7 +26,7 @@ from cemsim import (
     solve_charging,
 )
 from cemsim.core import Clock
-from oracles import brute_force_charging, linprog_charging, random_coarse_instance
+from oracles import brute_force_charging, greedy_charging, linprog_charging, random_coarse_instance
 
 AMPLE = dict(step_seconds=3600.0, capacity_j=3.6e7, soc_min=0.1, soc_max=1.0)
 
@@ -191,6 +191,66 @@ def test_solver_matches_brute_force_and_lp(seed):
     assert abs(plan.total_cost - oracle_cost) <= tolerance
     assert abs(plan.total_cost - lp_cost) <= tolerance
     _check_plan_internals(problem, plan)
+
+
+@st.composite
+def _charging_problems(draw):
+    """Continuous-valued windows: tiered (tied, zero) or free prices, with
+    and without a grid cap.  Powers are drawn relative to the storage band,
+    so boundaries saturate often and a large share is infeasible."""
+    horizon = draw(st.integers(1, 24))
+    price = st.sampled_from((0.0, 0.1, 0.2, 0.3)) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    capacity = draw(st.floats(1e5, 3e7))
+    soc_min = draw(st.floats(0.0, 0.8))
+    soc_max = draw(st.floats(soc_min + 0.05, 1.0))
+    step_seconds = draw(st.sampled_from((60.0, 240.0, 3600.0)))
+    band_w = capacity * (soc_max - soc_min) / step_seconds
+    power = st.one_of(st.just(0.0), st.floats(0.0, 1.5).map(lambda share: share * band_w))
+    return ChargingProblem(
+        step_seconds=step_seconds,
+        prices=draw(st.lists(price, min_size=horizon, max_size=horizon)),
+        load_w=draw(st.lists(power, min_size=horizon, max_size=horizon)),
+        pv_w=draw(st.lists(power, min_size=horizon, max_size=horizon)),
+        capacity_j=capacity,
+        soc_min=soc_min,
+        soc_max=soc_max,
+        soc_initial=draw(st.floats(soc_min, soc_max)),
+        max_grid_power_w=draw(st.one_of(st.none(), power)),
+    )
+
+
+@given(problem=_charging_problems())
+@settings(max_examples=200)
+def test_solver_matches_the_greedy_reference(problem):
+    """The heap walk returns the reference greedy's plan bit for bit, and
+    fails where it fails, at the same step for the same reason."""
+    try:
+        expected = greedy_charging(problem)
+    except InfeasibleProblemError as exc:
+        with pytest.raises(InfeasibleProblemError) as caught:
+            solve_charging(problem)
+        assert (caught.value.step_index, caught.value.reason) == (exc.step_index, exc.reason)
+        return
+    assert solve_charging(problem) == expected
+
+
+def test_a_headroom_capped_step_buys_again():
+    """Step 0 is cut to the headroom of boundary 1 while serving boundary 2;
+    the sum lands one ulp below the ceiling, and the greedy buys that ulp
+    at step 0 when it serves boundary 3."""
+    problem = ChargingProblem(
+        step_seconds=3600.0,
+        prices=(0.1, 0.2, 0.3),
+        load_w=(322.0, 942.0, 1266.0),
+        pv_w=(0.0, 0.0, 0.0),
+        capacity_j=3.6e6,
+        soc_min=0.28,
+        soc_max=0.58,
+        soc_initial=0.52,
+    )
+    plan = solve_charging(problem)
+    assert plan == greedy_charging(problem)
+    assert plan.soc_trajectory[1] == 0.58
 
 
 def test_forecast_revision_shrinks_remaining_purchases():

@@ -1,8 +1,6 @@
 """Load forecasting: effort heuristic, feature families, OLS fits, remote scoring."""
 import json
 import socket
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -314,43 +312,6 @@ def test_predictor_coefficient_count_is_checked():
 # ---------------------------------------------------------------------------
 # Remote effort estimation
 # ---------------------------------------------------------------------------
-
-
-class _EstimatorHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.last_body = self.rfile.read(length)
-        if self.path == "/boom":
-            self.send_response(500)
-            self.end_headers()
-            return
-        bodies = {
-            "/ok": b'{"effort": 2.5}',
-            "/not-json": b"effort: lots",
-            "/missing-key": b'{"score": 2.5}',
-            "/negative": b'{"effort": -1.0}',
-            "/stringy": b'{"effort": "big"}',
-        }
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(bodies[self.path])
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def estimator_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EstimatorHandler)
-    server.last_body = b""
-    server.url = f"http://127.0.0.1:{server.server_port}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    thread.join()
-    server.server_close()
 
 
 def test_remote_estimator_happy_path(estimator_server):
