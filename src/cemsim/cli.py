@@ -30,12 +30,13 @@ from .models.synthetic import (
     generate_job_events,
     load_power_at,
 )
-from .replay import IngestError, ingest_context, ingest_timeseries
+from .replay import CHANNEL_HEADER, IngestError, emit_context, ingest_context, ingest_timeseries
 from .scenario import (
     STRATEGIES,
     Scenario,
     SimulationBundle,
     build_bundle,
+    effort_estimator,
     load_scenario,
     synthetic_config,
 )
@@ -81,54 +82,25 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _step_row(output: SimulatorStepOutput) -> list:
-    grid_cost = getattr(output.grid, "cost", 0.0)
-    return [
-        output.step_index,
-        output.time_ns,
-        _fmt(output.power_source.voltage),
-        _fmt(output.power_source.current),
-        _fmt(output.power_source.power),
-        _fmt(output.load.requested_active_power),
-        _fmt(output.load.requested_apparent_power),
-        output.inverter.battery_input.mode.value,
-        _fmt(output.inverter.battery_input.current),
-        _fmt(output.battery.soc),
-        _fmt(output.battery.voltage),
-        _fmt(output.battery.delta_energy),
-        _fmt(output.battery.delta_charge),
-        _fmt(output.inverter.grid_input.requested_active_power),
-        _fmt(output.inverter.grid_input.requested_apparent_power),
-        _fmt(output.grid.delivered_active_power),
-        _fmt(output.grid.delivered_apparent_power),
-        _fmt(grid_cost),
-        _fmt(output.inverter.pv_power_drawn),
-        _fmt(output.aggregates.generated_wh),
-        _fmt(output.aggregates.consumed_wh),
-        _fmt(output.aggregates.purchased_wh),
-        _fmt(output.aggregates.charged_wh),
-        _fmt(output.aggregates.discharged_wh),
-        _fmt(output.aggregates.cost),
-    ]
+# A step's line of steps.csv and its ten lines of channels.csv, byte for
+# byte as csv.writer writes them: "%.17g" is format(v, ".17g"), no field
+# needs quoting, and lines end "\r\n".
+_STEP_TEMPLATE = ",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n"
 
-
-_CHANNEL_SUBSYSTEMS = {"pv": 1, "load": 2, "battery": 3, "grid": 4}
-
-
-def _channel_rows(output: SimulatorStepOutput, subsystems: dict[str, int]) -> list[tuple]:
-    t = output.time_ns
-    return [
-        (t, subsystems["pv"], "pv_voltage", output.power_source.voltage),
-        (t, subsystems["pv"], "pv_current", output.power_source.current),
-        (t, subsystems["pv"], "pv_power", output.power_source.power),
-        (t, subsystems["load"], "load_active_power", output.load.requested_active_power),
-        (t, subsystems["load"], "load_apparent_power", output.load.requested_apparent_power),
-        (t, subsystems["battery"], "battery_soc", output.battery.soc),
-        (t, subsystems["battery"], "battery_voltage", output.battery.voltage),
-        (t, subsystems["battery"], "battery_current", output.inverter.battery_input.current),
-        (t, subsystems["grid"], "grid_active_power", output.grid.delivered_active_power),
-        (t, subsystems["grid"], "grid_apparent_power", output.grid.delivered_apparent_power),
-    ]
+# (subsystem_id, channel) of each step's lines in channels.csv, in order
+_CHANNELS = (
+    (1, "pv_voltage"),
+    (1, "pv_current"),
+    (1, "pv_power"),
+    (2, "load_active_power"),
+    (2, "load_apparent_power"),
+    (3, "battery_soc"),
+    (3, "battery_voltage"),
+    (3, "battery_current"),
+    (4, "grid_active_power"),
+    (4, "grid_apparent_power"),
+)
+_CHANNEL_TEMPLATE = "".join(f"%d,{subsystem_id},{name},%.17g\r\n" for subsystem_id, name in _CHANNELS)
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
@@ -164,49 +136,88 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     Emits steps.csv (every step-result field plus running aggregates),
     channels.csv (replay-ingestible recording), context.jsonl (the
     scenario's context records) and summary.json; returns the summary.
+
+    Both CSVs are written as the steps happen, one ``%``-template per
+    step and file, so memory stays flat over the horizon.  steps.csv holds
+    one line per step; channels.csv holds each step's ten lines in the
+    order pv_voltage, pv_current, pv_power, load_active_power,
+    load_apparent_power, battery_soc, battery_voltage, battery_current,
+    grid_active_power, grid_apparent_power, so its rows are sorted by
+    time and ingest without a sort.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
-    channel_buffer: list[tuple] = []
-    last_output: list[SimulatorStepOutput] = []
+    last_output: SimulatorStepOutput | None = None
 
-    with open(out_dir / "steps.csv", "w", newline="") as steps_handle:
-        writer = csv.writer(steps_handle)
-        writer.writerow(STEP_HEADER)
+    with open(out_dir / "steps.csv", "w", newline="") as steps_handle, open(
+        out_dir / "channels.csv", "w", newline=""
+    ) as channels_handle:
+        csv.writer(steps_handle).writerow(STEP_HEADER)
+        csv.writer(channels_handle).writerow(CHANNEL_HEADER)
+        write_step = steps_handle.write
+        write_channels = channels_handle.write
 
         def sink(output: SimulatorStepOutput) -> None:
-            writer.writerow(_step_row(output))
-            channel_buffer.extend(_channel_rows(output, _CHANNEL_SUBSYSTEMS))
-            if last_output:
-                last_output[0] = output
-            else:
-                last_output.append(output)
+            nonlocal last_output
+            last_output = output
+            t = output.time_ns
+            pv = output.power_source
+            load = output.load
+            inverter = output.inverter
+            battery_current = inverter.battery_input.current
+            battery = output.battery
+            grid = output.grid
+            aggregates = output.aggregates
+            write_step(
+                _STEP_TEMPLATE
+                % (
+                    output.step_index,
+                    t,
+                    pv.voltage,
+                    pv.current,
+                    pv.power,
+                    load.requested_active_power,
+                    load.requested_apparent_power,
+                    inverter.battery_input.mode.value,
+                    battery_current,
+                    battery.soc,
+                    battery.voltage,
+                    battery.delta_energy,
+                    battery.delta_charge,
+                    inverter.grid_input.requested_active_power,
+                    inverter.grid_input.requested_apparent_power,
+                    grid.delivered_active_power,
+                    grid.delivered_apparent_power,
+                    getattr(grid, "cost", 0.0),
+                    inverter.pv_power_drawn,
+                    aggregates.generated_wh,
+                    aggregates.consumed_wh,
+                    aggregates.purchased_wh,
+                    aggregates.charged_wh,
+                    aggregates.discharged_wh,
+                    aggregates.cost,
+                )
+            )
+            write_channels(
+                _CHANNEL_TEMPLATE
+                % (
+                    t, pv.voltage,
+                    t, pv.current,
+                    t, pv.power,
+                    t, load.requested_active_power,
+                    t, load.requested_apparent_power,
+                    t, battery.soc,
+                    t, battery.voltage,
+                    t, battery_current,
+                    t, grid.delivered_active_power,
+                    t, grid.delivered_apparent_power,
+                )
+            )
 
         steps = run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, sink=sink)
 
-    with open(out_dir / "channels.csv", "w", newline="") as channels_handle:
-        writer = csv.writer(channels_handle)
-        writer.writerow(["timestamp_ns", "subsystem_id", "channel", "value"])
-        for t_ns, subsystem_id, name, value in channel_buffer:
-            writer.writerow([t_ns, subsystem_id, name, _fmt(value)])
-
-    with open(out_dir / "context.jsonl", "w") as context_handle:
-        for record in bundle.records:
-            context_handle.write(
-                json.dumps(
-                    {
-                        "recorded_at_ns": record.recorded_at_ns,
-                        "begins_at_ns": record.begins_at_ns,
-                        "ends_at_ns": record.ends_at_ns,
-                        "subsystem_id": record.subsystem_id,
-                        "payload": dict(record.payload),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-    summary = _summary_payload(scenario, bundle, last_output[0], steps)
+    emit_context(out_dir / "context.jsonl", bundle.records)
+    summary = _summary_payload(scenario, bundle, last_output, steps)
     _write_json(out_dir / "summary.json", summary)
     return summary
 
@@ -353,6 +364,7 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
             else scenario.forecast["families"]
         )
         base = synthetic_config(scenario)
+        effort_fn = effort_estimator(scenario)
         out_dir = _default_out_dir(path, scenario, args.out, False)
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -379,6 +391,7 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
                 loads,
                 train_fraction=scenario.forecast["train_fraction"],
                 families=families,
+                effort_fn=effort_fn,
             )
             for family in families:
                 rows.append((family, resample, report[family]))

@@ -17,13 +17,24 @@ so values round-trip bit-exactly):
 Channel names follow ``<subsystem>_<measurement>``, e.g. ``battery_soc``
 (fraction), ``pv_power`` (W), ``load_active_power`` (W),
 ``grid_active_power`` (W).
+
+Lookups are O(log n) and copy nothing: each :class:`Channel` keeps a
+``memoryview`` of its int64 times and float64 values, :func:`interpolate`
+bisects the times view with :mod:`bisect`, and indexing a view yields the
+plain Python int or float.  Replay components resolve their channels once,
+at construction, and call the module-level :func:`interpolate` per step.
+Ingestion appends each row straight into per-channel ``array`` buffers that
+numpy wraps without a copy; only a channel whose rows arrive out of order
+is sorted.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -64,6 +75,8 @@ KNOWN_CHANNELS = frozenset(
 
 DEFAULT_BOUNDARY_TOLERANCE_S = 120.0
 
+CHANNEL_HEADER = ("timestamp_ns", "subsystem_id", "channel", "value")
+
 
 class TimeSeriesRangeError(SimulationError):
     """A replay lookup fell outside the recorded range plus tolerance."""
@@ -75,12 +88,18 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Channel:
-    """One recorded measurement series; times strictly increasing."""
+    """One recorded measurement series; times strictly increasing.
+
+    ``times_ns`` and ``values`` are int64/float64 arrays; ``_times`` and
+    ``_values`` are zero-copy memoryviews of them for scalar lookups.
+    """
 
     subsystem_id: int
     name: str
     times_ns: np.ndarray
     values: np.ndarray
+    _times: memoryview = field(init=False, repr=False, compare=False)
+    _values: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times_ns, dtype=np.int64)
@@ -94,6 +113,8 @@ class Channel:
             raise ValueError(f"channel {self.name!r} contains non-finite values")
         object.__setattr__(self, "times_ns", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_times", memoryview(times))
+        object.__setattr__(self, "_values", memoryview(values))
 
     def interpolate(self, t_ns: int, boundary_tolerance_s: float = DEFAULT_BOUNDARY_TOLERANCE_S) -> float:
         return interpolate(self, t_ns, boundary_tolerance_s)
@@ -105,11 +126,13 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
     Queries at a recorded timestamp return the recorded value exactly.
     Queries within ``boundary_tolerance_s`` before the first or after the
     last sample clamp to the boundary value; anything further out raises
-    :class:`TimeSeriesRangeError`.
+    :class:`TimeSeriesRangeError`.  ``t_ns`` is an int; the lookup bisects
+    the channel's memoryviews (O(log n), no copy).
     """
-    times = channel.times_ns
-    first = int(times[0])
-    last = int(times[-1])
+    times = channel._times
+    values = channel._values
+    first = times[0]
+    last = times[-1]
     if t_ns < first or t_ns > last:
         slack_ns = boundary_tolerance_s * 1e9
         if t_ns < first - slack_ns or t_ns > last + slack_ns:
@@ -118,15 +141,17 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
                 f"({channel.subsystem_id}, {channel.name!r}) range "
                 f"[{first}, {last}] ns by more than {boundary_tolerance_s} s"
             )
-        return float(channel.values[0] if t_ns < first else channel.values[-1])
-    index = int(np.searchsorted(times, t_ns))
-    if index < len(times) and int(times[index]) == t_ns:
-        return float(channel.values[index])
+        return values[0] if t_ns < first else values[-1]
+    # first <= t_ns <= last, so the index is in range and a miss has lo >= 0
+    index = bisect_left(times, t_ns)
+    t1 = times[index]
+    if t1 == t_ns:
+        return values[index]
     lo = index - 1
-    t0, t1 = int(times[lo]), int(times[lo + 1])
-    v0, v1 = float(channel.values[lo]), float(channel.values[lo + 1])
+    t0 = times[lo]
+    v0 = values[lo]
     fraction = (t_ns - t0) / (t1 - t0)
-    return v0 + (v1 - v0) * fraction
+    return v0 + (values[index] - v0) * fraction
 
 
 class TimeSeriesTable:
@@ -163,52 +188,66 @@ class TimeSeriesTable:
 def ingest_timeseries(path, strict_channels: bool = True) -> TimeSeriesTable:
     """Parse a channel CSV into a table, validating as it goes.
 
-    Rows may arrive unsorted; they are sorted per channel.  Duplicate
-    timestamps within a channel, malformed rows, and non-finite values are
-    rejected with the offending line number.  Unknown channel names are an
-    error when ``strict_channels`` (the default), since a typo would
-    otherwise silently drop a measurement.
+    Rows may arrive unsorted; a channel whose rows are out of order is
+    sorted by time.  Duplicate timestamps within a channel, malformed rows,
+    and non-finite values are rejected with the offending line number.
+    Unknown channel names are an error when ``strict_channels`` (the
+    default), since a typo would otherwise silently drop a measurement.
+    Each row goes straight into its channel's ``array('q')``/``array('d')``
+    pair; numpy wraps those buffers without copying.
     """
-    collected: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    collected: dict[tuple[int, str], tuple[array, array]] = {}
+    # (subsystem_id text, name) -> the appends of its channel, so a row of
+    # a channel already seen parses only its timestamp and value
+    appenders: dict[tuple[str, str], tuple] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["timestamp_ns", "subsystem_id", "channel", "value"]:
+        if header != list(CHANNEL_HEADER):
             raise IngestError(f"{path}: bad header {header!r}")
         for line_number, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise IngestError(f"{path}:{line_number}: expected 4 fields, got {len(row)}")
+            appends = appenders.get((row[1], row[2]))
             try:
                 t_ns = int(row[0])
-                subsystem_id = int(row[1])
+                if appends is None:
+                    subsystem_id = int(row[1])
                 value = float(row[3])
             except ValueError as exc:
                 raise IngestError(f"{path}:{line_number}: {exc}") from exc
-            name = row[2]
-            if name not in KNOWN_CHANNELS:
-                if strict_channels:
-                    raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
-                continue
-            collected.setdefault((subsystem_id, name), []).append((t_ns, value))
+            if appends is None:
+                name = row[2]
+                if name not in KNOWN_CHANNELS:
+                    if strict_channels:
+                        raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
+                    continue
+                columns = collected.get((subsystem_id, name))
+                if columns is None:
+                    columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
+                appends = appenders[(row[1], name)] = (columns[0].append, columns[1].append)
+            try:
+                appends[0](t_ns)
+            except OverflowError as exc:
+                raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
+            appends[1](value)
     channels = []
-    for (subsystem_id, name), rows in sorted(collected.items()):
-        rows.sort(key=lambda item: item[0])
-        times = [t for t, _ in rows]
-        for i in range(1, len(times)):
-            if times[i] == times[i - 1]:
-                raise IngestError(
-                    f"{path}: duplicate timestamp {times[i]} ns in channel "
-                    f"({subsystem_id}, {name!r})"
-                )
-        try:
-            channels.append(
-                Channel(
-                    subsystem_id=subsystem_id,
-                    name=name,
-                    times_ns=np.array(times, dtype=np.int64),
-                    values=np.array([v for _, v in rows], dtype=np.float64),
-                )
+    for (subsystem_id, name), (time_buffer, value_buffer) in sorted(collected.items()):
+        times = np.frombuffer(time_buffer, dtype=np.int64)
+        values = np.frombuffer(value_buffer, dtype=np.float64)
+        steps = np.diff(times)
+        if (steps < 0).any():
+            order = np.argsort(times, kind="stable")
+            times, values = times[order], values[order]
+            steps = np.diff(times)
+        if not steps.all():
+            duplicate = int(times[int(np.argmin(steps != 0)) + 1])
+            raise IngestError(
+                f"{path}: duplicate timestamp {duplicate} ns in channel "
+                f"({subsystem_id}, {name!r})"
             )
+        try:
+            channels.append(Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values))
         except ValueError as exc:
             raise IngestError(f"{path}: channel ({subsystem_id}, {name!r}): {exc}") from exc
     return TimeSeriesTable(channels)
@@ -224,7 +263,7 @@ def emit_timeseries(path, table: TimeSeriesTable) -> None:
     rows.sort(key=lambda item: (item[0], item[1], item[2]))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["timestamp_ns", "subsystem_id", "channel", "value"])
+        writer.writerow(CHANNEL_HEADER)
         for t_ns, subsystem_id, name, value in rows:
             writer.writerow([t_ns, subsystem_id, name, format(value, ".17g")])
 
@@ -296,32 +335,32 @@ class ReplayComponentConfig:
         if self.battery_capacity_j is not None:
             _require(self.battery_capacity_j > 0.0, "battery_capacity_j must be > 0")
 
-    def require(self, *names: str) -> None:
+    def channels(self, *names: str) -> tuple[Channel, ...]:
+        """This subsystem's channels ``names``; ValueError names the first missing one."""
         for name in names:
             if not self.table.has_channel(self.subsystem_id, name):
-                raise ValueError(
-                    f"replay recording lacks channel ({self.subsystem_id}, {name!r})"
-                )
+                raise ValueError(f"replay recording lacks channel ({self.subsystem_id}, {name!r})")
+        return tuple(self.table.channel(self.subsystem_id, name) for name in names)
 
-    def value(self, name: str, t_ns: int) -> float:
-        return interpolate(
-            self.table.channel(self.subsystem_id, name), t_ns, self.boundary_tolerance_s
-        )
+
+# The components below look up the module-level ``interpolate`` on every
+# step, so a wrapper installed on ``cemsim.replay.interpolate`` sees every
+# lookup.
 
 
 class ReplayPowerSource(PowerSource):
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
-        config.require("pv_voltage", "pv_current", "pv_power")
+        self._voltage, self._current, self._power = config.channels("pv_voltage", "pv_current", "pv_power")
         self._clock = clock
-        self._config = config
+        self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int) -> PowerSourceStepResult:
         self._clock = self._clock.advance(step_ticks)
         t = self._clock.ticks_since_epoch
         return PowerSourceStepResult(
-            voltage=max(self._config.value("pv_voltage", t), 0.0),
-            current=max(self._config.value("pv_current", t), 0.0),
-            power=max(self._config.value("pv_power", t), 0.0),
+            voltage=max(interpolate(self._voltage, t, self._tolerance_s), 0.0),
+            current=max(interpolate(self._current, t, self._tolerance_s), 0.0),
+            power=max(interpolate(self._power, t, self._tolerance_s), 0.0),
         )
 
 
@@ -331,15 +370,15 @@ class ReplayLoad(Load):
     hard result invariant."""
 
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
-        config.require("load_active_power", "load_apparent_power")
+        self._active, self._apparent = config.channels("load_active_power", "load_apparent_power")
         self._clock = clock
-        self._config = config
+        self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int) -> LoadStepResult:
         self._clock = self._clock.advance(step_ticks)
         t = self._clock.ticks_since_epoch
-        active = max(self._config.value("load_active_power", t), 0.0)
-        apparent = max(self._config.value("load_apparent_power", t), active)
+        active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
+        apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
         return LoadStepResult(requested_active_power=active, requested_apparent_power=apparent)
 
 
@@ -349,35 +388,43 @@ class ReplayGrid(Grid):
     reproduce history rather than arbitrate it."""
 
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
-        config.require("grid_active_power", "grid_apparent_power")
+        self._active, self._apparent = config.channels("grid_active_power", "grid_apparent_power")
         self._clock = clock
-        self._config = config
+        self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
         self._clock = self._clock.advance(step_ticks)
         t = self._clock.ticks_since_epoch
-        active = max(self._config.value("grid_active_power", t), 0.0)
-        apparent = max(self._config.value("grid_apparent_power", t), active)
+        active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
+        apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
         return GridStepResult(delivered_active_power=active, delivered_apparent_power=apparent)
 
 
 class ReplayBattery(Battery):
     """Recorded battery.  delta_energy is the recorded SOC difference
-    times the configured capacity; the commanded mode/current is ignored."""
+    times the configured capacity; the commanded mode/current is ignored.
+    The (soc, voltage) read at the end of one step is kept as the start
+    state of the next, so each step interpolates only its end."""
 
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
-        config.require("battery_soc", "battery_voltage")
+        self._soc, self._voltage = config.channels("battery_soc", "battery_voltage")
         _require(
             config.battery_capacity_j is not None,
             "ReplayBattery needs battery_capacity_j in its config",
         )
         self._clock = clock
-        self._config = config
+        self._tolerance_s = config.boundary_tolerance_s
+        self._capacity_j = config.battery_capacity_j
+        self._state: tuple[int, float, float] | None = None
 
     def _state_at(self, t_ns: int) -> tuple[float, float]:
-        soc = min(max(self._config.value("battery_soc", t_ns), 0.0), 1.0)
-        voltage = self._config.value("battery_voltage", t_ns)
+        state = self._state
+        if state is not None and state[0] == t_ns:
+            return state[1], state[2]
+        soc = min(max(interpolate(self._soc, t_ns, self._tolerance_s), 0.0), 1.0)
+        voltage = interpolate(self._voltage, t_ns, self._tolerance_s)
+        self._state = (t_ns, soc, voltage)
         return soc, voltage
 
     def snapshot(self) -> BatteryStepResult:
@@ -389,7 +436,7 @@ class ReplayBattery(Battery):
         previous_soc, _ = self._state_at(self._clock.ticks_since_epoch)
         self._clock = self._clock.advance(step_ticks)
         soc, voltage = self._state_at(self._clock.ticks_since_epoch)
-        delta_energy = (soc - previous_soc) * self._config.battery_capacity_j
+        delta_energy = (soc - previous_soc) * self._capacity_j
         return BatteryStepResult(
             soc=soc,
             voltage=voltage,

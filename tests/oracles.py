@@ -10,6 +10,9 @@ boundaries of every step, plus (when per-step purchases are capped) every
 boundary shifted by whole multiples of the cap.  An optimal plan always
 purchases either nothing, the per-step maximum, or exactly enough to touch a
 storage boundary, so the optimum lies on that grid.
+``interpolate_reference`` is the replay lookup before it moved from numpy
+``searchsorted`` to ``bisect`` over memoryviews, kept verbatim so lookups
+can be compared bit for bit, errors included.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from collections import deque
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError, _plan_cost
+from cemsim.replay import DEFAULT_BOUNDARY_TOLERANCE_S, TimeSeriesRangeError
 
 JOULES_PER_KWH = 3.6e6
 
@@ -262,3 +266,33 @@ def greedy_charging(problem):
         total_cost=_plan_cost(problem.prices, grid_power, dt),
         purchased_energy_j=float(bought[-1]),
     )
+
+
+def interpolate_reference(channel, t_ns, boundary_tolerance_s=DEFAULT_BOUNDARY_TOLERANCE_S):
+    """Linear interpolation with exact knot hits and bounded clamping.
+
+    Queries at a recorded timestamp return the recorded value exactly.
+    Queries within ``boundary_tolerance_s`` before the first or after the
+    last sample clamp to the boundary value; anything further out raises
+    :class:`TimeSeriesRangeError`.
+    """
+    times = channel.times_ns
+    first = int(times[0])
+    last = int(times[-1])
+    if t_ns < first or t_ns > last:
+        slack_ns = boundary_tolerance_s * 1e9
+        if t_ns < first - slack_ns or t_ns > last + slack_ns:
+            raise TimeSeriesRangeError(
+                f"query at {t_ns} ns is outside channel "
+                f"({channel.subsystem_id}, {channel.name!r}) range "
+                f"[{first}, {last}] ns by more than {boundary_tolerance_s} s"
+            )
+        return float(channel.values[0] if t_ns < first else channel.values[-1])
+    index = int(np.searchsorted(times, t_ns))
+    if index < len(times) and int(times[index]) == t_ns:
+        return float(channel.values[index])
+    lo = index - 1
+    t0, t1 = int(times[lo]), int(times[lo + 1])
+    v0, v1 = float(channel.values[lo]), float(channel.values[lo + 1])
+    fraction = (t_ns - t0) / (t1 - t0)
+    return v0 + (v1 - v0) * fraction

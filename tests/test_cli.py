@@ -1,0 +1,179 @@
+"""CLI contract: exit codes, byte-identical reruns, and the closed
+record -> validate -> replay loop."""
+from __future__ import annotations
+
+import json
+import random
+import socket
+
+import numpy as np
+import pytest
+
+from cemsim import cli, ingest_timeseries
+from cemsim.engine import ComponentStepError, run
+from cemsim.replay import TimeSeriesRangeError
+from cemsim.scenario import build_bundle, load_scenario
+
+MIDNIGHT = 1_704_067_200
+DAY = {"seed": 7, "start_epoch_seconds": MIDNIGHT, "horizon_seconds": 86_400, "step_seconds": 60}
+ARTIFACTS = ("steps.csv", "channels.csv", "context.jsonl", "summary.json")
+# The inverter re-decides battery_current from the replayed inputs, so
+# only these channels are part of the replay invariant.
+REPRODUCED = (
+    "pv_voltage",
+    "pv_current",
+    "pv_power",
+    "load_active_power",
+    "load_apparent_power",
+    "battery_soc",
+    "battery_voltage",
+    "grid_active_power",
+    "grid_apparent_power",
+)
+
+
+def _scenario(tmp_path, name, **fields):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"schema_version": 1, **DAY, **fields}))
+    return path
+
+
+def _replay_scenario(tmp_path, recording, **fields):
+    replay = {"kind": "replay", "file": f"{recording}/channels.csv"}
+    return _scenario(
+        tmp_path,
+        "replay",
+        pv=replay,
+        load=replay,
+        battery=replay,
+        grid=replay,
+        context={"kind": "replay", "file": f"{recording}/context.jsonl"},
+        **fields,
+    )
+
+
+@pytest.fixture(scope="module")
+def recording(tmp_path_factory):
+    """A 1 d @ 60 s PV-first run; its directory is named ``rec``."""
+    work = tmp_path_factory.mktemp("cli")
+    assert cli.main(["run", "--scenario", str(_scenario(work, "day")), "--out", str(work / "rec")]) == cli.EXIT_OK
+    return work
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Record -> validate -> replay
+# ---------------------------------------------------------------------------
+
+
+def test_validate_passes_a_runs_own_recording(recording, capsys):
+    files = [str(recording / "rec" / "channels.csv"), str(recording / "rec" / "context.jsonl")]
+    assert cli.main(["validate", *files]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "PASS"]
+    assert lines[0].endswith("10 channels")
+
+
+def test_replaying_a_recording_reproduces_it_bitwise(recording):
+    out = recording / "replayed"
+    assert cli.main(["run", "--scenario", str(_replay_scenario(recording, "rec")), "--out", str(out)]) == cli.EXIT_OK
+    recorded = ingest_timeseries(recording / "rec" / "channels.csv")
+    replayed = ingest_timeseries(out / "channels.csv")
+    assert recorded.keys() == replayed.keys()
+    for key in recorded.keys():
+        want, got = recorded.channel(*key), replayed.channel(*key)
+        assert _bits(got.times_ns) == _bits(want.times_ns), key
+        if key[1] in REPRODUCED:
+            assert _bits(got.values) == _bits(want.values), key
+    assert (out / "context.jsonl").read_bytes() == (recording / "rec" / "context.jsonl").read_bytes()
+
+
+def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp_path):
+    header, *rows = (recording / "rec" / "channels.csv").read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows))
+    want = ingest_timeseries(recording / "rec" / "channels.csv")
+    got = ingest_timeseries(shuffled)
+    assert got.keys() == want.keys()
+    for key in want.keys():
+        assert _bits(got.channel(*key).times_ns) == _bits(want.channel(*key).times_ns)
+        assert _bits(got.channel(*key).values) == _bits(want.channel(*key).values)
+
+
+# ---------------------------------------------------------------------------
+# Exit codes and reruns
+# ---------------------------------------------------------------------------
+
+
+def test_a_bad_flag_exits_1(tmp_path, capsys):
+    argv = ["run", "--scenario", str(_scenario(tmp_path, "day")), "--no-such-flag"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--no-such-flag" in capsys.readouterr().err
+
+
+def test_an_unknown_strategy_exits_1(tmp_path, capsys):
+    path = _scenario(tmp_path, "day")
+    argv = ["compare", "--scenario", str(path), "--strategies", "default,psychic", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "psychic" in capsys.readouterr().err
+
+
+def test_a_missing_scenario_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert cli.main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "absent.json" in capsys.readouterr().err
+
+
+def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording, capsys):
+    path = _replay_scenario(recording, "rec", horizon_seconds=2 * 86_400)
+    assert cli.main(["run", "--scenario", str(path), "--out", str(recording / "too-long")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "outside channel (1, 'pv_voltage')" in err
+    bundle = build_bundle(load_scenario(path, None, None))
+    with pytest.raises(ComponentStepError) as failure:
+        run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks)
+    assert isinstance(failure.value.__cause__, TimeSeriesRangeError)
+    # steps count from 0: step 1442 ends 180 s after the last sample, past the 120 s tolerance
+    assert failure.value.step_index == 1442
+
+
+def test_reruns_into_different_directories_are_byte_identical(recording, tmp_path):
+    path = _scenario(tmp_path, "day")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "again")]) == cli.EXIT_OK
+    for name in ARTIFACTS:
+        assert (tmp_path / "again" / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# forecast-eval uses the scenario's effort estimator
+# ---------------------------------------------------------------------------
+
+
+def _forecast_eval(tmp_path, url):
+    path = _scenario(
+        tmp_path,
+        "estimated",
+        step_seconds=240,
+        forecast={"resamples": 2, "effort_estimator": {"kind": "remote", "url": url}},
+    )
+    return cli.main(["forecast-eval", "--scenario", str(path), "--out", str(tmp_path / "fe")])
+
+
+def test_forecast_eval_scores_with_the_remote_estimator(estimator_server, tmp_path):
+    posted = len(estimator_server.texts)
+    assert _forecast_eval(tmp_path, f"{estimator_server.url}/ok") == cli.EXIT_OK
+    texts = estimator_server.texts[posted:]
+    assert texts, "the remote estimator was never asked"
+    assert len(texts) == len(set(texts)), "a text was scored twice"
+
+
+def test_forecast_eval_with_an_unreachable_estimator_exits_2(tmp_path, capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    assert _forecast_eval(tmp_path, f"http://127.0.0.1:{port}/ok") == cli.EXIT_RUNTIME
+    assert "effort estimator" in capsys.readouterr().err

@@ -6,11 +6,17 @@ Each case writes a scenario into ``tmp_path``, runs the CLI through
 refactor, a speed-up) must keep every hash.
 
 The cases cover ``compare`` with PV-first and both MPC strategies plus
-``forecast-eval`` on two seeds at 1 d @ 240 s, and one grid-capped run
-that starts at noon: most of its windows are infeasible (PV-first
-fallbacks) and it crosses a day boundary.
+``forecast-eval`` on two seeds at 1 d @ 240 s, one grid-capped run
+that starts at noon (most of its windows are infeasible, so PV-first
+falls back, and it crosses a day boundary), a PV-first ``run`` at
+2 d @ 60 s, and an all-``replay`` ``run`` of that run's recording.
 
-To re-record after an intended output change:  python tests/test_golden.py
+To re-record after an intended output change:
+
+    python tests/test_golden.py            # every case
+    python tests/test_golden.py CASE ...   # only the named cases, merged in
+
+Naming cases re-records only those and keeps every other recorded hash.
 """
 from __future__ import annotations
 
@@ -32,6 +38,9 @@ def _day(seed: int) -> dict:
     return {"seed": seed, "start_epoch_seconds": MIDNIGHT, "horizon_seconds": 86_400, "step_seconds": 240}
 
 
+_TWO_DAYS = {"seed": 7, "start_epoch_seconds": MIDNIGHT, "horizon_seconds": 2 * 86_400, "step_seconds": 60}
+_REPLAY = {"kind": "replay", "file": "run-2d/channels.csv"}
+
 CASES = {
     "compare-seed7": ("compare", _day(7)),
     "forecast-eval-seed7": ("forecast-eval", _day(7)),
@@ -48,11 +57,28 @@ CASES = {
             "battery": {"kind": "linear", "initial_soc": 0.3},
         },
     ),
+    "run-2d": ("run", _TWO_DAYS),
+    "replay-2d": (
+        "run",
+        {
+            **_TWO_DAYS,
+            "pv": _REPLAY,
+            "load": _REPLAY,
+            "battery": _REPLAY,
+            "grid": _REPLAY,
+            "context": {"kind": "replay", "file": "run-2d/context.jsonl"},
+        },
+    ),
 }
 
+# A case that replays another case's artifacts runs that case first.
+RECORDING = {"replay-2d": "run-2d"}
 
-def artifact_hashes(case: str, work: Path) -> dict[str, str]:
-    """Run one case in ``work``; SHA-256 of each artifact by file name."""
+
+def run_case(case: str, work: Path) -> Path:
+    """Run one case in ``work``; the directory its artifacts went to."""
+    if case in RECORDING:
+        run_case(RECORDING[case], work)
     command, scenario = CASES[case]
     path = work / f"{case}.json"
     path.write_text(json.dumps({"schema_version": 1, **scenario}))
@@ -61,6 +87,12 @@ def artifact_hashes(case: str, work: Path) -> dict[str, str]:
     if command == "compare":
         argv += ["--strategies", STRATEGIES]
     assert cli.main(argv) == cli.EXIT_OK
+    return out
+
+
+def artifact_hashes(case: str, work: Path) -> dict[str, str]:
+    """SHA-256 of each artifact of one case, by file name."""
+    out = run_case(case, work)
     return {
         artifact.name: hashlib.sha256(artifact.read_bytes()).hexdigest()
         for artifact in sorted(out.iterdir())
@@ -73,10 +105,19 @@ def test_artifacts_match_golden_hashes(case, tmp_path):
     assert artifact_hashes(case, tmp_path) == golden[case]
 
 
-if __name__ == "__main__":
+def rerecord(cases: list[str]) -> None:
+    """Record the named cases (all when empty) and merge them into golden.json."""
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        recorded = {case: artifact_hashes(case, Path(scratch)) for case in sorted(CASES)}
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s) {unknown}; known: {sorted(CASES)}")
+    recorded = json.loads(GOLDEN.read_text()) if cases and GOLDEN.exists() else {}
+    for case in cases or sorted(CASES):
+        with tempfile.TemporaryDirectory() as scratch:
+            recorded[case] = artifact_hashes(case, Path(scratch))
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    sys.exit(0)
+
+
+if __name__ == "__main__":
+    rerecord(sys.argv[1:])

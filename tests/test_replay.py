@@ -1,4 +1,6 @@
 """Recorded-channel replay: interpolation, file round-trips, replay components."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from cemsim import (
 )
 from cemsim.core import ContextRecord
 from cemsim.replay import ReplayComponentConfig
+
+from oracles import interpolate_reference
 
 NS = 1_000_000_000
 
@@ -80,6 +84,59 @@ def test_interpolating_a_linear_signal_reconstructs_it(slope, offset, query_s):
     got = interpolate(channel, query_s * NS)
     expected = offset + slope * query_s
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+
+def _same_float(a, b):
+    """Equal bits for finite results: == plus the sign of zero."""
+    return type(a) is float and type(b) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _lookup(channel, t_ns, tolerance_s, lookup):
+    try:
+        return lookup(channel, t_ns, tolerance_s)
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e15, max_value=1e15)
+
+
+@st.composite
+def _channel_and_queries(draw):
+    start = draw(st.integers(min_value=-(10**15), max_value=10**18))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=10**12), max_size=12))
+    times = [start]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    values = draw(st.lists(_finite | st.sampled_from([0.0, -0.0, 5e-324]), min_size=len(times), max_size=len(times)))
+    tolerance_s = draw(st.sampled_from([0.0, 1e-9, 0.5, 120.0]) | st.floats(min_value=0.0, max_value=1e4))
+    slack_ns = int(tolerance_s * 1e9)
+    first, last = times[0], times[-1]
+    kinds = st.one_of(
+        st.sampled_from(times),
+        st.integers(min_value=first, max_value=last),
+        st.integers(min_value=first - slack_ns - 2, max_value=first),
+        st.integers(min_value=last, max_value=last + slack_ns + 2),
+        st.integers(min_value=first - 10**13, max_value=last + 10**13),
+    )
+    queries = draw(st.lists(kinds, min_size=1, max_size=20))
+    channel = Channel(1, "pv_power", np.array(times, dtype=np.int64), np.array(values, dtype=np.float64))
+    return channel, tolerance_s, queries
+
+
+@given(_channel_and_queries())
+@settings(max_examples=400)
+def test_interpolate_matches_the_searchsorted_reference_bitwise(case):
+    """Knots, between knots, inside and beyond the edge slack, any order:
+    the same bits, or the same error type and message."""
+    channel, tolerance_s, queries = case
+    for t_ns in queries:
+        want = _lookup(channel, t_ns, tolerance_s, interpolate_reference)
+        got = _lookup(channel, t_ns, tolerance_s, interpolate)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want), (t_ns, got, want)
+        else:
+            assert _same_float(got, want), (t_ns, got, want)
 
 
 def test_channel_validation():
@@ -151,6 +208,17 @@ def test_ingest_reports_the_offending_line(tmp_path):
         ingest_timeseries(path)
     path.write_text("timestamp_ns,subsystem_id,channel,value\n0,1,pv_power\n")
     with pytest.raises(IngestError, match=":2"):
+        ingest_timeseries(path)
+
+
+def test_ingest_rejects_a_timestamp_beyond_int64_with_its_line(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        "0,1,pv_power,100\n"
+        f"{2**63},1,pv_power,150\n"
+    )
+    with pytest.raises(IngestError, match=r"rec\.csv:3: .*int64"):
         ingest_timeseries(path)
 
 
