@@ -4,8 +4,11 @@ evaluation, and recording validation.
 Exit codes: 0 success, 1 configuration error (bad flags, bad scenario,
 missing files, invalid recordings), 2 runtime simulation error.  All
 commands are deterministic for fixed seeds and inputs; artifacts are
-byte-identical across reruns.  The ``CEMSIM_LOG`` environment variable
-sets the log level (debug/info/warning/error).
+byte-identical across reruns.  ``run`` takes repeatable ``--scenario``
+flags and runs the scenarios one after another, each into its own
+``<out>/<stem>/``.  ``run`` and ``compare`` stream the engine's step
+outputs through a sink instead of keeping them.  The ``CEMSIM_LOG``
+environment variable sets the log level (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from array import array
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -251,22 +255,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{path}: {summary['steps']} steps, cost {summary['aggregates']['cost']:.6f} -> {out_dir}")
         return EXIT_OK
 
-    if multi and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(one, paths))
-    else:
-        codes = [one(path) for path in paths]
-    return max(codes)
+    return max([one(path) for path in paths])
 
 
-def _cumulative_cost_at(outputs: list[SimulatorStepOutput], t_ns: int) -> float:
-    """Running cost at the last step boundary at or before ``t_ns``."""
-    cost = 0.0
-    for output in outputs:
-        if output.time_ns > t_ns:
-            break
-        cost = output.aggregates.cost
-    return cost
+class _CostTrace:
+    """Sink keeping one strategy's per-step (time_ns, running cost) and its last output."""
+
+    __slots__ = ("times", "costs", "last")
+
+    def __init__(self) -> None:
+        self.times = array("q")
+        self.costs = array("d")
+        self.last: SimulatorStepOutput | None = None
+
+    def __call__(self, output: SimulatorStepOutput) -> None:
+        self.times.append(output.time_ns)
+        self.costs.append(output.aggregates.cost)
+        self.last = output
+
+    def cost_at(self, t_ns: int) -> float:
+        """Running cost at the last step boundary at or before ``t_ns``."""
+        index = bisect_right(self.times, t_ns)
+        return self.costs[index - 1] if index else 0.0
 
 
 def _single_scenario(args: argparse.Namespace) -> Path:
@@ -288,12 +298,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         scenario = load_scenario(path, args.seed, args.step_seconds)
         out_dir = _default_out_dir(path, scenario, args.out, False)
         out_dir.mkdir(parents=True, exist_ok=True)
-        results: dict[str, list[SimulatorStepOutput]] = {}
+        results: dict[str, _CostTrace] = {}
         bundles: dict[str, SimulationBundle] = {}
         for strategy in strategies:
             bundle = build_bundle(scenario, strategy)
-            outputs = run(bundle.simulator, scenario.total_ticks, scenario.step_ticks)
-            results[strategy] = outputs
+            trace = _CostTrace()
+            run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, sink=trace)
+            results[strategy] = trace
             bundles[strategy] = bundle
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -302,14 +313,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    reference = results[strategies[0]]
+    costs = [results[s].costs for s in strategies]
     with open(out_dir / "running_cost.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step_index", "time_ns"] + [f"cost_{s}" for s in strategies])
-        for i, output in enumerate(reference):
-            row = [output.step_index, output.time_ns]
-            row.extend(_fmt(results[s][i].aggregates.cost) for s in strategies)
-            writer.writerow(row)
+        for i, t_ns in enumerate(results[strategies[0]].times):
+            writer.writerow([i, t_ns, *(_fmt(column[i]) for column in costs)])
 
     # Per-day, per-hour cumulative savings of context-aware MPC over the
     # PV-first default (cumulative within each day).
@@ -317,16 +326,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with open(out_dir / "savings.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["day"] + [f"h{h:02d}" for h in range(24)])
+            default, context = results["default"], results["mpc-context"]
             for day in range(scenario.day_count):
                 day_start = scenario.start_ns + day * NS_PER_DAY
-                base = _cumulative_cost_at(results["default"], day_start)
-                base_ctx = _cumulative_cost_at(results["mpc-context"], day_start)
+                base = default.cost_at(day_start)
+                base_ctx = context.cost_at(day_start)
                 row: list = [day]
                 for hour in range(24):
                     boundary = min(day_start + (hour + 1) * NS_PER_HOUR, scenario.end_ns)
-                    saved = (_cumulative_cost_at(results["default"], boundary) - base) - (
-                        _cumulative_cost_at(results["mpc-context"], boundary) - base_ctx
-                    )
+                    saved = (default.cost_at(boundary) - base) - (context.cost_at(boundary) - base_ctx)
                     row.append(_fmt(saved))
                 writer.writerow(row)
 
@@ -341,9 +349,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "step_seconds": scenario.step_seconds,
         "strategies": {
             strategy: {
-                "cost": results[strategy][-1].aggregates.cost,
-                "purchased_wh": results[strategy][-1].aggregates.purchased_wh,
-                "final_soc": results[strategy][-1].battery.soc,
+                "cost": results[strategy].last.aggregates.cost,
+                "purchased_wh": results[strategy].last.aggregates.purchased_wh,
+                "final_soc": results[strategy].last.battery.soc,
             }
             for strategy in strategies
         },
@@ -470,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one or more scenarios under PV-first dispatch")
     add_common(p_run, True)
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel scenario runs (default 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run one scenario under several dispatch strategies")

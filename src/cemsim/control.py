@@ -51,11 +51,8 @@ import numpy as np
 
 from .core import (
     NS_PER_SECOND,
-    BatteryMode,
-    BatteryStepInput,
     Clock,
     CompensatedSum,
-    GridStepInput,
     Inverter,
     InverterStepInput,
     InverterStepResult,
@@ -63,12 +60,7 @@ from .core import (
     _require,
     grid_energy_cost,
 )
-from .models.inverter import (
-    InverterPVFirstConfig,
-    _charge_power_limit,
-    _discharge_power_limit,
-    inverter_pv_first_step,
-)
+from .models.inverter import InverterPVFirstConfig, inverter_pv_first_step
 
 logger = logging.getLogger(__name__)
 
@@ -402,15 +394,17 @@ class RecedingHorizonController:
 
 
 class MPCInverter(Inverter):
-    """PV-first inverter steered by a receding-horizon purchase plan.
+    """The PV-first inverter steered by a receding-horizon purchase plan.
 
-    The planned purchase covers the step's demand deficit first; anything
-    beyond the deficit is routed into the battery (grid-to-battery), which
-    also suppresses discharge for the step.  If the plan buys less than
-    the deficit, the battery covers the gap within its bounds and any
-    remainder is added to the grid request, so the load is always served.
-    When no plan is available (infeasible or empty window) the step is
-    plain PV-first dispatch.
+    Each step asks the controller for the step's planned purchase and
+    hands it to :func:`~cemsim.models.inverter.inverter_pv_first_step`,
+    which serves the deficit from it, routes any surplus into the battery
+    and lets the battery cover a shortfall.  Storage limits are projected
+    from the plan's SOC when the executed SOC agrees with it within the
+    controller's ``soc_snap_tolerance``, else from the executed SOC.  When
+    no plan is available (infeasible or empty window) the step is plain
+    PV-first dispatch.  The class lives here, not in ``models``, because
+    models do not import controllers.
     """
 
     def __init__(
@@ -418,13 +412,11 @@ class MPCInverter(Inverter):
         clock: Clock,
         config: InverterPVFirstConfig,
         controller: RecedingHorizonController,
-        snap_rel: float = 1e-9,
     ) -> None:
         self._now_ns = clock.ticks_since_epoch
         self._tick_ns = clock.tick_resolution
         self._config = config
         self._controller = controller
-        self._snap_rel = snap_rel
 
     @property
     def config(self) -> InverterPVFirstConfig:
@@ -435,96 +427,15 @@ class MPCInverter(Inverter):
         return self._controller
 
     def step(self, step_ticks: int, inverter_input: InverterStepInput) -> InverterStepResult:
-        config = self._config
         dt_ns = step_ticks * self._tick_ns
-        dt_s = dt_ns / NS_PER_SECOND
         now_ns = self._now_ns
         self._now_ns = now_ns + dt_ns
-
-        decision = self._controller.decide(now_ns, inverter_input.battery.soc)
-        if decision.planned_grid_power_w is None:
-            return inverter_pv_first_step(inverter_input, config, dt_s)
-        planned = decision.planned_grid_power_w
-
-        pv_offered = inverter_input.power_source.power
-        load = inverter_input.load
         soc = inverter_input.battery.soc
-        battery_voltage = inverter_input.battery.voltage
-        # Project storage limits from the planned SOC when execution is on
-        # plan (within tolerance); otherwise trust the executed state.
-        soc_basis = soc
-        if (
-            decision.planned_soc is not None
-            and abs(decision.planned_soc - soc) <= self._controller.soc_snap_tolerance
-        ):
-            soc_basis = decision.planned_soc
-
-        demand = load.requested_active_power + config.self_power
-        demand_pv_side = demand / config.eta_pv_to_load
-        if pv_offered >= demand_pv_side:
-            pv_for_load = demand_pv_side
-            deficit = 0.0
-        else:
-            pv_for_load = pv_offered
-            deficit = demand - pv_offered * config.eta_pv_to_load
-        pv_surplus = pv_offered - pv_for_load
-        pv_drawn = pv_for_load
-
-        charge_power = 0.0  # battery side
-        discharge_power = 0.0  # battery side
-        uncovered = 0.0
-
-        if pv_surplus > 0.0 and soc_basis < config.soc_max:
-            allowed = _charge_power_limit(config, soc_basis, dt_s)
-            charge_power = min(pv_surplus * config.eta_pv_to_batt, allowed)
-            pv_drawn += charge_power / config.eta_pv_to_batt
-
-        snap = self._snap_rel * max(1.0, abs(planned), abs(deficit))
-        if abs(planned - deficit) <= snap:
-            # The plan buys exactly the deficit: grid serves the load,
-            # the battery holds (sub-tolerance dust is not dispatched).
-            requested_active = planned
-        elif planned > deficit:
-            surplus_to_battery = planned - deficit
-            routable = 0.0
-            if soc_basis < config.soc_max:
-                allowed = _charge_power_limit(config, soc_basis, dt_s)
-                routable = min(surplus_to_battery, max(allowed - charge_power, 0.0))
-            charge_power += routable
-            if routable >= surplus_to_battery - snap:
-                requested_active = planned
-            else:
-                # Caps truncated the planned charge; only buy what lands.
-                requested_active = deficit + routable
-        else:
-            gap = deficit - planned
-            wanted = gap / config.eta_batt_to_load
-            allowed = 0.0
-            if soc_basis > config.soc_min:
-                allowed = _discharge_power_limit(config, soc_basis, dt_s)
-            if wanted <= allowed + snap:
-                discharge_power = min(wanted, allowed)
-                requested_active = planned
-            else:
-                discharge_power = allowed
-                uncovered = gap - discharge_power * config.eta_batt_to_load
-                requested_active = planned + uncovered
-
-        covered_for_load = min(demand - uncovered, load.requested_active_power)
-        apparent_residual = load.requested_apparent_power - covered_for_load
-        if apparent_residual < 0.0:
-            apparent_residual = 0.0
-        requested_apparent = max(apparent_residual, requested_active)
-
-        if charge_power > 0.0:
-            battery_input = BatteryStepInput(BatteryMode.CHARGE, charge_power / battery_voltage)
-        elif discharge_power > 0.0:
-            battery_input = BatteryStepInput(BatteryMode.DISCHARGE, discharge_power / battery_voltage)
-        else:
-            battery_input = BatteryStepInput(BatteryMode.IDLE, 0.0)
-
-        return InverterStepResult(
-            grid_input=GridStepInput(requested_active, requested_apparent),
-            battery_input=battery_input,
-            pv_power_drawn=pv_drawn,
+        decision = self._controller.decide(now_ns, soc)
+        planned_soc = decision.planned_soc
+        soc_basis = None
+        if planned_soc is not None and abs(planned_soc - soc) <= self._controller.soc_snap_tolerance:
+            soc_basis = planned_soc
+        return inverter_pv_first_step(
+            inverter_input, self._config, dt_ns / NS_PER_SECOND, decision.planned_grid_power_w, soc_basis
         )

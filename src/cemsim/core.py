@@ -278,22 +278,12 @@ class InverterStepInput:
     Generation and load are the results just produced for the current
     step; battery and grid results are from the previous step (the
     battery result carries the state of charge the dispatch is based on).
-    grid_to_battery_power (W, grid side) optionally commands charging the
-    battery from the grid during this step.
     """
 
     power_source: PowerSourceStepResult
     battery: BatteryStepResult
     grid: GridStepResult
     load: LoadStepResult
-    grid_to_battery_power: float = 0.0
-
-    def __post_init__(self) -> None:
-        g2b = self.grid_to_battery_power
-        if math.isfinite(g2b) and g2b >= 0.0:
-            return
-        _require_finite(g2b, "grid_to_battery_power")
-        _require(g2b >= 0.0, "grid_to_battery_power must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

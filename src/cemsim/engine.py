@@ -198,7 +198,7 @@ class Simulator:
     def maxima(self) -> dict[str, float]:
         return dict(self._maxima)
 
-    def step(self, step_ticks: int, grid_to_battery_power: float = 0.0) -> SimulatorStepOutput:
+    def step(self, step_ticks: int) -> SimulatorStepOutput:
         """Advance every component by ``step_ticks`` ticks."""
         dt_s = self.clock.step_seconds(step_ticks)
 
@@ -212,13 +212,7 @@ class Simulator:
             stage = "inverter"
             inverter_result = self.inverter.step(
                 step_ticks,
-                InverterStepInput(
-                    pv_result,
-                    self.last_battery_result,
-                    self.last_grid_result,
-                    load_result,
-                    grid_to_battery_power,
-                ),
+                InverterStepInput(pv_result, self.last_battery_result, self.last_grid_result, load_result),
             )
             battery_input = inverter_result.battery_input
             grid_input = inverter_result.grid_input
@@ -293,26 +287,21 @@ def run(
     simulator: Simulator,
     total_ticks: int,
     step_ticks: int,
-    sink: Callable[[SimulatorStepOutput], None] | None = None,
-) -> list[SimulatorStepOutput] | int:
+    sink: Callable[[SimulatorStepOutput], None],
+) -> int:
     """Run ``total_ticks`` of simulated time in ``step_ticks`` chunks.
 
-    A final shorter step covers any remainder, so the horizon is honored
-    exactly.  With a ``sink`` the outputs are streamed to it and only the
-    step count is returned; otherwise all outputs are collected.
+    Every step's output goes to ``sink`` as it is produced, so memory
+    stays flat over the horizon; the step count is returned.  A final
+    shorter step covers any remainder, so the horizon is honored exactly.
     """
     _require(total_ticks >= 1, "total_ticks must be >= 1")
     _require(step_ticks >= 1, "step_ticks must be >= 1")
-    outputs: list[SimulatorStepOutput] | None = None if sink is not None else []
     remaining = total_ticks
     count = 0
     while remaining > 0:
         ticks = step_ticks if remaining >= step_ticks else remaining
-        output = simulator.step(ticks)
+        sink(simulator.step(ticks))
         count += 1
         remaining -= ticks
-        if sink is not None:
-            sink(output)
-        else:
-            outputs.append(output)
-    return count if sink is not None else outputs
+    return count

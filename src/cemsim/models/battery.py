@@ -81,8 +81,6 @@ class BatteryLinear(Battery):
     """Stateful wrapper around :func:`battery_linear_step`."""
 
     def __init__(self, clock: Clock, config: BatteryLinearConfig | None = None) -> None:
-        # Per-step work must stay cheap, so track time as plain ints.
-        self._now_ns = clock.ticks_since_epoch
         self._tick_ns = clock.tick_resolution
         self._config = config if config is not None else BatteryLinearConfig()
         self._energy_j = self._config.initial_soc * self._config.capacity_j
@@ -105,8 +103,6 @@ class BatteryLinear(Battery):
         )
 
     def step(self, step_ticks: int, battery_input: BatteryStepInput) -> BatteryStepResult:
-        dt_ns = step_ticks * self._tick_ns
-        self._now_ns += dt_ns
         if battery_input.mode is BatteryMode.IDLE:
             # Idle leaves the store untouched, so the result only changes
             # when a charge or discharge does; reuse the frozen record.
@@ -117,6 +113,6 @@ class BatteryLinear(Battery):
             return result
         self._idle_result = None
         self._energy_j, result = battery_linear_step(
-            self._energy_j, battery_input, self._config, dt_ns / NS_PER_SECOND
+            self._energy_j, battery_input, self._config, step_ticks * self._tick_ns / NS_PER_SECOND
         )
         return result

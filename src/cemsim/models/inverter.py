@@ -1,10 +1,17 @@
-"""PV-first hybrid inverter.
+"""Hybrid inverter dispatch: PV-first, optionally steered by a purchase plan.
 
-Allocation priority for every step: generation covers the AC demand
-first; leftover generation charges the battery; the battery covers any
-remaining demand; whatever is still uncovered is requested from the
-grid.  An optional grid-to-battery command routes additional grid power
-into the battery and suppresses discharge for that step, so the battery
+One kernel, :func:`inverter_pv_first_step`, allocates every step.  Without
+a plan (``planned=None``) the priority is PV-first: generation covers the
+AC demand first; leftover generation charges the battery; the battery
+covers any remaining demand; whatever is still uncovered is requested
+from the grid.
+
+With a planned grid purchase (W) the first two stages are the same and
+the plan replaces the third: a purchase within ``SNAP_REL`` of the
+deficit buys exactly the deficit and the battery holds; a larger purchase
+routes the surplus into the battery (only what the caps let land is
+bought); a smaller one lets the battery cover the gap, and any remainder
+is added to the grid request, so the load is always served.  The battery
 never charges and discharges in the same step.
 
 All efficiencies are multiplicative factors in (0, 1] on the named path.
@@ -12,6 +19,8 @@ Power caps are battery-side watts.  If ``battery_capacity`` is set, the
 commanded current is additionally limited so the projected state of
 charge stays inside [soc_min, soc_max]; without it the SOC gates only
 check the bound at the step's start, which can overshoot within one step.
+The projection starts from ``soc_basis`` when given (a planner's SOC
+that the executed state agrees with), else from the executed SOC.
 """
 
 from __future__ import annotations
@@ -72,6 +81,11 @@ class InverterPVFirstConfig:
         _require(0.0 < self.battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
 
 
+#: Relative tolerance within which a planned purchase counts as exactly
+#: the deficit, the planned charge as fully routed, or the planned
+#: discharge as within its cap.
+SNAP_REL = 1e-9
+
 # Shared frozen instance; most steps idle the battery and a fresh record
 # per step is measurable at scale.
 _IDLE_BATTERY_INPUT = BatteryStepInput(BatteryMode.IDLE, 0.0)
@@ -99,13 +113,14 @@ def inverter_pv_first_step(
     inverter_input: InverterStepInput,
     config: InverterPVFirstConfig,
     dt_s: float,
+    planned: float | None = None,
+    soc_basis: float | None = None,
 ) -> InverterStepResult:
-    """Allocate one step's power flows with PV-first priority."""
+    """Allocate one step's power flows, PV-first or along a planned purchase."""
     pv_offered = inverter_input.power_source.power
     load = inverter_input.load
-    soc = inverter_input.battery.soc
-    battery_voltage = inverter_input.battery.voltage
-    g2b = inverter_input.grid_to_battery_power
+    if soc_basis is None:
+        soc_basis = inverter_input.battery.soc
 
     demand = load.requested_active_power + config.self_power
 
@@ -122,41 +137,73 @@ def inverter_pv_first_step(
 
     charge_power = 0.0  # battery-side W
     discharge_power = 0.0  # battery-side W
-    grid_charge = 0.0  # grid-side W actually routed to the battery
+    uncovered = 0.0  # demand neither generation nor the battery serves
 
     # 2. Leftover generation charges the battery.
-    if pv_surplus > 0.0 and soc < config.soc_max:
-        allowed = _charge_power_limit(config, soc, dt_s)
+    if pv_surplus > 0.0 and soc_basis < config.soc_max:
+        allowed = _charge_power_limit(config, soc_basis, dt_s)
         charge_power = min(pv_surplus * config.eta_pv_to_batt, allowed)
         pv_drawn += charge_power / config.eta_pv_to_batt
 
-    # 3. Grid-to-battery charging; suppresses discharge for this step.
-    if g2b > 0.0:
-        if soc < config.soc_max:
-            allowed = _charge_power_limit(config, soc, dt_s)
-            grid_charge = min(g2b, max(allowed - charge_power, 0.0))
-            charge_power += grid_charge
-    elif deficit > 0.0 and soc > config.soc_min:
-        # Battery covers the remaining demand, within its caps and window.
-        wanted = deficit / config.eta_batt_to_load
-        allowed = _discharge_power_limit(config, soc, dt_s)
-        if wanted <= allowed:
-            discharge_power = wanted
-            deficit = 0.0
+    if planned is None:
+        # 3. The battery covers the remaining demand, within its caps and
+        # window; the rest is bought.
+        uncovered = deficit
+        if deficit > 0.0 and soc_basis > config.soc_min:
+            wanted = deficit / config.eta_batt_to_load
+            allowed = _discharge_power_limit(config, soc_basis, dt_s)
+            if wanted <= allowed:
+                discharge_power = wanted
+                uncovered = 0.0
+            else:
+                discharge_power = allowed
+                uncovered = deficit - discharge_power * config.eta_batt_to_load
+                if uncovered < 0.0:
+                    uncovered = 0.0
+        requested_active = uncovered
+    else:
+        # 3. The plan's purchase serves the deficit first.
+        snap = SNAP_REL * max(1.0, abs(planned), abs(deficit))
+        if abs(planned - deficit) <= snap:
+            # The plan buys exactly the deficit: grid serves the load,
+            # the battery holds (sub-tolerance dust is not dispatched).
+            requested_active = planned
+        elif planned > deficit:
+            # Surplus purchase goes into the battery.
+            surplus_to_battery = planned - deficit
+            routable = 0.0
+            if soc_basis < config.soc_max:
+                allowed = _charge_power_limit(config, soc_basis, dt_s)
+                routable = min(surplus_to_battery, max(allowed - charge_power, 0.0))
+            charge_power += routable
+            if routable >= surplus_to_battery - snap:
+                requested_active = planned
+            else:
+                # Caps truncated the planned charge; only buy what lands.
+                requested_active = deficit + routable
         else:
-            discharge_power = allowed
-            deficit -= discharge_power * config.eta_batt_to_load
-            if deficit < 0.0:
-                deficit = 0.0
+            # Short purchase: the battery covers the gap, the grid the rest.
+            gap = deficit - planned
+            wanted = gap / config.eta_batt_to_load
+            allowed = 0.0
+            if soc_basis > config.soc_min:
+                allowed = _discharge_power_limit(config, soc_basis, dt_s)
+            if wanted <= allowed + snap:
+                discharge_power = min(wanted, allowed)
+                requested_active = planned
+            else:
+                discharge_power = allowed
+                uncovered = gap - discharge_power * config.eta_batt_to_load
+                requested_active = planned + uncovered
 
-    # 4. Residual demand plus commanded charging goes to the grid.
-    requested_active = deficit + grid_charge
-    covered_for_load = min(demand - deficit, load.requested_active_power)
+    # 4. The grid request; apparent power covers what the load still needs.
+    covered_for_load = min(demand - uncovered, load.requested_active_power)
     apparent_residual = load.requested_apparent_power - covered_for_load
     if apparent_residual < 0.0:
         apparent_residual = 0.0
     requested_apparent = max(apparent_residual, requested_active)
 
+    battery_voltage = inverter_input.battery.voltage
     if charge_power > 0.0:
         battery_input = BatteryStepInput(BatteryMode.CHARGE, charge_power / battery_voltage)
     elif discharge_power > 0.0:
@@ -173,8 +220,6 @@ class InverterPVFirst(Inverter):
     """Stateful wrapper around :func:`inverter_pv_first_step`."""
 
     def __init__(self, clock: Clock, config: InverterPVFirstConfig | None = None) -> None:
-        # Plain-int time; per-step Clock churn is measurable at 1e6 steps.
-        self._now_ns = clock.ticks_since_epoch
         self._tick_ns = clock.tick_resolution
         self._config = config if config is not None else InverterPVFirstConfig()
 
@@ -183,6 +228,4 @@ class InverterPVFirst(Inverter):
         return self._config
 
     def step(self, step_ticks: int, inverter_input: InverterStepInput) -> InverterStepResult:
-        dt_ns = step_ticks * self._tick_ns
-        self._now_ns += dt_ns
-        return inverter_pv_first_step(inverter_input, self._config, dt_ns / NS_PER_SECOND)
+        return inverter_pv_first_step(inverter_input, self._config, step_ticks * self._tick_ns / NS_PER_SECOND)

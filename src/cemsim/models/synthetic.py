@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import (
     Clock,
@@ -89,7 +89,6 @@ class SyntheticScenarioConfig:
     pv_noise_amplitude: float = 0.1
     base_load: float = 800.0
     job_events: tuple[JobEvent, ...] = ()
-    price_tiers: PriceTiers = field(default_factory=PriceTiers)
     load_noise_amplitude: float = 0.0
     pv_voltage: float = 400.0
     sunrise_hour: float = 6.0
@@ -341,11 +340,14 @@ class SyntheticLoad(Load):
 
 
 class ScriptedContext(Context):
-    """Replays a fixed set of context records.
+    """Plays back a fixed set of context records: generated job
+    announcements or records ingested from a recording.
 
     Each step returns the records known at the step's *start* time whose
     interval has not yet ended, so a consumer acting on the step never
-    sees notes from its own future.
+    sees notes from its own future.  ``context_query`` is looked up as a
+    module global on every step, so a wrapper installed on
+    ``cemsim.models.synthetic.context_query`` sees every query.
     """
 
     def __init__(self, clock: Clock, records: tuple[ContextRecord, ...]) -> None:

@@ -44,7 +44,6 @@ from .core import (
     BatteryStepInput,
     BatteryStepResult,
     Clock,
-    Context,
     ContextRecord,
     Grid,
     GridStepInput,
@@ -55,7 +54,6 @@ from .core import (
     PowerSourceStepResult,
     SimulationError,
     _require,
-    context_query,
 )
 
 KNOWN_CHANNELS = frozenset(
@@ -345,18 +343,20 @@ class ReplayComponentConfig:
 
 # The components below look up the module-level ``interpolate`` on every
 # step, so a wrapper installed on ``cemsim.replay.interpolate`` sees every
-# lookup.
+# lookup.  Recorded context needs no component of its own:
+# ``ScriptedContext`` plays back ingested records.
 
 
 class ReplayPowerSource(PowerSource):
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
         self._voltage, self._current, self._power = config.channels("pv_voltage", "pv_current", "pv_power")
-        self._clock = clock
+        self._now_ns = clock.ticks_since_epoch
+        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int) -> PowerSourceStepResult:
-        self._clock = self._clock.advance(step_ticks)
-        t = self._clock.ticks_since_epoch
+        self._now_ns += step_ticks * self._tick_ns
+        t = self._now_ns
         return PowerSourceStepResult(
             voltage=max(interpolate(self._voltage, t, self._tolerance_s), 0.0),
             current=max(interpolate(self._current, t, self._tolerance_s), 0.0),
@@ -371,12 +371,13 @@ class ReplayLoad(Load):
 
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
         self._active, self._apparent = config.channels("load_active_power", "load_apparent_power")
-        self._clock = clock
+        self._now_ns = clock.ticks_since_epoch
+        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int) -> LoadStepResult:
-        self._clock = self._clock.advance(step_ticks)
-        t = self._clock.ticks_since_epoch
+        self._now_ns += step_ticks * self._tick_ns
+        t = self._now_ns
         active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
         apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
         return LoadStepResult(requested_active_power=active, requested_apparent_power=apparent)
@@ -389,13 +390,14 @@ class ReplayGrid(Grid):
 
     def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
         self._active, self._apparent = config.channels("grid_active_power", "grid_apparent_power")
-        self._clock = clock
+        self._now_ns = clock.ticks_since_epoch
+        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, step_ticks: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
-        self._clock = self._clock.advance(step_ticks)
-        t = self._clock.ticks_since_epoch
+        self._now_ns += step_ticks * self._tick_ns
+        t = self._now_ns
         active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
         apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
         return GridStepResult(delivered_active_power=active, delivered_apparent_power=apparent)
@@ -413,7 +415,8 @@ class ReplayBattery(Battery):
             config.battery_capacity_j is not None,
             "ReplayBattery needs battery_capacity_j in its config",
         )
-        self._clock = clock
+        self._now_ns = clock.ticks_since_epoch
+        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
         self._capacity_j = config.battery_capacity_j
         self._state: tuple[int, float, float] | None = None
@@ -428,14 +431,14 @@ class ReplayBattery(Battery):
         return soc, voltage
 
     def snapshot(self) -> BatteryStepResult:
-        soc, voltage = self._state_at(self._clock.ticks_since_epoch)
+        soc, voltage = self._state_at(self._now_ns)
         return BatteryStepResult(soc=soc, voltage=voltage, delta_energy=0.0, delta_charge=0.0)
 
     def step(self, step_ticks: int, battery_input: BatteryStepInput) -> BatteryStepResult:
         del battery_input
-        previous_soc, _ = self._state_at(self._clock.ticks_since_epoch)
-        self._clock = self._clock.advance(step_ticks)
-        soc, voltage = self._state_at(self._clock.ticks_since_epoch)
+        previous_soc, _ = self._state_at(self._now_ns)
+        self._now_ns += step_ticks * self._tick_ns
+        soc, voltage = self._state_at(self._now_ns)
         delta_energy = (soc - previous_soc) * self._capacity_j
         return BatteryStepResult(
             soc=soc,
@@ -443,20 +446,3 @@ class ReplayBattery(Battery):
             delta_energy=delta_energy,
             delta_charge=delta_energy / voltage,
         )
-
-
-class ReplayContext(Context):
-    """Replays ingested context records with no-future-leakage queries."""
-
-    def __init__(self, clock: Clock, records: tuple[ContextRecord, ...]) -> None:
-        self._clock = clock
-        self._records = tuple(records)
-
-    @property
-    def records(self) -> tuple[ContextRecord, ...]:
-        return self._records
-
-    def step(self, step_ticks: int) -> tuple[ContextRecord, ...]:
-        active = tuple(context_query(self._records, self._clock))
-        self._clock = self._clock.advance(step_ticks)
-        return active

@@ -33,7 +33,6 @@ from .control import (
 from .core import (
     Clock,
     ConfigurationError,
-    Context,
     ContextRecord,
     NS_PER_SECOND,
     context_query,
@@ -67,7 +66,6 @@ from .models.synthetic import (
 from .replay import (
     ReplayBattery,
     ReplayComponentConfig,
-    ReplayContext,
     ReplayGrid,
     ReplayLoad,
     ReplayPowerSource,
@@ -457,13 +455,6 @@ def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
     load = scenario.load if scenario.load["kind"] == "synthetic" else {}
     if not pv and not load:
         return None
-    grid = scenario.grid
-    tiers = PriceTiers(
-        off_peak_price=grid.get("off_peak_price", 0.10) if grid["kind"] == "priced" else 0.0,
-        peak_price=grid.get("peak_price", 0.40) if grid["kind"] == "priced" else 0.0,
-        peak_start_hour=grid.get("peak_start_hour", 8) if grid["kind"] == "priced" else 8,
-        peak_end_hour=grid.get("peak_end_hour", 20) if grid["kind"] == "priced" else 20,
-    )
     jobs: tuple = ()
     if load:
         jobs = generate_job_events(
@@ -480,7 +471,6 @@ def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
         pv_noise_amplitude=pv.get("noise_amplitude", 0.1),
         base_load=load.get("base_power_w", 800.0),
         job_events=jobs,
-        price_tiers=tiers,
         load_noise_amplitude=load.get("noise_amplitude", 0.0),
         pv_voltage=pv.get("voltage", 400.0),
         sunrise_hour=pv.get("sunrise_hour", 6.0),
@@ -489,6 +479,7 @@ def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
 
 
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
+    """The priced grid block's two-tier schedule over the horizon's days."""
     if scenario.grid["kind"] != "priced":
         return None
     grid = scenario.grid
@@ -755,15 +746,14 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     else:
         grid = ReplayGrid(clock, _replay_config(scenario.grid, tables))
 
+    # generated announcements and recorded notes play back the same way
     records: tuple[ContextRecord, ...] = ()
-    context: Context | None = None
     if scenario.context["kind"] == "synthetic":
         lead_ns = int(scenario.context.get("announce_lead_hours", 10.0) * 3600) * NS_PER_SECOND
         records = context_records_for_jobs(generator.job_events, announce_lead_ns=lead_ns)
-        context = ScriptedContext(clock, records)
     elif scenario.context["kind"] == "replay":
         records = ingest_context(scenario.context["file"])
-        context = ReplayContext(clock, records)
+    context = None if scenario.context["kind"] == "none" else ScriptedContext(clock, records)
 
     inverter_config = _inverter_config(scenario)
     controller: RecedingHorizonController | None = None

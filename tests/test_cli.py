@@ -135,7 +135,7 @@ def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording,
     assert "outside channel (1, 'pv_voltage')" in err
     bundle = build_bundle(load_scenario(path, None, None))
     with pytest.raises(ComponentStepError) as failure:
-        run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks)
+        run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, lambda output: None)
     assert isinstance(failure.value.__cause__, TimeSeriesRangeError)
     # steps count from 0: step 1442 ends 180 s after the last sample, past the 120 s tolerance
     assert failure.value.step_index == 1442

@@ -199,12 +199,6 @@ def test_inverter_records_validation():
     InverterStepResult(grid_in, batt_in, pv_power_drawn=0.0)
     with pytest.raises(ValueError):
         InverterStepResult(grid_in, batt_in, pv_power_drawn=-1.0)
-    snapshot = BatteryStepResult(0.5, 51.2, 0.0, 0.0)
-    source = PowerSourceStepResult(230.0, 0.0, 0.0)
-    delivered = GridStepResult(0.0, 0.0)
-    load = LoadStepResult(0.0, 0.0)
-    with pytest.raises(ValueError):
-        InverterStepInput(source, snapshot, delivered, load, grid_to_battery_power=-5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulation engine: step order, bookkeeping exactness, maxima, error wrapping."""
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,12 @@ from cemsim import (
     SyntheticLoad,
     SyntheticPowerSource,
     SyntheticScenarioConfig,
+    build_bundle,
     context_query,
     context_records_for_jobs,
     generate_job_events,
     run,
+    scenario_from_dict,
 )
 
 NS_PER_DAY = 86_400_000_000_000
@@ -110,6 +113,12 @@ def _synthetic_simulator(seed=0, day_count=1, jobs=True):
     )
 
 
+def _outputs(simulator, total_ticks, step_ticks):
+    outputs = []
+    run(simulator, total_ticks, step_ticks, outputs.append)
+    return outputs
+
+
 def test_purchased_energy_accumulates_in_watt_hours():
     """Two hour-long steps drawing 100 W from the grid purchase 200 Wh."""
     simulator = _simulator(loads=[100.0, 100.0])
@@ -169,7 +178,7 @@ def test_clock_and_indices_advance_per_step():
 
 def test_day_run_has_720_steps_of_two_minutes():
     simulator = _synthetic_simulator()
-    outputs = run(simulator, total_ticks=86400, step_ticks=120)
+    outputs = _outputs(simulator, total_ticks=86400, step_ticks=120)
     assert len(outputs) == 720
     assert outputs[-1].time_ns == NS_PER_DAY
     assert [o.step_index for o in outputs[:3]] == [0, 1, 2]
@@ -177,7 +186,7 @@ def test_day_run_has_720_steps_of_two_minutes():
 
 def test_run_covers_the_remainder_with_a_shorter_step():
     simulator = _simulator(loads=[5.0, 5.0, 5.0])
-    outputs = run(simulator, total_ticks=250, step_ticks=100)
+    outputs = _outputs(simulator, total_ticks=250, step_ticks=100)
     assert len(outputs) == 3
     assert [o.time_ns for o in outputs] == [100 * 10**9, 200 * 10**9, 250 * 10**9]
 
@@ -194,14 +203,14 @@ def test_run_streams_to_a_sink():
 def test_run_validates_arguments():
     simulator = _simulator(loads=[1.0])
     with pytest.raises(ValueError):
-        run(simulator, total_ticks=0, step_ticks=100)
+        run(simulator, total_ticks=0, step_ticks=100, sink=print)
     with pytest.raises(ValueError):
-        run(simulator, total_ticks=100, step_ticks=0)
+        run(simulator, total_ticks=100, step_ticks=0, sink=print)
 
 
 def test_runs_are_deterministic():
-    first = run(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
-    second = run(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
+    first = _outputs(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
+    second = _outputs(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
     for a, b in zip(first, second):
         assert a.power_source == b.power_source
         assert a.load == b.load
@@ -214,7 +223,7 @@ def test_runs_are_deterministic():
 def test_aggregates_equal_compensated_resum_of_deltas():
     """Re-summing the streamed per-step deltas reproduces every cumulative
     total bit for bit, at every step."""
-    outputs = run(_synthetic_simulator(seed=3), total_ticks=86400, step_ticks=120)
+    outputs = _outputs(_synthetic_simulator(seed=3), total_ticks=86400, step_ticks=120)
     fields = ("generated_wh", "consumed_wh", "purchased_wh", "charged_wh", "discharged_wh", "cost")
     accumulators = {field: CompensatedSum() for field in fields}
     for output in outputs:
@@ -227,7 +236,7 @@ def test_context_records_flow_into_outputs():
     events = generate_job_events(seed=1, day_count=1)
     records = context_records_for_jobs(events)
     simulator = _synthetic_simulator(seed=1)
-    outputs = run(simulator, total_ticks=86400, step_ticks=900)
+    outputs = _outputs(simulator, total_ticks=86400, step_ticks=900)
     for index, output in enumerate(outputs):
         step_start_ns = index * 900 * 10**9
         assert output.context == tuple(context_query(records, step_start_ns))
@@ -262,32 +271,33 @@ def test_configuration_errors_pass_through_unwrapped():
 @settings(max_examples=20)
 def test_lossless_steps_balance_energy(seed):
     """With unit efficiencies, load energy equals drawn PV plus grid delivery
-    minus the battery's energy change, every step."""
-    clock = Clock(0)
-    config = SyntheticScenarioConfig(
-        seed=seed, pv_noise_amplitude=0.1, load_noise_amplitude=0.05,
-        base_load=600.0, job_events=generate_job_events(seed, 1),
+    minus the battery's energy change, every step: under PV-first dispatch
+    and when a receding-horizon plan drives the inverter (purchases beyond
+    the deficit land in the battery, short ones are covered by it)."""
+    scenario = scenario_from_dict(
+        {
+            "seed": seed,
+            "horizon_seconds": 86_400,
+            "step_seconds": 1800,
+            "pv": {"noise_amplitude": 0.1},
+            "load": {"base_power_w": 600.0, "noise_amplitude": 0.05},
+            "battery": {"capacity_j": 3.6e6, "eta_charge": 1.0, "eta_discharge": 1.0},
+            "inverter": {"eta_pv_to_batt": 1.0, "eta_pv_to_load": 1.0, "eta_batt_to_load": 1.0},
+            "forecast": {"train_days": 1},
+        },
+        Path("."),
     )
-    simulator = Simulator(
-        clock,
-        power_source=SyntheticPowerSource(clock, config),
-        load=SyntheticLoad(clock, config),
-        battery=BatteryLinear(clock, BatteryLinearConfig(
-            capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0, initial_soc=0.5)),
-        inverter=InverterPVFirst(clock, InverterPVFirstConfig(
-            eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-            soc_min=0.1, battery_capacity=3.6e6)),
-        grid=GridPriced(clock, GridPricedConfig(schedule=PriceSchedule(((0, 0.2),)))),
-    )
-    for output in run(simulator, total_ticks=86400, step_ticks=1800):
-        dt_s = 1800.0
-        load_j = output.load.requested_active_power * dt_s
-        supplied_j = (
-            output.inverter.pv_power_drawn * dt_s
-            + output.grid.delivered_active_power * dt_s
-            - output.battery.delta_energy
-        )
-        assert abs(load_j - supplied_j) <= 1e-6 * max(load_j, 1.0)
+    dt_s = 1800.0
+    for strategy in ("default", "mpc-perfect", "mpc-context"):
+        bundle = build_bundle(scenario, strategy)
+        for output in _outputs(bundle.simulator, scenario.total_ticks, scenario.step_ticks):
+            load_j = output.load.requested_active_power * dt_s
+            supplied_j = (
+                output.inverter.pv_power_drawn * dt_s
+                + output.grid.delivered_active_power * dt_s
+                - output.battery.delta_energy
+            )
+            assert abs(load_j - supplied_j) <= 1e-6 * max(load_j, 1.0)
 
 
 def test_maxima_keys_are_stable():

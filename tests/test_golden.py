@@ -8,8 +8,11 @@ refactor, a speed-up) must keep every hash.
 The cases cover ``compare`` with PV-first and both MPC strategies plus
 ``forecast-eval`` on two seeds at 1 d @ 240 s, one grid-capped run
 that starts at noon (most of its windows are infeasible, so PV-first
-falls back, and it crosses a day boundary), a PV-first ``run`` at
-2 d @ 60 s, and an all-``replay`` ``run`` of that run's recording.
+falls back, and it crosses a day boundary), a ``compare`` of all four
+strategies (``mpc-nocontext`` included), a PV-first ``run`` at
+2 d @ 60 s, an all-``replay`` ``run`` of that run's recording, and a
+mixed ``run`` that replays only the recorded PV beside synthetic load
+and context, a linear battery and a priced grid.
 
 To re-record after an intended output change:
 
@@ -32,6 +35,7 @@ from cemsim import cli
 GOLDEN = Path(__file__).with_name("golden.json")
 MIDNIGHT = 1_704_067_200  # 2024-01-01T00:00Z
 STRATEGIES = "default,mpc-perfect,mpc-context"
+ALL_STRATEGIES = "default,mpc-perfect,mpc-context,mpc-nocontext"
 
 
 def _day(seed: int) -> dict:
@@ -57,6 +61,7 @@ CASES = {
             "battery": {"kind": "linear", "initial_soc": 0.3},
         },
     ),
+    "compare-all4": ("compare", _day(23)),
     "run-2d": ("run", _TWO_DAYS),
     "replay-2d": (
         "run",
@@ -69,10 +74,13 @@ CASES = {
             "context": {"kind": "replay", "file": "run-2d/context.jsonl"},
         },
     ),
+    "mixed-2d": ("run", {**_TWO_DAYS, "pv": _REPLAY}),
 }
 
 # A case that replays another case's artifacts runs that case first.
-RECORDING = {"replay-2d": "run-2d"}
+RECORDING = {"replay-2d": "run-2d", "mixed-2d": "run-2d"}
+# compare cases run STRATEGIES unless named here
+CASE_STRATEGIES = {"compare-all4": ALL_STRATEGIES}
 
 
 def run_case(case: str, work: Path) -> Path:
@@ -85,7 +93,7 @@ def run_case(case: str, work: Path) -> Path:
     out = work / case
     argv = [command, "--scenario", str(path), "--out", str(out)]
     if command == "compare":
-        argv += ["--strategies", STRATEGIES]
+        argv += ["--strategies", CASE_STRATEGIES.get(case, STRATEGIES)]
     assert cli.main(argv) == cli.EXIT_OK
     return out
 

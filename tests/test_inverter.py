@@ -1,4 +1,5 @@
-"""PV-first inverter dispatch: allocation order, caps, SOC window, balance."""
+"""Inverter dispatch kernel: allocation order, caps, SOC window, balance,
+with and without a planned grid purchase."""
 import math
 
 import pytest
@@ -23,18 +24,17 @@ LOSSLESS = InverterPVFirstConfig(
 )
 
 
-def _inverter_input(pv_w, load_w, soc, g2b=0.0, apparent_w=None):
+def _inverter_input(pv_w, load_w, soc, apparent_w=None):
     return InverterStepInput(
         power_source=PowerSourceStepResult(400.0, pv_w / 400.0, pv_w),
         battery=BatteryStepResult(soc, 50.0, 0.0, 0.0),
         grid=GridStepResult(0.0, 0.0),
         load=LoadStepResult(load_w, load_w if apparent_w is None else apparent_w),
-        grid_to_battery_power=g2b,
     )
 
 
-def _step(inverter_input, config=LOSSLESS, dt_s=3600.0):
-    return inverter_pv_first_step(inverter_input, config, dt_s)
+def _step(inverter_input, config=LOSSLESS, dt_s=3600.0, planned=None):
+    return inverter_pv_first_step(inverter_input, config, dt_s, planned)
 
 
 def test_pv_exactly_covers_load():
@@ -69,27 +69,6 @@ def test_discharge_accounts_for_path_losses():
     result = _step(_inverter_input(pv_w=0.0, load_w=180.0, soc=0.5), config)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(200.0, rel=1e-12)
-    assert result.grid_input.requested_active_power == 0.0
-
-
-def test_grid_to_battery_command():
-    """A 300 W grid-charge command is added to the grid request verbatim."""
-    result = _step(_inverter_input(pv_w=0.0, load_w=0.0, soc=0.5, g2b=300.0))
-    assert result.grid_input.requested_active_power == 300.0
-    assert result.battery_input.mode is BatteryMode.CHARGE
-    assert result.battery_input.current == pytest.approx(300.0 / 50.0, rel=1e-12)
-
-
-def test_grid_to_battery_suppresses_discharge():
-    """While grid-charging, demand shortfall goes to the grid, not the battery."""
-    result = _step(_inverter_input(pv_w=0.0, load_w=400.0, soc=0.9, g2b=100.0))
-    assert result.battery_input.mode is BatteryMode.CHARGE
-    assert result.grid_input.requested_active_power == pytest.approx(500.0, rel=1e-12)
-
-
-def test_grid_to_battery_respects_full_battery():
-    result = _step(_inverter_input(pv_w=0.0, load_w=0.0, soc=1.0, g2b=300.0))
-    assert result.battery_input.mode is BatteryMode.IDLE
     assert result.grid_input.requested_active_power == 0.0
 
 
@@ -161,41 +140,51 @@ def test_stateful_wrapper_matches_pure_function():
     assert inverter.step(3600, inverter_input) == _step(inverter_input)
 
 
+# planned: None is PV-first dispatch, a float a planned grid purchase (W)
+_planned = st.none() | st.floats(min_value=0.0, max_value=2500.0)
+
 _dispatch_cases = dict(
     pv_w=st.floats(min_value=0.0, max_value=2000.0),
     load_w=st.floats(min_value=0.0, max_value=2000.0),
     soc=st.floats(min_value=0.0, max_value=1.0),
-    g2b=st.floats(min_value=0.0, max_value=500.0),
+    planned=_planned,
 )
 
 
 @given(**_dispatch_cases)
 @settings(max_examples=200)
-def test_battery_never_charges_and_discharges_in_one_step(pv_w, load_w, soc, g2b):
-    result = _step(_inverter_input(pv_w, load_w, soc, g2b))
-    assert result.battery_input.mode in (BatteryMode.IDLE, BatteryMode.CHARGE, BatteryMode.DISCHARGE)
-    if g2b > 0.0:
-        assert result.battery_input.mode is not BatteryMode.DISCHARGE
+def test_battery_never_charges_and_discharges_in_one_step(pv_w, load_w, soc, planned):
+    """One mode per step: the battery charges only from a PV surplus or a
+    purchase beyond the deficit, and discharges only into a deficit the
+    purchase leaves open."""
+    result = _step(_inverter_input(pv_w, load_w, soc), planned=planned)
+    mode = result.battery_input.mode
+    assert mode in (BatteryMode.IDLE, BatteryMode.CHARGE, BatteryMode.DISCHARGE)
+    deficit = load_w - pv_w if load_w > pv_w else 0.0  # lossless
+    if mode is BatteryMode.CHARGE:
+        assert pv_w > load_w or (planned is not None and planned > deficit)
+    if mode is BatteryMode.DISCHARGE:
+        assert load_w > pv_w and (planned is None or planned < deficit)
 
 
 @given(**_dispatch_cases)
 @settings(max_examples=200)
-def test_pv_drawn_never_exceeds_offered(pv_w, load_w, soc, g2b):
-    result = _step(_inverter_input(pv_w, load_w, soc, g2b))
+def test_pv_drawn_never_exceeds_offered(pv_w, load_w, soc, planned):
+    result = _step(_inverter_input(pv_w, load_w, soc), planned=planned)
     assert result.pv_power_drawn <= pv_w * (1.0 + 1e-12) + 1e-9
 
 
 @given(**_dispatch_cases)
 @settings(max_examples=200)
-def test_lossless_dispatch_conserves_power(pv_w, load_w, soc, g2b):
+def test_lossless_dispatch_conserves_power(pv_w, load_w, soc, planned):
     """With unit efficiencies: drawn PV + grid request + discharge covers
     demand + charge, as an identity."""
-    result = _step(_inverter_input(pv_w, load_w, soc, g2b))
+    result = _step(_inverter_input(pv_w, load_w, soc), planned=planned)
     battery_power = result.battery_input.current * 50.0
     charge = battery_power if result.battery_input.mode is BatteryMode.CHARGE else 0.0
     discharge = battery_power if result.battery_input.mode is BatteryMode.DISCHARGE else 0.0
     supplied = result.pv_power_drawn + result.grid_input.requested_active_power + discharge
-    scale = max(pv_w, load_w, g2b, 1.0)
+    scale = max(pv_w, load_w, planned or 0.0, 1.0)
     assert abs(supplied - (load_w + charge)) <= 1e-6 * scale
     assert load_w <= supplied + 1e-6 * scale
     assert result.grid_input.requested_apparent_power >= result.grid_input.requested_active_power
@@ -205,18 +194,18 @@ def test_lossless_dispatch_conserves_power(pv_w, load_w, soc, g2b):
     pv_w=st.floats(min_value=0.0, max_value=5000.0),
     load_w=st.floats(min_value=0.0, max_value=2000.0),
     soc=st.floats(min_value=0.0, max_value=1.0),
-    g2b=st.floats(min_value=0.0, max_value=500.0),
+    planned=_planned,
     dt_s=st.floats(min_value=60.0, max_value=7200.0),
 )
 @settings(max_examples=200)
-def test_soc_projection_caps_both_directions(pv_w, load_w, soc, g2b, dt_s):
+def test_soc_projection_caps_both_directions(pv_w, load_w, soc, planned, dt_s):
     """Energy-aware limits keep the projected SOC inside the window."""
     config = InverterPVFirstConfig(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
         soc_min=0.1, soc_max=0.9, battery_capacity=3.6e6,
         battery_eta_charge=0.95, battery_eta_discharge=0.95,
     )
-    result = _step(_inverter_input(pv_w, load_w, soc, g2b), config, dt_s)
+    result = _step(_inverter_input(pv_w, load_w, soc), config, dt_s, planned)
     battery_power = result.battery_input.current * 50.0
     if result.battery_input.mode is BatteryMode.CHARGE:
         projected = soc + battery_power * 0.95 * dt_s / 3.6e6
@@ -228,6 +217,6 @@ def test_soc_projection_caps_both_directions(pv_w, load_w, soc, g2b, dt_s):
 
 def test_infinite_or_negative_inputs_rejected():
     with pytest.raises(ValueError):
-        _inverter_input(pv_w=0.0, load_w=0.0, soc=0.5, g2b=-1.0)
+        _inverter_input(pv_w=-1.0, load_w=0.0, soc=0.5)
     with pytest.raises(ValueError):
-        _inverter_input(pv_w=0.0, load_w=0.0, soc=0.5, g2b=math.inf)
+        _inverter_input(pv_w=0.0, load_w=math.inf, soc=0.5)

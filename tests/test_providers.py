@@ -52,7 +52,7 @@ def _windows_of_a_run(scenario, strategy):
         return window
 
     controller.forecast_provider = recording
-    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks)
+    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, lambda output: None)
     assert len(seen) == scenario.total_ticks // scenario.step_ticks
     return bundle, seen
 
@@ -143,7 +143,7 @@ def test_remote_estimator_scores_each_text_once(estimator_server):
     )
     estimator_server.texts.clear()
     bundle = build_bundle(scenario, "mpc-context")
-    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks)
+    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, lambda output: None)
     texts = estimator_server.texts
     assert texts, "the estimator was never asked"
     assert len(texts) == len(set(texts))

@@ -192,14 +192,11 @@ def test_synthetic_config_mirrors_the_blocks():
         horizon_seconds=2 * 86_400,
         pv={"peak_power_w": 900.0},
         load={"base_power_w": 300.0, "jobs_per_day": 3},
-        grid={"off_peak_price": 0.2, "peak_price": 0.6},
     )
     config = synthetic_config(scenario)
     assert config.seed == 7
     assert config.pv_peak_power == 900.0
     assert config.base_load == 300.0
-    assert config.price_tiers.off_peak_price == 0.2
-    assert config.price_tiers.peak_price == 0.6
     assert len(config.job_events) == 2 * 3
 
 
@@ -248,7 +245,8 @@ def test_default_bundle_runs_end_to_end():
     assert bundle.controller is None
     assert isinstance(bundle.simulator.inverter, InverterPVFirst)
     assert bundle.records  # announced jobs
-    results = run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks)
+    results = []
+    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
     assert len(results) == 12
     assert results[-1].aggregates.consumed_wh > 0.0
 
@@ -263,14 +261,16 @@ def test_mpc_bundle_wires_a_controller():
     bundle = _small(strategy="mpc-perfect")
     assert bundle.controller is not None
     assert isinstance(bundle.simulator.inverter, MPCInverter)
-    results = run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks)
+    results = []
+    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
     assert len(results) == 12
     assert bundle.controller.first_plan is not None
 
 
 def test_mpc_context_bundle_trains_a_predictor():
     bundle = _small(strategy="mpc-context", forecast={"train_days": 1})
-    results = run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks)
+    results = []
+    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
     assert len(results) == 12
 
 
@@ -296,5 +296,6 @@ def test_replay_load_bundle_uses_the_recording(tmp_path):
     )
     bundle = build_bundle(scenario)
     assert isinstance(bundle.simulator.load, ReplayLoad)
-    results = run(bundle.simulator, scenario.total_ticks, scenario.step_ticks)
+    results = []
+    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, results.append)
     assert all(r.load.requested_active_power == 640.0 for r in results)
