@@ -17,6 +17,7 @@ from cemsim import (
     ReplayGrid,
     ReplayLoad,
     ReplayPowerSource,
+    ScriptedContext,
     TimeSeriesRangeError,
     TimeSeriesTable,
     emit_context,
@@ -408,6 +409,18 @@ def test_replay_beyond_recording_raises_range_error():
     # two-minute tolerance.
     with pytest.raises(TimeSeriesRangeError):
         battery.step(3600, BatteryStepInput(BatteryMode.IDLE, 0.0))
+
+
+def test_replay_context_reveals_records_at_step_start():
+    records = (
+        ContextRecord(0, 0, 7200 * NS, 1, {"text": "running"}),
+        ContextRecord(1800 * NS, 0, 7200 * NS, 1, {"text": "late note"}),
+    )
+    context = ScriptedContext(Clock(0), records)
+    first = context.step(3600)
+    second = context.step(3600)
+    assert [r.text() for r in first] == ["running"]
+    assert [r.text() for r in second] == ["running", "late note"]
 
 
 def test_replay_is_deterministic():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cemsim import (
     Clock,
     ConfigurationError,
-    ContextRecord,
     PriceTiers,
     ScriptedContext,
     SyntheticLoad,
@@ -133,24 +132,16 @@ def test_power_source_reports_voltage_and_current():
 
 def test_scripted_context_reveals_records_at_step_start():
     """A record becomes visible on the first step that starts at or after
-    its recording time, never earlier: for generated job announcements and
-    for recorded notes, one of them written while its job was running."""
-    announced = context_records_for_jobs(
+    its recording time, never earlier."""
+    records = context_records_for_jobs(
         generate_job_events(seed=5, day_count=1), announce_lead_ns=0
     )
-    start_ns = announced[0].recorded_at_ns - 3600 * 10**9
-    recorded = (
-        ContextRecord(start_ns, start_ns, start_ns + 7200 * 10**9, 1, {"text": "running"}),
-        ContextRecord(start_ns + 1800 * 10**9, start_ns, start_ns + 7200 * 10**9, 1, {"text": "late note"}),
-    )
-    for records, late in ((announced, announced[0]), (recorded, recorded[1])):
-        context = ScriptedContext(Clock(start_ns), records)
-        before = context.step(3600)
-        at = context.step(3600)
-        assert late not in before
-        assert late in at
-    assert [r.text() for r in before] == ["running"]
-    assert [r.text() for r in at] == ["running", "late note"]
+    record = records[0]
+    context = ScriptedContext(Clock(record.recorded_at_ns - 3600 * 10**9), records)
+    before = context.step(3600)
+    at = context.step(3600)
+    assert record not in before
+    assert record in at
 
 
 def test_generate_job_events_is_seeded():
