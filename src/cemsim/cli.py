@@ -21,20 +21,21 @@ import os
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigurationError, SimulationError
 from .engine import MAXIMA_KEYS, SimulatorStepOutput, run
 from .forecast import evaluate_families
-from .models.synthetic import (
-    NS_PER_DAY,
-    NS_PER_HOUR,
-    context_records_for_jobs,
-    generate_job_events,
-    load_power_at,
+from .models.synthetic import NS_PER_DAY, NS_PER_HOUR
+from .replay import (
+    CHANNEL_HEADER,
+    CHANNEL_ROW,
+    CHANNELS,
+    IngestError,
+    emit_context,
+    ingest_context,
+    ingest_timeseries,
 )
-from .replay import CHANNEL_HEADER, IngestError, emit_context, ingest_context, ingest_timeseries
 from .scenario import (
     STRATEGIES,
     Scenario,
@@ -43,6 +44,7 @@ from .scenario import (
     effort_estimator,
     load_scenario,
     synthetic_config,
+    synthetic_load_samples,
 )
 
 EXIT_OK = 0
@@ -86,25 +88,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-# A step's line of steps.csv and its ten lines of channels.csv, byte for
-# byte as csv.writer writes them: "%.17g" is format(v, ".17g"), no field
-# needs quoting, and lines end "\r\n".
+# A step's line of steps.csv, byte for byte as csv.writer writes it:
+# "%.17g" is format(v, ".17g"), no field needs quoting, and lines end "\r\n".
 _STEP_TEMPLATE = ",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n"
 
-# (subsystem_id, channel) of each step's lines in channels.csv, in order
-_CHANNELS = (
-    (1, "pv_voltage"),
-    (1, "pv_current"),
-    (1, "pv_power"),
-    (2, "load_active_power"),
-    (2, "load_apparent_power"),
-    (3, "battery_soc"),
-    (3, "battery_voltage"),
-    (3, "battery_current"),
-    (4, "grid_active_power"),
-    (4, "grid_apparent_power"),
-)
-_CHANNEL_TEMPLATE = "".join(f"%d,{subsystem_id},{name},%.17g\r\n" for subsystem_id, name in _CHANNELS)
+# CHANNEL_ROW once per recorded channel, its subsystem_id and name filled
+# in: the arguments are each line's (time_ns, value), in CHANNELS order.
+_CHANNEL_TEMPLATE = "".join(CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}") for subsystem_id, name in CHANNELS)
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
@@ -143,11 +133,9 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
 
     Both CSVs are written as the steps happen, one ``%``-template per
     step and file, so memory stays flat over the horizon.  steps.csv holds
-    one line per step; channels.csv holds each step's ten lines in the
-    order pv_voltage, pv_current, pv_power, load_active_power,
-    load_apparent_power, battery_soc, battery_voltage, battery_current,
-    grid_active_power, grid_apparent_power, so its rows are sorted by
-    time and ingest without a sort.
+    one line per step; channels.csv holds each step's lines in
+    ``replay.CHANNELS`` order, so its rows are sorted by time and ingest
+    without a sort.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,21 +366,11 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
 
         rows = []
         means: dict[str, list[float]] = {family: [] for family in families}
+        count = (scenario.end_ns - scenario.start_ns) // scenario.step_ns
         for resample in range(scenario.forecast["resamples"]):
-            seed = scenario.seed + resample
-            jobs = generate_job_events(
-                seed,
-                scenario.day_count,
-                start_ns=scenario.start_ns,
-                jobs_per_day=scenario.load.get("jobs_per_day", 2),
-                watts_per_effort=scenario.load.get("watts_per_effort", 250.0),
+            records, times, loads = synthetic_load_samples(
+                scenario, base, scenario.seed + resample, scenario.day_count, count
             )
-            config = replace(base, seed=seed, job_events=jobs)
-            records = context_records_for_jobs(jobs)
-            step_ns = scenario.step_ns
-            count = (scenario.end_ns - scenario.start_ns) // step_ns
-            times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
-            loads = [load_power_at(config, t) for t in times]
             report = evaluate_families(
                 records,
                 times,

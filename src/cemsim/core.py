@@ -276,13 +276,12 @@ class InverterStepInput:
     """Everything the inverter sees when allocating power for a step.
 
     Generation and load are the results just produced for the current
-    step; battery and grid results are from the previous step (the
-    battery result carries the state of charge the dispatch is based on).
+    step; the battery result is from the previous step and carries the
+    state of charge the dispatch is based on.
     """
 
     power_source: PowerSourceStepResult
     battery: BatteryStepResult
-    grid: GridStepResult
     load: LoadStepResult
 
 

@@ -2,9 +2,9 @@
 
 Step order within one step: context (if present), power source, load,
 inverter, battery, grid.  The inverter sees the generation and load
-results just produced for the current step together with the battery and
-grid results of the previous step, decides the flows, and its outputs
-drive the battery and grid for the same step.
+results just produced for the current step together with the battery
+result of the previous step, decides the flows, and its outputs drive the
+battery and grid for the same step.
 
 Cumulative energy aggregates are kept in watt-hours with compensated
 summation, so the final totals equal the compensated sum of the per-step
@@ -180,7 +180,6 @@ class Simulator:
         self.context = context
         self.step_count = 0
         self.last_battery_result: BatteryStepResult = battery.snapshot()
-        self.last_grid_result: GridStepResult = GridStepResult(0.0, 0.0)
         self._books = _Books()
         self._maxima = {key: 0.0 for key in MAXIMA_KEYS}
 
@@ -212,7 +211,7 @@ class Simulator:
             stage = "inverter"
             inverter_result = self.inverter.step(
                 step_ticks,
-                InverterStepInput(pv_result, self.last_battery_result, self.last_grid_result, load_result),
+                InverterStepInput(pv_result, self.last_battery_result, load_result),
             )
             battery_input = inverter_result.battery_input
             grid_input = inverter_result.grid_input
@@ -228,7 +227,6 @@ class Simulator:
         self.clock = self.clock.advance(step_ticks)
         self.step_count += 1
         self.last_battery_result = battery_result
-        self.last_grid_result = grid_result
 
         delta_e = battery_result.delta_energy
         dt_wh = dt_s * WH_PER_J

@@ -84,7 +84,6 @@ class SyntheticScenarioConfig:
     """Everything the synthetic generator needs for one scenario."""
 
     seed: int = 0
-    day_count: int = 1
     pv_peak_power: float = 600.0
     pv_noise_amplitude: float = 0.1
     base_load: float = 800.0
@@ -95,7 +94,6 @@ class SyntheticScenarioConfig:
     sunset_hour: float = 18.0
 
     def __post_init__(self) -> None:
-        _require(self.day_count >= 1, "day_count must be >= 1")
         _require(self.pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
         _require(0.0 <= self.pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
         _require(self.base_load >= 0.0, "base_load must be >= 0")

@@ -56,24 +56,30 @@ from .core import (
     _require,
 )
 
-KNOWN_CHANNELS = frozenset(
-    {
-        "pv_voltage",
-        "pv_current",
-        "pv_power",
-        "load_active_power",
-        "load_apparent_power",
-        "battery_soc",
-        "battery_voltage",
-        "battery_current",
-        "grid_active_power",
-        "grid_apparent_power",
-    }
+#: (subsystem_id, channel name) of every recorded channel, in the order a
+#: run writes each step's lines to channels.csv.
+CHANNELS = (
+    (1, "pv_voltage"),
+    (1, "pv_current"),
+    (1, "pv_power"),
+    (2, "load_active_power"),
+    (2, "load_apparent_power"),
+    (3, "battery_soc"),
+    (3, "battery_voltage"),
+    (3, "battery_current"),
+    (4, "grid_active_power"),
+    (4, "grid_apparent_power"),
 )
+
+KNOWN_CHANNELS = frozenset(name for _, name in CHANNELS)
 
 DEFAULT_BOUNDARY_TOLERANCE_S = 120.0
 
 CHANNEL_HEADER = ("timestamp_ns", "subsystem_id", "channel", "value")
+
+#: One channels.csv line, byte for byte as csv.writer writes it with the
+#: value as format(value, ".17g"): no field needs quoting, lines end "\r\n".
+CHANNEL_ROW = "%d,%d,%s,%.17g\r\n"
 
 
 class TimeSeriesRangeError(SimulationError):
@@ -260,10 +266,8 @@ def emit_timeseries(path, table: TimeSeriesTable) -> None:
             rows.append((int(t_ns), subsystem_id, name, float(value)))
     rows.sort(key=lambda item: (item[0], item[1], item[2]))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CHANNEL_HEADER)
-        for t_ns, subsystem_id, name, value in rows:
-            writer.writerow([t_ns, subsystem_id, name, format(value, ".17g")])
+        handle.write(",".join(CHANNEL_HEADER) + "\r\n")
+        handle.writelines(CHANNEL_ROW % row for row in rows)
 
 
 def ingest_context(path) -> tuple[ContextRecord, ...]:

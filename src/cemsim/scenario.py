@@ -6,6 +6,13 @@ clock, the horizon, and the price schedule.  Unknown keys anywhere are
 rejected so typos fail loudly, and referenced recording files must exist
 before anything runs.
 
+Each component block (pv, load, battery, grid, context, inverter, and the
+forecast block's effort_estimator) names a ``kind``.  ``BLOCK_TABLES``
+holds one table per block kind, mapping every key the kind allows to its
+parser, default and bounds; it is the one place a block key or default is
+written.  Validation writes every default back, so a validated block holds
+exactly its kind's keys and assembly reads plain ``block[key]``.
+
 The same scenario can be assembled under different dispatch strategies:
 
 * ``default``        - plain PV-first dispatch.
@@ -18,10 +25,10 @@ The same scenario can be assembled under different dispatch strategies:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -51,6 +58,7 @@ from .models.grid import GridPriced, GridPricedConfig, PriceSchedule
 from .models.inverter import InverterPVFirst, InverterPVFirstConfig
 from .models.synthetic import (
     NS_PER_DAY,
+    JobEvent,
     PriceTiers,
     ScriptedContext,
     SyntheticLoad,
@@ -64,6 +72,8 @@ from .models.synthetic import (
     sample_series,
 )
 from .replay import (
+    CHANNELS,
+    DEFAULT_BOUNDARY_TOLERANCE_S,
     ReplayBattery,
     ReplayComponentConfig,
     ReplayGrid,
@@ -96,12 +106,6 @@ def _check_keys(block: Mapping[str, Any], allowed: set[str], where: str) -> None
     unknown = sorted(set(block) - allowed)
     if unknown:
         _fail(where, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
-def _get(block: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in block:
-        _fail(where, f"missing required key {key!r}")
-    return block[key]
 
 
 def _number(block: Mapping[str, Any], key: str, where: str, default=None, minimum=None, maximum=None, allow_none=False):
@@ -138,20 +142,100 @@ def _string(block: Mapping[str, Any], key: str, where: str, default=None, choice
     return value
 
 
-def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> Path:
-    raw = _string(block, key, where)
-    path = Path(raw)
+def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
+    path = Path(_string(block, key, where))
     if not path.is_absolute():
         path = base_dir / path
     if not path.is_file():
         _fail(where, f"referenced file does not exist: {path}")
-    return path
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
-# Scenario model
+# Block tables
 # ---------------------------------------------------------------------------
 
+# A parser is called as parser(block, key, where); _resolve_file also takes
+# the scenario's base directory.
+
+
+def _replay_keys(subsystem_id: int) -> dict[str, Callable]:
+    return {
+        "file": _resolve_file,
+        "subsystem_id": partial(_integer, default=subsystem_id),
+        "boundary_tolerance_s": partial(_number, default=DEFAULT_BOUNDARY_TOLERANCE_S, minimum=0.0),
+    }
+
+
+# block name -> the subsystem id of its recorded channels (pv 1, load 2, ...)
+_SUBSYSTEM_ID = {name.partition("_")[0]: subsystem_id for subsystem_id, name in CHANNELS}
+_CAPACITY_J = partial(_number, default=1.8432e7, minimum=1e-9)
+_OPTIONAL_LIMIT = partial(_number, default=None, minimum=0.0, allow_none=True)
+
+#: block name -> kind -> key -> parser(block, key, where)
+BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
+    "pv": {
+        "synthetic": {
+            "peak_power_w": partial(_number, default=600.0, minimum=0.0),
+            "noise_amplitude": partial(_number, default=0.1, minimum=0.0, maximum=1.0),
+            "voltage": partial(_number, default=400.0, minimum=1e-9),
+            "sunrise_hour": partial(_number, default=6.0, minimum=0.0, maximum=24.0),
+            "sunset_hour": partial(_number, default=18.0, minimum=0.0, maximum=24.0),
+        },
+        "replay": _replay_keys(_SUBSYSTEM_ID["pv"]),
+    },
+    "load": {
+        "synthetic": {
+            "base_power_w": partial(_number, default=800.0, minimum=0.0),
+            "noise_amplitude": partial(_number, default=0.0, minimum=0.0, maximum=1.0),
+            "jobs_per_day": partial(_integer, default=2, minimum=0),
+            "watts_per_effort": partial(_number, default=250.0, minimum=0.0),
+        },
+        "replay": _replay_keys(_SUBSYSTEM_ID["load"]),
+    },
+    "battery": {
+        "linear": {
+            "capacity_j": _CAPACITY_J,
+            "eta_charge": partial(_number, default=0.95, minimum=1e-9, maximum=1.0),
+            "eta_discharge": partial(_number, default=0.95, minimum=1e-9, maximum=1.0),
+            "nominal_voltage": partial(_number, default=51.2, minimum=1e-9),
+            "initial_soc": partial(_number, default=0.5, minimum=0.0, maximum=1.0),
+        },
+        "replay": {**_replay_keys(_SUBSYSTEM_ID["battery"]), "capacity_j": _CAPACITY_J},
+    },
+    "grid": {
+        "priced": {
+            "off_peak_price": partial(_number, default=0.10, minimum=0.0),
+            "peak_price": partial(_number, default=0.40, minimum=0.0),
+            "peak_start_hour": partial(_integer, default=8, minimum=0),
+            "peak_end_hour": partial(_integer, default=20, minimum=0),
+            "max_active_power_w": _OPTIONAL_LIMIT,
+            "max_apparent_power_va": _OPTIONAL_LIMIT,
+        },
+        "replay": _replay_keys(_SUBSYSTEM_ID["grid"]),
+    },
+    "context": {
+        "synthetic": {"announce_lead_hours": partial(_number, default=10.0, minimum=0.0)},
+        "replay": {"file": _resolve_file},
+        "none": {},
+    },
+    "inverter": {
+        "pv-first": {
+            "eta_pv_to_batt": partial(_number, default=0.97, minimum=1e-9, maximum=1.0),
+            "eta_pv_to_load": partial(_number, default=0.95, minimum=1e-9, maximum=1.0),
+            "eta_batt_to_load": partial(_number, default=0.95, minimum=1e-9, maximum=1.0),
+            "max_charge_power_w": _OPTIONAL_LIMIT,
+            "max_discharge_power_w": _OPTIONAL_LIMIT,
+            "soc_min": partial(_number, default=0.1, minimum=0.0, maximum=1.0),
+            "soc_max": partial(_number, default=1.0, minimum=0.0, maximum=1.0),
+            "self_power_w": partial(_number, default=0.0, minimum=0.0),
+        },
+    },
+    "forecast.effort_estimator": {
+        "heuristic": {},
+        "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=0.0)},
+    },
+}
 
 _TOP_KEYS = {
     "schema_version",
@@ -170,48 +254,6 @@ _TOP_KEYS = {
     "forecast",
 }
 
-_PV_KEYS = {
-    "synthetic": {"kind", "peak_power_w", "noise_amplitude", "voltage", "sunrise_hour", "sunset_hour"},
-    "replay": {"kind", "file", "subsystem_id", "boundary_tolerance_s"},
-}
-_LOAD_KEYS = {
-    "synthetic": {"kind", "base_power_w", "noise_amplitude", "jobs_per_day", "watts_per_effort"},
-    "replay": {"kind", "file", "subsystem_id", "boundary_tolerance_s"},
-}
-_BATTERY_KEYS = {
-    "linear": {"kind", "capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc"},
-    "replay": {"kind", "file", "subsystem_id", "boundary_tolerance_s", "capacity_j"},
-}
-_GRID_KEYS = {
-    "priced": {
-        "kind",
-        "off_peak_price",
-        "peak_price",
-        "peak_start_hour",
-        "peak_end_hour",
-        "max_active_power_w",
-        "max_apparent_power_va",
-    },
-    "replay": {"kind", "file", "subsystem_id", "boundary_tolerance_s"},
-}
-_CONTEXT_KEYS = {
-    "synthetic": {"kind", "announce_lead_hours"},
-    "replay": {"kind", "file"},
-    "none": {"kind"},
-}
-_INVERTER_KEYS = {
-    "pv-first": {
-        "kind",
-        "eta_pv_to_batt",
-        "eta_pv_to_load",
-        "eta_batt_to_load",
-        "max_charge_power_w",
-        "max_discharge_power_w",
-        "soc_min",
-        "soc_max",
-        "self_power_w",
-    },
-}
 _FORECAST_KEYS = {
     "train_days",
     "train_fraction",
@@ -220,15 +262,17 @@ _FORECAST_KEYS = {
     "context_family",
     "effort_estimator",
 }
-_ESTIMATOR_KEYS = {
-    "heuristic": {"kind"},
-    "remote": {"kind", "url", "timeout_s"},
-}
+
+
+# ---------------------------------------------------------------------------
+# Scenario model
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: blocks are plain dicts with defaults filled."""
+    """A validated scenario: blocks are plain dicts holding every key of
+    their kind's table, defaults filled."""
 
     seed: int
     start_ns: int
@@ -266,16 +310,21 @@ class Scenario:
         return max(1, -(-self.horizon_seconds // 86_400))
 
 
-def _validated_block(block: Any, kinds: Mapping[str, set[str]], where: str, default_kind: str) -> dict:
+def _validated_block(block: Any, where: str, default_kind: str, base_dir: Path) -> dict:
+    """The block ``where`` with its kind checked, unknown keys rejected and
+    every key of its kind's table parsed, defaults written back."""
     if block is None:
         block = {}
     if not isinstance(block, Mapping):
         _fail(where, f"must be an object, got {block!r}")
+    kinds = BLOCK_TABLES[where]
     kind = _string(block, "kind", where, default=default_kind, choices=set(kinds))
-    _check_keys(block, kinds[kind], where)
-    merged = dict(block)
-    merged["kind"] = kind
-    return merged
+    table = kinds[kind]
+    _check_keys(block, {"kind", *table}, where)
+    validated = {"kind": kind}
+    for key, parse in table.items():
+        validated[key] = parse(block, key, where, base_dir) if parse is _resolve_file else parse(block, key, where)
+    return validated
 
 
 def scenario_from_dict(
@@ -312,13 +361,15 @@ def scenario_from_dict(
     if output_dir is not None and not isinstance(output_dir, str):
         _fail("scenario", f"'output_dir' must be a string, got {output_dir!r}")
 
-    pv = _validated_block(data.get("pv"), _PV_KEYS, "pv", "synthetic")
-    load = _validated_block(data.get("load"), _LOAD_KEYS, "load", "synthetic")
-    battery = _validated_block(data.get("battery"), _BATTERY_KEYS, "battery", "linear")
-    grid = _validated_block(data.get("grid"), _GRID_KEYS, "grid", "priced")
+    pv = _validated_block(data.get("pv"), "pv", "synthetic", base_dir)
+    load = _validated_block(data.get("load"), "load", "synthetic", base_dir)
+    battery = _validated_block(data.get("battery"), "battery", "linear", base_dir)
+    grid = _validated_block(data.get("grid"), "grid", "priced", base_dir)
     default_context = "synthetic" if load["kind"] == "synthetic" else "none"
-    context = _validated_block(data.get("context"), _CONTEXT_KEYS, "context", default_context)
-    inverter = _validated_block(data.get("inverter"), _INVERTER_KEYS, "inverter", "pv-first")
+    context = _validated_block(data.get("context"), "context", default_context, base_dir)
+    if context["kind"] == "synthetic" and load["kind"] != "synthetic":
+        _fail("context", "synthetic context needs a synthetic load (it announces its jobs)")
+    inverter = _validated_block(data.get("inverter"), "inverter", "pv-first", base_dir)
 
     forecast = data.get("forecast") or {}
     if not isinstance(forecast, Mapping):
@@ -340,62 +391,9 @@ def scenario_from_dict(
     forecast["context_family"] = _string(
         forecast, "context_family", "forecast", default="combined", choices=set(FAMILIES) - {"none"}
     )
-    estimator = _validated_block(
-        forecast.get("effort_estimator"), _ESTIMATOR_KEYS, "forecast.effort_estimator", "heuristic"
+    forecast["effort_estimator"] = _validated_block(
+        forecast.get("effort_estimator"), "forecast.effort_estimator", "heuristic", base_dir
     )
-    if estimator["kind"] == "remote":
-        _string(estimator, "url", "forecast.effort_estimator")
-        _number(estimator, "timeout_s", "forecast.effort_estimator", default=10.0, minimum=0.0)
-    forecast["effort_estimator"] = estimator
-
-    # Numeric sanity for the blocks, writing defaults back so the stored
-    # blocks are complete (component configs re-validate, but failing here
-    # yields config errors with scenario-level context).
-    if pv["kind"] == "synthetic":
-        pv["peak_power_w"] = _number(pv, "peak_power_w", "pv", default=600.0, minimum=0.0)
-        pv["noise_amplitude"] = _number(pv, "noise_amplitude", "pv", default=0.1, minimum=0.0, maximum=1.0)
-        pv["voltage"] = _number(pv, "voltage", "pv", default=400.0, minimum=1e-9)
-        pv["sunrise_hour"] = _number(pv, "sunrise_hour", "pv", default=6.0, minimum=0.0, maximum=24.0)
-        pv["sunset_hour"] = _number(pv, "sunset_hour", "pv", default=18.0, minimum=0.0, maximum=24.0)
-    if load["kind"] == "synthetic":
-        load["base_power_w"] = _number(load, "base_power_w", "load", default=800.0, minimum=0.0)
-        load["noise_amplitude"] = _number(load, "noise_amplitude", "load", default=0.0, minimum=0.0, maximum=1.0)
-        load["jobs_per_day"] = _integer(load, "jobs_per_day", "load", default=2, minimum=0)
-        load["watts_per_effort"] = _number(load, "watts_per_effort", "load", default=250.0, minimum=0.0)
-    if battery["kind"] == "linear":
-        battery["capacity_j"] = _number(battery, "capacity_j", "battery", default=1.8432e7, minimum=1e-9)
-        battery["eta_charge"] = _number(battery, "eta_charge", "battery", default=0.95, minimum=1e-9, maximum=1.0)
-        battery["eta_discharge"] = _number(battery, "eta_discharge", "battery", default=0.95, minimum=1e-9, maximum=1.0)
-        battery["nominal_voltage"] = _number(battery, "nominal_voltage", "battery", default=51.2, minimum=1e-9)
-        battery["initial_soc"] = _number(battery, "initial_soc", "battery", default=0.5, minimum=0.0, maximum=1.0)
-    if battery["kind"] == "replay":
-        battery["capacity_j"] = _number(battery, "capacity_j", "battery", default=1.8432e7, minimum=1e-9)
-    if grid["kind"] == "priced":
-        grid["off_peak_price"] = _number(grid, "off_peak_price", "grid", default=0.10, minimum=0.0)
-        grid["peak_price"] = _number(grid, "peak_price", "grid", default=0.40, minimum=0.0)
-        grid["peak_start_hour"] = _integer(grid, "peak_start_hour", "grid", default=8, minimum=0)
-        grid["peak_end_hour"] = _integer(grid, "peak_end_hour", "grid", default=20, minimum=0)
-        grid["max_active_power_w"] = _number(grid, "max_active_power_w", "grid", default=None, minimum=0.0, allow_none=True)
-        grid["max_apparent_power_va"] = _number(grid, "max_apparent_power_va", "grid", default=None, minimum=0.0, allow_none=True)
-    if context["kind"] == "synthetic":
-        context["announce_lead_hours"] = _number(context, "announce_lead_hours", "context", default=10.0, minimum=0.0)
-        if load["kind"] != "synthetic":
-            _fail("context", "synthetic context needs a synthetic load (it announces its jobs)")
-    for name, block in (("pv", pv), ("load", load), ("battery", battery), ("grid", grid), ("context", context)):
-        if block["kind"] == "replay":
-            block["file"] = str(_resolve_file(block, "file", name, base_dir))
-            if name != "context":
-                block["subsystem_id"] = _integer(block, "subsystem_id", name, default=_DEFAULT_SUBSYSTEM[name])
-                block["boundary_tolerance_s"] = _number(block, "boundary_tolerance_s", name, default=120.0, minimum=0.0)
-    if inverter["kind"] == "pv-first":
-        inverter["eta_pv_to_batt"] = _number(inverter, "eta_pv_to_batt", "inverter", default=0.97, minimum=1e-9, maximum=1.0)
-        inverter["eta_pv_to_load"] = _number(inverter, "eta_pv_to_load", "inverter", default=0.95, minimum=1e-9, maximum=1.0)
-        inverter["eta_batt_to_load"] = _number(inverter, "eta_batt_to_load", "inverter", default=0.95, minimum=1e-9, maximum=1.0)
-        inverter["max_charge_power_w"] = _number(inverter, "max_charge_power_w", "inverter", default=None, minimum=0.0, allow_none=True)
-        inverter["max_discharge_power_w"] = _number(inverter, "max_discharge_power_w", "inverter", default=None, minimum=0.0, allow_none=True)
-        inverter["soc_min"] = _number(inverter, "soc_min", "inverter", default=0.1, minimum=0.0, maximum=1.0)
-        inverter["soc_max"] = _number(inverter, "soc_max", "inverter", default=1.0, minimum=0.0, maximum=1.0)
-        inverter["self_power_w"] = _number(inverter, "self_power_w", "inverter", default=0.0, minimum=0.0)
 
     return Scenario(
         seed=seed,
@@ -413,9 +411,6 @@ def scenario_from_dict(
         base_dir=base_dir,
         output_dir=output_dir,
     )
-
-
-_DEFAULT_SUBSYSTEM = {"pv": 1, "load": 2, "battery": 3, "grid": 4}
 
 
 def load_scenario(
@@ -449,47 +444,72 @@ def synthetic_config(scenario: Scenario) -> SyntheticScenarioConfig:
 def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
     """Generator settings when at least one of pv/load is synthetic.
 
-    A replay side keeps the generator defaults; its series is never
-    sampled, so the values are inert."""
-    pv = scenario.pv if scenario.pv["kind"] == "synthetic" else {}
-    load = scenario.load if scenario.load["kind"] == "synthetic" else {}
-    if not pv and not load:
-        return None
-    jobs: tuple = ()
-    if load:
-        jobs = generate_job_events(
-            scenario.seed,
-            scenario.day_count,
-            start_ns=scenario.start_ns,
-            jobs_per_day=load.get("jobs_per_day", 2),
-            watts_per_effort=load.get("watts_per_effort", 250.0),
+    Only the synthetic side's fields are passed; a replay side keeps the
+    dataclass defaults, which are never sampled."""
+    pv, load = scenario.pv, scenario.load
+    fields: dict[str, Any] = {}
+    if pv["kind"] == "synthetic":
+        fields.update(
+            pv_peak_power=pv["peak_power_w"],
+            pv_noise_amplitude=pv["noise_amplitude"],
+            pv_voltage=pv["voltage"],
+            sunrise_hour=pv["sunrise_hour"],
+            sunset_hour=pv["sunset_hour"],
         )
-    return SyntheticScenarioConfig(
-        seed=scenario.seed,
-        day_count=scenario.day_count,
-        pv_peak_power=pv.get("peak_power_w", 600.0),
-        pv_noise_amplitude=pv.get("noise_amplitude", 0.1),
-        base_load=load.get("base_power_w", 800.0),
-        job_events=jobs,
-        load_noise_amplitude=load.get("noise_amplitude", 0.0),
-        pv_voltage=pv.get("voltage", 400.0),
-        sunrise_hour=pv.get("sunrise_hour", 6.0),
-        sunset_hour=pv.get("sunset_hour", 18.0),
+    if load["kind"] == "synthetic":
+        fields.update(
+            base_load=load["base_power_w"],
+            load_noise_amplitude=load["noise_amplitude"],
+            job_events=_job_events(scenario, scenario.seed, scenario.day_count),
+        )
+    return SyntheticScenarioConfig(seed=scenario.seed, **fields) if fields else None
+
+
+def _job_events(scenario: Scenario, seed: int, day_count: int) -> tuple[JobEvent, ...]:
+    return generate_job_events(
+        seed,
+        day_count,
+        start_ns=scenario.start_ns,
+        jobs_per_day=scenario.load["jobs_per_day"],
+        watts_per_effort=scenario.load["watts_per_effort"],
     )
 
 
+def synthetic_load_samples(
+    scenario: Scenario,
+    base: SyntheticScenarioConfig,
+    seed: int,
+    day_count: int,
+    count: int,
+) -> tuple[tuple[ContextRecord, ...], list[int], list[float]]:
+    """Job announcements and load samples of ``base`` re-seeded with ``seed``.
+
+    Jobs are drawn for ``day_count`` days from the scenario's start; the
+    load is sampled at the end of each of the first ``count`` steps.
+    """
+    jobs = _job_events(scenario, seed, day_count)
+    config = replace(base, seed=seed, job_events=jobs)
+    step_ns = scenario.step_ns
+    times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
+    loads = [load_power_at(config, t) for t in times]
+    return context_records_for_jobs(jobs), times, loads
+
+
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
-    """The priced grid block's two-tier schedule over the horizon's days."""
+    """The priced grid block's two-tier schedule over every calendar day the
+    horizon touches (a horizon from noon also prices the next morning)."""
     if scenario.grid["kind"] != "priced":
         return None
     grid = scenario.grid
     tiers = PriceTiers(
-        off_peak_price=grid.get("off_peak_price", 0.10),
-        peak_price=grid.get("peak_price", 0.40),
-        peak_start_hour=grid.get("peak_start_hour", 8),
-        peak_end_hour=grid.get("peak_end_hour", 20),
+        off_peak_price=grid["off_peak_price"],
+        peak_price=grid["peak_price"],
+        peak_start_hour=grid["peak_start_hour"],
+        peak_end_hour=grid["peak_end_hour"],
     )
-    return build_price_schedule(tiers, scenario.start_ns, scenario.day_count)
+    first_midnight = scenario.start_ns // NS_PER_DAY * NS_PER_DAY
+    calendar_days = -(-(scenario.end_ns - first_midnight) // NS_PER_DAY)
+    return build_price_schedule(tiers, scenario.start_ns, calendar_days)
 
 
 def effort_estimator(scenario: Scenario) -> EffortEstimator:
@@ -504,12 +524,12 @@ def effort_estimator(scenario: Scenario) -> EffortEstimator:
         estimate = estimate_effort_heuristic
     else:
         url = spec["url"]
-        timeout_s = spec.get("timeout_s", 10.0)
+        timeout_s = spec["timeout_s"]
 
         def estimate(text: str) -> float:
             return estimate_effort_remote(text, url, timeout_s)
 
-    return functools.lru_cache(maxsize=None)(estimate)
+    return lru_cache(maxsize=None)(estimate)
 
 
 @dataclass
@@ -531,8 +551,8 @@ def _replay_config(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable],
         tables[file] = ingest_timeseries(file)
     return ReplayComponentConfig(
         table=tables[file],
-        subsystem_id=block.get("subsystem_id", 1),
-        boundary_tolerance_s=block.get("boundary_tolerance_s", 120.0),
+        subsystem_id=block["subsystem_id"],
+        boundary_tolerance_s=block["boundary_tolerance_s"],
         battery_capacity_j=capacity_j,
     )
 
@@ -540,24 +560,23 @@ def _replay_config(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable],
 def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
     inv = scenario.inverter
     battery = scenario.battery
-    capacity = battery.get("capacity_j", 1.8432e7)
     if battery["kind"] == "linear":
-        eta_c = battery.get("eta_charge", 0.95)
-        eta_d = battery.get("eta_discharge", 0.95)
+        eta_c = battery["eta_charge"]
+        eta_d = battery["eta_discharge"]
     else:
         eta_c = eta_d = 1.0
-    max_charge = inv.get("max_charge_power_w")
-    max_discharge = inv.get("max_discharge_power_w")
+    max_charge = inv["max_charge_power_w"]
+    max_discharge = inv["max_discharge_power_w"]
     return InverterPVFirstConfig(
-        eta_pv_to_batt=inv.get("eta_pv_to_batt", 0.97),
-        eta_pv_to_load=inv.get("eta_pv_to_load", 0.95),
-        eta_batt_to_load=inv.get("eta_batt_to_load", 0.95),
+        eta_pv_to_batt=inv["eta_pv_to_batt"],
+        eta_pv_to_load=inv["eta_pv_to_load"],
+        eta_batt_to_load=inv["eta_batt_to_load"],
         max_charge_power=math.inf if max_charge is None else max_charge,
         max_discharge_power=math.inf if max_discharge is None else max_discharge,
-        soc_min=inv.get("soc_min", 0.1),
-        soc_max=inv.get("soc_max", 1.0),
-        self_power=inv.get("self_power_w", 0.0),
-        battery_capacity=capacity,
+        soc_min=inv["soc_min"],
+        soc_max=inv["soc_max"],
+        self_power=inv["self_power_w"],
+        battery_capacity=battery["capacity_j"],
         battery_eta_charge=eta_c,
         battery_eta_discharge=eta_d,
     )
@@ -671,23 +690,14 @@ def training_series(
     on seed + TRAIN_SEED_OFFSET with its own jobs, so the fitted model
     has never seen the evaluated timeline.
     """
-    base = synthetic_config(scenario)
     train_days = scenario.forecast["train_days"]
-    train_seed = scenario.seed + TRAIN_SEED_OFFSET
-    jobs = generate_job_events(
-        train_seed,
+    return synthetic_load_samples(
+        scenario,
+        synthetic_config(scenario),
+        scenario.seed + TRAIN_SEED_OFFSET,
         train_days,
-        start_ns=scenario.start_ns,
-        jobs_per_day=scenario.load.get("jobs_per_day", 2),
-        watts_per_effort=scenario.load.get("watts_per_effort", 250.0),
+        train_days * NS_PER_DAY // scenario.step_ns,
     )
-    config = replace(base, seed=train_seed, day_count=train_days, job_events=jobs)
-    records = context_records_for_jobs(jobs)
-    step_ns = scenario.step_ns
-    count = train_days * NS_PER_DAY // step_ns
-    times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
-    loads = [load_power_at(config, t) for t in times]
-    return records, times, loads
 
 
 def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBundle:
@@ -718,20 +728,13 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         load = ReplayLoad(clock, _replay_config(scenario.load, tables))
 
     if scenario.battery["kind"] == "linear":
-        battery = BatteryLinear(
-            clock,
-            BatteryLinearConfig(
-                capacity_j=scenario.battery.get("capacity_j", 1.8432e7),
-                eta_charge=scenario.battery.get("eta_charge", 0.95),
-                eta_discharge=scenario.battery.get("eta_discharge", 0.95),
-                nominal_voltage=scenario.battery.get("nominal_voltage", 51.2),
-                initial_soc=scenario.battery.get("initial_soc", 0.5),
-            ),
-        )
+        # the linear battery block's keys are BatteryLinearConfig's fields
+        fields = {key: value for key, value in scenario.battery.items() if key != "kind"}
+        battery = BatteryLinear(clock, BatteryLinearConfig(**fields))
     else:
         battery = ReplayBattery(
             clock,
-            _replay_config(scenario.battery, tables, capacity_j=scenario.battery.get("capacity_j", 1.8432e7)),
+            _replay_config(scenario.battery, tables, capacity_j=scenario.battery["capacity_j"]),
         )
 
     if scenario.grid["kind"] == "priced":
@@ -739,8 +742,8 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             clock,
             GridPricedConfig(
                 schedule=schedule,
-                active_power_limit=scenario.grid.get("max_active_power_w"),
-                apparent_power_limit=scenario.grid.get("max_apparent_power_va"),
+                active_power_limit=scenario.grid["max_active_power_w"],
+                apparent_power_limit=scenario.grid["max_apparent_power_va"],
             ),
         )
     else:
@@ -749,7 +752,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     # generated announcements and recorded notes play back the same way
     records: tuple[ContextRecord, ...] = ()
     if scenario.context["kind"] == "synthetic":
-        lead_ns = int(scenario.context.get("announce_lead_hours", 10.0) * 3600) * NS_PER_SECOND
+        lead_ns = int(scenario.context["announce_lead_hours"] * 3600) * NS_PER_SECOND
         records = context_records_for_jobs(generator.job_events, announce_lead_ns=lead_ns)
     elif scenario.context["kind"] == "replay":
         records = ingest_context(scenario.context["file"])
@@ -796,11 +799,11 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
                 effort_fn,
             )
         controller = RecedingHorizonController(
-            capacity_j=scenario.battery.get("capacity_j", 1.8432e7),
+            capacity_j=scenario.battery["capacity_j"],
             soc_min=inverter_config.soc_min,
             soc_max=inverter_config.soc_max,
             forecast_provider=provider,
-            max_grid_power_w=scenario.grid.get("max_active_power_w"),
+            max_grid_power_w=scenario.grid["max_active_power_w"],
         )
         inverter = MPCInverter(clock, inverter_config, controller)
 

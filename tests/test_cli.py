@@ -163,6 +163,14 @@ def _forecast_eval(tmp_path, url):
     return cli.main(["forecast-eval", "--scenario", str(path), "--out", str(tmp_path / "fe")])
 
 
+def test_forecast_eval_rejects_a_replay_scenario_before_writing(recording, capsys):
+    out = recording / "fe-replay"
+    argv = ["forecast-eval", "--scenario", str(_replay_scenario(recording, "rec")), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "no synthetic pv+load pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forecast_eval_scores_with_the_remote_estimator(estimator_server, tmp_path):
     posted = len(estimator_server.texts)
     assert _forecast_eval(tmp_path, f"{estimator_server.url}/ok") == cli.EXIT_OK

@@ -13,7 +13,6 @@ from cemsim import (
     ChargingProblem,
     ControlDecision,
     ForecastWindow,
-    GridStepResult,
     InfeasibleProblemError,
     InverterPVFirst,
     InverterPVFirstConfig,
@@ -395,7 +394,6 @@ def _mpc_input(pv_w, load_w, soc):
     return InverterStepInput(
         power_source=PowerSourceStepResult(400.0, pv_w / 400.0, pv_w),
         battery=BatteryStepResult(soc, 50.0, 0.0, 0.0),
-        grid=GridStepResult(0.0, 0.0),
         load=LoadStepResult(load_w, load_w),
     )
 

@@ -99,7 +99,7 @@ def _synthetic_simulator(seed=0, day_count=1, jobs=True):
     clock = Clock(0)
     events = generate_job_events(seed, day_count) if jobs else ()
     config = SyntheticScenarioConfig(
-        seed=seed, day_count=day_count, pv_noise_amplitude=0.1,
+        seed=seed, pv_noise_amplitude=0.1,
         load_noise_amplitude=0.05, base_load=800.0, job_events=events,
     )
     return Simulator(

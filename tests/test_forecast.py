@@ -234,7 +234,7 @@ def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_load=400.0):
     jobs = generate_job_events(seed, day_count)
     records = context_records_for_jobs(jobs)
     config = SyntheticScenarioConfig(
-        seed=seed, day_count=day_count, base_load=base_load,
+        seed=seed, base_load=base_load,
         job_events=jobs, load_noise_amplitude=noise,
     )
     times = [k * NS_PER_HOUR // 2 for k in range(1, day_count * 48)]

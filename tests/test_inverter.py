@@ -10,7 +10,6 @@ from cemsim import (
     BatteryMode,
     BatteryStepResult,
     Clock,
-    GridStepResult,
     InverterPVFirst,
     InverterPVFirstConfig,
     InverterStepInput,
@@ -28,7 +27,6 @@ def _inverter_input(pv_w, load_w, soc, apparent_w=None):
     return InverterStepInput(
         power_source=PowerSourceStepResult(400.0, pv_w / 400.0, pv_w),
         battery=BatteryStepResult(soc, 50.0, 0.0, 0.0),
-        grid=GridStepResult(0.0, 0.0),
         load=LoadStepResult(load_w, load_w if apparent_w is None else apparent_w),
     )
 

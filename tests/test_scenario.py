@@ -4,9 +4,11 @@ import json
 import pytest
 
 from cemsim import (
+    BatteryLinearConfig,
     Channel,
     ConfigurationError,
     InverterPVFirst,
+    InverterPVFirstConfig,
     MPCInverter,
     ReplayLoad,
     STRATEGIES,
@@ -17,7 +19,15 @@ from cemsim import (
     run,
     scenario_from_dict,
 )
+from cemsim.models.synthetic import (
+    PriceTiers,
+    SyntheticScenarioConfig,
+    build_price_schedule,
+    context_records_for_jobs,
+    generate_job_events,
+)
 from cemsim.scenario import (
+    BLOCK_TABLES,
     TRAIN_SEED_OFFSET,
     price_schedule,
     synthetic_config,
@@ -166,6 +176,69 @@ def test_forecast_block_validation():
     assert remote.forecast["effort_estimator"]["url"] == "http://x/score"
 
 
+def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
+    (tmp_path / "recording.csv").write_text("")
+    (tmp_path / "notes.jsonl").write_text("")
+    replay = {"kind": "replay", "file": "recording.csv"}
+    scenarios = [
+        _scenario({}),
+        _scenario({}, context={"kind": "none"}),
+        _scenario(
+            {},
+            base_dir=tmp_path,
+            pv=replay,
+            load=replay,
+            battery=replay,
+            grid=replay,
+            context={"kind": "replay", "file": "notes.jsonl"},
+            forecast={"effort_estimator": {"kind": "remote", "url": "http://x/score"}},
+        ),
+    ]
+    seen = set()
+    for scenario in scenarios:
+        blocks = {name: getattr(scenario, name) for name in ("pv", "load", "battery", "grid", "context", "inverter")}
+        blocks["forecast.effort_estimator"] = scenario.forecast["effort_estimator"]
+        for name, block in blocks.items():
+            assert set(block) == {"kind", *BLOCK_TABLES[name][block["kind"]]}, (name, block)
+            seen.add((name, block["kind"]))
+    assert seen == {(name, kind) for name, kinds in BLOCK_TABLES.items() for kind in kinds}
+    remote = scenarios[-1].forecast["effort_estimator"]
+    assert remote["timeout_s"] == 10.0
+    assert [scenarios[-1].pv["subsystem_id"], scenarios[-1].battery["subsystem_id"], scenarios[-1].grid["subsystem_id"]] == [1, 3, 4]
+
+
+def test_scenario_defaults_equal_component_defaults():
+    bundle = build_bundle(scenario_from_dict({}, None))
+    simulator = bundle.simulator
+    assert simulator.battery._config == BatteryLinearConfig()
+    inverter, default_inverter = simulator.inverter._config, InverterPVFirstConfig()
+    for name in (
+        "eta_pv_to_batt",
+        "eta_pv_to_load",
+        "eta_batt_to_load",
+        "max_charge_power",
+        "max_discharge_power",
+        "soc_min",
+        "soc_max",
+        "self_power",
+    ):
+        assert getattr(inverter, name) == getattr(default_inverter, name), name
+    generator, default_generator = bundle.synthetic, SyntheticScenarioConfig()
+    for name in (
+        "pv_peak_power",
+        "pv_noise_amplitude",
+        "pv_voltage",
+        "sunrise_hour",
+        "sunset_hour",
+        "base_load",
+        "load_noise_amplitude",
+    ):
+        assert getattr(generator, name) == getattr(default_generator, name), name
+    assert generator.job_events == generate_job_events(0, 1)
+    assert bundle.records == context_records_for_jobs(generator.job_events)
+    assert bundle.schedule == build_price_schedule(PriceTiers(), 0, 1)
+
+
 def test_load_scenario_reads_and_validates(tmp_path):
     path = tmp_path / "day.json"
     path.write_text(json.dumps({"seed": 5, "horizon_seconds": 3600}))
@@ -205,6 +278,15 @@ def test_price_schedule_follows_the_grid_block(tmp_path):
     schedule = price_schedule(scenario)
     assert schedule.price_at(0) == 0.25
     assert schedule.price_at(12 * 3600 * NS) == 0.75
+
+
+def test_price_schedule_covers_every_day_the_horizon_touches():
+    # 24 h from noon: the next morning's 08:00-12:00 is peak too
+    schedule = price_schedule(_scenario({}, start_epoch_seconds=12 * 3600))
+    assert schedule.price_at(12 * 3600 * NS) == 0.40
+    assert schedule.price_at(NS_PER_DAY + 7 * 3600 * NS) == 0.10
+    assert schedule.price_at(NS_PER_DAY + 9 * 3600 * NS) == 0.40
+    assert schedule.price_at(NS_PER_DAY + 12 * 3600 * NS - 1) == 0.40
 
 
 def test_training_series_runs_on_a_shifted_seed():

@@ -222,5 +222,3 @@ def test_scenario_config_validation():
         _config(pv_noise_amplitude=1.5)
     with pytest.raises(ValueError):
         _config(sunrise_hour=19.0, sunset_hour=6.0)
-    with pytest.raises(ValueError):
-        SyntheticScenarioConfig(day_count=0)
