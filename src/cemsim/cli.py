@@ -6,9 +6,10 @@ missing files, invalid recordings), 2 runtime simulation error.  All
 commands are deterministic for fixed seeds and inputs; artifacts are
 byte-identical across reruns.  ``run`` takes repeatable ``--scenario``
 flags and runs the scenarios one after another, each into its own
-``<out>/<stem>/``.  ``run`` and ``compare`` stream the engine's step
-outputs through a sink instead of keeping them.  The ``CEMSIM_LOG``
-environment variable sets the log level (debug/info/warning/error).
+``<out>/<stem>/``; scenarios whose stems collide are rejected before any
+runs.  ``run`` and ``compare`` stream the engine's step outputs through a
+sink instead of keeping them.  The ``CEMSIM_LOG`` environment variable
+sets the log level (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .core import ConfigurationError, SimulationError
 from .engine import MAXIMA_KEYS, SimulatorStepOutput, run
-from .forecast import evaluate_families
+from .forecast import FAMILIES, evaluate_families
 from .models.synthetic import NS_PER_DAY, NS_PER_HOUR
 from .replay import (
     CHANNEL_HEADER,
@@ -41,6 +42,7 @@ from .scenario import (
     Scenario,
     SimulationBundle,
     build_bundle,
+    checked_names,
     effort_estimator,
     load_scenario,
     synthetic_config,
@@ -206,7 +208,7 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
                 )
             )
 
-        steps = run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, sink=sink)
+        steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
 
     emit_context(out_dir / "context.jsonl", bundle.records)
     summary = _summary_payload(scenario, bundle, last_output, steps)
@@ -227,6 +229,15 @@ def _default_out_dir(scenario_path: Path, scenario: Scenario, out_flag: str | No
 def cmd_run(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.scenario]
     multi = len(paths) > 1
+    if multi and args.out is not None:
+        # each scenario writes <out>/<stem>/, so equal stems would overwrite
+        stems = [path.stem for path in paths]
+        for index, stem in enumerate(stems):
+            if stem in stems[:index]:
+                first = paths[stems.index(stem)]
+                raise ConfigurationError(
+                    f"--scenario {first} and {paths[index]} would both write {Path(args.out) / stem}"
+                )
 
     def one(path: Path) -> int:
         try:
@@ -267,6 +278,13 @@ class _CostTrace:
         return self.costs[index - 1] if index else 0.0
 
 
+def _listed(flag: str, text: str | None, known: tuple[str, ...], default: list[str]) -> list[str]:
+    """The comma-separated names of ``flag`` (``default`` when it is not given)."""
+    if text is None:
+        return default
+    return checked_names([name.strip() for name in text.split(",") if name.strip()], known, flag)
+
+
 def _single_scenario(args: argparse.Namespace) -> Path:
     if len(args.scenario) != 1:
         raise ConfigurationError("this command takes exactly one --scenario")
@@ -275,12 +293,7 @@ def _single_scenario(args: argparse.Namespace) -> Path:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
-    strategies = args.strategies.split(",") if args.strategies else list(STRATEGIES)
-    strategies = [s.strip() for s in strategies if s.strip()]
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            print(f"error: unknown strategy {strategy!r}; known: {list(STRATEGIES)}", file=sys.stderr)
-            return EXIT_CONFIG
+    strategies = _listed("--strategies", args.strategies, STRATEGIES, list(STRATEGIES))
 
     try:
         scenario = load_scenario(path, args.seed, args.step_seconds)
@@ -291,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for strategy in strategies:
             bundle = build_bundle(scenario, strategy)
             trace = _CostTrace()
-            run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, sink=trace)
+            run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=trace)
             results[strategy] = trace
             bundles[strategy] = bundle
     except (ConfigurationError, ValueError, OSError) as exc:
@@ -354,11 +367,7 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
     try:
         scenario = load_scenario(path, args.seed, args.step_seconds)
-        families = (
-            [f.strip() for f in args.families.split(",") if f.strip()]
-            if args.families
-            else scenario.forecast["families"]
-        )
+        families = _listed("--families", args.families, FAMILIES, scenario.forecast["families"])
         base = synthetic_config(scenario)
         effort_fn = effort_estimator(scenario)
         out_dir = _default_out_dir(path, scenario, args.out, False)

@@ -51,7 +51,6 @@ import numpy as np
 
 from .core import (
     NS_PER_SECOND,
-    Clock,
     CompensatedSum,
     Inverter,
     InverterStepInput,
@@ -407,14 +406,7 @@ class MPCInverter(Inverter):
     models do not import controllers.
     """
 
-    def __init__(
-        self,
-        clock: Clock,
-        config: InverterPVFirstConfig,
-        controller: RecedingHorizonController,
-    ) -> None:
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: InverterPVFirstConfig, controller: RecedingHorizonController) -> None:
         self._config = config
         self._controller = controller
 
@@ -426,16 +418,17 @@ class MPCInverter(Inverter):
     def controller(self) -> RecedingHorizonController:
         return self._controller
 
-    def step(self, step_ticks: int, inverter_input: InverterStepInput) -> InverterStepResult:
-        dt_ns = step_ticks * self._tick_ns
-        now_ns = self._now_ns
-        self._now_ns = now_ns + dt_ns
+    def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
         soc = inverter_input.battery.soc
-        decision = self._controller.decide(now_ns, soc)
+        decision = self._controller.decide(start_ns, soc)
         planned_soc = decision.planned_soc
         soc_basis = None
         if planned_soc is not None and abs(planned_soc - soc) <= self._controller.soc_snap_tolerance:
             soc_basis = planned_soc
         return inverter_pv_first_step(
-            inverter_input, self._config, dt_ns / NS_PER_SECOND, decision.planned_grid_power_w, soc_basis
+            inverter_input,
+            self._config,
+            (end_ns - start_ns) / NS_PER_SECOND,
+            decision.planned_grid_power_w,
+            soc_basis,
         )

@@ -1,9 +1,9 @@
-"""Core simulation primitives: clock, step records, component contracts.
+"""Core simulation primitives: step records, component contracts, operations.
 
-All timestamps are integer nanoseconds since the Unix epoch (UTC).  A
-:class:`Clock` pairs such a timestamp with the tick resolution shared by
-every component of a simulation, so time arithmetic stays exact integer
-arithmetic end to end; floating-point time never enters the stepping loop.
+All timestamps are plain ints, nanoseconds since the Unix epoch (UTC), so
+time arithmetic stays exact integer arithmetic end to end.  The simulator
+owns the one current time; every component ``step`` is handed the step's
+interval ``[start_ns, end_ns)`` and keeps no clock of its own.
 
 Electrical quantities use strict SI units throughout: volts, amperes,
 watts, volt-amperes, joules, seconds.  Kilowatt-hours appear only at the
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
-
-import numpy as np
 
 NS_PER_SECOND = 1_000_000_000
 JOULES_PER_KWH = 3.6e6
@@ -42,89 +40,6 @@ def _require(condition: bool, message: str) -> None:
 def _require_finite(value: float, name: str) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# Clock
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Clock:
-    """Immutable simulation time cursor.
-
-    ticks_since_epoch : int
-        Absolute position on the timeline in nanoseconds since the epoch.
-    tick_resolution : int
-        Duration of one simulation tick in nanoseconds (default: one
-        second).  Components of one simulation share a single resolution.
-
-    Advancing is exact: ``advance(a).advance(b)`` lands on the same
-    nanosecond as ``advance(a + b)`` for any positive integers.
-    """
-
-    ticks_since_epoch: int
-    tick_resolution: int = NS_PER_SECOND
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.ticks_since_epoch, int), "ticks_since_epoch must be an int")
-        _require(isinstance(self.tick_resolution, int), "tick_resolution must be an int")
-        _require(self.ticks_since_epoch >= 0, "ticks_since_epoch must be >= 0")
-        _require(self.tick_resolution > 0, "tick_resolution must be > 0")
-
-    def advance(self, step_ticks: int) -> "Clock":
-        """Return a new clock ``step_ticks`` ticks later."""
-        if not (isinstance(step_ticks, int) and step_ticks >= 1):
-            raise ValueError(f"step_ticks must be a positive integer, got {step_ticks!r}")
-        # Hot path: both fields derive from already-validated state, so
-        # skip the dataclass constructor and its re-validation.
-        clock = object.__new__(Clock)
-        object.__setattr__(
-            clock, "ticks_since_epoch", self.ticks_since_epoch + step_ticks * self.tick_resolution
-        )
-        object.__setattr__(clock, "tick_resolution", self.tick_resolution)
-        return clock
-
-    def step_seconds(self, step_ticks: int) -> float:
-        """Duration of ``step_ticks`` ticks, in seconds."""
-        return step_ticks * self.tick_resolution / NS_PER_SECOND
-
-    def seconds_since_epoch(self) -> float:
-        return self.ticks_since_epoch / NS_PER_SECOND
-
-    @classmethod
-    def from_epoch_seconds(cls, seconds: float, tick_resolution: int = NS_PER_SECOND) -> "Clock":
-        """Build a clock from float epoch seconds.
-
-        Lossless for instants representable at nanosecond resolution in a
-        double; round-trips with :meth:`seconds_since_epoch` in that range.
-        """
-        return cls(int(round(seconds * NS_PER_SECOND)), tick_resolution)
-
-    def to_datetime64(self) -> np.datetime64:
-        return np.datetime64(self.ticks_since_epoch, "ns")
-
-    # Ordering compares instants, independent of resolution.
-    def __lt__(self, other: "Clock") -> bool:
-        return self.ticks_since_epoch < other.ticks_since_epoch
-
-    def __le__(self, other: "Clock") -> bool:
-        return self.ticks_since_epoch <= other.ticks_since_epoch
-
-    def __gt__(self, other: "Clock") -> bool:
-        return self.ticks_since_epoch > other.ticks_since_epoch
-
-    def __ge__(self, other: "Clock") -> bool:
-        return self.ticks_since_epoch >= other.ticks_since_epoch
-
-
-def time_ns(value: "Clock | int") -> int:
-    """Coerce a Clock or raw nanosecond timestamp to int nanoseconds."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Clock):
-        return value.ticks_since_epoch
-    raise ValueError(f"expected Clock or int nanoseconds, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,38 +265,41 @@ class ContextRecord:
 class SystemComponent(ABC):
     """A steppable member of a simulated installation.
 
-    Components advance in lockstep: each ``step`` call covers the same
-    ``step_ticks`` ticks of the shared clock and reports values for the
-    end of that interval.
+    Components advance in lockstep: each ``step`` call covers the
+    interval ``[start_ns, end_ns)`` the simulator hands every component.
+    Generation, load and replayed values are reported for ``end_ns``;
+    context and prices are read at ``start_ns``, what is known when the
+    step's decisions are made.  The step length in seconds is
+    ``(end_ns - start_ns) / NS_PER_SECOND``.
     """
 
     @abstractmethod
-    def step(self, step_ticks: int, *args, **kwargs):
+    def step(self, start_ns: int, end_ns: int, *args, **kwargs):
         raise NotImplementedError
 
 
 class PowerSource(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int) -> PowerSourceStepResult: ...
+    def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult: ...
 
 
 class Load(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int) -> LoadStepResult: ...
+    def step(self, start_ns: int, end_ns: int) -> LoadStepResult: ...
 
 
 class Grid(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int, grid_input: GridStepInput) -> GridStepResult: ...
+    def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult: ...
 
 
 class Battery(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int, battery_input: BatteryStepInput) -> BatteryStepResult: ...
+    def step(self, start_ns: int, end_ns: int, battery_input: BatteryStepInput) -> BatteryStepResult: ...
 
     @abstractmethod
-    def snapshot(self) -> BatteryStepResult:
-        """Current state as an idle result, without advancing time.
+    def snapshot(self, now_ns: int) -> BatteryStepResult:
+        """State at ``now_ns`` as an idle result, without stepping.
 
         Used to seed the first step's dispatch, which needs a state of
         charge before any step has run.
@@ -390,12 +308,12 @@ class Battery(SystemComponent):
 
 class Inverter(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int, inverter_input: InverterStepInput) -> InverterStepResult: ...
+    def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult: ...
 
 
 class Context(SystemComponent):
     @abstractmethod
-    def step(self, step_ticks: int) -> tuple[ContextRecord, ...]: ...
+    def step(self, start_ns: int, end_ns: int) -> tuple[ContextRecord, ...]: ...
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +321,14 @@ class Context(SystemComponent):
 # ---------------------------------------------------------------------------
 
 
-def reactive_power(apparent_power: float, active_power: float) -> float:
-    """Reactive power Q = sqrt(S^2 - P^2) in var.
+def context_query(records: Iterable[ContextRecord], now_ns: int) -> list[ContextRecord]:
+    """Records known at ``now_ns`` whose interval has not yet ended.
 
-    Requires 0 <= active_power <= apparent_power; anything else has no
-    real solution and raises ValueError.
-    """
-    _require_finite(apparent_power, "apparent_power")
-    _require_finite(active_power, "active_power")
-    _require(active_power >= 0.0, "active_power must be >= 0")
-    _require(
-        apparent_power >= active_power,
-        f"apparent_power ({apparent_power!r}) must be >= active_power ({active_power!r})",
-    )
-    return math.sqrt(apparent_power * apparent_power - active_power * active_power)
-
-
-def context_query(records: Iterable[ContextRecord], now: "Clock | int") -> list[ContextRecord]:
-    """Records known at ``now`` whose interval has not yet ended.
-
-    Keeps records with ``recorded_at <= now < ends_at``: the currently
+    Keeps records with ``recorded_at <= now_ns < ends_at``: the currently
     active ones and the announced-but-future ones, never records that only
     become known later (no future information leaks into a query at
-    ``now``).  Sorted by (begins_at, recorded_at, insertion order).
+    ``now_ns``).  Sorted by (begins_at, recorded_at, insertion order).
     """
-    now_ns = time_ns(now)
     selected = [
         (record.begins_at_ns, record.recorded_at_ns, index, record)
         for index, record in enumerate(records)

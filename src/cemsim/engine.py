@@ -1,5 +1,10 @@
 """Simulation engine: advances all components in lockstep and keeps books.
 
+The :class:`Simulator` owns time as one plain int, ``now_ns``.  Each step
+covers ``[now_ns, now_ns + step_ns)``; every component is handed those two
+ints and keeps no clock of its own, and ``now_ns`` moves to the step's end
+once the step has run.
+
 Step order within one step: context (if present), power source, load,
 inverter, battery, grid.  The inverter sees the generation and load
 results just produced for the current step together with the battery
@@ -18,11 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .core import (
+    NS_PER_SECOND,
     Battery,
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
-    Clock,
     ConfigurationError,
     Context,
     ContextRecord,
@@ -159,11 +164,11 @@ class SimulatorStepOutput:
 
 
 class Simulator:
-    """Owns the master clock, the components, and the running aggregates."""
+    """Owns the simulation time, the components, and the running aggregates."""
 
     def __init__(
         self,
-        clock: Clock,
+        start_ns: int,
         power_source: PowerSource,
         load: Load,
         battery: Battery,
@@ -171,7 +176,7 @@ class Simulator:
         grid: Grid,
         context: Context | None = None,
     ) -> None:
-        self.clock = clock
+        self.now_ns = start_ns
         self.power_source = power_source
         self.load = load
         self.battery = battery
@@ -179,7 +184,7 @@ class Simulator:
         self.grid = grid
         self.context = context
         self.step_count = 0
-        self.last_battery_result: BatteryStepResult = battery.snapshot()
+        self.last_battery_result: BatteryStepResult = battery.snapshot(start_ns)
         self._books = _Books()
         self._maxima = {key: 0.0 for key in MAXIMA_KEYS}
 
@@ -197,34 +202,37 @@ class Simulator:
     def maxima(self) -> dict[str, float]:
         return dict(self._maxima)
 
-    def step(self, step_ticks: int) -> SimulatorStepOutput:
-        """Advance every component by ``step_ticks`` ticks."""
-        dt_s = self.clock.step_seconds(step_ticks)
+    def step(self, step_ns: int) -> SimulatorStepOutput:
+        """Advance every component over ``[now_ns, now_ns + step_ns)``."""
+        start_ns = self.now_ns
+        end_ns = start_ns + step_ns
+        dt_s = step_ns / NS_PER_SECOND
 
         stage = "context"
         try:
-            context_result = self.context.step(step_ticks) if self.context is not None else None
+            context_result = self.context.step(start_ns, end_ns) if self.context is not None else None
             stage = "power_source"
-            pv_result = self.power_source.step(step_ticks)
+            pv_result = self.power_source.step(start_ns, end_ns)
             stage = "load"
-            load_result = self.load.step(step_ticks)
+            load_result = self.load.step(start_ns, end_ns)
             stage = "inverter"
             inverter_result = self.inverter.step(
-                step_ticks,
+                start_ns,
+                end_ns,
                 InverterStepInput(pv_result, self.last_battery_result, load_result),
             )
             battery_input = inverter_result.battery_input
             grid_input = inverter_result.grid_input
             stage = "battery"
-            battery_result = self.battery.step(step_ticks, battery_input)
+            battery_result = self.battery.step(start_ns, end_ns, battery_input)
             stage = "grid"
-            grid_result = self.grid.step(step_ticks, grid_input)
+            grid_result = self.grid.step(start_ns, end_ns, grid_input)
         except ConfigurationError:
             raise
         except (SimulationError, ValueError, ArithmeticError) as exc:
             raise ComponentStepError(stage, self.step_count, exc) from exc
 
-        self.clock = self.clock.advance(step_ticks)
+        self.now_ns = end_ns
         self.step_count += 1
         self.last_battery_result = battery_result
 
@@ -268,7 +276,7 @@ class Simulator:
 
         return SimulatorStepOutput(
             self.step_count - 1,
-            self.clock.ticks_since_epoch,
+            end_ns,
             context_result,
             pv_result,
             load_result,
@@ -283,23 +291,23 @@ class Simulator:
 
 def run(
     simulator: Simulator,
-    total_ticks: int,
-    step_ticks: int,
+    total_ns: int,
+    step_ns: int,
     sink: Callable[[SimulatorStepOutput], None],
 ) -> int:
-    """Run ``total_ticks`` of simulated time in ``step_ticks`` chunks.
+    """Run ``total_ns`` of simulated time in ``step_ns`` steps.
 
     Every step's output goes to ``sink`` as it is produced, so memory
     stays flat over the horizon; the step count is returned.  A final
     shorter step covers any remainder, so the horizon is honored exactly.
     """
-    _require(total_ticks >= 1, "total_ticks must be >= 1")
-    _require(step_ticks >= 1, "step_ticks must be >= 1")
-    remaining = total_ticks
+    _require(total_ns >= 1, "total_ns must be >= 1")
+    _require(step_ns >= 1, "step_ns must be >= 1")
+    remaining = total_ns
     count = 0
     while remaining > 0:
-        ticks = step_ticks if remaining >= step_ticks else remaining
-        sink(simulator.step(ticks))
+        this_step = step_ns if remaining >= step_ns else remaining
+        sink(simulator.step(this_step))
         count += 1
-        remaining -= ticks
+        remaining -= this_step
     return count

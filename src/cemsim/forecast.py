@@ -16,7 +16,6 @@ speaking the simple ``{"text": ...} -> {"effort": ...}`` schema instead.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -217,31 +216,6 @@ class Predictor:
     ) -> float:
         return self.predict_features(
             build_features(records, self.mode, t_ns, self.numeric_fields, effort_fn)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "mode": self.mode,
-                "numeric_fields": list(self.numeric_fields),
-                "coefficients": list(self.coefficients),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Predictor":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"predictor JSON is malformed: {exc}") from exc
-        _require(isinstance(payload, dict), "predictor JSON must be an object")
-        _require(payload.get("schema_version") == 1, "unsupported predictor schema_version")
-        return cls(
-            mode=payload["mode"],
-            coefficients=tuple(payload["coefficients"]),
-            numeric_fields=tuple(payload.get("numeric_fields", NUMERIC_FIELD_CATALOG)),
         )
 
 

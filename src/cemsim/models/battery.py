@@ -22,7 +22,6 @@ from ..core import (
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
-    Clock,
     _require,
 )
 
@@ -80,8 +79,7 @@ def battery_linear_step(
 class BatteryLinear(Battery):
     """Stateful wrapper around :func:`battery_linear_step`."""
 
-    def __init__(self, clock: Clock, config: BatteryLinearConfig | None = None) -> None:
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: BatteryLinearConfig | None = None) -> None:
         self._config = config if config is not None else BatteryLinearConfig()
         self._energy_j = self._config.initial_soc * self._config.capacity_j
         self._idle_result: BatteryStepResult | None = None
@@ -94,7 +92,8 @@ class BatteryLinear(Battery):
     def energy_j(self) -> float:
         return self._energy_j
 
-    def snapshot(self) -> BatteryStepResult:
+    def snapshot(self, now_ns: int) -> BatteryStepResult:
+        """Idle result at the current store; it does not change between steps."""
         return BatteryStepResult(
             soc=self._energy_j / self._config.capacity_j,
             voltage=self._config.nominal_voltage,
@@ -102,17 +101,17 @@ class BatteryLinear(Battery):
             delta_charge=0.0,
         )
 
-    def step(self, step_ticks: int, battery_input: BatteryStepInput) -> BatteryStepResult:
+    def step(self, start_ns: int, end_ns: int, battery_input: BatteryStepInput) -> BatteryStepResult:
         if battery_input.mode is BatteryMode.IDLE:
             # Idle leaves the store untouched, so the result only changes
             # when a charge or discharge does; reuse the frozen record.
             result = self._idle_result
             if result is None:
-                result = self.snapshot()
+                result = self.snapshot(end_ns)
                 self._idle_result = result
             return result
         self._idle_result = None
         self._energy_j, result = battery_linear_step(
-            self._energy_j, battery_input, self._config, step_ticks * self._tick_ns / NS_PER_SECOND
+            self._energy_j, battery_input, self._config, (end_ns - start_ns) / NS_PER_SECOND
         )
         return result

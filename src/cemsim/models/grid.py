@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 from ..core import (
     NS_PER_SECOND,
-    Clock,
     ConfigurationError,
     Grid,
     GridStepInput,
     GridStepResult,
     _require,
     grid_energy_cost,
-    time_ns,
 )
 
 
@@ -51,8 +49,7 @@ class PriceSchedule:
         object.__setattr__(self, "_starts", tuple(s for s, _ in self.breakpoints))
         object.__setattr__(self, "_prices", tuple(p for _, p in self.breakpoints))
 
-    def price_at(self, when: Clock | int) -> float:
-        when_ns = time_ns(when)
+    def price_at(self, when_ns: int) -> float:
         index = bisect.bisect_right(self._starts, when_ns) - 1
         if index < 0:
             raise ConfigurationError(
@@ -61,9 +58,8 @@ class PriceSchedule:
             )
         return self._prices[index]
 
-    def prices_for_window(self, start_ns: int, step_seconds: float, count: int) -> list[float]:
+    def prices_for_window(self, start_ns: int, step_ns: int, count: int) -> list[float]:
         """Per-step prices for ``count`` steps, sampled at each step's start."""
-        step_ns = int(round(step_seconds * 1e9))
         return [self.price_at(start_ns + i * step_ns) for i in range(count)]
 
 
@@ -93,12 +89,12 @@ class PricedGridStepResult(GridStepResult):
 def grid_priced_step(
     grid_input: GridStepInput,
     config: GridPricedConfig,
-    now: Clock | int,
+    now_ns: int,
     dt_s: float,
 ) -> PricedGridStepResult:
     """Deliver one step: clamp to limits, flag violations, meter cost.
 
-    The price is sampled at the step's start (``now``).  An apparent-power
+    The price is sampled at the step's start (``now_ns``).  An apparent-power
     clamp also caps active power, since |S| >= P must survive delivery.
     """
     requested_active = grid_input.requested_active_power
@@ -114,7 +110,7 @@ def grid_priced_step(
         violation = True
     if delivered_apparent < delivered_active:
         delivered_active = delivered_apparent
-    price = config.schedule.price_at(now)
+    price = config.schedule.price_at(now_ns)
     cost = grid_energy_cost(price, delivered_active, dt_s)
     return PricedGridStepResult(delivered_active, delivered_apparent, cost, violation)
 
@@ -122,18 +118,12 @@ def grid_priced_step(
 class GridPriced(Grid):
     """Stateful wrapper around :func:`grid_priced_step`."""
 
-    def __init__(self, clock: Clock, config: GridPricedConfig) -> None:
-        # Plain-int time; per-step Clock churn is measurable at 1e6 steps.
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: GridPricedConfig) -> None:
         self._config = config
 
     @property
     def config(self) -> GridPricedConfig:
         return self._config
 
-    def step(self, step_ticks: int, grid_input: GridStepInput) -> PricedGridStepResult:
-        dt_ns = step_ticks * self._tick_ns
-        now_ns = self._now_ns
-        self._now_ns = now_ns + dt_ns
-        return grid_priced_step(grid_input, self._config, now_ns, dt_ns / NS_PER_SECOND)
+    def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> PricedGridStepResult:
+        return grid_priced_step(grid_input, self._config, start_ns, (end_ns - start_ns) / NS_PER_SECOND)

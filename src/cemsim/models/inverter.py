@@ -32,7 +32,6 @@ from ..core import (
     NS_PER_SECOND,
     BatteryMode,
     BatteryStepInput,
-    Clock,
     GridStepInput,
     Inverter,
     InverterStepInput,
@@ -219,13 +218,12 @@ def inverter_pv_first_step(
 class InverterPVFirst(Inverter):
     """Stateful wrapper around :func:`inverter_pv_first_step`."""
 
-    def __init__(self, clock: Clock, config: InverterPVFirstConfig | None = None) -> None:
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: InverterPVFirstConfig | None = None) -> None:
         self._config = config if config is not None else InverterPVFirstConfig()
 
     @property
     def config(self) -> InverterPVFirstConfig:
         return self._config
 
-    def step(self, step_ticks: int, inverter_input: InverterStepInput) -> InverterStepResult:
-        return inverter_pv_first_step(inverter_input, self._config, step_ticks * self._tick_ns / NS_PER_SECOND)
+    def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
+        return inverter_pv_first_step(inverter_input, self._config, (end_ns - start_ns) / NS_PER_SECOND)

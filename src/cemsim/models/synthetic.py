@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass
 
 from ..core import (
-    Clock,
     Context,
     ContextRecord,
     Load,
@@ -148,11 +147,10 @@ def load_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
 def sample_series(
     config: SyntheticScenarioConfig,
     start_ns: int,
-    step_seconds: float,
+    step_ns: int,
     count: int,
 ) -> tuple[list[float], list[float]]:
     """Realized (load, pv) series sampled at each step's end time."""
-    step_ns = int(round(step_seconds * 1e9))
     loads = []
     pvs = []
     for i in range(count):
@@ -297,18 +295,13 @@ def context_records_for_jobs(
 class SyntheticPowerSource(PowerSource):
     """PV array following the scenario's diurnal bell."""
 
-    def __init__(self, clock: Clock, config: SyntheticScenarioConfig) -> None:
-        # Time is tracked as plain ints; a million tiny Clock objects per
-        # run would dominate the profile.
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: SyntheticScenarioConfig) -> None:
         self._config = config
         # Night steps all produce this exact record; share one instance.
         self._night = PowerSourceStepResult(config.pv_voltage, 0.0, 0.0)
 
-    def step(self, step_ticks: int) -> PowerSourceStepResult:
-        self._now_ns += step_ticks * self._tick_ns
-        power = pv_power_at(self._config, self._now_ns)
+    def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
+        power = pv_power_at(self._config, end_ns)
         if power == 0.0:
             return self._night
         voltage = self._config.pv_voltage
@@ -318,15 +311,12 @@ class SyntheticPowerSource(PowerSource):
 class SyntheticLoad(Load):
     """Workstation load: base draw plus scheduled jobs, unity power factor."""
 
-    def __init__(self, clock: Clock, config: SyntheticScenarioConfig) -> None:
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, config: SyntheticScenarioConfig) -> None:
         self._config = config
         self._last = LoadStepResult(config.base_load, config.base_load)
 
-    def step(self, step_ticks: int) -> LoadStepResult:
-        self._now_ns += step_ticks * self._tick_ns
-        power = load_power_at(self._config, self._now_ns)
+    def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
+        power = load_power_at(self._config, end_ns)
         # Demand is flat outside job windows; reuse the previous record
         # (immutable) instead of building an identical one every step.
         last = self._last
@@ -348,16 +338,12 @@ class ScriptedContext(Context):
     ``cemsim.models.synthetic.context_query`` sees every query.
     """
 
-    def __init__(self, clock: Clock, records: tuple[ContextRecord, ...]) -> None:
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
+    def __init__(self, records: tuple[ContextRecord, ...]) -> None:
         self._records = tuple(records)
 
     @property
     def records(self) -> tuple[ContextRecord, ...]:
         return self._records
 
-    def step(self, step_ticks: int) -> tuple[ContextRecord, ...]:
-        active = tuple(context_query(self._records, self._now_ns))
-        self._now_ns += step_ticks * self._tick_ns
-        return active
+    def step(self, start_ns: int, end_ns: int) -> tuple[ContextRecord, ...]:
+        return tuple(context_query(self._records, start_ns))

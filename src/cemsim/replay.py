@@ -43,7 +43,6 @@ from .core import (
     Battery,
     BatteryStepInput,
     BatteryStepResult,
-    Clock,
     ContextRecord,
     Grid,
     GridStepInput,
@@ -120,9 +119,6 @@ class Channel:
         object.__setattr__(self, "_times", memoryview(times))
         object.__setattr__(self, "_values", memoryview(values))
 
-    def interpolate(self, t_ns: int, boundary_tolerance_s: float = DEFAULT_BOUNDARY_TOLERANCE_S) -> float:
-        return interpolate(self, t_ns, boundary_tolerance_s)
-
 
 def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAULT_BOUNDARY_TOLERANCE_S) -> float:
     """Linear interpolation with exact knot hits and bounded clamping.
@@ -189,14 +185,14 @@ class TimeSeriesTable:
 # ---------------------------------------------------------------------------
 
 
-def ingest_timeseries(path, strict_channels: bool = True) -> TimeSeriesTable:
+def ingest_timeseries(path) -> TimeSeriesTable:
     """Parse a channel CSV into a table, validating as it goes.
 
     Rows may arrive unsorted; a channel whose rows are out of order is
     sorted by time.  Duplicate timestamps within a channel, malformed rows,
     and non-finite values are rejected with the offending line number.
-    Unknown channel names are an error when ``strict_channels`` (the
-    default), since a typo would otherwise silently drop a measurement.
+    Unknown channel names are an error, since a typo would otherwise
+    silently drop a measurement.
     Each row goes straight into its channel's ``array('q')``/``array('d')``
     pair; numpy wraps those buffers without copying.
     """
@@ -223,9 +219,7 @@ def ingest_timeseries(path, strict_channels: bool = True) -> TimeSeriesTable:
             if appends is None:
                 name = row[2]
                 if name not in KNOWN_CHANNELS:
-                    if strict_channels:
-                        raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
-                    continue
+                    raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
                 columns = collected.get((subsystem_id, name))
                 if columns is None:
                     columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
@@ -352,19 +346,15 @@ class ReplayComponentConfig:
 
 
 class ReplayPowerSource(PowerSource):
-    def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
+    def __init__(self, config: ReplayComponentConfig) -> None:
         self._voltage, self._current, self._power = config.channels("pv_voltage", "pv_current", "pv_power")
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
-    def step(self, step_ticks: int) -> PowerSourceStepResult:
-        self._now_ns += step_ticks * self._tick_ns
-        t = self._now_ns
+    def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
         return PowerSourceStepResult(
-            voltage=max(interpolate(self._voltage, t, self._tolerance_s), 0.0),
-            current=max(interpolate(self._current, t, self._tolerance_s), 0.0),
-            power=max(interpolate(self._power, t, self._tolerance_s), 0.0),
+            voltage=max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
+            current=max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
+            power=max(interpolate(self._power, end_ns, self._tolerance_s), 0.0),
         )
 
 
@@ -373,17 +363,13 @@ class ReplayLoad(Load):
     recorded pair dips below it (measurement jitter), since |S| >= P is a
     hard result invariant."""
 
-    def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
+    def __init__(self, config: ReplayComponentConfig) -> None:
         self._active, self._apparent = config.channels("load_active_power", "load_apparent_power")
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
-    def step(self, step_ticks: int) -> LoadStepResult:
-        self._now_ns += step_ticks * self._tick_ns
-        t = self._now_ns
-        active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
-        apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
+    def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
+        active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
+        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
         return LoadStepResult(requested_active_power=active, requested_apparent_power=apparent)
 
 
@@ -392,18 +378,14 @@ class ReplayGrid(Grid):
     delivered <= requested relation cannot be enforced here; replays
     reproduce history rather than arbitrate it."""
 
-    def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
+    def __init__(self, config: ReplayComponentConfig) -> None:
         self._active, self._apparent = config.channels("grid_active_power", "grid_apparent_power")
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
 
-    def step(self, step_ticks: int, grid_input: GridStepInput) -> GridStepResult:
+    def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
-        self._now_ns += step_ticks * self._tick_ns
-        t = self._now_ns
-        active = max(interpolate(self._active, t, self._tolerance_s), 0.0)
-        apparent = max(interpolate(self._apparent, t, self._tolerance_s), active)
+        active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
+        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
         return GridStepResult(delivered_active_power=active, delivered_apparent_power=apparent)
 
 
@@ -413,14 +395,12 @@ class ReplayBattery(Battery):
     The (soc, voltage) read at the end of one step is kept as the start
     state of the next, so each step interpolates only its end."""
 
-    def __init__(self, clock: Clock, config: ReplayComponentConfig) -> None:
+    def __init__(self, config: ReplayComponentConfig) -> None:
         self._soc, self._voltage = config.channels("battery_soc", "battery_voltage")
         _require(
             config.battery_capacity_j is not None,
             "ReplayBattery needs battery_capacity_j in its config",
         )
-        self._now_ns = clock.ticks_since_epoch
-        self._tick_ns = clock.tick_resolution
         self._tolerance_s = config.boundary_tolerance_s
         self._capacity_j = config.battery_capacity_j
         self._state: tuple[int, float, float] | None = None
@@ -434,15 +414,14 @@ class ReplayBattery(Battery):
         self._state = (t_ns, soc, voltage)
         return soc, voltage
 
-    def snapshot(self) -> BatteryStepResult:
-        soc, voltage = self._state_at(self._now_ns)
+    def snapshot(self, now_ns: int) -> BatteryStepResult:
+        soc, voltage = self._state_at(now_ns)
         return BatteryStepResult(soc=soc, voltage=voltage, delta_energy=0.0, delta_charge=0.0)
 
-    def step(self, step_ticks: int, battery_input: BatteryStepInput) -> BatteryStepResult:
+    def step(self, start_ns: int, end_ns: int, battery_input: BatteryStepInput) -> BatteryStepResult:
         del battery_input
-        previous_soc, _ = self._state_at(self._now_ns)
-        self._now_ns += step_ticks * self._tick_ns
-        soc, voltage = self._state_at(self._now_ns)
+        previous_soc, _ = self._state_at(start_ns)
+        soc, voltage = self._state_at(end_ns)
         delta_energy = (soc - previous_soc) * self._capacity_j
         return BatteryStepResult(
             soc=soc,

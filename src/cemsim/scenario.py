@@ -2,9 +2,13 @@
 
 A scenario is a JSON document choosing an implementation per component
 (``synthetic`` | ``replay`` | ``linear`` ...), their parameter blocks, the
-clock, the horizon, and the price schedule.  Unknown keys anywhere are
-rejected so typos fail loudly, and referenced recording files must exist
-before anything runs.
+start time, the horizon, the step length, and the price schedule.  Unknown
+keys anywhere are rejected so typos fail loudly, and referenced recording
+files must exist before anything runs.
+
+Start, horizon and step are whole seconds.  :class:`Scenario` hands them
+to the simulator as the int nanoseconds it steps on (``start_ns``,
+``horizon_ns``, ``step_ns``); there is no separate tick size.
 
 Each component block (pv, load, battery, grid, context, inverter, and the
 forecast block's effort_estimator) names a ``kind``.  ``BLOCK_TABLES``
@@ -38,7 +42,6 @@ from .control import (
     RecedingHorizonController,
 )
 from .core import (
-    Clock,
     ConfigurationError,
     ContextRecord,
     NS_PER_SECOND,
@@ -142,6 +145,23 @@ def _string(block: Mapping[str, Any], key: str, where: str, default=None, choice
     return value
 
 
+def checked_names(names: Any, known: tuple[str, ...], where: str) -> list[str]:
+    """``names`` as a non-empty list of distinct members of ``known``.
+
+    One check for every name list: the scenario's ``forecast.families`` and
+    the comma-separated ``--strategies`` and ``--families`` flags.
+    ConfigurationError names the first unknown or repeated entry.
+    """
+    if not isinstance(names, list) or not names:
+        _fail(where, f"must be a non-empty list, got {names!r}")
+    for index, name in enumerate(names):
+        if name not in known:
+            _fail(where, f"unknown name {name!r}; known: {list(known)}")
+        if name in names[:index]:
+            _fail(where, f"{name!r} is listed twice")
+    return list(names)
+
+
 def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
     path = Path(_string(block, key, where))
     if not path.is_absolute():
@@ -241,7 +261,6 @@ _TOP_KEYS = {
     "schema_version",
     "seed",
     "start_epoch_seconds",
-    "tick_resolution_ns",
     "horizon_seconds",
     "step_seconds",
     "output_dir",
@@ -276,7 +295,6 @@ class Scenario:
 
     seed: int
     start_ns: int
-    tick_resolution: int
     horizon_seconds: int
     step_seconds: int
     pv: Mapping[str, Any]
@@ -290,20 +308,16 @@ class Scenario:
     output_dir: str | None = None
 
     @property
-    def step_ticks(self) -> int:
-        return self.step_seconds * NS_PER_SECOND // self.tick_resolution
-
-    @property
-    def total_ticks(self) -> int:
-        return self.horizon_seconds * NS_PER_SECOND // self.tick_resolution
-
-    @property
     def step_ns(self) -> int:
         return self.step_seconds * NS_PER_SECOND
 
     @property
+    def horizon_ns(self) -> int:
+        return self.horizon_seconds * NS_PER_SECOND
+
+    @property
     def end_ns(self) -> int:
-        return self.start_ns + self.horizon_seconds * NS_PER_SECOND
+        return self.start_ns + self.horizon_ns
 
     @property
     def day_count(self) -> int:
@@ -345,17 +359,12 @@ def scenario_from_dict(
     if seed_override is not None:
         seed = seed_override
     start_seconds = _integer(data, "start_epoch_seconds", "scenario", default=0, minimum=0)
-    tick_resolution = _integer(data, "tick_resolution_ns", "scenario", default=NS_PER_SECOND, minimum=1)
     horizon_seconds = _integer(data, "horizon_seconds", "scenario", default=86_400, minimum=1)
     step_seconds = _integer(data, "step_seconds", "scenario", default=120, minimum=1)
     if step_seconds_override is not None:
         step_seconds = step_seconds_override
         if not isinstance(step_seconds, int) or step_seconds < 1:
             _fail("scenario", f"step_seconds override must be a positive integer, got {step_seconds!r}")
-    if (step_seconds * NS_PER_SECOND) % tick_resolution != 0:
-        _fail("scenario", f"step_seconds {step_seconds} is not a whole number of {tick_resolution} ns ticks")
-    if (horizon_seconds * NS_PER_SECOND) % tick_resolution != 0:
-        _fail("scenario", f"horizon_seconds {horizon_seconds} is not a whole number of ticks")
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -381,13 +390,7 @@ def scenario_from_dict(
     if not 0.0 < forecast["train_fraction"] < 1.0:
         _fail("forecast", f"'train_fraction' must be in (0, 1), got {forecast['train_fraction']}")
     forecast["resamples"] = _integer(forecast, "resamples", "forecast", default=5, minimum=1)
-    families = forecast.get("families", list(FAMILIES))
-    if not isinstance(families, list) or not families:
-        _fail("forecast", f"'families' must be a non-empty list, got {families!r}")
-    for family in families:
-        if family not in FAMILIES:
-            _fail("forecast", f"unknown family {family!r}; known: {list(FAMILIES)}")
-    forecast["families"] = list(families)
+    forecast["families"] = checked_names(forecast.get("families", list(FAMILIES)), FAMILIES, "forecast.families")
     forecast["context_family"] = _string(
         forecast, "context_family", "forecast", default="combined", choices=set(FAMILIES) - {"none"}
     )
@@ -398,7 +401,6 @@ def scenario_from_dict(
     return Scenario(
         seed=seed,
         start_ns=start_seconds * NS_PER_SECOND,
-        tick_resolution=tick_resolution,
         horizon_seconds=horizon_seconds,
         step_seconds=step_seconds,
         pv=pv,
@@ -597,10 +599,10 @@ class _DayForecast:
     ``now`` is not a whole number of steps after the cached start.
     """
 
-    def __init__(self, end_ns: int, step_seconds: int) -> None:
+    def __init__(self, end_ns: int, step_ns: int) -> None:
         self._end_ns = end_ns
-        self._step_seconds = float(step_seconds)
-        self._step_ns = step_seconds * NS_PER_SECOND
+        self._step_seconds = step_ns / NS_PER_SECOND
+        self._step_ns = step_ns
         self._key: tuple | None = None
         self._start_ns = 0
         self._series: tuple = ((), (), ())
@@ -626,7 +628,7 @@ def perfect_forecast_provider(
     config: SyntheticScenarioConfig,
     schedule: PriceSchedule,
     end_ns: int,
-    step_seconds: int,
+    step_ns: int,
 ) -> Callable[[int], ForecastWindow | None]:
     """Oracle forecasts: the realized series itself, planned to day's end.
 
@@ -634,11 +636,11 @@ def perfect_forecast_provider(
     """
 
     def compute(now_ns: int, count: int) -> tuple:
-        loads, pvs = sample_series(config, now_ns, float(step_seconds), count)
-        prices = schedule.prices_for_window(now_ns, float(step_seconds), count)
+        loads, pvs = sample_series(config, now_ns, step_ns, count)
+        prices = schedule.prices_for_window(now_ns, step_ns, count)
         return tuple(loads), tuple(pvs), tuple(prices)
 
-    day = _DayForecast(end_ns, step_seconds)
+    day = _DayForecast(end_ns, step_ns)
     return lambda now_ns: day.window(now_ns, None, compute)
 
 
@@ -648,7 +650,7 @@ def predictor_forecast_provider(
     config: SyntheticScenarioConfig,
     schedule: PriceSchedule,
     end_ns: int,
-    step_seconds: int,
+    step_ns: int,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
 ) -> Callable[[int], ForecastWindow | None]:
     """Model forecasts: predicted load, oracle PV, scheduled prices.
@@ -663,16 +665,15 @@ def predictor_forecast_provider(
     and the known records, so a slice of the cached series is bitwise the
     series a fresh computation at ``now`` would give.
     """
-    step_ns = step_seconds * NS_PER_SECOND
 
     def compute(known: list[ContextRecord], now_ns: int, count: int) -> tuple:
         times = [now_ns + i * step_ns for i in range(1, count + 1)]
         loads = tuple(max(predictor.predict(known, t, effort_fn), 0.0) for t in times)
         pvs = tuple(pv_power_at(config, t) for t in times)
-        prices = schedule.prices_for_window(now_ns, float(step_seconds), count)
+        prices = schedule.prices_for_window(now_ns, step_ns, count)
         return loads, pvs, tuple(prices)
 
-    day = _DayForecast(end_ns, step_seconds)
+    day = _DayForecast(end_ns, step_ns)
 
     def provider(now_ns: int) -> ForecastWindow | None:
         known = context_query(records, now_ns)
@@ -704,7 +705,6 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     """Assemble a ready-to-run simulator for one scenario and strategy."""
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; known: {list(STRATEGIES)}")
-    clock = Clock(scenario.start_ns, scenario.tick_resolution)
     tables: dict[str, TimeSeriesTable] = {}
     # full config only when both sides are synthetic (the MPC strategies
     # need that); a partial one still drives a lone synthetic component
@@ -717,37 +717,34 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     schedule = price_schedule(scenario)
 
     if scenario.pv["kind"] == "synthetic":
-        pv = SyntheticPowerSource(clock, generator)
+        pv = SyntheticPowerSource(generator)
     else:
-        config = _replay_config(scenario.pv, tables)
-        pv = ReplayPowerSource(clock, config)
+        pv = ReplayPowerSource(_replay_config(scenario.pv, tables))
 
     if scenario.load["kind"] == "synthetic":
-        load = SyntheticLoad(clock, generator)
+        load = SyntheticLoad(generator)
     else:
-        load = ReplayLoad(clock, _replay_config(scenario.load, tables))
+        load = ReplayLoad(_replay_config(scenario.load, tables))
 
     if scenario.battery["kind"] == "linear":
         # the linear battery block's keys are BatteryLinearConfig's fields
         fields = {key: value for key, value in scenario.battery.items() if key != "kind"}
-        battery = BatteryLinear(clock, BatteryLinearConfig(**fields))
+        battery = BatteryLinear(BatteryLinearConfig(**fields))
     else:
         battery = ReplayBattery(
-            clock,
-            _replay_config(scenario.battery, tables, capacity_j=scenario.battery["capacity_j"]),
+            _replay_config(scenario.battery, tables, capacity_j=scenario.battery["capacity_j"])
         )
 
     if scenario.grid["kind"] == "priced":
         grid = GridPriced(
-            clock,
             GridPricedConfig(
                 schedule=schedule,
                 active_power_limit=scenario.grid["max_active_power_w"],
                 apparent_power_limit=scenario.grid["max_apparent_power_va"],
-            ),
+            )
         )
     else:
-        grid = ReplayGrid(clock, _replay_config(scenario.grid, tables))
+        grid = ReplayGrid(_replay_config(scenario.grid, tables))
 
     # generated announcements and recorded notes play back the same way
     records: tuple[ContextRecord, ...] = ()
@@ -756,12 +753,12 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         records = context_records_for_jobs(generator.job_events, announce_lead_ns=lead_ns)
     elif scenario.context["kind"] == "replay":
         records = ingest_context(scenario.context["file"])
-    context = None if scenario.context["kind"] == "none" else ScriptedContext(clock, records)
+    context = None if scenario.context["kind"] == "none" else ScriptedContext(records)
 
     inverter_config = _inverter_config(scenario)
     controller: RecedingHorizonController | None = None
     if strategy == "default":
-        inverter = InverterPVFirst(clock, inverter_config)
+        inverter = InverterPVFirst(inverter_config)
     else:
         if synthetic is None:
             raise ConfigurationError(f"strategy {strategy!r} needs synthetic pv and load blocks")
@@ -771,11 +768,11 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             raise ConfigurationError(f"strategy {strategy!r} needs a linear battery model")
         if NS_PER_DAY % scenario.step_ns != 0:
             raise ConfigurationError("mpc strategies need step_seconds to divide one day evenly")
-        if (scenario.horizon_seconds * NS_PER_SECOND) % scenario.step_ns != 0:
+        if scenario.horizon_ns % scenario.step_ns != 0:
             raise ConfigurationError("mpc strategies need step_seconds to divide the horizon evenly")
         if strategy == "mpc-perfect":
             provider = perfect_forecast_provider(
-                synthetic, schedule, scenario.end_ns, scenario.step_seconds
+                synthetic, schedule, scenario.end_ns, scenario.step_ns
             )
         else:
             family = "none" if strategy == "mpc-nocontext" else scenario.forecast["context_family"]
@@ -795,7 +792,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
                 synthetic,
                 schedule,
                 scenario.end_ns,
-                scenario.step_seconds,
+                scenario.step_ns,
                 effort_fn,
             )
         controller = RecedingHorizonController(
@@ -805,10 +802,10 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             forecast_provider=provider,
             max_grid_power_w=scenario.grid["max_active_power_w"],
         )
-        inverter = MPCInverter(clock, inverter_config, controller)
+        inverter = MPCInverter(inverter_config, controller)
 
     simulator = Simulator(
-        clock,
+        scenario.start_ns,
         power_source=pv,
         load=load,
         battery=battery,

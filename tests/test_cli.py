@@ -122,6 +122,37 @@ def test_an_unknown_strategy_exits_1(tmp_path, capsys):
     assert "psychic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, names",
+    [
+        ("compare", "--strategies", ","),
+        ("compare", "--strategies", "default,default"),
+        ("forecast-eval", "--families", ","),
+        ("forecast-eval", "--families", "none,none"),
+        ("forecast-eval", "--families", "none,psychic"),
+    ],
+)
+def test_an_empty_unknown_or_repeated_name_list_exits_1(tmp_path, capsys, command, flag, names):
+    out = tmp_path / "o"
+    argv = [command, "--scenario", str(_scenario(tmp_path, "day")), flag, names, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
+def test_run_rejects_scenarios_that_would_write_the_same_directory(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = _scenario(tmp_path / "a", "x"), _scenario(tmp_path / "b", "x")
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", str(first), "--scenario", str(second), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "x") in err
+    assert not out.exists()
+
+
 def test_a_missing_scenario_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert cli.main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
@@ -135,7 +166,7 @@ def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording,
     assert "outside channel (1, 'pv_voltage')" in err
     bundle = build_bundle(load_scenario(path, None, None))
     with pytest.raises(ComponentStepError) as failure:
-        run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, lambda output: None)
+        run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, lambda output: None)
     assert isinstance(failure.value.__cause__, TimeSeriesRangeError)
     # steps count from 0: step 1442 ends 180 s after the last sample, past the 120 s tolerance
     assert failure.value.step_index == 1442

@@ -24,7 +24,7 @@ from cemsim import (
     grid_energy_cost,
     solve_charging,
 )
-from cemsim.core import Clock
+from cemsim.core import NS_PER_SECOND as NS
 from oracles import brute_force_charging, greedy_charging, linprog_charging, random_coarse_instance
 
 AMPLE = dict(step_seconds=3600.0, capacity_j=3.6e7, soc_min=0.1, soc_max=1.0)
@@ -401,8 +401,8 @@ def _mpc_input(pv_w, load_w, soc):
 def test_overbuying_routes_the_surplus_into_the_battery():
     """A 600 W plan against a 100 W deficit grid-charges the other 500 W."""
     window = ForecastWindow(3600.0, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
-    inverter = MPCInverter(Clock(0), LOSSLESS, _fixed_decision_controller(window))
-    result = inverter.step(3600, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
+    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
     assert result.grid_input.requested_active_power == pytest.approx(600.0, rel=1e-12)
     assert result.battery_input.mode is BatteryMode.CHARGE
     assert result.battery_input.current == pytest.approx(10.0, rel=1e-12)
@@ -411,8 +411,8 @@ def test_overbuying_routes_the_surplus_into_the_battery():
 def test_underbuying_discharges_to_cover_the_gap():
     """A 100 W plan against a 1000 W load lets the battery supply 900 W."""
     window = ForecastWindow(3600.0, (1000.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(Clock(0), LOSSLESS, _fixed_decision_controller(window))
-    result = inverter.step(3600, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
+    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(900.0, rel=1e-9)
@@ -422,8 +422,8 @@ def test_load_above_forecast_is_served_despite_the_plan():
     """The forecast said 100 W so the plan buys nothing; the actual 1000 W
     load drains what the battery has (900 W) and the rest goes to the grid."""
     window = ForecastWindow(3600.0, (100.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(Clock(0), LOSSLESS, _fixed_decision_controller(window))
-    result = inverter.step(3600, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
+    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(900.0, rel=1e-9)
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
@@ -434,11 +434,11 @@ def test_without_a_plan_dispatch_is_plain_pv_first():
         capacity_j=3.6e6, soc_min=0.0, soc_max=1.0,
         forecast_provider=lambda now_ns: None,
     )
-    mpc = MPCInverter(Clock(0), LOSSLESS, controller)
-    plain = InverterPVFirst(Clock(0), LOSSLESS)
+    mpc = MPCInverter(LOSSLESS, controller)
+    plain = InverterPVFirst(LOSSLESS)
     for pv_w, load_w, soc in [(500.0, 300.0, 0.5), (0.0, 400.0, 0.8), (200.0, 200.0, 0.1)]:
-        assert mpc.step(3600, _mpc_input(pv_w, load_w, soc)) == plain.step(
-            3600, _mpc_input(pv_w, load_w, soc)
+        assert mpc.step(0, 3600 * NS, _mpc_input(pv_w, load_w, soc)) == plain.step(
+            0, 3600 * NS, _mpc_input(pv_w, load_w, soc)
         )
 
 

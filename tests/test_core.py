@@ -1,4 +1,4 @@
-"""Clock arithmetic, step-record validation, context queries, compensated sums."""
+"""Step-record validation, context queries, compensated sums."""
 import math
 
 import pytest
@@ -9,7 +9,6 @@ from cemsim import (
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
-    Clock,
     CompensatedSum,
     ContextRecord,
     GridStepInput,
@@ -21,8 +20,6 @@ from cemsim import (
     compensated_total,
     context_query,
     grid_energy_cost,
-    reactive_power,
-    time_ns,
 )
 from cemsim.core import NS_PER_SECOND
 from oracles import brute_force_context
@@ -31,104 +28,8 @@ NS_PER_HOUR = 3600 * NS_PER_SECOND
 
 
 # ---------------------------------------------------------------------------
-# Clock
-# ---------------------------------------------------------------------------
-
-
-def test_clock_advance_sixty_seconds():
-    """Sixty one-second ticks from the epoch land on exactly 6.0e10 ns."""
-    clock = Clock(0, NS_PER_SECOND).advance(60)
-    assert clock.ticks_since_epoch == 60_000_000_000
-
-
-def test_clock_advance_far_from_epoch_is_exact():
-    """Advancing stays integer-exact even ~31 years out, beyond double precision."""
-    clock = Clock(10**18, NS_PER_SECOND).advance(120)
-    assert clock.ticks_since_epoch == 10**18 + 120 * 10**9
-
-
-@given(
-    start=st.integers(min_value=0, max_value=10**18),
-    resolution=st.integers(min_value=1, max_value=10**12),
-    a=st.integers(min_value=1, max_value=10**9),
-    b=st.integers(min_value=1, max_value=10**9),
-)
-def test_clock_advance_is_associative(start, resolution, a, b):
-    """advance(a).advance(b) equals advance(a + b) on the nanosecond."""
-    clock = Clock(start, resolution)
-    split = clock.advance(a).advance(b)
-    joined = clock.advance(a + b)
-    assert split.ticks_since_epoch == joined.ticks_since_epoch
-    assert split.tick_resolution == resolution
-
-
-@pytest.mark.parametrize("bad", [0, -1, 1.5, "60"])
-def test_clock_advance_rejects_non_positive_steps(bad):
-    with pytest.raises(ValueError):
-        Clock(0).advance(bad)
-
-
-def test_clock_validation():
-    with pytest.raises(ValueError):
-        Clock(-1)
-    with pytest.raises(ValueError):
-        Clock(0, 0)
-    with pytest.raises(ValueError):
-        Clock(0, -5)
-
-
-def test_clock_step_seconds():
-    assert Clock(0).step_seconds(120) == 120.0
-    assert Clock(0, 500_000_000).step_seconds(2) == 1.0
-
-
-def test_clock_epoch_seconds_round_trip():
-    clock = Clock.from_epoch_seconds(1_700_000_000.5)
-    assert clock.ticks_since_epoch == 1_700_000_000_500_000_000
-    assert clock.seconds_since_epoch() == 1_700_000_000.5
-
-
-def test_clock_ordering_compares_instants():
-    assert Clock(5) < Clock(6)
-    assert Clock(6, 1) >= Clock(6, NS_PER_SECOND)
-
-
-def test_time_ns_coercion():
-    assert time_ns(42) == 42
-    assert time_ns(Clock(7)) == 7
-    with pytest.raises(ValueError):
-        time_ns("7")
-
-
-# ---------------------------------------------------------------------------
 # Electrical helpers
 # ---------------------------------------------------------------------------
-
-
-def test_reactive_power_examples():
-    """The 3-4-5 triangle, the purely-reactive case, and the purely-active case."""
-    assert reactive_power(5.0, 3.0) == 4.0
-    assert reactive_power(7.0, 7.0) == 0.0
-    assert reactive_power(230.0, 0.0) == 230.0
-
-
-def test_reactive_power_rejects_apparent_below_active():
-    with pytest.raises(ValueError):
-        reactive_power(3.0, 5.0)
-    with pytest.raises(ValueError):
-        reactive_power(5.0, -1.0)
-
-
-@given(
-    active=st.floats(min_value=0.0, max_value=1e6),
-    extra=st.floats(min_value=0.0, max_value=1e6),
-)
-def test_reactive_power_closes_the_triangle(active, extra):
-    """Q^2 + P^2 reproduces S^2 to float accuracy."""
-    apparent = active + extra
-    q = reactive_power(apparent, active)
-    assert q >= 0.0
-    assert math.isclose(q * q + active * active, apparent * apparent, rel_tol=1e-9, abs_tol=1e-6)
 
 
 def test_grid_energy_cost_examples():
@@ -257,11 +158,6 @@ def test_context_query_never_leaks_future_records():
     record = _record(recorded_h=14, begins_h=12, ends_h=18)
     assert context_query([record], 11 * NS_PER_HOUR) == []
     assert context_query([record], 14 * NS_PER_HOUR) == [record]
-
-
-def test_context_query_accepts_clock_now():
-    record = _record(recorded_h=0, begins_h=1, ends_h=2)
-    assert context_query([record], Clock(NS_PER_HOUR)) == [record]
 
 
 def test_context_query_orders_by_begin_then_recorded_then_arrival():

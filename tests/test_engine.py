@@ -9,33 +9,38 @@ from hypothesis import strategies as st
 from cemsim import (
     BatteryLinear,
     BatteryLinearConfig,
-    Clock,
+    BatteryStepResult,
     CompensatedSum,
     ComponentStepError,
     ConfigurationError,
     GridPriced,
     GridPricedConfig,
+    GridStepInput,
     InverterPVFirst,
     InverterPVFirstConfig,
+    InverterStepInput,
     Load,
     LoadStepResult,
     PowerSource,
     PowerSourceStepResult,
     PriceSchedule,
+    PriceTiers,
     ScriptedContext,
     Simulator,
     SyntheticLoad,
     SyntheticPowerSource,
     SyntheticScenarioConfig,
     build_bundle,
+    build_price_schedule,
     context_query,
     context_records_for_jobs,
     generate_job_events,
     run,
     scenario_from_dict,
 )
+from cemsim.core import NS_PER_SECOND as NS
 
-NS_PER_DAY = 86_400_000_000_000
+NS_PER_DAY = 86_400 * NS
 
 LOSSLESS_INVERTER = InverterPVFirstConfig(
     eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1
@@ -43,11 +48,15 @@ LOSSLESS_INVERTER = InverterPVFirstConfig(
 
 
 class SequencePV(PowerSource):
+    """Plays back ``powers`` and notes the interval of every step."""
+
     def __init__(self, powers):
         self._powers = list(powers)
         self._index = 0
+        self.intervals = []
 
-    def step(self, step_ticks):
+    def step(self, start_ns, end_ns):
+        self.intervals.append((start_ns, end_ns))
         power = self._powers[self._index]
         self._index += 1
         return PowerSourceStepResult(400.0, power / 400.0, power)
@@ -58,7 +67,7 @@ class SequenceLoad(Load):
         self._powers = list(powers)
         self._index = 0
 
-    def step(self, step_ticks):
+    def step(self, start_ns, end_ns):
         power = self._powers[self._index]
         self._index += 1
         return LoadStepResult(power, power)
@@ -69,61 +78,59 @@ class FailingLoad(Load):
         self._fail_at = fail_at
         self._count = 0
 
-    def step(self, step_ticks):
+    def step(self, start_ns, end_ns):
         if self._count == self._fail_at:
             raise ValueError("sensor went away")
         self._count += 1
         return LoadStepResult(10.0, 10.0)
 
 
-def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None):
-    clock = Clock(0)
+def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, start_ns=0):
     count = len(loads)
     battery = BatteryLinear(
-        clock, BatteryLinearConfig(capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0,
-                                   nominal_voltage=50.0, initial_soc=battery_soc)
+        BatteryLinearConfig(capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0,
+                            nominal_voltage=50.0, initial_soc=battery_soc)
     )
-    grid = GridPriced(clock, GridPricedConfig(schedule=PriceSchedule(((0, price),))))
+    grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(((0, price),))))
     return Simulator(
-        clock,
+        start_ns,
         power_source=SequencePV(pvs if pvs is not None else [0.0] * count),
         load=SequenceLoad(loads),
         battery=battery,
-        inverter=InverterPVFirst(clock, LOSSLESS_INVERTER),
+        inverter=InverterPVFirst(LOSSLESS_INVERTER),
         grid=grid,
         context=context,
     )
 
 
 def _synthetic_simulator(seed=0, day_count=1, jobs=True):
-    clock = Clock(0)
     events = generate_job_events(seed, day_count) if jobs else ()
     config = SyntheticScenarioConfig(
         seed=seed, pv_noise_amplitude=0.1,
         load_noise_amplitude=0.05, base_load=800.0, job_events=events,
     )
     return Simulator(
-        clock,
-        power_source=SyntheticPowerSource(clock, config),
-        load=SyntheticLoad(clock, config),
-        battery=BatteryLinear(clock, BatteryLinearConfig()),
-        inverter=InverterPVFirst(clock, InverterPVFirstConfig(battery_capacity=1.8432e7)),
-        grid=GridPriced(clock, GridPricedConfig(schedule=PriceSchedule(((0, 0.3),)))),
-        context=ScriptedContext(clock, context_records_for_jobs(events)),
+        0,
+        power_source=SyntheticPowerSource(config),
+        load=SyntheticLoad(config),
+        battery=BatteryLinear(BatteryLinearConfig()),
+        inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
+        grid=GridPriced(GridPricedConfig(schedule=PriceSchedule(((0, 0.3),)))),
+        context=ScriptedContext(context_records_for_jobs(events)),
     )
 
 
-def _outputs(simulator, total_ticks, step_ticks):
+def _outputs(simulator, total_ns, step_ns):
     outputs = []
-    run(simulator, total_ticks, step_ticks, outputs.append)
+    run(simulator, total_ns, step_ns, outputs.append)
     return outputs
 
 
 def test_purchased_energy_accumulates_in_watt_hours():
     """Two hour-long steps drawing 100 W from the grid purchase 200 Wh."""
     simulator = _simulator(loads=[100.0, 100.0])
-    simulator.step(3600)
-    output = simulator.step(3600)
+    simulator.step(3600 * NS)
+    output = simulator.step(3600 * NS)
     assert output.aggregates.purchased_wh == 200.0
     assert output.aggregates.consumed_wh == 200.0
     assert output.aggregates.generated_wh == 0.0
@@ -133,7 +140,7 @@ def test_purchased_energy_accumulates_in_watt_hours():
 def test_all_zero_run_produces_zero_aggregates():
     simulator = _simulator(loads=[0.0, 0.0, 0.0])
     for _ in range(3):
-        output = simulator.step(3600)
+        output = simulator.step(3600 * NS)
     agg = output.aggregates
     assert (agg.generated_wh, agg.consumed_wh, agg.purchased_wh) == (0.0, 0.0, 0.0)
     assert (agg.charged_wh, agg.discharged_wh, agg.cost) == (0.0, 0.0, 0.0)
@@ -142,7 +149,7 @@ def test_all_zero_run_produces_zero_aggregates():
 def test_running_maximum_of_grid_requests():
     """Requests of 0, 500, 200 W leave a running maximum of 500 W."""
     simulator = _simulator(loads=[0.0, 500.0, 200.0])
-    outputs = [simulator.step(3600) for _ in range(3)]
+    outputs = [simulator.step(3600 * NS) for _ in range(3)]
     assert simulator.maxima()["grid_requested_active_power"] == 500.0
     assert outputs[0].maxima["grid_requested_active_power"] == 0.0
     assert outputs[1].maxima["grid_requested_active_power"] == 500.0
@@ -152,7 +159,7 @@ def test_running_maximum_of_grid_requests():
 def test_maxima_snapshots_are_isolated_from_later_growth():
     """Each output keeps the maxima as of its own step."""
     simulator = _simulator(loads=[100.0, 200.0, 300.0])
-    outputs = [simulator.step(3600) for _ in range(3)]
+    outputs = [simulator.step(3600 * NS) for _ in range(3)]
     assert [o.maxima["grid_requested_active_power"] for o in outputs] == [100.0, 200.0, 300.0]
     exported = simulator.maxima()
     exported["grid_requested_active_power"] = -1.0
@@ -161,24 +168,24 @@ def test_maxima_snapshots_are_isolated_from_later_growth():
 
 def test_step_outputs_are_immutable():
     simulator = _simulator(loads=[100.0])
-    output = simulator.step(3600)
+    output = simulator.step(3600 * NS)
     with pytest.raises(dataclasses.FrozenInstanceError):
         output.step_index = 5
 
 
 def test_clock_and_indices_advance_per_step():
     simulator = _simulator(loads=[1.0, 1.0])
-    first = simulator.step(3600)
-    second = simulator.step(3600)
+    first = simulator.step(3600 * NS)
+    second = simulator.step(3600 * NS)
     assert (first.step_index, second.step_index) == (0, 1)
-    assert first.time_ns == 3600 * 10**9
-    assert second.time_ns == 7200 * 10**9
-    assert simulator.clock.ticks_since_epoch == 7200 * 10**9
+    assert first.time_ns == 3600 * NS
+    assert second.time_ns == 7200 * NS
+    assert simulator.now_ns == 7200 * NS
 
 
 def test_day_run_has_720_steps_of_two_minutes():
     simulator = _synthetic_simulator()
-    outputs = _outputs(simulator, total_ticks=86400, step_ticks=120)
+    outputs = _outputs(simulator, total_ns=86400 * NS, step_ns=120 * NS)
     assert len(outputs) == 720
     assert outputs[-1].time_ns == NS_PER_DAY
     assert [o.step_index for o in outputs[:3]] == [0, 1, 2]
@@ -186,31 +193,97 @@ def test_day_run_has_720_steps_of_two_minutes():
 
 def test_run_covers_the_remainder_with_a_shorter_step():
     simulator = _simulator(loads=[5.0, 5.0, 5.0])
-    outputs = _outputs(simulator, total_ticks=250, step_ticks=100)
+    outputs = _outputs(simulator, total_ns=250 * NS, step_ns=100 * NS)
     assert len(outputs) == 3
-    assert [o.time_ns for o in outputs] == [100 * 10**9, 200 * 10**9, 250 * 10**9]
+    assert [o.time_ns for o in outputs] == [100 * NS, 200 * NS, 250 * NS]
+
+
+def test_steps_far_from_epoch_end_on_the_exact_nanosecond():
+    """~31 years out, beyond double precision, every step (the shorter
+    remainder included) covers the exact integer interval after the last."""
+    start = 10**18
+    simulator = _simulator(loads=[5.0, 5.0, 5.0], start_ns=start)
+    outputs = _outputs(simulator, total_ns=250 * NS + 1, step_ns=125 * NS)
+    ends = [start + 125 * NS, start + 250 * NS, start + 250 * NS + 1]
+    assert [o.time_ns for o in outputs] == ends
+    assert simulator.power_source.intervals == list(zip([start] + ends[:-1], ends))
+    assert simulator.now_ns == ends[-1]
+
+
+def _interval_components():
+    """(name, component factory, step call) for each component whose step
+    reads only its interval: synthetic PV and load, context, priced grid
+    and the PV-first inverter."""
+    events = generate_job_events(seed=4, day_count=3)
+    config = SyntheticScenarioConfig(
+        seed=4, pv_noise_amplitude=0.1, load_noise_amplitude=0.05, job_events=events
+    )
+    records = context_records_for_jobs(events)
+    schedule = build_price_schedule(PriceTiers(), 0, 4)
+    request = GridStepInput(500.0, 600.0)
+    dispatch = InverterStepInput(
+        PowerSourceStepResult(400.0, 1.0, 400.0),
+        BatteryStepResult(0.5, 51.2, 0.0, 0.0),
+        LoadStepResult(900.0, 950.0),
+    )
+    return [
+        ("pv", lambda: SyntheticPowerSource(config), lambda c, a, b: c.step(a, b)),
+        ("load", lambda: SyntheticLoad(config), lambda c, a, b: c.step(a, b)),
+        ("context", lambda: ScriptedContext(records), lambda c, a, b: c.step(a, b)),
+        (
+            "grid",
+            lambda: GridPriced(GridPricedConfig(schedule=schedule)),
+            lambda c, a, b: c.step(a, b, request),
+        ),
+        (
+            "inverter",
+            lambda: InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
+            lambda c, a, b: c.step(a, b, dispatch),
+        ),
+    ]
+
+
+_SECONDS = st.integers(min_value=0, max_value=3 * 86_400)
+_LENGTHS = st.integers(min_value=1, max_value=7_200)
+
+
+@given(
+    earlier=st.lists(st.tuples(_SECONDS, _LENGTHS), max_size=6),
+    start_s=_SECONDS,
+    length_s=_LENGTHS,
+)
+@settings(max_examples=60, deadline=None)
+def test_component_results_depend_only_on_the_step_interval(earlier, start_s, length_s):
+    """The same [start_ns, end_ns) gives the same result whatever steps the
+    component took before."""
+    start, end = start_s * NS, (start_s + length_s) * NS
+    for name, make, step in _interval_components():
+        used = make()
+        for begin_s, span_s in earlier:
+            step(used, begin_s * NS, (begin_s + span_s) * NS)
+        assert step(used, start, end) == step(make(), start, end), name
 
 
 def test_run_streams_to_a_sink():
     collected = []
     simulator = _synthetic_simulator()
-    count = run(simulator, total_ticks=7200, step_ticks=120, sink=collected.append)
+    count = run(simulator, total_ns=7200 * NS, step_ns=120 * NS, sink=collected.append)
     assert count == 60
     assert len(collected) == 60
-    assert collected[-1].time_ns == 7200 * 10**9
+    assert collected[-1].time_ns == 7200 * NS
 
 
 def test_run_validates_arguments():
     simulator = _simulator(loads=[1.0])
     with pytest.raises(ValueError):
-        run(simulator, total_ticks=0, step_ticks=100, sink=print)
+        run(simulator, total_ns=0, step_ns=100 * NS, sink=print)
     with pytest.raises(ValueError):
-        run(simulator, total_ticks=100, step_ticks=0, sink=print)
+        run(simulator, total_ns=100 * NS, step_ns=0, sink=print)
 
 
 def test_runs_are_deterministic():
-    first = _outputs(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
-    second = _outputs(_synthetic_simulator(seed=5), total_ticks=86400, step_ticks=300)
+    first = _outputs(_synthetic_simulator(seed=5), total_ns=NS_PER_DAY, step_ns=300 * NS)
+    second = _outputs(_synthetic_simulator(seed=5), total_ns=NS_PER_DAY, step_ns=300 * NS)
     for a, b in zip(first, second):
         assert a.power_source == b.power_source
         assert a.load == b.load
@@ -223,7 +296,7 @@ def test_runs_are_deterministic():
 def test_aggregates_equal_compensated_resum_of_deltas():
     """Re-summing the streamed per-step deltas reproduces every cumulative
     total bit for bit, at every step."""
-    outputs = _outputs(_synthetic_simulator(seed=3), total_ticks=86400, step_ticks=120)
+    outputs = _outputs(_synthetic_simulator(seed=3), total_ns=NS_PER_DAY, step_ns=120 * NS)
     fields = ("generated_wh", "consumed_wh", "purchased_wh", "charged_wh", "discharged_wh", "cost")
     accumulators = {field: CompensatedSum() for field in fields}
     for output in outputs:
@@ -236,19 +309,19 @@ def test_context_records_flow_into_outputs():
     events = generate_job_events(seed=1, day_count=1)
     records = context_records_for_jobs(events)
     simulator = _synthetic_simulator(seed=1)
-    outputs = _outputs(simulator, total_ticks=86400, step_ticks=900)
+    outputs = _outputs(simulator, total_ns=NS_PER_DAY, step_ns=900 * NS)
     for index, output in enumerate(outputs):
-        step_start_ns = index * 900 * 10**9
+        step_start_ns = index * 900 * NS
         assert output.context == tuple(context_query(records, step_start_ns))
 
 
 def test_component_failure_names_component_and_step():
     simulator = _simulator(loads=[10.0] * 5)
     simulator.load = FailingLoad(fail_at=2)
-    simulator.step(3600)
-    simulator.step(3600)
+    simulator.step(3600 * NS)
+    simulator.step(3600 * NS)
     with pytest.raises(ComponentStepError) as excinfo:
-        simulator.step(3600)
+        simulator.step(3600 * NS)
     assert excinfo.value.component == "load"
     assert excinfo.value.step_index == 2
     assert "load" in str(excinfo.value)
@@ -258,13 +331,10 @@ def test_component_failure_names_component_and_step():
 def test_configuration_errors_pass_through_unwrapped():
     """A price lookup before the schedule begins is a setup problem, not a
     step failure, and keeps its type."""
-    clock = Clock(0)
     simulator = _simulator(loads=[10.0])
-    simulator.grid = GridPriced(
-        clock, GridPricedConfig(schedule=PriceSchedule(((NS_PER_DAY, 0.5),)))
-    )
+    simulator.grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(((NS_PER_DAY, 0.5),))))
     with pytest.raises(ConfigurationError):
-        simulator.step(3600)
+        simulator.step(3600 * NS)
 
 
 @given(seed=st.integers(min_value=0, max_value=50))
@@ -290,7 +360,7 @@ def test_lossless_steps_balance_energy(seed):
     dt_s = 1800.0
     for strategy in ("default", "mpc-perfect", "mpc-context"):
         bundle = build_bundle(scenario, strategy)
-        for output in _outputs(bundle.simulator, scenario.total_ticks, scenario.step_ticks):
+        for output in _outputs(bundle.simulator, scenario.horizon_ns, scenario.step_ns):
             load_j = output.load.requested_active_power * dt_s
             supplied_j = (
                 output.inverter.pv_power_drawn * dt_s

@@ -280,28 +280,6 @@ def test_watts_per_effort_recovered_within_two_percent():
     assert abs(slope - 250.0) <= 5.0
 
 
-# ---------------------------------------------------------------------------
-# Predictor serialization
-# ---------------------------------------------------------------------------
-
-
-def test_predictor_json_round_trip():
-    predictor = Predictor("combined", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
-    clone = Predictor.from_json(predictor.to_json())
-    assert clone == predictor
-    payload = json.loads(predictor.to_json())
-    assert payload["schema_version"] == 1
-
-
-def test_predictor_json_rejects_garbage():
-    with pytest.raises(ConfigurationError):
-        Predictor.from_json("{not json")
-    with pytest.raises(ValueError):
-        Predictor.from_json(json.dumps({"schema_version": 2, "mode": "none", "coefficients": [1, 0, 0]}))
-    with pytest.raises(ValueError):
-        Predictor.from_json(json.dumps([1, 2, 3]))
-
-
 def test_predictor_coefficient_count_is_checked():
     with pytest.raises(ValueError):
         Predictor("none", (1.0, 2.0))

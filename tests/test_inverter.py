@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cemsim import (
     BatteryMode,
     BatteryStepResult,
-    Clock,
     InverterPVFirst,
     InverterPVFirstConfig,
     InverterStepInput,
@@ -17,6 +16,7 @@ from cemsim import (
     PowerSourceStepResult,
     inverter_pv_first_step,
 )
+from cemsim.core import NS_PER_SECOND as NS
 
 LOSSLESS = InverterPVFirstConfig(
     eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1
@@ -133,9 +133,9 @@ def test_config_validation():
 
 
 def test_stateful_wrapper_matches_pure_function():
-    inverter = InverterPVFirst(Clock(0), LOSSLESS)
+    inverter = InverterPVFirst(LOSSLESS)
     inverter_input = _inverter_input(pv_w=500.0, load_w=300.0, soc=0.5)
-    assert inverter.step(3600, inverter_input) == _step(inverter_input)
+    assert inverter.step(0, 3600 * NS, inverter_input) == _step(inverter_input)
 
 
 # planned: None is PV-first dispatch, a float a planned grid purchase (W)

@@ -52,8 +52,8 @@ def _windows_of_a_run(scenario, strategy):
         return window
 
     controller.forecast_provider = recording
-    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, lambda output: None)
-    assert len(seen) == scenario.total_ticks // scenario.step_ticks
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
+    assert len(seen) == scenario.horizon_ns // scenario.step_ns
     return bundle, seen
 
 
@@ -69,8 +69,8 @@ def test_perfect_windows_equal_direct_sampling():
     bundle, seen = _windows_of_a_run(scenario, "mpc-perfect")
     for now_ns, window in seen:
         count = _steps_left(scenario, now_ns)
-        loads, pvs = sample_series(bundle.synthetic, now_ns, float(STEP_S), count)
-        prices = bundle.schedule.prices_for_window(now_ns, float(STEP_S), count)
+        loads, pvs = sample_series(bundle.synthetic, now_ns, scenario.step_ns, count)
+        prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_window(window, loads, pvs, prices)
 
 
@@ -92,7 +92,7 @@ def test_context_windows_equal_direct_prediction():
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
         loads = [max(predictor.predict(known, t, effort_fn), 0.0) for t in times]
         pvs = [pv_power_at(bundle.synthetic, t) for t in times]
-        prices = bundle.schedule.prices_for_window(now_ns, float(STEP_S), count)
+        prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_window(window, loads, pvs, prices)
     # the known-record set changes inside planning days, not only at their start
     assert len(known_sets) > 3 * scenario.day_count
@@ -118,7 +118,7 @@ def test_records_recorded_after_now_do_not_change_the_window():
 
     def provider(records):
         return predictor_forecast_provider(
-            predictor, records, config, schedule, scenario.end_ns, STEP_S
+            predictor, records, config, schedule, scenario.end_ns, scenario.step_ns
         )
 
     without, with_late, fresh_late = provider((known,)), provider((known, late)), provider((known, late))
@@ -143,7 +143,7 @@ def test_remote_estimator_scores_each_text_once(estimator_server):
     )
     estimator_server.texts.clear()
     bundle = build_bundle(scenario, "mpc-context")
-    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, lambda output: None)
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
     texts = estimator_server.texts
     assert texts, "the estimator was never asked"
     assert len(texts) == len(set(texts))

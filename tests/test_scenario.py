@@ -64,7 +64,6 @@ def test_empty_document_gets_all_defaults():
     scenario = _scenario({})
     assert scenario.seed == 0
     assert scenario.start_ns == 0
-    assert scenario.tick_resolution == NS
     assert scenario.horizon_seconds == 86_400
     assert scenario.step_seconds == 120
     assert scenario.pv["kind"] == "synthetic"
@@ -81,9 +80,8 @@ def test_empty_document_gets_all_defaults():
 
 def test_derived_clock_quantities():
     scenario = _scenario({}, horizon_seconds=90_000, step_seconds=600)
-    assert scenario.step_ticks == 600
     assert scenario.step_ns == 600 * NS
-    assert scenario.total_ticks == 90_000
+    assert scenario.horizon_ns == 90_000 * NS
     assert scenario.end_ns == 90_000 * NS
     assert scenario.day_count == 2
     assert _scenario({}, horizon_seconds=3600).day_count == 1
@@ -92,6 +90,9 @@ def test_derived_clock_quantities():
 def test_unknown_keys_are_rejected_everywhere():
     with pytest.raises(ConfigurationError, match="scenario.*unknown keys.*'stepseconds'"):
         _scenario({}, stepseconds=60)
+    # time is whole seconds stepped on int nanoseconds; there is no tick size
+    with pytest.raises(ConfigurationError, match="scenario.*unknown keys.*'tick_resolution_ns'"):
+        _scenario({}, tick_resolution_ns=NS)
     with pytest.raises(ConfigurationError, match="pv.*unknown keys"):
         _scenario({}, pv={"kind": "synthetic", "peak_output": 100})
     with pytest.raises(ConfigurationError, match="battery.*unknown keys"):
@@ -124,13 +125,6 @@ def test_schema_version_must_match():
     assert _scenario({}, schema_version=1).seed == 0
     with pytest.raises(ConfigurationError, match="schema_version"):
         _scenario({}, schema_version=2)
-
-
-def test_step_must_be_whole_ticks():
-    with pytest.raises(ConfigurationError, match="ticks"):
-        _scenario({}, tick_resolution_ns=7_000_000_000, step_seconds=120)
-    scenario = _scenario({}, tick_resolution_ns=500_000_000, step_seconds=3)
-    assert scenario.step_ticks == 6
 
 
 def test_overrides_replace_document_values():
@@ -168,6 +162,8 @@ def test_forecast_block_validation():
         _scenario({}, forecast={"families": []})
     with pytest.raises(ConfigurationError, match="psychic"):
         _scenario({}, forecast={"families": ["psychic"]})
+    with pytest.raises(ConfigurationError, match="'none' is listed twice"):
+        _scenario({}, forecast={"families": ["none", "effort", "none"]})
     with pytest.raises(ConfigurationError, match="context_family"):
         _scenario({}, forecast={"context_family": "none"})
     with pytest.raises(ConfigurationError, match="url"):
@@ -328,7 +324,7 @@ def test_default_bundle_runs_end_to_end():
     assert isinstance(bundle.simulator.inverter, InverterPVFirst)
     assert bundle.records  # announced jobs
     results = []
-    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
+    run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, results.append)
     assert len(results) == 12
     assert results[-1].aggregates.consumed_wh > 0.0
 
@@ -344,7 +340,7 @@ def test_mpc_bundle_wires_a_controller():
     assert bundle.controller is not None
     assert isinstance(bundle.simulator.inverter, MPCInverter)
     results = []
-    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
+    run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, results.append)
     assert len(results) == 12
     assert bundle.controller.first_plan is not None
 
@@ -352,7 +348,7 @@ def test_mpc_bundle_wires_a_controller():
 def test_mpc_context_bundle_trains_a_predictor():
     bundle = _small(strategy="mpc-context", forecast={"train_days": 1})
     results = []
-    run(bundle.simulator, bundle.scenario.total_ticks, bundle.scenario.step_ticks, results.append)
+    run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, results.append)
     assert len(results) == 12
 
 
@@ -379,5 +375,5 @@ def test_replay_load_bundle_uses_the_recording(tmp_path):
     bundle = build_bundle(scenario)
     assert isinstance(bundle.simulator.load, ReplayLoad)
     results = []
-    run(bundle.simulator, scenario.total_ticks, scenario.step_ticks, results.append)
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, results.append)
     assert all(r.load.requested_active_power == 640.0 for r in results)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemsim import (
-    Clock,
     ConfigurationError,
     PriceTiers,
     ScriptedContext,
@@ -20,6 +19,7 @@ from cemsim import (
 from cemsim.models.synthetic import JobEvent, load_power_at, pv_power_at
 
 NS_PER_HOUR = 3_600_000_000_000
+HALF_HOUR = NS_PER_HOUR // 2
 NS_PER_DAY = 24 * NS_PER_HOUR
 
 
@@ -93,7 +93,7 @@ def test_unit_noise_is_deterministic_and_unit_range():
 
 def test_sampled_series_evaluates_step_ends():
     config = _config(pv_noise_amplitude=0.1, load_noise_amplitude=0.05)
-    loads, pvs = sample_series(config, 0, 1800.0, 48)
+    loads, pvs = sample_series(config, 0, HALF_HOUR, 48)
     assert len(loads) == len(pvs) == 48
     for i in range(48):
         t = (i + 1) * 1800 * 1_000_000_000
@@ -104,28 +104,28 @@ def test_sampled_series_evaluates_step_ends():
 def test_power_source_component_realizes_the_sampled_series():
     """Stepping the component reproduces sample_series bit for bit."""
     config = _config(pv_noise_amplitude=0.1)
-    source = SyntheticPowerSource(Clock(0), config)
-    realized = [source.step(1800).power for _ in range(48)]
-    assert realized == sample_series(config, 0, 1800.0, 48)[1]
+    source = SyntheticPowerSource(config)
+    realized = [source.step(i * HALF_HOUR, (i + 1) * HALF_HOUR).power for i in range(48)]
+    assert realized == sample_series(config, 0, HALF_HOUR, 48)[1]
 
 
 def test_load_component_realizes_the_sampled_series():
     jobs = generate_job_events(seed=11, day_count=1)
     config = _config(job_events=jobs, load_noise_amplitude=0.05)
-    load = SyntheticLoad(Clock(0), config)
-    results = [load.step(1800) for _ in range(48)]
-    assert [r.requested_active_power for r in results] == sample_series(config, 0, 1800.0, 48)[0]
+    load = SyntheticLoad(config)
+    results = [load.step(i * HALF_HOUR, (i + 1) * HALF_HOUR) for i in range(48)]
+    assert [r.requested_active_power for r in results] == sample_series(config, 0, HALF_HOUR, 48)[0]
     for result in results:
         assert result.requested_apparent_power == result.requested_active_power
 
 
 def test_power_source_reports_voltage_and_current():
     config = _config()
-    source = SyntheticPowerSource(Clock(11 * NS_PER_HOUR), config)
-    result = source.step(3600)
+    source = SyntheticPowerSource(config)
+    result = source.step(11 * NS_PER_HOUR, 12 * NS_PER_HOUR)
     assert result.voltage == 400.0
     assert result.current == result.power / 400.0
-    night = SyntheticPowerSource(Clock(0), config).step(3600)
+    night = source.step(0, NS_PER_HOUR)
     assert night.power == 0.0
     assert night.voltage == 400.0
 
@@ -137,9 +137,9 @@ def test_scripted_context_reveals_records_at_step_start():
         generate_job_events(seed=5, day_count=1), announce_lead_ns=0
     )
     record = records[0]
-    context = ScriptedContext(Clock(record.recorded_at_ns - 3600 * 10**9), records)
-    before = context.step(3600)
-    at = context.step(3600)
+    context = ScriptedContext(records)
+    before = context.step(record.recorded_at_ns - NS_PER_HOUR, record.recorded_at_ns)
+    at = context.step(record.recorded_at_ns, record.recorded_at_ns + NS_PER_HOUR)
     assert record not in before
     assert record in at
 
