@@ -9,7 +9,9 @@ The cases cover ``compare`` with PV-first and both MPC strategies plus
 ``forecast-eval`` on two seeds at 1 d @ 240 s, one grid-capped run
 that starts at noon (most of its windows are infeasible, so PV-first
 falls back, and it crosses a day boundary), a ``compare`` of all four
-strategies (``mpc-nocontext`` included), a PV-first ``run`` at
+strategies (``mpc-nocontext`` included), a ``compare`` over two days from
+05:00 (planning days end off the horizon start, and context records
+become known and expire inside planning days), a PV-first ``run`` at
 2 d @ 60 s, an all-``replay`` ``run`` of that run's recording, and a
 mixed ``run`` that replays only the recorded PV beside synthetic load
 and context, a linear battery and a priced grid.
@@ -62,6 +64,16 @@ CASES = {
         },
     ),
     "compare-all4": ("compare", _day(23)),
+    "compare-2d-0500": (
+        "compare",
+        {
+            "seed": 7,
+            "start_epoch_seconds": MIDNIGHT + 5 * 3600,
+            "horizon_seconds": 2 * 86_400,
+            "step_seconds": 240,
+            "load": {"kind": "synthetic", "jobs_per_day": 4},
+        },
+    ),
     "run-2d": ("run", _TWO_DAYS),
     "replay-2d": (
         "run",
