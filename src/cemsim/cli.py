@@ -6,9 +6,10 @@ missing files, invalid recordings), 2 runtime simulation error.  All
 commands are deterministic for fixed seeds and inputs; artifacts are
 byte-identical across reruns.  ``run`` takes repeatable ``--scenario``
 flags and runs the scenarios one after another, each into its own
-``<out>/<stem>/``; scenarios whose stems collide are rejected before any
-runs.  ``run`` and ``compare`` stream the engine's step outputs through a
-sink instead of keeping them.  The ``CEMSIM_LOG`` environment variable
+directory (``<out>/<stem>/`` under ``--out``); two scenarios that would
+write the same resolved directory are rejected before any runs.  ``run``
+and ``compare`` stream the engine's step outputs through a sink instead
+of keeping them.  The ``CEMSIM_LOG`` environment variable
 sets the log level (debug/info/warning/error).
 """
 
@@ -229,22 +230,25 @@ def _default_out_dir(scenario_path: Path, scenario: Scenario, out_flag: str | No
 def cmd_run(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.scenario]
     multi = len(paths) > 1
-    if multi and args.out is not None:
-        # each scenario writes <out>/<stem>/, so equal stems would overwrite
-        stems = [path.stem for path in paths]
-        for index, stem in enumerate(stems):
-            if stem in stems[:index]:
-                first = paths[stems.index(stem)]
-                raise ConfigurationError(
-                    f"--scenario {first} and {paths[index]} would both write {Path(args.out) / stem}"
-                )
-
-    def one(path: Path) -> int:
+    codes = []
+    # every output directory is known before the first run, so no
+    # scenario can overwrite another's artifacts
+    planned: dict[Path, tuple[Path, Scenario]] = {}
+    for path in paths:
         try:
             scenario = load_scenario(path, args.seed, args.step_seconds)
-            bundle = build_bundle(scenario, "default")
-            out_dir = _default_out_dir(path, scenario, args.out, multi)
-            summary = run_to_directory(bundle, out_dir)
+        except (ConfigurationError, ValueError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            codes.append(EXIT_CONFIG)
+            continue
+        out_dir = _default_out_dir(path, scenario, args.out, multi).resolve()
+        if out_dir in planned:
+            raise ConfigurationError(f"--scenario {planned[out_dir][0]} and {path} would both write {out_dir}")
+        planned[out_dir] = (path, scenario)
+
+    def one(path: Path, scenario: Scenario, out_dir: Path) -> int:
+        try:
+            summary = run_to_directory(build_bundle(scenario, "default"), out_dir)
         except (ConfigurationError, ValueError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -254,7 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{path}: {summary['steps']} steps, cost {summary['aggregates']['cost']:.6f} -> {out_dir}")
         return EXIT_OK
 
-    return max([one(path) for path in paths])
+    return max(codes + [one(path, scenario, out_dir) for out_dir, (path, scenario) in planned.items()])
 
 
 class _CostTrace:

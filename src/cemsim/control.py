@@ -260,11 +260,26 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
 # ---------------------------------------------------------------------------
 
 
+#: Largest |executed SOC - planned SOC| at which the controller reuses its
+#: plan and the inverter projects storage limits from the planned SOC.
+SOC_SNAP_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class ForecastWindow:
-    """Per-step expectations from ``now`` to the planning horizon's end."""
+    """Per-step expectations from ``start_ns`` to the planning bound.
 
-    step_seconds: float
+    Entry i of each series covers the step
+    ``[start_ns + i * step_ns, start_ns + (i + 1) * step_ns)``.  The series
+    are converted and checked once, when the window is built; a provider
+    hands out the same window for every ``now`` it covers, so a controller
+    reads the tail from ``now``'s offset.  Providers keep one window object
+    per value: while they return the same object, its values have not been
+    revised.
+    """
+
+    start_ns: int
+    step_ns: int
     load_w: tuple[float, ...]
     pv_w: tuple[float, ...]
     prices: tuple[float, ...]
@@ -273,13 +288,20 @@ class ForecastWindow:
         object.__setattr__(self, "load_w", tuple(float(v) for v in self.load_w))
         object.__setattr__(self, "pv_w", tuple(float(v) for v in self.pv_w))
         object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
+        _require(self.step_ns > 0, "step_ns must be > 0")
         _require(
             len(self.load_w) == len(self.pv_w) == len(self.prices),
             "forecast window series must have equal length",
         )
 
+    @property
+    def step_seconds(self) -> float:
+        return self.step_ns / NS_PER_SECOND
 
-#: Supplies the forecast window starting at ``now_ns`` (None: nothing to plan).
+
+#: Supplies a forecast window covering ``now_ns`` (None: nothing to plan).
+#: Returning the same object again promises the same values; a revised
+#: forecast comes as a new object.
 ForecastProvider = Callable[[int], "ForecastWindow | None"]
 
 
@@ -302,15 +324,14 @@ class ControlDecision:
 class RecedingHorizonController:
     """Re-plans every step and applies only the first purchase.
 
-    When the current window is bitwise the tail of the window already
-    solved and the executed SOC agrees with the planned SOC within
-    ``soc_snap_tolerance``, the cached plan's tail is reused instead of
-    re-solved.  A deterministic solver returns exactly that tail for those
-    inputs, so this changes nothing but keeps the closed loop on the open
-    -loop plan's arithmetic path; any forecast revision or state deviation
-    invalidates the cache and triggers a true re-solve from the executed
-    state.  Infeasible windows fall back to no plan (callers dispatch
-    PV-first) with a warning.
+    The plan is solved on the window's tail from ``now``'s offset.  A later
+    step reuses it when the provider returns the same window object (so
+    the forecast is unrevised) and the executed SOC agrees with the
+    planned SOC within :data:`SOC_SNAP_TOLERANCE`; this keeps the closed
+    loop on the open-loop plan's arithmetic path.  A new window object or a
+    state deviation triggers a true re-solve from the executed state.  A
+    window that does not cover ``now`` and an infeasible window both fall
+    back to no plan (callers dispatch PV-first), the latter with a warning.
     """
 
     def __init__(
@@ -320,7 +341,6 @@ class RecedingHorizonController:
         soc_max: float,
         forecast_provider: ForecastProvider,
         max_grid_power_w: float | None = None,
-        soc_snap_tolerance: float = 1e-9,
     ) -> None:
         _require(capacity_j > 0.0, "capacity_j must be > 0")
         _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
@@ -329,48 +349,28 @@ class RecedingHorizonController:
         self.soc_max = soc_max
         self.forecast_provider = forecast_provider
         self.max_grid_power_w = max_grid_power_w
-        self.soc_snap_tolerance = soc_snap_tolerance
         self.first_plan: ChargingPlan | None = None
-        self._cached_window: ForecastWindow | None = None
-        self._cached_plan: ChargingPlan | None = None
-        self._cached_offset = 0
-
-    def _cache_hit(self, window: ForecastWindow, soc: float) -> bool:
-        if self._cached_plan is None or self._cached_window is None:
-            return False
-        offset = self._cached_offset + 1
-        cached = self._cached_window
-        remaining = len(cached.load_w) - offset
-        if remaining < 1 or len(window.load_w) != remaining:
-            return False
-        if window.step_seconds != cached.step_seconds:
-            return False
-        if (
-            window.load_w != cached.load_w[offset:]
-            or window.pv_w != cached.pv_w[offset:]
-            or window.prices != cached.prices[offset:]
-        ):
-            return False
-        planned_soc = self._cached_plan.soc_trajectory[offset]
-        return abs(soc - planned_soc) <= self.soc_snap_tolerance
+        self._window: ForecastWindow | None = None  # the window the plan was solved on
+        self._plan: ChargingPlan | None = None
+        self._plan_offset = 0  # the window offset of the plan's first step
 
     def decide(self, now_ns: int, soc: float) -> ControlDecision:
         window = self.forecast_provider(now_ns)
-        if window is None or len(window.load_w) == 0:
+        if window is None:
             return ControlDecision(None, None, fallback=True)
-        if self._cache_hit(window, soc):
-            self._cached_offset += 1
-            plan = self._cached_plan
-            return ControlDecision(
-                plan.grid_power_w[self._cached_offset],
-                plan,
-                planned_soc=plan.soc_trajectory[self._cached_offset],
-            )
+        offset = (now_ns - window.start_ns) // window.step_ns
+        if not 0 <= offset < len(window.load_w):
+            return ControlDecision(None, None, fallback=True)
+        plan = self._plan
+        if window is self._window and offset > self._plan_offset:
+            k = offset - self._plan_offset
+            if abs(soc - plan.soc_trajectory[k]) <= SOC_SNAP_TOLERANCE:
+                return ControlDecision(plan.grid_power_w[k], plan, planned_soc=plan.soc_trajectory[k])
         problem = ChargingProblem(
             step_seconds=window.step_seconds,
-            prices=window.prices,
-            load_w=window.load_w,
-            pv_w=window.pv_w,
+            prices=window.prices[offset:],
+            load_w=window.load_w[offset:],
+            pv_w=window.pv_w[offset:],
             capacity_j=self.capacity_j,
             soc_min=self.soc_min,
             soc_max=self.soc_max,
@@ -381,12 +381,9 @@ class RecedingHorizonController:
             plan = solve_charging(problem)
         except InfeasibleProblemError as exc:
             logger.warning("planning window infeasible at %d ns, dispatching PV-first: %s", now_ns, exc)
-            self._cached_window = None
-            self._cached_plan = None
+            self._window = self._plan = None
             return ControlDecision(None, None, fallback=True)
-        self._cached_window = window
-        self._cached_plan = plan
-        self._cached_offset = 0
+        self._window, self._plan, self._plan_offset = window, plan, offset
         if self.first_plan is None:
             self.first_plan = plan
         return ControlDecision(plan.grid_power_w[0], plan, planned_soc=plan.soc_trajectory[0])
@@ -399,9 +396,11 @@ class MPCInverter(Inverter):
     hands it to :func:`~cemsim.models.inverter.inverter_pv_first_step`,
     which serves the deficit from it, routes any surplus into the battery
     and lets the battery cover a shortfall.  Storage limits are projected
-    from the plan's SOC when the executed SOC agrees with it within the
-    controller's ``soc_snap_tolerance``, else from the executed SOC.  When
-    no plan is available (infeasible or empty window) the step is plain
+    from the plan's SOC when the executed SOC agrees with it within
+    :data:`SOC_SNAP_TOLERANCE`, else from the executed SOC; the plan it
+    follows is the one solved on the provider's current window object
+    (see :class:`RecedingHorizonController`).  When no plan is available
+    (an infeasible window, or none covering the step) the step is plain
     PV-first dispatch.  The class lives here, not in ``models``, because
     models do not import controllers.
     """
@@ -423,7 +422,7 @@ class MPCInverter(Inverter):
         decision = self._controller.decide(start_ns, soc)
         planned_soc = decision.planned_soc
         soc_basis = None
-        if planned_soc is not None and abs(planned_soc - soc) <= self._controller.soc_snap_tolerance:
+        if planned_soc is not None and abs(planned_soc - soc) <= SOC_SNAP_TOLERANCE:
             soc_basis = planned_soc
         return inverter_pv_first_step(
             inverter_input,

@@ -1,7 +1,8 @@
 """Context-aware load forecasting.
 
 Predicts electrical load from context records (announced compute jobs and
-similar events) using ordinary least squares over four feature families:
+similar events) using least squares (ridge when the design is
+rank-deficient) over four feature families:
 
 * ``none``      - intercept plus an hour-of-day encoding; ignores context.
 * ``numeric``   - adds summed numeric payload fields (with presence flags).
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, ContextRecord, SimulationError, _require
+from .core import ContextRecord, SimulationError, _require
 from .models.synthetic import hour_of_day
 
 FAMILIES = ("none", "numeric", "effort", "combined")
@@ -98,12 +99,12 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> floa
 EffortEstimator = Callable[[str], float]
 
 
-def feature_names(mode: str, numeric_fields: Sequence[str] = NUMERIC_FIELD_CATALOG) -> tuple[str, ...]:
+def feature_names(mode: str) -> tuple[str, ...]:
     """Documented feature ordering for a family."""
     _require(mode in FAMILIES, f"unknown feature family {mode!r}")
     names = ["intercept", "hour_sin", "hour_cos"]
     if mode in ("numeric", "combined"):
-        for field in numeric_fields:
+        for field in NUMERIC_FIELD_CATALOG:
             names.append(f"{field}_sum")
             names.append(f"{field}_present")
     if mode in ("effort", "combined"):
@@ -115,7 +116,6 @@ def build_features(
     records: Iterable[ContextRecord],
     mode: str,
     t_ns: int,
-    numeric_fields: Sequence[str] = NUMERIC_FIELD_CATALOG,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
 ) -> np.ndarray:
     """Feature vector describing time ``t_ns`` given known context records.
@@ -133,7 +133,7 @@ def build_features(
         return np.asarray(features)
     active = [r for r in records if r.begins_at_ns <= t_ns < r.ends_at_ns]
     if mode in ("numeric", "combined"):
-        for field in numeric_fields:
+        for field in NUMERIC_FIELD_CATALOG:
             total = 0.0
             present = 0.0
             for record in active:
@@ -148,14 +148,12 @@ def build_features(
     return np.asarray(features)
 
 
-def fit_least_squares(
-    design: np.ndarray, observed: np.ndarray, allow_ridge: bool = False
-) -> np.ndarray:
+def fit_least_squares(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Least-squares coefficients for ``design @ beta ~ observed``.
 
-    Requires at least as many samples as features and a full-rank design;
-    with ``allow_ridge`` a rank-deficient fit falls back to ridge
-    regression with a trace-scaled penalty (1e-8) instead of failing.
+    Requires at least as many samples as features.  A rank-deficient
+    design (a payload field that never occurs, say) falls back to ridge
+    regression with a trace-scaled penalty (1e-8).
     """
     design = np.asarray(design, dtype=np.float64)
     observed = np.asarray(observed, dtype=np.float64)
@@ -166,10 +164,6 @@ def fit_least_squares(
     _require(samples >= width, f"need >= {width} samples, got {samples}")
     rank = np.linalg.matrix_rank(design)
     if rank < width:
-        if not allow_ridge:
-            raise ConfigurationError(
-                f"design matrix is rank-deficient ({rank} < {width}); enable the ridge fallback"
-            )
         gram = design.T @ design
         penalty = 1e-8 * (np.trace(gram) / width)
         if penalty <= 0.0:
@@ -194,12 +188,10 @@ class Predictor:
 
     mode: str
     coefficients: tuple[float, ...]
-    numeric_fields: tuple[str, ...] = NUMERIC_FIELD_CATALOG
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "numeric_fields", tuple(self.numeric_fields))
-        expected = len(feature_names(self.mode, self.numeric_fields))
+        expected = len(feature_names(self.mode))
         _require(
             len(self.coefficients) == expected,
             f"{self.mode!r} predictor needs {expected} coefficients, got {len(self.coefficients)}",
@@ -214,9 +206,7 @@ class Predictor:
         t_ns: int,
         effort_fn: EffortEstimator = estimate_effort_heuristic,
     ) -> float:
-        return self.predict_features(
-            build_features(records, self.mode, t_ns, self.numeric_fields, effort_fn)
-        )
+        return self.predict_features(build_features(records, self.mode, t_ns, effort_fn))
 
 
 def train_predictor(
@@ -224,9 +214,7 @@ def train_predictor(
     times_ns: Sequence[int],
     observed_w: Sequence[float],
     mode: str,
-    numeric_fields: Sequence[str] = NUMERIC_FIELD_CATALOG,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
-    allow_ridge: bool = False,
 ) -> Predictor:
     """Fit one family on (time, load) samples.
 
@@ -236,14 +224,9 @@ def train_predictor(
     from .core import context_query
 
     _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
-    design = np.vstack(
-        [
-            build_features(context_query(records, t), mode, t, numeric_fields, effort_fn)
-            for t in times_ns
-        ]
-    )
-    coefficients = fit_least_squares(design, np.asarray(observed_w, dtype=np.float64), allow_ridge)
-    return Predictor(mode=mode, coefficients=tuple(coefficients), numeric_fields=tuple(numeric_fields))
+    design = np.vstack([build_features(context_query(records, t), mode, t, effort_fn) for t in times_ns])
+    coefficients = fit_least_squares(design, np.asarray(observed_w, dtype=np.float64))
+    return Predictor(mode=mode, coefficients=tuple(coefficients))
 
 
 def evaluate_families(
@@ -252,14 +235,12 @@ def evaluate_families(
     observed_w: Sequence[float],
     train_fraction: float = 0.7,
     families: Sequence[str] = FAMILIES,
-    numeric_fields: Sequence[str] = NUMERIC_FIELD_CATALOG,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
 ) -> dict[str, float]:
     """Train each family on the leading time window, report test RMSE.
 
     The split is by sample order (time-ordered input expected), so the
-    test window is strictly after the training window.  Rank-deficient
-    families (a payload field never occurring, say) fall back to ridge.
+    test window is strictly after the training window.
     """
     _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
     _require(0.0 < train_fraction < 1.0, "train_fraction must be in (0, 1)")
@@ -267,7 +248,7 @@ def evaluate_families(
         _require(family in FAMILIES, f"unknown feature family {family!r}")
     count = len(times_ns)
     split = int(count * train_fraction)
-    width = max(len(feature_names(f, numeric_fields)) for f in families)
+    width = max(len(feature_names(f)) for f in families)
     _require(split >= width, f"training window too small: {split} samples for {width} features")
     _require(split < count, "test window is empty")
 
@@ -275,14 +256,9 @@ def evaluate_families(
 
     report: dict[str, float] = {}
     for family in families:
-        predictor = train_predictor(
-            records, times_ns[:split], observed_w[:split], family, numeric_fields, effort_fn,
-            allow_ridge=True,
-        )
+        predictor = train_predictor(records, times_ns[:split], observed_w[:split], family, effort_fn)
         predicted = [
-            predictor.predict_features(
-                build_features(context_query(records, t), family, t, numeric_fields, effort_fn)
-            )
+            predictor.predict_features(build_features(context_query(records, t), family, t, effort_fn))
             for t in times_ns[split:]
         ]
         report[family] = rmse(predicted, list(observed_w[split:]))

@@ -585,43 +585,46 @@ def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
 
 
 class _DayForecast:
-    """Rest-of-day forecast series, computed once and handed out as slices.
+    """One forecast window per planning day, handed out as the same object.
 
     The ``compute(now_ns, count)`` given to :meth:`window` returns the
     (loads, pvs, prices) of the ``count`` steps from ``now_ns`` to the
     planning bound: the earlier of the next day boundary and the horizon
     end.  Each value depends only on its step's time (and ``key``), never
-    on ``now_ns``, so a later ``now`` on the same step grid gets a
-    bitwise-equal slice of the cached series.
+    on ``now_ns``, so the window built at one ``now`` holds, from a later
+    ``now``'s offset on, what a fresh computation there would give.
 
-    Cache key: (planning bound, ``key``).  The series is recomputed from
-    ``now`` when the bound moves (a new day), when ``key`` changes, or when
-    ``now`` is not a whole number of steps after the cached start.
+    The window is returned as it is while the planning bound and ``key``
+    hold.  A new bound (a new day), or a ``now`` the window does not cover
+    on its step grid, builds a new window from ``now``.  A new ``key``
+    recomputes the series from ``now``: when it equals the window's tail
+    at ``now``, the window object is kept and only the key is updated,
+    else a new window is built.  So one object always means one set of
+    values, and a controller can tell an unrevised forecast by identity.
     """
 
     def __init__(self, end_ns: int, step_ns: int) -> None:
         self._end_ns = end_ns
-        self._step_seconds = step_ns / NS_PER_SECOND
         self._step_ns = step_ns
-        self._key: tuple | None = None
-        self._start_ns = 0
-        self._series: tuple = ((), (), ())
+        self._bound: int | None = None
+        self._key: object = None
+        self._window = ForecastWindow(0, step_ns, (), (), ())
 
     def window(self, now_ns: int, key: object, compute: Callable[[int, int], tuple]) -> ForecastWindow | None:
-        step_ns = self._step_ns
         bound = min((now_ns // NS_PER_DAY + 1) * NS_PER_DAY, self._end_ns)
-        count = (bound - now_ns) // step_ns
+        count = (bound - now_ns) // self._step_ns
         if count < 1:
             return None
-        offset, misaligned = divmod(now_ns - self._start_ns, step_ns)
-        if (bound, key) != self._key or offset < 0 or misaligned:
-            self._series = compute(now_ns, count)
-            self._key = (bound, key)
-            self._start_ns = now_ns
-            offset = 0
-        loads, pvs, prices = self._series
-        end = offset + count
-        return ForecastWindow(self._step_seconds, loads[offset:end], pvs[offset:end], prices[offset:end])
+        window = self._window
+        offset, misaligned = divmod(now_ns - window.start_ns, self._step_ns)
+        covered = bound == self._bound and offset >= 0 and not misaligned
+        if covered and key == self._key:
+            return window
+        series = compute(now_ns, count)
+        if not covered or series != (window.load_w[offset:], window.pv_w[offset:], window.prices[offset:]):
+            self._window = window = ForecastWindow(now_ns, self._step_ns, *series)
+        self._bound, self._key = bound, key
+        return window
 
 
 def perfect_forecast_provider(
@@ -632,7 +635,8 @@ def perfect_forecast_provider(
 ) -> Callable[[int], ForecastWindow | None]:
     """Oracle forecasts: the realized series itself, planned to day's end.
 
-    The series is sampled once per planning day (see :class:`_DayForecast`).
+    The series is sampled once per planning day, and every step of the day
+    gets the same window object (see :class:`_DayForecast`).
     """
 
     def compute(now_ns: int, count: int) -> tuple:
@@ -658,12 +662,14 @@ def predictor_forecast_provider(
     Load predictions at each future step use only context records already
     recorded at decision time; negative predictions clamp to zero.
 
-    The series is cached per planning day and per known-record set: the
+    The window is cached per planning day and per known-record set: the
     cache key holds the identities of the records ``context_query`` returns
     at ``now``, so the series is recomputed from ``now`` whenever a record
     becomes known or expires.  A prediction depends only on its step's time
-    and the known records, so a slice of the cached series is bitwise the
-    series a fresh computation at ``now`` would give.
+    and the known records, so the window's tail at ``now`` equals the series
+    a fresh computation at ``now`` would give.  A record that changes no
+    prediction of the day (one that expired, or one for a later day) keeps
+    the window object; one that does gives a new window.
     """
 
     def compute(known: list[ContextRecord], now_ns: int, count: int) -> tuple:
@@ -784,7 +790,6 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
                 train_loads,
                 family,
                 effort_fn=effort_fn,
-                allow_ridge=True,
             )
             provider = predictor_forecast_provider(
                 predictor,

@@ -153,6 +153,18 @@ def test_run_rejects_scenarios_that_would_write_the_same_directory(tmp_path, cap
     assert not out.exists()
 
 
+def test_run_rejects_scenarios_whose_output_dirs_resolve_to_one_directory(tmp_path, capsys):
+    """Without --out, each scenario's own ``output_dir`` counts too."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _scenario(tmp_path / "a", "x", seed=1, output_dir="../shared")
+    second = _scenario(tmp_path / "b", "y", seed=2, output_dir="../shared")
+    assert cli.main(["run", "--scenario", str(first), "--scenario", str(second)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str((tmp_path / "shared").resolve()) in err
+    assert not (tmp_path / "shared").exists()
+
+
 def test_a_missing_scenario_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert cli.main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Charging plan solver and the receding-horizon control loop."""
 import csv
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from cemsim import (
 from cemsim.core import NS_PER_SECOND as NS
 from oracles import brute_force_charging, greedy_charging, linprog_charging, random_coarse_instance
 
+HOUR = 3600 * NS
 AMPLE = dict(step_seconds=3600.0, capacity_j=3.6e7, soc_min=0.1, soc_max=1.0)
 
 
@@ -276,7 +278,10 @@ def test_plan_csv_round_trips(tmp_path):
 
 def test_forecast_window_validation():
     with pytest.raises(ValueError):
-        ForecastWindow(3600.0, (1.0, 2.0), (0.0,), (0.1, 0.1))
+        ForecastWindow(0, HOUR, (1.0, 2.0), (0.0,), (0.1, 0.1))
+    with pytest.raises(ValueError):
+        ForecastWindow(0, 0, (1.0,), (0.0,), (0.1,))
+    assert ForecastWindow(0, HOUR, (1,), (0,), (0,)).step_seconds == 3600.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,31 +289,18 @@ def test_forecast_window_validation():
 # ---------------------------------------------------------------------------
 
 MASTER = ForecastWindow(
-    step_seconds=3600.0,
+    start_ns=0,
+    step_ns=HOUR,
     load_w=(200.0, 900.0, 100.0, 1200.0, 400.0, 800.0),
     pv_w=(0.0, 300.0, 500.0, 0.0, 100.0, 0.0),
     prices=(0.1, 0.4, 0.1, 0.5, 0.2, 0.5),
 )
 
 
-def _tail_provider(window, step_ns=3_600_000_000_000):
-    def provider(now_ns):
-        index = now_ns // step_ns
-        if index >= len(window.load_w):
-            return None
-        return ForecastWindow(
-            window.step_seconds,
-            window.load_w[index:],
-            window.pv_w[index:],
-            window.prices[index:],
-        )
-    return provider
-
-
 def _controller(window=MASTER, **overrides):
     kwargs = dict(
         capacity_j=3.6e6, soc_min=0.1, soc_max=1.0,
-        forecast_provider=_tail_provider(window),
+        forecast_provider=lambda now_ns: window,
     )
     kwargs.update(overrides)
     return RecedingHorizonController(**kwargs)
@@ -323,7 +315,7 @@ def test_on_plan_execution_replays_the_first_plan():
     assert controller.first_plan is plan
     assert first.planned_grid_power_w == plan.grid_power_w[0]
     for k in range(1, 6):
-        decision = controller.decide(k * 3_600_000_000_000, plan.soc_trajectory[k])
+        decision = controller.decide(k * HOUR, plan.soc_trajectory[k])
         assert decision.planned_grid_power_w == plan.grid_power_w[k]
         assert decision.plan is plan
         assert decision.fallback is False
@@ -334,7 +326,7 @@ def test_state_drift_forces_a_replan():
     first = controller.decide(0, 0.5)
     plan = first.plan
     drifted_soc = plan.soc_trajectory[1] + 0.01
-    decision = controller.decide(3_600_000_000_000, drifted_soc)
+    decision = controller.decide(HOUR, drifted_soc)
     assert decision.fallback is False
     assert decision.plan is not plan
     assert decision.plan.soc_trajectory[0] == pytest.approx(drifted_soc, abs=1e-12)
@@ -343,22 +335,45 @@ def test_state_drift_forces_a_replan():
 def test_forecast_revision_forces_a_replan():
     controller = _controller()
     plan = controller.decide(0, 0.5).plan
-    revised = ForecastWindow(3600.0, (50.0,) * 5, (0.0,) * 5, MASTER.prices[1:])
+    revised = ForecastWindow(HOUR, HOUR, (50.0,) * 5, (0.0,) * 5, MASTER.prices[1:])
     controller.forecast_provider = lambda now_ns: revised
-    decision = controller.decide(3_600_000_000_000, plan.soc_trajectory[1])
+    decision = controller.decide(HOUR, plan.soc_trajectory[1])
     assert decision.plan is not plan
+
+
+def test_a_new_window_object_forces_a_replan_even_with_equal_values():
+    """Identity, not value, tells the controller its forecast is unrevised:
+    a provider that rebuilds an equal window every step re-solves every step."""
+    controller = _controller(forecast_provider=lambda now_ns: dataclasses.replace(MASTER))
+    plan = controller.decide(0, 0.5).plan
+    decision = controller.decide(HOUR, plan.soc_trajectory[1])
+    assert decision.plan is not plan
+    assert decision.plan.grid_power_w == pytest.approx(plan.grid_power_w[1:], abs=1e-9)
+
+
+def test_the_plan_is_solved_on_the_tail_from_now():
+    controller = _controller()
+    decision = controller.decide(2 * HOUR, 0.5)
+    assert len(decision.plan.grid_power_w) == 4
+    assert decision.plan.prices == MASTER.prices[2:]
+    # later steps of the same window reuse that plan at their offset
+    again = controller.decide(3 * HOUR, decision.plan.soc_trajectory[1])
+    assert again.plan is decision.plan
+    assert again.planned_grid_power_w == decision.plan.grid_power_w[1]
 
 
 def test_exhausted_window_falls_back():
     controller = _controller()
-    decision = controller.decide(6 * 3_600_000_000_000, 0.5)
+    decision = controller.decide(6 * HOUR, 0.5)
     assert decision.fallback is True
     assert decision.planned_grid_power_w is None
     assert decision.plan is None
+    # a window that starts after now does not cover it either
+    assert controller.decide(-HOUR, 0.5).fallback is True
 
 
 def test_infeasible_window_falls_back_with_a_warning(caplog):
-    window = ForecastWindow(3600.0, (5000.0,), (0.0,), (0.5,))
+    window = ForecastWindow(0, HOUR, (5000.0,), (0.0,), (0.5,))
     controller = _controller(window, max_grid_power_w=100.0)
     with caplog.at_level("WARNING", logger="cemsim.control"):
         decision = controller.decide(0, 0.1)
@@ -400,7 +415,7 @@ def _mpc_input(pv_w, load_w, soc):
 
 def test_overbuying_routes_the_surplus_into_the_battery():
     """A 600 W plan against a 100 W deficit grid-charges the other 500 W."""
-    window = ForecastWindow(3600.0, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
+    window = ForecastWindow(0, HOUR, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
     inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
     assert result.grid_input.requested_active_power == pytest.approx(600.0, rel=1e-12)
@@ -410,7 +425,7 @@ def test_overbuying_routes_the_surplus_into_the_battery():
 
 def test_underbuying_discharges_to_cover_the_gap():
     """A 100 W plan against a 1000 W load lets the battery supply 900 W."""
-    window = ForecastWindow(3600.0, (1000.0,), (0.0,), (5.0,))
+    window = ForecastWindow(0, HOUR, (1000.0,), (0.0,), (5.0,))
     inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
@@ -421,7 +436,7 @@ def test_underbuying_discharges_to_cover_the_gap():
 def test_load_above_forecast_is_served_despite_the_plan():
     """The forecast said 100 W so the plan buys nothing; the actual 1000 W
     load drains what the battery has (900 W) and the rest goes to the grid."""
-    window = ForecastWindow(3600.0, (100.0,), (0.0,), (5.0,))
+    window = ForecastWindow(0, HOUR, (100.0,), (0.0,), (5.0,))
     inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.battery_input.mode is BatteryMode.DISCHARGE

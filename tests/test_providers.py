@@ -1,6 +1,8 @@
-"""Forecast providers: cached per-day windows equal direct recomputation."""
+"""Forecast providers: one window per planning day whose tail at each
+``now`` equals direct recomputation, kept as one object while unrevised."""
 from dataclasses import replace
 
+import cemsim.control
 from cemsim import (
     ContextRecord,
     Predictor,
@@ -57,11 +59,14 @@ def _windows_of_a_run(scenario, strategy):
     return bundle, seen
 
 
-def _assert_window(window, loads, pvs, prices):
+def _assert_tail(window, now_ns, loads, pvs, prices):
+    """The window's tail from ``now``'s offset equals the given series."""
     assert window.step_seconds == float(STEP_S)
-    assert window.load_w == tuple(loads)
-    assert window.pv_w == tuple(pvs)
-    assert window.prices == tuple(prices)
+    offset, misaligned = divmod(now_ns - window.start_ns, window.step_ns)
+    assert offset >= 0 and not misaligned
+    assert window.load_w[offset:] == tuple(loads)
+    assert window.pv_w[offset:] == tuple(pvs)
+    assert window.prices[offset:] == tuple(prices)
 
 
 def test_perfect_windows_equal_direct_sampling():
@@ -71,7 +76,48 @@ def test_perfect_windows_equal_direct_sampling():
         count = _steps_left(scenario, now_ns)
         loads, pvs = sample_series(bundle.synthetic, now_ns, scenario.step_ns, count)
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
-        _assert_window(window, loads, pvs, prices)
+        _assert_tail(window, now_ns, loads, pvs, prices)
+
+
+def test_a_perfect_forecast_is_one_window_object_per_planning_day():
+    scenario = scenario_from_dict(TWO_DAYS, None)
+    _, seen = _windows_of_a_run(scenario, "mpc-perfect")
+    by_day = {}
+    for now_ns, window in seen:
+        assert by_day.setdefault(now_ns // NS_PER_DAY, window) is window
+    # 05:00 to midnight, a whole day, and midnight to 05:00
+    assert len(by_day) == 3
+    assert [window.start_ns for window in by_day.values()] == [
+        scenario.start_ns,
+        (scenario.start_ns // NS_PER_DAY + 1) * NS_PER_DAY,
+        (scenario.start_ns // NS_PER_DAY + 2) * NS_PER_DAY,
+    ]
+
+
+def test_a_lossless_perfect_forecast_solves_once_per_planning_day(monkeypatch):
+    """With every efficiency at 1.0 the plant executes the plan exactly,
+    so the controller reuses each day's first plan to the day's end."""
+    scenario = scenario_from_dict(
+        {
+            **TWO_DAYS,
+            "step_seconds": 120,
+            "battery": {"kind": "linear", "eta_charge": 1.0, "eta_discharge": 1.0},
+            "inverter": {"eta_pv_to_batt": 1.0, "eta_pv_to_load": 1.0, "eta_batt_to_load": 1.0},
+        },
+        None,
+    )
+    horizons = []
+    solve = cemsim.control.solve_charging
+
+    def counted(problem):
+        horizons.append(problem.horizon)
+        return solve(problem)
+
+    monkeypatch.setattr(cemsim.control, "solve_charging", counted)
+    bundle = build_bundle(scenario, "mpc-perfect")
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
+    # 19 h, 24 h and 5 h of 120 s steps
+    assert horizons == [570, 720, 150]
 
 
 def test_context_windows_equal_direct_prediction():
@@ -82,7 +128,6 @@ def test_context_windows_equal_direct_prediction():
         *training_series(scenario),
         scenario.forecast["context_family"],
         effort_fn=effort_fn,
-        allow_ridge=True,
     )
     known_sets = set()
     for now_ns, window in seen:
@@ -93,7 +138,7 @@ def test_context_windows_equal_direct_prediction():
         loads = [max(predictor.predict(known, t, effort_fn), 0.0) for t in times]
         pvs = [pv_power_at(bundle.synthetic, t) for t in times]
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
-        _assert_window(window, loads, pvs, prices)
+        _assert_tail(window, now_ns, loads, pvs, prices)
     # the known-record set changes inside planning days, not only at their start
     assert len(known_sets) > 3 * scenario.day_count
 
@@ -108,6 +153,11 @@ def _record(recorded_s, begins_s, ends_s, text):
     )
 
 
+def _tail(window, now_ns):
+    offset = (now_ns - window.start_ns) // window.step_ns
+    return window.load_w[offset:], window.pv_w[offset:], window.prices[offset:]
+
+
 def test_records_recorded_after_now_do_not_change_the_window():
     scenario = scenario_from_dict({**TWO_DAYS, "start_epoch_seconds": 0}, None)
     config = replace(synthetic_config(scenario), job_events=())
@@ -115,19 +165,29 @@ def test_records_recorded_after_now_do_not_change_the_window():
     predictor = Predictor("effort", (800.0, 0.0, 0.0, 250.0))
     known = _record(0, 3_600, 7_200, "nightly build")
     late = _record(2 * STEP_S, 4 * 3_600, 6 * 3_600, "GPU training run")
+    tomorrow = _record(3 * STEP_S, 86_400 + 3_600, 86_400 + 7_200, "nightly build")
 
     def provider(records):
         return predictor_forecast_provider(
             predictor, records, config, schedule, scenario.end_ns, scenario.step_ns
         )
 
-    without, with_late, fresh_late = provider((known,)), provider((known, late)), provider((known, late))
+    without = provider((known,))
+    with_late, fresh_late = provider((known, late, tomorrow)), provider((known, late, tomorrow))
     now, later = STEP_S * NS, 2 * STEP_S * NS
     assert with_late(now) == without(now)
     # once recorded the record does move the forecast, and the cached
     # window from before is not served again
-    assert with_late(later) != without(later)
-    assert with_late(later) == fresh_late(later)
+    window = with_late(later)
+    assert _tail(window, later) != _tail(without(later), later)
+    assert window == fresh_late(later)
+    # a record for a later day becomes known, then the first record
+    # expires: each changes the known set but no value of this day's
+    # window, so the window object stays
+    assert with_late(3 * STEP_S * NS) is window
+    expired = 7_200 * NS
+    assert with_late(expired) is window
+    assert _tail(window, expired) == _tail(provider((late, tomorrow))(expired), expired)
 
 
 def test_remote_estimator_scores_each_text_once(estimator_server):
