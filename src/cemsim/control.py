@@ -38,6 +38,9 @@ work is O((T + purchases) log T) per solve against O(T) visits per
 boundary before; the slice-add and argmin stay O(T) per purchase.  One
 full-day solve at T = 720 / 1440 / 2880 steps measured 21.9 / 82.6 /
 328 ms before and 2.7 / 5.7 / 12.0 ms after (2-vCPU Xeon VM).
+
+numpy is imported inside :func:`solve_charging`, its only user, so a run
+that never plans (PV-first, replay) does not pay numpy's import.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ import heapq
 import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import (
     NS_PER_SECOND,
@@ -161,6 +162,8 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
     Raises :class:`InfeasibleProblemError` naming the first step whose
     shortfall cannot be covered (or whose surplus cannot be stored).
     """
+    import numpy as np
+
     horizon = problem.horizon
     dt = problem.step_seconds
     capacity = problem.capacity_j

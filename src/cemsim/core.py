@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -321,14 +322,27 @@ class Context(SystemComponent):
 # ---------------------------------------------------------------------------
 
 
-def context_query(records: Iterable[ContextRecord], now_ns: int) -> list[ContextRecord]:
+def context_query(records: Iterable[ContextRecord] | ContextIndex, now_ns: int) -> list[ContextRecord]:
     """Records known at ``now_ns`` whose interval has not yet ended.
 
     Keeps records with ``recorded_at <= now_ns < ends_at``: the currently
     active ones and the announced-but-future ones, never records that only
     become known later (no future information leaks into a query at
     ``now_ns``).  Sorted by (begins_at, recorded_at, insertion order).
+
+    ``records`` is either an iterable, scanned whole on every call, or a
+    :class:`ContextIndex`, which rescans only when ``now_ns`` leaves the
+    interval its last answer holds over.  Both give the same records in
+    the same order.  Callers that query the same records step after step
+    pass an index.  Neither path uses numpy, so a PV-first run that plays
+    context never imports it.
     """
+    if type(records) is ContextIndex:
+        return records.query(now_ns)
+    return _scan_context(records, now_ns)
+
+
+def _scan_context(records: Iterable[ContextRecord], now_ns: int) -> list[ContextRecord]:
     selected = [
         (record.begins_at_ns, record.recorded_at_ns, index, record)
         for index, record in enumerate(records)
@@ -336,6 +350,40 @@ def context_query(records: Iterable[ContextRecord], now_ns: int) -> list[Context
     ]
     selected.sort(key=lambda item: item[:3])
     return [item[3] for item in selected]
+
+
+class ContextIndex:
+    """Fixed context records, indexed by the instants a query can change at.
+
+    A record's visibility flips only at its ``recorded_at_ns`` and its
+    ``ends_at_ns``, so between two consecutive such instants (the *edges*)
+    every query returns the same records.  The index keeps its last answer
+    with the edge interval ``[low, high)`` it holds over; a query inside
+    that interval returns a copy of it, one outside bisects the edges for
+    its interval and rescans the records.  A run steps forward, so it
+    rescans about twice per record over its whole horizon instead of once
+    per step.  Time may go backwards: the interval test holds either way.
+    """
+
+    __slots__ = ("records", "_edges", "_low", "_high", "_answer")
+
+    def __init__(self, records: Iterable[ContextRecord]) -> None:
+        self.records = tuple(records)
+        instants = {record.recorded_at_ns for record in self.records}
+        instants.update(record.ends_at_ns for record in self.records)
+        self._edges = sorted(instants)
+        # an empty interval, so the first query rescans
+        self._low = self._high = 0
+        self._answer: list[ContextRecord] = []
+
+    def query(self, now_ns: int) -> list[ContextRecord]:
+        if not self._low <= now_ns < self._high:
+            edges = self._edges
+            i = bisect_right(edges, now_ns)
+            self._low = edges[i - 1] if i else -math.inf
+            self._high = edges[i] if i < len(edges) else math.inf
+            self._answer = _scan_context(self.records, now_ns)
+        return self._answer.copy()
 
 
 def grid_energy_cost(price_per_kwh: float, power_w: float, duration_s: float) -> float:

@@ -13,6 +13,11 @@ Effort is a scalar proxy for how heavy a described job is.  The default
 estimator is a documented keyword table so results stay deterministic and
 offline; :func:`estimate_effort_remote` can delegate to any HTTP endpoint
 speaking the simple ``{"text": ...} -> {"effort": ...}`` schema instead.
+
+numpy is imported inside each function that builds, fits or scores
+arrays, not at module level: the CLI imports this module for every
+command, and a PV-first or replay run never calls them, so it does not
+pay numpy's import.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .core import ContextRecord, SimulationError, _require
+from .core import ContextIndex, ContextRecord, SimulationError, _require
 from .models.synthetic import hour_of_day
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FAMILIES = ("none", "numeric", "effort", "combined")
 
@@ -125,6 +131,8 @@ def build_features(
     time, so future-recorded records never leak in.  Non-numeric payload
     values under a cataloged field are ignored.
     """
+    import numpy as np
+
     _require(mode in FAMILIES, f"unknown feature family {mode!r}")
     hour = hour_of_day(t_ns)
     angle = 2.0 * math.pi * hour / 24.0
@@ -155,6 +163,8 @@ def fit_least_squares(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
     design (a payload field that never occurs, say) falls back to ridge
     regression with a trace-scaled penalty (1e-8).
     """
+    import numpy as np
+
     design = np.asarray(design, dtype=np.float64)
     observed = np.asarray(observed, dtype=np.float64)
     _require(design.ndim == 2, "design matrix must be 2-D")
@@ -175,6 +185,8 @@ def fit_least_squares(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
 
 def rmse(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """Root-mean-square error in the observations' unit (here Watts)."""
+    import numpy as np
+
     predicted = np.asarray(predicted, dtype=np.float64)
     observed = np.asarray(observed, dtype=np.float64)
     _require(predicted.shape == observed.shape, "predicted and observed lengths differ")
@@ -198,6 +210,8 @@ class Predictor:
         )
 
     def predict_features(self, features: np.ndarray) -> float:
+        import numpy as np
+
         return float(np.dot(np.asarray(features, dtype=np.float64), self.coefficients))
 
     def predict(
@@ -221,10 +235,13 @@ def train_predictor(
     Features at each sample time use only records already recorded by
     then, matching what a live forecaster could have known.
     """
+    import numpy as np
+
     from .core import context_query
 
     _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
-    design = np.vstack([build_features(context_query(records, t), mode, t, effort_fn) for t in times_ns])
+    index = ContextIndex(records)
+    design = np.vstack([build_features(context_query(index, t), mode, t, effort_fn) for t in times_ns])
     coefficients = fit_least_squares(design, np.asarray(observed_w, dtype=np.float64))
     return Predictor(mode=mode, coefficients=tuple(coefficients))
 
@@ -254,11 +271,12 @@ def evaluate_families(
 
     from .core import context_query
 
+    index = ContextIndex(records)
     report: dict[str, float] = {}
     for family in families:
         predictor = train_predictor(records, times_ns[:split], observed_w[:split], family, effort_fn)
         predicted = [
-            predictor.predict_features(build_features(context_query(records, t), family, t, effort_fn))
+            predictor.predict_features(build_features(context_query(index, t), family, t, effort_fn))
             for t in times_ns[split:]
         ]
         report[family] = rmse(predicted, list(observed_w[split:]))

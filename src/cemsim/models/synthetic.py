@@ -16,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_right, insort
+from dataclasses import dataclass, field
 
 from ..core import (
     Context,
+    ContextIndex,
     ContextRecord,
     Load,
     LoadStepResult,
@@ -56,9 +58,6 @@ class JobEvent:
         _require(self.true_effort >= 0.0, "true_effort must be >= 0")
         _require(self.watts_per_effort >= 0.0, "watts_per_effort must be >= 0")
 
-    def active_at(self, t_ns: int) -> bool:
-        return self.begins_at_ns <= t_ns < self.ends_at_ns
-
 
 @dataclass(frozen=True, slots=True)
 class PriceTiers:
@@ -80,7 +79,14 @@ class PriceTiers:
 
 @dataclass(frozen=True, slots=True)
 class SyntheticScenarioConfig:
-    """Everything the synthetic generator needs for one scenario."""
+    """Everything the synthetic generator needs for one scenario.
+
+    The job table is derived once, when the config is built:
+    ``_job_edges`` holds every instant a job begins or ends, sorted, and
+    ``_job_power[i]`` the base load plus the active jobs' power over
+    ``[_job_edges[i - 1], _job_edges[i])`` (the base load alone before the
+    first edge and from the last one on).
+    """
 
     seed: int = 0
     pv_peak_power: float = 600.0
@@ -91,6 +97,8 @@ class SyntheticScenarioConfig:
     pv_voltage: float = 400.0
     sunrise_hour: float = 6.0
     sunset_hour: float = 18.0
+    _job_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _job_power: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(self.pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
@@ -102,7 +110,35 @@ class SyntheticScenarioConfig:
             0.0 <= self.sunrise_hour < self.sunset_hour <= 24.0,
             "need 0 <= sunrise_hour < sunset_hour <= 24",
         )
-        object.__setattr__(self, "job_events", tuple(self.job_events))
+        jobs = tuple(self.job_events)
+        object.__setattr__(self, "job_events", jobs)
+        edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
+        object.__setattr__(self, "_job_edges", tuple(edges))
+        object.__setattr__(self, "_job_power", _job_power_table(self.base_load, jobs, edges))
+
+
+def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[int]) -> tuple[float, ...]:
+    """Base load plus active jobs' power on each segment between ``edges``.
+
+    One sweep over the edges: jobs join an active list of job indices as
+    they begin and leave it as they end.  The list stays in job order, so
+    each segment's sum adds the same terms in the same order as a loop
+    over every job testing ``begins_at_ns <= t < ends_at_ns``, bit for bit.
+    """
+    by_begin = sorted(range(len(jobs)), key=lambda i: jobs[i].begins_at_ns)
+    power_table = [base_load]
+    active: list[int] = []
+    joined = 0
+    for edge in edges:
+        active = [i for i in active if jobs[i].ends_at_ns > edge]
+        while joined < len(by_begin) and jobs[by_begin[joined]].begins_at_ns <= edge:
+            insort(active, by_begin[joined])
+            joined += 1
+        power = base_load
+        for i in active:
+            power += jobs[i].true_effort * jobs[i].watts_per_effort
+        power_table.append(power)
+    return tuple(power_table)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +167,14 @@ def pv_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
 
 
 def load_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
-    """Load power at an instant: base plus active jobs plus noise."""
-    power = config.base_load
-    for job in config.job_events:
-        if job.active_at(t_ns):
-            power += job.true_effort * job.watts_per_effort
+    """Load power at an instant: base plus active jobs plus noise.
+
+    Base plus jobs is one bisect into the config's job table, so a step
+    costs the same however many jobs the horizon holds.  Like every
+    sampling function here it is plain Python: the synthetic components
+    never import numpy.
+    """
+    power = config._job_power[bisect_right(config._job_edges, t_ns)]
     if config.load_noise_amplitude > 0.0:
         wobble = 2.0 * unit_noise(config.seed, "load", t_ns) - 1.0
         power += config.load_noise_amplitude * config.base_load * wobble
@@ -333,17 +372,21 @@ class ScriptedContext(Context):
 
     Each step returns the records known at the step's *start* time whose
     interval has not yet ended, so a consumer acting on the step never
-    sees notes from its own future.  ``context_query`` is looked up as a
-    module global on every step, so a wrapper installed on
-    ``cemsim.models.synthetic.context_query`` sees every query.
+    sees notes from its own future.  The records sit in a
+    :class:`~cemsim.core.ContextIndex`, so a step rescans them only when
+    its start crosses a record's ``recorded_at_ns`` or ``ends_at_ns``; a
+    step anywhere else, backwards in time included, reuses the last answer.
+    ``context_query`` is looked up as a module global on every step, so a
+    wrapper installed on ``cemsim.models.synthetic.context_query`` sees
+    every query.  Like every synthetic component, this one uses no numpy.
     """
 
     def __init__(self, records: tuple[ContextRecord, ...]) -> None:
-        self._records = tuple(records)
+        self._index = ContextIndex(records)
 
     @property
     def records(self) -> tuple[ContextRecord, ...]:
-        return self._records
+        return self._index.records
 
     def step(self, start_ns: int, end_ns: int) -> tuple[ContextRecord, ...]:
-        return tuple(context_query(self._records, start_ns))
+        return tuple(context_query(self._index, start_ns))

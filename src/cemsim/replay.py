@@ -26,6 +26,11 @@ at construction, and call the module-level :func:`interpolate` per step.
 Ingestion appends each row straight into per-channel ``array`` buffers that
 numpy wraps without a copy; only a channel whose rows arrive out of order
 is sorted.
+
+numpy is imported inside :meth:`Channel.__post_init__` and
+:func:`ingest_timeseries`, where channels are built, not at module level:
+the CLI imports this module for every command, and a run without a
+recording never builds a channel, so it does not pay numpy's import.
 """
 
 from __future__ import annotations
@@ -35,9 +40,7 @@ import json
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     Battery,
@@ -54,6 +57,9 @@ from .core import (
     SimulationError,
     _require,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: (subsystem_id, channel name) of every recorded channel, in the order a
 #: run writes each step's lines to channels.csv.
@@ -105,6 +111,8 @@ class Channel:
     _values: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         times = np.asarray(self.times_ns, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
         _require(times.ndim == 1 and values.ndim == 1, "channel arrays must be 1-d")
@@ -196,6 +204,8 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     Each row goes straight into its channel's ``array('q')``/``array('d')``
     pair; numpy wraps those buffers without copying.
     """
+    import numpy as np
+
     collected: dict[tuple[int, str], tuple[array, array]] = {}
     # (subsystem_id text, name) -> the appends of its channel, so a row of
     # a channel already seen parses only its timestamp and value
@@ -265,7 +275,12 @@ def emit_timeseries(path, table: TimeSeriesTable) -> None:
 
 
 def ingest_context(path) -> tuple[ContextRecord, ...]:
-    """Parse a context JSONL file; line numbers accompany every rejection."""
+    """Parse a context JSONL file; line numbers accompany every rejection.
+
+    The three timestamps and ``subsystem_id`` must be JSON integers within
+    int64.  A float, a string or a bool is rejected with its line and key,
+    not coerced, so a validated file replays exactly as written.
+    """
     records = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -278,15 +293,21 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
                 raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{line_number}: expected an object")
+            for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
+                if key not in obj:
+                    raise IngestError(f"{path}:{line_number}: missing key {key!r}")
+                value = obj[key]
+                if type(value) is not int or not -(2**63) <= value < 2**63:
+                    raise IngestError(f"{path}:{line_number}: {key} must be an integer within int64, got {value!r}")
             try:
                 record = ContextRecord(
-                    recorded_at_ns=int(obj["recorded_at_ns"]),
-                    begins_at_ns=int(obj["begins_at_ns"]),
-                    ends_at_ns=int(obj["ends_at_ns"]),
-                    subsystem_id=int(obj["subsystem_id"]),
+                    recorded_at_ns=obj["recorded_at_ns"],
+                    begins_at_ns=obj["begins_at_ns"],
+                    ends_at_ns=obj["ends_at_ns"],
+                    subsystem_id=obj["subsystem_id"],
                     payload=obj.get("payload", {}),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise IngestError(f"{path}:{line_number}: {exc}") from exc
             records.append(record)
     return tuple(records)

@@ -43,6 +43,7 @@ from .control import (
 )
 from .core import (
     ConfigurationError,
+    ContextIndex,
     ContextRecord,
     NS_PER_SECOND,
     context_query,
@@ -664,8 +665,9 @@ def predictor_forecast_provider(
 
     The window is cached per planning day and per known-record set: the
     cache key holds the identities of the records ``context_query`` returns
-    at ``now``, so the series is recomputed from ``now`` whenever a record
-    becomes known or expires.  A prediction depends only on its step's time
+    at ``now`` (from a :class:`ContextIndex` over ``records``), so the
+    series is recomputed from ``now`` whenever a record becomes known or
+    expires.  A prediction depends only on its step's time
     and the known records, so the window's tail at ``now`` equals the series
     a fresh computation at ``now`` would give.  A record that changes no
     prediction of the day (one that expired, or one for a later day) keeps
@@ -680,9 +682,10 @@ def predictor_forecast_provider(
         return loads, pvs, tuple(prices)
 
     day = _DayForecast(end_ns, step_ns)
+    index = ContextIndex(records)
 
     def provider(now_ns: int) -> ForecastWindow | None:
-        known = context_query(records, now_ns)
+        known = context_query(index, now_ns)
         return day.window(now_ns, tuple(map(id, known)), lambda start, count: compute(known, start, count))
 
     return provider

@@ -13,6 +13,9 @@ storage boundary, so the optimum lies on that grid.
 ``interpolate_reference`` is the replay lookup before it moved from numpy
 ``searchsorted`` to ``bisect`` over memoryviews, kept verbatim so lookups
 can be compared bit for bit, errors included.
+``load_power_reference`` is the synthetic load before its job table: every
+job tested at every instant, kept verbatim (the ``active_at`` test inlined),
+so the table lookup can be compared bit for bit.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from collections import deque
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError, _plan_cost
+from cemsim.models.synthetic import unit_noise
 from cemsim.replay import DEFAULT_BOUNDARY_TOLERANCE_S, TimeSeriesRangeError
 
 JOULES_PER_KWH = 3.6e6
@@ -296,3 +300,17 @@ def interpolate_reference(channel, t_ns, boundary_tolerance_s=DEFAULT_BOUNDARY_T
     v0, v1 = float(channel.values[lo]), float(channel.values[lo + 1])
     fraction = (t_ns - t0) / (t1 - t0)
     return v0 + (v1 - v0) * fraction
+
+
+def load_power_reference(config, t_ns):
+    """Load power at an instant: base plus active jobs plus noise."""
+    power = config.base_load
+    for job in config.job_events:
+        if job.begins_at_ns <= t_ns < job.ends_at_ns:
+            power += job.true_effort * job.watts_per_effort
+    if config.load_noise_amplitude > 0.0:
+        wobble = 2.0 * unit_noise(config.seed, "load", t_ns) - 1.0
+        power += config.load_noise_amplitude * config.base_load * wobble
+        if power < 0.0:
+            return 0.0
+    return power

@@ -3,12 +3,18 @@ record -> validate -> replay loop."""
 from __future__ import annotations
 
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cemsim
 from cemsim import cli, ingest_timeseries
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import TimeSeriesRangeError
@@ -75,6 +81,68 @@ def test_validate_passes_a_runs_own_recording(recording, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["PASS", "PASS"]
     assert lines[0].endswith("10 channels")
+
+
+def test_validate_fails_a_context_line_with_coerced_fields(tmp_path, capsys):
+    """Floats, strings, bools and out-of-range ints in a context line fail
+    validation (exit 1) instead of passing as the ints ``int()`` makes."""
+    path = tmp_path / "coerced.jsonl"
+    line = {"recorded_at_ns": 0.9, "begins_at_ns": "5", "ends_at_ns": 1.0e19, "subsystem_id": True, "payload": {}}
+    path.write_text(json.dumps(line) + "\n")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and "coerced.jsonl:1: recorded_at_ns" in out
+
+
+# Runs the CLI with numpy unimportable: any module-level numpy import on
+# the package's import path, or a numpy call on the PV-first path, fails it.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from cemsim import cli
+sys.exit(cli.main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_a_pv_first_run_needs_no_numpy(recording, tmp_path):
+    """A synthetic PV-first run never imports numpy and writes the same
+    bytes as a run in a process where numpy is importable."""
+    src = str(Path(cemsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "no-numpy"
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(_scenario(tmp_path, "day")), str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+
+
+def _peak_of_run(tmp_path, name, days):
+    """tracemalloc peak (bytes) of ``run_to_directory`` for a PV-first run
+    of ``days`` days at 300 s; the bundle is built before tracing starts."""
+    scenario = load_scenario(_scenario(tmp_path, name, horizon_seconds=days * 86_400, step_seconds=300))
+    bundle = build_bundle(scenario)
+    tracemalloc.start()
+    try:
+        cli.run_to_directory(bundle, tmp_path / name)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_pv_first_runs_memory_stays_flat_over_its_horizon(tmp_path):
+    """Four times the horizon stays within 1.5x the peak memory: artifacts
+    stream to disk and no per-step state is kept.  A week runs first, so
+    the interpreter's free lists (up to 2,000 tuples of each size) are
+    already full and no compared peak holds their one-time fill."""
+    _peak_of_run(tmp_path, "warm-up", 7)
+    week = _peak_of_run(tmp_path, "week", 7)
+    month = _peak_of_run(tmp_path, "month", 28)
+    assert month <= 1.5 * week, (week, month)
 
 
 def test_replaying_a_recording_reproduces_it_bitwise(recording):

@@ -10,6 +10,7 @@ from cemsim import (
     BatteryStepInput,
     BatteryStepResult,
     CompensatedSum,
+    ContextIndex,
     ContextRecord,
     GridStepInput,
     GridStepResult,
@@ -196,6 +197,28 @@ def test_context_query_matches_brute_force(records, now_h):
     """Query result equals plain filter-then-stable-sort on every input."""
     now = now_h * NS_PER_HOUR
     assert context_query(records, now) == brute_force_context(records, now)
+
+
+# Query instants on every hour an edge can sit on, and one ns either side.
+_QUERY_TIMES = st.lists(
+    st.builds(lambda hour, offset: hour * NS_PER_HOUR + offset, st.integers(-1, 41), st.sampled_from((-1, 0, 1))),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(records=_record_lists(), times=_QUERY_TIMES)
+@settings(max_examples=200)
+def test_context_index_answers_like_the_scan_in_any_time_order(records, times):
+    """Through a ContextIndex, queries at times in any order (backwards
+    across edges and exactly on them included) return the very objects
+    the plain scan and the brute-force oracle return, in their order."""
+    index = ContextIndex(records)
+    for now in times:
+        got = context_query(index, now)
+        assert list(map(id, got)) == list(map(id, context_query(records, now)))
+        assert list(map(id, got)) == list(map(id, brute_force_context(records, now)))
+        got.clear()  # each answer is the caller's own list
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Recorded-channel replay: interpolation, file round-trips, replay components."""
+import json
 import math
 
 import numpy as np
@@ -296,6 +297,29 @@ def test_context_ingest_diagnostics(tmp_path):
     path.write_text('{"begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1}\n')
     with pytest.raises(IngestError, match=":1"):
         ingest_context(path)
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("recorded_at_ns", 0.9),
+        ("begins_at_ns", "5"),
+        ("ends_at_ns", 1.0e19),
+        ("ends_at_ns", 2**63),
+        ("subsystem_id", True),
+    ],
+)
+def test_context_ingest_accepts_only_int64_integers(tmp_path, key, value):
+    """A float, a string, a bool or an int beyond int64 is rejected with
+    its line and key instead of being coerced by ``int()``."""
+    fields = {"recorded_at_ns": 0, "begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1}
+    path = tmp_path / "ctx.jsonl"
+    good = json.dumps(fields)
+    path.write_text(good + "\n" + json.dumps({**fields, key: value, "payload": {"text": "x"}}) + "\n")
+    with pytest.raises(IngestError, match=rf"ctx\.jsonl:2: {key} must be an integer within int64"):
+        ingest_context(path)
+    path.write_text(good + "\n")
+    assert len(ingest_context(path)) == 1
 
 
 def test_context_ingest_skips_blank_lines(tmp_path):

@@ -17,6 +17,7 @@ from cemsim import (
     unit_noise,
 )
 from cemsim.models.synthetic import JobEvent, load_power_at, pv_power_at
+from oracles import load_power_reference
 
 NS_PER_HOUR = 3_600_000_000_000
 HALF_HOUR = NS_PER_HOUR // 2
@@ -74,6 +75,45 @@ def test_job_window_adds_effort_times_watts():
     assert load_power_at(config, 10 * NS_PER_HOUR) == 300.0
     assert load_power_at(config, 14 * NS_PER_HOUR - 1) == 300.0
     assert load_power_at(config, 14 * NS_PER_HOUR) == 100.0
+
+
+# Efforts whose products do not add associatively, so a sum taken in
+# another order than the job list's lands on other bits.
+_EFFORTS = st.sampled_from((0.1, 0.2, 0.3, 1.0 / 3.0, 1e-9, 7.0))
+
+
+@st.composite
+def _overlapping_jobs(draw):
+    jobs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        begins = draw(st.integers(min_value=0, max_value=10))
+        ends = draw(st.integers(min_value=begins + 1, max_value=12))
+        jobs.append(JobEvent(begins * NS_PER_HOUR, ends * NS_PER_HOUR, "job", draw(_EFFORTS), draw(_EFFORTS)))
+    return jobs
+
+
+@given(
+    jobs=_overlapping_jobs(),
+    base_load=st.sampled_from((0.1, 100.0, 800)),
+    noise=st.sampled_from((0.0, 0.05)),
+)
+@settings(max_examples=200)
+def test_load_table_equals_the_job_loop_bit_for_bit(jobs, base_load, noise):
+    """The job table gives the job loop's bits at every edge, one ns either
+    side of it, and between edges, with jobs overlapping in any pattern."""
+    config = _config(base_load=base_load, load_noise_amplitude=noise, job_events=jobs)
+    for hour in range(-1, 14):
+        for t in (hour * NS_PER_HOUR - 1, hour * NS_PER_HOUR, hour * NS_PER_HOUR + 1, hour * NS_PER_HOUR + HALF_HOUR):
+            assert repr(load_power_at(config, t)) == repr(load_power_reference(config, t)), t
+
+
+def test_load_table_equals_the_job_loop_over_a_generated_month():
+    jobs = generate_job_events(seed=8, day_count=30, jobs_per_day=4)
+    config = _config(job_events=jobs)
+    edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
+    for edge in edges:
+        for t in (edge - 1, edge, edge + 1):
+            assert repr(load_power_at(config, t)) == repr(load_power_reference(config, t)), t
 
 
 def test_load_noise_stays_within_amplitude():
