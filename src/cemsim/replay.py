@@ -18,19 +18,19 @@ Channel names follow ``<subsystem>_<measurement>``, e.g. ``battery_soc``
 (fraction), ``pv_power`` (W), ``load_active_power`` (W),
 ``grid_active_power`` (W).
 
-Lookups are O(log n) and copy nothing: each :class:`Channel` keeps a
-``memoryview`` of its int64 times and float64 values, :func:`interpolate`
-bisects the times view with :mod:`bisect`, and indexing a view yields the
-plain Python int or float.  Replay components resolve their channels once,
-at construction, and call the module-level :func:`interpolate` per step.
-Ingestion appends each row straight into per-channel ``array`` buffers that
-numpy wraps without a copy; only a channel whose rows arrive out of order
-is sorted.
+Lookups are O(log n) and copy nothing: each :class:`Channel` keeps its
+times in an ``array('q')`` and its values in an ``array('d')`` with a
+``memoryview`` of each, :func:`interpolate` bisects the times view with
+:mod:`bisect`, and indexing a view yields the plain Python int or float.
+Replay components resolve their channels once, at construction, and call
+the module-level :func:`interpolate` per step.  Ingestion appends each row
+straight into its channel's ``array`` pair, which becomes the channel's
+storage; only a channel whose rows arrive out of order is sorted.
 
-numpy is imported inside :meth:`Channel.__post_init__` and
-:func:`ingest_timeseries`, where channels are built, not at module level:
-the CLI imports this module for every command, and a run without a
-recording never builds a channel, so it does not pay numpy's import.
+Nothing here uses numpy: the checks run as builtins over the arrays
+(``all(map(operator.lt, ...))``, ``all(map(math.isfinite, ...))``), so
+``validate``, building a replay scenario and an all-replay ``run`` never
+import it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ import json
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from math import isfinite
+from operator import lt
+from typing import Iterable
 
 from .core import (
     Battery,
@@ -57,9 +59,6 @@ from .core import (
     SimulationError,
     _require,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: (subsystem_id, channel name) of every recorded channel, in the order a
 #: run writes each step's lines to channels.csv.
@@ -99,33 +98,45 @@ class IngestError(ValueError):
 class Channel:
     """One recorded measurement series; times strictly increasing.
 
-    ``times_ns`` and ``values`` are int64/float64 arrays; ``_times`` and
-    ``_values`` are zero-copy memoryviews of them for scalar lookups.
+    ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
+    an ``array('d')`` of finite floats; ``_times`` and ``_values`` are
+    zero-copy memoryviews of them for scalar lookups.  Any sequences of
+    ints and floats are accepted and copied into arrays; arrays of those
+    types are kept as given.  A time that is not an int within int64 is a
+    ``ValueError`` naming the channel, never truncated.
     """
 
     subsystem_id: int
     name: str
-    times_ns: np.ndarray
-    values: np.ndarray
+    times_ns: array
+    values: array
     _times: memoryview = field(init=False, repr=False, compare=False)
     _values: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        times = np.asarray(self.times_ns, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        _require(times.ndim == 1 and values.ndim == 1, "channel arrays must be 1-d")
+        times = _as_array("q", self.times_ns, f"channel {self.name!r} timestamps must be integers within int64")
+        values = _as_array("d", self.values, f"channel {self.name!r} values must be floats")
         _require(len(times) == len(values), "times and values must have equal length")
         _require(len(times) >= 1, f"channel {self.name!r} is empty")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if not all(map(lt, times, times[1:])):
             raise ValueError(f"channel {self.name!r} timestamps must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not all(map(isfinite, values)):
             raise ValueError(f"channel {self.name!r} contains non-finite values")
         object.__setattr__(self, "times_ns", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_times", memoryview(times))
         object.__setattr__(self, "_values", memoryview(values))
+
+
+def _as_array(typecode: str, items, message: str) -> array:
+    """``items`` as an ``array(typecode)``: kept if it is one, else copied;
+    ``message`` is the ValueError for an item the type cannot hold."""
+    if isinstance(items, array) and items.typecode == typecode:
+        return items
+    try:
+        return array(typecode, items)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(message) from exc
 
 
 def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAULT_BOUNDARY_TOLERANCE_S) -> float:
@@ -197,15 +208,14 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     """Parse a channel CSV into a table, validating as it goes.
 
     Rows may arrive unsorted; a channel whose rows are out of order is
-    sorted by time.  Duplicate timestamps within a channel, malformed rows,
-    and non-finite values are rejected with the offending line number.
-    Unknown channel names are an error, since a typo would otherwise
-    silently drop a measurement.
+    sorted by time.  Malformed rows, timestamps beyond int64 and
+    non-finite values are rejected with the offending line number; a
+    duplicate timestamp within a channel is rejected naming the timestamp
+    and the channel.  Unknown channel names are an error, since a typo
+    would otherwise silently drop a measurement.
     Each row goes straight into its channel's ``array('q')``/``array('d')``
-    pair; numpy wraps those buffers without copying.
+    pair, which the channel keeps as its storage.
     """
-    import numpy as np
-
     collected: dict[tuple[int, str], tuple[array, array]] = {}
     # (subsystem_id text, name) -> the appends of its channel, so a row of
     # a channel already seen parses only its timestamp and value
@@ -238,26 +248,24 @@ def ingest_timeseries(path) -> TimeSeriesTable:
                 appends[0](t_ns)
             except OverflowError as exc:
                 raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
+            if not isfinite(value):
+                raise IngestError(f"{path}:{line_number}: channel {row[2]!r} value {row[3]!r} is not finite")
             appends[1](value)
     channels = []
-    for (subsystem_id, name), (time_buffer, value_buffer) in sorted(collected.items()):
-        times = np.frombuffer(time_buffer, dtype=np.int64)
-        values = np.frombuffer(value_buffer, dtype=np.float64)
-        steps = np.diff(times)
-        if (steps < 0).any():
-            order = np.argsort(times, kind="stable")
-            times, values = times[order], values[order]
-            steps = np.diff(times)
-        if not steps.all():
-            duplicate = int(times[int(np.argmin(steps != 0)) + 1])
-            raise IngestError(
-                f"{path}: duplicate timestamp {duplicate} ns in channel "
-                f"({subsystem_id}, {name!r})"
-            )
-        try:
-            channels.append(Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values))
-        except ValueError as exc:
-            raise IngestError(f"{path}: channel ({subsystem_id}, {name!r}): {exc}") from exc
+    for (subsystem_id, name), (times, values) in sorted(collected.items()):
+        if not all(map(lt, times, times[1:])):
+            # out of order, or a repeated timestamp: sort by time, then any
+            # repeat sits next to its twin
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times = array("q", map(times.__getitem__, order))
+            values = array("d", map(values.__getitem__, order))
+            duplicate = next((later for earlier, later in zip(times, times[1:]) if earlier == later), None)
+            if duplicate is not None:
+                raise IngestError(
+                    f"{path}: duplicate timestamp {duplicate} ns in channel "
+                    f"({subsystem_id}, {name!r})"
+                )
+        channels.append(Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values))
     return TimeSeriesTable(channels)
 
 
@@ -266,8 +274,7 @@ def emit_timeseries(path, table: TimeSeriesTable) -> None:
     rows = []
     for subsystem_id, name in table.keys():
         channel = table.channel(subsystem_id, name)
-        for t_ns, value in zip(channel.times_ns, channel.values):
-            rows.append((int(t_ns), subsystem_id, name, float(value)))
+        rows.extend((t_ns, subsystem_id, name, value) for t_ns, value in zip(channel.times_ns, channel.values))
     rows.sort(key=lambda item: (item[0], item[1], item[2]))
     with open(path, "w", newline="") as handle:
         handle.write(",".join(CHANNEL_HEADER) + "\r\n")

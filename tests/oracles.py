@@ -16,17 +16,33 @@ can be compared bit for bit, errors included.
 ``load_power_reference`` is the synthetic load before its job table: every
 job tested at every instant, kept verbatim (the ``active_at`` test inlined),
 so the table lookup can be compared bit for bit.
+``ingest_timeseries_reference`` is the channel-CSV ingest while it used
+numpy (``np.diff``, a stable ``np.argsort``, ``np.isfinite``), kept verbatim
+with the numpy checks of the old ``Channel`` inlined, so the builtin checks
+share no validation with it.  It returns ``{(subsystem_id, name): (times,
+values)}`` as int64/float64 arrays.  Two of its behaviours were since
+changed on purpose: a non-finite value was reported per channel without a
+line, and ``np.diff`` wraps where two times of a channel lie more than
+``2**63 - 1`` ns apart, so such a channel's order was misjudged.
 """
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from collections import deque
 
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError, _plan_cost
 from cemsim.models.synthetic import unit_noise
-from cemsim.replay import DEFAULT_BOUNDARY_TOLERANCE_S, TimeSeriesRangeError
+from cemsim.replay import (
+    CHANNEL_HEADER,
+    DEFAULT_BOUNDARY_TOLERANCE_S,
+    KNOWN_CHANNELS,
+    IngestError,
+    TimeSeriesRangeError,
+)
 
 JOULES_PER_KWH = 3.6e6
 
@@ -314,3 +330,75 @@ def load_power_reference(config, t_ns):
         if power < 0.0:
             return 0.0
     return power
+
+
+def _channel_reference(name, times_ns, values):
+    """The old ``Channel.__post_init__`` checks, numpy and all."""
+    times = np.asarray(times_ns, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if not (times.ndim == 1 and values.ndim == 1):
+        raise ValueError("channel arrays must be 1-d")
+    if len(times) != len(values):
+        raise ValueError("times and values must have equal length")
+    if len(times) < 1:
+        raise ValueError(f"channel {name!r} is empty")
+    if len(times) > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError(f"channel {name!r} timestamps must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"channel {name!r} contains non-finite values")
+    return times, values
+
+
+def ingest_timeseries_reference(path):
+    """Parse a channel CSV into ``{(subsystem_id, name): (times, values)}``."""
+    collected: dict[tuple[int, str], tuple[array, array]] = {}
+    appenders: dict[tuple[str, str], tuple] = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != list(CHANNEL_HEADER):
+            raise IngestError(f"{path}: bad header {header!r}")
+        for line_number, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise IngestError(f"{path}:{line_number}: expected 4 fields, got {len(row)}")
+            appends = appenders.get((row[1], row[2]))
+            try:
+                t_ns = int(row[0])
+                if appends is None:
+                    subsystem_id = int(row[1])
+                value = float(row[3])
+            except ValueError as exc:
+                raise IngestError(f"{path}:{line_number}: {exc}") from exc
+            if appends is None:
+                name = row[2]
+                if name not in KNOWN_CHANNELS:
+                    raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
+                columns = collected.get((subsystem_id, name))
+                if columns is None:
+                    columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
+                appends = appenders[(row[1], name)] = (columns[0].append, columns[1].append)
+            try:
+                appends[0](t_ns)
+            except OverflowError as exc:
+                raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
+            appends[1](value)
+    channels = {}
+    for (subsystem_id, name), (time_buffer, value_buffer) in sorted(collected.items()):
+        times = np.frombuffer(time_buffer, dtype=np.int64)
+        values = np.frombuffer(value_buffer, dtype=np.float64)
+        steps = np.diff(times)
+        if (steps < 0).any():
+            order = np.argsort(times, kind="stable")
+            times, values = times[order], values[order]
+            steps = np.diff(times)
+        if not steps.all():
+            duplicate = int(times[int(np.argmin(steps != 0)) + 1])
+            raise IngestError(
+                f"{path}: duplicate timestamp {duplicate} ns in channel "
+                f"({subsystem_id}, {name!r})"
+            )
+        try:
+            channels[(subsystem_id, name)] = _channel_reference(name, times, values)
+        except ValueError as exc:
+            raise IngestError(f"{path}: channel ({subsystem_id}, {name!r}): {exc}") from exc
+    return channels

@@ -11,7 +11,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cemsim
@@ -66,10 +65,6 @@ def recording(tmp_path_factory):
     return work
 
 
-def _bits(array):
-    return np.ascontiguousarray(array).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # Record -> validate -> replay
 # ---------------------------------------------------------------------------
@@ -95,30 +90,44 @@ def test_validate_fails_a_context_line_with_coerced_fields(tmp_path, capsys):
 
 
 # Runs the CLI with numpy unimportable: any module-level numpy import on
-# the package's import path, or a numpy call on the PV-first path, fails it.
+# the package's import path, or a numpy call on the command's path, fails it.
 _WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None
 from cemsim import cli
-sys.exit(cli.main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]]))
+sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+def _main_without_numpy(*args):
+    src = str(Path(cemsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *map(str, args)], env=env, capture_output=True, text=True)
 
 
 def test_a_pv_first_run_needs_no_numpy(recording, tmp_path):
     """A synthetic PV-first run never imports numpy and writes the same
     bytes as a run in a process where numpy is importable."""
-    src = str(Path(cemsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "no-numpy"
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, str(_scenario(tmp_path, "day")), str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    done = _main_without_numpy("run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
     assert done.returncode == cli.EXIT_OK, done.stderr
     for name in ARTIFACTS:
         assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+
+
+def test_validate_and_an_all_replay_run_need_no_numpy(recording, tmp_path):
+    """Validating a recording and replaying it with every component never
+    import numpy, and the replay writes the same bytes as a replay in a
+    process where numpy is importable."""
+    files = (recording / "rec" / "channels.csv", recording / "rec" / "context.jsonl")
+    done = _main_without_numpy("validate", *files)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    scenario = _replay_scenario(tmp_path, recording / "rec")
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "with-numpy")]) == cli.EXIT_OK
+    done = _main_without_numpy("run", "--scenario", scenario, "--out", tmp_path / "no-numpy")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    for name in ARTIFACTS:
+        assert (tmp_path / "no-numpy" / name).read_bytes() == (tmp_path / "with-numpy" / name).read_bytes(), name
 
 
 def _peak_of_run(tmp_path, name, days):
@@ -153,10 +162,18 @@ def test_replaying_a_recording_reproduces_it_bitwise(recording):
     assert recorded.keys() == replayed.keys()
     for key in recorded.keys():
         want, got = recorded.channel(*key), replayed.channel(*key)
-        assert _bits(got.times_ns) == _bits(want.times_ns), key
+        assert got.times_ns.tobytes() == want.times_ns.tobytes(), key
         if key[1] in REPRODUCED:
-            assert _bits(got.values) == _bits(want.values), key
+            assert got.values.tobytes() == want.values.tobytes(), key
     assert (out / "context.jsonl").read_bytes() == (recording / "rec" / "context.jsonl").read_bytes()
+
+
+def test_two_ingests_of_one_file_give_equal_channels(recording):
+    path = recording / "rec" / "channels.csv"
+    first, second = ingest_timeseries(path), ingest_timeseries(path)
+    assert first.keys() == second.keys()
+    for key in first.keys():
+        assert first.channel(*key) == second.channel(*key), key
 
 
 def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp_path):
@@ -168,8 +185,8 @@ def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp
     got = ingest_timeseries(shuffled)
     assert got.keys() == want.keys()
     for key in want.keys():
-        assert _bits(got.channel(*key).times_ns) == _bits(want.channel(*key).times_ns)
-        assert _bits(got.channel(*key).values) == _bits(want.channel(*key).values)
+        assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes()
+        assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes()
 
 
 # ---------------------------------------------------------------------------

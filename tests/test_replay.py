@@ -2,7 +2,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,19 +28,14 @@ from cemsim import (
 from cemsim.core import ContextRecord
 from cemsim.replay import ReplayComponentConfig
 
-from oracles import interpolate_reference
+from oracles import ingest_timeseries_reference, interpolate_reference
 
 NS = 1_000_000_000
 
 
 def _channel(name, points, subsystem_id=1):
     times, values = zip(*points)
-    return Channel(
-        subsystem_id=subsystem_id,
-        name=name,
-        times_ns=np.array(times, dtype=np.int64),
-        values=np.array(values, dtype=np.float64),
-    )
+    return Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
 
 
 RAMP = _channel("pv_power", [(0, 100.0), (120 * NS, 200.0)])
@@ -120,7 +114,7 @@ def _channel_and_queries(draw):
         st.integers(min_value=first - 10**13, max_value=last + 10**13),
     )
     queries = draw(st.lists(kinds, min_size=1, max_size=20))
-    channel = Channel(1, "pv_power", np.array(times, dtype=np.int64), np.array(values, dtype=np.float64))
+    channel = Channel(1, "pv_power", times, values)
     return channel, tolerance_s, queries
 
 
@@ -145,9 +139,25 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         _channel("pv_power", [(0, float("nan"))])
     with pytest.raises(ValueError):
-        Channel(1, "pv_power", np.array([], dtype=np.int64), np.array([], dtype=np.float64))
+        Channel(1, "pv_power", [], [])
     with pytest.raises(ValueError):
-        Channel(1, "pv_power", np.array([0, 1]), np.array([1.0]))
+        Channel(1, "pv_power", [0, 1], [1.0])
+
+
+@pytest.mark.parametrize("times", [(0.9, 60.7), (0, 2**63), (-(2**63) - 1, 0)])
+def test_channel_accepts_only_int64_integer_times(times):
+    """A float time is not truncated and a time beyond int64 does not
+    escape as OverflowError: both are a ValueError naming the channel."""
+    with pytest.raises(ValueError, match="channel 'pv_power' timestamps must be integers within int64"):
+        Channel(1, "pv_power", times, (1.0, 2.0))
+
+
+def test_channel_keeps_int64_edge_times_and_compares_by_value():
+    edges = (-(2**63), 0, 2**63 - 1)
+    channel = Channel(1, "pv_power", edges, (1.0, -0.0, 5e-324))
+    assert tuple(channel.times_ns) == edges
+    assert channel == Channel(1, "pv_power", list(edges), [1.0, -0.0, 5e-324])
+    assert channel != Channel(1, "pv_power", edges, (1.0, -0.0, 1e-300))
 
 
 def test_table_rejects_duplicate_channels():
@@ -241,6 +251,105 @@ def test_ingest_rejects_duplicate_timestamps(tmp_path):
     )
     with pytest.raises(IngestError, match="duplicate timestamp"):
         ingest_timeseries(path)
+
+
+def test_ingest_names_the_line_of_a_non_finite_value(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        "0,1,pv_power,100\n"
+        f"{60 * NS},1,pv_power,nan\n"
+    )
+    with pytest.raises(IngestError, match=r"nan\.csv:3: channel 'pv_power' value 'nan' is not finite"):
+        ingest_timeseries(path)
+
+
+def test_ingest_sorts_a_channel_spanning_the_int64_range(tmp_path):
+    """Consecutive times further apart than 2**63 - 1 ns are compared as
+    ints; an int64 difference of them would wrap and misjudge the order."""
+    path = tmp_path / "edges.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        f"{2**63 - 1},1,pv_power,1\n"
+        f"{-(2**63)},1,pv_power,2\n"
+        "-1,1,pv_power,3\n"
+    )
+    channel = ingest_timeseries(path).channel(1, "pv_power")
+    assert list(channel.times_ns) == [-(2**63), -1, 2**63 - 1]
+    assert list(channel.values) == [2.0, 3.0, 1.0]
+
+
+# Each channel's times come from one band no wider than 2**62, so the
+# reference's int64 np.diff never wraps; the test above covers wider spans.
+_BANDS = ((-(2**63), -(2**63) + 2**62), (-(2**40), 2**40), (2**63 - 1 - 2**62, 2**63 - 1))
+_KEYS = ((1, "pv_power"), (2, "pv_power"), (3, "battery_soc"), (4, "grid_active_power"))
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 / 3, 123456.78901234567]
+)
+_FAULTS = (
+    ("non-finite", lambda row: [*row[:3], "nan"]),
+    ("non-finite", lambda row: [*row[:3], "-Infinity"]),
+    ("overflow", lambda row: [str(2**63), *row[1:]]),
+    ("overflow", lambda row: [str(-(2**63) - 1), *row[1:]]),
+    ("unparsable", lambda row: ["1.5", *row[1:]]),
+    ("unknown channel", lambda row: [*row[:2], "pv_powr", row[3]]),
+    ("short row", lambda row: row[:3]),
+)
+
+
+@st.composite
+def _recording(draw):
+    """(rows, {line: fault}): one to three channels' rows, interleaved in
+    any order, with int64-edge times, repeated times, signed zeros,
+    subnormals and 17-digit values, and up to two faulty rows."""
+    rows = []
+    for subsystem_id, name in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True)):
+        lo, hi = draw(st.sampled_from(_BANDS))
+        times = st.integers(lo, hi) | st.sampled_from([lo, lo + 1, hi - 1, hi])
+        for t_ns in draw(st.lists(times, min_size=1, max_size=8, unique=draw(st.booleans()))):
+            value = draw(_VALUES)
+            rows.append([str(t_ns), str(subsystem_id), name, draw(st.sampled_from([repr(value), "%.17g" % value]))])
+    rows = draw(st.permutations(rows))
+    faults = {}
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(rows) - 1))
+        if index + 2 not in faults:
+            faults[index + 2], spoil = draw(st.sampled_from(_FAULTS))
+            rows[index] = spoil(rows[index])
+    return rows, faults
+
+
+def _ingest(ingest, path):
+    try:
+        return ingest(path)
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+@given(_recording())
+@settings(max_examples=300)
+def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording):
+    """The same channels, times and value bits (sign of zero included) as
+    the numpy ingest, or the same error type and message.  A non-finite
+    value is the one change: it is reported at its line, in row order."""
+    rows, faults = recording
+    path = tmp_path_factory.mktemp("ingest") / "rec.csv"
+    path.write_text("timestamp_ns,subsystem_id,channel,value\n" + "".join(",".join(row) + "\n" for row in rows))
+    want = _ingest(ingest_timeseries_reference, path)
+    got = _ingest(ingest_timeseries, path)
+    if faults:
+        assert isinstance(want, IngestError), want
+    if faults and faults[min(faults)] == "non-finite":
+        row = rows[min(faults) - 2]
+        want = IngestError(f"{path}:{min(faults)}: channel {row[2]!r} value {row[3]!r} is not finite")
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert got.keys() == sorted(want)
+    for key, (times, values) in want.items():
+        channel = got.channel(*key)
+        assert channel.times_ns.tobytes() == times.tobytes(), key
+        assert channel.values.tobytes() == values.tobytes(), key
 
 
 def test_timeseries_round_trip_is_bit_exact(tmp_path):
