@@ -1,9 +1,20 @@
 """Command-line interface: scenario runs, strategy comparison, forecast
 evaluation, and recording validation.
 
-Exit codes: 0 success, 1 configuration error (bad flags, bad scenario,
-missing files, invalid recordings), 2 runtime simulation error.  All
-commands are deterministic for fixed seeds and inputs; artifacts are
+Exit codes: 0 success, 1 configuration error, 2 runtime simulation error.
+A flag argparse rejects exits 1 with the usage message.  Past that, one
+failure policy covers every command but ``validate`` (which prints PASS
+or FAIL per file and exits 1 if any fails): a ``SimulationError`` (a
+component failing mid-run, an infeasible plan, an unreachable effort
+estimator) exits 2, and a ``ConfigurationError``, ``ValueError`` or
+``OSError`` (a bad scenario or name list, a missing file, an invalid
+recording, an artifact that cannot be written) exits 1.  Either prints
+one ``error:`` line to stderr, which names the scenario whenever the
+command was given exactly one; ``run`` names each failing scenario and
+goes on with the next.  Any other exception is a bug and keeps its
+traceback.
+
+All commands are deterministic for fixed seeds and inputs; artifacts are
 byte-identical across reruns.  ``run`` takes repeatable ``--scenario``
 flags and runs the scenarios one after another, each into its own
 directory (``<out>/<stem>/`` under ``--out``); two scenarios that would
@@ -16,7 +27,7 @@ sets the log level (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +37,7 @@ from bisect import bisect_right
 from pathlib import Path
 
 from .core import ConfigurationError, SimulationError
-from .engine import MAXIMA_KEYS, SimulatorStepOutput, run
+from .engine import SimulatorStepOutput, run
 from .forecast import FAMILIES, evaluate_families
 from .models.synthetic import NS_PER_DAY, NS_PER_HOUR
 from .replay import (
@@ -37,6 +48,7 @@ from .replay import (
     emit_context,
     ingest_context,
     ingest_timeseries,
+    write_csv,
 )
 from .scenario import (
     STRATEGIES,
@@ -86,9 +98,14 @@ STEP_HEADER = (
 
 SUMMARY_SCHEMA_VERSION = 1
 
+#: What a command reports as an ``error:`` line instead of a traceback.
+_FAILURES = (ConfigurationError, SimulationError, ValueError, OSError)
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+
+def _failed(exc: Exception, where: str = "") -> int:
+    """Print ``error: {where}{exc}`` to stderr; return the exit code of ``exc``."""
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return EXIT_RUNTIME if isinstance(exc, SimulationError) else EXIT_CONFIG
 
 
 # A step's line of steps.csv, byte for byte as csv.writer writes it:
@@ -101,7 +118,6 @@ _CHANNEL_TEMPLATE = "".join(CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
-    aggregates = bundle.simulator.aggregates()
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "strategy": bundle.strategy,
@@ -111,15 +127,8 @@ def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: Simulat
         "step_seconds": scenario.step_seconds,
         "steps": steps,
         "final_soc": last.battery.soc,
-        "aggregates": {
-            "generated_wh": aggregates.generated_wh,
-            "consumed_wh": aggregates.consumed_wh,
-            "purchased_wh": aggregates.purchased_wh,
-            "charged_wh": aggregates.charged_wh,
-            "discharged_wh": aggregates.discharged_wh,
-            "cost": aggregates.cost,
-        },
-        "maxima": {key: bundle.simulator.maxima()[key] for key in MAXIMA_KEYS},
+        "aggregates": dataclasses.asdict(bundle.simulator.aggregates()),
+        "maxima": bundle.simulator.maxima(),
     }
 
 
@@ -147,8 +156,8 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     with open(out_dir / "steps.csv", "w", newline="") as steps_handle, open(
         out_dir / "channels.csv", "w", newline=""
     ) as channels_handle:
-        csv.writer(steps_handle).writerow(STEP_HEADER)
-        csv.writer(channels_handle).writerow(CHANNEL_HEADER)
+        steps_handle.write(",".join(STEP_HEADER) + "\r\n")
+        channels_handle.write(",".join(CHANNEL_HEADER) + "\r\n")
         write_step = steps_handle.write
         write_channels = channels_handle.write
 
@@ -183,7 +192,7 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
                     inverter.grid_input.requested_apparent_power,
                     grid.delivered_active_power,
                     grid.delivered_apparent_power,
-                    getattr(grid, "cost", 0.0),
+                    grid.cost,
                     inverter.pv_power_drawn,
                     aggregates.generated_wh,
                     aggregates.consumed_wh,
@@ -237,28 +246,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             scenario = load_scenario(path, args.seed, args.step_seconds)
-        except (ConfigurationError, ValueError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            codes.append(EXIT_CONFIG)
+        except _FAILURES as exc:
+            codes.append(_failed(exc, f"{path}: "))
             continue
         out_dir = _default_out_dir(path, scenario, args.out, multi).resolve()
         if out_dir in planned:
             raise ConfigurationError(f"--scenario {planned[out_dir][0]} and {path} would both write {out_dir}")
         planned[out_dir] = (path, scenario)
 
-    def one(path: Path, scenario: Scenario, out_dir: Path) -> int:
+    for out_dir, (path, scenario) in planned.items():
         try:
             summary = run_to_directory(build_bundle(scenario, "default"), out_dir)
-        except (ConfigurationError, ValueError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except SimulationError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+        except _FAILURES as exc:
+            codes.append(_failed(exc, f"{path}: "))
+            continue
         print(f"{path}: {summary['steps']} steps, cost {summary['aggregates']['cost']:.6f} -> {out_dir}")
-        return EXIT_OK
-
-    return max(codes + [one(path, scenario, out_dir) for out_dir, (path, scenario) in planned.items()])
+    return max(codes, default=EXIT_OK)
 
 
 class _CostTrace:
@@ -298,54 +301,52 @@ def _single_scenario(args: argparse.Namespace) -> Path:
 def cmd_compare(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
     strategies = _listed("--strategies", args.strategies, STRATEGIES, list(STRATEGIES))
-
-    try:
-        scenario = load_scenario(path, args.seed, args.step_seconds)
-        out_dir = _default_out_dir(path, scenario, args.out, False)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results: dict[str, _CostTrace] = {}
-        bundles: dict[str, SimulationBundle] = {}
-        for strategy in strategies:
-            bundle = build_bundle(scenario, strategy)
-            trace = _CostTrace()
-            run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=trace)
-            results[strategy] = trace
-            bundles[strategy] = bundle
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    scenario = load_scenario(path, args.seed, args.step_seconds)
+    out_dir = _default_out_dir(path, scenario, args.out, False)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results: dict[str, _CostTrace] = {}
+    bundles: dict[str, SimulationBundle] = {}
+    for strategy in strategies:
+        bundle = build_bundle(scenario, strategy)
+        trace = _CostTrace()
+        run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=trace)
+        results[strategy] = trace
+        bundles[strategy] = bundle
 
     costs = [results[s].costs for s in strategies]
-    with open(out_dir / "running_cost.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step_index", "time_ns"] + [f"cost_{s}" for s in strategies])
-        for i, t_ns in enumerate(results[strategies[0]].times):
-            writer.writerow([i, t_ns, *(_fmt(column[i]) for column in costs)])
+    write_csv(
+        out_dir / "running_cost.csv",
+        ["step_index", "time_ns"] + [f"cost_{s}" for s in strategies],
+        "%d,%d" + ",%.17g" * len(strategies) + "\r\n",
+        ((i, t_ns, *(column[i] for column in costs)) for i, t_ns in enumerate(results[strategies[0]].times)),
+    )
 
     # Per-day, per-hour cumulative savings of context-aware MPC over the
     # PV-first default (cumulative within each day).
     if "default" in results and "mpc-context" in results:
-        with open(out_dir / "savings.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["day"] + [f"h{h:02d}" for h in range(24)])
-            default, context = results["default"], results["mpc-context"]
-            for day in range(scenario.day_count):
-                day_start = scenario.start_ns + day * NS_PER_DAY
-                base = default.cost_at(day_start)
-                base_ctx = context.cost_at(day_start)
-                row: list = [day]
-                for hour in range(24):
-                    boundary = min(day_start + (hour + 1) * NS_PER_HOUR, scenario.end_ns)
-                    saved = (default.cost_at(boundary) - base) - (context.cost_at(boundary) - base_ctx)
-                    row.append(_fmt(saved))
-                writer.writerow(row)
+        default, context = results["default"], results["mpc-context"]
+        rows = []
+        for day in range(scenario.day_count):
+            day_start = scenario.start_ns + day * NS_PER_DAY
+            base = default.cost_at(day_start)
+            base_ctx = context.cost_at(day_start)
+            row = [day]
+            for hour in range(24):
+                boundary = min(day_start + (hour + 1) * NS_PER_HOUR, scenario.end_ns)
+                row.append((default.cost_at(boundary) - base) - (context.cost_at(boundary) - base_ctx))
+            rows.append(tuple(row))
+        header = ["day"] + [f"h{h:02d}" for h in range(24)]
+        write_csv(out_dir / "savings.csv", header, "%d" + ",%.17g" * 24 + "\r\n", rows)
 
     for strategy, bundle in bundles.items():
         if bundle.controller is not None and bundle.controller.first_plan is not None:
-            bundle.controller.first_plan.write_csv(out_dir / f"plan_{strategy}.csv")
+            plan = bundle.controller.first_plan
+            write_csv(
+                out_dir / f"plan_{strategy}.csv",
+                ("step_index", "grid_power_w", "soc_after", "price_per_kwh"),
+                "%d,%.17g,%.17g,%.17g\r\n",
+                zip(range(len(plan.grid_power_w)), plan.grid_power_w, plan.soc_trajectory[1:], plan.prices),
+            )
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -369,45 +370,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_forecast_eval(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
-    try:
-        scenario = load_scenario(path, args.seed, args.step_seconds)
-        families = _listed("--families", args.families, FAMILIES, scenario.forecast["families"])
-        base = synthetic_config(scenario)
-        effort_fn = effort_estimator(scenario)
-        out_dir = _default_out_dir(path, scenario, args.out, False)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    scenario = load_scenario(path, args.seed, args.step_seconds)
+    families = _listed("--families", args.families, FAMILIES, scenario.forecast["families"])
+    base = synthetic_config(scenario)
+    effort_fn = effort_estimator(scenario)
+    out_dir = _default_out_dir(path, scenario, args.out, False)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        rows = []
-        means: dict[str, list[float]] = {family: [] for family in families}
-        count = (scenario.end_ns - scenario.start_ns) // scenario.step_ns
-        for resample in range(scenario.forecast["resamples"]):
-            records, times, loads = synthetic_load_samples(
-                scenario, base, scenario.seed + resample, scenario.day_count, count
-            )
-            report = evaluate_families(
-                records,
-                times,
-                loads,
-                train_fraction=scenario.forecast["train_fraction"],
-                families=families,
-                effort_fn=effort_fn,
-            )
-            for family in families:
-                rows.append((family, resample, report[family]))
-                means[family].append(report[family])
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    rows = []
+    means: dict[str, list[float]] = {family: [] for family in families}
+    count = (scenario.end_ns - scenario.start_ns) // scenario.step_ns
+    for resample in range(scenario.forecast["resamples"]):
+        records, times, loads = synthetic_load_samples(
+            scenario, base, scenario.seed + resample, scenario.day_count, count
+        )
+        report = evaluate_families(
+            records,
+            times,
+            loads,
+            train_fraction=scenario.forecast["train_fraction"],
+            families=families,
+            effort_fn=effort_fn,
+        )
+        for family in families:
+            rows.append((family, resample, report[family]))
+            means[family].append(report[family])
 
     rows.sort(key=lambda item: (families.index(item[0]), item[1]))
-    with open(out_dir / "rmse.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["family", "resample", "rmse_w"])
-        for family, resample, value in rows:
-            writer.writerow([family, resample, _fmt(value)])
+    write_csv(out_dir / "rmse.csv", ("family", "resample", "rmse_w"), "%s,%d,%.17g\r\n", rows)
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -509,12 +499,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except _FAILURES as exc:
+        scenarios = getattr(args, "scenario", ())
+        return _failed(exc, f"{Path(scenarios[0])}: " if len(scenarios) == 1 else "")
 
 
 if __name__ == "__main__":

@@ -132,22 +132,6 @@ class ChargingPlan:
     total_cost: float
     purchased_energy_j: float
 
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step_index", "grid_power_w", "soc_after", "price_per_kwh"])
-            for i, power in enumerate(self.grid_power_w):
-                writer.writerow(
-                    [
-                        i,
-                        format(power, ".17g"),
-                        format(self.soc_trajectory[i + 1], ".17g"),
-                        format(self.prices[i], ".17g"),
-                    ]
-                )
-
 
 def _plan_cost(prices: Sequence[float], grid_power_w: Sequence[float], dt_s: float) -> float:
     acc = CompensatedSum()
@@ -411,14 +395,6 @@ class MPCInverter(Inverter):
     def __init__(self, config: InverterPVFirstConfig, controller: RecedingHorizonController) -> None:
         self._config = config
         self._controller = controller
-
-    @property
-    def config(self) -> InverterPVFirstConfig:
-        return self._config
-
-    @property
-    def controller(self) -> RecedingHorizonController:
-        return self._controller
 
     def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
         soc = inverter_input.battery.soc

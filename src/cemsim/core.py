@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 
 NS_PER_SECOND = 1_000_000_000
 JOULES_PER_KWH = 3.6e6
-SECONDS_PER_HOUR = 3600.0
 
 
 class ConfigurationError(Exception):
@@ -116,10 +115,13 @@ class GridStepInput:
 
 @dataclass(frozen=True, slots=True)
 class GridStepResult:
-    """Power the grid actually delivered during the step (W / VA)."""
+    """Power the grid actually delivered during the step (W / VA), the
+    metered cost of the delivered energy, and whether a limit clamped it."""
 
     delivered_active_power: float
     delivered_apparent_power: float
+    cost: float = 0.0
+    limit_violation: bool = False
 
     def __post_init__(self) -> None:
         active, apparent = self.delivered_active_power, self.delivered_apparent_power

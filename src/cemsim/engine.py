@@ -25,8 +25,6 @@ from typing import Callable, Mapping
 from .core import (
     NS_PER_SECOND,
     Battery,
-    BatteryMode,
-    BatteryStepInput,
     BatteryStepResult,
     ConfigurationError,
     Context,
@@ -243,10 +241,7 @@ class Simulator:
         purchased = grid_result.delivered_active_power * dt_wh
         charged = delta_e * WH_PER_J if delta_e > 0.0 else 0.0
         discharged = -delta_e * WH_PER_J if delta_e < 0.0 else 0.0
-        try:
-            cost = grid_result.cost
-        except AttributeError:
-            cost = 0.0
+        cost = grid_result.cost
         self._books.add(generated, consumed, purchased, charged, discharged, cost)
 
         # Maxima rarely grow once a run settles, so test cheaply first and

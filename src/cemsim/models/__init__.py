@@ -5,7 +5,6 @@ from .battery import BatteryLinear, BatteryLinearConfig, battery_linear_step
 from .grid import (
     GridPriced,
     GridPricedConfig,
-    PricedGridStepResult,
     PriceSchedule,
     grid_priced_step,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "battery_linear_step",
     "GridPriced",
     "GridPricedConfig",
-    "PricedGridStepResult",
     "PriceSchedule",
     "grid_priced_step",
     "InverterPVFirst",

@@ -78,20 +78,12 @@ class GridPricedConfig:
             _require(self.apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class PricedGridStepResult(GridStepResult):
-    """Grid delivery plus the metered cost and a limit-violation flag."""
-
-    cost: float = 0.0
-    limit_violation: bool = False
-
-
 def grid_priced_step(
     grid_input: GridStepInput,
     config: GridPricedConfig,
     now_ns: int,
     dt_s: float,
-) -> PricedGridStepResult:
+) -> GridStepResult:
     """Deliver one step: clamp to limits, flag violations, meter cost.
 
     The price is sampled at the step's start (``now_ns``).  An apparent-power
@@ -112,7 +104,7 @@ def grid_priced_step(
         delivered_active = delivered_apparent
     price = config.schedule.price_at(now_ns)
     cost = grid_energy_cost(price, delivered_active, dt_s)
-    return PricedGridStepResult(delivered_active, delivered_apparent, cost, violation)
+    return GridStepResult(delivered_active, delivered_apparent, cost, violation)
 
 
 class GridPriced(Grid):
@@ -121,9 +113,5 @@ class GridPriced(Grid):
     def __init__(self, config: GridPricedConfig) -> None:
         self._config = config
 
-    @property
-    def config(self) -> GridPricedConfig:
-        return self._config
-
-    def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> PricedGridStepResult:
+    def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         return grid_priced_step(grid_input, self._config, start_ns, (end_ns - start_ns) / NS_PER_SECOND)

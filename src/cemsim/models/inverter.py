@@ -221,9 +221,5 @@ class InverterPVFirst(Inverter):
     def __init__(self, config: InverterPVFirstConfig | None = None) -> None:
         self._config = config if config is not None else InverterPVFirstConfig()
 
-    @property
-    def config(self) -> InverterPVFirstConfig:
-        return self._config
-
     def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
         return inverter_pv_first_step(inverter_input, self._config, (end_ns - start_ns) / NS_PER_SECOND)

@@ -260,16 +260,18 @@ JOB_TEMPLATES: dict[float, tuple[str, ...]] = {
 }
 
 
+#: (earliest, latest) hour of the day a generated job begins, and
+#: (shortest, longest) duration in hours; both drawn uniformly.
+JOB_START_HOURS = (7.0, 19.0)
+JOB_DURATION_HOURS = (2.0, 6.0)
+
+
 def generate_job_events(
     seed: int,
     day_count: int,
     start_ns: int = 0,
     jobs_per_day: int = 2,
     watts_per_effort: float = 250.0,
-    min_duration_hours: float = 2.0,
-    max_duration_hours: float = 6.0,
-    earliest_start_hour: float = 7.0,
-    latest_start_hour: float = 19.0,
 ) -> tuple[JobEvent, ...]:
     """Seeded random jobs, one batch per day, drawn from the template table."""
     rng = random.Random(seed)
@@ -279,8 +281,8 @@ def generate_job_events(
         for _ in range(jobs_per_day):
             effort = rng.choice(efforts)
             text = rng.choice(JOB_TEMPLATES[effort])
-            begin_hour = rng.uniform(earliest_start_hour, latest_start_hour)
-            duration_h = rng.uniform(min_duration_hours, max_duration_hours)
+            begin_hour = rng.uniform(*JOB_START_HOURS)
+            duration_h = rng.uniform(*JOB_DURATION_HOURS)
             begins = start_ns + day * NS_PER_DAY + int(begin_hour * NS_PER_HOUR)
             ends = begins + int(duration_h * NS_PER_HOUR)
             events.append(

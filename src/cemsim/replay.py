@@ -86,6 +86,20 @@ CHANNEL_HEADER = ("timestamp_ns", "subsystem_id", "channel", "value")
 CHANNEL_ROW = "%d,%d,%s,%.17g\r\n"
 
 
+def write_csv(path, header: Iterable[str], template: str, rows: Iterable[tuple]) -> None:
+    """Write ``header`` and then ``template % row`` for each row to ``path``.
+
+    With ``%d``/``%s`` fields and ``%.17g`` floats, and lines ending
+    ``"\r\n"`` as CHANNEL_ROW's do, the bytes are csv.writer's provided no
+    field needs quoting.  That holds for every CSV artifact cemsim writes:
+    each field is a number or a fixed identifier (a column, channel,
+    strategy or family name).
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(template % row for row in rows)
+
+
 class TimeSeriesRangeError(SimulationError):
     """A replay lookup fell outside the recorded range plus tolerance."""
 
@@ -253,7 +267,11 @@ def ingest_timeseries(path) -> TimeSeriesTable:
             appends[1](value)
     channels = []
     for (subsystem_id, name), (times, values) in sorted(collected.items()):
-        if not all(map(lt, times, times[1:])):
+        try:
+            # the row loop checked every time and value, so the channel can
+            # only reject its order; an in-order channel is scanned once
+            channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
+        except ValueError:
             # out of order, or a repeated timestamp: sort by time, then any
             # repeat sits next to its twin
             order = sorted(range(len(times)), key=times.__getitem__)
@@ -264,8 +282,9 @@ def ingest_timeseries(path) -> TimeSeriesTable:
                 raise IngestError(
                     f"{path}: duplicate timestamp {duplicate} ns in channel "
                     f"({subsystem_id}, {name!r})"
-                )
-        channels.append(Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values))
+                ) from None
+            channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
+        channels.append(channel)
     return TimeSeriesTable(channels)
 
 
@@ -276,9 +295,7 @@ def emit_timeseries(path, table: TimeSeriesTable) -> None:
         channel = table.channel(subsystem_id, name)
         rows.extend((t_ns, subsystem_id, name, value) for t_ns, value in zip(channel.times_ns, channel.values))
     rows.sort(key=lambda item: (item[0], item[1], item[2]))
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(CHANNEL_HEADER) + "\r\n")
-        handle.writelines(CHANNEL_ROW % row for row in rows)
+    write_csv(path, CHANNEL_HEADER, CHANNEL_ROW, rows)
 
 
 def ingest_context(path) -> tuple[ContextRecord, ...]:

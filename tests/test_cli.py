@@ -2,6 +2,7 @@
 record -> validate -> replay loop."""
 from __future__ import annotations
 
+import csv
 import json
 import os
 import random
@@ -254,6 +255,46 @@ def test_a_missing_scenario_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert cli.main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert "absent.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, artifact, flags",
+    [("compare", "running_cost.csv", ["--strategies", "default"]), ("forecast-eval", "rmse.csv", [])],
+    ids=["compare", "forecast-eval"],
+)
+def test_an_artifact_that_cannot_be_written_exits_1_naming_the_scenario(tmp_path, capsys, command, artifact, flags):
+    """A failed artifact write is one ``error:`` line naming the scenario
+    and exit 1, not a traceback."""
+    path = _scenario(tmp_path, "day", step_seconds=240)
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)
+    assert cli.main([command, "--scenario", str(path), *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and artifact in err
+    assert len(err.splitlines()) == 1
+
+
+def test_compares_plan_csv_parses_back_to_the_first_plan(tmp_path, monkeypatch):
+    """plan_<strategy>.csv holds the controller's first plan, every float
+    round-tripping bit for bit."""
+    bundles = []
+
+    def keep(scenario, strategy="default"):
+        bundles.append(build_bundle(scenario, strategy))
+        return bundles[-1]
+
+    monkeypatch.setattr(cli, "build_bundle", keep)
+    path = _scenario(tmp_path, "day", step_seconds=240)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--scenario", str(path), "--strategies", "mpc-perfect", "--out", str(out)]) == cli.EXIT_OK
+    plan = bundles[0].controller.first_plan
+    with open(out / "plan_mpc-perfect.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(plan.grid_power_w) > 1
+    assert [int(r["step_index"]) for r in rows] == list(range(len(rows)))
+    assert [float(r["grid_power_w"]) for r in rows] == list(plan.grid_power_w)
+    assert [float(r["soc_after"]) for r in rows] == list(plan.soc_trajectory[1:])
+    assert [float(r["price_per_kwh"]) for r in rows] == list(plan.prices)
 
 
 def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording, capsys):

@@ -1,5 +1,4 @@
 """Charging plan solver and the receding-horizon control loop."""
-import csv
 import dataclasses
 import random
 
@@ -263,17 +262,6 @@ def test_forecast_revision_shrinks_remaining_purchases():
     assert revised.purchased_energy_j < original.purchased_energy_j
     assert revised.total_cost < original.total_cost
     assert sum(revised.grid_power_w[2:]) <= sum(original.grid_power_w[2:])
-
-
-def test_plan_csv_round_trips(tmp_path):
-    plan = solve_charging(_problem([0.1, 1.0], [0.0, 1000.0]))
-    path = tmp_path / "plan.csv"
-    plan.write_csv(path)
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 2
-    assert [float(r["grid_power_w"]) for r in rows] == list(plan.grid_power_w)
-    assert [float(r["soc_after"]) for r in rows] == list(plan.soc_trajectory[1:])
 
 
 def test_forecast_window_validation():
