@@ -19,8 +19,8 @@ as late as possible, which pins the solution down deterministically.
 
 The candidate steps for boundary k are the steps t < k.  They sit in a
 heap keyed (price, -t), so they come out in the greedy's order, and step
-k - 1 is pushed when boundary k is reached.  A popped candidate is dropped
-for good only when it can never buy again:
+k - 1 joins them when boundary k is reached.  A popped candidate is
+dropped for good only when it can never buy again:
 
 * t lies before the barrier (a saturated boundary it cannot push past);
 * its grid-cap room is used up (room only shrinks); or
@@ -31,13 +31,31 @@ Every candidate that bought at boundary k is set aside and pushed back
 after k, including one whose take was cut to the headroom: the purchase
 need not land exactly on the ceiling, so the saturated boundary can keep
 an ulp of headroom and the same step buys again at a later boundary.
-The purchase bookkeeping (the slice-add on the cumulative purchases and
-the segment argmin) keeps its float summation order, so plans are bitwise
-those of the earlier full rescan of the price order per boundary.  Heap
-work is O((T + purchases) log T) per solve against O(T) visits per
-boundary before; the slice-add and argmin stay O(T) per purchase.  One
-full-day solve at T = 720 / 1440 / 2880 steps measured 21.9 / 82.6 /
-328 ms before and 2.7 / 5.7 / 12.0 ms after (2-vCPU Xeon VM).
+
+The walk pays only for what a purchase carries.  With bought[j] the sum
+of purchases in steps < j, a purchase at step t adds to every boundary
+after t, and t < k, so every boundary j >= k has received every purchase
+so far, in the same order: bought[j] equals one running float, total,
+bit for bit.  Only the boundaries the walk has passed are kept in an
+array (bought[k - 1] = total is written as boundary k is reached), and a
+purchase at t adds its take to bought[t + 1 : k], the carry range its
+headroom scan reads, and to total; nothing is added past k.  Most
+purchases carry nothing (t = k - 1): they touch no array at all.
+Every bought[j], need and purchase is the same sequence of float
+operations as in the reference greedy's full-suffix adds, so plans are
+bitwise those of the earlier full rescan of the price order per boundary.
+
+numpy stays where it pays: the set-up arrays (free energy, ceiling,
+requirement and the infeasibility check, one vector pass each, about a
+third of the time of the same work on lists from itertools.accumulate
+over the 202 windows of a 1 d @240 s compare), the carry ranges
+(headroom scan and range add; a pure-Python carry loop made the T = 2880
+solve about 3.5 times slower) and the SOC trajectory.  The
+per-boundary scalars (requirement, price, total, need and the per-step
+purchases) are Python floats.  One full-day solve at T = 720 / 1440 /
+2880 steps took 5.4 / 10.7 / 22.3 ms with full-suffix adds and 2.8 / 5.8 /
+11.9 ms with suffix totals (``bench/probe.py solver``, medians of five
+alternating runs on a 2-vCPU Xeon VM).
 
 numpy is imported inside :func:`solve_charging`, its only user, so a run
 that never plans (PV-first, replay) does not pay numpy's import.
@@ -45,9 +63,10 @@ that never plans (PV-first, replay) does not pay numpy's import.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .core import (
@@ -123,14 +142,21 @@ class ChargingProblem:
 
 @dataclass(frozen=True)
 class ChargingPlan:
-    """A feasible purchase schedule and its bookkeeping."""
+    """A feasible purchase schedule and its bookkeeping.
+
+    total_cost is summed on first read: a controller that re-plans every
+    step builds many plans whose cost nobody reads.
+    """
 
     step_seconds: float
     grid_power_w: tuple[float, ...]
     soc_trajectory: tuple[float, ...]  # length horizon + 1, starts at soc_initial
     prices: tuple[float, ...]
-    total_cost: float
     purchased_energy_j: float
+
+    @cached_property
+    def total_cost(self) -> float:
+        return _plan_cost(self.prices, self.grid_power_w, self.step_seconds)
 
 
 def _plan_cost(prices: Sequence[float], grid_power_w: Sequence[float], dt_s: float) -> float:
@@ -150,6 +176,7 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
 
     horizon = problem.horizon
     dt = problem.step_seconds
+    prices = problem.prices
     capacity = problem.capacity_j
     e_min = problem.soc_min * capacity
     e_max = problem.soc_max * capacity
@@ -184,61 +211,57 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
             raise InfeasibleProblemError(j, "shortfall exceeds storage headroom")
         raise InfeasibleProblemError(j, "shortfall exceeds the grid power cap")
 
-    purchases = np.zeros(horizon)  # J bought per step
-    bought = np.zeros(horizon + 1)  # cumulative purchases at each boundary
+    purchases = [0.0] * horizon  # J bought per step
+    bought = np.zeros(horizon + 1)  # written for each boundary the walk passes
+    total = 0.0  # bought at every boundary the walk has not passed
     # Candidate steps t < k, cheapest first; price ties prefer the later step.
     candidates: list[tuple[float, int]] = []
     barrier = 0  # steps before this cannot push energy past a saturated boundary
 
-    for k in range(1, horizon + 1):
-        heapq.heappush(candidates, (problem.prices[k - 1], 1 - k))
-        need = required[k - 1] - bought[k]
-        if need <= 0.0:
-            continue
+    for k, (floor, price) in enumerate(zip(required.tolist(), prices), 1):
+        bought[k - 1] = total
+        need = floor - total
+        heappush(candidates, (price, 1 - k))
         kept = []  # bought from at this boundary; may buy again at a later one
         while need > 0.0 and candidates:
-            candidate = heapq.heappop(candidates)
+            candidate = heappop(candidates)
             t = -candidate[1]
             if t < barrier:
                 continue
             room = cap_per_step - purchases[t]
             if room <= 0.0:
                 continue
+            take = need if need <= room else room
             # Boundaries strictly between purchase step and target boundary
             # must be able to hold the carried energy.
-            if t + 1 <= k - 1:
+            if t + 1 < k:
                 segment = ceiling[t : k - 1] - bought[t + 1 : k]
-                low = int(np.argmin(segment))
+                low = int(segment.argmin())
                 headroom = float(segment[low])
                 if headroom <= 0.0:
                     saturated = t + 1 + low
                     if saturated > barrier:
                         barrier = saturated
                     continue
-            else:
-                headroom = np.inf
-            take = need if need <= room else room
-            if headroom < take:
-                take = headroom
+                if headroom < take:
+                    take = headroom
+                bought[t + 1 : k] += take
             purchases[t] += take
-            bought[t + 1 :] += take
-            need = required[k - 1] - bought[k]
+            total += take
+            need = floor - total
             kept.append(candidate)
         for candidate in kept:
-            heapq.heappush(candidates, candidate)
+            heappush(candidates, candidate)
         if need > eps:
             raise InfeasibleProblemError(k - 1, "shortfall exceeds storage headroom")
 
-    energy = free + bought
-    grid_power = tuple((purchases / dt).tolist())
-    soc_trajectory = tuple((energy / capacity).tolist())
+    bought[horizon] = total
     return ChargingPlan(
         step_seconds=dt,
-        grid_power_w=grid_power,
-        soc_trajectory=soc_trajectory,
-        prices=problem.prices,
-        total_cost=_plan_cost(problem.prices, grid_power, dt),
-        purchased_energy_j=float(bought[-1]),
+        grid_power_w=tuple([energy / dt for energy in purchases]),
+        soc_trajectory=tuple(((free + bought) / capacity).tolist()),
+        prices=prices,
+        purchased_energy_j=total,
     )
 
 
@@ -331,6 +354,8 @@ class RecedingHorizonController:
     ) -> None:
         _require(capacity_j > 0.0, "capacity_j must be > 0")
         _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
+        if max_grid_power_w is not None:
+            _require(max_grid_power_w >= 0.0, "max_grid_power_w must be >= 0")
         self.capacity_j = capacity_j
         self.soc_min = soc_min
         self.soc_max = soc_max

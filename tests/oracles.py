@@ -2,8 +2,8 @@
 
 The DP and LP oracles deliberately share no code with the shipped solvers.
 ``greedy_charging`` is the shipped greedy before its candidate walk was
-rewritten; it shares only the plan type, the error type and the compensated
-cost sum, so plans can be compared bit for bit.  The DP charging
+rewritten; it shares only the plan type (which sums ``total_cost``) and the
+error type, so plans can be compared bit for bit.  The DP charging
 oracle does dynamic programming over cumulative purchased energy, restricted
 to the grid of values where an optimal schedule can sit: the feasibility
 boundaries of every step, plus (when per-step purchases are capped) every
@@ -34,7 +34,7 @@ from collections import deque
 
 import numpy as np
 
-from cemsim.control import ChargingPlan, InfeasibleProblemError, _plan_cost
+from cemsim.control import ChargingPlan, InfeasibleProblemError
 from cemsim.models.synthetic import unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
@@ -283,8 +283,15 @@ def greedy_charging(problem):
         grid_power_w=grid_power,
         soc_trajectory=soc_trajectory,
         prices=problem.prices,
-        total_cost=_plan_cost(problem.prices, grid_power, dt),
         purchased_energy_j=float(bought[-1]),
+    )
+
+
+def plan_cost(plan):
+    """A plan's cost summed apart from the shipped compensated sum: each
+    step's price times its energy in kWh, added exactly by ``math.fsum``."""
+    return math.fsum(
+        price * power * plan.step_seconds / 3.6e6 for price, power in zip(plan.prices, plan.grid_power_w)
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cemsim.control
 from cemsim import (
     BatteryMode,
     BatteryStepResult,
@@ -21,11 +22,20 @@ from cemsim import (
     MPCInverter,
     PowerSourceStepResult,
     RecedingHorizonController,
+    build_bundle,
     grid_energy_cost,
+    run,
+    scenario_from_dict,
     solve_charging,
 )
 from cemsim.core import NS_PER_SECOND as NS
-from oracles import brute_force_charging, greedy_charging, linprog_charging, random_coarse_instance
+from oracles import (
+    brute_force_charging,
+    greedy_charging,
+    linprog_charging,
+    plan_cost,
+    random_coarse_instance,
+)
 
 HOUR = 3600 * NS
 AMPLE = dict(step_seconds=3600.0, capacity_j=3.6e7, soc_min=0.1, soc_max=1.0)
@@ -219,19 +229,94 @@ def _charging_problems(draw):
     )
 
 
+def _solve_like_the_reference(problem, solve=solve_charging):
+    """solve(problem), checked to return the reference greedy's plan bit for
+    bit, its cost agreeing with an independent sum, or to fail where the
+    greedy fails, at the same step for the same reason.  Returns the plan,
+    or None when both fail.  solve failing alone is a test failure, never
+    an InfeasibleProblemError that a caller could swallow."""
+    try:
+        expected = greedy_charging(problem)
+    except InfeasibleProblemError as exc:
+        with pytest.raises(InfeasibleProblemError) as caught:
+            solve(problem)
+        assert (caught.value.step_index, caught.value.reason) == (exc.step_index, exc.reason)
+        return None
+    try:
+        plan = solve(problem)
+    except InfeasibleProblemError as exc:
+        pytest.fail(f"the reference greedy solves a window that solve rejects: {exc}")
+    assert plan == expected
+    assert plan.total_cost == pytest.approx(plan_cost(expected), rel=1e-12)
+    return plan
+
+
 @given(problem=_charging_problems())
 @settings(max_examples=200)
 def test_solver_matches_the_greedy_reference(problem):
     """The heap walk returns the reference greedy's plan bit for bit, and
     fails where it fails, at the same step for the same reason."""
-    try:
-        expected = greedy_charging(problem)
-    except InfeasibleProblemError as exc:
-        with pytest.raises(InfeasibleProblemError) as caught:
-            solve_charging(problem)
-        assert (caught.value.step_index, caught.value.reason) == (exc.step_index, exc.reason)
-        return
-    assert solve_charging(problem) == expected
+    _solve_like_the_reference(problem)
+
+
+def _long_tiered_problem(rng):
+    """A 100-400 step window with prices in flat tiers, so same-step
+    purchases, long carries and saturated boundaries all occur.  Powers are
+    drawn relative to the storage band, some windows with a grid cap."""
+    horizon = rng.randrange(100, 401)
+    prices = []
+    while len(prices) < horizon:
+        prices += [rng.choice((0.0, 0.1, 0.2, 0.3))] * rng.randrange(1, 61)
+    capacity = rng.uniform(1e5, 3e7)
+    soc_min = rng.uniform(0.0, 0.8)
+    soc_max = rng.uniform(soc_min + 0.05, 1.0)
+    step_seconds = rng.choice((60.0, 240.0, 3600.0))
+    scale = rng.choice((0.01, 0.04, 0.15)) * capacity * (soc_max - soc_min) / step_seconds
+
+    def powers(idle):
+        return [0.0 if rng.random() < idle else rng.uniform(0.0, scale) for _ in range(horizon)]
+
+    return ChargingProblem(
+        step_seconds=step_seconds,
+        prices=prices[:horizon],
+        load_w=powers(0.2),
+        pv_w=powers(0.7),
+        capacity_j=capacity,
+        soc_min=soc_min,
+        soc_max=soc_max,
+        soc_initial=rng.uniform(soc_min, soc_max),
+        max_grid_power_w=None if rng.random() < 0.5 else rng.uniform(0.0, 2.0) * scale,
+    )
+
+
+@given(seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300)
+def test_long_tiered_windows_match_the_greedy_reference(seed):
+    """On long windows the walk's plan equals the reference greedy's bit for
+    bit, or both fail at the same step for the same reason."""
+    _solve_like_the_reference(_long_tiered_problem(random.Random(seed)))
+
+
+def test_a_same_step_purchase_an_ulp_short_is_topped_up_earlier():
+    """Boundary 2 needs 2757.6 J after 187.20000000000005 J bought for
+    boundary 1.  Step 1 is cheapest and buys the difference at once, but
+    187.20000000000005 + (2757.6 - 187.20000000000005) rounds to one ulp
+    below 2757.6.  The greedy pops the next candidate, step 0, for that
+    ulp and carries it through boundary 1."""
+    problem = ChargingProblem(
+        step_seconds=60.0,
+        prices=(0.2, 0.1),
+        load_w=(3.12, 42.84),
+        pv_w=(0.0, 0.0),
+        capacity_j=1e4,
+        soc_min=0.1,
+        soc_max=1.0,
+        soc_initial=0.1,
+    )
+    plan = _solve_like_the_reference(problem)
+    assert plan.grid_power_w == (3.1200000000000085, 42.839999999999996)
+    assert plan.purchased_energy_j == 2757.6
+    assert plan.soc_trajectory[1] > 0.1
 
 
 def test_a_headroom_capped_step_buys_again():
@@ -248,8 +333,7 @@ def test_a_headroom_capped_step_buys_again():
         soc_max=0.58,
         soc_initial=0.52,
     )
-    plan = solve_charging(problem)
-    assert plan == greedy_charging(problem)
+    plan = _solve_like_the_reference(problem)
     assert plan.soc_trajectory[1] == 0.58
 
 
@@ -369,11 +453,38 @@ def test_infeasible_window_falls_back_with_a_warning(caplog):
     assert any("infeasible" in message for message in caplog.messages)
 
 
+@pytest.mark.parametrize("strategy, solves", [("mpc-perfect", 101), ("mpc-nocontext", 261)])
+def test_closed_loop_plans_match_the_greedy_reference(monkeypatch, strategy, solves):
+    """Every window a closed-loop day solves, the drift- and revision-shaped
+    re-plans included, gets the reference greedy's plan bit for bit; the
+    controller therefore solves as often as it always has."""
+    scenario = scenario_from_dict(
+        {"seed": 7, "start_epoch_seconds": 1_704_067_200, "horizon_seconds": 86_400, "step_seconds": 240},
+        None,
+    )
+    solve = cemsim.control.solve_charging
+    solved = []
+
+    def checked(problem):
+        solved.append(problem)
+        plan = _solve_like_the_reference(problem, solve)
+        if plan is None:
+            return solve(problem)  # raises the reference's failure, so decide falls back
+        return plan
+
+    monkeypatch.setattr(cemsim.control, "solve_charging", checked)
+    bundle = build_bundle(scenario, strategy)
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
+    assert len(solved) == solves
+
+
 def test_controller_validation():
     with pytest.raises(ValueError):
         _controller(capacity_j=0.0)
     with pytest.raises(ValueError):
         _controller(soc_min=0.9, soc_max=0.1)
+    with pytest.raises(ValueError, match="max_grid_power_w"):
+        _controller(max_grid_power_w=-5.0)
 
 
 # ---------------------------------------------------------------------------
