@@ -27,13 +27,13 @@ sets the log level (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
 from array import array
 from bisect import bisect_right
+from operator import itemgetter
 from pathlib import Path
 
 from .core import ConfigurationError, SimulationError
@@ -112,9 +112,31 @@ def _failed(exc: Exception, where: str = "") -> int:
 # "%.17g" is format(v, ".17g"), no field needs quoting, and lines end "\r\n".
 _STEP_TEMPLATE = ",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n"
 
+# The step-line field each recorded channel repeats: the channels share
+# their step-field names but for the grid's, which steps.csv qualifies
+# as delivered.
+_STEP_FIELD_OF_CHANNEL = {
+    "grid_active_power": "grid_delivered_active_power",
+    "grid_apparent_power": "grid_delivered_apparent_power",
+}
+
 # CHANNEL_ROW once per recorded channel, its subsystem_id and name filled
-# in: the arguments are each line's (time_ns, value), in CHANNELS order.
-_CHANNEL_TEMPLATE = "".join(CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}") for subsystem_id, name in CHANNELS)
+# in, its time and value left as "%s" for text already formatted.
+# _channel_fields picks each line's (time_ns, value) out of the split step
+# line, in CHANNELS order.  The step line formats time_ns with "%d" and
+# every value with "%.17g", as CHANNEL_ROW does, so the reused text is
+# byte for byte what formatting the numbers again would print.
+_CHANNEL_TEMPLATE = "".join(
+    CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}").replace("%d", "%s").replace("%.17g", "%s")
+    for subsystem_id, name in CHANNELS
+)
+_channel_fields = itemgetter(
+    *(
+        position
+        for _, name in CHANNELS
+        for position in (STEP_HEADER.index("time_ns"), STEP_HEADER.index(_STEP_FIELD_OF_CHANNEL.get(name, name)))
+    )
+)
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
@@ -127,7 +149,7 @@ def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: Simulat
         "step_seconds": scenario.step_seconds,
         "steps": steps,
         "final_soc": last.battery.soc,
-        "aggregates": dataclasses.asdict(bundle.simulator.aggregates()),
+        "aggregates": bundle.simulator.aggregates()._asdict(),
         "maxima": bundle.simulator.maxima(),
     }
 
@@ -143,11 +165,14 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     channels.csv (replay-ingestible recording), context.jsonl (the
     scenario's context records) and summary.json; returns the summary.
 
-    Both CSVs are written as the steps happen, one ``%``-template per
-    step and file, so memory stays flat over the horizon.  steps.csv holds
-    one line per step; channels.csv holds each step's lines in
+    Both CSVs are written as the steps happen, so memory stays flat over
+    the horizon.  steps.csv holds one line per step, formatted by one
+    ``%``-template.  channels.csv holds each step's lines in
     ``replay.CHANNELS`` order, so its rows are sorted by time and ingest
-    without a sort.
+    without a sort.  Every value on them (the time and ten of the step's
+    floats) is already on the step line, so the channel lines reuse the
+    step line's formatted fields, split out by position, instead of
+    formatting each number a second time.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,26 +189,24 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
         def sink(output: SimulatorStepOutput) -> None:
             nonlocal last_output
             last_output = output
-            t = output.time_ns
             pv = output.power_source
             load = output.load
             inverter = output.inverter
-            battery_current = inverter.battery_input.current
             battery = output.battery
             grid = output.grid
             aggregates = output.aggregates
-            write_step(
+            line = (
                 _STEP_TEMPLATE
                 % (
                     output.step_index,
-                    t,
+                    output.time_ns,
                     pv.voltage,
                     pv.current,
                     pv.power,
                     load.requested_active_power,
                     load.requested_apparent_power,
                     inverter.battery_input.mode.value,
-                    battery_current,
+                    inverter.battery_input.current,
                     battery.soc,
                     battery.voltage,
                     battery.delta_energy,
@@ -202,21 +225,8 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
                     aggregates.cost,
                 )
             )
-            write_channels(
-                _CHANNEL_TEMPLATE
-                % (
-                    t, pv.voltage,
-                    t, pv.current,
-                    t, pv.power,
-                    t, load.requested_active_power,
-                    t, load.requested_apparent_power,
-                    t, battery.soc,
-                    t, battery.voltage,
-                    t, battery_current,
-                    t, grid.delivered_active_power,
-                    t, grid.delivered_apparent_power,
-                )
-            )
+            write_step(line)
+            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(",")))
 
         steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
 

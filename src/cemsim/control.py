@@ -67,6 +67,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Sequence
 
 from .core import (
@@ -116,17 +117,18 @@ class ChargingProblem:
         object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
         object.__setattr__(self, "load_w", tuple(float(v) for v in self.load_w))
         object.__setattr__(self, "pv_w", tuple(float(v) for v in self.pv_w))
-        _require(self.step_seconds > 0.0, "step_seconds must be > 0")
+        _require(0.0 < self.step_seconds < inf, "step_seconds must be finite and > 0")
         count = len(self.prices)
         _require(count >= 1, "the planning window must contain at least one step")
         _require(
             len(self.load_w) == count and len(self.pv_w) == count,
             "prices, load_w and pv_w must have equal length",
         )
-        _require(all(p >= 0.0 for p in self.prices), "prices must be >= 0")
-        _require(all(v >= 0.0 for v in self.load_w), "load_w must be >= 0")
-        _require(all(v >= 0.0 for v in self.pv_w), "pv_w must be >= 0")
-        _require(self.capacity_j > 0.0, "capacity_j must be > 0")
+        # one scan per series; nan fails both bounds
+        _require(all(0.0 <= p < inf for p in self.prices), "prices must be finite and >= 0")
+        _require(all(0.0 <= v < inf for v in self.load_w), "load_w must be finite and >= 0")
+        _require(all(0.0 <= v < inf for v in self.pv_w), "pv_w must be finite and >= 0")
+        _require(0.0 < self.capacity_j < inf, "capacity_j must be finite and > 0")
         _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
         _require(
             self.soc_min - 1e-9 <= self.soc_initial <= self.soc_max + 1e-9,

@@ -15,12 +15,22 @@ Cumulative energy aggregates are kept in watt-hours with compensated
 summation, so the final totals equal the compensated sum of the per-step
 deltas exactly.  Maxima (voltages, currents, requested grid power) only
 ever grow.
+
+Each step builds a :class:`StepDeltas`, an :class:`Aggregates` and a
+:class:`SimulatorStepOutput` on top of the component records.  Like
+those, they are :class:`~cemsim.core.StepRecord` tuples, not frozen
+dataclasses, because they are built on every step: a tuple is built in
+one ``tuple.__new__`` where a frozen dataclass sets each field through
+``object.__setattr__``.  They check nothing, so they keep namedtuple's
+own ``__new__``.  They keep the dataclass names, fields, ``repr`` and
+hash, reject assignment with ``FrozenInstanceError``, and compare equal
+only to a record of their own class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections import namedtuple
+from typing import Callable
 
 from .core import (
     NS_PER_SECOND,
@@ -28,17 +38,13 @@ from .core import (
     BatteryStepResult,
     ConfigurationError,
     Context,
-    ContextRecord,
     Grid,
-    GridStepResult,
     InverterStepInput,
-    InverterStepResult,
     Inverter,
     Load,
-    LoadStepResult,
     PowerSource,
-    PowerSourceStepResult,
     SimulationError,
+    StepRecord,
     _require,
 )
 
@@ -120,45 +126,39 @@ class _Books:
         self.cost = t
 
 
-@dataclass(frozen=True, slots=True)
-class StepDeltas:
+class StepDeltas(
+    StepRecord,
+    namedtuple("StepDeltas", "generated_wh consumed_wh purchased_wh charged_wh discharged_wh cost"),
+):
     """Per-step energy movements (Wh) and the step's grid cost."""
 
-    generated_wh: float
-    consumed_wh: float
-    purchased_wh: float
-    charged_wh: float
-    discharged_wh: float
-    cost: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Aggregates:
+class Aggregates(
+    StepRecord,
+    namedtuple("Aggregates", "generated_wh consumed_wh purchased_wh charged_wh discharged_wh cost"),
+):
     """Cumulative totals since the start of the run (Wh and cost units)."""
 
-    generated_wh: float
-    consumed_wh: float
-    purchased_wh: float
-    charged_wh: float
-    discharged_wh: float
-    cost: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SimulatorStepOutput:
-    """Everything one step produced, with books snapshotted after it."""
+class SimulatorStepOutput(
+    StepRecord,
+    namedtuple(
+        "SimulatorStepOutput",
+        "step_index time_ns context power_source load inverter battery grid deltas aggregates maxima",
+    ),
+):
+    """Everything one step produced, with books snapshotted after it.
 
-    step_index: int
-    time_ns: int
-    context: tuple[ContextRecord, ...] | None
-    power_source: PowerSourceStepResult
-    load: LoadStepResult
-    inverter: InverterStepResult
-    battery: BatteryStepResult
-    grid: GridStepResult
-    deltas: StepDeltas
-    aggregates: Aggregates
-    maxima: Mapping[str, float]
+    ``context`` is the tuple of context records the step saw, or None
+    without a context component; ``maxima`` maps each of
+    :data:`MAXIMA_KEYS` to its running maximum after the step.
+    """
+
+    __slots__ = ()
 
 
 class Simulator:

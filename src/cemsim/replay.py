@@ -396,10 +396,11 @@ class ReplayPowerSource(PowerSource):
         self._tolerance_s = config.boundary_tolerance_s
 
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
+        # positional: a keyword call costs a step record about 0.3 µs more
         return PowerSourceStepResult(
-            voltage=max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
-            current=max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
-            power=max(interpolate(self._power, end_ns, self._tolerance_s), 0.0),
+            max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
+            max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
+            max(interpolate(self._power, end_ns, self._tolerance_s), 0.0),
         )
 
 
@@ -415,7 +416,7 @@ class ReplayLoad(Load):
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
         active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
         apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
-        return LoadStepResult(requested_active_power=active, requested_apparent_power=apparent)
+        return LoadStepResult(active, apparent)
 
 
 class ReplayGrid(Grid):
@@ -431,7 +432,7 @@ class ReplayGrid(Grid):
         del grid_input
         active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
         apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
-        return GridStepResult(delivered_active_power=active, delivered_apparent_power=apparent)
+        return GridStepResult(active, apparent)
 
 
 class ReplayBattery(Battery):
@@ -468,9 +469,4 @@ class ReplayBattery(Battery):
         previous_soc, _ = self._state_at(start_ns)
         soc, voltage = self._state_at(end_ns)
         delta_energy = (soc - previous_soc) * self._capacity_j
-        return BatteryStepResult(
-            soc=soc,
-            voltage=voltage,
-            delta_energy=delta_energy,
-            delta_charge=delta_energy / voltage,
-        )
+        return BatteryStepResult(soc, voltage, delta_energy, delta_energy / voltage)

@@ -24,6 +24,10 @@ values)}`` as int64/float64 arrays.  Two of its behaviours were since
 changed on purpose: a non-finite value was reported per channel without a
 line, and ``np.diff`` wraps where two times of a channel lie more than
 ``2**63 - 1`` ns apart, so such a channel's order was misjudged.
+The step records at the end are the eight component records of
+``cemsim.core`` while they were frozen slotted dataclasses, with the two
+check helpers they called, kept verbatim so each tuple record can be held
+to the same acceptance, messages, ``repr``, field values and hash.
 """
 from __future__ import annotations
 
@@ -31,10 +35,12 @@ import csv
 import math
 from array import array
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError
+from cemsim.core import BatteryMode
 from cemsim.models.synthetic import unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
@@ -409,3 +415,189 @@ def ingest_timeseries_reference(path):
         except ValueError as exc:
             raise IngestError(f"{path}: channel ({subsystem_id}, {name!r}): {exc}") from exc
     return channels
+
+
+# ---------------------------------------------------------------------------
+# Step records as frozen dataclasses
+# ---------------------------------------------------------------------------
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _require_finite(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class PowerSourceStepResult:
+    """Generation during the step, reported at the step's end.
+
+    voltage : V, current : A, power : W.  The three fields are carried
+    independently; no V*I identity is imposed on recorded data.
+    """
+
+    voltage: float
+    current: float
+    power: float
+
+    def __post_init__(self) -> None:
+        # One combined check on the hot path; diagnose the field only on failure.
+        v, c, p = self.voltage, self.current, self.power
+        if math.isfinite(v) and v >= 0.0 and math.isfinite(c) and c >= 0.0 and math.isfinite(p) and p >= 0.0:
+            return
+        for name in ("voltage", "current", "power"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class LoadStepResult:
+    """Power the load demanded during the step (W / VA)."""
+
+    requested_active_power: float
+    requested_apparent_power: float
+
+    def __post_init__(self) -> None:
+        active, apparent = self.requested_active_power, self.requested_apparent_power
+        if math.isfinite(active) and math.isfinite(apparent) and 0.0 <= active <= apparent:
+            return
+        _require_finite(active, "requested_active_power")
+        _require_finite(apparent, "requested_apparent_power")
+        _require(active >= 0.0, "requested_active_power must be >= 0")
+        _require(
+            apparent >= active,
+            "requested_apparent_power must be >= requested_active_power",
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class GridStepInput:
+    """Active/apparent power requested from the grid for the step (W / VA)."""
+
+    requested_active_power: float
+    requested_apparent_power: float
+
+    def __post_init__(self) -> None:
+        active, apparent = self.requested_active_power, self.requested_apparent_power
+        if math.isfinite(active) and math.isfinite(apparent) and active >= 0.0 and apparent >= 0.0:
+            return
+        _require_finite(active, "requested_active_power")
+        _require_finite(apparent, "requested_apparent_power")
+        _require(active >= 0.0, "requested_active_power must be >= 0")
+        _require(apparent >= 0.0, "requested_apparent_power must be >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class GridStepResult:
+    """Power the grid actually delivered during the step (W / VA), the
+    metered cost of the delivered energy, and whether a limit clamped it."""
+
+    delivered_active_power: float
+    delivered_apparent_power: float
+    cost: float = 0.0
+    limit_violation: bool = False
+
+    def __post_init__(self) -> None:
+        active, apparent = self.delivered_active_power, self.delivered_apparent_power
+        if math.isfinite(active) and math.isfinite(apparent) and 0.0 <= active <= apparent:
+            return
+        _require_finite(active, "delivered_active_power")
+        _require_finite(apparent, "delivered_apparent_power")
+        _require(active >= 0.0, "delivered_active_power must be >= 0")
+        _require(
+            apparent >= active,
+            "delivered_apparent_power must be >= delivered_active_power",
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class BatteryStepInput:
+    """Commanded battery operation for the step: mode plus DC current (A, >= 0)."""
+
+    mode: BatteryMode
+    current: float
+
+    def __post_init__(self) -> None:
+        current = self.current
+        if type(self.mode) is BatteryMode and math.isfinite(current) and current >= 0.0:
+            return
+        _require(isinstance(self.mode, BatteryMode), "mode must be a BatteryMode")
+        _require_finite(current, "current")
+        _require(current >= 0.0, "current must be >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class BatteryStepResult:
+    """Battery state after the step.
+
+    soc is the state of charge as a fraction of capacity.  delta_energy
+    (J) and delta_charge (C) are the post-clamp changes over the step;
+    both are positive when the battery absorbed energy and negative when
+    it released energy.
+    """
+
+    soc: float
+    voltage: float
+    delta_energy: float
+    delta_charge: float
+
+    def __post_init__(self) -> None:
+        soc, voltage, de, dq = self.soc, self.voltage, self.delta_energy, self.delta_charge
+        if (
+            0.0 <= soc <= 1.0
+            and math.isfinite(voltage)
+            and voltage > 0.0
+            and math.isfinite(de)
+            and math.isfinite(dq)
+            and (de == 0.0 or dq == 0.0 or (de > 0.0) == (dq > 0.0))
+        ):
+            return
+        for name in ("soc", "voltage", "delta_energy", "delta_charge"):
+            _require_finite(getattr(self, name), name)
+        if not 0.0 <= soc <= 1.0:
+            raise ValueError(f"soc must be within [0, 1], got {soc!r}")
+        _require(voltage > 0.0, "voltage must be > 0")
+        _require(
+            (de > 0.0) == (dq > 0.0),
+            "delta_energy and delta_charge must agree in sign",
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class InverterStepInput:
+    """Everything the inverter sees when allocating power for a step.
+
+    Generation and load are the results just produced for the current
+    step; the battery result is from the previous step and carries the
+    state of charge the dispatch is based on.
+    """
+
+    power_source: PowerSourceStepResult
+    battery: BatteryStepResult
+    load: LoadStepResult
+
+
+@dataclass(frozen=True, slots=True)
+class InverterStepResult:
+    """Inverter allocation for the step.
+
+    grid_input is the request forwarded to the grid, battery_input the
+    command forwarded to the battery, pv_power_drawn the generation
+    actually used (W, source side; at most the offered power).
+    """
+
+    grid_input: GridStepInput
+    battery_input: BatteryStepInput
+    pv_power_drawn: float
+
+    def __post_init__(self) -> None:
+        drawn = self.pv_power_drawn
+        if math.isfinite(drawn) and drawn >= 0.0:
+            return
+        _require_finite(drawn, "pv_power_drawn")
+        _require(drawn >= 0.0, "pv_power_drawn must be >= 0")

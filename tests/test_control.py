@@ -143,6 +143,18 @@ def test_problem_validation():
     assert plan.soc_trajectory[0] == 0.1
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["prices", "load_w", "pv_w", "step_seconds", "capacity_j"])
+def test_a_non_finite_input_is_rejected_naming_it(field, value):
+    """An infinite load, step or capacity once planned to a nan SOC
+    trajectory and cost."""
+    fields = {**AMPLE, "soc_initial": 0.5, "prices": (0.1, 0.1), "load_w": (100.0, 100.0), "pv_w": (0.0, 0.0)}
+    fields[field] = (value, 0.1) if type(fields[field]) is tuple else value
+    bound = ">= 0" if field in ("prices", "load_w", "pv_w") else "> 0"
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {bound}$"):
+        ChargingProblem(**fields)
+
+
 @given(scale=st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=100)
 def test_price_scaling_changes_cost_not_purchases(scale):

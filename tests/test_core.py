@@ -1,11 +1,16 @@
 """Step-record validation, context queries, compensated sums."""
+import dataclasses
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cemsim.core
 from cemsim import (
+    MAXIMA_KEYS,
+    Aggregates,
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
@@ -18,11 +23,14 @@ from cemsim import (
     InverterStepResult,
     LoadStepResult,
     PowerSourceStepResult,
+    SimulatorStepOutput,
+    StepDeltas,
     compensated_total,
     context_query,
     grid_energy_cost,
 )
-from cemsim.core import NS_PER_SECOND
+from cemsim.core import NS_PER_SECOND, StepRecord
+import oracles
 from oracles import brute_force_context
 
 NS_PER_HOUR = 3600 * NS_PER_SECOND
@@ -101,6 +109,130 @@ def test_inverter_records_validation():
     InverterStepResult(grid_in, batt_in, pv_power_drawn=0.0)
     with pytest.raises(ValueError):
         InverterStepResult(grid_in, batt_in, pv_power_drawn=-1.0)
+
+
+# Field values at and around every check's edges: signed zeros, the
+# smallest subnormal and normal, infinities, nan, negatives, and values of
+# the wrong kind (a mode where a number belongs, a string or None where a
+# mode belongs).
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.5, 1.0000000000000002, 1e308)
+_FIELD_VALUES = st.one_of(
+    st.sampled_from(_EDGE_VALUES + (math.inf, -math.inf, math.nan)),
+    st.floats(),
+    st.integers(-2, 2),
+    st.sampled_from(BatteryMode),
+    st.sampled_from(("charge", None)),
+)
+# A nested record, built from each side's own classes: (class name, fields).
+_NESTED = st.sampled_from(
+    (
+        ("PowerSourceStepResult", (48.0, 2.0, 96.0)),
+        ("LoadStepResult", (100.0, 120.0)),
+        ("BatteryStepResult", (0.5, 48.0, -10.0, -0.2)),
+        ("GridStepInput", (0.0, -0.0)),
+        ("BatteryStepInput", (BatteryMode.CHARGE, 5e-324)),
+    )
+)
+
+
+def _built(classes, name, args, kwargs):
+    """(record, None) or (None, (exception type, message))."""
+
+    def resolve(value):
+        return getattr(classes, value[0])(*value[1]) if type(value) is tuple else value
+
+    try:
+        return getattr(classes, name)(*map(resolve, args), **{k: resolve(v) for k, v in kwargs.items()}), None
+    except Exception as exc:  # every failure is compared, whatever its type
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "PowerSourceStepResult",
+        "LoadStepResult",
+        "GridStepInput",
+        "GridStepResult",
+        "BatteryStepInput",
+        "BatteryStepResult",
+        "InverterStepInput",
+        "InverterStepResult",
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_step_records_behave_as_their_dataclass_references(name, data):
+    """Each tuple record accepts, rejects, prints and hashes as the frozen
+    dataclass it replaced (kept verbatim in oracles)."""
+    fields = dataclasses.fields(getattr(oracles, name))
+    required = sum(f.default is dataclasses.MISSING for f in fields)
+    count = data.draw(st.integers(required, len(fields)), label="fields given")
+    values = data.draw(st.lists(st.one_of(_FIELD_VALUES, _NESTED), min_size=count, max_size=count), label="values")
+    by_keyword = data.draw(st.booleans(), label="by keyword")
+    args, kwargs = ((), {f.name: v for f, v in zip(fields, values)}) if by_keyword else (values, {})
+
+    record, failure = _built(cemsim.core, name, args, kwargs)
+    reference, reference_failure = _built(oracles, name, args, kwargs)
+    assert failure == reference_failure
+    if reference is None:
+        return
+    assert repr(record) == repr(reference)
+    assert hash(record) == hash(reference)
+    for f, value in zip(fields, record):
+        assert getattr(record, f.name) is value
+        expected = getattr(reference, f.name)
+        assert value is expected or repr(value) == repr(expected)
+
+
+def _one_of_each_record():
+    pv = PowerSourceStepResult(48.0, 2.0, 96.0)
+    load = LoadStepResult(100.0, 120.0)
+    battery = BatteryStepResult(0.5, 48.0, 0.0, 0.0)
+    grid_input = GridStepInput(4.0, 4.0)
+    battery_input = BatteryStepInput(BatteryMode.IDLE, 0.0)
+    inverter = InverterStepResult(grid_input, battery_input, 96.0)
+    grid = GridStepResult(4.0, 4.0, 0.25, True)
+    deltas = StepDeltas(1.6, 1.7, 0.1, 0.0, 0.0, 0.25)
+    aggregates = Aggregates(1.6, 1.7, 0.1, 0.0, 0.0, 0.25)
+    maxima = dict.fromkeys(MAXIMA_KEYS, 48.0)
+    return [
+        pv,
+        load,
+        InverterStepInput(pv, battery, load),
+        grid_input,
+        battery_input,
+        inverter,
+        battery,
+        grid,
+        deltas,
+        aggregates,
+        SimulatorStepOutput(0, 60 * NS_PER_SECOND, None, pv, load, inverter, battery, grid, deltas, aggregates, maxima),
+    ]
+
+
+@pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda record: type(record).__name__)
+def test_step_records_are_frozen_and_compare_only_within_their_type(record):
+    cls = type(record)
+    for name in cls._fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.not_a_field = 1.0
+
+    assert record == cls(*record) and not record != cls(*record)
+    # the same values as another record type, or as a plain tuple, never compare equal
+    twin_cls = type("Twin", (StepRecord, namedtuple("Twin", cls._fields)), {"__slots__": ()})
+    for other in (twin_cls(*record), tuple(record)):
+        assert record != other and other != record
+        assert not record == other and not other == record
+
+
+def test_records_with_the_same_fields_are_unequal_across_types():
+    assert LoadStepResult(1.0, 2.0) != GridStepInput(1.0, 2.0)
+    assert StepDeltas(1.0, 2.0, 3.0, 4.0, 5.0, 6.0) != Aggregates(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 # ---------------------------------------------------------------------------
