@@ -58,7 +58,6 @@ from .scenario import (
     checked_names,
     effort_estimator,
     load_scenario,
-    synthetic_config,
     synthetic_load_samples,
 )
 
@@ -382,18 +381,13 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
     scenario = load_scenario(path, args.seed, args.step_seconds)
     families = _listed("--families", args.families, FAMILIES, scenario.forecast["families"])
-    base = synthetic_config(scenario)
     effort_fn = effort_estimator(scenario)
-    out_dir = _default_out_dir(path, scenario, args.out, False)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     means: dict[str, list[float]] = {family: [] for family in families}
     count = (scenario.end_ns - scenario.start_ns) // scenario.step_ns
     for resample in range(scenario.forecast["resamples"]):
-        records, times, loads = synthetic_load_samples(
-            scenario, base, scenario.seed + resample, scenario.day_count, count
-        )
+        records, times, loads = synthetic_load_samples(scenario, scenario.seed + resample, scenario.day_count, count)
         report = evaluate_families(
             records,
             times,
@@ -407,6 +401,9 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
             means[family].append(report[family])
 
     rows.sort(key=lambda item: (families.index(item[0]), item[1]))
+    # made only now, so a scenario that cannot be sampled leaves no directory
+    out_dir = _default_out_dir(path, scenario, args.out, False)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "rmse.csv", ("family", "resample", "rmse_w"), "%s,%d,%.17g\r\n", rows)
 
     summary = {

@@ -23,7 +23,6 @@ from .synthetic import (
     hour_of_day,
     load_power_at,
     pv_power_at,
-    sample_series,
     unit_noise,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "hour_of_day",
     "load_power_at",
     "pv_power_at",
-    "sample_series",
     "unit_noise",
 ]

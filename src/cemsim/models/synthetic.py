@@ -142,8 +142,8 @@ def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[i
 
 
 # ---------------------------------------------------------------------------
-# Pure sampling functions (components and forecasts share these, so a
-# perfect forecast is bitwise equal to the realized series)
+# Pure sampling functions (behind each synthetic component's ``power_at``,
+# which forecasts read too, so a perfect forecast is the realized series)
 # ---------------------------------------------------------------------------
 
 
@@ -181,22 +181,6 @@ def load_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
         if power < 0.0:
             return 0.0
     return power
-
-
-def sample_series(
-    config: SyntheticScenarioConfig,
-    start_ns: int,
-    step_ns: int,
-    count: int,
-) -> tuple[list[float], list[float]]:
-    """Realized (load, pv) series sampled at each step's end time."""
-    loads = []
-    pvs = []
-    for i in range(count):
-        t = start_ns + (i + 1) * step_ns
-        loads.append(load_power_at(config, t))
-        pvs.append(pv_power_at(config, t))
-    return loads, pvs
 
 
 def build_price_schedule(
@@ -341,8 +325,12 @@ class SyntheticPowerSource(PowerSource):
         # Night steps all produce this exact record; share one instance.
         self._night = PowerSourceStepResult(config.pv_voltage, 0.0, 0.0)
 
+    def power_at(self, t_ns: int) -> float:
+        """The PV power a step ending at ``t_ns`` reports."""
+        return pv_power_at(self._config, t_ns)
+
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
-        power = pv_power_at(self._config, end_ns)
+        power = self.power_at(end_ns)
         if power == 0.0:
             return self._night
         voltage = self._config.pv_voltage
@@ -356,8 +344,12 @@ class SyntheticLoad(Load):
         self._config = config
         self._last = LoadStepResult(config.base_load, config.base_load)
 
+    def power_at(self, t_ns: int) -> float:
+        """The active power a step ending at ``t_ns`` requests."""
+        return load_power_at(self._config, t_ns)
+
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
-        power = load_power_at(self._config, end_ns)
+        power = self.power_at(end_ns)
         # Demand is flat outside job windows; reuse the previous record
         # (immutable) instead of building an identical one every step.
         last = self._last

@@ -395,12 +395,16 @@ class ReplayPowerSource(PowerSource):
         self._voltage, self._current, self._power = config.channels("pv_voltage", "pv_current", "pv_power")
         self._tolerance_s = config.boundary_tolerance_s
 
+    def power_at(self, t_ns: int) -> float:
+        """The recorded PV power at ``t_ns``, as a step ending there reports it."""
+        return max(interpolate(self._power, t_ns, self._tolerance_s), 0.0)
+
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
         # positional: a keyword call costs a step record about 0.3 µs more
         return PowerSourceStepResult(
             max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
             max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
-            max(interpolate(self._power, end_ns, self._tolerance_s), 0.0),
+            self.power_at(end_ns),
         )
 
 
@@ -413,8 +417,12 @@ class ReplayLoad(Load):
         self._active, self._apparent = config.channels("load_active_power", "load_apparent_power")
         self._tolerance_s = config.boundary_tolerance_s
 
+    def power_at(self, t_ns: int) -> float:
+        """The recorded active power at ``t_ns``, as a step ending there requests it."""
+        return max(interpolate(self._active, t_ns, self._tolerance_s), 0.0)
+
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
-        active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
+        active = self.power_at(end_ns)
         apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
         return LoadStepResult(active, apparent)
 

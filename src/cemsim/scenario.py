@@ -25,13 +25,19 @@ The same scenario can be assembled under different dispatch strategies:
                        records (announced jobs), trained on a separate
                        seeded scenario.
 * ``mpc-nocontext``  - same, but the predictor only sees hour-of-day.
+
+Forecasts read the series the pv and load components step on, synthetic
+or recorded alike: the oracle reads both, the predictors read pv.  So
+every MPC strategy runs on a recorded pv block, and ``mpc-perfect`` on a
+recorded load too; the predictors are trained on load samples drawn from
+the generator, so they need a synthetic load block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -72,8 +78,6 @@ from .models.synthetic import (
     context_records_for_jobs,
     generate_job_events,
     load_power_at,
-    pv_power_at,
-    sample_series,
 )
 from .replay import (
     CHANNELS,
@@ -437,15 +441,9 @@ def load_scenario(
 # ---------------------------------------------------------------------------
 
 
-def synthetic_config(scenario: Scenario) -> SyntheticScenarioConfig:
-    """The generator settings implied by the scenario's synthetic blocks."""
-    if scenario.pv["kind"] != "synthetic" or scenario.load["kind"] != "synthetic":
-        raise ConfigurationError("scenario has no synthetic pv+load pair")
-    return _generator_config(scenario)
-
-
-def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
-    """Generator settings when at least one of pv/load is synthetic.
+def _generator_config(scenario: Scenario, seed: int, day_count: int) -> SyntheticScenarioConfig | None:
+    """Generator settings when at least one of pv/load is synthetic, with
+    the jobs of ``day_count`` days drawn at ``seed``.
 
     Only the synthetic side's fields are passed; a replay side keeps the
     dataclass defaults, which are never sampled."""
@@ -463,9 +461,9 @@ def _generator_config(scenario: Scenario) -> SyntheticScenarioConfig | None:
         fields.update(
             base_load=load["base_power_w"],
             load_noise_amplitude=load["noise_amplitude"],
-            job_events=_job_events(scenario, scenario.seed, scenario.day_count),
+            job_events=_job_events(scenario, seed, day_count),
         )
-    return SyntheticScenarioConfig(seed=scenario.seed, **fields) if fields else None
+    return SyntheticScenarioConfig(seed=seed, **fields) if fields else None
 
 
 def _job_events(scenario: Scenario, seed: int, day_count: int) -> tuple[JobEvent, ...]:
@@ -480,22 +478,26 @@ def _job_events(scenario: Scenario, seed: int, day_count: int) -> tuple[JobEvent
 
 def synthetic_load_samples(
     scenario: Scenario,
-    base: SyntheticScenarioConfig,
     seed: int,
     day_count: int,
     count: int,
 ) -> tuple[tuple[ContextRecord, ...], list[int], list[float]]:
-    """Job announcements and load samples of ``base`` re-seeded with ``seed``.
+    """Job announcements and load samples of the scenario's load generator
+    re-seeded with ``seed``.
 
     Jobs are drawn for ``day_count`` days from the scenario's start; the
     load is sampled at the end of each of the first ``count`` steps.
+    Predictor training and ``forecast-eval`` draw their samples here, so
+    both need a synthetic load block.
     """
-    jobs = _job_events(scenario, seed, day_count)
-    config = replace(base, seed=seed, job_events=jobs)
+    kind = scenario.load["kind"]
+    if kind != "synthetic":
+        _fail("load", f"predictor training and forecast-eval sample the load generator, so kind must be 'synthetic', got {kind!r}")
+    config = _generator_config(scenario, seed, day_count)
     step_ns = scenario.step_ns
     times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
     loads = [load_power_at(config, t) for t in times]
-    return context_records_for_jobs(jobs), times, loads
+    return context_records_for_jobs(config.job_events), times, loads
 
 
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
@@ -544,7 +546,6 @@ class SimulationBundle:
     simulator: Simulator
     records: tuple[ContextRecord, ...]
     schedule: PriceSchedule | None
-    synthetic: SyntheticScenarioConfig | None
     controller: RecedingHorizonController | None
 
 
@@ -629,21 +630,27 @@ class _DayForecast:
 
 
 def perfect_forecast_provider(
-    config: SyntheticScenarioConfig,
+    load_at: Callable[[int], float],
+    pv_at: Callable[[int], float],
     schedule: PriceSchedule,
     end_ns: int,
     step_ns: int,
 ) -> Callable[[int], ForecastWindow | None]:
     """Oracle forecasts: the realized series itself, planned to day's end.
 
+    ``load_at`` and ``pv_at`` map a step's end time to the power the load
+    and pv components report for that step: the ``power_at`` of the
+    components the plant steps on, synthetic or recorded.  So the forecast
+    equals the realized series by construction.
+
     The series is sampled once per planning day, and every step of the day
     gets the same window object (see :class:`_DayForecast`).
     """
 
     def compute(now_ns: int, count: int) -> tuple:
-        loads, pvs = sample_series(config, now_ns, step_ns, count)
+        times = [now_ns + i * step_ns for i in range(1, count + 1)]
         prices = schedule.prices_for_window(now_ns, step_ns, count)
-        return tuple(loads), tuple(pvs), tuple(prices)
+        return tuple(map(load_at, times)), tuple(map(pv_at, times)), tuple(prices)
 
     day = _DayForecast(end_ns, step_ns)
     return lambda now_ns: day.window(now_ns, None, compute)
@@ -652,7 +659,7 @@ def perfect_forecast_provider(
 def predictor_forecast_provider(
     predictor: Predictor,
     records: tuple[ContextRecord, ...],
-    config: SyntheticScenarioConfig,
+    pv_at: Callable[[int], float],
     schedule: PriceSchedule,
     end_ns: int,
     step_ns: int,
@@ -661,7 +668,9 @@ def predictor_forecast_provider(
     """Model forecasts: predicted load, oracle PV, scheduled prices.
 
     Load predictions at each future step use only context records already
-    recorded at decision time; negative predictions clamp to zero.
+    recorded at decision time; negative predictions clamp to zero.  The PV
+    series is ``pv_at`` at each step's end: the ``power_at`` of the pv
+    component the plant steps on, synthetic or recorded.
 
     The window is cached per planning day and per known-record set: the
     cache key holds the identities of the records ``context_query`` returns
@@ -677,7 +686,7 @@ def predictor_forecast_provider(
     def compute(known: list[ContextRecord], now_ns: int, count: int) -> tuple:
         times = [now_ns + i * step_ns for i in range(1, count + 1)]
         loads = tuple(max(predictor.predict(known, t, effort_fn), 0.0) for t in times)
-        pvs = tuple(pv_power_at(config, t) for t in times)
+        pvs = tuple(map(pv_at, times))
         prices = schedule.prices_for_window(now_ns, step_ns, count)
         return loads, pvs, tuple(prices)
 
@@ -696,14 +705,13 @@ def training_series(
 ) -> tuple[tuple[ContextRecord, ...], list[int], list[float]]:
     """Load samples from a derived-seed scenario for predictor training.
 
-    The training world shares the scenario's generator settings but runs
-    on seed + TRAIN_SEED_OFFSET with its own jobs, so the fitted model
+    The training world shares the scenario's load generator settings but
+    runs on seed + TRAIN_SEED_OFFSET with its own jobs, so the fitted model
     has never seen the evaluated timeline.
     """
     train_days = scenario.forecast["train_days"]
     return synthetic_load_samples(
         scenario,
-        synthetic_config(scenario),
         scenario.seed + TRAIN_SEED_OFFSET,
         train_days,
         train_days * NS_PER_DAY // scenario.step_ns,
@@ -715,14 +723,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; known: {list(STRATEGIES)}")
     tables: dict[str, TimeSeriesTable] = {}
-    # full config only when both sides are synthetic (the MPC strategies
-    # need that); a partial one still drives a lone synthetic component
-    generator = _generator_config(scenario)
-    synthetic = (
-        generator
-        if scenario.pv["kind"] == "synthetic" and scenario.load["kind"] == "synthetic"
-        else None
-    )
+    generator = _generator_config(scenario, scenario.seed, scenario.day_count)
     schedule = price_schedule(scenario)
 
     if scenario.pv["kind"] == "synthetic":
@@ -769,8 +770,6 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     if strategy == "default":
         inverter = InverterPVFirst(inverter_config)
     else:
-        if synthetic is None:
-            raise ConfigurationError(f"strategy {strategy!r} needs synthetic pv and load blocks")
         if schedule is None:
             raise ConfigurationError(f"strategy {strategy!r} needs a priced grid")
         if scenario.battery["kind"] != "linear":
@@ -781,7 +780,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             raise ConfigurationError("mpc strategies need step_seconds to divide the horizon evenly")
         if strategy == "mpc-perfect":
             provider = perfect_forecast_provider(
-                synthetic, schedule, scenario.end_ns, scenario.step_ns
+                load.power_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns
             )
         else:
             family = "none" if strategy == "mpc-nocontext" else scenario.forecast["context_family"]
@@ -797,7 +796,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             provider = predictor_forecast_provider(
                 predictor,
                 records,
-                synthetic,
+                pv.power_at,
                 schedule,
                 scenario.end_ns,
                 scenario.step_ns,
@@ -827,6 +826,5 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         simulator=simulator,
         records=records,
         schedule=schedule,
-        synthetic=synthetic,
         controller=controller,
     )

@@ -336,8 +336,20 @@ def test_forecast_eval_rejects_a_replay_scenario_before_writing(recording, capsy
     out = recording / "fe-replay"
     argv = ["forecast-eval", "--scenario", str(_replay_scenario(recording, "rec")), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert "no synthetic pv+load pair" in capsys.readouterr().err
+    assert "replay.json: load: predictor training and forecast-eval sample the load generator" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_forecast_eval_reads_no_pv(recording, tmp_path):
+    """forecast-eval samples only the load generator, so replaying a
+    recorded pv leaves its artifacts equal to the synthetic scenario's."""
+    recorded_pv = {"kind": "replay", "file": str(recording / "rec" / "channels.csv")}
+    artifacts = []
+    for name, fields in (("synthetic", {}), ("recorded-pv", {"pv": recorded_pv})):
+        path = _scenario(tmp_path, name, step_seconds=240, forecast={"resamples": 2}, **fields)
+        assert cli.main(["forecast-eval", "--scenario", str(path), "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        artifacts.append([(tmp_path / name / artifact).read_bytes() for artifact in ("rmse.csv", "summary.json")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_forecast_eval_scores_with_the_remote_estimator(estimator_server, tmp_path):

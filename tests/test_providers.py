@@ -1,6 +1,6 @@
 """Forecast providers: one window per planning day whose tail at each
 ``now`` equals direct recomputation, kept as one object while unrevised."""
-from dataclasses import replace
+from functools import partial
 
 import cemsim.control
 from cemsim import (
@@ -9,16 +9,14 @@ from cemsim import (
     build_bundle,
     context_query,
     run,
-    sample_series,
     scenario_from_dict,
     train_predictor,
 )
-from cemsim.models.synthetic import NS_PER_DAY, pv_power_at
+from cemsim.models.synthetic import NS_PER_DAY, load_power_at, pv_power_at
 from cemsim.scenario import (
     effort_estimator,
     predictor_forecast_provider,
     price_schedule,
-    synthetic_config,
     training_series,
 )
 
@@ -72,9 +70,12 @@ def _assert_tail(window, now_ns, loads, pvs, prices):
 def test_perfect_windows_equal_direct_sampling():
     scenario = scenario_from_dict(TWO_DAYS, None)
     bundle, seen = _windows_of_a_run(scenario, "mpc-perfect")
+    load_config, pv_config = bundle.simulator.load._config, bundle.simulator.power_source._config
     for now_ns, window in seen:
         count = _steps_left(scenario, now_ns)
-        loads, pvs = sample_series(bundle.synthetic, now_ns, scenario.step_ns, count)
+        times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
+        loads = [load_power_at(load_config, t) for t in times]
+        pvs = [pv_power_at(pv_config, t) for t in times]
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
 
@@ -136,7 +137,7 @@ def test_context_windows_equal_direct_prediction():
         known_sets.add((now_ns // NS_PER_DAY, tuple(map(id, known))))
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
         loads = [max(predictor.predict(known, t, effort_fn), 0.0) for t in times]
-        pvs = [pv_power_at(bundle.synthetic, t) for t in times]
+        pvs = [pv_power_at(bundle.simulator.power_source._config, t) for t in times]
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
     # the known-record set changes inside planning days, not only at their start
@@ -160,7 +161,7 @@ def _tail(window, now_ns):
 
 def test_records_recorded_after_now_do_not_change_the_window():
     scenario = scenario_from_dict({**TWO_DAYS, "start_epoch_seconds": 0}, None)
-    config = replace(synthetic_config(scenario), job_events=())
+    config = build_bundle(scenario).simulator.power_source._config
     schedule = price_schedule(scenario)
     predictor = Predictor("effort", (800.0, 0.0, 0.0, 250.0))
     known = _record(0, 3_600, 7_200, "nightly build")
@@ -169,7 +170,7 @@ def test_records_recorded_after_now_do_not_change_the_window():
 
     def provider(records):
         return predictor_forecast_provider(
-            predictor, records, config, schedule, scenario.end_ns, scenario.step_ns
+            predictor, records, partial(pv_power_at, config), schedule, scenario.end_ns, scenario.step_ns
         )
 
     without = provider((known,))

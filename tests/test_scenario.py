@@ -30,7 +30,6 @@ from cemsim.scenario import (
     BLOCK_TABLES,
     TRAIN_SEED_OFFSET,
     price_schedule,
-    synthetic_config,
     training_series,
 )
 
@@ -219,19 +218,13 @@ def test_scenario_defaults_equal_component_defaults():
         "self_power",
     ):
         assert getattr(inverter, name) == getattr(default_inverter, name), name
-    generator, default_generator = bundle.synthetic, SyntheticScenarioConfig()
-    for name in (
-        "pv_peak_power",
-        "pv_noise_amplitude",
-        "pv_voltage",
-        "sunrise_hour",
-        "sunset_hour",
-        "base_load",
-        "load_noise_amplitude",
-    ):
-        assert getattr(generator, name) == getattr(default_generator, name), name
-    assert generator.job_events == generate_job_events(0, 1)
-    assert bundle.records == context_records_for_jobs(generator.job_events)
+    pv, load, default_generator = simulator.power_source._config, simulator.load._config, SyntheticScenarioConfig()
+    for name in ("pv_peak_power", "pv_noise_amplitude", "pv_voltage", "sunrise_hour", "sunset_hour"):
+        assert getattr(pv, name) == getattr(default_generator, name), name
+    for name in ("base_load", "load_noise_amplitude"):
+        assert getattr(load, name) == getattr(default_generator, name), name
+    assert load.job_events == generate_job_events(0, 1)
+    assert bundle.records == context_records_for_jobs(load.job_events)
     assert bundle.schedule == build_price_schedule(PriceTiers(), 0, 1)
 
 
@@ -262,11 +255,12 @@ def test_synthetic_config_mirrors_the_blocks():
         pv={"peak_power_w": 900.0},
         load={"base_power_w": 300.0, "jobs_per_day": 3},
     )
-    config = synthetic_config(scenario)
-    assert config.seed == 7
-    assert config.pv_peak_power == 900.0
-    assert config.base_load == 300.0
-    assert len(config.job_events) == 2 * 3
+    simulator = build_bundle(scenario).simulator
+    pv, load = simulator.power_source._config, simulator.load._config
+    assert pv.seed == load.seed == 7
+    assert pv.pv_peak_power == 900.0
+    assert load.base_load == 300.0
+    assert len(load.job_events) == 2 * 3
 
 
 def test_price_schedule_follows_the_grid_block(tmp_path):
@@ -292,7 +286,7 @@ def test_training_series_runs_on_a_shifted_seed():
     assert times[0] == 1800 * NS
     assert all(load >= 0.0 for load in loads)
     # the training jobs come from seed + offset, not the evaluated seed
-    evaluated = synthetic_config(scenario)
+    evaluated = build_bundle(scenario).simulator.load._config
     train_texts = {r.text() for r in records}
     eval_texts = {r.description for r in evaluated.job_events}
     assert TRAIN_SEED_OFFSET == 1_000_003
@@ -354,12 +348,35 @@ def test_mpc_context_bundle_trains_a_predictor():
 
 def test_mpc_preconditions_are_spelled_out(tmp_path):
     _load_recording(tmp_path, hours=3)
-    replay_load = scenario_from_dict(
-        {"horizon_seconds": 7200, "step_seconds": 600, "load": {"kind": "replay", "file": "load.csv"}},
-        tmp_path,
-    )
-    with pytest.raises(ConfigurationError, match="synthetic"):
-        build_bundle(replay_load, "mpc-perfect")
+    times = tuple(h * 3600 * NS for h in range(4))
+    emit_timeseries(tmp_path / "plant.csv", TimeSeriesTable([
+        Channel(3, "battery_soc", times, (0.5,) * 4),
+        Channel(3, "battery_voltage", times, (51.2,) * 4),
+        Channel(4, "grid_active_power", times, (0.0,) * 4),
+        Channel(4, "grid_apparent_power", times, (0.0,) * 4),
+    ]))
+    replay_load = {"load": {"kind": "replay", "file": "load.csv"}}
+    cases = [
+        ({"battery": {"kind": "replay", "file": "plant.csv"}}, "mpc-perfect", "needs a linear battery model"),
+        ({"grid": {"kind": "replay", "file": "plant.csv"}}, "mpc-perfect", "needs a priced grid"),
+        # predictors train on load samples from the generator
+        (replay_load, "mpc-context", "^load: predictor training"),
+        (replay_load, "mpc-nocontext", "^load: predictor training"),
+    ]
+
+    def scenario(blocks):
+        return scenario_from_dict({"horizon_seconds": 7200, "step_seconds": 600, **blocks}, tmp_path)
+
+    for blocks, strategy, message in cases:
+        with pytest.raises(ConfigurationError, match=message):
+            build_bundle(scenario(blocks), strategy)
+    # the oracle forecast reads the recorded load itself
+    bundle = build_bundle(scenario(replay_load), "mpc-perfect")
+    horizon_ns, step_ns = bundle.scenario.horizon_ns, bundle.scenario.step_ns
+    results = []
+    run(bundle.simulator, horizon_ns, step_ns, results.append)
+    assert [r.load.requested_active_power for r in results] == [500.0] * 12
+    assert bundle.controller.forecast_provider(bundle.scenario.start_ns).load_w == (500.0,) * 12
     with pytest.raises(ConfigurationError, match="day"):
         _small(strategy="mpc-perfect", horizon_seconds=14_000, step_seconds=7000)
     with pytest.raises(ConfigurationError, match="horizon"):

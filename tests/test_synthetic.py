@@ -13,7 +13,6 @@ from cemsim import (
     build_price_schedule,
     context_records_for_jobs,
     generate_job_events,
-    sample_series,
     unit_noise,
 )
 from cemsim.models.synthetic import JobEvent, load_power_at, pv_power_at
@@ -131,22 +130,18 @@ def test_unit_noise_is_deterministic_and_unit_range():
     assert a != unit_noise(8, "pv", 123_456_789)
 
 
-def test_sampled_series_evaluates_step_ends():
-    config = _config(pv_noise_amplitude=0.1, load_noise_amplitude=0.05)
-    loads, pvs = sample_series(config, 0, HALF_HOUR, 48)
-    assert len(loads) == len(pvs) == 48
-    for i in range(48):
-        t = (i + 1) * 1800 * 1_000_000_000
-        assert loads[i] == load_power_at(config, t)
-        assert pvs[i] == pv_power_at(config, t)
+# the end of each of a day's half-hour steps
+STEP_ENDS = [(i + 1) * HALF_HOUR for i in range(48)]
 
 
 def test_power_source_component_realizes_the_sampled_series():
-    """Stepping the component reproduces sample_series bit for bit."""
+    """Stepping the component reproduces pv_power_at at each step end, bit
+    for bit, and power_at is that sample."""
     config = _config(pv_noise_amplitude=0.1)
     source = SyntheticPowerSource(config)
     realized = [source.step(i * HALF_HOUR, (i + 1) * HALF_HOUR).power for i in range(48)]
-    assert realized == sample_series(config, 0, HALF_HOUR, 48)[1]
+    assert realized == [pv_power_at(config, t) for t in STEP_ENDS]
+    assert realized == [source.power_at(t) for t in STEP_ENDS]
 
 
 def test_load_component_realizes_the_sampled_series():
@@ -154,7 +149,8 @@ def test_load_component_realizes_the_sampled_series():
     config = _config(job_events=jobs, load_noise_amplitude=0.05)
     load = SyntheticLoad(config)
     results = [load.step(i * HALF_HOUR, (i + 1) * HALF_HOUR) for i in range(48)]
-    assert [r.requested_active_power for r in results] == sample_series(config, 0, HALF_HOUR, 48)[0]
+    assert [r.requested_active_power for r in results] == [load_power_at(config, t) for t in STEP_ENDS]
+    assert [r.requested_active_power for r in results] == [load.power_at(t) for t in STEP_ENDS]
     for result in results:
         assert result.requested_apparent_power == result.requested_active_power
 
