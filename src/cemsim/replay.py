@@ -18,14 +18,22 @@ Channel names follow ``<subsystem>_<measurement>``, e.g. ``battery_soc``
 (fraction), ``pv_power`` (W), ``load_active_power`` (W),
 ``grid_active_power`` (W).
 
-Lookups are O(log n) and copy nothing: each :class:`Channel` keeps its
-times in an ``array('q')`` and its values in an ``array('d')`` with a
-``memoryview`` of each, :func:`interpolate` bisects the times view with
-:mod:`bisect`, and indexing a view yields the plain Python int or float.
-Replay components resolve their channels once, at construction, and call
-the module-level :func:`interpolate` per step.  Ingestion appends each row
-straight into its channel's ``array`` pair, which becomes the channel's
-storage; only a channel whose rows arrive out of order is sorted.
+Lookups copy nothing: each :class:`Channel` keeps its times in an
+``array('q')`` and its values in an ``array('d')`` with a ``memoryview``
+of each, and indexing a view yields the plain Python int or float.  A
+channel also keeps a cursor, the first knot at or after its last lookup.
+:func:`interpolate` checks the bracket ending at that knot and the one
+ending at its successor first, which is O(1) for a replay walking forward
+one step at a time, whether its steps end on knots or between them; any
+other query, or a stale cursor, costs one O(log n) :mod:`bisect` of the
+times view and can never change a result.  Replay components resolve
+their channels once, at construction, and call the module-level
+:func:`interpolate` per step.  Ingestion reads the file by line and
+splits a plain line on commas; only a line holding a quote, or long
+enough to hold a field over csv's size limit, goes through :mod:`csv`.
+It appends each row straight into its channel's ``array`` pair, which
+becomes the channel's storage; only a channel whose rows arrive out of
+order is sorted.
 
 Nothing here uses numpy: the checks run as builtins over the arrays
 (``all(map(operator.lt, ...))``, ``all(map(math.isfinite, ...))``), so
@@ -114,10 +122,13 @@ class Channel:
 
     ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
     an ``array('d')`` of finite floats; ``_times`` and ``_values`` are
-    zero-copy memoryviews of them for scalar lookups.  Any sequences of
-    ints and floats are accepted and copied into arrays; arrays of those
-    types are kept as given.  A time that is not an int within int64 is a
-    ``ValueError`` naming the channel, never truncated.
+    zero-copy memoryviews of them for scalar lookups.  ``_cursor`` is a
+    one-item list holding the index of the first knot at or after the last
+    lookup: a hint :func:`interpolate` verifies, not part of the channel's
+    value, so it is mutable in a frozen channel and never compared.  Any
+    sequences of ints and floats are accepted and copied into arrays;
+    arrays of those types are kept as given.  A time that is not an int
+    within int64 is a ``ValueError`` naming the channel, never truncated.
     """
 
     subsystem_id: int
@@ -126,6 +137,7 @@ class Channel:
     values: array
     _times: memoryview = field(init=False, repr=False, compare=False)
     _values: memoryview = field(init=False, repr=False, compare=False)
+    _cursor: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = _as_array("q", self.times_ns, f"channel {self.name!r} timestamps must be integers within int64")
@@ -140,6 +152,7 @@ class Channel:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_times", memoryview(times))
         object.__setattr__(self, "_values", memoryview(values))
+        object.__setattr__(self, "_cursor", [0])
 
 
 def _as_array(typecode: str, items, message: str) -> array:
@@ -159,25 +172,39 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
     Queries at a recorded timestamp return the recorded value exactly.
     Queries within ``boundary_tolerance_s`` before the first or after the
     last sample clamp to the boundary value; anything further out raises
-    :class:`TimeSeriesRangeError`.  ``t_ns`` is an int; the lookup bisects
-    the channel's memoryviews (O(log n), no copy).
+    :class:`TimeSeriesRangeError`.  ``t_ns`` is an int, and its distance
+    from the edge is compared with the tolerance exactly.  The lookup
+    first tries the two brackets ending at the channel's cursor and at its
+    successor; only a query outside both bisects the channel's memoryviews
+    (O(log n), no copy).
     """
     times = channel._times
     values = channel._values
-    first = times[0]
-    last = times[-1]
-    if t_ns < first or t_ns > last:
-        slack_ns = boundary_tolerance_s * 1e9
-        if t_ns < first - slack_ns or t_ns > last + slack_ns:
-            raise TimeSeriesRangeError(
-                f"query at {t_ns} ns is outside channel "
-                f"({channel.subsystem_id}, {channel.name!r}) range "
-                f"[{first}, {last}] ns by more than {boundary_tolerance_s} s"
-            )
-        return values[0] if t_ns < first else values[-1]
-    # first <= t_ns <= last, so the index is in range and a miss has lo >= 0
-    index = bisect_left(times, t_ns)
+    cursor = channel._cursor
+    # The cursor is a hint: the first knot at or after the last query.  A
+    # query in the bracket (times[index - 1], times[index]] ending there, or
+    # in the bracket after it, needs no bisect.  At index 0, times[-1] is
+    # the last knot, so the bracket test fails, as it must.
+    index = cursor[0]
     t1 = times[index]
+    if t1 < t_ns <= times[-1]:
+        index += 1
+        t1 = times[index]
+    if not times[index - 1] < t_ns <= t1:
+        first = times[0]
+        last = times[-1]
+        if t_ns < first or t_ns > last:
+            if (first - t_ns if t_ns < first else t_ns - last) > boundary_tolerance_s * 1e9:
+                raise TimeSeriesRangeError(
+                    f"query at {t_ns} ns is outside channel "
+                    f"({channel.subsystem_id}, {channel.name!r}) range "
+                    f"[{first}, {last}] ns by more than {boundary_tolerance_s} s"
+                )
+            return values[0] if t_ns < first else values[-1]
+        # first <= t_ns <= last, so the index is in range and a miss has lo >= 0
+        index = bisect_left(times, t_ns)
+        t1 = times[index]
+    cursor[0] = index
     if t1 == t_ns:
         return values[index]
     lo = index - 1
@@ -229,41 +256,61 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     would otherwise silently drop a measurement.
     Each row goes straight into its channel's ``array('q')``/``array('d')``
     pair, which the channel keeps as its storage.
+
+    The file is read line by line, ``\r``, ``\n`` and ``\r\n`` all ending
+    a line, and each line is one row.  A plain line is split on commas, as
+    csv reads it (a blank line is a row of no fields).  A line holding a
+    ``"``, or too long to be sure no field exceeds
+    ``csv.field_size_limit()``, is read by :func:`_csv_row` with csv's
+    quoting rules, strictly: a quote left open at the end of its line or
+    followed by anything but a comma, and a field over the limit, are an
+    ``IngestError`` naming the line, so no field holds a line break.  A row
+    whose timestamp text repeats the previous row's reuses its parsed int;
+    a recording written by ``run`` repeats it on each step's ten rows.
     """
     collected: dict[tuple[int, str], tuple[array, array]] = {}
     # (subsystem_id text, name) -> the appends of its channel, so a row of
     # a channel already seen parses only its timestamp and value
     appenders: dict[tuple[str, str], tuple] = {}
+    field_limit = csv.field_size_limit()
+    stamp = t_ns = None
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header_line = next(handle, None)
+        header = None if header_line is None else _csv_row(path, 1, header_line)
         if header != list(CHANNEL_HEADER):
             raise IngestError(f"{path}: bad header {header!r}")
-        for line_number, row in enumerate(reader, start=2):
+        for line_number, line in enumerate(handle, start=2):
+            text = line.rstrip("\r\n")
+            if '"' in text or len(text) > field_limit:
+                row = _csv_row(path, line_number, line)
+            else:
+                row = text.split(",") if text else []
             if len(row) != 4:
                 raise IngestError(f"{path}:{line_number}: expected 4 fields, got {len(row)}")
-            appends = appenders.get((row[1], row[2]))
+            time_text, subsystem_text, name, value_text = row
+            appends = appenders.get((subsystem_text, name))
             try:
-                t_ns = int(row[0])
+                if time_text != stamp:
+                    t_ns = int(time_text)
+                    stamp = time_text
                 if appends is None:
-                    subsystem_id = int(row[1])
-                value = float(row[3])
+                    subsystem_id = int(subsystem_text)
+                value = float(value_text)
             except ValueError as exc:
                 raise IngestError(f"{path}:{line_number}: {exc}") from exc
             if appends is None:
-                name = row[2]
                 if name not in KNOWN_CHANNELS:
                     raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
                 columns = collected.get((subsystem_id, name))
                 if columns is None:
                     columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
-                appends = appenders[(row[1], name)] = (columns[0].append, columns[1].append)
+                appends = appenders[(subsystem_text, name)] = (columns[0].append, columns[1].append)
             try:
                 appends[0](t_ns)
             except OverflowError as exc:
                 raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
             if not isfinite(value):
-                raise IngestError(f"{path}:{line_number}: channel {row[2]!r} value {row[3]!r} is not finite")
+                raise IngestError(f"{path}:{line_number}: channel {name!r} value {value_text!r} is not finite")
             appends[1](value)
     channels = []
     for (subsystem_id, name), (times, values) in sorted(collected.items()):
@@ -286,6 +333,15 @@ def ingest_timeseries(path) -> TimeSeriesTable:
             channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
         channels.append(channel)
     return TimeSeriesTable(channels)
+
+
+def _csv_row(path, line_number: int, line: str) -> list[str]:
+    """The fields of one channel-CSV line under csv's quoting rules, read
+    strictly; a csv error is an ``IngestError`` naming the line."""
+    try:
+        return next(csv.reader((line,), strict=True), [])
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{line_number}: {exc}") from exc
 
 
 def emit_timeseries(path, table: TimeSeriesTable) -> None:

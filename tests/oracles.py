@@ -12,7 +12,9 @@ purchases either nothing, the per-step maximum, or exactly enough to touch a
 storage boundary, so the optimum lies on that grid.
 ``interpolate_reference`` is the replay lookup before it moved from numpy
 ``searchsorted`` to ``bisect`` over memoryviews, kept verbatim so lookups
-can be compared bit for bit, errors included.
+can be compared bit for bit, errors included, with one fix since: its
+edge check compares the exact int distance from the edge with the
+tolerance, where it used to round ``first - slack_ns`` to a float.
 ``load_power_reference`` is the synthetic load before its job table: every
 job tested at every instant, kept verbatim (the ``active_at`` test inlined),
 so the table lookup can be compared bit for bit.
@@ -314,7 +316,7 @@ def interpolate_reference(channel, t_ns, boundary_tolerance_s=DEFAULT_BOUNDARY_T
     last = int(times[-1])
     if t_ns < first or t_ns > last:
         slack_ns = boundary_tolerance_s * 1e9
-        if t_ns < first - slack_ns or t_ns > last + slack_ns:
+        if (first - t_ns if t_ns < first else t_ns - last) > slack_ns:
             raise TimeSeriesRangeError(
                 f"query at {t_ns} ns is outside channel "
                 f"({channel.subsystem_id}, {channel.name!r}) range "

@@ -90,6 +90,26 @@ def test_validate_fails_a_context_line_with_coerced_fields(tmp_path, capsys):
     assert out.startswith("FAIL") and "coerced.jsonl:1: recorded_at_ns" in out
 
 
+def test_a_field_beyond_the_csv_limit_fails_validate_and_run_with_its_line(recording, tmp_path, capsys):
+    """A channels.csv field longer than ``csv.field_size_limit()`` is an
+    ingest error at its line: ``validate`` prints FAIL and still checks
+    the next file, and a replay ``run`` prints one error line; both exit 1."""
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    header, first, *rest = (recording / "rec" / "channels.csv").read_text().splitlines(keepends=True)
+    (wide / "channels.csv").write_text(header + first + f"60000000000,1,pv_power,{'1' * 140_000}\r\n" + "".join(rest))
+    (wide / "context.jsonl").write_bytes((recording / "rec" / "context.jsonl").read_bytes())
+    assert cli.main(["validate", str(wide / "channels.csv"), str(wide / "context.jsonl")]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["FAIL", "PASS"]
+    assert lines[0].endswith("channels.csv:3: field larger than field limit (131072)")
+    scenario = _replay_scenario(tmp_path, wide)
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith("channels.csv:3: field larger than field limit (131072)")
+
+
 # Runs the CLI with numpy unimportable: any module-level numpy import on
 # the package's import path, or a numpy call on the command's path, fails it.
 _WITHOUT_NUMPY = """

@@ -1,6 +1,8 @@
 """Recorded-channel replay: interpolation, file round-trips, replay components."""
+import csv
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cemsim import (
     interpolate,
 )
 from cemsim.core import ContextRecord
-from cemsim.replay import ReplayComponentConfig
+from cemsim.replay import CHANNEL_HEADER, ReplayComponentConfig
 
 from oracles import ingest_timeseries_reference, interpolate_reference
 
@@ -64,6 +66,20 @@ def test_queries_beyond_tolerance_raise():
         interpolate(RAMP, -3600 * NS, boundary_tolerance_s=60.0)
     with pytest.raises(TimeSeriesRangeError):
         interpolate(RAMP, 120 * NS + 121 * NS)
+
+
+def test_the_edge_tolerance_is_exact_to_the_nanosecond():
+    """Times near 1.7e18 ns are 256 ns apart as floats; the distance from
+    the edge is compared as an int, so 1 ns past the tolerance raises."""
+    first, last = 1704067260000000001, 1704067319999999999
+    channel = _channel("pv_power", [(first, 1.0), (last, 2.0)])
+    slack = 120 * NS
+    assert interpolate(channel, first - slack, 120.0) == 1.0
+    assert interpolate(channel, last + slack, 120.0) == 2.0
+    with pytest.raises(TimeSeriesRangeError):
+        interpolate(channel, first - slack - 1, 120.0)
+    with pytest.raises(TimeSeriesRangeError):
+        interpolate(channel, last + slack + 1, 120.0)
 
 
 @given(
@@ -114,6 +130,13 @@ def _channel_and_queries(draw):
         st.integers(min_value=first - 10**13, max_value=last + 10**13),
     )
     queries = draw(st.lists(kinds, min_size=1, max_size=20))
+    if draw(st.booleans()):
+        # a replay's traffic: knots and midpoints in time order, each asked
+        # one to three times, from just before the first to just after the last
+        points = sorted({first - 1, last + 1, *times, *((a + b) // 2 for a, b in zip(times, times[1:]))})
+        repeats = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+        walk = [t_ns for t_ns, count in zip(points, repeats) for _ in range(count)]
+        queries = draw(st.sampled_from([walk + queries, queries + walk]))
     channel = Channel(1, "pv_power", times, values)
     return channel, tolerance_s, queries
 
@@ -121,8 +144,9 @@ def _channel_and_queries(draw):
 @given(_channel_and_queries())
 @settings(max_examples=400)
 def test_interpolate_matches_the_searchsorted_reference_bitwise(case):
-    """Knots, between knots, inside and beyond the edge slack, any order:
-    the same bits, or the same error type and message."""
+    """Knots, between knots, inside and beyond the edge slack, in any
+    order or walked forward as a replay does: the same bits, or the same
+    error type and message, whatever the channel's cursor holds."""
     channel, tolerance_s, queries = case
     for t_ns in queries:
         want = _lookup(channel, t_ns, tolerance_s, interpolate_reference)
@@ -264,6 +288,37 @@ def test_ingest_names_the_line_of_a_non_finite_value(tmp_path):
         ingest_timeseries(path)
 
 
+_WIDE = "1" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    ("line", "error"),
+    [
+        ('120000000000,1,pv_power,"1', "unexpected end of data"),
+        ('120000000000,1,pv_power,"1"x', "',' expected after '\"'"),
+        ('120000000000,1,pv_power,"1" ', "',' expected after '\"'"),
+        ('120000000000,"1"2,pv_power,1', "',' expected after '\"'"),
+        (f"120000000000,1,pv_power,{_WIDE}", "field larger than field limit"),
+        (f'120000000000,1,pv_power,"{_WIDE}"', "field larger than field limit"),
+    ],
+    ids=["left-open", "text-after", "space-after", "mid-row", "wide", "wide-quoted"],
+)
+@pytest.mark.parametrize("last", [True, False], ids=["last-line", "mid-file"])
+def test_ingest_rejects_a_line_csv_cannot_read_naming_it(tmp_path, line, error, last):
+    """A quote left open at the end of its line, or followed by anything
+    but a comma, is an error at that line: it neither swallows the lines
+    after it nor reads as the number inside it.  A field longer than
+    ``csv.field_size_limit()`` is an IngestError too, not a csv error."""
+    path = tmp_path / "rec.csv"
+    tail = "" if last else f"\n{180 * NS},1,pv_power,3\n"
+    path.write_text(f"timestamp_ns,subsystem_id,channel,value\n0,1,pv_power,1\n{line}{tail}")
+    with pytest.raises(IngestError, match=re.escape(f"rec.csv:3: {error}")):
+        ingest_timeseries(path)
+    path.write_text(f"{line}{tail}")
+    with pytest.raises(IngestError, match=re.escape(f"rec.csv:1: {error}")):
+        ingest_timeseries(path)
+
+
 def test_ingest_sorts_a_channel_spanning_the_int64_range(tmp_path):
     """Consecutive times further apart than 2**63 - 1 ns are compared as
     ints; an int64 difference of them would wrap and misjudge the order."""
@@ -293,15 +348,30 @@ _FAULTS = (
     ("overflow", lambda row: [str(-(2**63) - 1), *row[1:]]),
     ("unparsable", lambda row: ["1.5", *row[1:]]),
     ("unknown channel", lambda row: [*row[:2], "pv_powr", row[3]]),
+    ("unknown channel", lambda row: [*row[:2], '"pv_""power"', row[3]]),
     ("short row", lambda row: row[:3]),
+    ("blank row", lambda row: []),
 )
+
+
+# Besides as they are, a row's fields may be written each one quoted, or
+# (in a row without a fault) with whitespace around the numbers, which
+# int() and float() accept.
+def _quoted(row):
+    return [f'"{field}"' for field in row]
+
+
+def _padded(row):
+    return [f" {row[0]}", f"{row[1]}\t", row[2], f" {row[3]} "]
 
 
 @st.composite
 def _recording(draw):
-    """(rows, {line: fault}): one to three channels' rows, interleaved in
-    any order, with int64-edge times, repeated times, signed zeros,
-    subnormals and 17-digit values, and up to two faulty rows."""
+    """(text, rows, {line: fault}): one to three channels' rows,
+    interleaved in any order, with int64-edge times, repeated times,
+    signed zeros, subnormals and 17-digit values, and up to two faulty
+    rows.  Lines end in any mix of ``\\n``, ``\\r`` and ``\\r\\n``, the
+    last maybe in none; some rows are quoted or padded."""
     rows = []
     for subsystem_id, name in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True)):
         lo, hi = draw(st.sampled_from(_BANDS))
@@ -316,7 +386,21 @@ def _recording(draw):
         if index + 2 not in faults:
             faults[index + 2], spoil = draw(st.sampled_from(_FAULTS))
             rows[index] = spoil(rows[index])
-    return rows, faults
+    lines = [",".join(CHANNEL_HEADER)]
+    for line_number, row in enumerate(rows, start=2):
+        if any('"' in field for field in row):
+            styles = [list]
+        elif line_number in faults:
+            styles = [list, _quoted]
+        else:
+            styles = [list, _quoted, _padded]
+        lines.append(",".join(draw(st.sampled_from(styles))(row)))
+    # a blank line never ends in a bare "\n", which would join the "\r"
+    # ending the line before it into one "\r\n"
+    endings = [draw(st.sampled_from(["\r", "\r\n"] if not line else ["\n", "\r", "\r\n"])) for line in lines]
+    if lines[-1] and draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(map(str.__add__, lines, endings)), rows, faults
 
 
 def _ingest(ingest, path):
@@ -332,9 +416,9 @@ def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording):
     """The same channels, times and value bits (sign of zero included) as
     the numpy ingest, or the same error type and message.  A non-finite
     value is the one change: it is reported at its line, in row order."""
-    rows, faults = recording
+    text, rows, faults = recording
     path = tmp_path_factory.mktemp("ingest") / "rec.csv"
-    path.write_text("timestamp_ns,subsystem_id,channel,value\n" + "".join(",".join(row) + "\n" for row in rows))
+    path.write_bytes(text.encode())
     want = _ingest(ingest_timeseries_reference, path)
     got = _ingest(ingest_timeseries, path)
     if faults:
