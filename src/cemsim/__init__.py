@@ -5,202 +5,140 @@ priced grid connection, household/lab load) in discrete steps on an
 integer-nanosecond clock.  On top of the simulator sit replayable
 recordings, context-aware load forecasting, and a receding-horizon
 controller that buys grid energy when it is cheap.
+
+The package exports its names lazily (PEP 562): ``import cemsim`` loads
+no submodule, and ``cemsim.X`` imports the module defining ``X`` on
+first use and returns that module's ``X``.  Every ``cemsim`` command is a
+fresh process, so importing ``cemsim.cli`` or ``cemsim.scenario`` loads
+only the layers they import, not the planner a PV-first run never steps.
 """
 
-from .core import (
-    Battery,
-    BatteryMode,
-    BatteryStepInput,
-    BatteryStepResult,
-    CompensatedSum,
-    ConfigurationError,
-    Context,
-    ContextIndex,
-    ContextRecord,
-    Grid,
-    GridStepInput,
-    GridStepResult,
-    Inverter,
-    InverterStepInput,
-    InverterStepResult,
-    Load,
-    LoadStepResult,
-    PowerSource,
-    PowerSourceStepResult,
-    SimulationError,
-    SystemComponent,
-    compensated_total,
-    context_query,
-    grid_energy_cost,
-)
-from .control import (
-    ChargingPlan,
-    ChargingProblem,
-    ControlDecision,
-    ForecastWindow,
-    InfeasibleProblemError,
-    MPCInverter,
-    RecedingHorizonController,
-    solve_charging,
-)
-from .engine import (
-    MAXIMA_KEYS,
-    Aggregates,
-    ComponentStepError,
-    Simulator,
-    SimulatorStepOutput,
-    StepDeltas,
-    run,
-)
-from .forecast import (
-    FAMILIES,
-    NUMERIC_FIELD_CATALOG,
-    Predictor,
-    RemoteEstimatorError,
-    build_features,
-    estimate_effort_heuristic,
-    estimate_effort_remote,
-    evaluate_families,
-    feature_names,
-    fit_least_squares,
-    rmse,
-    train_predictor,
-)
-from .models import (
-    BatteryLinear,
-    BatteryLinearConfig,
-    GridPriced,
-    GridPricedConfig,
-    InverterPVFirst,
-    InverterPVFirstConfig,
-    PriceSchedule,
-    PriceTiers,
-    ScriptedContext,
-    SyntheticLoad,
-    SyntheticPowerSource,
-    SyntheticScenarioConfig,
-    battery_linear_step,
-    build_price_schedule,
-    context_records_for_jobs,
-    generate_job_events,
-    grid_priced_step,
-    inverter_pv_first_step,
-    unit_noise,
-)
-from .replay import (
-    Channel,
-    IngestError,
-    ReplayBattery,
-    ReplayGrid,
-    ReplayLoad,
-    ReplayPowerSource,
-    TimeSeriesRangeError,
-    TimeSeriesTable,
-    emit_context,
-    emit_timeseries,
-    ingest_context,
-    ingest_timeseries,
-    interpolate,
-)
-from .scenario import (
-    STRATEGIES,
-    Scenario,
-    SimulationBundle,
-    build_bundle,
-    load_scenario,
-    scenario_from_dict,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aggregates",
-    "Battery",
-    "BatteryLinear",
-    "BatteryLinearConfig",
-    "BatteryMode",
-    "BatteryStepInput",
-    "BatteryStepResult",
-    "Channel",
-    "ChargingPlan",
-    "ChargingProblem",
-    "CompensatedSum",
-    "ComponentStepError",
-    "ConfigurationError",
-    "Context",
-    "ContextIndex",
-    "ContextRecord",
-    "ControlDecision",
-    "FAMILIES",
-    "ForecastWindow",
-    "Grid",
-    "GridPriced",
-    "GridPricedConfig",
-    "GridStepInput",
-    "GridStepResult",
-    "InfeasibleProblemError",
-    "IngestError",
-    "Inverter",
-    "InverterPVFirst",
-    "InverterPVFirstConfig",
-    "InverterStepInput",
-    "InverterStepResult",
-    "Load",
-    "LoadStepResult",
-    "MAXIMA_KEYS",
-    "MPCInverter",
-    "NUMERIC_FIELD_CATALOG",
-    "PowerSource",
-    "PowerSourceStepResult",
-    "Predictor",
-    "PriceSchedule",
-    "PriceTiers",
-    "RecedingHorizonController",
-    "RemoteEstimatorError",
-    "ReplayBattery",
-    "ReplayGrid",
-    "ReplayLoad",
-    "ReplayPowerSource",
-    "STRATEGIES",
-    "Scenario",
-    "ScriptedContext",
-    "SimulationBundle",
-    "SimulationError",
-    "Simulator",
-    "SimulatorStepOutput",
-    "StepDeltas",
-    "SyntheticLoad",
-    "SyntheticPowerSource",
-    "SyntheticScenarioConfig",
-    "SystemComponent",
-    "TimeSeriesRangeError",
-    "TimeSeriesTable",
-    "battery_linear_step",
-    "build_bundle",
-    "build_features",
-    "build_price_schedule",
-    "compensated_total",
-    "context_query",
-    "context_records_for_jobs",
-    "emit_context",
-    "emit_timeseries",
-    "estimate_effort_heuristic",
-    "estimate_effort_remote",
-    "evaluate_families",
-    "feature_names",
-    "fit_least_squares",
-    "generate_job_events",
-    "grid_energy_cost",
-    "grid_priced_step",
-    "ingest_context",
-    "ingest_timeseries",
-    "interpolate",
-    "inverter_pv_first_step",
-    "load_scenario",
-    "rmse",
-    "run",
-    "scenario_from_dict",
-    "solve_charging",
-    "train_predictor",
-    "unit_noise",
-]
+# The names each submodule exports at package level.
+_EXPORTS = {
+    "core": (
+        "Battery",
+        "BatteryMode",
+        "BatteryStepInput",
+        "BatteryStepResult",
+        "CompensatedSum",
+        "ConfigurationError",
+        "Context",
+        "ContextIndex",
+        "ContextRecord",
+        "Grid",
+        "GridStepInput",
+        "GridStepResult",
+        "Inverter",
+        "InverterStepInput",
+        "InverterStepResult",
+        "Load",
+        "LoadStepResult",
+        "PowerSource",
+        "PowerSourceStepResult",
+        "SimulationError",
+        "SystemComponent",
+        "compensated_total",
+        "context_query",
+        "grid_energy_cost",
+    ),
+    "control": (
+        "ChargingPlan",
+        "ChargingProblem",
+        "ControlDecision",
+        "ForecastWindow",
+        "InfeasibleProblemError",
+        "MPCInverter",
+        "RecedingHorizonController",
+        "solve_charging",
+    ),
+    "engine": (
+        "MAXIMA_KEYS",
+        "Aggregates",
+        "ComponentStepError",
+        "Simulator",
+        "SimulatorStepOutput",
+        "StepDeltas",
+        "run",
+    ),
+    "forecast": (
+        "FAMILIES",
+        "NUMERIC_FIELD_CATALOG",
+        "Predictor",
+        "RemoteEstimatorError",
+        "build_features",
+        "estimate_effort_heuristic",
+        "estimate_effort_remote",
+        "evaluate_families",
+        "feature_names",
+        "fit_least_squares",
+        "rmse",
+        "train_predictor",
+    ),
+    "models": (
+        "BatteryLinear",
+        "BatteryLinearConfig",
+        "GridPriced",
+        "GridPricedConfig",
+        "InverterPVFirst",
+        "InverterPVFirstConfig",
+        "PriceSchedule",
+        "PriceTiers",
+        "ScriptedContext",
+        "SyntheticLoad",
+        "SyntheticPowerSource",
+        "SyntheticScenarioConfig",
+        "battery_linear_step",
+        "build_price_schedule",
+        "context_records_for_jobs",
+        "generate_job_events",
+        "grid_priced_step",
+        "inverter_pv_first_step",
+        "unit_noise",
+    ),
+    "replay": (
+        "Channel",
+        "IngestError",
+        "ReplayBattery",
+        "ReplayGrid",
+        "ReplayLoad",
+        "ReplayPowerSource",
+        "TimeSeriesRangeError",
+        "TimeSeriesTable",
+        "emit_context",
+        "emit_timeseries",
+        "ingest_context",
+        "ingest_timeseries",
+        "interpolate",
+    ),
+    "scenario": (
+        "STRATEGIES",
+        "Scenario",
+        "SimulationBundle",
+        "build_bundle",
+        "load_scenario",
+        "scenario_from_dict",
+    ),
+}
+
+_SUBMODULES = ("cli", "control", "core", "engine", "forecast", "models", "replay", "scenario")
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Not cached: cemsim.X is always the defining module's current X.
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -20,15 +20,20 @@ flags and runs the scenarios one after another, each into its own
 directory (``<out>/<stem>/`` under ``--out``); two scenarios that would
 write the same resolved directory are rejected before any runs.  ``run``
 and ``compare`` stream the engine's step outputs through a sink instead
-of keeping them.  The ``CEMSIM_LOG`` environment variable
-sets the log level (debug/info/warning/error).
+of keeping them.
+
+Only ``compare`` logs: its MPC strategies step the planner, whose
+infeasible-window warning (``WARNING cemsim.control: ...`` on stderr)
+is the package's only log record.  The ``CEMSIM_LOG`` environment
+variable sets the level (debug/info/warning/error).  So ``compare``
+alone imports and configures :mod:`logging`; ``run`` and ``validate``
+load neither it nor the planner.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from array import array
@@ -64,8 +69,6 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-logger = logging.getLogger(__name__)
 
 STEP_HEADER = (
     "step_index",
@@ -308,6 +311,7 @@ def _single_scenario(args: argparse.Namespace) -> Path:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _configure_logging()
     path = _single_scenario(args)
     strategies = _listed("--strategies", args.strategies, STRATEGIES, list(STRATEGIES))
     scenario = load_scenario(path, args.seed, args.step_seconds)
@@ -490,6 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
+    import logging
+
     level_name = os.environ.get("CEMSIM_LOG", "warning").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
@@ -498,7 +504,6 @@ def _configure_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,11 +9,16 @@ Determinism contract: identical seed and config produce bitwise-identical
 series.  Per-sample noise is derived from blake2b over (seed, channel,
 timestamp), so a value depends only on the sampled instant, never on how
 many steps were taken to reach it.
+
+:mod:`hashlib` is imported on the first noise sample, not with the
+module: importing it initialises OpenSSL, which a scenario set-up (and
+any run with zero noise) never needs.  The first sample rebinds
+``_blake2b`` to ``hashlib.blake2b``, so later samples pay nothing for
+the deferral.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_right, insort
@@ -36,10 +41,18 @@ NS_PER_HOUR = 3_600_000_000_000
 NS_PER_DAY = 86_400_000_000_000
 
 
+def _blake2b(data: bytes, digest_size: int):
+    """Import hashlib, rebind this name to its blake2b and hash ``data``."""
+    global _blake2b
+    from hashlib import blake2b as _blake2b
+
+    return _blake2b(data, digest_size=digest_size)
+
+
 def unit_noise(seed: int, channel: str, t_ns: int) -> float:
     """Deterministic pseudo-random value in [0, 1) for (seed, channel, t)."""
     key = f"{seed}:{channel}:{t_ns}".encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
+    digest = _blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0**64
 
 

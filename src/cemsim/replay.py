@@ -24,9 +24,11 @@ of each, and indexing a view yields the plain Python int or float.  A
 channel also keeps a cursor, the first knot at or after its last lookup.
 :func:`interpolate` checks the bracket ending at that knot and the one
 ending at its successor first, which is O(1) for a replay walking forward
-one step at a time, whether its steps end on knots or between them; any
-other query, or a stale cursor, costs one O(log n) :mod:`bisect` of the
-times view and can never change a result.  Replay components resolve
+one step at a time, whether its steps end on knots or between them.  A
+query further ahead, as when each step skips knots, gallops forward from
+the cursor and bisects only the bracket it finds; any other query, or a
+stale cursor, costs one O(log n) :mod:`bisect` of the times view.  The
+cursor can never change a result.  Replay components resolve
 their channels once, at construction, and call the module-level
 :func:`interpolate` per step.  Ingestion reads the file by line and
 splits a plain line on commas; only a line holding a quote, or long
@@ -38,12 +40,12 @@ order is sorted.
 Nothing here uses numpy: the checks run as builtins over the arrays
 (``all(map(operator.lt, ...))``, ``all(map(math.isfinite, ...))``), so
 ``validate``, building a replay scenario and an all-replay ``run`` never
-import it.
+import it.  :mod:`csv` is imported by the first ingest, its only user
+here, so a synthetic run that writes a recording never loads it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from array import array
 from bisect import bisect_left
@@ -175,8 +177,9 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
     :class:`TimeSeriesRangeError`.  ``t_ns`` is an int, and its distance
     from the edge is compared with the tolerance exactly.  The lookup
     first tries the two brackets ending at the channel's cursor and at its
-    successor; only a query outside both bisects the channel's memoryviews
-    (O(log n), no copy).
+    successor.  A query ahead of both gallops forward (the next knot, then
+    16 knots on, then the last) and bisects the bracket found; any other
+    query bisects the channel's memoryviews (O(log n), no copy).
     """
     times = channel._times
     values = channel._values
@@ -190,7 +193,26 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
     if t1 < t_ns <= times[-1]:
         index += 1
         t1 = times[index]
-    if not times[index - 1] < t_ns <= t1:
+        if t_ns > t1:
+            # Ahead of the bracket after the cursor, as when each step skips
+            # knots: gallop to the next knot, then 16 knots on, then the last
+            # (times[-1] >= t_ns), and bisect the bracket found.  A probe in
+            # Python costs several of bisect's compares in C, so the gallop
+            # stops there.
+            index += 1
+            t1 = times[index]
+            if t_ns > t1:
+                lo = index + 1
+                hi = index + 16
+                end = len(times) - 1
+                if hi > end:
+                    hi = end
+                if times[hi] < t_ns:
+                    lo = hi + 1
+                    hi = end
+                index = bisect_left(times, t_ns, lo, hi)
+                t1 = times[index]
+    elif not times[index - 1] < t_ns <= t1:
         first = times[0]
         last = times[-1]
         if t_ns < first or t_ns > last:
@@ -268,6 +290,8 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     whose timestamp text repeats the previous row's reuses its parsed int;
     a recording written by ``run`` repeats it on each step's ten rows.
     """
+    import csv
+
     collected: dict[tuple[int, str], tuple[array, array]] = {}
     # (subsystem_id text, name) -> the appends of its channel, so a row of
     # a channel already seen parses only its timestamp and value
@@ -338,6 +362,8 @@ def ingest_timeseries(path) -> TimeSeriesTable:
 def _csv_row(path, line_number: int, line: str) -> list[str]:
     """The fields of one channel-CSV line under csv's quoting rules, read
     strictly; a csv error is an ``IngestError`` naming the line."""
+    import csv
+
     try:
         return next(csv.reader((line,), strict=True), [])
     except csv.Error as exc:

@@ -31,6 +31,11 @@ or recorded alike: the oracle reads both, the predictors read pv.  So
 every MPC strategy runs on a recorded pv block, and ``mpc-perfect`` on a
 recorded load too; the predictors are trained on load samples drawn from
 the generator, so they need a synthetic load block.
+
+The planner (:mod:`cemsim.control`) is imported only where a bundle
+plans: the MPC branch of :func:`build_bundle` and the forecast-window
+cache.  A ``default`` set-up, which every ``run`` builds, never steps a
+controller, so it does not pay the planner's import.
 """
 
 from __future__ import annotations
@@ -40,13 +45,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .control import (
-    ForecastWindow,
-    MPCInverter,
-    RecedingHorizonController,
-)
 from .core import (
     ConfigurationError,
     ContextIndex,
@@ -91,6 +91,9 @@ from .replay import (
     ingest_context,
     ingest_timeseries,
 )
+
+if TYPE_CHECKING:
+    from .control import ForecastWindow, RecedingHorizonController
 
 STRATEGIES = ("default", "mpc-perfect", "mpc-context", "mpc-nocontext")
 
@@ -606,6 +609,8 @@ class _DayForecast:
     """
 
     def __init__(self, end_ns: int, step_ns: int) -> None:
+        from .control import ForecastWindow
+
         self._end_ns = end_ns
         self._step_ns = step_ns
         self._bound: int | None = None
@@ -624,6 +629,8 @@ class _DayForecast:
             return window
         series = compute(now_ns, count)
         if not covered or series != (window.load_w[offset:], window.pv_w[offset:], window.prices[offset:]):
+            from .control import ForecastWindow
+
             self._window = window = ForecastWindow(now_ns, self._step_ns, *series)
         self._bound, self._key = bound, key
         return window
@@ -770,6 +777,8 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     if strategy == "default":
         inverter = InverterPVFirst(inverter_config)
     else:
+        from .control import MPCInverter, RecedingHorizonController
+
         if schedule is None:
             raise ConfigurationError(f"strategy {strategy!r} needs a priced grid")
         if scenario.battery["kind"] != "linear":

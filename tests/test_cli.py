@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -110,27 +111,40 @@ def test_a_field_beyond_the_csv_limit_fails_validate_and_run_with_its_line(recor
     assert err[0].endswith("channels.csv:3: field larger than field limit (131072)")
 
 
-# Runs the CLI with numpy unimportable: any module-level numpy import on
-# the package's import path, or a numpy call on the command's path, fails it.
-_WITHOUT_NUMPY = """
+# Runs the CLI with the modules named in argv[1] (comma-separated)
+# unimportable: any module-level import of one on the package's import
+# path, or a call into one on the command's path, fails it.
+_WITHOUT = """
 import sys
-sys.modules["numpy"] = None
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
 from cemsim import cli
-sys.exit(cli.main(sys.argv[1:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
+# What a run or validate must never load: the planner, the logging
+# configured only by compare, and numpy.
+_NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy")
 
-def _main_without_numpy(*args):
+
+def _python(*argv, **environ):
+    """``python argv...`` in a fresh interpreter that imports this cemsim;
+    ``environ`` is added to the environment, which holds no CEMSIM_LOG."""
     src = str(Path(cemsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *map(str, args)], env=env, capture_output=True, text=True)
+    env = {key: value for key, value in os.environ.items() if key != "CEMSIM_LOG"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True, text=True)
+
+
+def _main_without(blocked, *args, **environ):
+    return _python("-c", _WITHOUT, ",".join(blocked), *args, **environ)
 
 
 def test_a_pv_first_run_needs_no_numpy(recording, tmp_path):
     """A synthetic PV-first run never imports numpy and writes the same
     bytes as a run in a process where numpy is importable."""
     out = tmp_path / "no-numpy"
-    done = _main_without_numpy("run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
+    done = _main_without(("numpy",), "run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
     assert done.returncode == cli.EXIT_OK, done.stderr
     for name in ARTIFACTS:
         assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
@@ -141,14 +155,71 @@ def test_validate_and_an_all_replay_run_need_no_numpy(recording, tmp_path):
     import numpy, and the replay writes the same bytes as a replay in a
     process where numpy is importable."""
     files = (recording / "rec" / "channels.csv", recording / "rec" / "context.jsonl")
-    done = _main_without_numpy("validate", *files)
+    done = _main_without(("numpy",), "validate", *files)
     assert done.returncode == cli.EXIT_OK, done.stderr
     scenario = _replay_scenario(tmp_path, recording / "rec")
     assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "with-numpy")]) == cli.EXIT_OK
-    done = _main_without_numpy("run", "--scenario", scenario, "--out", tmp_path / "no-numpy")
+    done = _main_without(("numpy",), "run", "--scenario", scenario, "--out", tmp_path / "no-numpy")
     assert done.returncode == cli.EXIT_OK, done.stderr
     for name in ARTIFACTS:
         assert (tmp_path / "no-numpy" / name).read_bytes() == (tmp_path / "with-numpy" / name).read_bytes(), name
+
+
+def test_run_and_validate_need_no_planner_logging_or_numpy(recording, tmp_path):
+    """With the planner, logging and numpy all unimportable, a PV-first
+    run writes the same artifacts and validate prints the same lines as
+    with everything importable."""
+    out = tmp_path / "planner-free"
+    done = _main_without(_NOT_LOADED_BY_RUN, "run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+    files = (recording / "rec" / "channels.csv", recording / "rec" / "context.jsonl")
+    done = _main_without(_NOT_LOADED_BY_RUN, "validate", *files)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert done.stdout == _main_without((), "validate", *files).stdout
+
+
+def test_a_default_set_up_loads_no_planner_logging_hashlib_or_numpy(tmp_path):
+    """Importing cemsim.scenario and building a ``default`` bundle loads
+    neither the planner, logging, hashlib (OpenSSL) nor numpy: a set-up
+    samples no noise and plans nothing."""
+    probe = (
+        "import sys\n"
+        "from cemsim.scenario import build_bundle, load_scenario\n"
+        "build_bundle(load_scenario(sys.argv[1]), 'default')\n"
+        "print(sorted(name for name in sys.argv[2:] if name in sys.modules))\n"
+    )
+    modules = ("cemsim.control", "logging", "hashlib", "numpy")
+    done = _python("-c", probe, _scenario(tmp_path, "day"), *modules)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_compare_warns_of_an_infeasible_planning_window_on_stderr(tmp_path):
+    """A grid that can deliver nothing makes every planning window
+    infeasible.  compare still exits 0 and prints the planner's warning
+    on stderr as ``LEVEL logger: message``; CEMSIM_LOG=error silences it
+    and changes nothing else."""
+    scenario = _scenario(tmp_path, "no-grid", step_seconds=3600, grid={"kind": "priced", "max_active_power_w": 0})
+    args = ("-m", "cemsim.cli", "compare", "--scenario", scenario, "--strategies", "mpc-perfect")
+    done = _python(*args, "--out", tmp_path / "warned")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    lines = done.stderr.splitlines()
+    assert lines and all(
+        re.fullmatch(
+            r"WARNING cemsim\.control: planning window infeasible at \d+ ns, dispatching PV-first: "
+            r"charging problem infeasible at step \d+: .+",
+            line,
+        )
+        for line in lines
+    ), done.stderr
+    assert lines[0].startswith(f"WARNING cemsim.control: planning window infeasible at {MIDNIGHT}000000000 ns, ")
+    quiet = _python(*args, "--out", tmp_path / "quiet", CEMSIM_LOG="error")
+    assert quiet.returncode == cli.EXIT_OK and quiet.stderr == ""
+    assert quiet.stdout == done.stdout
+    for name in ("running_cost.csv", "summary.json"):
+        assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "warned" / name).read_bytes(), name
 
 
 def _peak_of_run(tmp_path, name, days):

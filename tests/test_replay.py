@@ -114,7 +114,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e15, max_
 @st.composite
 def _channel_and_queries(draw):
     start = draw(st.integers(min_value=-(10**15), max_value=10**18))
-    gaps = draw(st.lists(st.integers(min_value=1, max_value=10**12), max_size=12))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=10**12), max_size=40))
     times = [start]
     for gap in gaps:
         times.append(times[-1] + gap)
@@ -131,9 +131,13 @@ def _channel_and_queries(draw):
     )
     queries = draw(st.lists(kinds, min_size=1, max_size=20))
     if draw(st.booleans()):
-        # a replay's traffic: knots and midpoints in time order, each asked
-        # one to three times, from just before the first to just after the last
-        points = sorted({first - 1, last + 1, *times, *((a + b) // 2 for a, b in zip(times, times[1:]))})
+        # a replay's traffic: knots and midpoints in time order, every one or
+        # every 2nd or 5th (steps coarser than the recording, which skip
+        # knots), each asked one to three times, from just before the first
+        # to just after the last
+        inner = sorted({*times, *((a + b) // 2 for a, b in zip(times, times[1:]))})
+        stride = draw(st.sampled_from([1, 2, 5]))
+        points = [first - 1, *inner[draw(st.integers(0, stride - 1)) :: stride], last + 1]
         repeats = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
         walk = [t_ns for t_ns, count in zip(points, repeats) for _ in range(count)]
         queries = draw(st.sampled_from([walk + queries, queries + walk]))
@@ -155,6 +159,21 @@ def test_interpolate_matches_the_searchsorted_reference_bitwise(case):
             assert type(got) is type(want) and str(got) == str(want), (t_ns, got, want)
         else:
             assert _same_float(got, want), (t_ns, got, want)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 5, 16, 17, 18, 40])
+def test_a_walk_that_skips_knots_matches_the_reference(stride):
+    """A replay stepping ``stride`` knots at a time, on knots or between
+    them, from every phase: the cursor's gallop ahead lands in the right
+    bracket however far each step skips."""
+    points = [(i * 60 * NS + (i % 7) * 3, math.sin(i) * 1e3) for i in range(64)]
+    times = [t_ns for t_ns, _ in points]
+    for phase in range(stride):
+        for shift in (0, 30 * NS):
+            channel = _channel("pv_power", points)
+            for t_ns in times[phase::stride]:
+                want = interpolate_reference(channel, t_ns + shift, 60.0)
+                assert _same_float(interpolate(channel, t_ns + shift, 60.0), want), (stride, phase, t_ns)
 
 
 def test_channel_validation():
