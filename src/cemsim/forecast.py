@@ -11,8 +11,11 @@ rank-deficient) over four feature families:
 
 Effort is a scalar proxy for how heavy a described job is.  The default
 estimator is a documented keyword table so results stay deterministic and
-offline; :func:`estimate_effort_remote` can delegate to any HTTP endpoint
-speaking the simple ``{"text": ...} -> {"effort": ...}`` schema instead.
+offline; :func:`estimate_effort_remote` can delegate to any ``http`` or
+``https`` endpoint speaking the simple ``{"text": ...} -> {"effort": ...}``
+schema instead.  It posts with the standard library's
+:mod:`urllib.request`, imported inside the function, so the package's only
+runtime dependency is numpy.
 
 numpy is imported inside each function that builds, fits or scores
 arrays, not at module level: the CLI imports this module for every
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -77,25 +81,57 @@ class RemoteEstimatorError(SimulationError):
 def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> float:
     """Ask an HTTP endpoint to score a job description.
 
-    Sends ``{"text": ...}`` as JSON via POST and expects ``{"effort": x}``
-    with a finite x >= 0 back.  Any transport or schema problem raises
+    POSTs ``{"text": ...}`` as JSON with :mod:`urllib.request` and
+    expects ``{"effort": x}`` with a finite x >= 0 back.  Only ``http``
+    and ``https`` URLs are sent: any other scheme (``file``, ``ftp``,
+    none) is refused before anything is opened, and so is a redirect to
+    one.  ``timeout_s`` bounds the connect and each read, and must be > 0
+    (``ValueError``).  Any transport, status or schema problem raises
     :class:`RemoteEstimatorError`; there is no silent fallback.
     """
-    import requests
+    import http.client
+    import json
+    from urllib.parse import urlsplit
+    from urllib.request import HTTPRedirectHandler, Request, build_opener
 
+    def require_http(target: str) -> None:
+        if urlsplit(target).scheme not in ("http", "https"):
+            raise ValueError(f"{target!r} is not an http or https URL")
+
+    class HTTPOnlyRedirects(HTTPRedirectHandler):
+        """Follows a redirect only to an http or https URL (urllib's own
+        handler also follows one to ftp)."""
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            require_http(newurl)
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    _require(timeout_s > 0, f"timeout_s must be > 0, got {timeout_s!r}")
+    # urllib's URLError and HTTPError (a status >= 400) are OSErrors; a
+    # malformed or non-http(s) URL raises ValueError, and a timeout_s too
+    # large for the socket OverflowError
     try:
-        response = requests.post(url, json={"text": text}, timeout=timeout_s)
-        response.raise_for_status()
-    except requests.RequestException as exc:
+        require_http(url)
+        request = Request(
+            url,
+            data=json.dumps({"text": text}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with build_opener(HTTPOnlyRedirects).open(request, timeout=timeout_s) as response:
+            body = response.read()
+    except (OSError, ValueError, OverflowError, http.client.HTTPException) as exc:
         raise RemoteEstimatorError(f"effort estimator request to {url!r} failed: {exc}") from exc
     try:
-        payload = response.json()
+        payload = json.loads(body)
     except ValueError as exc:
         raise RemoteEstimatorError(f"effort estimator at {url!r} returned non-JSON body") from exc
     if not isinstance(payload, Mapping) or "effort" not in payload:
         raise RemoteEstimatorError(f"effort estimator response missing 'effort' key: {payload!r}")
     effort = payload["effort"]
-    if not isinstance(effort, (int, float)) or isinstance(effort, bool) or not math.isfinite(effort):
+    # NaN and infinities fail the bound, and so does an integer too large
+    # for a float (math.isfinite raises OverflowError on one)
+    if not isinstance(effort, (int, float)) or isinstance(effort, bool) or not abs(effort) <= sys.float_info.max:
         raise RemoteEstimatorError(f"effort estimator returned non-numeric effort: {effort!r}")
     if effort < 0:
         raise RemoteEstimatorError(f"effort estimator returned negative effort: {effort!r}")

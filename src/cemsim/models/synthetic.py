@@ -10,17 +10,18 @@ series.  Per-sample noise is derived from blake2b over (seed, channel,
 timestamp), so a value depends only on the sampled instant, never on how
 many steps were taken to reach it.
 
-:mod:`hashlib` is imported on the first noise sample, not with the
-module: importing it initialises OpenSSL, which a scenario set-up (and
-any run with zero noise) never needs.  The first sample rebinds
-``_blake2b`` to ``hashlib.blake2b``, so later samples pay nothing for
-the deferral.
+blake2b comes from CPython's built-in :mod:`_blake2`, which is the very
+function :mod:`hashlib` re-exports (``hashlib.blake2b is
+_blake2.blake2b``), so the digests are the same.  ``_blake2`` is cheap
+to import, while importing :mod:`hashlib` initialises OpenSSL, which no
+noise sample needs.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from _blake2 import blake2b
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
@@ -41,18 +42,10 @@ NS_PER_HOUR = 3_600_000_000_000
 NS_PER_DAY = 86_400_000_000_000
 
 
-def _blake2b(data: bytes, digest_size: int):
-    """Import hashlib, rebind this name to its blake2b and hash ``data``."""
-    global _blake2b
-    from hashlib import blake2b as _blake2b
-
-    return _blake2b(data, digest_size=digest_size)
-
-
 def unit_noise(seed: int, channel: str, t_ns: int) -> float:
     """Deterministic pseudo-random value in [0, 1) for (seed, channel, t)."""
     key = f"{seed}:{channel}:{t_ns}".encode()
-    digest = _blake2b(key, digest_size=8).digest()
+    digest = blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0**64
 
 

@@ -261,7 +261,7 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     },
     "forecast.effort_estimator": {
         "heuristic": {},
-        "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=0.0)},
+        "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=1e-9)},
     },
 }
 

@@ -19,8 +19,10 @@ class _EstimatorHandler(BaseHTTPRequestHandler):
     """In-process stand-in for a remote effort estimator.
 
     ``/ok`` scores every text 2.5; the other paths return one malformed
-    response each.  The server keeps the last request body and the text of
-    every POST it answered, in order.
+    response each (``/huge`` an integer effort too large for a float,
+    ``/to-ftp`` a redirect to an ftp URL).
+    The server keeps the last request body and the text of every POST it
+    answered, in order.
     """
 
     def do_POST(self):
@@ -31,12 +33,18 @@ class _EstimatorHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if self.path == "/to-ftp":
+            self.send_response(302)
+            self.send_header("Location", "ftp://127.0.0.1/answer.json")
+            self.end_headers()
+            return
         bodies = {
             "/ok": b'{"effort": 2.5}',
             "/not-json": b"effort: lots",
             "/missing-key": b'{"score": 2.5}',
             "/negative": b'{"effort": -1.0}',
             "/stringy": b'{"effort": "big"}',
+            "/huge": b'{"effort": ' + b"9" * 400 + b"}",
         }
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -123,8 +123,9 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 # What a run or validate must never load: the planner, the logging
-# configured only by compare, and numpy.
-_NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy")
+# configured only by compare, numpy, and hashlib, which initialises
+# OpenSSL (the noise hash is _blake2's blake2b).
+_NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib")
 
 
 def _python(*argv, **environ):
@@ -166,9 +167,9 @@ def test_validate_and_an_all_replay_run_need_no_numpy(recording, tmp_path):
 
 
 def test_run_and_validate_need_no_planner_logging_or_numpy(recording, tmp_path):
-    """With the planner, logging and numpy all unimportable, a PV-first
-    run writes the same artifacts and validate prints the same lines as
-    with everything importable."""
+    """With the planner, logging, numpy and hashlib all unimportable, a
+    noisy PV-first run writes the same artifacts and validate prints the
+    same lines as with everything importable."""
     out = tmp_path / "planner-free"
     done = _main_without(_NOT_LOADED_BY_RUN, "run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
     assert done.returncode == cli.EXIT_OK, done.stderr
@@ -413,13 +414,14 @@ def test_reruns_into_different_directories_are_byte_identical(recording, tmp_pat
 # ---------------------------------------------------------------------------
 
 
+def _estimated(tmp_path, url):
+    """A 1 d @ 240 s scenario whose forecasts ask the estimator at ``url``."""
+    forecast = {"resamples": 2, "effort_estimator": {"kind": "remote", "url": url}}
+    return _scenario(tmp_path, "estimated", step_seconds=240, forecast=forecast)
+
+
 def _forecast_eval(tmp_path, url):
-    path = _scenario(
-        tmp_path,
-        "estimated",
-        step_seconds=240,
-        forecast={"resamples": 2, "effort_estimator": {"kind": "remote", "url": url}},
-    )
+    path = _estimated(tmp_path, url)
     return cli.main(["forecast-eval", "--scenario", str(path), "--out", str(tmp_path / "fe")])
 
 
@@ -449,6 +451,16 @@ def test_forecast_eval_scores_with_the_remote_estimator(estimator_server, tmp_pa
     texts = estimator_server.texts[posted:]
     assert texts, "the remote estimator was never asked"
     assert len(texts) == len(set(texts)), "a text was scored twice"
+
+
+def test_forecast_eval_scores_with_the_remote_estimator_without_requests(estimator_server, tmp_path):
+    """The estimator posts with the standard library: forecast-eval asks
+    it in a process where ``requests`` cannot be imported."""
+    posted = len(estimator_server.texts)
+    path = _estimated(tmp_path, f"{estimator_server.url}/ok")
+    done = _main_without(("requests",), "forecast-eval", "--scenario", path, "--out", tmp_path / "fe")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert len(estimator_server.texts) > posted, "the remote estimator was never asked"
 
 
 def test_forecast_eval_with_an_unreachable_estimator_exits_2(tmp_path, capsys):

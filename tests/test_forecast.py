@@ -1,5 +1,7 @@
 """Load forecasting: effort heuristic, feature families, OLS fits, remote scoring."""
 import json
+import math
+import re
 import socket
 
 import numpy as np
@@ -303,6 +305,33 @@ def test_remote_estimator_rejects_bad_responses(estimator_server):
         estimate_effort_remote("x", f"{estimator_server.url}/stringy", timeout_s=5.0)
     with pytest.raises(RemoteEstimatorError, match="failed"):
         estimate_effort_remote("x", f"{estimator_server.url}/boom", timeout_s=5.0)
+    with pytest.raises(RemoteEstimatorError, match="non-numeric effort: 9{400}$"):
+        estimate_effort_remote("x", f"{estimator_server.url}/huge", timeout_s=5.0)
+
+
+def test_remote_estimator_opens_only_http_and_https_urls(tmp_path, estimator_server):
+    """A file, ftp or scheme-less URL is refused before anything is
+    opened (a file holding a well-formed answer is not read), and so are
+    a malformed URL and a redirect to an ftp URL."""
+    answer = tmp_path / "answer.json"
+    answer.write_text('{"effort": 2.5}')
+    for url in (answer.as_uri(), "ftp://127.0.0.1/answer.json", "127.0.0.1:80/ok"):
+        refused = f"effort estimator request to {url!r} failed: {url!r} is not an http or https URL"
+        with pytest.raises(RemoteEstimatorError, match=f"^{re.escape(refused)}$"):
+            estimate_effort_remote("x", url, timeout_s=5.0)
+    with pytest.raises(RemoteEstimatorError, match=re.escape("'http://[::1/ok' failed: Invalid IPv6 URL")):
+        estimate_effort_remote("x", "http://[::1/ok", timeout_s=5.0)
+    with pytest.raises(RemoteEstimatorError, match=re.escape("failed: 'ftp://127.0.0.1/answer.json' is not an http")):
+        estimate_effort_remote("x", f"{estimator_server.url}/to-ftp", timeout_s=5.0)
+
+
+def test_remote_estimator_needs_a_positive_timeout(estimator_server):
+    for timeout_s in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="timeout_s"):
+            estimate_effort_remote("x", f"{estimator_server.url}/ok", timeout_s=timeout_s)
+    # positive, but too large for the socket
+    with pytest.raises(RemoteEstimatorError, match="failed: "):
+        estimate_effort_remote("x", f"{estimator_server.url}/ok", timeout_s=1e300)
 
 
 def test_remote_estimator_unreachable_endpoint():

@@ -171,6 +171,16 @@ def test_forecast_block_validation():
     assert remote.forecast["effort_estimator"]["url"] == "http://x/score"
 
 
+def test_a_remote_estimator_needs_a_positive_timeout():
+    def remote(timeout_s):
+        return _scenario({}, forecast={"effort_estimator": {"kind": "remote", "url": "http://x/score", "timeout_s": timeout_s}})
+
+    for timeout_s in (0, -1.0):
+        with pytest.raises(ConfigurationError, match=r"forecast\.effort_estimator.*'timeout_s' must be >= 1e-09"):
+            remote(timeout_s)
+    assert remote(1e-9).forecast["effort_estimator"]["timeout_s"] == 1e-9
+
+
 def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
     (tmp_path / "recording.csv").write_text("")
     (tmp_path / "notes.jsonl").write_text("")
