@@ -17,7 +17,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The names each submodule exports at package level.
+# The names each defining module exports at package level.
 _EXPORTS = {
     "core": (
         "Battery",
@@ -61,7 +61,6 @@ _EXPORTS = {
         "ComponentStepError",
         "Simulator",
         "SimulatorStepOutput",
-        "StepDeltas",
         "run",
     ),
     "forecast": (
@@ -78,25 +77,18 @@ _EXPORTS = {
         "rmse",
         "train_predictor",
     ),
-    "models": (
-        "BatteryLinear",
-        "BatteryLinearConfig",
-        "GridPriced",
-        "GridPricedConfig",
-        "InverterPVFirst",
-        "InverterPVFirstConfig",
-        "PriceSchedule",
+    "models.battery": ("BatteryLinear", "BatteryLinearConfig", "battery_linear_step"),
+    "models.grid": ("GridPriced", "GridPricedConfig", "PriceSchedule", "grid_priced_step"),
+    "models.inverter": ("InverterPVFirst", "InverterPVFirstConfig", "inverter_pv_first_step"),
+    "models.synthetic": (
         "PriceTiers",
         "ScriptedContext",
         "SyntheticLoad",
         "SyntheticPowerSource",
         "SyntheticScenarioConfig",
-        "battery_linear_step",
         "build_price_schedule",
         "context_records_for_jobs",
         "generate_job_events",
-        "grid_priced_step",
-        "inverter_pv_first_step",
         "unit_noise",
     ),
     "replay": (

@@ -58,7 +58,7 @@ class BatteryMode(Enum):
 class StepRecord(tuple):
     """Base of the records a step builds: immutable, validated tuples.
 
-    Every step builds eleven records (eight here, three in
+    Every step builds ten records (eight here, two in
     :mod:`cemsim.engine`), so their construction is a per-step cost.  A
     frozen slotted dataclass sets each field through
     ``object.__setattr__`` and then makes one more call, to

@@ -13,14 +13,15 @@ battery and grid for the same step.
 
 Cumulative energy aggregates are kept in watt-hours with compensated
 summation, so the final totals equal the compensated sum of the per-step
-deltas exactly.  Maxima (voltages, currents, requested grid power) only
-ever grow.
+energy movements exactly.  Maxima (voltages, currents, requested grid
+power) only ever grow; they live on the simulator, updated in place, and
+:meth:`Simulator.maxima` hands out a copy.
 
-Each step builds a :class:`StepDeltas`, an :class:`Aggregates` and a
-:class:`SimulatorStepOutput` on top of the component records.  Like
-those, they are :class:`~cemsim.core.StepRecord` tuples, not frozen
-dataclasses, because they are built on every step: a tuple is built in
-one ``tuple.__new__`` where a frozen dataclass sets each field through
+Each step builds an :class:`Aggregates` and a :class:`SimulatorStepOutput`
+on top of the component records: what the run's sinks read.  Like those,
+they are :class:`~cemsim.core.StepRecord` tuples, not frozen dataclasses,
+because they are built on every step: a tuple is built in one
+``tuple.__new__`` where a frozen dataclass sets each field through
 ``object.__setattr__``.  They check nothing, so they keep namedtuple's
 own ``__new__``.  They keep the dataclass names, fields, ``repr`` and
 hash, reject assignment with ``FrozenInstanceError``, and compare equal
@@ -73,7 +74,7 @@ class _Books:
     """Six Kahan-Neumaier accumulators updated in one call per step.
 
     The per-value arithmetic is exactly CompensatedSum's, so re-summing
-    the streamed deltas with CompensatedSum reproduces every cumulative
+    each step's movements with CompensatedSum reproduces every cumulative
     total bitwise.  Inlined here because six method calls per step are a
     measurable cost over million-step runs.
     """
@@ -126,15 +127,6 @@ class _Books:
         self.cost = t
 
 
-class StepDeltas(
-    StepRecord,
-    namedtuple("StepDeltas", "generated_wh consumed_wh purchased_wh charged_wh discharged_wh cost"),
-):
-    """Per-step energy movements (Wh) and the step's grid cost."""
-
-    __slots__ = ()
-
-
 class Aggregates(
     StepRecord,
     namedtuple("Aggregates", "generated_wh consumed_wh purchased_wh charged_wh discharged_wh cost"),
@@ -148,14 +140,14 @@ class SimulatorStepOutput(
     StepRecord,
     namedtuple(
         "SimulatorStepOutput",
-        "step_index time_ns context power_source load inverter battery grid deltas aggregates maxima",
+        "step_index time_ns context power_source load inverter battery grid aggregates",
     ),
 ):
-    """Everything one step produced, with books snapshotted after it.
+    """The component records one step produced and the aggregates after it.
 
     ``context`` is the tuple of context records the step saw, or None
-    without a context component; ``maxima`` maps each of
-    :data:`MAXIMA_KEYS` to its running maximum after the step.
+    without a context component.  The running maxima are not snapshotted
+    per step: :meth:`Simulator.maxima` reads them when a run needs them.
     """
 
     __slots__ = ()
@@ -204,7 +196,6 @@ class Simulator:
         """Advance every component over ``[now_ns, now_ns + step_ns)``."""
         start_ns = self.now_ns
         end_ns = start_ns + step_ns
-        dt_s = step_ns / NS_PER_SECOND
 
         stage = "context"
         try:
@@ -235,7 +226,7 @@ class Simulator:
         self.last_battery_result = battery_result
 
         delta_e = battery_result.delta_energy
-        dt_wh = dt_s * WH_PER_J
+        dt_wh = step_ns / NS_PER_SECOND * WH_PER_J
         generated = inverter_result.pv_power_drawn * dt_wh
         consumed = load_result.requested_active_power * dt_wh
         purchased = grid_result.delivered_active_power * dt_wh
@@ -244,30 +235,17 @@ class Simulator:
         cost = grid_result.cost
         self._books.add(generated, consumed, purchased, charged, discharged, cost)
 
-        # Maxima rarely grow once a run settles, so test cheaply first and
-        # rebuild copy-on-write: step outputs share the current dict, and
-        # replacing it on change keeps past outputs' snapshots intact.
         maxima = self._maxima
-        requested_active = grid_input.requested_active_power
-        if (
-            pv_result.voltage > maxima["pv_voltage"]
-            or pv_result.current > maxima["pv_current"]
-            or battery_result.voltage > maxima["battery_voltage"]
-            or battery_input.current > maxima["battery_current"]
-            or requested_active > maxima["grid_requested_active_power"]
-        ):
-            maxima = dict(maxima)
-            if pv_result.voltage > maxima["pv_voltage"]:
-                maxima["pv_voltage"] = pv_result.voltage
-            if pv_result.current > maxima["pv_current"]:
-                maxima["pv_current"] = pv_result.current
-            if battery_result.voltage > maxima["battery_voltage"]:
-                maxima["battery_voltage"] = battery_result.voltage
-            if battery_input.current > maxima["battery_current"]:
-                maxima["battery_current"] = battery_input.current
-            if requested_active > maxima["grid_requested_active_power"]:
-                maxima["grid_requested_active_power"] = requested_active
-            self._maxima = maxima
+        if pv_result.voltage > maxima["pv_voltage"]:
+            maxima["pv_voltage"] = pv_result.voltage
+        if pv_result.current > maxima["pv_current"]:
+            maxima["pv_current"] = pv_result.current
+        if battery_result.voltage > maxima["battery_voltage"]:
+            maxima["battery_voltage"] = battery_result.voltage
+        if battery_input.current > maxima["battery_current"]:
+            maxima["battery_current"] = battery_input.current
+        if grid_input.requested_active_power > maxima["grid_requested_active_power"]:
+            maxima["grid_requested_active_power"] = grid_input.requested_active_power
 
         return SimulatorStepOutput(
             self.step_count - 1,
@@ -278,9 +256,7 @@ class Simulator:
             inverter_result,
             battery_result,
             grid_result,
-            StepDeltas(generated, consumed, purchased, charged, discharged, cost),
             self.aggregates(),
-            maxima,
         )
 
 

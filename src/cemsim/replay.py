@@ -247,13 +247,11 @@ class TimeSeriesTable:
             self._channels[key] = channel
 
     def channel(self, subsystem_id: int, name: str) -> Channel:
+        """The channel ``(subsystem_id, name)``; ValueError if the recording lacks it."""
         key = (subsystem_id, name)
         if key not in self._channels:
-            raise KeyError(f"recording has no channel {key}")
+            raise ValueError(f"replay recording lacks channel {key}")
         return self._channels[key]
-
-    def has_channel(self, subsystem_id: int, name: str) -> bool:
-        return (subsystem_id, name) in self._channels
 
     def keys(self) -> list[tuple[int, str]]:
         return sorted(self._channels)
@@ -442,40 +440,28 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayComponentConfig:
-    """Shared replay settings: which recording, which subsystem, how much
-    clamping slack at the recording's edges, and (for batteries) the pack
-    capacity used to convert SOC differences back into energy."""
-
-    table: TimeSeriesTable
-    subsystem_id: int = 1
-    boundary_tolerance_s: float = DEFAULT_BOUNDARY_TOLERANCE_S
-    battery_capacity_j: float | None = None
-
-    def __post_init__(self) -> None:
-        _require(self.boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
-        if self.battery_capacity_j is not None:
-            _require(self.battery_capacity_j > 0.0, "battery_capacity_j must be > 0")
-
-    def channels(self, *names: str) -> tuple[Channel, ...]:
-        """This subsystem's channels ``names``; ValueError names the first missing one."""
-        for name in names:
-            if not self.table.has_channel(self.subsystem_id, name):
-                raise ValueError(f"replay recording lacks channel ({self.subsystem_id}, {name!r})")
-        return tuple(self.table.channel(self.subsystem_id, name) for name in names)
+# Each component takes the recording, the subsystem id of its channels and
+# the clamping slack at the recording's edges, and resolves its channels
+# once; ReplayBattery also takes the pack capacity that turns SOC
+# differences back into energy.  The components look up the module-level
+# ``interpolate`` on every step, so a wrapper installed on
+# ``cemsim.replay.interpolate`` sees every lookup.  Recorded context needs
+# no component of its own: ``ScriptedContext`` plays back ingested records.
 
 
-# The components below look up the module-level ``interpolate`` on every
-# step, so a wrapper installed on ``cemsim.replay.interpolate`` sees every
-# lookup.  Recorded context needs no component of its own:
-# ``ScriptedContext`` plays back ingested records.
+def _channels(table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> list[Channel]:
+    """Subsystem ``subsystem_id``'s channels ``names`` after checking the
+    tolerance; ValueError names the first missing channel."""
+    _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
+    return [table.channel(subsystem_id, name) for name in names]
 
 
 class ReplayPowerSource(PowerSource):
-    def __init__(self, config: ReplayComponentConfig) -> None:
-        self._voltage, self._current, self._power = config.channels("pv_voltage", "pv_current", "pv_power")
-        self._tolerance_s = config.boundary_tolerance_s
+    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
+        self._voltage, self._current, self._power = _channels(
+            table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
         """The recorded PV power at ``t_ns``, as a step ending there reports it."""
@@ -495,9 +481,11 @@ class ReplayLoad(Load):
     recorded pair dips below it (measurement jitter), since |S| >= P is a
     hard result invariant."""
 
-    def __init__(self, config: ReplayComponentConfig) -> None:
-        self._active, self._apparent = config.channels("load_active_power", "load_apparent_power")
-        self._tolerance_s = config.boundary_tolerance_s
+    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
+        self._active, self._apparent = _channels(
+            table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
         """The recorded active power at ``t_ns``, as a step ending there requests it."""
@@ -514,9 +502,11 @@ class ReplayGrid(Grid):
     delivered <= requested relation cannot be enforced here; replays
     reproduce history rather than arbitrate it."""
 
-    def __init__(self, config: ReplayComponentConfig) -> None:
-        self._active, self._apparent = config.channels("grid_active_power", "grid_apparent_power")
-        self._tolerance_s = config.boundary_tolerance_s
+    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
+        self._active, self._apparent = _channels(
+            table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
@@ -527,18 +517,15 @@ class ReplayGrid(Grid):
 
 class ReplayBattery(Battery):
     """Recorded battery.  delta_energy is the recorded SOC difference
-    times the configured capacity; the commanded mode/current is ignored.
+    times ``capacity_j``; the commanded mode/current is ignored.
     The (soc, voltage) read at the end of one step is kept as the start
     state of the next, so each step interpolates only its end."""
 
-    def __init__(self, config: ReplayComponentConfig) -> None:
-        self._soc, self._voltage = config.channels("battery_soc", "battery_voltage")
-        _require(
-            config.battery_capacity_j is not None,
-            "ReplayBattery needs battery_capacity_j in its config",
-        )
-        self._tolerance_s = config.boundary_tolerance_s
-        self._capacity_j = config.battery_capacity_j
+    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, capacity_j: float) -> None:
+        self._soc, self._voltage = _channels(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
+        _require(capacity_j > 0.0, "capacity_j must be > 0")
+        self._tolerance_s = boundary_tolerance_s
+        self._capacity_j = capacity_j
         self._state: tuple[int, float, float] | None = None
 
     def _state_at(self, t_ns: int) -> tuple[float, float]:

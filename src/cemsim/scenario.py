@@ -68,6 +68,7 @@ from .models.grid import GridPriced, GridPricedConfig, PriceSchedule
 from .models.inverter import InverterPVFirst, InverterPVFirstConfig
 from .models.synthetic import (
     NS_PER_DAY,
+    NS_PER_HOUR,
     JobEvent,
     PriceTiers,
     ScriptedContext,
@@ -83,7 +84,6 @@ from .replay import (
     CHANNELS,
     DEFAULT_BOUNDARY_TOLERANCE_S,
     ReplayBattery,
-    ReplayComponentConfig,
     ReplayGrid,
     ReplayLoad,
     ReplayPowerSource,
@@ -102,6 +102,9 @@ STRATEGIES = ("default", "mpc-perfect", "mpc-context", "mpc-nocontext")
 TRAIN_SEED_OFFSET = 1_000_003
 
 SCHEMA_VERSION = 1
+
+#: The latest time a recording can hold: it stores int64 nanoseconds.
+INT64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,10 @@ def _number(block: Mapping[str, Any], key: str, where: str, default=None, minimu
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"{key!r} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(where, f"{key!r} must be finite, got an integer too large for a float")
     if not math.isfinite(value):
         _fail(where, f"{key!r} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
@@ -243,7 +249,9 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
         "replay": _replay_keys(_SUBSYSTEM_ID["grid"]),
     },
     "context": {
-        "synthetic": {"announce_lead_hours": partial(_number, default=10.0, minimum=0.0)},
+        "synthetic": {
+            "announce_lead_hours": partial(_number, default=10.0, minimum=0.0, maximum=INT64_MAX / NS_PER_HOUR)
+        },
         "replay": {"file": _resolve_file},
         "none": {},
     },
@@ -406,7 +414,7 @@ def scenario_from_dict(
         forecast.get("effort_estimator"), "forecast.effort_estimator", "heuristic", base_dir
     )
 
-    return Scenario(
+    scenario = Scenario(
         seed=seed,
         start_ns=start_seconds * NS_PER_SECOND,
         horizon_seconds=horizon_seconds,
@@ -421,6 +429,12 @@ def scenario_from_dict(
         base_dir=base_dir,
         output_dir=output_dir,
     )
+    # Every time a run writes must fit int64: the steps end by the horizon's
+    # end, and generated jobs by 1 h past the last day the horizon touches.
+    latest = (INT64_MAX - scenario.day_count * NS_PER_DAY - NS_PER_HOUR) // NS_PER_SECOND
+    if start_seconds > latest:
+        _fail("scenario", f"'start_epoch_seconds' must be <= {latest} for times to fit int64 ns, got {start_seconds}")
+    return scenario
 
 
 def load_scenario(
@@ -552,16 +566,14 @@ class SimulationBundle:
     controller: RecedingHorizonController | None
 
 
-def _replay_config(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable], capacity_j=None) -> ReplayComponentConfig:
+def _recorded(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable]) -> tuple[TimeSeriesTable, int, float]:
+    """A replay block's (recording, subsystem id, boundary tolerance): the
+    leading arguments of every replay component.  ``tables`` keeps each
+    file ingested once per bundle."""
     file = block["file"]
     if file not in tables:
         tables[file] = ingest_timeseries(file)
-    return ReplayComponentConfig(
-        table=tables[file],
-        subsystem_id=block["subsystem_id"],
-        boundary_tolerance_s=block["boundary_tolerance_s"],
-        battery_capacity_j=capacity_j,
-    )
+    return tables[file], block["subsystem_id"], block["boundary_tolerance_s"]
 
 
 def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
@@ -736,21 +748,19 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     if scenario.pv["kind"] == "synthetic":
         pv = SyntheticPowerSource(generator)
     else:
-        pv = ReplayPowerSource(_replay_config(scenario.pv, tables))
+        pv = ReplayPowerSource(*_recorded(scenario.pv, tables))
 
     if scenario.load["kind"] == "synthetic":
         load = SyntheticLoad(generator)
     else:
-        load = ReplayLoad(_replay_config(scenario.load, tables))
+        load = ReplayLoad(*_recorded(scenario.load, tables))
 
     if scenario.battery["kind"] == "linear":
         # the linear battery block's keys are BatteryLinearConfig's fields
         fields = {key: value for key, value in scenario.battery.items() if key != "kind"}
         battery = BatteryLinear(BatteryLinearConfig(**fields))
     else:
-        battery = ReplayBattery(
-            _replay_config(scenario.battery, tables, capacity_j=scenario.battery["capacity_j"])
-        )
+        battery = ReplayBattery(*_recorded(scenario.battery, tables), scenario.battery["capacity_j"])
 
     if scenario.grid["kind"] == "priced":
         grid = GridPriced(
@@ -761,7 +771,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
             )
         )
     else:
-        grid = ReplayGrid(_replay_config(scenario.grid, tables))
+        grid = ReplayGrid(*_recorded(scenario.grid, tables))
 
     # generated announcements and recorded notes play back the same way
     records: tuple[ContextRecord, ...] = ()

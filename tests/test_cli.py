@@ -402,6 +402,44 @@ def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording,
     assert failure.value.step_index == 1442
 
 
+def test_a_recording_without_a_components_channel_exits_1_naming_it(recording, tmp_path, capsys):
+    lacking = tmp_path / "lacking"
+    lacking.mkdir()
+    lines = (recording / "rec" / "channels.csv").read_text().splitlines(keepends=True)
+    (lacking / "channels.csv").write_text("".join(line for line in lines if ",pv_voltage," not in line))
+    (lacking / "context.jsonl").write_bytes((recording / "rec" / "context.jsonl").read_bytes())
+    path = _replay_scenario(tmp_path, "lacking")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: replay recording lacks channel (1, 'pv_voltage')\n"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_timeline_past_int64_exits_1(tmp_path, capsys, command):
+    """A run whose timestamps would not fit int64 nanoseconds is refused at
+    load: one ``error:`` line and exit 1, and nothing is written."""
+    path = _scenario(tmp_path, "late", start_epoch_seconds=10_000_000_000, horizon_seconds=3600, step_seconds=600)
+    out = tmp_path / "o"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: scenario: 'start_epoch_seconds' must be <= ")
+    assert not out.exists()
+
+
+def test_the_latest_start_runs_and_its_recording_validates(tmp_path, capsys):
+    """At the latest start a 1 d horizon allows, the last job ends at most
+    1 h after that day, and the whole recording holds int64 times."""
+    latest = (2**63 - 1 - 86_400 * 10**9 - 3600 * 10**9) // 10**9
+    fields = {"horizon_seconds": 3600, "step_seconds": 600}
+    path = _scenario(tmp_path, "latest", start_epoch_seconds=latest, **fields)
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "rec")]) == cli.EXIT_OK
+    files = [str(tmp_path / "rec" / "channels.csv"), str(tmp_path / "rec" / "context.jsonl")]
+    capsys.readouterr()
+    assert cli.main(["validate", *files]) == cli.EXIT_OK
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["PASS", "PASS"]
+    late = _scenario(tmp_path, "late", start_epoch_seconds=latest + 1, **fields)
+    assert cli.main(["run", "--scenario", str(late), "--out", str(tmp_path / "late")]) == cli.EXIT_CONFIG
+
+
 def test_reruns_into_different_directories_are_byte_identical(recording, tmp_path):
     path = _scenario(tmp_path, "day")
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "again")]) == cli.EXIT_OK

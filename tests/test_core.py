@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import cemsim.core
 from cemsim import (
-    MAXIMA_KEYS,
     Aggregates,
     BatteryMode,
     BatteryStepInput,
@@ -24,7 +23,6 @@ from cemsim import (
     LoadStepResult,
     PowerSourceStepResult,
     SimulatorStepOutput,
-    StepDeltas,
     compensated_total,
     context_query,
     grid_energy_cost,
@@ -193,9 +191,7 @@ def _one_of_each_record():
     battery_input = BatteryStepInput(BatteryMode.IDLE, 0.0)
     inverter = InverterStepResult(grid_input, battery_input, 96.0)
     grid = GridStepResult(4.0, 4.0, 0.25, True)
-    deltas = StepDeltas(1.6, 1.7, 0.1, 0.0, 0.0, 0.25)
     aggregates = Aggregates(1.6, 1.7, 0.1, 0.0, 0.0, 0.25)
-    maxima = dict.fromkeys(MAXIMA_KEYS, 48.0)
     return [
         pv,
         load,
@@ -205,9 +201,8 @@ def _one_of_each_record():
         inverter,
         battery,
         grid,
-        deltas,
         aggregates,
-        SimulatorStepOutput(0, 60 * NS_PER_SECOND, None, pv, load, inverter, battery, grid, deltas, aggregates, maxima),
+        SimulatorStepOutput(0, 60 * NS_PER_SECOND, None, pv, load, inverter, battery, grid, aggregates),
     ]
 
 
@@ -232,7 +227,6 @@ def test_step_records_are_frozen_and_compare_only_within_their_type(record):
 
 def test_records_with_the_same_fields_are_unequal_across_types():
     assert LoadStepResult(1.0, 2.0) != GridStepInput(1.0, 2.0)
-    assert StepDeltas(1.0, 2.0, 3.0, 4.0, 5.0, 6.0) != Aggregates(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 # ---------------------------------------------------------------------------

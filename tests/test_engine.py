@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemsim import (
+    Aggregates,
     BatteryLinear,
     BatteryLinearConfig,
     BatteryStepResult,
@@ -39,6 +40,7 @@ from cemsim import (
     scenario_from_dict,
 )
 from cemsim.core import NS_PER_SECOND as NS
+from cemsim.engine import WH_PER_J
 
 NS_PER_DAY = 86_400 * NS
 
@@ -149,18 +151,18 @@ def test_all_zero_run_produces_zero_aggregates():
 def test_running_maximum_of_grid_requests():
     """Requests of 0, 500, 200 W leave a running maximum of 500 W."""
     simulator = _simulator(loads=[0.0, 500.0, 200.0])
-    outputs = [simulator.step(3600 * NS) for _ in range(3)]
-    assert simulator.maxima()["grid_requested_active_power"] == 500.0
-    assert outputs[0].maxima["grid_requested_active_power"] == 0.0
-    assert outputs[1].maxima["grid_requested_active_power"] == 500.0
-    assert outputs[2].maxima["grid_requested_active_power"] == 500.0
+    seen = []
+    for _ in range(3):
+        simulator.step(3600 * NS)
+        seen.append(simulator.maxima()["grid_requested_active_power"])
+    assert seen == [0.0, 500.0, 500.0]
 
 
 def test_maxima_snapshots_are_isolated_from_later_growth():
-    """Each output keeps the maxima as of its own step."""
+    """A snapshot is a copy: editing it changes nothing in the simulator."""
     simulator = _simulator(loads=[100.0, 200.0, 300.0])
-    outputs = [simulator.step(3600 * NS) for _ in range(3)]
-    assert [o.maxima["grid_requested_active_power"] for o in outputs] == [100.0, 200.0, 300.0]
+    for _ in range(3):
+        simulator.step(3600 * NS)
     exported = simulator.maxima()
     exported["grid_requested_active_power"] = -1.0
     assert simulator.maxima()["grid_requested_active_power"] == 300.0
@@ -289,20 +291,29 @@ def test_runs_are_deterministic():
         assert a.load == b.load
         assert a.battery == b.battery
         assert a.grid == b.grid
-        assert a.deltas == b.deltas
         assert a.aggregates == b.aggregates
 
 
 def test_aggregates_equal_compensated_resum_of_deltas():
-    """Re-summing the streamed per-step deltas reproduces every cumulative
-    total bit for bit, at every step."""
+    """Re-summing each step's energy movements, recomputed from the step's
+    own records and length, reproduces every cumulative total bit for bit,
+    at every step."""
     outputs = _outputs(_synthetic_simulator(seed=3), total_ns=NS_PER_DAY, step_ns=120 * NS)
-    fields = ("generated_wh", "consumed_wh", "purchased_wh", "charged_wh", "discharged_wh", "cost")
-    accumulators = {field: CompensatedSum() for field in fields}
+    dt_wh = 120.0 * WH_PER_J
+    accumulators = [CompensatedSum() for _ in Aggregates._fields]
     for output in outputs:
-        for field in fields:
-            accumulators[field].add(getattr(output.deltas, field))
-            assert accumulators[field].value == getattr(output.aggregates, field)
+        delta_e = output.battery.delta_energy
+        deltas = (
+            output.inverter.pv_power_drawn * dt_wh,
+            output.load.requested_active_power * dt_wh,
+            output.grid.delivered_active_power * dt_wh,
+            delta_e * WH_PER_J if delta_e > 0.0 else 0.0,
+            -delta_e * WH_PER_J if delta_e < 0.0 else 0.0,
+            output.grid.cost,
+        )
+        for accumulator, delta, total in zip(accumulators, deltas, output.aggregates):
+            accumulator.add(delta)
+            assert accumulator.value == total
 
 
 def test_context_records_flow_into_outputs():
@@ -372,8 +383,8 @@ def test_lossless_steps_balance_energy(seed):
 
 def test_maxima_keys_are_stable():
     simulator = _synthetic_simulator()
-    output = simulator.step(120)
-    assert sorted(output.maxima) == [
+    simulator.step(120)
+    assert sorted(simulator.maxima()) == [
         "battery_current",
         "battery_voltage",
         "grid_requested_active_power",

@@ -28,7 +28,7 @@ from cemsim import (
     interpolate,
 )
 from cemsim.core import ContextRecord
-from cemsim.replay import CHANNEL_HEADER, ReplayComponentConfig
+from cemsim.replay import CHANNEL_HEADER
 
 from oracles import ingest_timeseries_reference, interpolate_reference
 
@@ -207,9 +207,8 @@ def test_table_rejects_duplicate_channels():
     with pytest.raises(ValueError):
         TimeSeriesTable([RAMP, RAMP])
     table = TimeSeriesTable([RAMP])
-    assert table.has_channel(1, "pv_power")
-    assert not table.has_channel(2, "pv_power")
-    with pytest.raises(KeyError):
+    assert table.channel(1, "pv_power") is RAMP
+    with pytest.raises(ValueError, match=r"^replay recording lacks channel \(2, 'pv_power'\)$"):
         table.channel(2, "pv_power")
 
 
@@ -558,8 +557,7 @@ def _battery_table(soc_points, voltage=51.2):
 def test_replay_battery_holds_recorded_soc():
     """A constant recorded SOC of 0.55 replays as 0.55, with zero deltas."""
     table = _battery_table([(0, 0.55), (7200 * NS, 0.55)])
-    config = ReplayComponentConfig(table=table, battery_capacity_j=3.6e6)
-    battery = ReplayBattery(config)
+    battery = ReplayBattery(table, 1, 120.0, 3.6e6)
     assert battery.snapshot(0).soc == 0.55
     result = battery.step(0, 1800 * NS, BatteryStepInput(BatteryMode.CHARGE, 10.0))
     assert result.soc == 0.55
@@ -569,24 +567,22 @@ def test_replay_battery_holds_recorded_soc():
 def test_replay_battery_ignores_commanded_inputs():
     """Replay reproduces the recording whatever the inverter asked for."""
     table = _battery_table([(0, 0.5), (3600 * NS, 0.75)])
-    config = ReplayComponentConfig(table=table, battery_capacity_j=3.6e6)
-    charged = ReplayBattery(config).step(0, 3600 * NS, BatteryStepInput(BatteryMode.CHARGE, 10.0))
-    idled = ReplayBattery(config).step(0, 3600 * NS, BatteryStepInput(BatteryMode.IDLE, 0.0))
+    charged = ReplayBattery(table, 1, 120.0, 3.6e6).step(0, 3600 * NS, BatteryStepInput(BatteryMode.CHARGE, 10.0))
+    idled = ReplayBattery(table, 1, 120.0, 3.6e6).step(0, 3600 * NS, BatteryStepInput(BatteryMode.IDLE, 0.0))
     assert charged == idled
 
 
 def test_replay_battery_converts_soc_delta_to_energy():
     table = _battery_table([(0, 0.5), (3600 * NS, 0.75)])
-    config = ReplayComponentConfig(table=table, battery_capacity_j=3.6e6)
-    result = ReplayBattery(config).step(0, 3600 * NS, BatteryStepInput(BatteryMode.IDLE, 0.0))
+    result = ReplayBattery(table, 1, 120.0, 3.6e6).step(0, 3600 * NS, BatteryStepInput(BatteryMode.IDLE, 0.0))
     assert result.delta_energy == pytest.approx(0.25 * 3.6e6, rel=1e-12)
     assert result.delta_charge == pytest.approx(0.25 * 3.6e6 / 51.2, rel=1e-12)
 
 
 def test_replay_battery_requires_capacity():
     table = _battery_table([(0, 0.5)])
-    with pytest.raises(ValueError, match="battery_capacity_j"):
-        ReplayBattery(ReplayComponentConfig(table=table))
+    with pytest.raises(ValueError, match="capacity_j"):
+        ReplayBattery(table, 1, 120.0, 0.0)
 
 
 def test_replay_load_repairs_apparent_below_active():
@@ -596,7 +592,7 @@ def test_replay_load_repairs_apparent_below_active():
             _channel("load_apparent_power", [(0, 80.0), (3600 * NS, 80.0)]),
         ]
     )
-    result = ReplayLoad(ReplayComponentConfig(table=table)).step(0, 1800 * NS)
+    result = ReplayLoad(table, 1, 120.0).step(0, 1800 * NS)
     assert result.requested_active_power == 100.0
     assert result.requested_apparent_power == 100.0
 
@@ -609,7 +605,7 @@ def test_replay_power_source_clamps_negative_readings():
             _channel("pv_power", [(0, -5.0), (3600 * NS, -5.0)]),
         ]
     )
-    result = ReplayPowerSource(ReplayComponentConfig(table=table)).step(0, 1800 * NS)
+    result = ReplayPowerSource(table, 1, 120.0).step(0, 1800 * NS)
     assert result.power == 0.0
     assert result.current == 0.0
 
@@ -621,7 +617,7 @@ def test_replay_grid_reports_recording_not_request():
             _channel("grid_apparent_power", [(0, 260.0), (3600 * NS, 260.0)]),
         ]
     )
-    grid = ReplayGrid(ReplayComponentConfig(table=table))
+    grid = ReplayGrid(table, 1, 120.0)
     result = grid.step(0, 1800 * NS, GridStepInput(9999.0, 9999.0))
     assert result.delivered_active_power == 250.0
     assert result.delivered_apparent_power == 260.0
@@ -630,13 +626,12 @@ def test_replay_grid_reports_recording_not_request():
 def test_replay_component_names_missing_channels():
     table = TimeSeriesTable([_channel("pv_power", [(0, 1.0)])])
     with pytest.raises(ValueError, match="pv_voltage"):
-        ReplayPowerSource(ReplayComponentConfig(table=table))
+        ReplayPowerSource(table, 1, 120.0)
 
 
 def test_replay_beyond_recording_raises_range_error():
     table = _battery_table([(0, 0.5), (3600 * NS, 0.5)])
-    config = ReplayComponentConfig(table=table, battery_capacity_j=3.6e6)
-    battery = ReplayBattery(config)
+    battery = ReplayBattery(table, 1, 120.0, 3.6e6)
     battery.step(0, 3600 * NS, BatteryStepInput(BatteryMode.IDLE, 0.0))
     # Next step's end is an hour past the recording: beyond the default
     # two-minute tolerance.
@@ -658,9 +653,8 @@ def test_replay_context_reveals_records_at_step_start():
 
 def test_replay_is_deterministic():
     table = _battery_table([(i * 900 * NS, 0.4 + 0.01 * i) for i in range(9)])
-    config = ReplayComponentConfig(table=table, battery_capacity_j=3.6e6)
-    a = ReplayBattery(config)
-    b = ReplayBattery(config)
+    a = ReplayBattery(table, 1, 120.0, 3.6e6)
+    b = ReplayBattery(table, 1, 120.0, 3.6e6)
     command = BatteryStepInput(BatteryMode.DISCHARGE, 3.0)
     for i in range(8):
         start, end = i * 900 * NS, (i + 1) * 900 * NS

@@ -118,6 +118,10 @@ def test_numeric_bounds_are_enforced():
         _scenario({}, pv={"noise_amplitude": 2.0})
     with pytest.raises(ConfigurationError, match="seed"):
         _scenario({}, seed="zero")
+    with pytest.raises(ConfigurationError, match="^pv: 'peak_power_w' must be finite"):
+        _scenario({}, pv={"peak_power_w": 10**400})
+    with pytest.raises(ConfigurationError, match="^context: 'announce_lead_hours' must be <="):
+        _scenario({}, context={"announce_lead_hours": 1e308})
 
 
 def test_schema_version_must_match():
