@@ -14,7 +14,10 @@ strategies (``mpc-nocontext`` included), a ``compare`` over two days from
 become known and expire inside planning days), a PV-first ``run`` at
 2 d @ 60 s, an all-``replay`` ``run`` of that run's recording, and a
 mixed ``run`` that replays only the recorded PV beside synthetic load
-and context, a linear battery and a priced grid.
+and context, a linear battery and a priced grid.  ``run-2d-sunny`` is
+``run-2d`` with a 3 kW PV peak: the battery charges from surplus PV and
+its SOC reaches both ``soc_max`` and ``soc_min``, branches the 600 W
+default PV never takes.
 
 To re-record after an intended output change:
 
@@ -87,6 +90,7 @@ CASES = {
         },
     ),
     "mixed-2d": ("run", {**_TWO_DAYS, "pv": _REPLAY}),
+    "run-2d-sunny": ("run", {**_TWO_DAYS, "pv": {"kind": "synthetic", "peak_power_w": 3000.0}}),
 }
 
 # A case that replays another case's artifacts runs that case first.
