@@ -10,12 +10,16 @@ Start, horizon and step are whole seconds.  :class:`Scenario` hands them
 to the simulator as the int nanoseconds it steps on (``start_ns``,
 ``horizon_ns``, ``step_ns``); there is no separate tick size.
 
-Each component block (pv, load, battery, grid, context, inverter, and the
-forecast block's effort_estimator) names a ``kind``.  ``BLOCK_TABLES``
-holds one table per block kind, mapping every key the kind allows to its
-parser, default and bounds; it is the one place a block key or default is
-written.  Validation writes every default back, so a validated block holds
-exactly its kind's keys and assembly reads plain ``block[key]``.
+Every key is written once, in a table mapping it to its parser, default
+and bounds.  ``DOCUMENT_TABLE`` holds the top-level keys and, nested, the
+forecast block's.  Each component block (pv, load, battery, grid, context,
+inverter, and the forecast block's effort_estimator) names a ``kind``: its
+entry there is its default kind, and ``BLOCK_TABLES`` holds one table per
+block kind.  One walk checks every block against its table and writes
+every default back, so a validated block holds exactly its table's keys
+and assembly reads plain ``block[key]``.  The ``--seed`` and
+``--step-seconds`` overrides are written into the document before the
+walk.
 
 The same scenario can be assembled under different dispatch strategies:
 
@@ -116,12 +120,6 @@ def _fail(where: str, message: str) -> None:
     raise ConfigurationError(f"{where}: {message}")
 
 
-def _check_keys(block: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        _fail(where, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
 def _number(block: Mapping[str, Any], key: str, where: str, default=None, minimum=None, maximum=None, allow_none=False):
     value = block.get(key, default)
     if value is None and allow_none:
@@ -141,17 +139,21 @@ def _number(block: Mapping[str, Any], key: str, where: str, default=None, minimu
     return value
 
 
-def _integer(block: Mapping[str, Any], key: str, where: str, default=None, minimum=None):
+def _integer(block: Mapping[str, Any], key: str, where: str, default=None, minimum=None, maximum=None):
     value = block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(where, f"{key!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(where, f"{key!r} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        _fail(where, f"{key!r} must be <= {maximum}, got {value!r}")
     return value
 
 
-def _string(block: Mapping[str, Any], key: str, where: str, default=None, choices=None):
+def _string(block: Mapping[str, Any], key: str, where: str, default=None, choices=None, allow_none=False):
     value = block.get(key, default)
+    if value is None and allow_none:
+        return None
     if not isinstance(value, str):
         _fail(where, f"{key!r} must be a string, got {value!r}")
     if choices is not None and value not in choices:
@@ -176,6 +178,25 @@ def checked_names(names: Any, known: tuple[str, ...], where: str) -> list[str]:
     return list(names)
 
 
+def _fraction(block: Mapping[str, Any], key: str, where: str, default: float) -> float:
+    value = _number(block, key, where, default=default)
+    if not 0.0 < value < 1.0:
+        _fail(where, f"{key!r} must be in (0, 1), got {value}")
+    return value
+
+
+def _names(block: Mapping[str, Any], key: str, where: str, known: tuple[str, ...]) -> list[str]:
+    """:func:`checked_names` of ``block[key]``, every known name by default."""
+    return checked_names(block.get(key, list(known)), known, f"{where}.{key}")
+
+
+def _schema_version(block: Mapping[str, Any], key: str, where: str) -> int:
+    version = block.get(key, SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        _fail(where, f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    return version
+
+
 def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
     path = Path(_string(block, key, where))
     if not path.is_absolute():
@@ -186,7 +207,7 @@ def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path
 
 
 # ---------------------------------------------------------------------------
-# Block tables
+# Key tables
 # ---------------------------------------------------------------------------
 
 # A parser is called as parser(block, key, where); _resolve_file also takes
@@ -222,7 +243,8 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
         "synthetic": {
             "base_power_w": partial(_number, default=800.0, minimum=0.0),
             "noise_amplitude": partial(_number, default=0.0, minimum=0.0, maximum=1.0),
-            "jobs_per_day": partial(_integer, default=2, minimum=0),
+            # 50x the default; each job is drawn, announced and stepped
+            "jobs_per_day": partial(_integer, default=2, minimum=0, maximum=100),
             "watts_per_effort": partial(_number, default=250.0, minimum=0.0),
         },
         "replay": _replay_keys(_SUBSYSTEM_ID["load"]),
@@ -273,29 +295,31 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     },
 }
 
-_TOP_KEYS = {
-    "schema_version",
-    "seed",
-    "start_epoch_seconds",
-    "horizon_seconds",
-    "step_seconds",
-    "output_dir",
-    "pv",
-    "load",
-    "battery",
-    "grid",
-    "context",
-    "inverter",
-    "forecast",
-}
-
-_FORECAST_KEYS = {
-    "train_days",
-    "train_fraction",
-    "resamples",
-    "families",
-    "context_family",
-    "effort_estimator",
+#: scenario key -> parser.  A kinded block's entry is its default kind (its
+#: kinds are in BLOCK_TABLES); the forecast block's entry is its key table.
+DOCUMENT_TABLE: dict[str, Any] = {
+    "schema_version": _schema_version,
+    "seed": partial(_integer, default=0),
+    "start_epoch_seconds": partial(_integer, default=0, minimum=0),
+    "horizon_seconds": partial(_integer, default=86_400, minimum=1),
+    "step_seconds": partial(_integer, default=120, minimum=1),
+    "output_dir": partial(_string, default=None, allow_none=True),
+    "pv": "synthetic",
+    "load": "synthetic",
+    "battery": "linear",
+    "grid": "priced",
+    "context": "synthetic",  # "none" beside a replay load (scenario_from_dict)
+    "inverter": "pv-first",
+    "forecast": {
+        # a year: training samples train_days x 86400 / step_seconds steps
+        "train_days": partial(_integer, default=3, minimum=1, maximum=366),
+        "train_fraction": partial(_fraction, default=0.7),
+        # forecast-eval trains and scores every family once per resample
+        "resamples": partial(_integer, default=5, minimum=1, maximum=100),
+        "families": partial(_names, known=FAMILIES),
+        "context_family": partial(_string, default="combined", choices=set(FAMILIES) - {"none"}),
+        "effort_estimator": "heuristic",
+    },
 }
 
 
@@ -340,21 +364,40 @@ class Scenario:
         return max(1, -(-self.horizon_seconds // 86_400))
 
 
-def _validated_block(block: Any, where: str, default_kind: str, base_dir: Path) -> dict:
-    """The block ``where`` with its kind checked, unknown keys rejected and
-    every key of its kind's table parsed, defaults written back."""
+def _fields(block: Any, table: Mapping[str, Any], where: str, base_dir: Path) -> dict:
+    """The block ``where`` walked against its key ``table``: an object (null
+    reads as empty) with no key outside the table, every key parsed and its
+    default written back.  A string entry is a kinded block's default kind,
+    a dict entry a nested block's table; each is walked as ``where.key``
+    (plain ``key`` at the top of the document)."""
     if block is None:
         block = {}
     if not isinstance(block, Mapping):
         _fail(where, f"must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        _fail(where, f"unknown keys {unknown}; allowed: {sorted(table)}")
+    fields = {}
+    for key, entry in table.items():
+        name = key if where == "scenario" else f"{where}.{key}"
+        if isinstance(entry, str):
+            fields[key] = _validated_block(block.get(key), name, entry, base_dir)
+        elif isinstance(entry, dict):
+            fields[key] = _fields(block.get(key), entry, name, base_dir)
+        elif entry is _resolve_file:
+            fields[key] = entry(block, key, where, base_dir)
+        else:
+            fields[key] = entry(block, key, where)
+    return fields
+
+
+def _validated_block(block: Any, where: str, default_kind: str, base_dir: Path) -> dict:
+    """The kinded block ``where`` walked against its kind's table, the kind
+    being ``default_kind`` unless the block names one."""
     kinds = BLOCK_TABLES[where]
-    kind = _string(block, "kind", where, default=default_kind, choices=set(kinds))
-    table = kinds[kind]
-    _check_keys(block, {"kind", *table}, where)
-    validated = {"kind": kind}
-    for key, parse in table.items():
-        validated[key] = parse(block, key, where, base_dir) if parse is _resolve_file else parse(block, key, where)
-    return validated
+    kind = partial(_string, default=default_kind, choices=set(kinds))
+    table = kinds[kind(block, "kind", where) if isinstance(block, Mapping) else default_kind]
+    return _fields(block, {"kind": kind, **table}, where, base_dir)
 
 
 def scenario_from_dict(
@@ -363,72 +406,26 @@ def scenario_from_dict(
     seed_override: int | None = None,
     step_seconds_override: int | None = None,
 ) -> Scenario:
-    """Validate a parsed scenario document and fill in defaults."""
+    """Validate a parsed scenario document and fill in defaults.
+
+    The overrides (the ``--seed`` and ``--step-seconds`` flags) are edits
+    of the document: each replaces its key before the walk, so it passes
+    the same checks with the same messages as the key it replaces.
+    """
     if not isinstance(data, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "scenario")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        _fail("scenario", f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    overrides = {"seed": seed_override, "step_seconds": step_seconds_override}
+    data = {**data, **{key: value for key, value in overrides.items() if value is not None}}
+    fields = _fields(data, DOCUMENT_TABLE, "scenario", base_dir)
+    del fields["schema_version"]
 
-    seed = _integer(data, "seed", "scenario", default=0)
-    if seed_override is not None:
-        seed = seed_override
-    start_seconds = _integer(data, "start_epoch_seconds", "scenario", default=0, minimum=0)
-    horizon_seconds = _integer(data, "horizon_seconds", "scenario", default=86_400, minimum=1)
-    step_seconds = _integer(data, "step_seconds", "scenario", default=120, minimum=1)
-    if step_seconds_override is not None:
-        step_seconds = step_seconds_override
-        if not isinstance(step_seconds, int) or step_seconds < 1:
-            _fail("scenario", f"step_seconds override must be a positive integer, got {step_seconds!r}")
-
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        _fail("scenario", f"'output_dir' must be a string, got {output_dir!r}")
-
-    pv = _validated_block(data.get("pv"), "pv", "synthetic", base_dir)
-    load = _validated_block(data.get("load"), "load", "synthetic", base_dir)
-    battery = _validated_block(data.get("battery"), "battery", "linear", base_dir)
-    grid = _validated_block(data.get("grid"), "grid", "priced", base_dir)
-    default_context = "synthetic" if load["kind"] == "synthetic" else "none"
-    context = _validated_block(data.get("context"), "context", default_context, base_dir)
-    if context["kind"] == "synthetic" and load["kind"] != "synthetic":
-        _fail("context", "synthetic context needs a synthetic load (it announces its jobs)")
-    inverter = _validated_block(data.get("inverter"), "inverter", "pv-first", base_dir)
-
-    forecast = data.get("forecast") or {}
-    if not isinstance(forecast, Mapping):
-        _fail("forecast", f"must be an object, got {forecast!r}")
-    _check_keys(forecast, _FORECAST_KEYS, "forecast")
-    forecast = dict(forecast)
-    forecast["train_days"] = _integer(forecast, "train_days", "forecast", default=3, minimum=1)
-    forecast["train_fraction"] = _number(forecast, "train_fraction", "forecast", default=0.7)
-    if not 0.0 < forecast["train_fraction"] < 1.0:
-        _fail("forecast", f"'train_fraction' must be in (0, 1), got {forecast['train_fraction']}")
-    forecast["resamples"] = _integer(forecast, "resamples", "forecast", default=5, minimum=1)
-    forecast["families"] = checked_names(forecast.get("families", list(FAMILIES)), FAMILIES, "forecast.families")
-    forecast["context_family"] = _string(
-        forecast, "context_family", "forecast", default="combined", choices=set(FAMILIES) - {"none"}
-    )
-    forecast["effort_estimator"] = _validated_block(
-        forecast.get("effort_estimator"), "forecast.effort_estimator", "heuristic", base_dir
-    )
-
-    scenario = Scenario(
-        seed=seed,
-        start_ns=start_seconds * NS_PER_SECOND,
-        horizon_seconds=horizon_seconds,
-        step_seconds=step_seconds,
-        pv=pv,
-        load=load,
-        battery=battery,
-        grid=grid,
-        context=context,
-        inverter=inverter,
-        forecast=forecast,
-        base_dir=base_dir,
-        output_dir=output_dir,
-    )
+    # a replay load announces no jobs, so its context defaults to none
+    if fields["load"]["kind"] != "synthetic":
+        fields["context"] = _validated_block(data.get("context"), "context", "none", base_dir)
+        if fields["context"]["kind"] == "synthetic":
+            _fail("context", "synthetic context needs a synthetic load (it announces its jobs)")
+    start_seconds = fields.pop("start_epoch_seconds")
+    scenario = Scenario(start_ns=start_seconds * NS_PER_SECOND, base_dir=base_dir, **fields)
     # Every time a run writes must fit int64: the steps end by the horizon's
     # end, and generated jobs by 1 h past the last day the horizon touches.
     latest = (INT64_MAX - scenario.day_count * NS_PER_DAY - NS_PER_HOUR) // NS_PER_SECOND

@@ -425,6 +425,27 @@ def test_a_timeline_past_int64_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step_seconds", [0, -60])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_step_seconds_override_below_1_exits_1_as_the_key_would(tmp_path, capsys, command, step_seconds):
+    """``--step-seconds`` edits the document, so it fails the key's own check."""
+    path = _scenario(tmp_path, "day", horizon_seconds=3600, step_seconds=600)
+    argv = [command, "--scenario", str(path), "--out", str(tmp_path / "o"), "--step-seconds", str(step_seconds)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: scenario: 'step_seconds' must be >= 1, got {step_seconds}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_too_many_jobs_per_day_exit_1_before_any_job_is_drawn(tmp_path, capsys):
+    """``jobs_per_day`` is capped, so 10**9 fails at load instead of drawing
+    10**9 jobs for one hour."""
+    path = _scenario(tmp_path, "busy", horizon_seconds=3600, step_seconds=600, load={"jobs_per_day": 10**9})
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: load: 'jobs_per_day' must be <= 100, got 1000000000\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_latest_start_runs_and_its_recording_validates(tmp_path, capsys):
     """At the latest start a 1 d horizon allows, the last job ends at most
     1 h after that day, and the whole recording holds int64 times."""

@@ -28,6 +28,7 @@ from cemsim.models.synthetic import (
 )
 from cemsim.scenario import (
     BLOCK_TABLES,
+    DOCUMENT_TABLE,
     TRAIN_SEED_OFFSET,
     price_schedule,
     training_series,
@@ -122,6 +123,16 @@ def test_numeric_bounds_are_enforced():
         _scenario({}, pv={"peak_power_w": 10**400})
     with pytest.raises(ConfigurationError, match="^context: 'announce_lead_hours' must be <="):
         _scenario({}, context={"announce_lead_hours": 1e308})
+    with pytest.raises(ConfigurationError, match="^load: 'jobs_per_day' must be <= 100, got 101$"):
+        _scenario({}, load={"jobs_per_day": 101})
+    with pytest.raises(ConfigurationError, match="^load: 'jobs_per_day' must be <= 100"):
+        _scenario({}, load={"jobs_per_day": 10**9})
+    with pytest.raises(ConfigurationError, match="^forecast: 'train_days' must be <= 366, got 367$"):
+        _scenario({}, forecast={"train_days": 367})
+    with pytest.raises(ConfigurationError, match="^forecast: 'resamples' must be <= 100, got 101$"):
+        _scenario({}, forecast={"resamples": 101})
+    capped = _scenario({}, load={"jobs_per_day": 100}, forecast={"train_days": 366, "resamples": 100})
+    assert (capped.load["jobs_per_day"], capped.forecast["train_days"], capped.forecast["resamples"]) == (100, 366, 100)
 
 
 def test_schema_version_must_match():
@@ -173,6 +184,9 @@ def test_forecast_block_validation():
         _scenario({}, forecast={"effort_estimator": {"kind": "remote"}})
     remote = _scenario({}, forecast={"effort_estimator": {"kind": "remote", "url": "http://x/score"}})
     assert remote.forecast["effort_estimator"]["url"] == "http://x/score"
+    for forecast in ([], False, 0, ""):
+        with pytest.raises(ConfigurationError, match="^forecast: must be an object"):
+            _scenario({}, forecast=forecast)
 
 
 def test_a_remote_estimator_needs_a_positive_timeout():
@@ -211,6 +225,8 @@ def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
             assert set(block) == {"kind", *BLOCK_TABLES[name][block["kind"]]}, (name, block)
             seen.add((name, block["kind"]))
     assert seen == {(name, kind) for name, kinds in BLOCK_TABLES.items() for kind in kinds}
+    for scenario in scenarios:
+        assert set(scenario.forecast) == set(DOCUMENT_TABLE["forecast"])
     remote = scenarios[-1].forecast["effort_estimator"]
     assert remote["timeout_s"] == 10.0
     assert [scenarios[-1].pv["subsystem_id"], scenarios[-1].battery["subsystem_id"], scenarios[-1].grid["subsystem_id"]] == [1, 3, 4]
