@@ -59,6 +59,12 @@ alternating runs on a 2-vCPU Xeon VM).
 
 numpy is imported inside :func:`solve_charging`, its only user, so a run
 that never plans (PV-first, replay) does not pay numpy's import.
+
+The planner's four classes stay dataclasses, unlike the records of
+:mod:`cemsim.core` and the configs (see :class:`~cemsim.core.StepRecord`):
+this module loads only for a strategy that plans, and planning imports
+numpy, which imports :mod:`inspect` and :mod:`ast` itself, so there
+:mod:`dataclasses` adds little more than its own module.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from math import inf
+from math import inf, isfinite
 from typing import Callable, Sequence
 
 from .core import (
@@ -114,9 +120,9 @@ class ChargingProblem:
     max_grid_power_w: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
-        object.__setattr__(self, "load_w", tuple(float(v) for v in self.load_w))
-        object.__setattr__(self, "pv_w", tuple(float(v) for v in self.pv_w))
+        object.__setattr__(self, "prices", tuple(map(float, self.prices)))
+        object.__setattr__(self, "load_w", tuple(map(float, self.load_w)))
+        object.__setattr__(self, "pv_w", tuple(map(float, self.pv_w)))
         _require(0.0 < self.step_seconds < inf, "step_seconds must be finite and > 0")
         count = len(self.prices)
         _require(count >= 1, "the planning window must contain at least one step")
@@ -124,10 +130,9 @@ class ChargingProblem:
             len(self.load_w) == count and len(self.pv_w) == count,
             "prices, load_w and pv_w must have equal length",
         )
-        # one scan per series; nan fails both bounds
-        _require(all(0.0 <= p < inf for p in self.prices), "prices must be finite and >= 0")
-        _require(all(0.0 <= v < inf for v in self.load_w), "load_w must be finite and >= 0")
-        _require(all(0.0 <= v < inf for v in self.pv_w), "pv_w must be finite and >= 0")
+        _require(_finite_and_nonnegative(self.prices), "prices must be finite and >= 0")
+        _require(_finite_and_nonnegative(self.load_w), "load_w must be finite and >= 0")
+        _require(_finite_and_nonnegative(self.pv_w), "pv_w must be finite and >= 0")
         _require(0.0 < self.capacity_j < inf, "capacity_j must be finite and > 0")
         _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
         _require(
@@ -140,6 +145,17 @@ class ChargingProblem:
     @property
     def horizon(self) -> int:
         return len(self.prices)
+
+
+def _finite_and_nonnegative(series: tuple[float, ...]) -> bool:
+    """Whether every float of a non-empty ``series`` is finite and >= 0.
+
+    Two passes in C, with no bytecode per element: ``isfinite`` rejects
+    nan and both infinities, then ``min`` rejects a negative value.  ``min``
+    alone would not do: every comparison with nan is false, so it can pass
+    over one.
+    """
+    return all(map(isfinite, series)) and min(series) >= 0.0
 
 
 @dataclass(frozen=True)

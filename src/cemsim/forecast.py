@@ -20,7 +20,9 @@ runtime dependency is numpy.
 numpy is imported inside each function that builds, fits or scores
 arrays, not at module level: the CLI imports this module for every
 command, and a PV-first or replay run never calls them, so it does not
-pay numpy's import.
+pay numpy's import.  For the same reason :class:`Predictor` is a
+:class:`~cemsim.core.StepRecord`, not a dataclass: importing this module
+loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .core import ContextIndex, ContextRecord, SimulationError, _require
+from .core import ContextIndex, ContextRecord, SimulationError, StepRecord, _require
 from .models.synthetic import hour_of_day
 
 if TYPE_CHECKING:
@@ -230,20 +232,19 @@ def rmse(predicted: Sequence[float], observed: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((predicted - observed) ** 2)))
 
 
-@dataclass(frozen=True)
-class Predictor:
+class Predictor(StepRecord, namedtuple("Predictor", "mode coefficients")):
     """A fitted load model for one feature family."""
 
-    mode: str
-    coefficients: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        expected = len(feature_names(self.mode))
+    def __new__(cls, mode: str, coefficients: tuple[float, ...]) -> Predictor:
+        coefficients = tuple(float(c) for c in coefficients)
+        expected = len(feature_names(mode))
         _require(
-            len(self.coefficients) == expected,
-            f"{self.mode!r} predictor needs {expected} coefficients, got {len(self.coefficients)}",
+            len(coefficients) == expected,
+            f"{mode!r} predictor needs {expected} coefficients, got {len(coefficients)}",
         )
+        return tuple.__new__(cls, (mode, coefficients))
 
     def predict_features(self, features: np.ndarray) -> float:
         import numpy as np

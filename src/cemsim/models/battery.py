@@ -10,11 +10,13 @@ voltage, with separate charge and discharge efficiencies:
 and the store clamps to [0, capacity].  Reported deltas are post-clamp,
 positive when the battery absorbed energy.  Temperature, aging, and
 voltage sag are out of scope.
+
+:class:`BatteryLinearConfig`, read on every charging or discharging step,
+is a :class:`~cemsim.core.SlotRecord`, not a dataclass, so building a
+battery imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..core import (
     NS_PER_SECOND,
@@ -22,12 +24,12 @@ from ..core import (
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
+    SlotRecord,
     _require,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BatteryLinearConfig:
+class BatteryLinearConfig(SlotRecord):
     """Parameters of the linear battery.
 
     capacity_j : usable capacity in joules.
@@ -36,18 +38,23 @@ class BatteryLinearConfig:
     initial_soc : starting state of charge, fraction of capacity.
     """
 
-    capacity_j: float = 1.8432e7  # 5.12 kWh (51.2 V x 100 Ah pack)
-    eta_charge: float = 0.95
-    eta_discharge: float = 0.95
-    nominal_voltage: float = 51.2
-    initial_soc: float = 0.5
+    _fields = ("capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        _require(self.capacity_j > 0.0, "capacity_j must be > 0")
-        _require(0.0 < self.eta_charge <= 1.0, "eta_charge must be in (0, 1]")
-        _require(0.0 < self.eta_discharge <= 1.0, "eta_discharge must be in (0, 1]")
-        _require(self.nominal_voltage > 0.0, "nominal_voltage must be > 0")
-        _require(0.0 <= self.initial_soc <= 1.0, "initial_soc must be in [0, 1]")
+    def __init__(
+        self,
+        capacity_j: float = 1.8432e7,  # 5.12 kWh (51.2 V x 100 Ah pack)
+        eta_charge: float = 0.95,
+        eta_discharge: float = 0.95,
+        nominal_voltage: float = 51.2,
+        initial_soc: float = 0.5,
+    ) -> None:
+        _require(capacity_j > 0.0, "capacity_j must be > 0")
+        _require(0.0 < eta_charge <= 1.0, "eta_charge must be in (0, 1]")
+        _require(0.0 < eta_discharge <= 1.0, "eta_discharge must be in (0, 1]")
+        _require(nominal_voltage > 0.0, "nominal_voltage must be > 0")
+        _require(0.0 <= initial_soc <= 1.0, "initial_soc must be in [0, 1]")
+        self._set_slots(capacity_j, eta_charge, eta_discharge, nominal_voltage, initial_soc)
 
 
 def battery_linear_step(

@@ -5,12 +5,15 @@ and meters the cost of the delivered active energy against a
 piecewise-constant price schedule.  Requests beyond a limit are clamped
 and flagged rather than failing the step, so a run always completes and
 the violation is visible in the results.
+
+:class:`GridPricedConfig` and :class:`PriceSchedule`, which every step
+reads, are :class:`~cemsim.core.SlotRecord` classes, not dataclasses, so
+building a grid imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 
 from ..core import (
     NS_PER_SECOND,
@@ -18,36 +21,35 @@ from ..core import (
     Grid,
     GridStepInput,
     GridStepResult,
+    SlotRecord,
     _require,
     grid_energy_cost,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PriceSchedule:
+class PriceSchedule(SlotRecord):
     """Piecewise-constant price over time.
 
     ``breakpoints`` is a sequence of (start_ns, price_per_kwh): the price
     holds from its start until the next breakpoint (right-open).  Lookups
     before the first breakpoint are a configuration error, not zero.
+    ``_starts`` and ``_prices`` are its two columns, for :func:`bisect`.
     """
 
-    breakpoints: tuple[tuple[int, float], ...]
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("breakpoints",)
+    __slots__ = ("breakpoints", "_starts", "_prices")
 
-    def __post_init__(self) -> None:
-        _require(len(self.breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
+    def __init__(self, breakpoints: tuple[tuple[int, float], ...]) -> None:
+        _require(len(breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
         previous = None
-        for start_ns, price in self.breakpoints:
+        for start_ns, price in breakpoints:
             _require(isinstance(start_ns, int), "breakpoint start must be int nanoseconds")
             _require(price >= 0.0, f"price must be >= 0, got {price!r}")
             if previous is not None:
                 _require(start_ns > previous, "breakpoint starts must be strictly increasing")
             previous = start_ns
-        object.__setattr__(self, "breakpoints", tuple((int(s), float(p)) for s, p in self.breakpoints))
-        object.__setattr__(self, "_starts", tuple(s for s, _ in self.breakpoints))
-        object.__setattr__(self, "_prices", tuple(p for _, p in self.breakpoints))
+        breakpoints = tuple((int(s), float(p)) for s, p in breakpoints)
+        self._set_slots(breakpoints, tuple(s for s, _ in breakpoints), tuple(p for _, p in breakpoints))
 
     def price_at(self, when_ns: int) -> float:
         index = bisect.bisect_right(self._starts, when_ns) - 1
@@ -63,19 +65,23 @@ class PriceSchedule:
         return [self.price_at(start_ns + i * step_ns) for i in range(count)]
 
 
-@dataclass(frozen=True, slots=True)
-class GridPricedConfig:
+class GridPricedConfig(SlotRecord):
     """Price schedule plus optional per-step delivery limits (W / VA)."""
 
-    schedule: PriceSchedule
-    active_power_limit: float | None = None
-    apparent_power_limit: float | None = None
+    _fields = ("schedule", "active_power_limit", "apparent_power_limit")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        if self.active_power_limit is not None:
-            _require(self.active_power_limit >= 0.0, "active_power_limit must be >= 0")
-        if self.apparent_power_limit is not None:
-            _require(self.apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
+    def __init__(
+        self,
+        schedule: PriceSchedule,
+        active_power_limit: float | None = None,
+        apparent_power_limit: float | None = None,
+    ) -> None:
+        if active_power_limit is not None:
+            _require(active_power_limit >= 0.0, "active_power_limit must be >= 0")
+        if apparent_power_limit is not None:
+            _require(apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
+        self._set_slots(schedule, active_power_limit, apparent_power_limit)
 
 
 def grid_priced_step(

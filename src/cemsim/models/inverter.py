@@ -21,12 +21,15 @@ charge stays inside [soc_min, soc_max]; without it the SOC gates only
 check the bound at the step's start, which can overshoot within one step.
 The projection starts from ``soc_basis`` when given (a planner's SOC
 that the executed state agrees with), else from the executed SOC.
+
+:class:`InverterPVFirstConfig`, read on every step, is a
+:class:`~cemsim.core.SlotRecord`, not a dataclass, so building an
+inverter imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..core import (
     NS_PER_SECOND,
@@ -36,12 +39,12 @@ from ..core import (
     Inverter,
     InverterStepInput,
     InverterStepResult,
+    SlotRecord,
     _require,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class InverterPVFirstConfig:
+class InverterPVFirstConfig(SlotRecord):
     """PV-first dispatch parameters.
 
     eta_pv_to_batt / eta_pv_to_load / eta_batt_to_load : path efficiencies.
@@ -54,30 +57,62 @@ class InverterPVFirstConfig:
         projection matches what the battery will actually store or drain.
     """
 
-    eta_pv_to_batt: float = 0.97
-    eta_pv_to_load: float = 0.95
-    eta_batt_to_load: float = 0.95
-    max_charge_power: float = math.inf
-    max_discharge_power: float = math.inf
-    soc_min: float = 0.1
-    soc_max: float = 1.0
-    self_power: float = 0.0
-    battery_capacity: float | None = None
-    battery_eta_charge: float = 1.0
-    battery_eta_discharge: float = 1.0
+    _fields = (
+        "eta_pv_to_batt",
+        "eta_pv_to_load",
+        "eta_batt_to_load",
+        "max_charge_power",
+        "max_discharge_power",
+        "soc_min",
+        "soc_max",
+        "self_power",
+        "battery_capacity",
+        "battery_eta_charge",
+        "battery_eta_discharge",
+    )
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        for name in ("eta_pv_to_batt", "eta_pv_to_load", "eta_batt_to_load"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        eta_pv_to_batt: float = 0.97,
+        eta_pv_to_load: float = 0.95,
+        eta_batt_to_load: float = 0.95,
+        max_charge_power: float = math.inf,
+        max_discharge_power: float = math.inf,
+        soc_min: float = 0.1,
+        soc_max: float = 1.0,
+        self_power: float = 0.0,
+        battery_capacity: float | None = None,
+        battery_eta_charge: float = 1.0,
+        battery_eta_discharge: float = 1.0,
+    ) -> None:
+        for name, value in (
+            ("eta_pv_to_batt", eta_pv_to_batt),
+            ("eta_pv_to_load", eta_pv_to_load),
+            ("eta_batt_to_load", eta_batt_to_load),
+        ):
             _require(0.0 < value <= 1.0, f"{name} must be in (0, 1]")
-        _require(self.max_charge_power >= 0.0, "max_charge_power must be >= 0")
-        _require(self.max_discharge_power >= 0.0, "max_discharge_power must be >= 0")
-        _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
-        _require(self.self_power >= 0.0, "self_power must be >= 0")
-        if self.battery_capacity is not None:
-            _require(self.battery_capacity > 0.0, "battery_capacity must be > 0")
-        _require(0.0 < self.battery_eta_charge <= 1.0, "battery_eta_charge must be in (0, 1]")
-        _require(0.0 < self.battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
+        _require(max_charge_power >= 0.0, "max_charge_power must be >= 0")
+        _require(max_discharge_power >= 0.0, "max_discharge_power must be >= 0")
+        _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
+        _require(self_power >= 0.0, "self_power must be >= 0")
+        if battery_capacity is not None:
+            _require(battery_capacity > 0.0, "battery_capacity must be > 0")
+        _require(0.0 < battery_eta_charge <= 1.0, "battery_eta_charge must be in (0, 1]")
+        _require(0.0 < battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
+        self._set_slots(
+            eta_pv_to_batt,
+            eta_pv_to_load,
+            eta_batt_to_load,
+            max_charge_power,
+            max_discharge_power,
+            soc_min,
+            soc_max,
+            self_power,
+            battery_capacity,
+            battery_eta_charge,
+            battery_eta_discharge,
+        )
 
 
 #: Relative tolerance within which a planned purchase counts as exactly

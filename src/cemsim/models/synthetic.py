@@ -15,6 +15,12 @@ function :mod:`hashlib` re-exports (``hashlib.blake2b is
 _blake2.blake2b``), so the digests are the same.  ``_blake2`` is cheap
 to import, while importing :mod:`hashlib` initialises OpenSSL, which no
 noise sample needs.
+
+:class:`JobEvent` and :class:`PriceTiers` are
+:class:`~cemsim.core.StepRecord` tuples and
+:class:`SyntheticScenarioConfig`, whose job table every load step reads,
+a :class:`~cemsim.core.SlotRecord`; none is a dataclass, so building a
+synthetic scenario imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 import random
 from _blake2 import blake2b
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ..core import (
     Context,
@@ -33,6 +39,8 @@ from ..core import (
     LoadStepResult,
     PowerSource,
     PowerSourceStepResult,
+    SlotRecord,
+    StepRecord,
     _require,
     context_query,
 )
@@ -49,42 +57,52 @@ def unit_noise(seed: int, channel: str, t_ns: int) -> float:
     return int.from_bytes(digest, "little") / 2.0**64
 
 
-@dataclass(frozen=True, slots=True)
-class JobEvent:
+class JobEvent(
+    StepRecord,
+    namedtuple("JobEvent", "begins_at_ns ends_at_ns description true_effort watts_per_effort"),
+):
     """A scheduled compute job contributing load over its window."""
 
-    begins_at_ns: int
-    ends_at_ns: int
-    description: str
-    true_effort: float
-    watts_per_effort: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require(self.begins_at_ns < self.ends_at_ns, "job must begin before it ends")
-        _require(self.true_effort >= 0.0, "true_effort must be >= 0")
-        _require(self.watts_per_effort >= 0.0, "watts_per_effort must be >= 0")
+    def __new__(
+        cls,
+        begins_at_ns: int,
+        ends_at_ns: int,
+        description: str,
+        true_effort: float,
+        watts_per_effort: float,
+    ) -> JobEvent:
+        _require(begins_at_ns < ends_at_ns, "job must begin before it ends")
+        _require(true_effort >= 0.0, "true_effort must be >= 0")
+        _require(watts_per_effort >= 0.0, "watts_per_effort must be >= 0")
+        return tuple.__new__(cls, (begins_at_ns, ends_at_ns, description, true_effort, watts_per_effort))
 
 
-@dataclass(frozen=True, slots=True)
-class PriceTiers:
+class PriceTiers(
+    StepRecord, namedtuple("PriceTiers", "off_peak_price peak_price peak_start_hour peak_end_hour")
+):
     """Two-tier daily pricing: peak window price and off-peak price."""
 
-    off_peak_price: float = 0.10
-    peak_price: float = 0.40
-    peak_start_hour: int = 8
-    peak_end_hour: int = 20
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require(self.off_peak_price >= 0.0, "off_peak_price must be >= 0")
-        _require(self.peak_price >= 0.0, "peak_price must be >= 0")
+    def __new__(
+        cls,
+        off_peak_price: float = 0.10,
+        peak_price: float = 0.40,
+        peak_start_hour: int = 8,
+        peak_end_hour: int = 20,
+    ) -> PriceTiers:
+        _require(off_peak_price >= 0.0, "off_peak_price must be >= 0")
+        _require(peak_price >= 0.0, "peak_price must be >= 0")
         _require(
-            0 <= self.peak_start_hour < self.peak_end_hour <= 24,
+            0 <= peak_start_hour < peak_end_hour <= 24,
             "need 0 <= peak_start_hour < peak_end_hour <= 24",
         )
+        return tuple.__new__(cls, (off_peak_price, peak_price, peak_start_hour, peak_end_hour))
 
 
-@dataclass(frozen=True, slots=True)
-class SyntheticScenarioConfig:
+class SyntheticScenarioConfig(SlotRecord):
     """Everything the synthetic generator needs for one scenario.
 
     The job table is derived once, when the config is built:
@@ -94,33 +112,55 @@ class SyntheticScenarioConfig:
     first edge and from the last one on).
     """
 
-    seed: int = 0
-    pv_peak_power: float = 600.0
-    pv_noise_amplitude: float = 0.1
-    base_load: float = 800.0
-    job_events: tuple[JobEvent, ...] = ()
-    load_noise_amplitude: float = 0.0
-    pv_voltage: float = 400.0
-    sunrise_hour: float = 6.0
-    sunset_hour: float = 18.0
-    _job_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _job_power: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = (
+        "seed",
+        "pv_peak_power",
+        "pv_noise_amplitude",
+        "base_load",
+        "job_events",
+        "load_noise_amplitude",
+        "pv_voltage",
+        "sunrise_hour",
+        "sunset_hour",
+    )
+    __slots__ = _fields + ("_job_edges", "_job_power")
 
-    def __post_init__(self) -> None:
-        _require(self.pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
-        _require(0.0 <= self.pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
-        _require(self.base_load >= 0.0, "base_load must be >= 0")
-        _require(0.0 <= self.load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
-        _require(self.pv_voltage > 0.0, "pv_voltage must be > 0")
+    def __init__(
+        self,
+        seed: int = 0,
+        pv_peak_power: float = 600.0,
+        pv_noise_amplitude: float = 0.1,
+        base_load: float = 800.0,
+        job_events: tuple[JobEvent, ...] = (),
+        load_noise_amplitude: float = 0.0,
+        pv_voltage: float = 400.0,
+        sunrise_hour: float = 6.0,
+        sunset_hour: float = 18.0,
+    ) -> None:
+        _require(pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
+        _require(0.0 <= pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
+        _require(base_load >= 0.0, "base_load must be >= 0")
+        _require(0.0 <= load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
+        _require(pv_voltage > 0.0, "pv_voltage must be > 0")
         _require(
-            0.0 <= self.sunrise_hour < self.sunset_hour <= 24.0,
+            0.0 <= sunrise_hour < sunset_hour <= 24.0,
             "need 0 <= sunrise_hour < sunset_hour <= 24",
         )
-        jobs = tuple(self.job_events)
-        object.__setattr__(self, "job_events", jobs)
+        jobs = tuple(job_events)
         edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
-        object.__setattr__(self, "_job_edges", tuple(edges))
-        object.__setattr__(self, "_job_power", _job_power_table(self.base_load, jobs, edges))
+        self._set_slots(
+            seed,
+            pv_peak_power,
+            pv_noise_amplitude,
+            base_load,
+            jobs,
+            load_noise_amplitude,
+            pv_voltage,
+            sunrise_hour,
+            sunset_hour,
+            tuple(edges),
+            _job_power_table(base_load, jobs, edges),
+        )
 
 
 def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[int]) -> tuple[float, ...]:
@@ -373,9 +413,11 @@ class ScriptedContext(Context):
     Each step returns the records known at the step's *start* time whose
     interval has not yet ended, so a consumer acting on the step never
     sees notes from its own future.  The records sit in a
-    :class:`~cemsim.core.ContextIndex`, so a step rescans them only when
-    its start crosses a record's ``recorded_at_ns`` or ``ends_at_ns``; a
-    step anywhere else, backwards in time included, reuses the last answer.
+    :class:`~cemsim.core.ContextIndex`, so a step updates its answer only
+    when its start crosses a record's ``recorded_at_ns`` or
+    ``ends_at_ns``, and then only by the records whose visibility changed;
+    a step anywhere else, backwards in time included, reuses the last
+    answer.
     ``context_query`` is looked up as a module global on every step, so a
     wrapper installed on ``cemsim.models.synthetic.context_query`` sees
     every query.  Like every synthetic component, this one uses no numpy.

@@ -37,6 +37,10 @@ It appends each row straight into its channel's ``array`` pair, which
 becomes the channel's storage; only a channel whose rows arrive out of
 order is sorted.
 
+:class:`Channel` is a :class:`~cemsim.core.SlotRecord`, not a dataclass:
+every lookup reads its views and cursor from slots, and ingesting a
+recording imports no :mod:`dataclasses`.
+
 Nothing here uses numpy: the checks run as builtins over the arrays
 (``all(map(operator.lt, ...))``, ``all(map(math.isfinite, ...))``), so
 ``validate``, building a replay scenario and an all-replay ``run`` never
@@ -49,7 +53,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from math import isfinite
 from operator import lt
 from typing import Iterable
@@ -67,6 +70,7 @@ from .core import (
     PowerSource,
     PowerSourceStepResult,
     SimulationError,
+    SlotRecord,
     _require,
 )
 
@@ -118,8 +122,7 @@ class IngestError(ValueError):
     """A recording file failed validation; the message carries row context."""
 
 
-@dataclass(frozen=True, slots=True)
-class Channel:
+class Channel(SlotRecord):
     """One recorded measurement series; times strictly increasing.
 
     ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
@@ -133,28 +136,19 @@ class Channel:
     within int64 is a ``ValueError`` naming the channel, never truncated.
     """
 
-    subsystem_id: int
-    name: str
-    times_ns: array
-    values: array
-    _times: memoryview = field(init=False, repr=False, compare=False)
-    _values: memoryview = field(init=False, repr=False, compare=False)
-    _cursor: list = field(init=False, repr=False, compare=False)
+    _fields = ("subsystem_id", "name", "times_ns", "values")
+    __slots__ = _fields + ("_times", "_values", "_cursor")
 
-    def __post_init__(self) -> None:
-        times = _as_array("q", self.times_ns, f"channel {self.name!r} timestamps must be integers within int64")
-        values = _as_array("d", self.values, f"channel {self.name!r} values must be floats")
+    def __init__(self, subsystem_id: int, name: str, times_ns: array, values: array) -> None:
+        times = _as_array("q", times_ns, f"channel {name!r} timestamps must be integers within int64")
+        values = _as_array("d", values, f"channel {name!r} values must be floats")
         _require(len(times) == len(values), "times and values must have equal length")
-        _require(len(times) >= 1, f"channel {self.name!r} is empty")
+        _require(len(times) >= 1, f"channel {name!r} is empty")
         if not all(map(lt, times, times[1:])):
-            raise ValueError(f"channel {self.name!r} timestamps must be strictly increasing")
+            raise ValueError(f"channel {name!r} timestamps must be strictly increasing")
         if not all(map(isfinite, values)):
-            raise ValueError(f"channel {self.name!r} contains non-finite values")
-        object.__setattr__(self, "times_ns", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_times", memoryview(times))
-        object.__setattr__(self, "_values", memoryview(values))
-        object.__setattr__(self, "_cursor", [0])
+            raise ValueError(f"channel {name!r} contains non-finite values")
+        self._set_slots(subsystem_id, name, times, values, memoryview(times), memoryview(values), [0])
 
 
 def _as_array(typecode: str, items, message: str) -> array:

@@ -39,14 +39,17 @@ the generator, so they need a synthetic load block.
 The planner (:mod:`cemsim.control`) is imported only where a bundle
 plans: the MPC branch of :func:`build_bundle` and the forecast-window
 cache.  A ``default`` set-up, which every ``run`` builds, never steps a
-controller, so it does not pay the planner's import.
+controller, so it does not pay the planner's import.  :class:`Scenario`
+and :class:`SimulationBundle` are :class:`~cemsim.core.StepRecord` tuples,
+and the component configs a set-up builds are records too, so it imports
+no :mod:`dataclasses` either (only the planner keeps dataclasses).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -56,6 +59,7 @@ from .core import (
     ContextIndex,
     ContextRecord,
     NS_PER_SECOND,
+    StepRecord,
     context_query,
 )
 from .engine import Simulator
@@ -328,24 +332,25 @@ DOCUMENT_TABLE: dict[str, Any] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(
+    StepRecord,
+    namedtuple(
+        "Scenario",
+        "seed start_ns horizon_seconds step_seconds pv load battery grid context inverter forecast"
+        " base_dir output_dir",
+        defaults=(None,),
+    ),
+):
     """A validated scenario: blocks are plain dicts holding every key of
-    their kind's table, defaults filled."""
+    their kind's table, defaults filled.
 
-    seed: int
-    start_ns: int
-    horizon_seconds: int
-    step_seconds: int
-    pv: Mapping[str, Any]
-    load: Mapping[str, Any]
-    battery: Mapping[str, Any]
-    grid: Mapping[str, Any]
-    context: Mapping[str, Any]
-    inverter: Mapping[str, Any]
-    forecast: Mapping[str, Any]
-    base_dir: Path
-    output_dir: str | None = None
+    seed, start_ns, horizon_seconds, step_seconds : ints.
+    pv, load, battery, grid, context, inverter, forecast : the blocks.
+    base_dir : the directory relative recording paths resolve against.
+    output_dir : the document's ``output_dir``, or None.
+    """
+
+    __slots__ = ()
 
     @property
     def step_ns(self) -> int:
@@ -460,7 +465,7 @@ def _generator_config(scenario: Scenario, seed: int, day_count: int) -> Syntheti
     the jobs of ``day_count`` days drawn at ``seed``.
 
     Only the synthetic side's fields are passed; a replay side keeps the
-    dataclass defaults, which are never sampled."""
+    config's defaults, which are never sampled."""
     pv, load = scenario.pv, scenario.load
     fields: dict[str, Any] = {}
     if pv["kind"] == "synthetic":
@@ -551,16 +556,19 @@ def effort_estimator(scenario: Scenario) -> EffortEstimator:
     return lru_cache(maxsize=None)(estimate)
 
 
-@dataclass
-class SimulationBundle:
-    """Everything a runner needs: the simulator plus scenario artifacts."""
+class SimulationBundle(
+    StepRecord, namedtuple("SimulationBundle", "scenario strategy simulator records schedule controller")
+):
+    """Everything a runner needs: the simulator plus scenario artifacts.
 
-    scenario: Scenario
-    strategy: str
-    simulator: Simulator
-    records: tuple[ContextRecord, ...]
-    schedule: PriceSchedule | None
-    controller: RecedingHorizonController | None
+    scenario, strategy (a name of ``STRATEGIES``), simulator, the context
+    records the plant plays, the price schedule (None without a priced
+    grid) and the controller (None for ``default``).  Unhashable, like
+    the mutable dataclass it replaces (its scenario holds dicts anyway).
+    """
+
+    __slots__ = ()
+    __hash__ = None
 
 
 def _recorded(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable]) -> tuple[TimeSeriesTable, int, float]:

@@ -30,26 +30,36 @@ The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
 to the same acceptance, messages, ``repr``, field values and hash.
+After them come the twelve configuration, context and scenario classes
+while they were dataclasses, kept verbatim too (the helpers they call,
+such as the job table and the array coercion, are imported from
+cemsim), so each record replacing one can be held to the same.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isfinite
+from operator import lt
+from types import MappingProxyType
 
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError
-from cemsim.core import BatteryMode
-from cemsim.models.synthetic import unit_noise
+from cemsim.core import NS_PER_SECOND, BatteryMode, ConfigurationError
+from cemsim.forecast import build_features, estimate_effort_heuristic, feature_names
+from cemsim.models.synthetic import _job_power_table, unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
     DEFAULT_BOUNDARY_TOLERANCE_S,
     KNOWN_CHANNELS,
     IngestError,
     TimeSeriesRangeError,
+    _as_array,
 )
 
 JOULES_PER_KWH = 3.6e6
@@ -603,3 +613,353 @@ class InverterStepResult:
             return
         _require_finite(drawn, "pv_power_drawn")
         _require(drawn >= 0.0, "pv_power_drawn must be >= 0")
+
+
+# ---------------------------------------------------------------------------
+# Configuration, context and scenario classes as dataclasses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ContextRecord:
+    """A timestamped note about a subsystem, valid over [begins_at, ends_at).
+
+    recorded_at is when the note became known; begins_at/ends_at bound the
+    interval it talks about.  recorded_at may lie inside the interval
+    (notes about something already running) but never at or after its end:
+    a note that only becomes known once its interval is over is rejected.
+    payload is a read-only mapping; by convention a "text" key holds the
+    human-readable description.
+    """
+
+    recorded_at_ns: int
+    begins_at_ns: int
+    ends_at_ns: int
+    subsystem_id: int
+    payload: Mapping[str, object]
+
+    def __post_init__(self) -> None:
+        for name in ("recorded_at_ns", "begins_at_ns", "ends_at_ns"):
+            _require(isinstance(getattr(self, name), int), f"{name} must be an int")
+        _require(isinstance(self.subsystem_id, int), "subsystem_id must be an int")
+        _require(
+            self.begins_at_ns < self.ends_at_ns,
+            f"begins_at_ns ({self.begins_at_ns}) must precede ends_at_ns ({self.ends_at_ns})",
+        )
+        _require(
+            self.recorded_at_ns < self.ends_at_ns,
+            f"recorded_at_ns ({self.recorded_at_ns}) must precede ends_at_ns ({self.ends_at_ns})",
+        )
+        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
+
+    def text(self) -> str:
+        return str(self.payload.get("text", ""))
+
+
+@dataclass(frozen=True, slots=True)
+class BatteryLinearConfig:
+    """Parameters of the linear battery.
+
+    capacity_j : usable capacity in joules.
+    eta_charge / eta_discharge : efficiencies in (0, 1].
+    nominal_voltage : constant terminal voltage in V.
+    initial_soc : starting state of charge, fraction of capacity.
+    """
+
+    capacity_j: float = 1.8432e7  # 5.12 kWh (51.2 V x 100 Ah pack)
+    eta_charge: float = 0.95
+    eta_discharge: float = 0.95
+    nominal_voltage: float = 51.2
+    initial_soc: float = 0.5
+
+    def __post_init__(self) -> None:
+        _require(self.capacity_j > 0.0, "capacity_j must be > 0")
+        _require(0.0 < self.eta_charge <= 1.0, "eta_charge must be in (0, 1]")
+        _require(0.0 < self.eta_discharge <= 1.0, "eta_discharge must be in (0, 1]")
+        _require(self.nominal_voltage > 0.0, "nominal_voltage must be > 0")
+        _require(0.0 <= self.initial_soc <= 1.0, "initial_soc must be in [0, 1]")
+
+
+@dataclass(frozen=True, slots=True)
+class PriceSchedule:
+    """Piecewise-constant price over time.
+
+    ``breakpoints`` is a sequence of (start_ns, price_per_kwh): the price
+    holds from its start until the next breakpoint (right-open).  Lookups
+    before the first breakpoint are a configuration error, not zero.
+    """
+
+    breakpoints: tuple[tuple[int, float], ...]
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _require(len(self.breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
+        previous = None
+        for start_ns, price in self.breakpoints:
+            _require(isinstance(start_ns, int), "breakpoint start must be int nanoseconds")
+            _require(price >= 0.0, f"price must be >= 0, got {price!r}")
+            if previous is not None:
+                _require(start_ns > previous, "breakpoint starts must be strictly increasing")
+            previous = start_ns
+        object.__setattr__(self, "breakpoints", tuple((int(s), float(p)) for s, p in self.breakpoints))
+        object.__setattr__(self, "_starts", tuple(s for s, _ in self.breakpoints))
+        object.__setattr__(self, "_prices", tuple(p for _, p in self.breakpoints))
+
+    def price_at(self, when_ns: int) -> float:
+        index = bisect.bisect_right(self._starts, when_ns) - 1
+        if index < 0:
+            raise ConfigurationError(
+                f"price lookup at {when_ns} ns precedes the first breakpoint "
+                f"({self._starts[0]} ns)"
+            )
+        return self._prices[index]
+
+    def prices_for_window(self, start_ns: int, step_ns: int, count: int) -> list[float]:
+        """Per-step prices for ``count`` steps, sampled at each step's start."""
+        return [self.price_at(start_ns + i * step_ns) for i in range(count)]
+
+
+@dataclass(frozen=True, slots=True)
+class GridPricedConfig:
+    """Price schedule plus optional per-step delivery limits (W / VA)."""
+
+    schedule: PriceSchedule
+    active_power_limit: float | None = None
+    apparent_power_limit: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.active_power_limit is not None:
+            _require(self.active_power_limit >= 0.0, "active_power_limit must be >= 0")
+        if self.apparent_power_limit is not None:
+            _require(self.apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class InverterPVFirstConfig:
+    """PV-first dispatch parameters.
+
+    eta_pv_to_batt / eta_pv_to_load / eta_batt_to_load : path efficiencies.
+    max_charge_power / max_discharge_power : battery-side caps in W.
+    soc_min / soc_max : battery operating window enforced by dispatch.
+    self_power : the inverter's own consumption in W, added to demand.
+    battery_capacity : battery capacity in J for energy-aware current
+        limits (None disables them).  battery_eta_charge and
+        battery_eta_discharge describe the attached battery so the
+        projection matches what the battery will actually store or drain.
+    """
+
+    eta_pv_to_batt: float = 0.97
+    eta_pv_to_load: float = 0.95
+    eta_batt_to_load: float = 0.95
+    max_charge_power: float = math.inf
+    max_discharge_power: float = math.inf
+    soc_min: float = 0.1
+    soc_max: float = 1.0
+    self_power: float = 0.0
+    battery_capacity: float | None = None
+    battery_eta_charge: float = 1.0
+    battery_eta_discharge: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("eta_pv_to_batt", "eta_pv_to_load", "eta_batt_to_load"):
+            value = getattr(self, name)
+            _require(0.0 < value <= 1.0, f"{name} must be in (0, 1]")
+        _require(self.max_charge_power >= 0.0, "max_charge_power must be >= 0")
+        _require(self.max_discharge_power >= 0.0, "max_discharge_power must be >= 0")
+        _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
+        _require(self.self_power >= 0.0, "self_power must be >= 0")
+        if self.battery_capacity is not None:
+            _require(self.battery_capacity > 0.0, "battery_capacity must be > 0")
+        _require(0.0 < self.battery_eta_charge <= 1.0, "battery_eta_charge must be in (0, 1]")
+        _require(0.0 < self.battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
+
+
+@dataclass(frozen=True, slots=True)
+class JobEvent:
+    """A scheduled compute job contributing load over its window."""
+
+    begins_at_ns: int
+    ends_at_ns: int
+    description: str
+    true_effort: float
+    watts_per_effort: float
+
+    def __post_init__(self) -> None:
+        _require(self.begins_at_ns < self.ends_at_ns, "job must begin before it ends")
+        _require(self.true_effort >= 0.0, "true_effort must be >= 0")
+        _require(self.watts_per_effort >= 0.0, "watts_per_effort must be >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class PriceTiers:
+    """Two-tier daily pricing: peak window price and off-peak price."""
+
+    off_peak_price: float = 0.10
+    peak_price: float = 0.40
+    peak_start_hour: int = 8
+    peak_end_hour: int = 20
+
+    def __post_init__(self) -> None:
+        _require(self.off_peak_price >= 0.0, "off_peak_price must be >= 0")
+        _require(self.peak_price >= 0.0, "peak_price must be >= 0")
+        _require(
+            0 <= self.peak_start_hour < self.peak_end_hour <= 24,
+            "need 0 <= peak_start_hour < peak_end_hour <= 24",
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class SyntheticScenarioConfig:
+    """Everything the synthetic generator needs for one scenario.
+
+    The job table is derived once, when the config is built:
+    ``_job_edges`` holds every instant a job begins or ends, sorted, and
+    ``_job_power[i]`` the base load plus the active jobs' power over
+    ``[_job_edges[i - 1], _job_edges[i])`` (the base load alone before the
+    first edge and from the last one on).
+    """
+
+    seed: int = 0
+    pv_peak_power: float = 600.0
+    pv_noise_amplitude: float = 0.1
+    base_load: float = 800.0
+    job_events: tuple[JobEvent, ...] = ()
+    load_noise_amplitude: float = 0.0
+    pv_voltage: float = 400.0
+    sunrise_hour: float = 6.0
+    sunset_hour: float = 18.0
+    _job_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _job_power: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _require(self.pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
+        _require(0.0 <= self.pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
+        _require(self.base_load >= 0.0, "base_load must be >= 0")
+        _require(0.0 <= self.load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
+        _require(self.pv_voltage > 0.0, "pv_voltage must be > 0")
+        _require(
+            0.0 <= self.sunrise_hour < self.sunset_hour <= 24.0,
+            "need 0 <= sunrise_hour < sunset_hour <= 24",
+        )
+        jobs = tuple(self.job_events)
+        object.__setattr__(self, "job_events", jobs)
+        edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
+        object.__setattr__(self, "_job_edges", tuple(edges))
+        object.__setattr__(self, "_job_power", _job_power_table(self.base_load, jobs, edges))
+
+
+@dataclass(frozen=True, slots=True)
+class Channel:
+    """One recorded measurement series; times strictly increasing.
+
+    ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
+    an ``array('d')`` of finite floats; ``_times`` and ``_values`` are
+    zero-copy memoryviews of them for scalar lookups.  ``_cursor`` is a
+    one-item list holding the index of the first knot at or after the last
+    lookup: a hint :func:`interpolate` verifies, not part of the channel's
+    value, so it is mutable in a frozen channel and never compared.  Any
+    sequences of ints and floats are accepted and copied into arrays;
+    arrays of those types are kept as given.  A time that is not an int
+    within int64 is a ``ValueError`` naming the channel, never truncated.
+    """
+
+    subsystem_id: int
+    name: str
+    times_ns: array
+    values: array
+    _times: memoryview = field(init=False, repr=False, compare=False)
+    _values: memoryview = field(init=False, repr=False, compare=False)
+    _cursor: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        times = _as_array("q", self.times_ns, f"channel {self.name!r} timestamps must be integers within int64")
+        values = _as_array("d", self.values, f"channel {self.name!r} values must be floats")
+        _require(len(times) == len(values), "times and values must have equal length")
+        _require(len(times) >= 1, f"channel {self.name!r} is empty")
+        if not all(map(lt, times, times[1:])):
+            raise ValueError(f"channel {self.name!r} timestamps must be strictly increasing")
+        if not all(map(isfinite, values)):
+            raise ValueError(f"channel {self.name!r} contains non-finite values")
+        object.__setattr__(self, "times_ns", times)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_times", memoryview(times))
+        object.__setattr__(self, "_values", memoryview(values))
+        object.__setattr__(self, "_cursor", [0])
+
+
+@dataclass(frozen=True)
+class Predictor:
+    """A fitted load model for one feature family."""
+
+    mode: str
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        expected = len(feature_names(self.mode))
+        _require(
+            len(self.coefficients) == expected,
+            f"{self.mode!r} predictor needs {expected} coefficients, got {len(self.coefficients)}",
+        )
+
+    def predict_features(self, features: np.ndarray) -> float:
+        import numpy as np
+
+        return float(np.dot(np.asarray(features, dtype=np.float64), self.coefficients))
+
+    def predict(
+        self,
+        records: Iterable[ContextRecord],
+        t_ns: int,
+        effort_fn: EffortEstimator = estimate_effort_heuristic,
+    ) -> float:
+        return self.predict_features(build_features(records, self.mode, t_ns, effort_fn))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A validated scenario: blocks are plain dicts holding every key of
+    their kind's table, defaults filled."""
+
+    seed: int
+    start_ns: int
+    horizon_seconds: int
+    step_seconds: int
+    pv: Mapping[str, Any]
+    load: Mapping[str, Any]
+    battery: Mapping[str, Any]
+    grid: Mapping[str, Any]
+    context: Mapping[str, Any]
+    inverter: Mapping[str, Any]
+    forecast: Mapping[str, Any]
+    base_dir: Path
+    output_dir: str | None = None
+
+    @property
+    def step_ns(self) -> int:
+        return self.step_seconds * NS_PER_SECOND
+
+    @property
+    def horizon_ns(self) -> int:
+        return self.horizon_seconds * NS_PER_SECOND
+
+    @property
+    def end_ns(self) -> int:
+        return self.start_ns + self.horizon_ns
+
+    @property
+    def day_count(self) -> int:
+        return max(1, -(-self.horizon_seconds // 86_400))
+
+
+@dataclass
+class SimulationBundle:
+    """Everything a runner needs: the simulator plus scenario artifacts."""
+
+    scenario: Scenario
+    strategy: str
+    simulator: Simulator
+    records: tuple[ContextRecord, ...]
+    schedule: PriceSchedule | None
+    controller: RecedingHorizonController | None

@@ -123,9 +123,11 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 # What a run or validate must never load: the planner, the logging
-# configured only by compare, numpy, and hashlib, which initialises
-# OpenSSL (the noise hash is _blake2's blake2b).
-_NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib")
+# configured only by compare, numpy, hashlib, which initialises OpenSSL
+# (the noise hash is _blake2's blake2b), and dataclasses with the inspect
+# it imports (the records are StepRecord tuples; only the planner keeps
+# dataclasses).
+_NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib", "dataclasses", "inspect")
 
 
 def _python(*argv, **environ):
@@ -167,9 +169,9 @@ def test_validate_and_an_all_replay_run_need_no_numpy(recording, tmp_path):
 
 
 def test_run_and_validate_need_no_planner_logging_or_numpy(recording, tmp_path):
-    """With the planner, logging, numpy and hashlib all unimportable, a
-    noisy PV-first run writes the same artifacts and validate prints the
-    same lines as with everything importable."""
+    """With the planner, logging, numpy, hashlib, dataclasses and inspect
+    all unimportable, a noisy PV-first run writes the same artifacts and
+    validate prints the same lines as with everything importable."""
     out = tmp_path / "planner-free"
     done = _main_without(_NOT_LOADED_BY_RUN, "run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
     assert done.returncode == cli.EXIT_OK, done.stderr
@@ -184,14 +186,15 @@ def test_run_and_validate_need_no_planner_logging_or_numpy(recording, tmp_path):
 def test_a_default_set_up_loads_no_planner_logging_hashlib_or_numpy(tmp_path):
     """Importing cemsim.scenario and building a ``default`` bundle loads
     neither the planner, logging, hashlib (OpenSSL) nor numpy: a set-up
-    samples no noise and plans nothing."""
+    samples no noise and plans nothing.  Nor does it load dataclasses or
+    inspect: its configs and the scenario are records, not dataclasses."""
     probe = (
         "import sys\n"
         "from cemsim.scenario import build_bundle, load_scenario\n"
         "build_bundle(load_scenario(sys.argv[1]), 'default')\n"
         "print(sorted(name for name in sys.argv[2:] if name in sys.modules))\n"
     )
-    modules = ("cemsim.control", "logging", "hashlib", "numpy")
+    modules = ("cemsim.control", "logging", "hashlib", "numpy", "dataclasses", "inspect")
     done = _python("-c", probe, _scenario(tmp_path, "day"), *modules)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

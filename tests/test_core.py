@@ -1,7 +1,9 @@
 """Step-record validation, context queries, compensated sums."""
 import dataclasses
 import math
+from array import array
 from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,13 @@ from cemsim import (
     grid_energy_cost,
 )
 from cemsim.core import NS_PER_SECOND, StepRecord
+from cemsim.forecast import FAMILIES, Predictor
+from cemsim.models.battery import BatteryLinearConfig
+from cemsim.models.grid import GridPricedConfig, PriceSchedule
+from cemsim.models.inverter import InverterPVFirstConfig
+from cemsim.models.synthetic import JobEvent, PriceTiers, SyntheticScenarioConfig
+from cemsim.replay import Channel
+from cemsim.scenario import Scenario, SimulationBundle
 import oracles
 from oracles import brute_force_context
 
@@ -181,6 +190,157 @@ def test_step_records_behave_as_their_dataclass_references(name, data):
         assert getattr(record, f.name) is value
         expected = getattr(reference, f.name)
         assert value is expected or repr(value) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# Configuration, context and scenario records against their dataclasses
+# ---------------------------------------------------------------------------
+
+
+class _Build(namedtuple("_Build", "name args")):
+    """A record to build from each side's own class of that name."""
+
+
+def _resolve(classes, value):
+    if type(value) is _Build:
+        return getattr(classes, value.name)(*value.args)
+    if type(value) is list:
+        return [_resolve(classes, item) for item in value]
+    return value
+
+
+_RECORDS = SimpleNamespace(
+    ContextRecord=ContextRecord,
+    BatteryLinearConfig=BatteryLinearConfig,
+    PriceSchedule=PriceSchedule,
+    GridPricedConfig=GridPricedConfig,
+    InverterPVFirstConfig=InverterPVFirstConfig,
+    JobEvent=JobEvent,
+    PriceTiers=PriceTiers,
+    SyntheticScenarioConfig=SyntheticScenarioConfig,
+    Channel=Channel,
+    Predictor=Predictor,
+    Scenario=Scenario,
+    SimulationBundle=SimulationBundle,
+)
+_NUMBER = st.one_of(
+    st.sampled_from(_EDGE_VALUES + (math.inf, -math.inf, math.nan, 6.0, 18.0, 24.0, 400.0)),
+    st.floats(),
+    st.integers(-2, 30),
+)
+_ANY = st.one_of(_NUMBER, st.sampled_from((None, "x", True)))
+_NS = st.one_of(st.integers(-3, 3), st.sampled_from((2**63, 1.5, None, True)))
+_BREAKPOINTS = st.one_of(
+    st.lists(st.tuples(_NS, _NUMBER), max_size=3).map(tuple),
+    st.lists(st.tuples(st.integers(-3, 3), _NUMBER), min_size=1, max_size=3, unique_by=lambda b: b[0]).map(
+        lambda breakpoints: tuple(sorted(breakpoints))
+    ),
+)
+_JOB = st.builds(lambda *args: _Build("JobEvent", args), _NS, _NS, st.just("job"), _NUMBER, _NUMBER)
+_PAYLOAD = st.one_of(
+    st.dictionaries(st.sampled_from(("text", "cores")), st.one_of(st.text(max_size=2), st.integers())),
+    st.sampled_from((None, 5, [("text", "x")])),
+)
+_TIMES = st.one_of(
+    st.lists(_NS, max_size=4),
+    st.lists(st.integers(-3, 3), max_size=4, unique=True).map(sorted),
+    st.lists(st.integers(-3, 3), max_size=4, unique=True).map(lambda times: array("q", sorted(times))),
+    st.sampled_from((None, "ab")),
+)
+_JOBS = [_Build("JobEvent", (0, 2, "a", 1.0, 250.0)), _Build("JobEvent", (1, 3, "b", 2.0, 250.0))]
+_BLOCK = {"kind": "synthetic"}
+
+#: For each record, valid values of its fields and a strategy per field;
+#: an example replaces a few of the valid values, so every check is reached.
+_ARGUMENTS = {
+    "ContextRecord": ((0, 1, 2, 1, {"text": "x"}), (_NS, _NS, _NS, _NS, _PAYLOAD)),
+    "BatteryLinearConfig": ((1.8432e7, 0.95, 0.95, 51.2, 0.5), (_ANY,) * 5),
+    "PriceSchedule": ((((0, 0.1), (5, 0.4)),), (st.one_of(_BREAKPOINTS, _ANY),)),
+    "GridPricedConfig": (
+        (_Build("PriceSchedule", (((0, 0.1),),)), None, None),
+        (st.one_of(_BREAKPOINTS.map(lambda breakpoints: _Build("PriceSchedule", (breakpoints,))), _ANY), _ANY, _ANY),
+    ),
+    "InverterPVFirstConfig": ((0.97, 0.95, 0.95, math.inf, math.inf, 0.1, 1.0, 0.0, None, 1.0, 1.0), (_ANY,) * 11),
+    "JobEvent": ((0, 1, "job", 2.0, 250.0), (_NS, _NS, st.text(max_size=2), _ANY, _ANY)),
+    "PriceTiers": ((0.1, 0.4, 8, 20), (_ANY,) * 4),
+    "SyntheticScenarioConfig": (
+        (0, 600.0, 0.1, 800.0, _JOBS, 0.0, 400.0, 6.0, 18.0),
+        (_ANY,) * 4 + (st.lists(_JOB, max_size=3),) + (_ANY,) * 4,
+    ),
+    "Channel": (
+        (1, "pv_power", [0, 1, 2], [0.5, 1.0, 2.0]),
+        (_ANY, st.text(max_size=2), _TIMES, st.lists(_NUMBER, max_size=4)),
+    ),
+    "Predictor": (
+        ("none", [1.0, 2.0, 3.0]),
+        (
+            st.sampled_from(FAMILIES + ("bogus", 1)),
+            st.one_of(st.lists(_NUMBER, min_size=3, max_size=8), st.sampled_from((None, "123", "abc"))),
+        ),
+    ),
+    "Scenario": ((7, 0, 86400, 60) + (_BLOCK,) * 7 + ("base", None), (st.one_of(_ANY, st.just(_BLOCK)),) * 13),
+    "SimulationBundle": ((None, "default", None, (), None, None), (_ANY,) * 6),
+}
+
+
+def _hash_outcome(record):
+    try:
+        return hash(record)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def _plain(value):
+    return value.tolist() if type(value) is memoryview else value
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENTS))
+@given(data=st.data())
+@settings(max_examples=300)
+def test_records_behave_as_the_dataclasses_they_replace(name, data):
+    """Each configuration, context and scenario record accepts, rejects,
+    prints, compares and hashes as the dataclass it replaced (kept
+    verbatim in oracles), derives the same hidden attributes, has no
+    instance dict, and raises FrozenInstanceError on any assignment or
+    deletion (SimulationBundle was a mutable dataclass; it is frozen now)."""
+    fields = dataclasses.fields(getattr(oracles, name))
+    given_fields = [f for f in fields if f.init]
+    required = sum(f.default is dataclasses.MISSING for f in given_fields)
+    valid, strategies = _ARGUMENTS[name]
+    changed = data.draw(st.sets(st.integers(0, len(valid) - 1), max_size=3), label="fields changed")
+    values = [data.draw(strategies[i], label=given_fields[i].name) if i in changed else v for i, v in enumerate(valid)]
+    count = data.draw(st.integers(required, len(given_fields)), label="fields given")
+    by_keyword = data.draw(st.booleans(), label="by keyword")
+
+    def built(classes):
+        try:
+            resolved = [_resolve(classes, value) for value in values[:count]]
+            args, kwargs = ((), {f.name: v for f, v in zip(given_fields, resolved)}) if by_keyword else (resolved, {})
+            return getattr(classes, name)(*args, **kwargs), None
+        except Exception as exc:  # every failure is compared, whatever its type
+            return None, (type(exc), str(exc))
+
+    record, failure = built(_RECORDS)
+    reference, reference_failure = built(oracles)
+    assert failure == reference_failure
+    if reference is None:
+        return
+    assert repr(record) == repr(reference)
+    assert _hash_outcome(record) == _hash_outcome(reference)
+    again, _ = built(_RECORDS)
+    reference_again, _ = built(oracles)
+    assert (record == again) == (reference == reference_again)
+    assert (record != again) == (reference != reference_again)
+    assert record != reference and not record == reference
+    for f in fields:
+        value, expected = _plain(getattr(record, f.name)), _plain(getattr(reference, f.name))
+        assert value is expected or repr(value) == repr(expected), f.name
+    assert not hasattr(record, "__dict__")
+    for field_name in [f.name for f in fields] + ["not_a_field"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field_name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, field_name)
 
 
 def _one_of_each_record():
@@ -345,6 +505,47 @@ def test_context_index_answers_like_the_scan_in_any_time_order(records, times):
         assert list(map(id, got)) == list(map(id, context_query(records, now)))
         assert list(map(id, got)) == list(map(id, brute_force_context(records, now)))
         got.clear()  # each answer is the caller's own list
+
+
+def test_a_forward_walk_reads_each_context_record_a_bounded_number_of_times():
+    """Walking a ContextIndex forward over N records reads their times
+    O(N) times in total, however many records are visible at once: only a
+    record whose visibility changes is examined.  (A rescan at every edge
+    reads every record at each of the 2N edges.)"""
+    reads = [0]
+
+    class Counted(ContextRecord):
+        __slots__ = ()
+
+        def _read(position):
+            def read(self):
+                reads[0] += 1
+                return tuple.__getitem__(self, position)
+
+            return property(read)
+
+        recorded_at_ns = _read(0)
+        begins_at_ns = _read(1)
+        ends_at_ns = _read(2)
+
+    count = 400
+    records = [
+        Counted(
+            recorded_at_ns=i * NS_PER_HOUR,
+            begins_at_ns=(i + 5) * NS_PER_HOUR,
+            ends_at_ns=(i + 40) * NS_PER_HOUR,
+            subsystem_id=1,
+            payload={"text": f"r{i}"},
+        )
+        for i in range(count)
+    ]
+    times = [step * NS_PER_HOUR // 2 for step in range(2 * (count + 45))]
+    reads[0] = 0
+    index = ContextIndex(records)
+    answers = [index.query(now) for now in times]
+    assert reads[0] <= 6 * count
+    assert max(map(len, answers)) == 40
+    assert answers == [brute_force_context(records, now) for now in times]
 
 
 # ---------------------------------------------------------------------------
