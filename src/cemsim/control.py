@@ -107,6 +107,9 @@ class ChargingProblem:
     prices are per kWh, sampled per step; load_w and pv_w are the expected
     per-step powers; capacity_j, soc bounds and the starting SOC describe
     the storage; max_grid_power_w optionally caps each step's purchase.
+    The three series are converted to float tuples and checked here, the
+    one place a forecast window's series are (:class:`ForecastWindow`
+    keeps them as given).
     """
 
     step_seconds: float
@@ -298,12 +301,13 @@ class ForecastWindow:
     """Per-step expectations from ``start_ns`` to the planning bound.
 
     Entry i of each series covers the step
-    ``[start_ns + i * step_ns, start_ns + (i + 1) * step_ns)``.  The series
-    are converted and checked once, when the window is built; a provider
-    hands out the same window for every ``now`` it covers, so a controller
-    reads the tail from ``now``'s offset.  Providers keep one window object
-    per value: while they return the same object, its values have not been
-    revised.
+    ``[start_ns + i * step_ns, start_ns + (i + 1) * step_ns)``.  The window's
+    shape is checked when it is built (equal lengths, ``step_ns > 0``); its
+    elements are kept as given and converted to floats and checked in one
+    place, the :class:`ChargingProblem` a controller solves on the tail
+    from ``now``'s offset.  A provider hands out the same window for every
+    ``now`` it covers.  Providers keep one window object per value: while
+    they return the same object, its values have not been revised.
     """
 
     start_ns: int
@@ -313,9 +317,6 @@ class ForecastWindow:
     prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "load_w", tuple(float(v) for v in self.load_w))
-        object.__setattr__(self, "pv_w", tuple(float(v) for v in self.pv_w))
-        object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
         _require(self.step_ns > 0, "step_ns must be > 0")
         _require(
             len(self.load_w) == len(self.pv_w) == len(self.prices),
@@ -329,7 +330,9 @@ class ForecastWindow:
 
 #: Supplies a forecast window covering ``now_ns`` (None: nothing to plan).
 #: Returning the same object again promises the same values; a revised
-#: forecast comes as a new object.
+#: forecast comes as a new object.  The window's shape is checked when it
+#: is built; its series are converted and checked by the ChargingProblem
+#: each solve builds.
 ForecastProvider = Callable[[int], "ForecastWindow | None"]
 
 
@@ -346,7 +349,11 @@ class ControlDecision:
     planned_grid_power_w: float | None
     plan: "ChargingPlan | None"
     planned_soc: float | None = None
-    fallback: bool = False
+
+    @property
+    def fallback(self) -> bool:
+        """Whether the step has no plan (callers dispatch PV-first)."""
+        return self.plan is None
 
 
 class RecedingHorizonController:
@@ -387,10 +394,10 @@ class RecedingHorizonController:
     def decide(self, now_ns: int, soc: float) -> ControlDecision:
         window = self.forecast_provider(now_ns)
         if window is None:
-            return ControlDecision(None, None, fallback=True)
+            return ControlDecision(None, None)
         offset = (now_ns - window.start_ns) // window.step_ns
         if not 0 <= offset < len(window.load_w):
-            return ControlDecision(None, None, fallback=True)
+            return ControlDecision(None, None)
         plan = self._plan
         if window is self._window and offset > self._plan_offset:
             k = offset - self._plan_offset
@@ -412,7 +419,7 @@ class RecedingHorizonController:
         except InfeasibleProblemError as exc:
             logger.warning("planning window infeasible at %d ns, dispatching PV-first: %s", now_ns, exc)
             self._window = self._plan = None
-            return ControlDecision(None, None, fallback=True)
+            return ControlDecision(None, None)
         self._window, self._plan, self._plan_offset = window, plan, offset
         if self.first_plan is None:
             self.first_plan = plan

@@ -471,26 +471,16 @@ def context_query(records: Iterable[ContextRecord] | ContextIndex, now_ns: int) 
     become known later (no future information leaks into a query at
     ``now_ns``).  Sorted by (begins_at, recorded_at, insertion order).
 
-    ``records`` is either an iterable, scanned whole on every call, or a
-    :class:`ContextIndex`, which updates its answer only when ``now_ns``
-    leaves the interval its last answer holds over.  Both give the same
-    records in the same order.  Callers that query the same records step
-    after step pass an index.  Neither path uses numpy, so a PV-first run
-    that plays context never imports it.
+    ``records`` is a :class:`ContextIndex`, which updates its answer only
+    when ``now_ns`` leaves the interval its last answer holds over, or an
+    iterable, which is wrapped in a fresh index for this one query: there
+    is one algorithm.  Callers that query the same records step after step
+    pass an index.  It uses no numpy, so a PV-first run that plays context
+    never imports it.
     """
-    if type(records) is ContextIndex:
-        return records.query(now_ns)
-    return _scan_context(records, now_ns)
-
-
-def _scan_context(records: Iterable[ContextRecord], now_ns: int) -> list[ContextRecord]:
-    selected = [
-        (record.begins_at_ns, record.recorded_at_ns, index, record)
-        for index, record in enumerate(records)
-        if record.recorded_at_ns <= now_ns < record.ends_at_ns
-    ]
-    selected.sort(key=lambda item: item[:3])
-    return [item[3] for item in selected]
+    if type(records) is not ContextIndex:
+        records = ContextIndex(records)
+    return records.query(now_ns)
 
 
 class ContextIndex:

@@ -36,13 +36,19 @@ every MPC strategy runs on a recorded pv block, and ``mpc-perfect`` on a
 recorded load too; the predictors are trained on load samples drawn from
 the generator, so they need a synthetic load block.
 
+Every MPC strategy plans on windows from one :func:`forecast_provider`,
+which is also the forecast-window cache; the strategies differ only in
+the load it is given: the load component's own series for the oracle, a
+predictor reading the known context records for the others.
+
 The planner (:mod:`cemsim.control`) is imported only where a bundle
-plans: the MPC branch of :func:`build_bundle` and the forecast-window
-cache.  A ``default`` set-up, which every ``run`` builds, never steps a
-controller, so it does not pay the planner's import.  :class:`Scenario`
-and :class:`SimulationBundle` are :class:`~cemsim.core.StepRecord` tuples,
-and the component configs a set-up builds are records too, so it imports
-no :mod:`dataclasses` either (only the planner keeps dataclasses).
+plans: the MPC branch of :func:`build_bundle` and
+:func:`forecast_provider`.  A ``default`` set-up, which every ``run``
+builds, never steps a controller, so it does not pay the planner's
+import.  :class:`Scenario` and :class:`SimulationBundle` are
+:class:`~cemsim.core.StepRecord` tuples, and the component configs a
+set-up builds are records too, so it imports no :mod:`dataclasses`
+either (only the planner keeps dataclasses).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .core import (
     ConfigurationError,
@@ -66,7 +72,6 @@ from .engine import Simulator
 from .forecast import (
     FAMILIES,
     EffortEstimator,
-    Predictor,
     estimate_effort_heuristic,
     estimate_effort_remote,
     train_predictor,
@@ -606,120 +611,78 @@ def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
     )
 
 
-class _DayForecast:
-    """One forecast window per planning day, handed out as the same object.
+def forecast_provider(
+    load_at: Callable[[list[ContextRecord], int], float],
+    pv_at: Callable[[int], float],
+    schedule: PriceSchedule,
+    end_ns: int,
+    step_ns: int,
+    records: Iterable[ContextRecord],
+) -> Callable[[int], ForecastWindow | None]:
+    """Forecast windows to the planning bound: expected load, oracle PV and
+    scheduled prices.
 
-    The ``compute(now_ns, count)`` given to :meth:`window` returns the
-    (loads, pvs, prices) of the ``count`` steps from ``now_ns`` to the
+    ``load_at(known, t_ns)`` is the expected load for the step ending at
+    ``t_ns``, given the records ``known`` at ``now``: those ``context_query``
+    returns at ``now`` from a :class:`ContextIndex` over ``records``, so a
+    record recorded after ``now`` never reaches a forecast.  The oracle
+    (``mpc-perfect``) passes the load component's ``power_at`` and no
+    records, so its forecast equals the realized series by construction;
+    the predictors pass their clamped prediction and the plant's records.
+    ``pv_at`` maps a step's end time to the power the pv component reports
+    for that step: the ``power_at`` of the component the plant steps on,
+    synthetic or recorded.  Prices are the schedule's, sampled at each
+    step's start.
+
+    The window at ``now`` covers the ``count`` steps from ``now`` to the
     planning bound: the earlier of the next day boundary and the horizon
-    end.  Each value depends only on its step's time (and ``key``), never
-    on ``now_ns``, so the window built at one ``now`` holds, from a later
-    ``now``'s offset on, what a fresh computation there would give.
+    end (None when no whole step is left).  Each value depends only on its
+    step's time and the known records, never on ``now``, so the window
+    built at one ``now`` holds, from a later ``now``'s offset on, what a
+    fresh computation there would give.
 
-    The window is returned as it is while the planning bound and ``key``
-    hold.  A new bound (a new day), or a ``now`` the window does not cover
-    on its step grid, builds a new window from ``now``.  A new ``key``
-    recomputes the series from ``now``: when it equals the window's tail
-    at ``now``, the window object is kept and only the key is updated,
-    else a new window is built.  So one object always means one set of
-    values, and a controller can tell an unrevised forecast by identity.
+    So the forecast-window cache keeps one window object per planning bound
+    and known-record set.  The window is returned as it is while the bound
+    and the identities of the known records hold.  A new bound (a new day),
+    or a ``now`` the window does not cover on its step grid, builds a new
+    window from ``now``.  A new known set (a record became known or
+    expired) recomputes the series from ``now``: when it equals the
+    window's tail at ``now``, the window object is kept, else a new window
+    is built.  So a record that changes no value of the day (one that
+    expired, or one for a later day) keeps the window object, one object
+    always means one set of values, and a controller can tell an unrevised
+    forecast by identity.
     """
+    from .control import ForecastWindow
 
-    def __init__(self, end_ns: int, step_ns: int) -> None:
-        from .control import ForecastWindow
-
-        self._end_ns = end_ns
-        self._step_ns = step_ns
-        self._bound: int | None = None
-        self._key: object = None
-        self._window = ForecastWindow(0, step_ns, (), (), ())
-
-    def window(self, now_ns: int, key: object, compute: Callable[[int, int], tuple]) -> ForecastWindow | None:
-        bound = min((now_ns // NS_PER_DAY + 1) * NS_PER_DAY, self._end_ns)
-        count = (bound - now_ns) // self._step_ns
-        if count < 1:
-            return None
-        window = self._window
-        offset, misaligned = divmod(now_ns - window.start_ns, self._step_ns)
-        covered = bound == self._bound and offset >= 0 and not misaligned
-        if covered and key == self._key:
-            return window
-        series = compute(now_ns, count)
-        if not covered or series != (window.load_w[offset:], window.pv_w[offset:], window.prices[offset:]):
-            from .control import ForecastWindow
-
-            self._window = window = ForecastWindow(now_ns, self._step_ns, *series)
-        self._bound, self._key = bound, key
-        return window
-
-
-def perfect_forecast_provider(
-    load_at: Callable[[int], float],
-    pv_at: Callable[[int], float],
-    schedule: PriceSchedule,
-    end_ns: int,
-    step_ns: int,
-) -> Callable[[int], ForecastWindow | None]:
-    """Oracle forecasts: the realized series itself, planned to day's end.
-
-    ``load_at`` and ``pv_at`` map a step's end time to the power the load
-    and pv components report for that step: the ``power_at`` of the
-    components the plant steps on, synthetic or recorded.  So the forecast
-    equals the realized series by construction.
-
-    The series is sampled once per planning day, and every step of the day
-    gets the same window object (see :class:`_DayForecast`).
-    """
-
-    def compute(now_ns: int, count: int) -> tuple:
-        times = [now_ns + i * step_ns for i in range(1, count + 1)]
-        prices = schedule.prices_for_window(now_ns, step_ns, count)
-        return tuple(map(load_at, times)), tuple(map(pv_at, times)), tuple(prices)
-
-    day = _DayForecast(end_ns, step_ns)
-    return lambda now_ns: day.window(now_ns, None, compute)
-
-
-def predictor_forecast_provider(
-    predictor: Predictor,
-    records: tuple[ContextRecord, ...],
-    pv_at: Callable[[int], float],
-    schedule: PriceSchedule,
-    end_ns: int,
-    step_ns: int,
-    effort_fn: EffortEstimator = estimate_effort_heuristic,
-) -> Callable[[int], ForecastWindow | None]:
-    """Model forecasts: predicted load, oracle PV, scheduled prices.
-
-    Load predictions at each future step use only context records already
-    recorded at decision time; negative predictions clamp to zero.  The PV
-    series is ``pv_at`` at each step's end: the ``power_at`` of the pv
-    component the plant steps on, synthetic or recorded.
-
-    The window is cached per planning day and per known-record set: the
-    cache key holds the identities of the records ``context_query`` returns
-    at ``now`` (from a :class:`ContextIndex` over ``records``), so the
-    series is recomputed from ``now`` whenever a record becomes known or
-    expires.  A prediction depends only on its step's time
-    and the known records, so the window's tail at ``now`` equals the series
-    a fresh computation at ``now`` would give.  A record that changes no
-    prediction of the day (one that expired, or one for a later day) keeps
-    the window object; one that does gives a new window.
-    """
-
-    def compute(known: list[ContextRecord], now_ns: int, count: int) -> tuple:
-        times = [now_ns + i * step_ns for i in range(1, count + 1)]
-        loads = tuple(max(predictor.predict(known, t, effort_fn), 0.0) for t in times)
-        pvs = tuple(map(pv_at, times))
-        prices = schedule.prices_for_window(now_ns, step_ns, count)
-        return loads, pvs, tuple(prices)
-
-    day = _DayForecast(end_ns, step_ns)
     index = ContextIndex(records)
+    window = ForecastWindow(0, step_ns, (), (), ())
+    # the planning bound and the known records' identities the window holds
+    held_bound: int | None = None
+    held_ids: tuple[int, ...] = ()
 
     def provider(now_ns: int) -> ForecastWindow | None:
+        nonlocal window, held_bound, held_ids
         known = context_query(index, now_ns)
-        return day.window(now_ns, tuple(map(id, known)), lambda start, count: compute(known, start, count))
+        bound = min((now_ns // NS_PER_DAY + 1) * NS_PER_DAY, end_ns)
+        count = (bound - now_ns) // step_ns
+        if count < 1:
+            return None
+        ids = tuple(map(id, known))
+        offset, misaligned = divmod(now_ns - window.start_ns, step_ns)
+        covered = bound == held_bound and offset >= 0 and not misaligned
+        if covered and ids == held_ids:
+            return window
+        times = [now_ns + i * step_ns for i in range(1, count + 1)]
+        series = (
+            tuple([load_at(known, t) for t in times]),
+            tuple(map(pv_at, times)),
+            tuple(schedule.prices_for_window(now_ns, step_ns, count)),
+        )
+        if not covered or series != (window.load_w[offset:], window.pv_w[offset:], window.prices[offset:]):
+            window = ForecastWindow(now_ns, step_ns, *series)
+        held_bound, held_ids = bound, ids
+        return window
 
     return provider
 
@@ -803,9 +766,11 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         if scenario.horizon_ns % scenario.step_ns != 0:
             raise ConfigurationError("mpc strategies need step_seconds to divide the horizon evenly")
         if strategy == "mpc-perfect":
-            provider = perfect_forecast_provider(
-                load.power_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns
-            )
+
+            def load_at(known: list[ContextRecord], t_ns: int) -> float:
+                return load.power_at(t_ns)
+
+            forecast_records: tuple[ContextRecord, ...] = ()
         else:
             family = "none" if strategy == "mpc-nocontext" else scenario.forecast["context_family"]
             effort_fn = effort_estimator(scenario)
@@ -817,15 +782,12 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
                 family,
                 effort_fn=effort_fn,
             )
-            provider = predictor_forecast_provider(
-                predictor,
-                records,
-                pv.power_at,
-                schedule,
-                scenario.end_ns,
-                scenario.step_ns,
-                effort_fn,
-            )
+
+            def load_at(known: list[ContextRecord], t_ns: int) -> float:
+                return max(predictor.predict(known, t_ns, effort_fn), 0.0)
+
+            forecast_records = records
+        provider = forecast_provider(load_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns, forecast_records)
         controller = RecedingHorizonController(
             capacity_j=scenario.battery["capacity_j"],
             soc_min=inverter_config.soc_min,

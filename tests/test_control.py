@@ -446,6 +446,26 @@ def test_the_plan_is_solved_on_the_tail_from_now():
     assert again.planned_grid_power_w == decision.plan.grid_power_w[1]
 
 
+def test_an_int_valued_window_plans_bit_for_bit_as_its_float_copy():
+    """A window keeps its series as given; the ChargingProblem each solve
+    builds is the one place they become floats.  So a window of ints,
+    planned from its start and re-planned from a drifted state mid-window,
+    gives plans equal bit for bit (floats, not ints, in every field) to
+    those of the same window in floats."""
+    ints = ForecastWindow(0, HOUR, (200, 900, 100, 1200, 400, 800), (0, 300, 500, 0, 100, 0), (1, 4, 1, 5, 2, 5))
+    floats = ForecastWindow(0, HOUR, *(tuple(map(float, s)) for s in (ints.load_w, ints.pv_w, ints.prices)))
+    plans = []
+    for window in (ints, floats):
+        controller = _controller(window)
+        first = controller.decide(0, 0.5).plan
+        plans.append((first, controller.decide(2 * HOUR, first.soc_trajectory[2] + 0.01).plan))
+    for int_plan, float_plan in zip(*plans):
+        assert int_plan is not None
+        assert repr(int_plan) == repr(float_plan)
+        assert int_plan.total_cost.hex() == float_plan.total_cost.hex()
+        assert all(type(price) is float for price in int_plan.prices)
+
+
 def test_exhausted_window_falls_back():
     controller = _controller()
     decision = controller.decide(6 * HOUR, 0.5)
@@ -569,6 +589,6 @@ def test_without_a_plan_dispatch_is_plain_pv_first():
 
 
 def test_decision_record_shape():
-    decision = ControlDecision(None, None, fallback=True)
+    decision = ControlDecision(None, None)
     assert decision.planned_soc is None
     assert decision.fallback is True

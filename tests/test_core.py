@@ -498,11 +498,10 @@ _QUERY_TIMES = st.lists(
 def test_context_index_answers_like_the_scan_in_any_time_order(records, times):
     """Through a ContextIndex, queries at times in any order (backwards
     across edges and exactly on them included) return the very objects
-    the plain scan and the brute-force oracle return, in their order."""
+    the brute-force oracle's scan returns, in its order."""
     index = ContextIndex(records)
     for now in times:
         got = context_query(index, now)
-        assert list(map(id, got)) == list(map(id, context_query(records, now)))
         assert list(map(id, got)) == list(map(id, brute_force_context(records, now)))
         got.clear()  # each answer is the caller's own list
 

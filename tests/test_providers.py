@@ -2,7 +2,10 @@
 ``now`` equals direct recomputation, kept as one object while unrevised."""
 from functools import partial
 
+import pytest
+
 import cemsim.control
+import cemsim.scenario
 from cemsim import (
     ContextRecord,
     Predictor,
@@ -15,7 +18,7 @@ from cemsim import (
 from cemsim.models.synthetic import NS_PER_DAY, load_power_at, pv_power_at
 from cemsim.scenario import (
     effort_estimator,
-    predictor_forecast_provider,
+    forecast_provider,
     price_schedule,
     training_series,
 )
@@ -144,6 +147,27 @@ def test_context_windows_equal_direct_prediction():
     assert len(known_sets) > 3 * scenario.day_count
 
 
+@pytest.mark.parametrize("strategy", ["mpc-context", "mpc-perfect"])
+def test_every_step_queries_the_context_once_through_the_scenario_module(monkeypatch, strategy):
+    """The provider looks ``context_query`` up as a ``cemsim.scenario``
+    global on every call, so a wrapper installed there (the name the
+    benchmark's tracer patches) sees one query per step, the oracle's
+    queries of its empty index included."""
+    scenario = scenario_from_dict({**TWO_DAYS, "horizon_seconds": 86_400}, None)
+    calls = []
+    query = cemsim.scenario.context_query
+
+    def counted(records, now_ns):
+        calls.append(now_ns)
+        return query(records, now_ns)
+
+    monkeypatch.setattr(cemsim.scenario, "context_query", counted)
+    bundle = build_bundle(scenario, strategy)
+    run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
+    steps = scenario.horizon_ns // scenario.step_ns
+    assert calls == [scenario.start_ns + i * scenario.step_ns for i in range(steps)]
+
+
 def _record(recorded_s, begins_s, ends_s, text):
     return ContextRecord(
         recorded_at_ns=recorded_s * NS,
@@ -169,8 +193,13 @@ def test_records_recorded_after_now_do_not_change_the_window():
     tomorrow = _record(3 * STEP_S, 86_400 + 3_600, 86_400 + 7_200, "nightly build")
 
     def provider(records):
-        return predictor_forecast_provider(
-            predictor, records, partial(pv_power_at, config), schedule, scenario.end_ns, scenario.step_ns
+        return forecast_provider(
+            lambda known, t_ns: max(predictor.predict(known, t_ns), 0.0),
+            partial(pv_power_at, config),
+            schedule,
+            scenario.end_ns,
+            scenario.step_ns,
+            records,
         )
 
     without = provider((known,))
