@@ -17,7 +17,10 @@ mixed ``run`` that replays only the recorded PV beside synthetic load
 and context, a linear battery and a priced grid.  ``run-2d-sunny`` is
 ``run-2d`` with a 3 kW PV peak: the battery charges from surplus PV and
 its SOC reaches both ``soc_max`` and ``soc_min``, branches the 600 W
-default PV never takes.
+default PV never takes.  ``compare-tariff-night`` is ``compare-2d-0500``'s
+horizon under an inverted tariff whose peak runs from 00:00 to 06:00 and
+is the cheap tier: a peak that starts at midnight, planned across both
+days.
 
 To re-record after an intended output change:
 
@@ -75,6 +78,16 @@ CASES = {
             "horizon_seconds": 2 * 86_400,
             "step_seconds": 240,
             "load": {"kind": "synthetic", "jobs_per_day": 4},
+        },
+    ),
+    "compare-tariff-night": (
+        "compare",
+        {
+            "seed": 7,
+            "start_epoch_seconds": MIDNIGHT + 5 * 3600,
+            "horizon_seconds": 2 * 86_400,
+            "step_seconds": 240,
+            "grid": {"off_peak_price": 0.3, "peak_price": 0.05, "peak_start_hour": 0, "peak_end_hour": 6},
         },
     ),
     "run-2d": ("run", _TWO_DAYS),
