@@ -81,12 +81,10 @@ _EXPORTS = {
     "models.grid": ("GridPriced", "GridPricedConfig", "PriceSchedule", "grid_priced_step"),
     "models.inverter": ("InverterPVFirst", "InverterPVFirstConfig", "inverter_pv_first_step"),
     "models.synthetic": (
-        "PriceTiers",
         "ScriptedContext",
         "SyntheticLoad",
         "SyntheticPowerSource",
         "SyntheticScenarioConfig",
-        "build_price_schedule",
         "context_records_for_jobs",
         "generate_job_events",
         "unit_noise",

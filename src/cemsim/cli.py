@@ -41,10 +41,9 @@ from bisect import bisect_right
 from operator import itemgetter
 from pathlib import Path
 
-from .core import ConfigurationError, SimulationError
+from .core import NS_PER_DAY, NS_PER_HOUR, ConfigurationError, SimulationError
 from .engine import SimulatorStepOutput, run
 from .forecast import FAMILIES, evaluate_families
-from .models.synthetic import NS_PER_DAY, NS_PER_HOUR
 from .replay import (
     CHANNEL_HEADER,
     CHANNEL_ROW,

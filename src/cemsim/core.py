@@ -22,6 +22,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 NS_PER_SECOND = 1_000_000_000
+NS_PER_HOUR = 3_600_000_000_000
+NS_PER_DAY = 86_400_000_000_000
 JOULES_PER_KWH = 3.6e6
 
 
@@ -104,16 +106,16 @@ class StepRecord(tuple):
     generates its methods from source at import, and ``import
     dataclasses`` loads ``inspect``, ``ast``, ``dis``, ``tokenize`` and
     seven more modules; with records, a command that never plans loads
-    none of them.  :class:`ContextRecord`, the synthetic ``JobEvent`` and
-    ``PriceTiers``, ``forecast.Predictor``, and ``scenario.Scenario`` and
+    none of them.  :class:`ContextRecord`, the synthetic ``JobEvent``,
+    ``forecast.Predictor``, and ``scenario.Scenario`` and
     ``SimulationBundle`` are tuple records.  What is built once and read
     on every step is a :class:`SlotRecord`: the battery, grid and
     inverter configs, and the three classes that keep derived state (a
-    replay ``Channel``'s views and cursor, a ``PriceSchedule``'s tables
-    and a ``SyntheticScenarioConfig``'s job table), which a tuple could
-    not hold.  Only :mod:`cemsim.control` keeps dataclasses: it loads
-    only for a strategy that plans, and planning imports numpy, which
-    imports ``inspect`` and ``ast`` itself.
+    replay ``Channel``'s views and cursor, a ``PriceSchedule``'s peak
+    window in ns and a ``SyntheticScenarioConfig``'s job table), which a
+    tuple could not hold.  Only :mod:`cemsim.control` keeps dataclasses:
+    it loads only for a strategy that plans, and planning imports numpy,
+    which imports ``inspect`` and ``ast`` itself.
     """
 
     __slots__ = ()

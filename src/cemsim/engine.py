@@ -11,6 +11,13 @@ results just produced for the current step together with the battery
 result of the previous step, decides the flows, and its outputs drive the
 battery and grid for the same step.
 
+A component that raises ``SimulationError``, ``ValueError`` or
+``ArithmeticError`` inside a step fails the step as a
+:class:`ComponentStepError`, which names the component and the step
+index.  Any other exception keeps its own type and passes through
+unwrapped, so a configuration error that surfaces mid-step is still
+reported as one: it subclasses only ``Exception``.
+
 Cumulative energy aggregates are kept in watt-hours with compensated
 summation, so the final totals equal the compensated sum of the per-step
 energy movements exactly.  Maxima (voltages, currents, requested grid
@@ -37,7 +44,6 @@ from .core import (
     NS_PER_SECOND,
     Battery,
     BatteryStepResult,
-    ConfigurationError,
     Context,
     Grid,
     InverterStepInput,
@@ -216,8 +222,6 @@ class Simulator:
             battery_result = self.battery.step(start_ns, end_ns, battery_input)
             stage = "grid"
             grid_result = self.grid.step(start_ns, end_ns, grid_input)
-        except ConfigurationError:
-            raise
         except (SimulationError, ValueError, ArithmeticError) as exc:
             raise ComponentStepError(stage, self.step_count, exc) from exc
 

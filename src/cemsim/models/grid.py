@@ -1,10 +1,14 @@
 """Priced one-way grid connection.
 
 The grid delivers what was requested up to configurable per-step limits
-and meters the cost of the delivered active energy against a
-piecewise-constant price schedule.  Requests beyond a limit are clamped
-and flagged rather than failing the step, so a run always completes and
-the violation is visible in the results.
+and meters the cost of the delivered active energy against a two-tier
+daily tariff.  Requests beyond a limit are clamped and flagged rather
+than failing the step, so a run always completes and the violation is
+visible in the results.
+
+The tariff is one record, :class:`PriceSchedule`, that prices an
+instant by its time of day: it has no first or last day, and a lookup
+costs the same however long the horizon is.
 
 :class:`GridPricedConfig` and :class:`PriceSchedule`, which every step
 reads, are :class:`~cemsim.core.SlotRecord` classes, not dataclasses, so
@@ -13,11 +17,10 @@ building a grid imports no :mod:`dataclasses`.
 
 from __future__ import annotations
 
-import bisect
-
 from ..core import (
+    NS_PER_DAY,
+    NS_PER_HOUR,
     NS_PER_SECOND,
-    ConfigurationError,
     Grid,
     GridStepInput,
     GridStepResult,
@@ -28,37 +31,43 @@ from ..core import (
 
 
 class PriceSchedule(SlotRecord):
-    """Piecewise-constant price over time.
+    """Two-tier daily pricing: peak window price and off-peak price.
 
-    ``breakpoints`` is a sequence of (start_ns, price_per_kwh): the price
-    holds from its start until the next breakpoint (right-open).  Lookups
-    before the first breakpoint are a configuration error, not zero.
-    ``_starts`` and ``_prices`` are its two columns, for :func:`bisect`.
+    ``peak_price`` holds over ``[peak_start_hour, peak_end_hour)`` of
+    every UTC day and ``off_peak_price`` at every other instant.  Prices
+    are returned as given.  ``_peak_start_ns`` and ``_peak_end_ns`` are
+    the peak window's bounds in ns after midnight.
     """
 
-    _fields = ("breakpoints",)
-    __slots__ = ("breakpoints", "_starts", "_prices")
+    _fields = ("off_peak_price", "peak_price", "peak_start_hour", "peak_end_hour")
+    __slots__ = _fields + ("_peak_start_ns", "_peak_end_ns")
 
-    def __init__(self, breakpoints: tuple[tuple[int, float], ...]) -> None:
-        _require(len(breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
-        previous = None
-        for start_ns, price in breakpoints:
-            _require(isinstance(start_ns, int), "breakpoint start must be int nanoseconds")
-            _require(price >= 0.0, f"price must be >= 0, got {price!r}")
-            if previous is not None:
-                _require(start_ns > previous, "breakpoint starts must be strictly increasing")
-            previous = start_ns
-        breakpoints = tuple((int(s), float(p)) for s, p in breakpoints)
-        self._set_slots(breakpoints, tuple(s for s, _ in breakpoints), tuple(p for _, p in breakpoints))
+    def __init__(
+        self,
+        off_peak_price: float = 0.10,
+        peak_price: float = 0.40,
+        peak_start_hour: int = 8,
+        peak_end_hour: int = 20,
+    ) -> None:
+        _require(off_peak_price >= 0.0, "off_peak_price must be >= 0")
+        _require(peak_price >= 0.0, "peak_price must be >= 0")
+        _require(
+            0 <= peak_start_hour < peak_end_hour <= 24,
+            "need 0 <= peak_start_hour < peak_end_hour <= 24",
+        )
+        self._set_slots(
+            off_peak_price,
+            peak_price,
+            peak_start_hour,
+            peak_end_hour,
+            peak_start_hour * NS_PER_HOUR,
+            peak_end_hour * NS_PER_HOUR,
+        )
 
     def price_at(self, when_ns: int) -> float:
-        index = bisect.bisect_right(self._starts, when_ns) - 1
-        if index < 0:
-            raise ConfigurationError(
-                f"price lookup at {when_ns} ns precedes the first breakpoint "
-                f"({self._starts[0]} ns)"
-            )
-        return self._prices[index]
+        if self._peak_start_ns <= when_ns % NS_PER_DAY < self._peak_end_ns:
+            return self.peak_price
+        return self.off_peak_price
 
     def prices_for_window(self, start_ns: int, step_ns: int, count: int) -> list[float]:
         """Per-step prices for ``count`` steps, sampled at each step's start."""

@@ -2,8 +2,9 @@
 
 Stands in for a real installation's measurements: a diurnal PV bell with
 multiplicative cloud noise, a workstation-style load driven by scheduled
-compute jobs, job announcements as context records, and a two-tier
-(peak/off-peak) price schedule.
+compute jobs, and job announcements as context records.  The two-tier
+(peak/off-peak) tariff the grid prices against is
+:class:`cemsim.models.grid.PriceSchedule`, which prices every day itself.
 
 Determinism contract: identical seed and config produce bitwise-identical
 series.  Per-sample noise is derived from blake2b over (seed, channel,
@@ -16,11 +17,10 @@ _blake2.blake2b``), so the digests are the same.  ``_blake2`` is cheap
 to import, while importing :mod:`hashlib` initialises OpenSSL, which no
 noise sample needs.
 
-:class:`JobEvent` and :class:`PriceTiers` are
-:class:`~cemsim.core.StepRecord` tuples and
+:class:`JobEvent` is a :class:`~cemsim.core.StepRecord` tuple and
 :class:`SyntheticScenarioConfig`, whose job table every load step reads,
-a :class:`~cemsim.core.SlotRecord`; none is a dataclass, so building a
-synthetic scenario imports no :mod:`dataclasses`.
+a :class:`~cemsim.core.SlotRecord`; neither is a dataclass, so building
+a synthetic scenario imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from bisect import bisect_right, insort
 from collections import namedtuple
 
 from ..core import (
+    NS_PER_DAY,
+    NS_PER_HOUR,
     Context,
     ContextIndex,
     ContextRecord,
@@ -44,10 +46,6 @@ from ..core import (
     _require,
     context_query,
 )
-from .grid import PriceSchedule
-
-NS_PER_HOUR = 3_600_000_000_000
-NS_PER_DAY = 86_400_000_000_000
 
 
 def unit_noise(seed: int, channel: str, t_ns: int) -> float:
@@ -77,29 +75,6 @@ class JobEvent(
         _require(true_effort >= 0.0, "true_effort must be >= 0")
         _require(watts_per_effort >= 0.0, "watts_per_effort must be >= 0")
         return tuple.__new__(cls, (begins_at_ns, ends_at_ns, description, true_effort, watts_per_effort))
-
-
-class PriceTiers(
-    StepRecord, namedtuple("PriceTiers", "off_peak_price peak_price peak_start_hour peak_end_hour")
-):
-    """Two-tier daily pricing: peak window price and off-peak price."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        off_peak_price: float = 0.10,
-        peak_price: float = 0.40,
-        peak_start_hour: int = 8,
-        peak_end_hour: int = 20,
-    ) -> PriceTiers:
-        _require(off_peak_price >= 0.0, "off_peak_price must be >= 0")
-        _require(peak_price >= 0.0, "peak_price must be >= 0")
-        _require(
-            0 <= peak_start_hour < peak_end_hour <= 24,
-            "need 0 <= peak_start_hour < peak_end_hour <= 24",
-        )
-        return tuple.__new__(cls, (off_peak_price, peak_price, peak_start_hour, peak_end_hour))
 
 
 class SyntheticScenarioConfig(SlotRecord):
@@ -227,28 +202,6 @@ def load_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
         if power < 0.0:
             return 0.0
     return power
-
-
-def build_price_schedule(
-    tiers: PriceTiers, start_ns: int, day_count: int
-) -> PriceSchedule:
-    """Two-tier schedule covering ``day_count`` days from ``start_ns``'s day."""
-    first_day = (start_ns // NS_PER_DAY) * NS_PER_DAY
-    breakpoints: list[tuple[int, float]] = []
-    for day in range(day_count + 1):
-        day_start = first_day + day * NS_PER_DAY
-        breakpoints.append((day_start, tiers.off_peak_price))
-        if day < day_count:
-            breakpoints.append((day_start + tiers.peak_start_hour * NS_PER_HOUR, tiers.peak_price))
-            if tiers.peak_end_hour < 24:
-                breakpoints.append((day_start + tiers.peak_end_hour * NS_PER_HOUR, tiers.off_peak_price))
-    deduped = []
-    for start, price in breakpoints:
-        if deduped and deduped[-1][0] == start:
-            deduped[-1] = (start, price)
-        else:
-            deduped.append((start, price))
-    return PriceSchedule(tuple(deduped))
 
 
 # ---------------------------------------------------------------------------

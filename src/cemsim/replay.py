@@ -55,6 +55,7 @@ from array import array
 from bisect import bisect_left
 from math import isfinite
 from operator import lt
+from sys import float_info
 from typing import Iterable
 
 from .core import (
@@ -377,7 +378,11 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
 
     The three timestamps and ``subsystem_id`` must be JSON integers within
     int64.  A float, a string or a bool is rejected with its line and key,
-    not coerced, so a validated file replays exactly as written.
+    not coerced, so a validated file replays exactly as written.  The
+    optional ``payload`` must be an object, and each number directly in
+    it finite as a float: NaN, ``Infinity`` and an integer beyond float
+    range are rejected with their line and key, as a forecaster would
+    fail on them mid-run.
     """
     records = []
     with open(path) as handle:
@@ -385,9 +390,11 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
             line = line.strip()
             if not line:
                 continue
+            # json.loads raises a JSONDecodeError, or a plain ValueError for
+            # an integer literal past the interpreter's int digit limit
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{line_number}: expected an object")
@@ -397,13 +404,21 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
                 value = obj[key]
                 if type(value) is not int or not -(2**63) <= value < 2**63:
                     raise IngestError(f"{path}:{line_number}: {key} must be an integer within int64, got {value!r}")
+            payload = obj.get("payload", {})
+            if type(payload) is not dict:
+                raise IngestError(f"{path}:{line_number}: payload must be an object, got {payload!r}")
+            for key, value in payload.items():
+                # abs() of an integer too large for a float compares exactly,
+                # so it fails the bound as NaN and the infinities do
+                if type(value) in (int, float) and not abs(value) <= float_info.max:
+                    raise IngestError(f"{path}:{line_number}: payload {key!r} must be a finite number, got {value!r}")
             try:
                 record = ContextRecord(
                     recorded_at_ns=obj["recorded_at_ns"],
                     begins_at_ns=obj["begins_at_ns"],
                     ends_at_ns=obj["ends_at_ns"],
                     subsystem_id=obj["subsystem_id"],
-                    payload=obj.get("payload", {}),
+                    payload=payload,
                 )
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"{path}:{line_number}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 A scenario is a JSON document choosing an implementation per component
 (``synthetic`` | ``replay`` | ``linear`` ...), their parameter blocks, the
-start time, the horizon, the step length, and the price schedule.  Unknown
+start time, the horizon, the step length, and the grid's tariff.  Unknown
 keys anywhere are rejected so typos fail loudly, and referenced recording
 files must exist before anything runs.
 
@@ -39,7 +39,11 @@ the generator, so they need a synthetic load block.
 Every MPC strategy plans on windows from one :func:`forecast_provider`,
 which is also the forecast-window cache; the strategies differ only in
 the load it is given: the load component's own series for the oracle, a
-predictor reading the known context records for the others.
+predictor reading the known context records for the others.  Their
+prices come from the grid's tariff, which :func:`price_schedule` builds
+straight from the priced grid block: a
+:class:`~cemsim.models.grid.PriceSchedule` prices every instant by its
+time of day, so nothing is sized to the days the horizon touches.
 
 The planner (:mod:`cemsim.control`) is imported only where a bundle
 plans: the MPC branch of :func:`build_bundle` and
@@ -64,6 +68,8 @@ from .core import (
     ConfigurationError,
     ContextIndex,
     ContextRecord,
+    NS_PER_DAY,
+    NS_PER_HOUR,
     NS_PER_SECOND,
     StepRecord,
     context_query,
@@ -80,15 +86,11 @@ from .models.battery import BatteryLinear, BatteryLinearConfig
 from .models.grid import GridPriced, GridPricedConfig, PriceSchedule
 from .models.inverter import InverterPVFirst, InverterPVFirstConfig
 from .models.synthetic import (
-    NS_PER_DAY,
-    NS_PER_HOUR,
     JobEvent,
-    PriceTiers,
     ScriptedContext,
     SyntheticLoad,
     SyntheticPowerSource,
     SyntheticScenarioConfig,
-    build_price_schedule,
     context_records_for_jobs,
     generate_job_events,
     load_power_at,
@@ -525,20 +527,13 @@ def synthetic_load_samples(
 
 
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
-    """The priced grid block's two-tier schedule over every calendar day the
-    horizon touches (a horizon from noon also prices the next morning)."""
+    """The priced grid block's two-tier tariff, which prices every instant."""
     if scenario.grid["kind"] != "priced":
         return None
     grid = scenario.grid
-    tiers = PriceTiers(
-        off_peak_price=grid["off_peak_price"],
-        peak_price=grid["peak_price"],
-        peak_start_hour=grid["peak_start_hour"],
-        peak_end_hour=grid["peak_end_hour"],
+    return PriceSchedule(
+        grid["off_peak_price"], grid["peak_price"], grid["peak_start_hour"], grid["peak_end_hour"]
     )
-    first_midnight = scenario.start_ns // NS_PER_DAY * NS_PER_DAY
-    calendar_days = -(-(scenario.end_ns - first_midnight) // NS_PER_DAY)
-    return build_price_schedule(tiers, scenario.start_ns, calendar_days)
 
 
 def effort_estimator(scenario: Scenario) -> EffortEstimator:

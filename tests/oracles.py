@@ -26,14 +26,21 @@ values)}`` as int64/float64 arrays.  Two of its behaviours were since
 changed on purpose: a non-finite value was reported per channel without a
 line, and ``np.diff`` wraps where two times of a channel lie more than
 ``2**63 - 1`` ns apart, so such a channel's order was misjudged.
+``BreakpointSchedule`` and ``build_breakpoint_schedule`` are the price
+schedule while it was a list of breakpoints expanded per calendar day
+from the two-tier tariff, with a bisect per lookup, kept verbatim (the
+schedule as its dataclass), so the tariff that prices by time of day can
+be compared with it price for price.
 The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
 to the same acceptance, messages, ``repr``, field values and hash.
-After them come the twelve configuration, context and scenario classes
+After them come the eleven configuration, context and scenario classes
 while they were dataclasses, kept verbatim too (the helpers they call,
 such as the job table and the array coercion, are imported from
-cemsim), so each record replacing one can be held to the same.
+cemsim), so each record replacing one can be held to the same.  Their
+``PriceSchedule`` is the two-tier ``PriceTiers`` dataclass, renamed to
+the record that took its fields.
 """
 from __future__ import annotations
 
@@ -50,7 +57,7 @@ from types import MappingProxyType
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError
-from cemsim.core import NS_PER_SECOND, BatteryMode, ConfigurationError
+from cemsim.core import NS_PER_DAY, NS_PER_HOUR, NS_PER_SECOND, BatteryMode, ConfigurationError
 from cemsim.forecast import build_features, estimate_effort_heuristic, feature_names
 from cemsim.models.synthetic import _job_power_table, unit_noise
 from cemsim.replay import (
@@ -429,6 +436,68 @@ def ingest_timeseries_reference(path):
     return channels
 
 
+@dataclass(frozen=True, slots=True)
+class BreakpointSchedule:
+    """Piecewise-constant price over time.
+
+    ``breakpoints`` is a sequence of (start_ns, price_per_kwh): the price
+    holds from its start until the next breakpoint (right-open).  Lookups
+    before the first breakpoint are a configuration error, not zero.
+    """
+
+    breakpoints: tuple[tuple[int, float], ...]
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _require(len(self.breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
+        previous = None
+        for start_ns, price in self.breakpoints:
+            _require(isinstance(start_ns, int), "breakpoint start must be int nanoseconds")
+            _require(price >= 0.0, f"price must be >= 0, got {price!r}")
+            if previous is not None:
+                _require(start_ns > previous, "breakpoint starts must be strictly increasing")
+            previous = start_ns
+        object.__setattr__(self, "breakpoints", tuple((int(s), float(p)) for s, p in self.breakpoints))
+        object.__setattr__(self, "_starts", tuple(s for s, _ in self.breakpoints))
+        object.__setattr__(self, "_prices", tuple(p for _, p in self.breakpoints))
+
+    def price_at(self, when_ns: int) -> float:
+        index = bisect.bisect_right(self._starts, when_ns) - 1
+        if index < 0:
+            raise ConfigurationError(
+                f"price lookup at {when_ns} ns precedes the first breakpoint "
+                f"({self._starts[0]} ns)"
+            )
+        return self._prices[index]
+
+    def prices_for_window(self, start_ns: int, step_ns: int, count: int) -> list[float]:
+        """Per-step prices for ``count`` steps, sampled at each step's start."""
+        return [self.price_at(start_ns + i * step_ns) for i in range(count)]
+
+
+def build_breakpoint_schedule(
+    tiers: PriceSchedule, start_ns: int, day_count: int
+) -> BreakpointSchedule:
+    """Two-tier schedule covering ``day_count`` days from ``start_ns``'s day."""
+    first_day = (start_ns // NS_PER_DAY) * NS_PER_DAY
+    breakpoints: list[tuple[int, float]] = []
+    for day in range(day_count + 1):
+        day_start = first_day + day * NS_PER_DAY
+        breakpoints.append((day_start, tiers.off_peak_price))
+        if day < day_count:
+            breakpoints.append((day_start + tiers.peak_start_hour * NS_PER_HOUR, tiers.peak_price))
+            if tiers.peak_end_hour < 24:
+                breakpoints.append((day_start + tiers.peak_end_hour * NS_PER_HOUR, tiers.off_peak_price))
+    deduped = []
+    for start, price in breakpoints:
+        if deduped and deduped[-1][0] == start:
+            deduped[-1] = (start, price)
+        else:
+            deduped.append((start, price))
+    return BreakpointSchedule(tuple(deduped))
+
+
 # ---------------------------------------------------------------------------
 # Step records as frozen dataclasses
 # ---------------------------------------------------------------------------
@@ -681,46 +750,6 @@ class BatteryLinearConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class PriceSchedule:
-    """Piecewise-constant price over time.
-
-    ``breakpoints`` is a sequence of (start_ns, price_per_kwh): the price
-    holds from its start until the next breakpoint (right-open).  Lookups
-    before the first breakpoint are a configuration error, not zero.
-    """
-
-    breakpoints: tuple[tuple[int, float], ...]
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _require(len(self.breakpoints) >= 1, "PriceSchedule needs at least one breakpoint")
-        previous = None
-        for start_ns, price in self.breakpoints:
-            _require(isinstance(start_ns, int), "breakpoint start must be int nanoseconds")
-            _require(price >= 0.0, f"price must be >= 0, got {price!r}")
-            if previous is not None:
-                _require(start_ns > previous, "breakpoint starts must be strictly increasing")
-            previous = start_ns
-        object.__setattr__(self, "breakpoints", tuple((int(s), float(p)) for s, p in self.breakpoints))
-        object.__setattr__(self, "_starts", tuple(s for s, _ in self.breakpoints))
-        object.__setattr__(self, "_prices", tuple(p for _, p in self.breakpoints))
-
-    def price_at(self, when_ns: int) -> float:
-        index = bisect.bisect_right(self._starts, when_ns) - 1
-        if index < 0:
-            raise ConfigurationError(
-                f"price lookup at {when_ns} ns precedes the first breakpoint "
-                f"({self._starts[0]} ns)"
-            )
-        return self._prices[index]
-
-    def prices_for_window(self, start_ns: int, step_ns: int, count: int) -> list[float]:
-        """Per-step prices for ``count`` steps, sampled at each step's start."""
-        return [self.price_at(start_ns + i * step_ns) for i in range(count)]
-
-
-@dataclass(frozen=True, slots=True)
 class GridPricedConfig:
     """Price schedule plus optional per-step delivery limits (W / VA)."""
 
@@ -792,7 +821,7 @@ class JobEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class PriceTiers:
+class PriceSchedule:
     """Two-tier daily pricing: peak window price and off-peak price."""
 
     off_peak_price: float = 0.10

@@ -34,7 +34,7 @@ from cemsim.forecast import FAMILIES, Predictor
 from cemsim.models.battery import BatteryLinearConfig
 from cemsim.models.grid import GridPricedConfig, PriceSchedule
 from cemsim.models.inverter import InverterPVFirstConfig
-from cemsim.models.synthetic import JobEvent, PriceTiers, SyntheticScenarioConfig
+from cemsim.models.synthetic import JobEvent, SyntheticScenarioConfig
 from cemsim.replay import Channel
 from cemsim.scenario import Scenario, SimulationBundle
 import oracles
@@ -216,7 +216,6 @@ _RECORDS = SimpleNamespace(
     GridPricedConfig=GridPricedConfig,
     InverterPVFirstConfig=InverterPVFirstConfig,
     JobEvent=JobEvent,
-    PriceTiers=PriceTiers,
     SyntheticScenarioConfig=SyntheticScenarioConfig,
     Channel=Channel,
     Predictor=Predictor,
@@ -230,12 +229,6 @@ _NUMBER = st.one_of(
 )
 _ANY = st.one_of(_NUMBER, st.sampled_from((None, "x", True)))
 _NS = st.one_of(st.integers(-3, 3), st.sampled_from((2**63, 1.5, None, True)))
-_BREAKPOINTS = st.one_of(
-    st.lists(st.tuples(_NS, _NUMBER), max_size=3).map(tuple),
-    st.lists(st.tuples(st.integers(-3, 3), _NUMBER), min_size=1, max_size=3, unique_by=lambda b: b[0]).map(
-        lambda breakpoints: tuple(sorted(breakpoints))
-    ),
-)
 _JOB = st.builds(lambda *args: _Build("JobEvent", args), _NS, _NS, st.just("job"), _NUMBER, _NUMBER)
 _PAYLOAD = st.one_of(
     st.dictionaries(st.sampled_from(("text", "cores")), st.one_of(st.text(max_size=2), st.integers())),
@@ -255,14 +248,13 @@ _BLOCK = {"kind": "synthetic"}
 _ARGUMENTS = {
     "ContextRecord": ((0, 1, 2, 1, {"text": "x"}), (_NS, _NS, _NS, _NS, _PAYLOAD)),
     "BatteryLinearConfig": ((1.8432e7, 0.95, 0.95, 51.2, 0.5), (_ANY,) * 5),
-    "PriceSchedule": ((((0, 0.1), (5, 0.4)),), (st.one_of(_BREAKPOINTS, _ANY),)),
+    "PriceSchedule": ((0.1, 0.4, 8, 20), (_ANY,) * 4),
     "GridPricedConfig": (
-        (_Build("PriceSchedule", (((0, 0.1),),)), None, None),
-        (st.one_of(_BREAKPOINTS.map(lambda breakpoints: _Build("PriceSchedule", (breakpoints,))), _ANY), _ANY, _ANY),
+        (_Build("PriceSchedule", (0.3, 0.05, 0, 6)), None, None),
+        (st.one_of(st.lists(_ANY, max_size=4).map(lambda args: _Build("PriceSchedule", tuple(args))), _ANY), _ANY, _ANY),
     ),
     "InverterPVFirstConfig": ((0.97, 0.95, 0.95, math.inf, math.inf, 0.1, 1.0, 0.0, None, 1.0, 1.0), (_ANY,) * 11),
     "JobEvent": ((0, 1, "job", 2.0, 250.0), (_NS, _NS, st.text(max_size=2), _ANY, _ANY)),
-    "PriceTiers": ((0.1, 0.4, 8, 20), (_ANY,) * 4),
     "SyntheticScenarioConfig": (
         (0, 600.0, 0.1, 800.0, _JOBS, 0.0, 400.0, 6.0, 18.0),
         (_ANY,) * 4 + (st.lists(_JOB, max_size=3),) + (_ANY,) * 4,

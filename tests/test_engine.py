@@ -14,6 +14,7 @@ from cemsim import (
     CompensatedSum,
     ComponentStepError,
     ConfigurationError,
+    Grid,
     GridPriced,
     GridPricedConfig,
     GridStepInput,
@@ -25,14 +26,12 @@ from cemsim import (
     PowerSource,
     PowerSourceStepResult,
     PriceSchedule,
-    PriceTiers,
     ScriptedContext,
     Simulator,
     SyntheticLoad,
     SyntheticPowerSource,
     SyntheticScenarioConfig,
     build_bundle,
-    build_price_schedule,
     context_query,
     context_records_for_jobs,
     generate_job_events,
@@ -93,7 +92,7 @@ def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, sta
         BatteryLinearConfig(capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0,
                             nominal_voltage=50.0, initial_soc=battery_soc)
     )
-    grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(((0, price),))))
+    grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(price, price)))
     return Simulator(
         start_ns,
         power_source=SequencePV(pvs if pvs is not None else [0.0] * count),
@@ -117,7 +116,7 @@ def _synthetic_simulator(seed=0, day_count=1, jobs=True):
         load=SyntheticLoad(config),
         battery=BatteryLinear(BatteryLinearConfig()),
         inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
-        grid=GridPriced(GridPricedConfig(schedule=PriceSchedule(((0, 0.3),)))),
+        grid=GridPriced(GridPricedConfig(schedule=PriceSchedule(0.3, 0.3))),
         context=ScriptedContext(context_records_for_jobs(events)),
     )
 
@@ -221,7 +220,7 @@ def _interval_components():
         seed=4, pv_noise_amplitude=0.1, load_noise_amplitude=0.05, job_events=events
     )
     records = context_records_for_jobs(events)
-    schedule = build_price_schedule(PriceTiers(), 0, 4)
+    schedule = PriceSchedule()
     request = GridStepInput(500.0, 600.0)
     dispatch = InverterStepInput(
         PowerSourceStepResult(400.0, 1.0, 400.0),
@@ -340,12 +339,19 @@ def test_component_failure_names_component_and_step():
 
 
 def test_configuration_errors_pass_through_unwrapped():
-    """A price lookup before the schedule begins is a setup problem, not a
-    step failure, and keeps its type."""
+    """A setup problem that surfaces mid-step is not a step failure: a
+    ConfigurationError keeps its type instead of becoming a
+    ComponentStepError."""
+
+    class MisconfiguredGrid(Grid):
+        def step(self, start_ns, end_ns, grid_input):
+            raise ConfigurationError("grid tariff is not set up")
+
     simulator = _simulator(loads=[10.0])
-    simulator.grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(((NS_PER_DAY, 0.5),))))
-    with pytest.raises(ConfigurationError):
+    simulator.grid = MisconfiguredGrid()
+    with pytest.raises(ConfigurationError, match="grid tariff is not set up") as excinfo:
         simulator.step(3600 * NS)
+    assert type(excinfo.value) is ConfigurationError
 
 
 @given(seed=st.integers(min_value=0, max_value=50))

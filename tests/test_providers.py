@@ -15,7 +15,8 @@ from cemsim import (
     scenario_from_dict,
     train_predictor,
 )
-from cemsim.models.synthetic import NS_PER_DAY, load_power_at, pv_power_at
+from cemsim.core import NS_PER_DAY
+from cemsim.models.synthetic import load_power_at, pv_power_at
 from cemsim.scenario import (
     effort_estimator,
     forecast_provider,

@@ -533,6 +533,37 @@ def test_context_ingest_accepts_only_int64_integers(tmp_path, key, value):
     assert len(ingest_context(path)) == 1
 
 
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        ('[["text", "gpu job"]]', "payload must be an object"),
+        ('"gpu job"', "payload must be an object"),
+        ("null", "payload must be an object"),
+        ('{"text": "gpu job", "cores": NaN}', "payload 'cores' must be a finite number"),
+        ('{"cores": Infinity}', "payload 'cores' must be a finite number"),
+        ('{"cores": -Infinity}', "payload 'cores' must be a finite number"),
+        ('{"cores": 2' + "0" * 400 + "}", "payload 'cores' must be a finite number"),
+        # past the int digit limit (CPython 3.10.7+) json.loads itself fails
+        ('{"cores": 2' + "0" * 5000 + "}", "(invalid JSON: Exceeds the limit|payload 'cores' must be a finite)"),
+    ],
+    ids=["pairs", "string", "null", "nan", "infinity", "-infinity", "int-beyond-float", "int-beyond-digit-limit"],
+)
+def test_context_ingest_rejects_a_payload_a_forecast_cannot_read(tmp_path, payload, message):
+    """A payload that is not an object, or holds a number that is not finite
+    as a float, is rejected with its line instead of being rewritten as an
+    object or failing a forecast mid-run."""
+    fields = '"recorded_at_ns": 0, "begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1'
+    path = tmp_path / "ctx.jsonl"
+    path.write_text("{" + fields + "}\n{" + fields + ', "payload": ' + payload + "}\n")
+    with pytest.raises(IngestError, match=rf"ctx\.jsonl:2: {message}"):
+        ingest_context(path)
+    # finite numbers of any size a float holds, bools, strings and nested
+    # values pass as written
+    path.write_text("{" + fields + ', "payload": {"cores": 1' + "0" * 300 + ', "f": 1e308, "ok": true, "n": [NaN]}}\n')
+    (record,) = ingest_context(path)
+    assert record.payload["cores"] == 10**300 and record.payload["ok"] is True
+
+
 def test_context_ingest_skips_blank_lines(tmp_path):
     path = tmp_path / "ctx.jsonl"
     path.write_text('\n{"recorded_at_ns": 0, "begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1}\n\n')

@@ -10,6 +10,7 @@ from cemsim import (
     InverterPVFirst,
     InverterPVFirstConfig,
     MPCInverter,
+    PriceSchedule,
     ReplayLoad,
     STRATEGIES,
     TimeSeriesTable,
@@ -20,9 +21,7 @@ from cemsim import (
     scenario_from_dict,
 )
 from cemsim.models.synthetic import (
-    PriceTiers,
     SyntheticScenarioConfig,
-    build_price_schedule,
     context_records_for_jobs,
     generate_job_events,
 )
@@ -255,7 +254,7 @@ def test_scenario_defaults_equal_component_defaults():
         assert getattr(load, name) == getattr(default_generator, name), name
     assert load.job_events == generate_job_events(0, 1)
     assert bundle.records == context_records_for_jobs(load.job_events)
-    assert bundle.schedule == build_price_schedule(PriceTiers(), 0, 1)
+    assert bundle.schedule == PriceSchedule()
 
 
 def test_load_scenario_reads_and_validates(tmp_path):
@@ -307,6 +306,8 @@ def test_price_schedule_covers_every_day_the_horizon_touches():
     assert schedule.price_at(NS_PER_DAY + 7 * 3600 * NS) == 0.10
     assert schedule.price_at(NS_PER_DAY + 9 * 3600 * NS) == 0.40
     assert schedule.price_at(NS_PER_DAY + 12 * 3600 * NS - 1) == 0.40
+    # and so is every day past it
+    assert schedule.price_at(9 * NS_PER_DAY + 9 * 3600 * NS) == 0.40
 
 
 def test_training_series_runs_on_a_shifted_seed():

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemsim import (
-    ConfigurationError,
-    PriceTiers,
+    PriceSchedule,
     ScriptedContext,
     SyntheticLoad,
     SyntheticPowerSource,
     SyntheticScenarioConfig,
-    build_price_schedule,
     context_records_for_jobs,
     generate_job_events,
     unit_noise,
@@ -218,35 +216,28 @@ def test_job_announcements_carry_numeric_hints():
 
 
 def test_two_tier_price_schedule():
-    schedule = build_price_schedule(PriceTiers(), start_ns=0, day_count=2)
+    schedule = PriceSchedule()
     assert schedule.price_at(7 * NS_PER_HOUR) == 0.10
     assert schedule.price_at(8 * NS_PER_HOUR) == 0.40
     assert schedule.price_at(20 * NS_PER_HOUR - 1) == 0.40
     assert schedule.price_at(20 * NS_PER_HOUR) == 0.10
     assert schedule.price_at(NS_PER_DAY + 9 * NS_PER_HOUR) == 0.40
-    # Beyond the last day the final off-peak segment extends right-open.
+    # Every day is priced: there is no last day to fall back to off-peak after.
     assert schedule.price_at(5 * NS_PER_DAY) == 0.10
-
-
-def test_price_schedule_starts_at_the_window_day():
-    schedule = build_price_schedule(PriceTiers(), start_ns=3 * NS_PER_DAY, day_count=1)
-    with pytest.raises(ConfigurationError):
-        schedule.price_at(3 * NS_PER_DAY - 1)
-    assert schedule.price_at(3 * NS_PER_DAY) == 0.10
+    assert schedule.price_at(5 * NS_PER_DAY + 9 * NS_PER_HOUR) == 0.40
 
 
 def test_peak_to_midnight_needs_no_trailing_breakpoint():
-    tiers = PriceTiers(peak_start_hour=8, peak_end_hour=24)
-    schedule = build_price_schedule(tiers, start_ns=0, day_count=1)
+    schedule = PriceSchedule(peak_start_hour=8, peak_end_hour=24)
     assert schedule.price_at(NS_PER_DAY - 1) == 0.40
     assert schedule.price_at(NS_PER_DAY) == 0.10
 
 
 def test_tier_and_job_validation():
     with pytest.raises(ValueError):
-        PriceTiers(peak_start_hour=20, peak_end_hour=8)
+        PriceSchedule(peak_start_hour=20, peak_end_hour=8)
     with pytest.raises(ValueError):
-        PriceTiers(off_peak_price=-0.1)
+        PriceSchedule(off_peak_price=-0.1)
     with pytest.raises(ValueError):
         JobEvent(10, 10, "x", 1.0, 1.0)
     with pytest.raises(ValueError):
