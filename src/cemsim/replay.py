@@ -30,12 +30,18 @@ the cursor and bisects only the bracket it finds; any other query, or a
 stale cursor, costs one O(log n) :mod:`bisect` of the times view.  The
 cursor can never change a result.  Replay components resolve
 their channels once, at construction, and call the module-level
-:func:`interpolate` per step.  Ingestion reads the file by line and
-splits a plain line on commas; only a line holding a quote, or long
-enough to hold a field over csv's size limit, goes through :mod:`csv`.
-It appends each row straight into its channel's ``array`` pair, which
-becomes the channel's storage; only a channel whose rows arrive out of
-order is sorted.
+:func:`interpolate` per step.
+
+Ingestion reads the file in chunks of lines.  A chunk of plain, valid
+rows in one repeating channel order, the layout of every recording
+``run`` writes, is parsed by column: one join and one split on commas,
+then one C-level pass over each column, and each channel's rows are a
+strided slice.  Any other chunk goes to the row loop, which splits a
+plain line on commas, reads a line holding a quote, or long enough to
+hold a field over csv's size limit, through :mod:`csv`, and is the one
+source of every error message and line number.  Rows go straight into
+their channel's ``array`` pair, which becomes the channel's storage;
+only a channel whose rows arrive out of order is sorted.
 
 :class:`Channel` is a :class:`~cemsim.core.SlotRecord`, not a dataclass:
 every lookup reads its views and cursor from slots, and ingesting a
@@ -53,6 +59,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from math import isfinite
 from operator import lt
 from sys import float_info
@@ -260,6 +267,17 @@ class TimeSeriesTable:
 # ---------------------------------------------------------------------------
 
 
+#: Lines ingest_timeseries reads at a time.  Each chunk is offered whole
+#: to the column pass; the strings and arrays it builds for one chunk are
+#: the pass's only memory beyond the channels themselves.
+_CHUNK_LINES = 256
+
+#: Lines of a chunk the column pass splits first.  Most chunks whose keys
+#: do not repeat in one order, as in a shuffled recording, show it within
+#: them and are declined before the rest is split.
+_PROBE_LINES = 32
+
+
 def ingest_timeseries(path) -> TimeSeriesTable:
     """Parse a channel CSV into a table, validating as it goes.
 
@@ -269,19 +287,18 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     duplicate timestamp within a channel is rejected naming the timestamp
     and the channel.  Unknown channel names are an error, since a typo
     would otherwise silently drop a measurement.
-    Each row goes straight into its channel's ``array('q')``/``array('d')``
+    Rows go straight into their channel's ``array('q')``/``array('d')``
     pair, which the channel keeps as its storage.
 
     The file is read line by line, ``\r``, ``\n`` and ``\r\n`` all ending
-    a line, and each line is one row.  A plain line is split on commas, as
-    csv reads it (a blank line is a row of no fields).  A line holding a
-    ``"``, or too long to be sure no field exceeds
-    ``csv.field_size_limit()``, is read by :func:`_csv_row` with csv's
-    quoting rules, strictly: a quote left open at the end of its line or
-    followed by anything but a comma, and a field over the limit, are an
-    ``IngestError`` naming the line, so no field holds a line break.  A row
-    whose timestamp text repeats the previous row's reuses its parsed int;
-    a recording written by ``run`` repeats it on each step's ten rows.
+    a line, in chunks of ``_CHUNK_LINES`` lines.  Each chunk is first
+    offered to :func:`_take_columns`, which parses it column by column in
+    C-level passes and takes it only if every row is plain, valid and in
+    one repeating channel order, as ``run`` and :func:`emit_timeseries`
+    write a recording.  A chunk it declines goes to :func:`_ingest_rows`,
+    the row loop, which appends its rows or raises the error of its first
+    faulty line; a chunk is never split between the two, so the row loop
+    is the one source of every error message and line number.
     """
     import csv
 
@@ -290,50 +307,22 @@ def ingest_timeseries(path) -> TimeSeriesTable:
     # a channel already seen parses only its timestamp and value
     appenders: dict[tuple[str, str], tuple] = {}
     field_limit = csv.field_size_limit()
-    stamp = t_ns = None
     with open(path, newline="") as handle:
         header_line = next(handle, None)
         header = None if header_line is None else _csv_row(path, 1, header_line)
         if header != list(CHANNEL_HEADER):
             raise IngestError(f"{path}: bad header {header!r}")
-        for line_number, line in enumerate(handle, start=2):
-            text = line.rstrip("\r\n")
-            if '"' in text or len(text) > field_limit:
-                row = _csv_row(path, line_number, line)
-            else:
-                row = text.split(",") if text else []
-            if len(row) != 4:
-                raise IngestError(f"{path}:{line_number}: expected 4 fields, got {len(row)}")
-            time_text, subsystem_text, name, value_text = row
-            appends = appenders.get((subsystem_text, name))
-            try:
-                if time_text != stamp:
-                    t_ns = int(time_text)
-                    stamp = time_text
-                if appends is None:
-                    subsystem_id = int(subsystem_text)
-                value = float(value_text)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_number}: {exc}") from exc
-            if appends is None:
-                if name not in KNOWN_CHANNELS:
-                    raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
-                columns = collected.get((subsystem_id, name))
-                if columns is None:
-                    columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
-                appends = appenders[(subsystem_text, name)] = (columns[0].append, columns[1].append)
-            try:
-                appends[0](t_ns)
-            except OverflowError as exc:
-                raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
-            if not isfinite(value):
-                raise IngestError(f"{path}:{line_number}: channel {name!r} value {value_text!r} is not finite")
-            appends[1](value)
+        line_number = 2
+        for chunk in iter(lambda: list(islice(handle, _CHUNK_LINES)), []):
+            if not _take_columns(chunk, collected, field_limit):
+                _ingest_rows(path, chunk, line_number, collected, appenders, field_limit)
+            line_number += len(chunk)
     channels = []
     for (subsystem_id, name), (times, values) in sorted(collected.items()):
         try:
-            # the row loop checked every time and value, so the channel can
-            # only reject its order; an in-order channel is scanned once
+            # every time and value was checked as it was read, so the
+            # channel can only reject its order; an in-order channel is
+            # scanned once
             channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
         except ValueError:
             # out of order, or a repeated timestamp: sort by time, then any
@@ -350,6 +339,139 @@ def ingest_timeseries(path) -> TimeSeriesTable:
             channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
         channels.append(channel)
     return TimeSeriesTable(channels)
+
+
+def _take_columns(lines: list[str], collected: dict, field_limit: int) -> bool:
+    """Append a chunk of channel-CSV ``lines`` to ``collected`` column by
+    column and return True, or return False having appended nothing.
+
+    The chunk is taken only if the row loop would read every line as a
+    plain row and append it: no line holds a ``"`` or is longer than
+    ``field_limit``, each has exactly three commas, the (subsystem, name)
+    texts repeat with the period :func:`_period` finds, that period's keys
+    are known channels with distinct ``(int(subsystem), name)``, every
+    time fits an ``array('q')`` and every value is a finite float.  Then
+    each channel's rows sit one period apart, in file order, and reach its
+    arrays by one slice and one extend.  Two texts of one subsystem (``1``
+    and ``01``) in one period would interleave their rows, so such a chunk
+    is declined.
+    """
+    count = len(lines)
+    text = ",".join(lines[:_PROBE_LINES])
+    fields = text.split(",")
+    if not _period(fields):
+        return False
+    if count > _PROBE_LINES:
+        rest = ",".join(lines[_PROBE_LINES:])
+        text = f"{text},{rest}"
+        fields += rest.split(",")
+    if '"' in text or len(text) > field_limit and max(map(len, lines)) > field_limit:
+        return False
+    # Lines of three commas each split into four fields apiece, a line's
+    # ending left on its value, which float() reads as whitespace.  Four
+    # fields a line, and no line ending outside a value field, hold only
+    # if every line has three commas.
+    value_texts = fields[3::4]
+    ends = "".join(value_texts)
+    if len(fields) != 4 * count or ends.count("\n") + ends.count("\r") != text.count("\n") + text.count("\r"):
+        return False
+    period = _period(fields)
+    names = fields[2 : 4 * period : 4]
+    if not period or not KNOWN_CHANNELS.issuperset(names):
+        return False
+    try:
+        keys = list(zip(map(int, fields[1 : 4 * period : 4]), names))
+        values = array("d", map(float, value_texts))
+    except ValueError:
+        return False
+    if len(set(keys)) != period or not all(map(isfinite, values)):
+        return False
+    # a recording written by run repeats each time on a step's rows, so
+    # the slots share a few time columns: each is parsed once
+    time_texts = fields[0::4]
+    columns = []
+    previous = times = None
+    for slot in range(period):
+        texts = time_texts[slot::period]
+        if texts != previous:
+            try:
+                times = array("q", map(int, texts))
+            except (ValueError, OverflowError):
+                return False
+            previous = texts
+        columns.append(times)
+    for slot, key, times in zip(range(period), keys, columns):
+        arrays = collected.get(key)
+        if arrays is None:
+            arrays = collected[key] = (array("q"), array("d"))
+        arrays[0].extend(times)
+        arrays[1].extend(values[slot::period])
+    return True
+
+
+def _period(fields: list[str]) -> int:
+    """The period of the (subsystem, name) texts of channel-CSV ``fields``
+    split on commas, four to a row: the offset of the first repeat of row
+    0's key, or the row count if it has none.  0 if the texts do not
+    repeat with that period, or there is no row."""
+    subsystems = fields[1::4]
+    names = fields[2::4]
+    count = len(names)
+    period = next((i for i in range(1, count) if names[i] == names[0] and subsystems[i] == subsystems[0]), count)
+    if not count or names[period:] != names[:-period] or subsystems[period:] != subsystems[:-period]:
+        return 0
+    return period
+
+
+def _ingest_rows(path, lines: list[str], first_line_number: int, collected: dict, appenders: dict, field_limit: int) -> None:
+    """Append ``lines``, numbered from ``first_line_number``, to
+    ``collected`` row by row, or raise the ``IngestError`` of the first
+    faulty one.
+
+    A plain line is split on commas, as csv reads it (a blank line is a
+    row of no fields).  A line holding a ``"``, or too long to be sure no
+    field exceeds ``field_limit`` (``csv.field_size_limit()``), is read by
+    :func:`_csv_row` with csv's quoting rules, strictly: a quote left open
+    at the end of its line or followed by anything but a comma, and a
+    field over the limit, are an ``IngestError`` naming the line, so no
+    field holds a line break.  A row whose timestamp text repeats the
+    previous row's reuses its parsed int.  ``appenders`` maps each
+    (subsystem text, name) already seen to its channel's two appends.
+    """
+    stamp = t_ns = None
+    for line_number, line in enumerate(lines, start=first_line_number):
+        text = line.rstrip("\r\n")
+        if '"' in text or len(text) > field_limit:
+            row = _csv_row(path, line_number, line)
+        else:
+            row = text.split(",") if text else []
+        if len(row) != 4:
+            raise IngestError(f"{path}:{line_number}: expected 4 fields, got {len(row)}")
+        time_text, subsystem_text, name, value_text = row
+        appends = appenders.get((subsystem_text, name))
+        try:
+            if time_text != stamp:
+                t_ns = int(time_text)
+                stamp = time_text
+            if appends is None:
+                subsystem_id = int(subsystem_text)
+            value = float(value_text)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_number}: {exc}") from exc
+        if appends is None:
+            if name not in KNOWN_CHANNELS:
+                raise IngestError(f"{path}:{line_number}: unknown channel {name!r}")
+            columns = collected.get((subsystem_id, name))
+            if columns is None:
+                columns = collected[(subsystem_id, name)] = (array("q"), array("d"))
+            appends = appenders[(subsystem_text, name)] = (columns[0].append, columns[1].append)
+        try:
+            appends[0](t_ns)
+        except OverflowError as exc:
+            raise IngestError(f"{path}:{line_number}: timestamp {t_ns} ns does not fit in int64") from exc
+        if not isfinite(value):
+            raise IngestError(f"{path}:{line_number}: channel {name!r} value {value_text!r} is not finite")
+        appends[1](value)
 
 
 def _csv_row(path, line_number: int, line: str) -> list[str]:

@@ -17,7 +17,10 @@ inverter, and the forecast block's effort_estimator) names a ``kind``: its
 entry there is its default kind, and ``BLOCK_TABLES`` holds one table per
 block kind.  One walk checks every block against its table and writes
 every default back, so a validated block holds exactly its table's keys
-and assembly reads plain ``block[key]``.  The ``--seed`` and
+and assembly reads plain ``block[key]``.  A pair of keys that must be
+ordered (sunrise before sunset, peak start before peak end, ``soc_min``
+below ``soc_max``) is checked once after the walk, in ``_ORDERED_KEYS``.
+The ``--seed`` and
 ``--step-seconds`` overrides are written into the document before the
 walk.
 
@@ -274,8 +277,8 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
         "priced": {
             "off_peak_price": partial(_number, default=0.10, minimum=0.0),
             "peak_price": partial(_number, default=0.40, minimum=0.0),
-            "peak_start_hour": partial(_integer, default=8, minimum=0),
-            "peak_end_hour": partial(_integer, default=20, minimum=0),
+            "peak_start_hour": partial(_integer, default=8, minimum=0, maximum=24),
+            "peak_end_hour": partial(_integer, default=20, minimum=0, maximum=24),
             "max_active_power_w": _OPTIONAL_LIMIT,
             "max_apparent_power_va": _OPTIONAL_LIMIT,
         },
@@ -305,6 +308,14 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
         "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=1e-9)},
     },
 }
+
+#: (block, low key, high key): each pair of bounds a block's kind may hold,
+#: checked after the walk, so a pair out of order fails at load naming both
+_ORDERED_KEYS = (
+    ("pv", "sunrise_hour", "sunset_hour"),
+    ("grid", "peak_start_hour", "peak_end_hour"),
+    ("inverter", "soc_min", "soc_max"),
+)
 
 #: scenario key -> parser.  A kinded block's entry is its default kind (its
 #: kinds are in BLOCK_TABLES); the forecast block's entry is its key table.
@@ -430,6 +441,10 @@ def scenario_from_dict(
     data = {**data, **{key: value for key, value in overrides.items() if value is not None}}
     fields = _fields(data, DOCUMENT_TABLE, "scenario", base_dir)
     del fields["schema_version"]
+    for block, low, high in _ORDERED_KEYS:
+        values = fields[block]
+        if low in values and not values[low] < values[high]:
+            _fail(block, f"{low!r} must be < {high!r}, got {values[low]!r} and {values[high]!r}")
 
     # a replay load announces no jobs, so its context defaults to none
     if fields["load"]["kind"] != "synthetic":

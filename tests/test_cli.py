@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cemsim
-from cemsim import cli, ingest_timeseries
+from cemsim import cli, ingest_timeseries, replay
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import TimeSeriesRangeError
 from cemsim.scenario import build_bundle, load_scenario
@@ -283,6 +283,46 @@ def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp
     for key in want.keys():
         assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes()
         assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes()
+
+
+def _recording_at_600_s(tmp_path):
+    """channels.csv of a 1 d @ 600 s run: 144 steps of all ten channels."""
+    scenario = _scenario(tmp_path, "day600", step_seconds=600)
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "rec")]) == cli.EXIT_OK
+    return tmp_path / "rec" / "channels.csv"
+
+
+def test_a_runs_recording_is_ingested_by_column_alone(tmp_path, monkeypatch):
+    """Every chunk of a clean recording written by run passes the column
+    pass, which parses it as the row loop does."""
+    path = _recording_at_600_s(tmp_path)
+    monkeypatch.setattr(replay, "_take_columns", lambda *args: False)
+    want = ingest_timeseries(path)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("the row loop read a chunk of a clean recording")
+
+    monkeypatch.setattr(replay, "_ingest_rows", refuse)
+    got = ingest_timeseries(path)
+    assert got.keys() == want.keys() and len(got) == 10
+    for key in want.keys():
+        assert len(got.channel(*key).times_ns) == 144, key
+        assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes(), key
+        assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes(), key
+
+
+def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_path, row_loop_chunks):
+    path = _recording_at_600_s(tmp_path)
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    time_text, subsystem_text, name, _ = lines[699].split(",")
+    lines[699] = f"{time_text},{subsystem_text},{name},nan\r\n"
+    path.write_bytes("".join(lines).encode())
+    with pytest.raises(replay.IngestError, match=rf"channels\.csv:700: channel '{name}' value 'nan' is not finite$"):
+        ingest_timeseries(path)
+    chunk = replay._CHUNK_LINES
+    assert chunk < 700 - 2, "line 700 must lie past the first chunk"
+    assert row_loop_chunks == [2 + (700 - 2) // chunk * chunk]
 
 
 # ---------------------------------------------------------------------------

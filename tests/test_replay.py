@@ -27,6 +27,7 @@ from cemsim import (
     ingest_timeseries,
     interpolate,
 )
+from cemsim import replay
 from cemsim.core import ContextRecord
 from cemsim.replay import CHANNEL_HEADER
 
@@ -368,6 +369,7 @@ _FAULTS = (
     ("unknown channel", lambda row: [*row[:2], "pv_powr", row[3]]),
     ("unknown channel", lambda row: [*row[:2], '"pv_""power"', row[3]]),
     ("short row", lambda row: row[:3]),
+    ("long row", lambda row: [*row, row[3]]),
     ("blank row", lambda row: []),
 )
 
@@ -383,35 +385,54 @@ def _padded(row):
     return [f" {row[0]}", f"{row[1]}\t", row[2], f" {row[3]} "]
 
 
+def _times(draw, lo, hi):
+    times = st.integers(lo, hi) | st.sampled_from([lo, lo + 1, hi - 1, hi])
+    return draw(st.lists(times, min_size=1, max_size=8, unique=draw(st.booleans())))
+
+
+def _row(draw, t_ns, subsystem_id, name):
+    value = draw(_VALUES)
+    return [str(t_ns), str(subsystem_id), name, draw(st.sampled_from([repr(value), "%.17g" % value]))]
+
+
 @st.composite
 def _recording(draw):
-    """(text, rows, {line: fault}): one to three channels' rows,
-    interleaved in any order, with int64-edge times, repeated times,
-    signed zeros, subnormals and 17-digit values, and up to two faulty
-    rows.  Lines end in any mix of ``\\n``, ``\\r`` and ``\\r\\n``, the
-    last maybe in none; some rows are quoted or padded."""
+    """(text, rows, {line: fault}): one to three channels' rows, with
+    int64-edge times, repeated times, signed zeros, subnormals and
+    17-digit values, and up to two faulty rows.  The rows are laid out
+    either permuted, each channel's times from its own band and the rows
+    in any order, or periodic, every time's rows in one fixed key order as
+    ``run`` writes them.  Lines end in any mix of ``\\n``, ``\\r`` and
+    ``\\r\\n``, the last maybe in none; in some recordings rows are
+    quoted or padded."""
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True))
     rows = []
-    for subsystem_id, name in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True)):
+    if draw(st.booleans()):
+        for subsystem_id, name in keys:
+            lo, hi = draw(st.sampled_from(_BANDS))
+            rows.extend(_row(draw, t_ns, subsystem_id, name) for t_ns in _times(draw, lo, hi))
+        rows = draw(st.permutations(rows))
+    else:
         lo, hi = draw(st.sampled_from(_BANDS))
-        times = st.integers(lo, hi) | st.sampled_from([lo, lo + 1, hi - 1, hi])
-        for t_ns in draw(st.lists(times, min_size=1, max_size=8, unique=draw(st.booleans()))):
-            value = draw(_VALUES)
-            rows.append([str(t_ns), str(subsystem_id), name, draw(st.sampled_from([repr(value), "%.17g" % value]))])
-    rows = draw(st.permutations(rows))
+        for t_ns in _times(draw, lo, hi):
+            rows.extend(_row(draw, t_ns, subsystem_id, name) for subsystem_id, name in keys)
     faults = {}
     for _ in range(draw(st.integers(0, 2))):
         index = draw(st.integers(0, len(rows) - 1))
         if index + 2 not in faults:
             faults[index + 2], spoil = draw(st.sampled_from(_FAULTS))
             rows[index] = spoil(rows[index])
+    styled = draw(st.booleans())
     lines = [",".join(CHANNEL_HEADER)]
     for line_number, row in enumerate(rows, start=2):
         if any('"' in field for field in row):
             styles = [list]
         elif line_number in faults:
             styles = [list, _quoted]
-        else:
+        elif styled:
             styles = [list, _quoted, _padded]
+        else:
+            styles = [list]
         lines.append(",".join(draw(st.sampled_from(styles))(row)))
     # a blank line never ends in a bare "\n", which would join the "\r"
     # ending the line before it into one "\r\n"
@@ -428,17 +449,27 @@ def _ingest(ingest, path):
         return exc
 
 
-@given(_recording())
+@given(
+    _recording(),
+    st.integers(1, 7) | st.just(replay._CHUNK_LINES),
+    st.integers(1, 3) | st.just(replay._PROBE_LINES),
+)
 @settings(max_examples=300)
-def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording):
+def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording, chunk_lines, probe_lines):
     """The same channels, times and value bits (sign of zero included) as
     the numpy ingest, or the same error type and message.  A non-finite
-    value is the one change: it is reported at its line, in row order."""
+    value is the one change: it is reported at its line, in row order.
+    Chunks of one to seven lines put chunk edges mid-period, on an
+    unterminated last line and next to a fault, and a probe of one to
+    three lines leaves the column pass lines to split after it."""
     text, rows, faults = recording
     path = tmp_path_factory.mktemp("ingest") / "rec.csv"
     path.write_bytes(text.encode())
     want = _ingest(ingest_timeseries_reference, path)
-    got = _ingest(ingest_timeseries, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "_CHUNK_LINES", chunk_lines)
+        patch.setattr(replay, "_PROBE_LINES", probe_lines)
+        got = _ingest(ingest_timeseries, path)
     if faults:
         assert isinstance(want, IngestError), want
     if faults and faults[min(faults)] == "non-finite":
@@ -452,6 +483,56 @@ def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording):
         channel = got.channel(*key)
         assert channel.times_ns.tobytes() == times.tobytes(), key
         assert channel.values.tobytes() == values.tobytes(), key
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [("1", "pv_power"), ("01", "pv_power")] * 3,
+        [("1", "pv_power"), ("1", "pv_power"), ("2", "pv_power"), ("1", "pv_power")],
+        [("1", "pv_power"), ("1", "pv_power"), ("1", "pv_voltage"), ("1", "pv_power")],
+        [("1", "pv_power"), ("2", "pv_power")] * 2 + [("2", "pv_power"), ("1", "pv_power")],
+    ],
+    ids=["one-subsystem-spelt-two-ways", "subsystems-break-the-period", "names-break-the-period", "period-breaks-later"],
+)
+def test_ingest_reads_a_chunk_without_one_repeating_key_order_by_row(tmp_path, row_loop_chunks, keys):
+    """The column pass takes only a chunk whose (subsystem, name) texts
+    repeat with one period, each slot of it a distinct channel: '1' and
+    '01' are one channel, and alternating they would fill it from two
+    slots out of file order.  The row loop reads the others."""
+    path = tmp_path / "rec.csv"
+    rows = "".join(f"{t * NS},{subsystem},{name},{t}\n" for t, (subsystem, name) in enumerate(keys))
+    path.write_text("timestamp_ns,subsystem_id,channel,value\n" + rows)
+    want = ingest_timeseries_reference(path)
+    got = ingest_timeseries(path)
+    assert row_loop_chunks == [2]
+    assert got.keys() == sorted(want)
+    for key, (times, values) in want.items():
+        assert got.channel(*key).times_ns.tobytes() == times.tobytes(), key
+        assert got.channel(*key).values.tobytes() == values.tobytes(), key
+
+
+def test_ingest_names_a_short_line_that_a_long_one_makes_up_for(tmp_path, row_loop_chunks):
+    """Joined and split on commas, a two-field and a six-field line give
+    two rows of four known, parsable fields.  The ending of the first line
+    then sits on a subsystem, not a value, so the pass declines the chunk
+    and the row loop names the short line."""
+    path = tmp_path / "rec.csv"
+    path.write_text(f"timestamp_ns,subsystem_id,channel,value\n0,1\npv_power,1,{60 * NS},2,pv_power,2\n")
+    with pytest.raises(IngestError, match=r"rec\.csv:2: expected 4 fields, got 2$"):
+        ingest_timeseries(path)
+    assert row_loop_chunks == [2]
+
+
+def test_ingest_names_a_fault_in_the_chunk_after_a_clean_one(tmp_path, monkeypatch, row_loop_chunks):
+    monkeypatch.setattr(replay, "_CHUNK_LINES", 4)
+    path = tmp_path / "rec.csv"
+    rows = [f"{t * NS},{subsystem_id},{name},{t}" for t in range(4) for subsystem_id, name in _KEYS[:2]]
+    rows[6] = rows[6].rpartition(",")[0] + ",nan"
+    path.write_text("\n".join(["timestamp_ns,subsystem_id,channel,value", *rows]) + "\n")
+    with pytest.raises(IngestError, match=r"rec\.csv:8: channel 'pv_power' value 'nan' is not finite$"):
+        ingest_timeseries(path)
+    assert row_loop_chunks == [6]
 
 
 def test_timeseries_round_trip_is_bit_exact(tmp_path):

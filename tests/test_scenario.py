@@ -130,6 +130,18 @@ def test_numeric_bounds_are_enforced():
         _scenario({}, forecast={"train_days": 367})
     with pytest.raises(ConfigurationError, match="^forecast: 'resamples' must be <= 100, got 101$"):
         _scenario({}, forecast={"resamples": 101})
+    with pytest.raises(ConfigurationError, match="^grid: 'peak_end_hour' must be <= 24, got 25$"):
+        _scenario({}, grid={"peak_end_hour": 25})
+    with pytest.raises(ConfigurationError, match="^grid: 'peak_start_hour' must be < 'peak_end_hour', got 20 and 8$"):
+        _scenario({}, grid={"peak_start_hour": 20, "peak_end_hour": 8})
+    with pytest.raises(ConfigurationError, match="^grid: 'peak_start_hour' must be < 'peak_end_hour', got 8 and 8$"):
+        _scenario({}, grid={"peak_start_hour": 8, "peak_end_hour": 8})
+    with pytest.raises(ConfigurationError, match="^pv: 'sunrise_hour' must be < 'sunset_hour', got 19.0 and 6.0$"):
+        _scenario({}, pv={"sunrise_hour": 19, "sunset_hour": 6})
+    with pytest.raises(ConfigurationError, match="^inverter: 'soc_min' must be < 'soc_max', got 0.9 and 0.2$"):
+        _scenario({}, inverter={"soc_min": 0.9, "soc_max": 0.2})
+    whole_day = _scenario({}, grid={"peak_start_hour": 0, "peak_end_hour": 24}, pv={"sunrise_hour": 0, "sunset_hour": 24})
+    assert (whole_day.grid["peak_end_hour"], whole_day.pv["sunset_hour"]) == (24, 24.0)
     capped = _scenario({}, load={"jobs_per_day": 100}, forecast={"train_days": 366, "resamples": 100})
     assert (capped.load["jobs_per_day"], capped.forecast["train_days"], capped.forecast["resamples"]) == (100, 366, 100)
 
