@@ -20,7 +20,11 @@ its SOC reaches both ``soc_max`` and ``soc_min``, branches the 600 W
 default PV never takes.  ``compare-tariff-night`` is ``compare-2d-0500``'s
 horizon under an inverted tariff whose peak runs from 00:00 to 06:00 and
 is the cheap tier: a peak that starts at midnight, planned across both
-days.
+days.  ``compare-1d-120s`` runs both planned-day MPC strategies at 120 s,
+so its windows have 720 steps, with hundreds of re-solves and long
+carries.  ``forecast-eval-subset`` evaluates only ``effort`` and ``none``,
+in that order: a shared feature row is wider than either family, and
+the family order is not the canonical one.
 
 To re-record after an intended output change:
 
@@ -70,6 +74,8 @@ CASES = {
         },
     ),
     "compare-all4": ("compare", _day(23)),
+    "compare-1d-120s": ("compare", {**_day(7), "step_seconds": 120}),
+    "forecast-eval-subset": ("forecast-eval", {**_day(7), "forecast": {"families": ["effort", "none"]}}),
     "compare-2d-0500": (
         "compare",
         {
@@ -109,7 +115,7 @@ CASES = {
 # A case that replays another case's artifacts runs that case first.
 RECORDING = {"replay-2d": "run-2d", "mixed-2d": "run-2d"}
 # compare cases run STRATEGIES unless named here
-CASE_STRATEGIES = {"compare-all4": ALL_STRATEGIES}
+CASE_STRATEGIES = {"compare-all4": ALL_STRATEGIES, "compare-1d-120s": "mpc-perfect,mpc-nocontext"}
 
 
 def run_case(case: str, work: Path) -> Path:
