@@ -427,7 +427,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         path = Path(raw)
         try:
             if not path.is_file():
-                raise IngestError(f"file does not exist: {path}")
+                raise IngestError(f"{path}: file does not exist")
             if path.suffix == ".csv":
                 table = ingest_timeseries(path)
                 detail = f"{len(table)} channels"
@@ -435,9 +435,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 records = ingest_context(path)
                 detail = f"{len(records)} context records"
             else:
-                raise IngestError(f"unsupported file type {path.suffix!r} (expected .csv or .jsonl)")
+                raise IngestError(f"{path}: unsupported file type {path.suffix!r} (expected .csv or .jsonl)")
         except (IngestError, ValueError, OSError) as exc:
-            print(f"FAIL {path}: {exc}")
+            # an IngestError's message starts with the file's path
+            print(f"FAIL {exc}" if isinstance(exc, IngestError) else f"FAIL {path}: {exc}")
             all_ok = False
             continue
         print(f"PASS {path}: {detail}")

@@ -32,6 +32,16 @@ after k, including one whose take was cut to the headroom: the purchase
 need not land exactly on the ceiling, so the saturated boundary can keep
 an ulp of headroom and the same step buys again at a later boundary.
 
+Most boundaries are served by their own step, k - 1.  When boundary k
+needs energy and (price, 1 - k) sorts below the heap top (ties with an
+earlier step go to the later one, so a price tie counts), the own step
+buys first without being pushed and popped, up to its whole grid-cap
+room, since nothing was bought there yet and it carries nothing; it is
+then set aside with the others, as a pop would have handed it out.
+Every heap key is distinct, so the pops that follow, and every float
+operation, are those of the push and pop.  A need the own step leaves an
+ulp short, or that its grid cap cannot cover, goes on to the heap.
+
 The walk pays only for what a purchase carries.  With bought[j] the sum
 of purchases in steps < j, a purchase at step t adds to every boundary
 after t, and t < k, so every boundary j >= k has received every purchase
@@ -53,9 +63,15 @@ over the 202 windows of a 1 d @240 s compare), the carry ranges
 solve about 3.5 times slower) and the SOC trajectory.  The
 per-boundary scalars (requirement, price, total, need and the per-step
 purchases) are Python floats.  One full-day solve at T = 720 / 1440 /
-2880 steps took 5.4 / 10.7 / 22.3 ms with full-suffix adds and 2.8 / 5.8 /
-11.9 ms with suffix totals (``bench/probe.py solver``, medians of five
-alternating runs on a 2-vCPU Xeon VM).
+2880 steps took 2.75 / 5.74 / 11.89 ms pushing and popping every own
+step and 2.18 / 4.37 / 8.86 ms with the own-step rule
+(``bench/probe.py solver``, medians of seven alternating runs on a 2-vCPU
+Xeon VM).
+
+A :class:`RecedingHorizonController` converts and checks a window
+object's series once, in the :class:`ChargingProblem` of its first solve
+on it; a re-solve on the same window slices that problem's tail
+(:meth:`ChargingProblem.tail`), so only its starting SOC is checked again.
 
 numpy is imported inside :func:`solve_charging`, its only user, so a run
 that never plans (PV-first, replay) does not pay numpy's import.
@@ -109,7 +125,7 @@ class ChargingProblem:
     the storage; max_grid_power_w optionally caps each step's purchase.
     The three series are converted to float tuples and checked here, the
     one place a forecast window's series are (:class:`ForecastWindow`
-    keeps them as given).
+    keeps them as given); :meth:`tail` reuses them for a later start.
     """
 
     step_seconds: float
@@ -138,16 +154,36 @@ class ChargingProblem:
         _require(_finite_and_nonnegative(self.pv_w), "pv_w must be finite and >= 0")
         _require(0.0 < self.capacity_j < inf, "capacity_j must be finite and > 0")
         _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
-        _require(
-            self.soc_min - 1e-9 <= self.soc_initial <= self.soc_max + 1e-9,
-            f"soc_initial {self.soc_initial!r} outside [{self.soc_min}, {self.soc_max}]",
-        )
+        self._check_soc_initial()
         if self.max_grid_power_w is not None:
             _require(self.max_grid_power_w >= 0.0, "max_grid_power_w must be >= 0")
+
+    def _check_soc_initial(self) -> None:
+        if not self.soc_min - 1e-9 <= self.soc_initial <= self.soc_max + 1e-9:
+            raise ValueError(f"soc_initial {self.soc_initial!r} outside [{self.soc_min}, {self.soc_max}]")
 
     @property
     def horizon(self) -> int:
         return len(self.prices)
+
+    def tail(self, offset: int, soc_initial: float) -> ChargingProblem:
+        """This window from step ``offset`` on, starting at ``soc_initial``.
+
+        The tail slices the series converted and checked when this problem
+        was built, so only ``soc_initial`` is checked again.
+        """
+        if not 0 <= offset < self.horizon:
+            raise ValueError(f"offset {offset} outside the window's {self.horizon} steps")
+        tail = object.__new__(ChargingProblem)
+        tail.__dict__.update(
+            self.__dict__,
+            prices=self.prices[offset:],
+            load_w=self.load_w[offset:],
+            pv_w=self.pv_w[offset:],
+            soc_initial=soc_initial,
+        )
+        tail._check_soc_initial()
+        return tail
 
 
 def _finite_and_nonnegative(series: tuple[float, ...]) -> bool:
@@ -242,8 +278,19 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
     for k, (floor, price) in enumerate(zip(required.tolist(), prices), 1):
         bought[k - 1] = total
         need = floor - total
-        heappush(candidates, (price, 1 - k))
+        own = (price, 1 - k)
         kept = []  # bought from at this boundary; may buy again at a later one
+        if need > 0.0 and not (candidates and candidates[0] < own):
+            # The own step would be popped first: it buys without the push
+            # and pop, with all of its grid-cap room and no carry.
+            if cap_per_step > 0.0:
+                take = need if need <= cap_per_step else cap_per_step
+                purchases[k - 1] = take
+                total += take
+                need = floor - total
+                kept.append(own)
+        else:
+            heappush(candidates, own)
         while need > 0.0 and candidates:
             candidate = heappop(candidates)
             t = -candidate[1]
@@ -304,10 +351,11 @@ class ForecastWindow:
     ``[start_ns + i * step_ns, start_ns + (i + 1) * step_ns)``.  The window's
     shape is checked when it is built (equal lengths, ``step_ns > 0``); its
     elements are kept as given and converted to floats and checked in one
-    place, the :class:`ChargingProblem` a controller solves on the tail
-    from ``now``'s offset.  A provider hands out the same window for every
-    ``now`` it covers.  Providers keep one window object per value: while
-    they return the same object, its values have not been revised.
+    place, the :class:`ChargingProblem` a controller builds on the tail
+    from the offset of its first solve on the window.  A provider hands
+    out the same window for every ``now`` it covers.  Providers keep one
+    window object per value: while they return the same object, its
+    values have not been revised.
     """
 
     start_ns: int
@@ -332,7 +380,7 @@ class ForecastWindow:
 #: Returning the same object again promises the same values; a revised
 #: forecast comes as a new object.  The window's shape is checked when it
 #: is built; its series are converted and checked by the ChargingProblem
-#: each solve builds.
+#: of the first solve on it.
 ForecastProvider = Callable[[int], "ForecastWindow | None"]
 
 
@@ -364,9 +412,11 @@ class RecedingHorizonController:
     the forecast is unrevised) and the executed SOC agrees with the
     planned SOC within :data:`SOC_SNAP_TOLERANCE`; this keeps the closed
     loop on the open-loop plan's arithmetic path.  A new window object or a
-    state deviation triggers a true re-solve from the executed state.  A
-    window that does not cover ``now`` and an infeasible window both fall
-    back to no plan (callers dispatch PV-first), the latter with a warning.
+    state deviation triggers a true re-solve from the executed state, on
+    the tail of the problem the window was converted into at its first
+    solve.  A window that does not cover ``now`` and an infeasible window
+    both fall back to no plan (callers dispatch PV-first), the latter with
+    a warning.
     """
 
     def __init__(
@@ -390,6 +440,9 @@ class RecedingHorizonController:
         self._window: ForecastWindow | None = None  # the window the plan was solved on
         self._plan: ChargingPlan | None = None
         self._plan_offset = 0  # the window offset of the plan's first step
+        # the last window solved on, converted from the first offset solved
+        # on it: (window, offset, problem)
+        self._converted: tuple[ForecastWindow, int, ChargingProblem] | None = None
 
     def decide(self, now_ns: int, soc: float) -> ControlDecision:
         window = self.forecast_provider(now_ns)
@@ -403,17 +456,23 @@ class RecedingHorizonController:
             k = offset - self._plan_offset
             if abs(soc - plan.soc_trajectory[k]) <= SOC_SNAP_TOLERANCE:
                 return ControlDecision(plan.grid_power_w[k], plan, planned_soc=plan.soc_trajectory[k])
-        problem = ChargingProblem(
-            step_seconds=window.step_seconds,
-            prices=window.prices[offset:],
-            load_w=window.load_w[offset:],
-            pv_w=window.pv_w[offset:],
-            capacity_j=self.capacity_j,
-            soc_min=self.soc_min,
-            soc_max=self.soc_max,
-            soc_initial=min(max(soc, self.soc_min), self.soc_max),
-            max_grid_power_w=self.max_grid_power_w,
-        )
+        soc_initial = min(max(soc, self.soc_min), self.soc_max)
+        converted = self._converted
+        if converted is not None and converted[0] is window and offset >= converted[1]:
+            problem = converted[2].tail(offset - converted[1], soc_initial)
+        else:
+            problem = ChargingProblem(
+                step_seconds=window.step_seconds,
+                prices=window.prices[offset:],
+                load_w=window.load_w[offset:],
+                pv_w=window.pv_w[offset:],
+                capacity_j=self.capacity_j,
+                soc_min=self.soc_min,
+                soc_max=self.soc_max,
+                soc_initial=soc_initial,
+                max_grid_power_w=self.max_grid_power_w,
+            )
+            self._converted = (window, offset, problem)
         try:
             plan = solve_charging(problem)
         except InfeasibleProblemError as exc:

@@ -17,6 +17,11 @@ schema instead.  It posts with the standard library's
 :mod:`urllib.request`, imported inside the function, so the package's only
 runtime dependency is numpy.
 
+:func:`evaluate_families` queries the context once per sample time and
+builds one feature row per sample, which every family it evaluates
+shares; each family's fit and RMSE stay bit for bit those of training
+and scoring it alone.
+
 numpy is imported inside each function that builds, fits or scores
 arrays, not at module level: the CLI imports this module for every
 command, and a PV-first or replay run never calls them, so it does not
@@ -31,6 +36,7 @@ import math
 import re
 import sys
 from collections import namedtuple
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .core import ContextIndex, ContextRecord, SimulationError, StepRecord, _require
@@ -172,11 +178,21 @@ def build_features(
     import numpy as np
 
     _require(mode in FAMILIES, f"unknown feature family {mode!r}")
+    return np.asarray(_feature_row(records, mode, t_ns, effort_fn))
+
+
+def _feature_row(
+    records: Iterable[ContextRecord],
+    mode: str,
+    t_ns: int,
+    effort_fn: EffortEstimator,
+) -> list[float]:
+    """:func:`build_features` as a list, for a known family ``mode``."""
     hour = hour_of_day(t_ns)
     angle = 2.0 * math.pi * hour / 24.0
     features = [1.0, math.sin(angle), math.cos(angle)]
     if mode == "none":
-        return np.asarray(features)
+        return features
     active = [r for r in records if r.begins_at_ns <= t_ns < r.ends_at_ns]
     if mode in ("numeric", "combined"):
         for field in NUMERIC_FIELD_CATALOG:
@@ -191,7 +207,7 @@ def build_features(
             features.append(present)
     if mode in ("effort", "combined"):
         features.append(sum(effort_fn(record.text()) for record in active))
-    return np.asarray(features)
+    return features
 
 
 def fit_least_squares(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -295,6 +311,16 @@ def evaluate_families(
 
     The split is by sample order (time-ordered input expected), so the
     test window is strictly after the training window.
+
+    Each sample time is queried once and described by one feature row of
+    the narrowest family whose features cover every requested family's
+    (``combined`` when both ``numeric`` and ``effort`` features are
+    wanted); each family then takes its own columns of those rows.  Its
+    design is built with ``np.array`` from the rows' values, and each
+    prediction input is a fresh array, so every family's fit and RMSE are
+    bit for bit those of training and scoring it alone.  A design sliced
+    from one array of the wider rows is not: it moved 133 of 480 RMSEs
+    (32 seeds, 5 resamples, 3 narrower families) in their last digits.
     """
     _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
     _require(0.0 < train_fraction < 1.0, "train_fraction must be in (0, 1)")
@@ -306,15 +332,21 @@ def evaluate_families(
     _require(split >= width, f"training window too small: {split} samples for {width} features")
     _require(split < count, "test window is empty")
 
+    import numpy as np
+
     from .core import context_query
 
+    wanted = {name for family in families for name in feature_names(family)}
+    widest = next(family for family in FAMILIES if wanted <= set(feature_names(family)))
+    names = feature_names(widest)
     index = ContextIndex(records)
+    rows = [_feature_row(context_query(index, t), widest, t, effort_fn) for t in times_ns]
+    observed = np.asarray(observed_w[:split], dtype=np.float64)
     report: dict[str, float] = {}
     for family in families:
-        predictor = train_predictor(records, times_ns[:split], observed_w[:split], family, effort_fn)
-        predicted = [
-            predictor.predict_features(build_features(context_query(index, t), family, t, effort_fn))
-            for t in times_ns[split:]
-        ]
+        columns = itemgetter(*map(names.index, feature_names(family)))
+        design = np.array([columns(row) for row in rows[:split]])
+        predictor = Predictor(mode=family, coefficients=tuple(fit_least_squares(design, observed)))
+        predicted = [predictor.predict_features(columns(row)) for row in rows[split:]]
         report[family] = rmse(predicted, list(observed_w[split:]))
     return report

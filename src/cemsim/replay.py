@@ -127,7 +127,8 @@ class TimeSeriesRangeError(SimulationError):
 
 
 class IngestError(ValueError):
-    """A recording file failed validation; the message carries row context."""
+    """A recording file failed validation; the message starts with the
+    file's path and carries row context."""
 
 
 class Channel(SlotRecord):

@@ -18,6 +18,11 @@ tolerance, where it used to round ``first - slack_ns`` to a float.
 ``load_power_reference`` is the synthetic load before its job table: every
 job tested at every instant, kept verbatim (the ``active_at`` test inlined),
 so the table lookup can be compared bit for bit.
+``evaluate_families_reference`` is forecast evaluation while every
+family queried the context, built its features and trained through
+``train_predictor`` on its own, kept verbatim, so the evaluation that
+queries each sample time once and shares one feature row among the
+families can be compared with it RMSE for RMSE, bit for bit.
 ``ingest_timeseries_reference`` is the channel-CSV ingest while it used
 numpy (``np.diff``, a stable ``np.argsort``, ``np.isfinite``), kept verbatim
 with the numpy checks of the old ``Channel`` inlined, so the builtin checks
@@ -57,8 +62,15 @@ from types import MappingProxyType
 import numpy as np
 
 from cemsim.control import ChargingPlan, InfeasibleProblemError
-from cemsim.core import NS_PER_DAY, NS_PER_HOUR, NS_PER_SECOND, BatteryMode, ConfigurationError
-from cemsim.forecast import build_features, estimate_effort_heuristic, feature_names
+from cemsim.core import NS_PER_DAY, NS_PER_HOUR, NS_PER_SECOND, BatteryMode, ConfigurationError, ContextIndex
+from cemsim.forecast import (
+    FAMILIES,
+    build_features,
+    estimate_effort_heuristic,
+    feature_names,
+    rmse,
+    train_predictor,
+)
 from cemsim.models.synthetic import _job_power_table, unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
@@ -362,6 +374,39 @@ def load_power_reference(config, t_ns):
         if power < 0.0:
             return 0.0
     return power
+
+
+def evaluate_families_reference(
+    records,
+    times_ns,
+    observed_w,
+    train_fraction=0.7,
+    families=FAMILIES,
+    effort_fn=estimate_effort_heuristic,
+):
+    """Train each family on the leading time window, report test RMSE."""
+    _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
+    _require(0.0 < train_fraction < 1.0, "train_fraction must be in (0, 1)")
+    for family in families:
+        _require(family in FAMILIES, f"unknown feature family {family!r}")
+    count = len(times_ns)
+    split = int(count * train_fraction)
+    width = max(len(feature_names(f)) for f in families)
+    _require(split >= width, f"training window too small: {split} samples for {width} features")
+    _require(split < count, "test window is empty")
+
+    from cemsim.core import context_query
+
+    index = ContextIndex(records)
+    report: dict[str, float] = {}
+    for family in families:
+        predictor = train_predictor(records, times_ns[:split], observed_w[:split], family, effort_fn)
+        predicted = [
+            predictor.predict_features(build_features(context_query(index, t), family, t, effort_fn))
+            for t in times_ns[split:]
+        ]
+        report[family] = rmse(predicted, list(observed_w[split:]))
+    return report
 
 
 def _channel_reference(name, times_ns, values):

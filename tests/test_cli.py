@@ -91,6 +91,26 @@ def test_validate_fails_a_context_line_with_coerced_fields(tmp_path, capsys):
     assert out.startswith("FAIL") and "coerced.jsonl:1: recorded_at_ns" in out
 
 
+def test_validate_names_a_failing_file_once(recording, tmp_path, capsys):
+    """Each FAIL line names its file once: an ingest error's message starts
+    with the path, and so do validate's own for a missing file and an
+    unsupported type, so validate prefixes no second copy."""
+    lines = (recording / "rec" / "channels.csv").read_bytes().decode().splitlines(keepends=True)
+    time_text, subsystem_text, name, _ = lines[1999].split(",")
+    lines[1999] = f"{time_text},{subsystem_text},{name},nan\r\n"
+    bad = tmp_path / "nan.csv"
+    bad.write_bytes("".join(lines).encode())
+    missing = tmp_path / "missing.csv"
+    other = tmp_path / "notes.txt"
+    other.write_text("")
+    assert cli.main(["validate", str(bad), str(missing), str(other)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL {bad}:2000: channel {name!r} value 'nan' is not finite",
+        f"FAIL {missing}: file does not exist",
+        f"FAIL {other}: unsupported file type '.txt' (expected .csv or .jsonl)",
+    ]
+
+
 def test_a_field_beyond_the_csv_limit_fails_validate_and_run_with_its_line(recording, tmp_path, capsys):
     """A channels.csv field longer than ``csv.field_size_limit()`` is an
     ingest error at its line: ``validate`` prints FAIL and still checks

@@ -1,9 +1,10 @@
 """Charging plan solver and the receding-horizon control loop."""
 import dataclasses
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cemsim.control
@@ -259,6 +260,8 @@ def _solve_like_the_reference(problem, solve=solve_charging):
     except InfeasibleProblemError as exc:
         pytest.fail(f"the reference greedy solves a window that solve rejects: {exc}")
     assert plan == expected
+    assert repr(plan) == repr(expected)
+    assert plan.purchased_energy_j.hex() == expected.purchased_energy_j.hex()
     assert plan.total_cost == pytest.approx(plan_cost(expected), rel=1e-12)
     return plan
 
@@ -268,6 +271,102 @@ def _solve_like_the_reference(problem, solve=solve_charging):
 def test_solver_matches_the_greedy_reference(problem):
     """The heap walk returns the reference greedy's plan bit for bit, and
     fails where it fails, at the same step for the same reason."""
+    _solve_like_the_reference(problem)
+
+
+@st.composite
+def _own_step_windows(draw):
+    """Windows whose boundaries mostly need energy, so a step usually buys
+    for its own boundary before any candidate in the heap:
+
+    * prices come from one or two tiers, so the own step often ties the
+      heap top's price (and wins the tie, being the later step);
+    * the grid cap is often 0 or a share of the largest load, below one
+      step's need, and some windows' loads are tiny, so a window with a
+      zero cap passes the set-up checks and its own steps have no room;
+    * loads spread over six decades; or a window starts at ``soc_min``
+      with a first deficit of a small share of the minimum stored energy
+      and a second that lifts the requirement a binade or two above it,
+      the first nudged until boundary 2's need is left an ulp short after
+      the own step's buy (as in
+      :func:`test_a_same_step_purchase_an_ulp_short_is_topped_up_earlier`),
+      so the heap tops it up."""
+    horizon = draw(st.integers(1, 30))
+    capacity = draw(st.floats(1e3, 3e7))
+    soc_min = draw(st.floats(0.0, 0.5))
+    soc_max = draw(st.floats(soc_min + 0.05, 1.0))
+    step_seconds = draw(st.sampled_from((60.0, 240.0, 3600.0)))
+    band_w = capacity * (soc_max - soc_min) / step_seconds
+    tiny_w = 1e-9 * capacity / step_seconds / horizon  # a whole window's deficit within the tolerance
+    shape = draw(st.sampled_from(("spread", "jump", "tiny")))
+    if shape == "tiny":
+        load = st.floats(0.0, 1.0).map(lambda share: share * tiny_w)
+    else:
+        load = st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda decade: 10.0**decade * band_w))
+    loads = draw(st.lists(load, min_size=horizon, max_size=horizon))
+    pv = st.one_of(st.just(0.0), st.floats(0.0, 0.05).map(lambda share: share * band_w))
+    pv_w = draw(st.lists(pv, min_size=horizon, max_size=horizon))
+    soc_initial = draw(st.one_of(st.just(soc_min), st.floats(soc_min, soc_max)))
+    if shape == "jump":
+        e_min = soc_min * capacity
+        first = draw(st.floats(0.01, 0.5)) * e_min / step_seconds
+        second = draw(st.floats(1.5, 3.5)) * e_min / step_seconds
+        loads[:2] = _ulp_short_loads(e_min, step_seconds, first, second)
+        pv_w[:2] = [0.0, 0.0]
+        soc_initial = soc_min
+        horizon = len(loads)
+    tiers = draw(st.sampled_from(((0.1,), (0.1, 0.2), (0.0, 0.3))))
+    cap = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.2, 1.0).map(lambda share: share * max(loads))))
+    return ChargingProblem(
+        step_seconds=step_seconds,
+        prices=draw(st.lists(st.sampled_from(tiers), min_size=horizon, max_size=horizon)),
+        load_w=loads,
+        pv_w=pv_w,
+        capacity_j=capacity,
+        soc_min=soc_min,
+        soc_max=soc_max,
+        soc_initial=soc_initial,
+        max_grid_power_w=cap,
+    )
+
+
+def _ulp_short_loads(e_min, step_seconds, first, second):
+    """``(first, second)``, with ``first`` moved up by up to 63 steps of
+    the minimum stored energy's ulp until a window starting at ``e_min``
+    with these loads (and no PV) leaves boundary 2's need an ulp short
+    once the own step bought it.  The requirements are summed as the
+    solver's set-up sums them; about a quarter of the draws get there."""
+    nudge = math.ulp(e_min) / step_seconds
+    for _ in range(64):
+        floor_1 = e_min - (e_min + -first * step_seconds)
+        floor_2 = max(e_min - (e_min + (-first * step_seconds + -second * step_seconds)), floor_1)
+        if floor_1 + (floor_2 - floor_1) < floor_2:
+            break
+        first += nudge
+    return first, second
+
+
+_TIED = ChargingProblem(
+    step_seconds=3600.0, prices=(0.1, 0.2, 0.1, 0.1), load_w=(0.0, 0.0, 500.0, 700.0), pv_w=(0.0,) * 4,
+    capacity_j=3.6e6, soc_min=0.1, soc_max=1.0, soc_initial=0.1, max_grid_power_w=600.0,
+)
+_ZERO_CAP = ChargingProblem(
+    step_seconds=60.0, prices=(0.1, 0.1, 0.2), load_w=(2e-8, 3e-8, 1e-8), pv_w=(0.0,) * 3,
+    capacity_j=1e4, soc_min=0.1, soc_max=1.0, soc_initial=0.1, max_grid_power_w=0.0,
+)
+
+
+@given(problem=_own_step_windows())
+@example(problem=_TIED)
+@example(problem=_ZERO_CAP)
+@settings(max_examples=400)
+def test_own_step_purchases_match_the_greedy_reference(problem):
+    """A boundary's own step buys first, without a push and a pop, when it
+    sorts below the heap top: a price tie with an earlier step, a grid cap
+    of 0 or below the step's need, and a need left an ulp short after the
+    own step's buy all give the reference greedy's plan, equal by repr and
+    by the purchased energy's bits, or fail at the same step for the same
+    reason."""
     _solve_like_the_reference(problem)
 
 
@@ -464,6 +563,46 @@ def test_an_int_valued_window_plans_bit_for_bit_as_its_float_copy():
         assert repr(int_plan) == repr(float_plan)
         assert int_plan.total_cost.hex() == float_plan.total_cost.hex()
         assert all(type(price) is float for price in int_plan.prices)
+
+
+def test_re_solves_on_one_window_convert_and_check_it_once(monkeypatch):
+    """A controller converts and checks a window object's series once, in
+    the ChargingProblem of its first solve.  Every re-solve on that window
+    slices the converted series, checks only its starting SOC and plans bit
+    for bit as a ChargingProblem built from the window's tail."""
+    socs = [0.5 + 0.01 * k for k in range(6)]  # off the plan, so every step re-solves
+    expected = [
+        solve_charging(
+            ChargingProblem(
+                step_seconds=3600.0, prices=MASTER.prices[k:], load_w=MASTER.load_w[k:], pv_w=MASTER.pv_w[k:],
+                capacity_j=3.6e6, soc_min=0.1, soc_max=1.0, soc_initial=soc,
+            )
+        )
+        for k, soc in enumerate(socs)
+    ]
+    check = cemsim.control._finite_and_nonnegative
+    checked = []
+    monkeypatch.setattr(cemsim.control, "_finite_and_nonnegative", lambda series: checked.append(series) or check(series))
+    solve = cemsim.control.solve_charging
+    solved = []
+    monkeypatch.setattr(cemsim.control, "solve_charging", lambda problem: solved.append(problem) or solve(problem))
+    controller = _controller()
+    plans = [controller.decide(k * HOUR, soc).plan for k, soc in enumerate(socs)]
+    assert len(solved) == 6
+    assert [repr(plan) for plan in plans] == [repr(plan) for plan in expected]
+    assert [len(series) for series in checked] == [6, 6, 6]
+    with pytest.raises(ValueError, match=r"^soc_initial 1\.5 outside \[0\.1, 1\.0\]$"):
+        solved[0].tail(1, 1.5)
+
+
+def test_a_window_holding_a_nan_fails_its_first_solve():
+    """A nan in a window fails the solve that first converts it, with the
+    message a ChargingProblem gives; a nan before the offset of that solve
+    is not in the tail it converts, as before."""
+    window = dataclasses.replace(MASTER, load_w=(200.0, 900.0, float("nan"), 1200.0, 400.0, 800.0))
+    with pytest.raises(ValueError, match="^load_w must be finite and >= 0$"):
+        _controller(window).decide(0, 0.5)
+    assert _controller(window).decide(3 * HOUR, 0.5).plan.prices == MASTER.prices[3:]
 
 
 def test_exhausted_window_falls_back():

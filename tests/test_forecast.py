@@ -6,8 +6,12 @@ import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cemsim.core
 from cemsim import (
+    FAMILIES,
     ContextRecord,
     NUMERIC_FIELD_CATALOG,
     Predictor,
@@ -28,6 +32,7 @@ from cemsim.models.synthetic import (
     generate_job_events,
     load_power_at,
 )
+from oracles import evaluate_families_reference
 
 NS_PER_HOUR = 3_600_000_000_000
 NS_PER_DAY = 24 * NS_PER_HOUR
@@ -261,6 +266,38 @@ def test_evaluate_families_validation():
         evaluate_families(records, times, observed, train_fraction=1.0)
     with pytest.raises(ValueError):
         evaluate_families(records, times[:6], observed[:6], train_fraction=0.5)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    day_count=st.integers(min_value=2, max_value=4),
+    noise=st.sampled_from((0.0, 0.05, 0.2)),
+    train_fraction=st.sampled_from((0.5, 0.7, 0.9)),
+    families=st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=4, unique=True),
+)
+@settings(max_examples=40)
+def test_evaluate_families_matches_the_per_family_reference(seed, day_count, noise, train_fraction, families):
+    """Sharing one feature row per sample time among the families gives
+    every family's RMSE bit for bit as training and scoring it alone did,
+    for any subset of families in any order, and queries the context once
+    per sample time."""
+    records, times, observed = _job_driven_samples(seed, day_count, noise)
+    query = cemsim.core.context_query
+    queried = []
+
+    def counted(index, t_ns):
+        queried.append(t_ns)
+        return query(index, t_ns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cemsim.core, "context_query", counted)
+        report = evaluate_families(records, times, observed, train_fraction, families)
+    assert queried == times
+    expected = evaluate_families_reference(records, times, observed, train_fraction, families)
+    assert list(report) == list(expected) == families
+    assert {family: value.hex() for family, value in report.items()} == {
+        family: value.hex() for family, value in expected.items()
+    }
 
 
 def test_watts_per_effort_recovered_within_two_percent():
