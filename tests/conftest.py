@@ -73,7 +73,7 @@ def estimator_server():
 
 @pytest.fixture
 def row_loop_chunks(monkeypatch):
-    """The first line number of each chunk ``ingest_timeseries`` hands its
+    """The first line number of each chunk ``_parse_timeseries`` hands its
     row loop, in order: the chunks the column pass declined."""
     entered = []
     row_loop = replay._ingest_rows

@@ -173,34 +173,58 @@ def test_a_pv_first_run_needs_no_numpy(recording, tmp_path):
         assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
 
 
+def _fresh_recording(recording, tmp_path):
+    """A copy of the recording's channels.csv and context.jsonl in its own
+    directory, with no column cache yet, and the path its sidecar gets."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for name in ("channels.csv", "context.jsonl"):
+        (fresh / name).write_bytes((recording / "rec" / name).read_bytes())
+    return fresh, fresh / "__cemsim_cache__" / "channels.csv.columns"
+
+
 def test_validate_and_an_all_replay_run_need_no_numpy(recording, tmp_path):
     """Validating a recording and replaying it with every component never
     import numpy, and the replay writes the same bytes as a replay in a
-    process where numpy is importable."""
+    process where numpy is importable.  A fresh copy is replayed twice:
+    the first run parses it and writes its column cache, the second reads
+    the cache, and neither loads numpy."""
     files = (recording / "rec" / "channels.csv", recording / "rec" / "context.jsonl")
     done = _main_without(("numpy",), "validate", *files)
     assert done.returncode == cli.EXIT_OK, done.stderr
-    scenario = _replay_scenario(tmp_path, recording / "rec")
+    fresh, sidecar = _fresh_recording(recording, tmp_path)
+    scenario = _replay_scenario(tmp_path, fresh)
+    for attempt in ("miss", "hit"):
+        assert sidecar.exists() == (attempt == "hit"), attempt
+        done = _main_without(("numpy",), "run", "--scenario", scenario, "--out", tmp_path / f"no-numpy-{attempt}")
+        assert done.returncode == cli.EXIT_OK, done.stderr
     assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "with-numpy")]) == cli.EXIT_OK
-    done = _main_without(("numpy",), "run", "--scenario", scenario, "--out", tmp_path / "no-numpy")
-    assert done.returncode == cli.EXIT_OK, done.stderr
     for name in ARTIFACTS:
-        assert (tmp_path / "no-numpy" / name).read_bytes() == (tmp_path / "with-numpy" / name).read_bytes(), name
+        want = (tmp_path / "with-numpy" / name).read_bytes()
+        for attempt in ("miss", "hit"):
+            assert (tmp_path / f"no-numpy-{attempt}" / name).read_bytes() == want, (attempt, name)
 
 
 def test_run_and_validate_need_no_planner_logging_or_numpy(recording, tmp_path):
     """With the planner, logging, numpy, hashlib, dataclasses and inspect
     all unimportable, a noisy PV-first run writes the same artifacts and
-    validate prints the same lines as with everything importable."""
+    validate prints the same lines as with everything importable.  A
+    fresh copy of the recording is validated twice, once parsing it and
+    writing its column cache and once reading the cache."""
     out = tmp_path / "planner-free"
     done = _main_without(_NOT_LOADED_BY_RUN, "run", "--scenario", _scenario(tmp_path, "day"), "--out", out)
     assert done.returncode == cli.EXIT_OK, done.stderr
     for name in ARTIFACTS:
         assert (out / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
-    files = (recording / "rec" / "channels.csv", recording / "rec" / "context.jsonl")
-    done = _main_without(_NOT_LOADED_BY_RUN, "validate", *files)
-    assert done.returncode == cli.EXIT_OK, done.stderr
-    assert done.stdout == _main_without((), "validate", *files).stdout
+    fresh, sidecar = _fresh_recording(recording, tmp_path)
+    files = (fresh / "channels.csv", fresh / "context.jsonl")
+    printed = []
+    for attempt in ("miss", "hit"):
+        assert sidecar.exists() == (attempt == "hit"), attempt
+        done = _main_without(_NOT_LOADED_BY_RUN, "validate", *files)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        printed.append(done.stdout)
+    assert printed == [_main_without((), "validate", *files).stdout] * 2
 
 
 def test_a_default_set_up_loads_no_planner_logging_hashlib_or_numpy(tmp_path):
@@ -286,7 +310,7 @@ def test_replaying_a_recording_reproduces_it_bitwise(recording):
 
 def test_two_ingests_of_one_file_give_equal_channels(recording):
     path = recording / "rec" / "channels.csv"
-    first, second = ingest_timeseries(path), ingest_timeseries(path)
+    first, second = replay._parse_timeseries(path), replay._parse_timeseries(path)
     assert first.keys() == second.keys()
     for key in first.keys():
         assert first.channel(*key) == second.channel(*key), key
@@ -297,8 +321,8 @@ def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp
     random.Random(3).shuffle(rows)
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text(header + "".join(rows))
-    want = ingest_timeseries(recording / "rec" / "channels.csv")
-    got = ingest_timeseries(shuffled)
+    want = replay._parse_timeseries(recording / "rec" / "channels.csv")
+    got = replay._parse_timeseries(shuffled)
     assert got.keys() == want.keys()
     for key in want.keys():
         assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes()
@@ -317,14 +341,14 @@ def test_a_runs_recording_is_ingested_by_column_alone(tmp_path, monkeypatch):
     pass, which parses it as the row loop does."""
     path = _recording_at_600_s(tmp_path)
     monkeypatch.setattr(replay, "_take_columns", lambda *args: False)
-    want = ingest_timeseries(path)
+    want = replay._parse_timeseries(path)
     monkeypatch.undo()
 
     def refuse(*args):
         raise AssertionError("the row loop read a chunk of a clean recording")
 
     monkeypatch.setattr(replay, "_ingest_rows", refuse)
-    got = ingest_timeseries(path)
+    got = replay._parse_timeseries(path)
     assert got.keys() == want.keys() and len(got) == 10
     for key in want.keys():
         assert len(got.channel(*key).times_ns) == 144, key
@@ -339,7 +363,7 @@ def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_pa
     lines[699] = f"{time_text},{subsystem_text},{name},nan\r\n"
     path.write_bytes("".join(lines).encode())
     with pytest.raises(replay.IngestError, match=rf"channels\.csv:700: channel '{name}' value 'nan' is not finite$"):
-        ingest_timeseries(path)
+        replay._parse_timeseries(path)
     chunk = replay._CHUNK_LINES
     assert chunk < 700 - 2, "line 700 must lie past the first chunk"
     assert row_loop_chunks == [2 + (700 - 2) // chunk * chunk]

@@ -2,7 +2,10 @@
 import csv
 import json
 import math
+import os
 import re
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -469,7 +472,7 @@ def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording, chunk_l
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay, "_CHUNK_LINES", chunk_lines)
         patch.setattr(replay, "_PROBE_LINES", probe_lines)
-        got = _ingest(ingest_timeseries, path)
+        got = _ingest(replay._parse_timeseries, path)
     if faults:
         assert isinstance(want, IngestError), want
     if faults and faults[min(faults)] == "non-finite":
@@ -504,7 +507,7 @@ def test_ingest_reads_a_chunk_without_one_repeating_key_order_by_row(tmp_path, r
     rows = "".join(f"{t * NS},{subsystem},{name},{t}\n" for t, (subsystem, name) in enumerate(keys))
     path.write_text("timestamp_ns,subsystem_id,channel,value\n" + rows)
     want = ingest_timeseries_reference(path)
-    got = ingest_timeseries(path)
+    got = replay._parse_timeseries(path)
     assert row_loop_chunks == [2]
     assert got.keys() == sorted(want)
     for key, (times, values) in want.items():
@@ -520,7 +523,7 @@ def test_ingest_names_a_short_line_that_a_long_one_makes_up_for(tmp_path, row_lo
     path = tmp_path / "rec.csv"
     path.write_text(f"timestamp_ns,subsystem_id,channel,value\n0,1\npv_power,1,{60 * NS},2,pv_power,2\n")
     with pytest.raises(IngestError, match=r"rec\.csv:2: expected 4 fields, got 2$"):
-        ingest_timeseries(path)
+        replay._parse_timeseries(path)
     assert row_loop_chunks == [2]
 
 
@@ -531,8 +534,178 @@ def test_ingest_names_a_fault_in_the_chunk_after_a_clean_one(tmp_path, monkeypat
     rows[6] = rows[6].rpartition(",")[0] + ",nan"
     path.write_text("\n".join(["timestamp_ns,subsystem_id,channel,value", *rows]) + "\n")
     with pytest.raises(IngestError, match=r"rec\.csv:8: channel 'pv_power' value 'nan' is not finite$"):
-        ingest_timeseries(path)
+        replay._parse_timeseries(path)
     assert row_loop_chunks == [6]
+
+
+# ---------------------------------------------------------------------------
+# Column cache
+# ---------------------------------------------------------------------------
+
+
+def _cached_recording(tmp_path):
+    """A two-channel recording with signed zeros, a subnormal and
+    17-digit values, and the path of its sidecar."""
+    table = TimeSeriesTable(
+        [
+            _channel("pv_power", [(0, -0.0), (60 * NS, 5e-324), (120 * NS, 0.1 + 0.2)]),
+            _channel("load_active_power", [(-NS, 1 / 3), (0, 0.0), (2**62, 123456.78901234567)], subsystem_id=2),
+        ]
+    )
+    path = tmp_path / "rec.csv"
+    emit_timeseries(path, table)
+    return path, tmp_path / "__cemsim_cache__" / "rec.csv.columns"
+
+
+def _assert_same_table(got, want):
+    assert got.keys() == want.keys()
+    for key in want.keys():
+        assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes(), key
+        assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes(), key
+
+
+#: The parser itself: calls to it here are not the misses ``parses`` lists.
+_parse = replay._parse_timeseries
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths ``ingest_timeseries`` parsed, in order: its misses."""
+    parsed = []
+
+    def spy(path):
+        parsed.append(path)
+        return _parse(path)
+
+    monkeypatch.setattr(replay, "_parse_timeseries", spy)
+    return parsed
+
+
+def test_a_cache_hit_equals_a_parse(tmp_path, parses):
+    """The first ingest parses and writes the sidecar, and leaves no
+    temporary file; the second reads the sidecar alone and gives the same
+    keys, times and value bits as the parse."""
+    path, sidecar = _cached_recording(tmp_path)
+    want = _parse(path)
+    missed = ingest_timeseries(path)
+    assert parses == [path] and sidecar.is_file()
+    assert [entry.name for entry in sidecar.parent.iterdir()] == [sidecar.name]
+    hit = ingest_timeseries(path)
+    assert parses == [path]
+    _assert_same_table(missed, want)
+    _assert_same_table(hit, want)
+
+
+def test_a_one_value_edit_is_parsed_again(tmp_path, parses):
+    """The key is the CSV's bytes: an edit that keeps the file's size,
+    with its mtime set back, still misses."""
+    path, _ = _cached_recording(tmp_path)
+    ingest_timeseries(path)
+    stat = path.stat()
+    text = path.read_bytes()
+    assert text.count(b",0\r\n") == 1
+    path.write_bytes(text.replace(b",0\r\n", b",7\r\n"))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    edited = ingest_timeseries(path)
+    assert parses == [path, path]
+    assert list(edited.channel(2, "load_active_power").values)[1] == 7.0
+    _assert_same_table(edited, _parse(path))
+
+
+def test_a_csv_rewritten_while_it_is_parsed_gets_no_sidecar(tmp_path, monkeypatch):
+    """A sidecar holds the channels of the bytes its digest was read from:
+    a CSV rewritten between the digest and the parse gets none, so its old
+    bytes, restored, can never read back the new channels."""
+    path, sidecar = _cached_recording(tmp_path)
+    edited = path.read_bytes().replace(b",0\r\n", b",7\r\n")
+
+    def rewrite_then_parse(parsed):
+        path.write_bytes(edited)
+        return _parse(parsed)
+
+    monkeypatch.setattr(replay, "_parse_timeseries", rewrite_then_parse)
+    assert list(ingest_timeseries(path).channel(2, "load_active_power").values)[1] == 7.0
+    assert not sidecar.exists()
+
+
+def _spoil(name, head, arrays):
+    """Sidecar bytes from a good sidecar's header lines and its arrays
+    (times, values, times, values), spoiled as ``name`` says."""
+    if name == "foreign byte order":
+        other = "big" if sys.byteorder == "little" else "little"
+        head = head.replace(f" {sys.byteorder} ".encode(), f" {other} ".encode(), 1)
+        for column in arrays:
+            column.byteswap()
+    elif name == "non-increasing times":
+        arrays[0][1] = arrays[0][0]
+    elif name == "nan":
+        arrays[1][1] = math.nan
+    elif name == "unknown channel":
+        head = head.replace(b" pv_power ", b" pv_powr ", 1)
+    payload = b"".join(column.tobytes() for column in arrays)
+    if name == "truncated":
+        payload = payload[:-8]
+    elif name == "padded":
+        payload += bytes(16)
+    return head + payload
+
+
+@pytest.mark.parametrize(
+    "spoilt", ["truncated", "padded", "foreign byte order", "non-increasing times", "nan", "unknown channel"]
+)
+def test_a_spoilt_sidecar_is_a_miss_that_parses_and_rewrites(tmp_path, parses, spoilt):
+    """A sidecar carrying the CSV's digest, but damaged or failing a check
+    a parse makes, is read as a miss: no error, the table of a parse, and
+    a good sidecar written over it."""
+    path, sidecar = _cached_recording(tmp_path)
+    ingest_timeseries(path)
+    good = sidecar.read_bytes()
+    *lines, payload = good.split(b"\n", 4)
+    head = b"\n".join(lines) + b"\n"
+    assert lines[1] == b"2" and len(payload) == 4 * 3 * 8
+    arrays = [array(code, payload[24 * index : 24 * index + 24]) for index, code in enumerate("qdqd")]
+    sidecar.write_bytes(_spoil(spoilt, head, arrays))
+    got = ingest_timeseries(path)
+    assert parses == [path, path]
+    _assert_same_table(got, _parse(path))
+    assert sidecar.read_bytes() == good
+
+
+def test_a_failing_csv_leaves_no_sidecar_and_keeps_its_message(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        "0,1,pv_power,100\n"
+        f"{60 * NS},1,pv_power,nan\n"
+    )
+    for _ in range(2):
+        with pytest.raises(IngestError) as caught:
+            ingest_timeseries(path)
+        assert str(caught.value) == f"{path}:3: channel 'pv_power' value 'nan' is not finite"
+        assert not (tmp_path / "__cemsim_cache__").exists()
+
+
+def test_a_cache_that_cannot_be_written_still_ingests(tmp_path, monkeypatch, parses):
+    """A file where the cache directory belongs, or a rename that fails,
+    costs only the cache: each ingest parses, and no file is left over."""
+    path, sidecar = _cached_recording(tmp_path)
+    want = _parse(path)
+    sidecar.parent.write_text("not a directory")
+    for _ in range(2):
+        _assert_same_table(ingest_timeseries(path), want)
+    assert parses == [path, path]
+    assert sidecar.parent.read_text() == "not a directory"
+    sidecar.parent.unlink()
+
+    def refuse(source, target):
+        raise PermissionError(13, "Permission denied", target)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for _ in range(2):
+        _assert_same_table(ingest_timeseries(path), want)
+    assert parses == [path] * 4
+    assert list(sidecar.parent.iterdir()) == []
 
 
 def test_timeseries_round_trip_is_bit_exact(tmp_path):
