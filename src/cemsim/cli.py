@@ -69,6 +69,7 @@ from .scenario import (
     checked_names,
     effort_estimator,
     load_scenario,
+    shared_recordings,
     synthetic_load_samples,
 )
 
@@ -331,12 +332,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, _CostTrace] = {}
     bundles: dict[str, SimulationBundle] = {}
-    for strategy in strategies:
-        bundle = build_bundle(scenario, strategy)
-        trace = _CostTrace()
-        run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=trace)
-        results[strategy] = trace
-        bundles[strategy] = bundle
+    # one ingest of each recording for all the strategies
+    with shared_recordings():
+        for strategy in strategies:
+            bundle = build_bundle(scenario, strategy)
+            trace = _CostTrace()
+            run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=trace)
+            results[strategy] = trace
+            bundles[strategy] = bundle
 
     costs = [results[s].costs for s in strategies]
     write_csv(

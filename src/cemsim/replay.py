@@ -2,9 +2,10 @@
 
 A recording is a set of channels keyed by (subsystem_id, channel name),
 each a strictly increasing series of (timestamp_ns, value).  Replay
-components linearly interpolate their channels at the end of every step
-and ignore any commanded inputs beyond the step length itself: they
-reproduce what happened, they do not simulate.
+components read their channels at the end of every step, linearly
+interpolated between recorded knots, and ignore any commanded inputs
+beyond the step length itself: they reproduce what happened, they do
+not simulate.
 
 File formats (both plain text, floats written with 17 significant digits
 so values round-trip bit-exactly):
@@ -28,9 +29,21 @@ one step at a time, whether its steps end on knots or between them.  A
 query further ahead, as when each step skips knots, gallops forward from
 the cursor and bisects only the bracket it finds; any other query, or a
 stale cursor, costs one O(log n) :mod:`bisect` of the times view.  The
-cursor can never change a result.  Replay components resolve
-their channels once, at construction, and call the module-level
-:func:`interpolate` per step.
+cursor can never change a result.
+
+A recording is one time axis wherever its channels allow.  Ingestion
+gives channels with equal timestamps one shared ``array('q')`` (finding
+an equal one is one C-level array compare) and checks each distinct
+array's strict order once; every channel's values are still checked.
+Replay components resolve their channels once, at construction, into a
+:class:`_KnotWalk`.  A step ending on the knot after the last one the
+walk read (one int compare) takes every channel's value at that knot
+from a ``zip`` over their value views; any other end calls the
+module-level :func:`interpolate` once per channel, so a wrapper
+installed on ``cemsim.replay.interpolate`` sees only the lookups off
+the walk: ends off a knot, outside the recording, or on a knot further
+on.  A component whose channels hold different arrays always
+interpolates.  Both ways give the same values, clamps and errors.
 
 Ingestion reads the file in chunks of lines.  A chunk of plain, valid
 rows in one repeating channel order, the layout of every recording
@@ -40,8 +53,9 @@ strided slice.  Any other chunk goes to the row loop, which splits a
 plain line on commas, reads a line holding a quote, or long enough to
 hold a field over csv's size limit, through :mod:`csv`, and is the one
 source of every error message and line number.  Rows go straight into
-their channel's ``array`` pair, which becomes the channel's storage;
-only a channel whose rows arrive out of order is sorted.
+their channel's ``array`` pair, which becomes the channel's storage,
+unless an earlier channel holds equal times, whose array it then
+shares; only a channel whose rows arrive out of order is sorted.
 
 :class:`Channel` is a :class:`~cemsim.core.SlotRecord`, not a dataclass:
 every lookup reads its views and cursor from slots, and ingesting a
@@ -165,21 +179,44 @@ class Channel(SlotRecord):
     sequences of ints and floats are accepted and copied into arrays;
     arrays of those types are kept as given.  A time that is not an int
     within int64 is a ``ValueError`` naming the channel, never truncated.
+
+    ``axes``, for the channels of one recording, is one list shared by
+    every channel built from it: the time arrays of the channels built
+    so far, each checked for strict order.  A channel whose times equal
+    one of them keeps that array, unchecked, as its ``times_ns``, so
+    channels with equal timestamps share one array and its order is
+    checked once; replay components walk such an axis knot by knot.
+    Without ``axes`` the times are checked and kept on their own.
     """
 
     _fields = ("subsystem_id", "name", "times_ns", "values")
     __slots__ = _fields + ("_times", "_values", "_cursor")
 
-    def __init__(self, subsystem_id: int, name: str, times_ns: array, values: array) -> None:
+    def __init__(
+        self, subsystem_id: int, name: str, times_ns: array, values: array, *, axes: list[array] | None = None
+    ) -> None:
         times = _as_array("q", times_ns, f"channel {name!r} timestamps must be integers within int64")
         values = _as_array("d", values, f"channel {name!r} values must be floats")
         _require(len(times) == len(values), "times and values must have equal length")
         _require(len(times) >= 1, f"channel {name!r} is empty")
-        if not all(map(lt, times, times[1:])):
-            raise ValueError(f"channel {name!r} timestamps must be strictly increasing")
+        times = _on_axis(times, name, [] if axes is None else axes)
         if not all(map(isfinite, values)):
             raise ValueError(f"channel {name!r} contains non-finite values")
         self._set_slots(subsystem_id, name, times, values, memoryview(times), memoryview(values), [0])
+
+
+def _on_axis(times: array, name: str, axes: list[array]) -> array:
+    """The array in ``axes`` equal to ``times`` (one C-level compare
+    each), or else ``times`` itself, checked for strict order and added to
+    ``axes``.  Only a checked array joins ``axes``, so one equal to it
+    needs no check of its own."""
+    for axis in axes:
+        if axis == times:
+            return axis
+    if not all(map(lt, times, times[1:])):
+        raise ValueError(f"channel {name!r} timestamps must be strictly increasing")
+    axes.append(times)
+    return times
 
 
 def _as_array(typecode: str, items, message: str) -> array:
@@ -380,12 +417,13 @@ def _load_columns(sidecar: str, digest: str) -> TimeSeriesTable | None:
             if os.fstat(handle.fileno()).st_size - handle.tell() != 16 * sum(length for *_, length in layout):
                 return None
             channels = []
+            axes: list[array] = []
             for subsystem_id, name, length in layout:
                 times = array("q")
                 times.fromfile(handle, length)
                 values = array("d")
                 values.fromfile(handle, length)
-                channels.append(Channel(subsystem_id, name, times, values))
+                channels.append(Channel(subsystem_id, name, times, values, axes=axes))
             return TimeSeriesTable(channels)
     except (OSError, ValueError, EOFError):
         return None
@@ -454,12 +492,15 @@ def _parse_timeseries(path) -> TimeSeriesTable:
                 _ingest_rows(path, chunk, line_number, collected, appenders, field_limit)
             line_number += len(chunk)
     channels = []
+    # the time arrays of the channels built so far: a channel whose times
+    # equal one of them shares it, and only a new array's order is scanned
+    axes: list[array] = []
     for (subsystem_id, name), (times, values) in sorted(collected.items()):
         try:
             # every time and value was checked as it was read, so the
             # channel can only reject its order; an in-order channel is
-            # scanned once
-            channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
+            # scanned at most once
+            channel = Channel(subsystem_id, name, times, values, axes=axes)
         except ValueError:
             # out of order, or a repeated timestamp: sort by time, then any
             # repeat sits next to its twin
@@ -472,7 +513,7 @@ def _parse_timeseries(path) -> TimeSeriesTable:
                     f"{path}: duplicate timestamp {duplicate} ns in channel "
                     f"({subsystem_id}, {name!r})"
                 ) from None
-            channel = Channel(subsystem_id=subsystem_id, name=name, times_ns=times, values=values)
+            channel = Channel(subsystem_id, name, times, values, axes=axes)
         channels.append(channel)
     return TimeSeriesTable(channels)
 
@@ -709,25 +750,90 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
 
 # Each component takes the recording, the subsystem id of its channels and
 # the clamping slack at the recording's edges, and resolves its channels
-# once; ReplayBattery also takes the pack capacity that turns SOC
-# differences back into energy.  The components look up the module-level
-# ``interpolate`` on every step, so a wrapper installed on
-# ``cemsim.replay.interpolate`` sees every lookup.  Recorded context needs
-# no component of its own: ``ScriptedContext`` plays back ingested records.
+# once, into a _KnotWalk that reads them all at each step's end;
+# ReplayBattery also takes the pack capacity that turns SOC differences
+# back into energy.  A step ending on the walk's next knot reads the
+# arrays; any other end calls the module-level ``interpolate`` once per
+# channel, so a wrapper installed on ``cemsim.replay.interpolate`` sees
+# those lookups only.  ``power_at``, which a forecast asks for times
+# ahead, always interpolates.  Recorded context needs no component of its
+# own: ``ScriptedContext`` plays back ingested records.
 
 
-def _channels(table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> list[Channel]:
-    """Subsystem ``subsystem_id``'s channels ``names`` after checking the
-    tolerance; ValueError names the first missing channel."""
-    _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
-    return [table.channel(subsystem_id, name) for name in names]
+class _KnotWalk:
+    """A replay component's channels, read together at one time.
+
+    :meth:`read` returns the channels' values at ``t_ns``, in the order
+    the component named them.  If the channels share one ``times_ns``
+    array (an ingested recording's channels with equal timestamps do),
+    the walk keeps a next knot, at first the recording's first.  A read
+    at that knot's time (one int compare) returns the next row of a
+    ``zip`` over the channels' value views, which is the recorded values
+    exactly, as :func:`interpolate` returns them on a knot, and the knot
+    after it becomes the next.  Any other read calls :func:`interpolate`
+    on each channel in order, so its values, edge clamps and
+    ``TimeSeriesRangeError`` are the lookup's own.  If that read was on a
+    knot, as the first channel's cursor then shows, the knot after it
+    becomes the next, so a replay that starts inside the recording, or
+    meets a knot between its steps' ends, walks on from there.  It does so
+    only once until the walk next hits, so a replay whose every step skips
+    a knot pays for that check once, not every step.  Channels on
+    different arrays have no next knot (``None``, which no int equals),
+    so they always interpolate.
+    """
+
+    __slots__ = ("channels", "_tolerance_s", "_times", "_next_ns", "_index", "_later", "_rows", "_realign")
+
+    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> None:
+        _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
+        # ValueError names the first missing channel
+        self.channels = channels = [table.channel(subsystem_id, name) for name in names]
+        self._tolerance_s = boundary_tolerance_s
+        shared = all(channel.times_ns is channels[0].times_ns for channel in channels)
+        self._times = channels[0]._times
+        # _next_ns is the time of knot _index; _rows (None until a read
+        # hits it) yields each knot's values from there on, and _later the
+        # times of the knots after it.  _realign: whether a read on another
+        # knot may move the walk there.
+        self._next_ns = self._times[0] if shared else None
+        self._index = 0
+        self._later = self._rows = None
+        self._realign = shared
+
+    def read(self, t_ns: int) -> tuple[float, ...] | list[float]:
+        """The channels' values at ``t_ns``, as :func:`interpolate` gives them."""
+        if t_ns == self._next_ns:
+            rows = self._rows
+            if rows is None:
+                index = self._index
+                self._later = iter(self._times[index + 1 :])
+                rows = self._rows = zip(*[channel._values[index:] for channel in self.channels])
+                self._realign = True
+            self._next_ns = next(self._later, None)
+            return next(rows)
+        channels = self.channels
+        tolerance_s = self._tolerance_s
+        # a loop, not a comprehension, which costs a function call in 3.11
+        values = []
+        for channel in channels:
+            values.append(interpolate(channel, t_ns, tolerance_s))
+        if self._realign:
+            # the cursor is the first knot at or after t_ns if t_ns was in
+            # range; a stale one fails the compare
+            times = self._times
+            index = channels[0]._cursor[0] + 1
+            if times[index - 1] == t_ns and index < len(times):
+                self._next_ns = times[index]
+                self._index = index
+                self._rows = None
+                self._realign = False
+        return values
 
 
 class ReplayPowerSource(PowerSource):
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._voltage, self._current, self._power = _channels(
-            table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power"
-        )
+        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power")
+        self._power = self._walk.channels[2]
         self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
@@ -735,12 +841,9 @@ class ReplayPowerSource(PowerSource):
         return max(interpolate(self._power, t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
+        voltage, current, power = self._walk.read(end_ns)
         # positional: a keyword call costs a step record about 0.3 µs more
-        return PowerSourceStepResult(
-            max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
-            max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
-            self.power_at(end_ns),
-        )
+        return PowerSourceStepResult(max(voltage, 0.0), max(current, 0.0), max(power, 0.0))
 
 
 class ReplayLoad(Load):
@@ -749,9 +852,8 @@ class ReplayLoad(Load):
     hard result invariant."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._active, self._apparent = _channels(
-            table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power"
-        )
+        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power")
+        self._active = self._walk.channels[0]
         self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
@@ -759,9 +861,9 @@ class ReplayLoad(Load):
         return max(interpolate(self._active, t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
-        active = self.power_at(end_ns)
-        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
-        return LoadStepResult(active, apparent)
+        active, apparent = self._walk.read(end_ns)
+        active = max(active, 0.0)
+        return LoadStepResult(active, max(apparent, active))
 
 
 class ReplayGrid(Grid):
@@ -770,28 +872,24 @@ class ReplayGrid(Grid):
     reproduce history rather than arbitrate it."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._active, self._apparent = _channels(
-            table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power"
-        )
-        self._tolerance_s = boundary_tolerance_s
+        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power")
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
-        active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
-        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
-        return GridStepResult(active, apparent)
+        active, apparent = self._walk.read(end_ns)
+        active = max(active, 0.0)
+        return GridStepResult(active, max(apparent, active))
 
 
 class ReplayBattery(Battery):
     """Recorded battery.  delta_energy is the recorded SOC difference
     times ``capacity_j``; the commanded mode/current is ignored.
     The (soc, voltage) read at the end of one step is kept as the start
-    state of the next, so each step interpolates only its end."""
+    state of the next, so each step reads only its end."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, capacity_j: float) -> None:
-        self._soc, self._voltage = _channels(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
+        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
         _require(capacity_j > 0.0, "capacity_j must be > 0")
-        self._tolerance_s = boundary_tolerance_s
         self._capacity_j = capacity_j
         self._state: tuple[int, float, float] | None = None
 
@@ -799,8 +897,8 @@ class ReplayBattery(Battery):
         state = self._state
         if state is not None and state[0] == t_ns:
             return state[1], state[2]
-        soc = min(max(interpolate(self._soc, t_ns, self._tolerance_s), 0.0), 1.0)
-        voltage = interpolate(self._voltage, t_ns, self._tolerance_s)
+        soc, voltage = self._walk.read(t_ns)
+        soc = min(max(soc, 0.0), 1.0)
         self._state = (t_ns, soc, voltage)
         return soc, voltage
 

@@ -63,9 +63,10 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ConfigurationError,
@@ -586,10 +587,40 @@ class SimulationBundle(
     __hash__ = None
 
 
+#: The recordings ingested while a ``shared_recordings()`` block is open,
+#: by resolved path; None outside one, when each bundle ingests its own.
+_shared_tables: dict[str, TimeSeriesTable] | None = None
+
+
+@contextmanager
+def shared_recordings() -> Iterator[None]:
+    """Within the block, every bundle built reads each recording from one
+    table per resolved path, ingested by the first bundle that replays it.
+
+    ``compare`` builds one bundle per strategy from one scenario, so it
+    ingests each recording once.  Channels are read-only, and the cursor
+    a lookup leaves on one is a hint checked on use, so sharing cannot
+    change a value.  The tables are a scope, not a ``build_bundle``
+    argument, because ``bench/trace_cli.py`` replaces ``build_bundle``
+    with a wrapper taking (scenario, strategy) alone (ROADMAP item 13).
+    The block restores the state it found, so blocks nest, an inner one
+    sharing the outer tables, and the shared dict ends with its block.
+    """
+    global _shared_tables
+    outer = _shared_tables
+    if outer is None:
+        _shared_tables = {}
+    try:
+        yield
+    finally:
+        _shared_tables = outer
+
+
 def _recorded(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable]) -> tuple[TimeSeriesTable, int, float]:
     """A replay block's (recording, subsystem id, boundary tolerance): the
     leading arguments of every replay component.  ``tables`` keeps each
-    file ingested once per bundle."""
+    file ingested once per bundle, or once per ``shared_recordings()``
+    block."""
     file = block["file"]
     if file not in tables:
         tables[file] = ingest_timeseries(file)
@@ -719,7 +750,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     """Assemble a ready-to-run simulator for one scenario and strategy."""
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; known: {list(STRATEGIES)}")
-    tables: dict[str, TimeSeriesTable] = {}
+    tables = {} if _shared_tables is None else _shared_tables
     generator = _generator_config(scenario, scenario.seed, scenario.day_count)
     schedule = price_schedule(scenario)
 

@@ -31,6 +31,12 @@ values)}`` as int64/float64 arrays.  Two of its behaviours were since
 changed on purpose: a non-finite value was reported per channel without a
 line, and ``np.diff`` wraps where two times of a channel lie more than
 ``2**63 - 1`` ns apart, so such a channel's order was misjudged.
+``ReplayPowerSourceReference``, ``ReplayLoadReference``,
+``ReplayGridReference`` and ``ReplayBatteryReference`` are the replay
+components while every step called ``interpolate`` once per channel,
+kept verbatim (with the ``_channels`` helper they shared), so the
+components that walk a shared time axis knot by knot can be compared
+with them step record for step record, errors included.
 ``BreakpointSchedule`` and ``build_breakpoint_schedule`` are the price
 schedule while it was a list of breakpoints expanded per calendar day
 from the two-tier tariff, with a bisect per lookup, kept verbatim (the
@@ -61,6 +67,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from cemsim import core
 from cemsim.control import ChargingPlan, InfeasibleProblemError
 from cemsim.core import NS_PER_DAY, NS_PER_HOUR, NS_PER_SECOND, BatteryMode, ConfigurationError, ContextIndex
 from cemsim.forecast import (
@@ -79,6 +86,7 @@ from cemsim.replay import (
     IngestError,
     TimeSeriesRangeError,
     _as_array,
+    interpolate,
 )
 
 JOULES_PER_KWH = 3.6e6
@@ -479,6 +487,106 @@ def ingest_timeseries_reference(path):
         except ValueError as exc:
             raise IngestError(f"{path}: channel ({subsystem_id}, {name!r}): {exc}") from exc
     return channels
+
+
+def _channels(table, subsystem_id, boundary_tolerance_s, *names):
+    """Subsystem ``subsystem_id``'s channels ``names`` after checking the
+    tolerance; ValueError names the first missing channel."""
+    _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
+    return [table.channel(subsystem_id, name) for name in names]
+
+
+class ReplayPowerSourceReference(core.PowerSource):
+    def __init__(self, table, subsystem_id, boundary_tolerance_s):
+        self._voltage, self._current, self._power = _channels(
+            table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
+
+    def power_at(self, t_ns):
+        """The recorded PV power at ``t_ns``, as a step ending there reports it."""
+        return max(interpolate(self._power, t_ns, self._tolerance_s), 0.0)
+
+    def step(self, start_ns, end_ns):
+        # positional: a keyword call costs a step record about 0.3 µs more
+        return core.PowerSourceStepResult(
+            max(interpolate(self._voltage, end_ns, self._tolerance_s), 0.0),
+            max(interpolate(self._current, end_ns, self._tolerance_s), 0.0),
+            self.power_at(end_ns),
+        )
+
+
+class ReplayLoadReference(core.Load):
+    """Recorded load.  Apparent power is raised to active power if a
+    recorded pair dips below it (measurement jitter), since |S| >= P is a
+    hard result invariant."""
+
+    def __init__(self, table, subsystem_id, boundary_tolerance_s):
+        self._active, self._apparent = _channels(
+            table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
+
+    def power_at(self, t_ns):
+        """The recorded active power at ``t_ns``, as a step ending there requests it."""
+        return max(interpolate(self._active, t_ns, self._tolerance_s), 0.0)
+
+    def step(self, start_ns, end_ns):
+        active = self.power_at(end_ns)
+        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
+        return core.LoadStepResult(active, apparent)
+
+
+class ReplayGridReference(core.Grid):
+    """Recorded grid exchange.  The commanded request is ignored, so the
+    delivered <= requested relation cannot be enforced here; replays
+    reproduce history rather than arbitrate it."""
+
+    def __init__(self, table, subsystem_id, boundary_tolerance_s):
+        self._active, self._apparent = _channels(
+            table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power"
+        )
+        self._tolerance_s = boundary_tolerance_s
+
+    def step(self, start_ns, end_ns, grid_input):
+        del grid_input
+        active = max(interpolate(self._active, end_ns, self._tolerance_s), 0.0)
+        apparent = max(interpolate(self._apparent, end_ns, self._tolerance_s), active)
+        return core.GridStepResult(active, apparent)
+
+
+class ReplayBatteryReference(core.Battery):
+    """Recorded battery.  delta_energy is the recorded SOC difference
+    times ``capacity_j``; the commanded mode/current is ignored.
+    The (soc, voltage) read at the end of one step is kept as the start
+    state of the next, so each step interpolates only its end."""
+
+    def __init__(self, table, subsystem_id, boundary_tolerance_s, capacity_j):
+        self._soc, self._voltage = _channels(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
+        _require(capacity_j > 0.0, "capacity_j must be > 0")
+        self._tolerance_s = boundary_tolerance_s
+        self._capacity_j = capacity_j
+        self._state = None
+
+    def _state_at(self, t_ns):
+        state = self._state
+        if state is not None and state[0] == t_ns:
+            return state[1], state[2]
+        soc = min(max(interpolate(self._soc, t_ns, self._tolerance_s), 0.0), 1.0)
+        voltage = interpolate(self._voltage, t_ns, self._tolerance_s)
+        self._state = (t_ns, soc, voltage)
+        return soc, voltage
+
+    def snapshot(self, now_ns):
+        soc, voltage = self._state_at(now_ns)
+        return core.BatteryStepResult(soc=soc, voltage=voltage, delta_energy=0.0, delta_charge=0.0)
+
+    def step(self, start_ns, end_ns, battery_input):
+        del battery_input
+        previous_soc, _ = self._state_at(start_ns)
+        soc, voltage = self._state_at(end_ns)
+        delta_energy = (soc - previous_soc) * self._capacity_j
+        return core.BatteryStepResult(soc, voltage, delta_energy, delta_energy / voltage)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,7 @@
 record -> validate -> replay loop."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import cemsim
 from cemsim import cli, ingest_timeseries, replay
+from cemsim import scenario as scenario_module
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import TimeSeriesRangeError
 from cemsim.scenario import build_bundle, load_scenario
@@ -356,6 +358,43 @@ def test_a_runs_recording_is_ingested_by_column_alone(tmp_path, monkeypatch):
         assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes(), key
 
 
+def test_a_runs_recording_shares_one_time_axis_after_a_parse_and_a_hit(tmp_path, monkeypatch):
+    """The ten channels of a recording run wrote hold one ``times_ns``
+    array, whether parsed or read back from the column cache, and its
+    order is scanned once."""
+    path = _recording_at_600_s(tmp_path)
+    sidecar = path.parent / "__cemsim_cache__" / "channels.csv.columns"
+    scans = []
+    on_axis = replay._on_axis
+
+    def counted(times, name, axes):
+        scans.append(not any(axis == times for axis in axes))
+        return on_axis(times, name, axes)
+
+    monkeypatch.setattr(replay, "_on_axis", counted)
+    for attempt in ("parse", "hit"):
+        assert sidecar.exists() == (attempt == "hit"), attempt
+        table = ingest_timeseries(path)
+        axes = {id(table.channel(*key).times_ns) for key in table.keys()}
+        assert len(table) == 10 and len(axes) == 1, attempt
+        assert scans == [True] + [False] * 9, attempt
+        scans.clear()
+
+
+def test_validate_names_the_line_of_a_nan_on_a_shared_axis(tmp_path, capsys):
+    """After a clean validate leaves the column cache, a nan written into
+    one channel of the shared axis fails validate with its line."""
+    path = _recording_at_600_s(tmp_path)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    time_text, subsystem_text, name, _ = lines[99].split(",")
+    lines[99] = f"{time_text},{subsystem_text},{name},nan\r\n"
+    path.write_bytes("".join(lines).encode())
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == f"FAIL {path}:100: channel '{name}' value 'nan' is not finite\n"
+
+
 def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_path, row_loop_chunks):
     path = _recording_at_600_s(tmp_path)
     lines = path.read_bytes().decode().splitlines(keepends=True)
@@ -474,6 +513,30 @@ def test_compares_plan_csv_parses_back_to_the_first_plan(tmp_path, monkeypatch):
     assert [float(r["grid_power_w"]) for r in rows] == list(plan.grid_power_w)
     assert [float(r["soc_after"]) for r in rows] == list(plan.soc_trajectory[1:])
     assert [float(r["price_per_kwh"]) for r in rows] == list(plan.prices)
+
+
+def test_a_replay_compare_ingests_its_recording_once(recording, tmp_path, monkeypatch):
+    """compare builds one bundle per strategy; on a scenario replaying pv
+    and load from one file they share one ingest of it, and write the
+    bytes a compare whose bundles each ingest the file write."""
+    block = {"kind": "replay", "file": str(recording / "rec" / "channels.csv")}
+    path = _scenario(tmp_path, "recorded", pv=block, load=block)
+    ingests = []
+    ingest = scenario_module.ingest_timeseries
+
+    def counted(file):
+        ingests.append(file)
+        return ingest(file)
+
+    monkeypatch.setattr(scenario_module, "ingest_timeseries", counted)
+    argv = ["compare", "--scenario", str(path), "--strategies", "default,mpc-perfect", "--out"]
+    assert cli.main([*argv, str(tmp_path / "shared")]) == cli.EXIT_OK
+    assert ingests == [block["file"]]
+    monkeypatch.setattr(cli, "shared_recordings", contextlib.nullcontext)
+    assert cli.main([*argv, str(tmp_path / "own")]) == cli.EXIT_OK
+    assert ingests == [block["file"]] * 3
+    for name in ("summary.json", "running_cost.csv", "plan_mpc-perfect.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name
 
 
 def test_replaying_past_the_recordings_end_exits_2_naming_the_channel(recording, capsys):

@@ -30,11 +30,19 @@ from cemsim import (
     ingest_timeseries,
     interpolate,
 )
-from cemsim import replay
-from cemsim.core import ContextRecord
-from cemsim.replay import CHANNEL_HEADER
+from cemsim import InverterPVFirst, InverterPVFirstConfig, Simulator, replay
+from cemsim.core import ContextRecord, SimulationError
+from cemsim.engine import ComponentStepError, run
+from cemsim.replay import CHANNEL_HEADER, CHANNELS
 
-from oracles import ingest_timeseries_reference, interpolate_reference
+from oracles import (
+    ReplayBatteryReference,
+    ReplayGridReference,
+    ReplayLoadReference,
+    ReplayPowerSourceReference,
+    ingest_timeseries_reference,
+    interpolate_reference,
+)
 
 NS = 1_000_000_000
 
@@ -708,6 +716,76 @@ def test_a_cache_that_cannot_be_written_still_ingests(tmp_path, monkeypatch, par
     assert list(sidecar.parent.iterdir()) == []
 
 
+# ---------------------------------------------------------------------------
+# Shared time axis
+# ---------------------------------------------------------------------------
+
+
+def _axes(table):
+    """The distinct ``times_ns`` arrays of a table, by identity, each with
+    the names of the channels holding it, in key order."""
+    held = {}
+    for key in table.keys():
+        channel = table.channel(*key)
+        held.setdefault(id(channel.times_ns), []).append(channel.name)
+    return sorted(held.values())
+
+
+def test_a_channel_lacking_a_row_keeps_its_own_axis(tmp_path, parses):
+    """Channels with equal timestamps share one array after a parse and
+    after a cache hit; a channel lacking one of their rows keeps its own."""
+    path = tmp_path / "rec.csv"
+    rows = [(t * 60 * NS, name, 1.0 + t) for t in range(4) for name in ("pv_voltage", "pv_current", "pv_power")]
+    rows.remove((2 * 60 * NS, "pv_current", 3.0))
+    path.write_text("timestamp_ns,subsystem_id,channel,value\n" + "".join(f"{t},1,{n},{v}\n" for t, n, v in rows))
+    for attempt in ("parse", "hit"):
+        table = ingest_timeseries(path)
+        assert _axes(table) == [["pv_current"], ["pv_power", "pv_voltage"]], attempt
+    assert parses == [path]
+
+
+def test_a_shuffled_channel_shares_the_axis_it_is_sorted_onto(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        f"0,1,pv_voltage,1\n{60 * NS},1,pv_voltage,2\n"
+        f"{60 * NS},1,pv_power,4\n0,1,pv_power,3\n"
+    )
+    table = ingest_timeseries(path)
+    assert _axes(table) == [["pv_power", "pv_voltage"]]
+    assert list(table.channel(1, "pv_power").values) == [3.0, 4.0]
+
+
+def test_a_duplicate_timestamp_beside_a_shared_axis_is_named_with_its_channel(tmp_path):
+    """Two channels share an axis; a third repeats one of its times."""
+    path = tmp_path / "rec.csv"
+    path.write_text(
+        "timestamp_ns,subsystem_id,channel,value\n"
+        + "".join(f"{t * NS},1,{name},1\n" for t in (0, 60, 120) for name in ("pv_voltage", "pv_current"))
+        + f"0,1,pv_power,1\n{60 * NS},1,pv_power,2\n{60 * NS},1,pv_power,3\n"
+    )
+    with pytest.raises(IngestError, match=rf"rec\.csv: duplicate timestamp {60 * NS} ns in channel \(1, 'pv_power'\)$"):
+        ingest_timeseries(path)
+
+
+def test_channels_on_one_axis_check_its_order_once_and_their_values_each():
+    """A channel built with ``axes`` keeps an equal checked array in place
+    of its own; an out-of-order or repeated time is still refused naming
+    its channel, and a non-finite value on a shared axis too."""
+    axes = []
+    first = Channel(1, "pv_voltage", array("q", [0, 60, 120]), [1.0, 2.0, 3.0], axes=axes)
+    second = Channel(1, "pv_current", array("q", [0, 60, 120]), [1.0, 2.0, 3.0], axes=axes)
+    assert second.times_ns is first.times_ns and axes == [first.times_ns]
+    for times in ([0, 120, 60], [0, 60, 60]):
+        with pytest.raises(ValueError, match=r"^channel 'pv_power' timestamps must be strictly increasing$"):
+            Channel(1, "pv_power", times, [1.0, 2.0, 3.0], axes=axes)
+    assert len(axes) == 1
+    with pytest.raises(ValueError, match=r"^channel 'pv_power' contains non-finite values$"):
+        Channel(1, "pv_power", [0, 60, 120], [1.0, math.nan, 3.0], axes=axes)
+    alone = Channel(1, "pv_power", array("q", [0, 60, 120]), [1.0, 2.0, 3.0])
+    assert alone.times_ns is not first.times_ns and alone == Channel(1, "pv_power", first.times_ns, [1.0, 2.0, 3.0])
+
+
 def test_timeseries_round_trip_is_bit_exact(tmp_path):
     values = [0.1, 1/3, 2.0**-40, 123456.789012345678, 9.99e-300]
     table = TimeSeriesTable(
@@ -944,3 +1022,179 @@ def test_replay_is_deterministic():
     for i in range(8):
         start, end = i * 900 * NS, (i + 1) * 900 * NS
         assert a.step(start, end, command) == b.step(start, end, command)
+
+
+# ---------------------------------------------------------------------------
+# Replay components against the per-channel lookups
+# ---------------------------------------------------------------------------
+
+
+_CAPACITY_J = 3.6e6
+
+# a value strategy per channel: powers dip below 0 and apparent power
+# below active, SOC leaves [0, 1], so every clamp is taken
+_CHANNEL_VALUES = {
+    "battery_soc": st.floats(-0.2, 1.2),
+    "battery_voltage": st.floats(40.0, 60.0),
+    "pv_voltage": st.floats(-10.0, 500.0),
+}
+_POWER = st.floats(-50.0, 3000.0)
+
+
+@st.composite
+def _replay_case(draw):
+    """A recording of the ten channels, as ingestion shares its arrays,
+    and a step grid to replay it on.
+
+    The knots are evenly spaced, or have one knot dropped or one extra
+    knot between two; a few channels may lack one row, and so keep an
+    axis of their own.  The grid's step is 1, 2 or 3 knot spacings, half
+    of one or one and a half; it starts on a knot, half a spacing off
+    one, or before the first knot by up to the edge tolerance or a
+    nanosecond more, and ends before, on or past the last knot, within
+    the tolerance or beyond it, with a final short step wherever the
+    horizon is not a whole number of steps.
+    """
+    knot_ns = draw(st.one_of(st.just(60), st.integers(1, 120))) * NS
+    count = draw(st.integers(2, 24))
+    first_ns = draw(st.integers(-(10**12), 10**12))
+    times = [first_ns + i * knot_ns for i in range(count)]
+    layout = draw(st.sampled_from(["even", "gap", "extra"]))
+    where = draw(st.integers(1, count - 1))
+    if layout == "gap" and count > 2:
+        del times[where]
+    elif layout == "extra":
+        times.insert(where, times[where - 1] + knot_ns // 3)
+    lacking = draw(st.sets(st.sampled_from([name for _, name in CHANNELS]), max_size=3))
+    axes = []
+    channels = []
+    for subsystem_id, name in sorted(CHANNELS):
+        own = list(times)
+        if name in lacking:
+            del own[draw(st.integers(0, len(own) - 1))]
+            if not own:
+                own = times[:1]
+        values = draw(st.lists(_CHANNEL_VALUES.get(name, _POWER), min_size=len(own), max_size=len(own)))
+        channels.append(Channel(subsystem_id, name, array("q", own), values, axes=axes))
+    table = TimeSeriesTable(channels)
+
+    tolerance_s = draw(st.sampled_from([0.0, 30.0, 120.0, knot_ns / NS]))
+    tolerance_ns = int(tolerance_s * NS)
+    numerator, denominator = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (3, 2)]))
+    step_ns = knot_ns * numerator // denominator
+    # a start that fails the battery's snapshot ends the run before its
+    # first step, so the starts that step are drawn more often
+    starts = [0, 0, knot_ns, 2 * knot_ns, 2 * knot_ns, knot_ns // 2, knot_ns // 2]
+    start_ns = first_ns + draw(st.sampled_from(starts + [-knot_ns, -tolerance_ns, -tolerance_ns - 1]))
+    end_ns = times[-1] + draw(st.sampled_from([-knot_ns // 3, 0, knot_ns, tolerance_ns, tolerance_ns + 1]))
+    return table, tolerance_s, start_ns, max(end_ns - start_ns, 1), step_ns
+
+
+def _replayed(table, tolerance_s, start_ns, horizon_ns, step_ns, reference):
+    """The step records of an all-replay run of ``table`` and how it
+    failed: (type, message, step index, cause type), or None."""
+    kinds = (
+        (ReplayPowerSourceReference, ReplayLoadReference, ReplayBatteryReference, ReplayGridReference)
+        if reference
+        else (ReplayPowerSource, ReplayLoad, ReplayBattery, ReplayGrid)
+    )
+    pv, load, battery, grid = kinds
+    outputs = []
+    try:
+        simulator = Simulator(
+            start_ns,
+            power_source=pv(table, 1, tolerance_s),
+            load=load(table, 2, tolerance_s),
+            battery=battery(table, 3, tolerance_s, _CAPACITY_J),
+            inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=_CAPACITY_J)),
+            grid=grid(table, 4, tolerance_s),
+        )
+        run(simulator, horizon_ns, step_ns, outputs.append)
+    except ComponentStepError as exc:
+        return outputs, (type(exc), str(exc), exc.step_index, type(exc.__cause__))
+    except (SimulationError, ValueError, ArithmeticError) as exc:
+        return outputs, (type(exc), str(exc), None, None)
+    return outputs, None
+
+
+def _float_hexes(record):
+    """``float.hex`` of every float in a step record, depth first."""
+    if isinstance(record, float):
+        return [record.hex()]
+    if isinstance(record, tuple):
+        return [text for item in record for text in _float_hexes(item)]
+    return []
+
+
+@settings(max_examples=300)
+@given(case=_replay_case())
+def test_replay_components_match_the_per_channel_lookups(case):
+    """Replaying through the knot walk gives the step records the
+    components that interpolate every channel at every step give, bit for
+    bit, or fails with the same error at the same step."""
+    want, want_failure = _replayed(*case, reference=True)
+    got, got_failure = _replayed(*case, reference=False)
+    assert got_failure == want_failure
+    assert [repr(output) for output in got] == [repr(output) for output in want]
+    assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
+
+
+def _counting_lookups(monkeypatch):
+    """A list that grows by one item at each call of ``replay.interpolate``."""
+    calls = []
+    lookup = replay.interpolate
+
+    def counted(*args):
+        calls.append(args[1])
+        return lookup(*args)
+
+    monkeypatch.setattr(replay, "interpolate", counted)
+    return calls
+
+
+def _shared_table(count, knot_ns, **lacking):
+    """The ten channels on ``count`` knots ``knot_ns`` apart from 0, built
+    as ingestion builds them; a channel named in ``lacking`` lacks the
+    knot given there."""
+    axes = []
+    channels = []
+    for subsystem_id, name in sorted(CHANNELS):
+        times = [i * knot_ns for i in range(count) if i != lacking.get(name)]
+        values = [0.5 + i / (4 * count) for i in range(len(times))]
+        channels.append(Channel(subsystem_id, name, array("q", times), values, axes=axes))
+    return TimeSeriesTable(channels)
+
+
+def test_a_replay_on_knots_interpolates_only_before_the_recording(monkeypatch):
+    """Steps that each end on the next knot read every channel there: only
+    the battery's snapshot at the run's start, a step before the first
+    knot, interpolates its two channels."""
+    table = _shared_table(50, 60 * NS)
+    calls = _counting_lookups(monkeypatch)
+    outputs, failure = _replayed(table, 120.0, -60 * NS, 50 * 60 * NS, 60 * NS, reference=False)
+    assert failure is None and len(outputs) == 50
+    assert calls == [-60 * NS, -60 * NS]
+
+
+def test_a_replay_starting_inside_the_recording_walks_on_from_its_first_knot(monkeypatch):
+    """A run starting on knot 10 interpolates the battery there, at its
+    snapshot, and reads every later knot from the walk; each other
+    component interpolates its first step's end, then walks."""
+    table = _shared_table(50, 60 * NS)
+    calls = _counting_lookups(monkeypatch)
+    outputs, failure = _replayed(table, 120.0, 600 * NS, 30 * 60 * NS, 60 * NS, reference=False)
+    assert failure is None and len(outputs) == 30
+    assert calls == [600 * NS] * 2 + [660 * NS] * 7
+
+
+def test_channels_on_separate_axes_interpolate_every_step(monkeypatch):
+    """A load channel lacking one knot keeps its own array, so the load
+    interpolates both its channels at every step, and the other
+    components still walk."""
+    table = _shared_table(50, 60 * NS, load_apparent_power=7)
+    assert table.channel(2, "load_active_power").times_ns is not table.channel(2, "load_apparent_power").times_ns
+    assert table.channel(1, "pv_power").times_ns is table.channel(4, "grid_active_power").times_ns
+    calls = _counting_lookups(monkeypatch)
+    outputs, failure = _replayed(table, 120.0, -60 * NS, 50 * 60 * NS, 60 * NS, reference=False)
+    assert failure is None and len(outputs) == 50
+    assert calls == [-60 * NS] * 2 + [t for i in range(50) for t in [i * 60 * NS] * 2]
