@@ -48,7 +48,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from pathlib import Path
 
-from .core import NS_PER_DAY, NS_PER_HOUR, ConfigurationError, SimulationError
+from .core import NS_PER_DAY, NS_PER_HOUR, BatteryMode, ConfigurationError, SimulationError
 from .engine import SimulatorStepOutput, run
 from .forecast import FAMILIES, evaluate_families
 from .replay import (
@@ -122,10 +122,18 @@ def _failed(exc: Exception, where: str = "") -> int:
 # Every field is formatted on every line, a value repeated from the last
 # step too: skipping the repeats costs more than it saves.  Over the 10,080
 # lines of a PV-first week @ 60 s (best of 31, CPython 3.11, 2-vCPU VM) a
-# line took 5.7-5.8 µs as is, 6.8-7.1 µs with a last-value memo per field
-# and 8.0-8.5 µs with a dict of texts by value, which also grew to 55,000
-# entries, as the running aggregates never repeat.
-_STEP_TEMPLATE = ",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n"
+# line formatted as str took 5.7-5.8 µs as is, 6.8-7.1 µs with a last-value
+# memo per field and 8.0-8.5 µs with a dict of texts by value, which also
+# grew to 55,000 entries, as the running aggregates never repeat.  The
+# template is bytes, encoded once here, and the artifacts are opened "wb":
+# bytes %-formatting prints the same digits, and no line goes through a
+# TextIOWrapper's encoding and pending-chunk list on its way to the file.
+_STEP_TEMPLATE = (",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n").encode()
+
+# The battery mode's bytes on a step line, keyed by the mode's ``_value_``:
+# a plain attribute read, where Enum's ``.value`` is a Python-level
+# property (0.29 µs) and an Enum key would hash through Python code too.
+_MODE_BYTES = {mode._value_: mode._value_.encode() for mode in BatteryMode}
 
 # The step-line field each recorded channel repeats: the channels share
 # their step-field names but for the grid's, which steps.csv qualifies
@@ -136,15 +144,15 @@ _STEP_FIELD_OF_CHANNEL = {
 }
 
 # CHANNEL_ROW once per recorded channel, its subsystem_id and name filled
-# in, its time and value left as "%s" for text already formatted.
+# in, its time and value left as "%s" for bytes already formatted.
 # _channel_fields picks each line's (time_ns, value) out of the split step
 # line, in CHANNELS order.  The step line formats time_ns with "%d" and
-# every value with "%.17g", as CHANNEL_ROW does, so the reused text is
+# every value with "%.17g", as CHANNEL_ROW does, so the reused bytes are
 # byte for byte what formatting the numbers again would print.
 _CHANNEL_TEMPLATE = "".join(
     CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}").replace("%d", "%s").replace("%.17g", "%s")
     for subsystem_id, name in CHANNELS
-)
+).encode()
 _channel_fields = itemgetter(
     *(
         position
@@ -181,23 +189,24 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     scenario's context records) and summary.json; returns the summary.
 
     Both CSVs are written as the steps happen, so memory stays flat over
-    the horizon.  steps.csv holds one line per step, formatted by one
+    the horizon.  They are opened in binary mode and written as bytes:
+    steps.csv holds one line per step, formatted by one bytes
     ``%``-template.  channels.csv holds each step's lines in
     ``replay.CHANNELS`` order, so its rows are sorted by time and ingest
     without a sort.  Every value on them (the time and ten of the step's
     floats) is already on the step line, so the channel lines reuse the
     step line's formatted fields, split out by position, instead of
-    formatting each number a second time.
+    formatting each number a second time.  context.jsonl is written as
+    bytes too, by :func:`~cemsim.replay.emit_context`, so all three have
+    the same bytes on every platform.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
     last_output: SimulatorStepOutput | None = None
 
-    with open(out_dir / "steps.csv", "w", newline="") as steps_handle, open(
-        out_dir / "channels.csv", "w", newline=""
-    ) as channels_handle:
-        steps_handle.write(",".join(STEP_HEADER) + "\r\n")
-        channels_handle.write(",".join(CHANNEL_HEADER) + "\r\n")
+    with open(out_dir / "steps.csv", "wb") as steps_handle, open(out_dir / "channels.csv", "wb") as channels_handle:
+        steps_handle.write((",".join(STEP_HEADER) + "\r\n").encode())
+        channels_handle.write((",".join(CHANNEL_HEADER) + "\r\n").encode())
         write_step = steps_handle.write
         write_channels = channels_handle.write
 
@@ -220,7 +229,7 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
                     pv.power,
                     load.requested_active_power,
                     load.requested_apparent_power,
-                    inverter.battery_input.mode.value,
+                    _MODE_BYTES[inverter.battery_input.mode._value_],
                     inverter.battery_input.current,
                     battery.soc,
                     battery.voltage,
@@ -241,7 +250,7 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
                 )
             )
             write_step(line)
-            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(",")))
+            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(b",")))
 
         steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
 

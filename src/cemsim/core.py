@@ -73,8 +73,11 @@ def _frozen_delattr(self, name: str) -> None:
 class StepRecord(tuple):
     """Base of cemsim's records: immutable, validated tuples.
 
-    Every step builds ten records (eight here, two in
-    :mod:`cemsim.engine`), so their construction is a per-step cost.  A
+    Every step builds ten records (eight defined here, two in
+    :mod:`cemsim.engine`), so their construction is a per-step cost.  The
+    engine builds three of them, the ones that check nothing
+    (:class:`InverterStepInput` and its own two), by ``tuple.__new__``
+    directly; the components build the other seven through ``__new__``.  A
     frozen slotted dataclass sets each field through
     ``object.__setattr__`` and then makes one more call, to
     ``__post_init__``, to validate.  Built positionally, a 3-field

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -786,6 +787,35 @@ def test_channels_on_one_axis_check_its_order_once_and_their_values_each():
     assert alone.times_ns is not first.times_ns and alone == Channel(1, "pv_power", first.times_ns, [1.0, 2.0, 3.0])
 
 
+def test_finite_values_whose_sum_overflows_are_accepted(tmp_path):
+    """The finiteness check sums a channel's values first, and only a sum
+    that is not finite sends it value by value: two 1e308s overflow the
+    sum yet are finite, for a channel and for the column pass alike."""
+    assert list(Channel(1, "pv_power", [0, 60], [1e308, 1e308]).values) == [1e308, 1e308]
+    path = tmp_path / "big.csv"
+    path.write_text("timestamp_ns,subsystem_id,channel,value\n0,1,pv_power,1e308\n60,1,pv_power,1e308\n")
+    assert list(ingest_timeseries(path).channel(1, "pv_power").values) == [1e308, 1e308]
+    collected = {}
+    assert replay._take_columns(["0,1,pv_power,1e308\n", "60,1,pv_power,1e308\n"], collected, 1 << 17)
+    assert list(collected[(1, "pv_power")][1]) == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_a_non_finite_value_keeps_its_message(tmp_path, text):
+    """NaN and either infinity are refused by the channel, declined by the
+    column pass and named with their line by the row loop."""
+    with pytest.raises(ValueError, match=r"^channel 'pv_power' contains non-finite values$"):
+        Channel(1, "pv_power", [0, 60, 120], [1.0, float(text), 3.0])
+    lines = ["0,1,pv_power,1\n", f"60,1,pv_power,{text}\n", "120,1,pv_power,3\n"]
+    collected = {}
+    assert not replay._take_columns(lines, collected, 1 << 17) and not collected
+    path = tmp_path / "bad.csv"
+    path.write_text("timestamp_ns,subsystem_id,channel,value\n" + "".join(lines))
+    with pytest.raises(IngestError) as caught:
+        ingest_timeseries(path)
+    assert str(caught.value) == f"{path}:3: channel 'pv_power' value {text!r} is not finite"
+
+
 def test_timeseries_round_trip_is_bit_exact(tmp_path):
     values = [0.1, 1/3, 2.0**-40, 123456.789012345678, 9.99e-300]
     table = TimeSeriesTable(
@@ -821,6 +851,29 @@ def test_context_round_trip(tmp_path):
     path = tmp_path / "ctx.jsonl"
     emit_context(path, records)
     assert ingest_context(path) == records
+
+
+def test_emitting_ten_times_the_context_records_holds_no_more_memory(tmp_path):
+    """Context lines go to the file as bytes, so none waits in a text
+    layer's pending chunk: ten times the records, past that chunk's 8 KB,
+    stay within 1.5x the tracemalloc peak of a file a tenth as long."""
+
+    def records(count):
+        return [ContextRecord(i * NS, i * NS, (i + 1) * NS, 1, {"text": "nightly build", "cores": 4}) for i in range(count)]
+
+    def peak(name, batch):
+        tracemalloc.start()
+        try:
+            emit_context(tmp_path / name, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = records(10), records(100)
+    peak("warm-up.jsonl", small)
+    small_peak, large_peak = peak("small.jsonl", small), peak("large.jsonl", large)
+    assert (tmp_path / "large.jsonl").stat().st_size > 8192
+    assert large_peak <= 1.5 * small_peak, (small_peak, large_peak)
 
 
 def test_context_ingest_diagnostics(tmp_path):
@@ -1137,6 +1190,36 @@ def test_replay_components_match_the_per_channel_lookups(case):
     assert got_failure == want_failure
     assert [repr(output) for output in got] == [repr(output) for output in want]
     assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
+
+
+def test_negative_and_negative_zero_values_replay_as_the_per_channel_lookups():
+    """Recorded values below zero, -0.0 and SOCs past either bound meet
+    every clamp of the replay components: on knots and between them, the
+    knot walk's step records and ``power_at`` equal those of the
+    components in ``oracles`` bit for bit, the sign of every zero too."""
+    powers = [-3.5, -0.0, 0.0, 2.25, -0.0, -1e-300, 0.0, 5.0]
+    socs = [-0.25, -0.0, 0.0, 0.5, 1.0, 1.25, -0.0, 0.75]
+    count = 16
+    axes = []
+    channels = []
+    for shift, (subsystem_id, name) in enumerate(sorted(CHANNELS)):
+        if name == "battery_voltage":
+            values = [48.0 + i % 3 for i in range(count)]
+        else:
+            pattern = socs if name == "battery_soc" else powers
+            values = [pattern[(i + shift) % len(pattern)] for i in range(count)]
+        channels.append(Channel(subsystem_id, name, array("q", [i * 60 * NS for i in range(count)]), values, axes=axes))
+    table = TimeSeriesTable(channels)
+    for step_ns in (60 * NS, 30 * NS, 90 * NS):
+        case = (table, 60.0, 0, (count - 1) * 60 * NS, step_ns)
+        want, want_failure = _replayed(*case, reference=True)
+        got, got_failure = _replayed(*case, reference=False)
+        assert want_failure is None and got_failure is None
+        assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
+    times = [i * 30 * NS for i in range(2 * count - 1)]
+    for kind, reference, subsystem_id in ((ReplayPowerSource, ReplayPowerSourceReference, 1), (ReplayLoad, ReplayLoadReference, 2)):
+        component, oracle = kind(table, subsystem_id, 60.0), reference(table, subsystem_id, 60.0)
+        assert [component.power_at(t).hex() for t in times] == [oracle.power_at(t).hex() for t in times]
 
 
 def _counting_lookups(monkeypatch):
