@@ -178,7 +178,8 @@ def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: Simulat
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # nan and the infinities are not JSON: a non-finite value fails the write
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:

@@ -19,18 +19,24 @@ as late as possible, which pins the solution down deterministically.
 
 The candidate steps for boundary k are the steps t < k.  They sit in a
 heap keyed (price, -t), so they come out in the greedy's order, and step
-k - 1 joins them when boundary k is reached.  A popped candidate is
-dropped for good only when it can never buy again:
+k - 1 joins them when boundary k is reached.  A heap entry stands for a
+run of steps of one price, first..t, keyed by its latest step t: the one
+of them the greedy takes first.  A popped candidate is dropped for good
+only when it can never buy again:
 
-* t lies before the barrier (a saturated boundary it cannot push past);
-* its grid-cap room is used up (room only shrinks); or
+* t lies before the barrier (a saturated boundary it cannot push past),
+  and so do the entry's earlier steps, which go with it;
+* its grid-cap room is used up (room only shrinks); the entry's earlier
+  steps go back into the heap; or
 * the headroom between t and k is not positive (that raises the barrier
-  past t).
+  past t, and past the entry's earlier steps).
 
 Every candidate that bought at boundary k is set aside and pushed back
 after k, including one whose take was cut to the headroom: the purchase
 need not land exactly on the ceiling, so the saturated boundary can keep
-an ulp of headroom and the same step buys again at a later boundary.
+an ulp of headroom and the same step buys again at a later boundary.  If
+a need is left after t bought, the entry's earlier steps go back into
+the heap at once, since they may buy for the same boundary.
 
 Most boundaries are served by their own step, k - 1.  When boundary k
 needs energy and (price, 1 - k) sorts below the heap top (ties with an
@@ -55,18 +61,64 @@ Every bought[j], need and purchase is the same sequence of float
 operations as in the reference greedy's full-suffix adds, so plans are
 bitwise those of the earlier full rescan of the price order per boundary.
 
+Almost every boundary of a window lies in one of two kinds of stretch,
+and the walk passes each in one array pass instead of boundary by
+boundary:
+
+* An own-step run: boundaries whose own steps share one price that no
+  heap entry undercuts, so each own step buys its boundary's whole need.
+  The totals are then the running maximum of the requirement from the
+  run's starting total (``after``), each boundary starts from the one
+  before (``prev``), and its purchase is ``floor - prev``.  Purchases,
+  bought values and the new total are written at once, and the run's
+  steps enter the heap as one entry.  The run ends before the first
+  boundary whose purchase would not land exactly on its requirement
+  (``prev + need != floor``: the walk tops up that ulp from the heap) or
+  whose need exceeds the grid cap.
+* A carried stretch: boundaries of one price above that of the heap top
+  t, right after a walked boundary whose last purchase was carried from
+  t.  Each is bought from t, with no headroom scan while a rigorous
+  lower bound proves the headroom cannot bind.  The bound rests on two
+  facts of rounded arithmetic: for a >= 0, fl(x + a) is at least x and
+  never decreases in x, and fl(c - x) never increases in x.  So no bought
+  value ever exceeds total.
+  The boundaries passed since the scan took every take total took, in
+  the same order, so they equal total bit for bit: a need fits them while
+  its requirement is at most their lowest ceiling.  On the boundaries the
+  scan read, the headroom is at least the scan's minimum, less the takes
+  since (the growth of total), less an allowance u*M per rounding, where
+  M bounds |ceiling| and every bought value of the window.  u = 2**-49,
+  16 times the unit roundoff, also covers the rounding of the bound's own
+  evaluation; a generous allowance only costs extra scans, never bits.
+  The stretch ends before the first boundary whose purchase would not
+  land exactly, is not proved to fit, or exceeds t's grid-cap room (the
+  chain ``purchases[t] += take``, summed in order by ``np.add.accumulate``,
+  which adds sequentially).  Its boundaries are written as total.  The
+  boundaries the scan read get each take in turn, or are written as total
+  too when they already held it.
+
+The walk takes the boundary a stretch stops before, scanning where it
+carries, and the next stretch starts after it.  Every float operation
+that reaches a purchase or a bought value is the walk's, so plans are
+equal by ``repr`` to those of the walk boundary by boundary, and an
+infeasible window fails at the same step for the same reason.  A pass
+costs about a dozen numpy calls: a stretch shorter than ``MIN_PASS``
+boundaries is walked, and after a pass that passes fewer than that the
+next pass waits for twice as many boundaries as the last wait, so a
+window whose stretches keep breaking (say, a grid cap below every other
+need) wastes O(log T) passes.
+
 numpy stays where it pays: the set-up arrays (free energy, ceiling,
-requirement and the infeasibility check, one vector pass each, about a
-third of the time of the same work on lists from itertools.accumulate
-over the 202 windows of a 1 d @240 s compare), the carry ranges
-(headroom scan and range add; a pure-Python carry loop made the T = 2880
-solve about 3.5 times slower) and the SOC trajectory.  The
-per-boundary scalars (requirement, price, total, need and the per-step
-purchases) are Python floats.  One full-day solve at T = 720 / 1440 /
-2880 steps took 2.75 / 5.74 / 11.89 ms pushing and popping every own
-step and 2.18 / 4.37 / 8.86 ms with the own-step rule
-(``bench/probe.py solver``, medians of seven alternating runs on a 2-vCPU
-Xeon VM).
+requirement and the infeasibility check, one vector pass each), the two
+stretches, the headroom scans and range adds of carries the walk makes,
+and the SOC trajectory.  The walk's per-boundary scalars (requirement,
+price, total, need and the per-step purchases) are Python floats.  One
+full-day solve at T = 720 / 1440 / 2880 steps took 2.22 / 4.03 / 6.90 ms
+walking boundary by boundary, with the own-step rule, and 0.44 / 0.64 /
+0.87 ms by stretches (``bench/probe.py solver``, medians of seven
+alternating runs on a 2-vCPU Xeon VM).  Over the 202 windows a 1 d @240 s
+compare of seed 7 solves (mean T = 254), 220 boundaries a window lie in
+own-step runs and 33 in carried stretches.
 
 A :class:`RecedingHorizonController` converts and checks a window
 object's series once, in the :class:`ChargingProblem` of its first solve
@@ -86,10 +138,13 @@ numpy, which imports :mod:`inspect` and :mod:`ast` itself, so there
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import compress, islice
 from math import inf, isfinite
+from operator import ne
 from typing import Callable, Sequence
 
 from .core import (
@@ -223,6 +278,95 @@ def _plan_cost(prices: Sequence[float], grid_power_w: Sequence[float], dt_s: flo
     return acc.value
 
 
+#: The fewest boundaries an array pass is tried on: a pass's dozen numpy
+#: calls cost about as much as walking that many boundaries one by one.
+MIN_PASS = 8
+
+
+def _landings(np, floors, total):
+    """The walk's totals over boundaries whose needs are each bought in one
+    purchase, starting from ``total``: ``(prev, buy, after, short)``, the
+    total each boundary starts from, its purchase, the total it ends with,
+    and where that purchase would not land exactly on its requirement."""
+    levels = np.empty(len(floors) + 1)
+    levels[0] = total
+    levels[1:] = floors
+    np.maximum.accumulate(levels, out=levels)
+    prev = levels[:-1]
+    after = levels[1:]
+    buy = np.maximum(floors - prev, 0.0)
+    return prev, buy, after, prev + buy != after
+
+
+def _first(stops):
+    """The index of the first true entry of ``stops``, or its length."""
+    first = int(stops.argmax())
+    return first if stops[first] else len(stops)
+
+
+def _own_step_run(np, required, bought, purchases, candidates, total, k, end, price, cap_per_step):
+    """Boundaries k..end-1, whose own steps share one ``price`` that no heap
+    entry undercuts, each bought by its own step in one pass.  Stops before
+    the first boundary whose purchase would not land exactly on its
+    requirement or whose need exceeds the grid cap.  Returns the count of
+    boundaries passed and the new total."""
+    prev, buy, after, stops = _landings(np, required[k - 1 : end - 1], total)
+    if cap_per_step < inf:
+        stops |= buy > cap_per_step
+    count = _first(stops)
+    if count:
+        bought[k - 1 : k - 1 + count] = prev[:count]
+        purchases[k - 1 : k - 1 + count] = buy[:count].tolist()
+        total = float(after[count - 1])
+        heappush(candidates, (price, 2 - k - count, k - 1))
+    return count, total
+
+
+def _carried_stretch(np, required, ceiling, bought, purchases, candidates, total, k, end, price, cap_per_step, t, base):
+    """Boundaries k..end-1, of one ``price`` above that of step ``t``, the
+    heap top, whose carry ended boundary k - 1, each bought from ``t`` in
+    one pass.  ``base`` is that carry's scanned headroom plus the total
+    before it.  Stops before the first boundary whose purchase would not
+    land exactly, would exceed t's grid-cap room, or is not proved to fit
+    the headroom between t and the boundary.  Returns the count of
+    boundaries passed and the new total."""
+    floors = required[k - 1 : end - 1]
+    prev, buy, after, stops = _landings(np, floors, total)
+    # Headroom on the boundaries scanned at k - 1 (t + 1 .. k - 2): the scan
+    # less every take since, less u * size per rounding that can reach it,
+    # two a take (bought and total) and four more for the subtractions.
+    # On those passed since (k - 1 on), bought equals total bit for bit, so
+    # a need fits wherever its requirement is at most their lowest ceiling.
+    size = float(np.abs(ceiling).max()) + 2.0 * float(required[-1])  # bounds |ceiling| and bought
+    roundings = np.arange(6.0, 2.0 * len(floors) + 6.0, 2.0)
+    allowance = roundings * (size * 2.0**-49)
+    lowest = np.minimum.accumulate(ceiling[k - 2 : end - 2])
+    stops |= (buy > 0.0) & ((floors > lowest) | (buy > (base - prev) - allowance))
+    count = _first(stops)
+    positions = np.flatnonzero(buy[:count])
+    takes = buy[positions]
+    # purchases[t] before and after each take, summed in the walk's order
+    chain = np.add.accumulate(np.concatenate(((purchases[t],), takes)))
+    if cap_per_step < inf and len(takes):
+        roomy = _first(takes > cap_per_step - chain[:-1])
+        if roomy < len(takes):
+            count = int(positions[roomy])
+            takes = takes[:roomy]
+    if count:
+        purchases[t] = float(chain[len(takes)])
+        if float(bought[t + 1 : k - 1].min()) < total:
+            # the scanned boundaries take each take in turn
+            for take in takes.tolist():
+                bought[t + 1 : k - 1] += take
+            scanned = k - 1
+        else:
+            scanned = t + 1  # they hold total, too, and take every take it takes
+        total = float(after[count - 1])
+        bought[scanned : k - 1 + count] = total
+        heappush(candidates, (price, 2 - k - count, k - 1))
+    return count, total
+
+
 def solve_charging(problem: ChargingProblem) -> ChargingPlan:
     """Minimum-cost purchase schedule for one planning window.
 
@@ -272,15 +416,49 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
     bought = np.zeros(horizon + 1)  # written for each boundary the walk passes
     total = 0.0  # bought at every boundary the walk has not passed
     # Candidate steps t < k, cheapest first; price ties prefer the later step.
-    candidates: list[tuple[float, int]] = []
+    # An entry (price, -t, first) stands for the steps first..t of one price,
+    # keyed by its latest step t, the one a pop hands out.
+    candidates: list[tuple[float, int, int]] = []
     barrier = 0  # steps before this cannot push energy past a saturated boundary
+    floors = required.tolist()
+    # the first step of each price run after the first, then horizon
+    changes = list(compress(range(1, horizon), map(ne, islice(prices, 1, None), prices)))
+    changes.append(horizon)
+    source = -1  # the step whose carry the last walked boundary ended on
+    base = 0.0  # that carry's scanned headroom plus the total before it
+    retry = 1  # passes are tried again from this boundary on
+    backoff = 1  # boundaries a short pass makes the next one wait, doubling
 
-    for k, (floor, price) in enumerate(zip(required.tolist(), prices), 1):
+    k = 1
+    while k <= horizon:
+        price = prices[k - 1]
+        own_first = not candidates or price <= candidates[0][0]
+        # an own-step run, or a stretch carried from source, goes in one pass
+        if k >= retry and (own_first or candidates[0][1] == -source):
+            end = changes[bisect_left(changes, k)] + 1  # boundaries k..end-1 share k's price
+            if end - k >= MIN_PASS:
+                if own_first:
+                    count, total = _own_step_run(np, required, bought, purchases, candidates, total, k, end, price, cap_per_step)
+                else:
+                    count, total = _carried_stretch(
+                        np, required, ceiling, bought, purchases, candidates, total, k, end, price, cap_per_step, source, base
+                    )
+                if count < MIN_PASS:
+                    retry = k + count + backoff
+                    backoff *= 2
+                else:
+                    backoff = 1
+                source = -1
+                k += count
+                if k == end:
+                    continue
         bought[k - 1] = total
+        floor = floors[k - 1]
         need = floor - total
-        own = (price, 1 - k)
+        own = (price, 1 - k, k - 1)
         kept = []  # bought from at this boundary; may buy again at a later one
-        if need > 0.0 and not (candidates and candidates[0] < own):
+        source = -1
+        if need > 0.0 and own_first:
             # The own step would be popped first: it buys without the push
             # and pop, with all of its grid-cap room and no carry.
             if cap_per_step > 0.0:
@@ -295,11 +473,14 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
             candidate = heappop(candidates)
             t = -candidate[1]
             if t < barrier:
-                continue
+                continue  # and so are the entry's earlier steps
             room = cap_per_step - purchases[t]
             if room <= 0.0:
+                if t > candidate[2]:
+                    heappush(candidates, (candidate[0], 1 - t, candidate[2]))
                 continue
             take = need if need <= room else room
+            source = -1
             # Boundaries strictly between purchase step and target boundary
             # must be able to hold the carried energy.
             if t + 1 < k:
@@ -309,19 +490,26 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
                 if headroom <= 0.0:
                     saturated = t + 1 + low
                     if saturated > barrier:
-                        barrier = saturated
+                        barrier = saturated  # past the entry's every step
                     continue
                 if headroom < take:
                     take = headroom
                 bought[t + 1 : k] += take
+                source = t
+                base = headroom + total
             purchases[t] += take
             total += take
             need = floor - total
+            if need > 0.0 and t > candidate[2]:
+                # the entry's earlier steps may buy for this boundary, too
+                heappush(candidates, (candidate[0], 1 - t, candidate[2]))
+                candidate = (candidate[0], -t, t)
             kept.append(candidate)
         for candidate in kept:
             heappush(candidates, candidate)
         if need > eps:
             raise InfeasibleProblemError(k - 1, "shortfall exceeds storage headroom")
+        k += 1
 
     bought[horizon] = total
     return ChargingPlan(

@@ -241,12 +241,16 @@ def _replay_keys(subsystem_id: int) -> dict[str, Callable]:
 _SUBSYSTEM_ID = {name.partition("_")[0]: subsystem_id for subsystem_id, name in CHANNELS}
 _CAPACITY_J = partial(_number, default=1.8432e7, minimum=1e-9)
 _OPTIONAL_LIMIT = partial(_number, default=None, minimum=0.0, allow_none=True)
+# Maxima far above any microgrid (a gigawatt, a thousand per kWh) that keep
+# every power, energy and cost a run sums finite.
+_MAX_POWER_W = 1e9
+_MAX_PRICE = 1e3
 
 #: block name -> kind -> key -> parser(block, key, where)
 BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     "pv": {
         "synthetic": {
-            "peak_power_w": partial(_number, default=600.0, minimum=0.0),
+            "peak_power_w": partial(_number, default=600.0, minimum=0.0, maximum=_MAX_POWER_W),
             "noise_amplitude": partial(_number, default=0.1, minimum=0.0, maximum=1.0),
             "voltage": partial(_number, default=400.0, minimum=1e-9),
             "sunrise_hour": partial(_number, default=6.0, minimum=0.0, maximum=24.0),
@@ -256,11 +260,11 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     },
     "load": {
         "synthetic": {
-            "base_power_w": partial(_number, default=800.0, minimum=0.0),
+            "base_power_w": partial(_number, default=800.0, minimum=0.0, maximum=_MAX_POWER_W),
             "noise_amplitude": partial(_number, default=0.0, minimum=0.0, maximum=1.0),
             # 50x the default; each job is drawn, announced and stepped
             "jobs_per_day": partial(_integer, default=2, minimum=0, maximum=100),
-            "watts_per_effort": partial(_number, default=250.0, minimum=0.0),
+            "watts_per_effort": partial(_number, default=250.0, minimum=0.0, maximum=_MAX_POWER_W),
         },
         "replay": _replay_keys(_SUBSYSTEM_ID["load"]),
     },
@@ -276,8 +280,8 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     },
     "grid": {
         "priced": {
-            "off_peak_price": partial(_number, default=0.10, minimum=0.0),
-            "peak_price": partial(_number, default=0.40, minimum=0.0),
+            "off_peak_price": partial(_number, default=0.10, minimum=0.0, maximum=_MAX_PRICE),
+            "peak_price": partial(_number, default=0.40, minimum=0.0, maximum=_MAX_PRICE),
             "peak_start_hour": partial(_integer, default=8, minimum=0, maximum=24),
             "peak_end_hour": partial(_integer, default=20, minimum=0, maximum=24),
             "max_active_power_w": _OPTIONAL_LIMIT,
@@ -301,7 +305,7 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
             "max_discharge_power_w": _OPTIONAL_LIMIT,
             "soc_min": partial(_number, default=0.1, minimum=0.0, maximum=1.0),
             "soc_max": partial(_number, default=1.0, minimum=0.0, maximum=1.0),
-            "self_power_w": partial(_number, default=0.0, minimum=0.0),
+            "self_power_w": partial(_number, default=0.0, minimum=0.0, maximum=_MAX_POWER_W),
         },
     },
     "forecast.effort_estimator": {

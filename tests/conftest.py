@@ -14,6 +14,10 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Ten times the examples: the properties that hold the charging solver to
+# its reference greedy draw a multiple of max_examples
+# (``pytest tests/test_control.py --hypothesis-profile=cemsim-deep``).
+settings.register_profile("cemsim-deep", settings.get_profile("cemsim"), max_examples=1000)
 settings.load_profile("cemsim")
 
 

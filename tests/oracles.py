@@ -3,7 +3,11 @@
 The DP and LP oracles deliberately share no code with the shipped solvers.
 ``greedy_charging`` is the shipped greedy before its candidate walk was
 rewritten; it shares only the plan type (which sums ``total_cost``) and the
-error type, so plans can be compared bit for bit.  The DP charging
+error type, so plans can be compared bit for bit.  ``heap_walk_charging`` is
+the shipped solver before it passed own-step runs and carried stretches in
+array passes, kept verbatim: it walks every boundary through its heap, so it
+is fast enough to compare with on full-day windows, where the greedy's
+rescan per boundary is not.  The DP charging
 oracle does dynamic programming over cumulative purchased energy, restricted
 to the grid of values where an optimal schedule can sit: the feasibility
 boundaries of every step, plus (when per-step purchases are capped) every
@@ -61,6 +65,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import isfinite
 from operator import lt
 from types import MappingProxyType
@@ -329,6 +334,115 @@ def greedy_charging(problem):
         soc_trajectory=soc_trajectory,
         prices=problem.prices,
         purchased_energy_j=float(bought[-1]),
+    )
+
+
+def heap_walk_charging(problem):
+    """The shipped solver while it walked every boundary through its heap:
+    the fast reference.
+
+    Raises :class:`InfeasibleProblemError` naming the first step whose
+    shortfall cannot be covered (or whose surplus cannot be stored).
+    """
+    horizon = problem.horizon
+    dt = problem.step_seconds
+    prices = problem.prices
+    capacity = problem.capacity_j
+    e_min = problem.soc_min * capacity
+    e_max = problem.soc_max * capacity
+    e_start = min(max(problem.soc_initial, problem.soc_min), problem.soc_max) * capacity
+    eps = 1e-9 * max(capacity, 1.0)
+
+    load = np.asarray(problem.load_w, dtype=np.float64)
+    pv = np.asarray(problem.pv_w, dtype=np.float64)
+    net = (pv - load) * dt  # J gained per step before purchases
+
+    # free[j]: stored energy at boundary j (after step j-1) with zero purchases
+    free = np.empty(horizon + 1)
+    free[0] = e_start
+    free[1:] = e_start + np.cumsum(net)
+
+    # In cumulative-purchase space: bought[j] = sum of purchases in steps < j.
+    ceiling = e_max - free[1:]  # bought[j] above this overfills storage
+    shortfall = np.maximum(e_min - free[1:], 0.0)  # bought[j] below this underruns
+    required = np.maximum.accumulate(shortfall)  # purchases never expire
+
+    cap_per_step = np.inf if problem.max_grid_power_w is None else problem.max_grid_power_w * dt
+
+    overfilled = ceiling < -eps
+    cramped = required > ceiling + eps
+    capped = required > cap_per_step * np.arange(1, horizon + 1) + eps
+    failing = overfilled | cramped | capped
+    if failing.any():
+        j = int(np.argmax(failing))
+        if overfilled[j]:
+            raise InfeasibleProblemError(j, "generation overfills the storage band")
+        if cramped[j]:
+            raise InfeasibleProblemError(j, "shortfall exceeds storage headroom")
+        raise InfeasibleProblemError(j, "shortfall exceeds the grid power cap")
+
+    purchases = [0.0] * horizon  # J bought per step
+    bought = np.zeros(horizon + 1)  # written for each boundary the walk passes
+    total = 0.0  # bought at every boundary the walk has not passed
+    # Candidate steps t < k, cheapest first; price ties prefer the later step.
+    candidates: list[tuple[float, int]] = []
+    barrier = 0  # steps before this cannot push energy past a saturated boundary
+
+    for k, (floor, price) in enumerate(zip(required.tolist(), prices), 1):
+        bought[k - 1] = total
+        need = floor - total
+        own = (price, 1 - k)
+        kept = []  # bought from at this boundary; may buy again at a later one
+        if need > 0.0 and not (candidates and candidates[0] < own):
+            # The own step would be popped first: it buys without the push
+            # and pop, with all of its grid-cap room and no carry.
+            if cap_per_step > 0.0:
+                take = need if need <= cap_per_step else cap_per_step
+                purchases[k - 1] = take
+                total += take
+                need = floor - total
+                kept.append(own)
+        else:
+            heappush(candidates, own)
+        while need > 0.0 and candidates:
+            candidate = heappop(candidates)
+            t = -candidate[1]
+            if t < barrier:
+                continue
+            room = cap_per_step - purchases[t]
+            if room <= 0.0:
+                continue
+            take = need if need <= room else room
+            # Boundaries strictly between purchase step and target boundary
+            # must be able to hold the carried energy.
+            if t + 1 < k:
+                segment = ceiling[t : k - 1] - bought[t + 1 : k]
+                low = int(segment.argmin())
+                headroom = float(segment[low])
+                if headroom <= 0.0:
+                    saturated = t + 1 + low
+                    if saturated > barrier:
+                        barrier = saturated
+                    continue
+                if headroom < take:
+                    take = headroom
+                bought[t + 1 : k] += take
+            purchases[t] += take
+            total += take
+            need = floor - total
+            kept.append(candidate)
+        for candidate in kept:
+            heappush(candidates, candidate)
+        if need > eps:
+            raise InfeasibleProblemError(k - 1, "shortfall exceeds storage headroom")
+
+    bought[horizon] = total
+    return ChargingPlan(
+        step_seconds=dt,
+        grid_power_w=tuple([energy / dt for energy in purchases]),
+        soc_trajectory=tuple(((free + bought) / capacity).tolist()),
+        prices=prices,
+        purchased_energy_j=total,
     )
 
 

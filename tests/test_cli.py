@@ -596,6 +596,19 @@ def test_too_many_jobs_per_day_exit_1_before_any_job_is_drawn(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "forecast-eval"])
+def test_a_load_of_1e300_w_exits_1_at_load_and_writes_no_summary(tmp_path, capsys, command):
+    """A finite load too large to sum once loaded: ``forecast-eval`` wrote
+    ``Infinity`` into summary.json after a numpy overflow, and ``run``
+    printed a 300-digit cost.  The key's maximum refuses it at load."""
+    path = _scenario(tmp_path, "huge", seed=87, horizon_seconds=86_400, step_seconds=600, load={"base_power_w": 1e300})
+    out = tmp_path / "o"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: load: 'base_power_w' must be <= ")
+    assert not (out / "summary.json").exists()
+
+
 def test_the_latest_start_runs_and_its_recording_validates(tmp_path, capsys):
     """At the latest start a 1 d horizon allows, the last job ends at most
     1 h after that day, and the whole recording holds int64 times."""

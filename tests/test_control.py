@@ -1,13 +1,16 @@
 """Charging plan solver and the receding-horizon control loop."""
 import dataclasses
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cemsim.control
+from cemsim import cli
 from cemsim import (
     BatteryMode,
     BatteryStepResult,
@@ -33,12 +36,17 @@ from cemsim.core import NS_PER_SECOND as NS
 from oracles import (
     brute_force_charging,
     greedy_charging,
+    heap_walk_charging,
     linprog_charging,
     plan_cost,
     random_coarse_instance,
 )
 
 HOUR = 3600 * NS
+#: The properties that hold the solver to the reference greedy draw a
+#: multiple of the loaded profile's max_examples: 100 under "cemsim", ten
+#: times that under "cemsim-deep" (tests/conftest.py).
+_DEPTH = settings.default.max_examples
 AMPLE = dict(step_seconds=3600.0, capacity_j=3.6e7, soc_min=0.1, soc_max=1.0)
 
 
@@ -267,7 +275,7 @@ def _solve_like_the_reference(problem, solve=solve_charging):
 
 
 @given(problem=_charging_problems())
-@settings(max_examples=200)
+@settings(max_examples=2 * _DEPTH)
 def test_solver_matches_the_greedy_reference(problem):
     """The heap walk returns the reference greedy's plan bit for bit, and
     fails where it fails, at the same step for the same reason."""
@@ -279,18 +287,24 @@ def _own_step_windows(draw):
     """Windows whose boundaries mostly need energy, so a step usually buys
     for its own boundary before any candidate in the heap:
 
-    * prices come from one or two tiers, so the own step often ties the
-      heap top's price (and wins the tie, being the later step);
+    * prices come from one, two or three tiers, step by step or in runs of
+      up to the whole window, so the own step often ties the heap top's
+      price (and wins the tie, being the later step), and long one-price
+      runs reach the solver's array pass;
     * the grid cap is often 0 or a share of the largest load, below one
       step's need, and some windows' loads are tiny, so a window with a
       zero cap passes the set-up checks and its own steps have no room;
     * loads spread over six decades; or a window starts at ``soc_min``
-      with a first deficit of a small share of the minimum stored energy
-      and a second that lifts the requirement a binade or two above it,
-      the first nudged until boundary 2's need is left an ulp short after
-      the own step's buy (as in
+      with idle steps, then a first deficit of a small share of the
+      minimum stored energy and a second that lifts the requirement a
+      binade or two above it, the first nudged until the second's need is
+      left an ulp short after the own step's buy (as in
       :func:`test_a_same_step_purchase_an_ulp_short_is_topped_up_earlier`),
-      so the heap tops it up."""
+      so the heap tops it up: inside a run when prices come in runs, or
+      inside a carried stretch after a carry from a cheaper idle step;
+    * or a cheap run, then a dearer one whose loads drain the whole band
+      by a drawn boundary and an ulp past it: the carry from the cheap
+      run's last step saturates in the middle of its stretch."""
     horizon = draw(st.integers(1, 30))
     capacity = draw(st.floats(1e3, 3e7))
     soc_min = draw(st.floats(0.0, 0.5))
@@ -298,7 +312,7 @@ def _own_step_windows(draw):
     step_seconds = draw(st.sampled_from((60.0, 240.0, 3600.0)))
     band_w = capacity * (soc_max - soc_min) / step_seconds
     tiny_w = 1e-9 * capacity / step_seconds / horizon  # a whole window's deficit within the tolerance
-    shape = draw(st.sampled_from(("spread", "jump", "tiny")))
+    shape = draw(st.sampled_from(("spread", "jump", "tiny", "saturate")))
     if shape == "tiny":
         load = st.floats(0.0, 1.0).map(lambda share: share * tiny_w)
     else:
@@ -307,19 +321,54 @@ def _own_step_windows(draw):
     pv = st.one_of(st.just(0.0), st.floats(0.0, 0.05).map(lambda share: share * band_w))
     pv_w = draw(st.lists(pv, min_size=horizon, max_size=horizon))
     soc_initial = draw(st.one_of(st.just(soc_min), st.floats(soc_min, soc_max)))
+    tiers = draw(st.sampled_from(((0.1,), (0.1, 0.2), (0.0, 0.3), (0.1, 0.2, 0.3))))
+    prices = []
+    while len(prices) < horizon:
+        prices += [draw(st.sampled_from(tiers))] * draw(st.sampled_from((1, horizon)) | st.integers(1, horizon))
     if shape == "jump":
+        # or the second deficit lands in a carried stretch: the first is
+        # carried from a cheaper idle step, in a band that holds both
+        carried = draw(st.booleans())
+        if carried:
+            soc_min = draw(st.floats(0.01, 0.15))
+            soc_max = 1.0
         e_min = soc_min * capacity
         first = draw(st.floats(0.01, 0.5)) * e_min / step_seconds
         second = draw(st.floats(1.5, 3.5)) * e_min / step_seconds
-        loads[:2] = _ulp_short_loads(e_min, step_seconds, first, second)
-        pv_w[:2] = [0.0, 0.0]
+        idle = draw(st.integers(int(carried), horizon))
+        loads[: idle + 2] = [0.0] * idle + list(_ulp_short_loads(e_min, step_seconds, first, second))
+        pv_w[: idle + 2] = [0.0] * (idle + 2)
         soc_initial = soc_min
         horizon = len(loads)
-    tiers = draw(st.sampled_from(((0.1,), (0.1, 0.2), (0.0, 0.3))))
+        prices += [prices[-1]] * (horizon - len(prices))
+        if carried:
+            padded = idle + cemsim.control.MIN_PASS + 2
+            loads += [0.0] * (padded - horizon)
+            pv_w += [0.0] * (padded - horizon)
+            horizon = len(loads)
+            low, high = sorted(draw(st.sampled_from(((0.1, 0.2), (0.0, 0.3), (0.1, 0.3)))))
+            prices = [low] * idle + [high] * (horizon - idle)
+    if shape == "saturate":
+        # soc_min under a third of soc_max: the minimum stored energy sits a
+        # binade or more below the ceilings, so its ulp is finer than theirs
+        soc_min = draw(st.floats(0.05, 0.15))
+        soc_max = draw(st.floats(0.5, 1.0))
+        band_w = capacity * (soc_max - soc_min) / step_seconds
+        cheap = draw(st.integers(1, 6))
+        dear = draw(st.integers(cemsim.control.MIN_PASS + 1, 24))  # the stretch after the scan is passed
+        filled = draw(st.integers(2, dear))  # the dear steps that drain the band
+        loads = [draw(st.floats(0.0, 0.02)) * band_w for _ in range(cheap)] + [band_w / filled] * dear
+        last = cheap + filled - 1  # the step after which the band is drained
+        _saturate(loads, soc_min * capacity, soc_max * capacity, step_seconds, cheap, last)
+        horizon = cheap + dear
+        pv_w = [0.0] * horizon
+        soc_initial = soc_min
+        low, high = sorted(draw(st.sampled_from(((0.1, 0.2), (0.0, 0.3), (0.1, 0.3)))))
+        prices = [low] * cheap + [high] * dear
     cap = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.2, 1.0).map(lambda share: share * max(loads))))
     return ChargingProblem(
         step_seconds=step_seconds,
-        prices=draw(st.lists(st.sampled_from(tiers), min_size=horizon, max_size=horizon)),
+        prices=prices[:horizon],
         load_w=loads,
         pv_w=pv_w,
         capacity_j=capacity,
@@ -346,6 +395,36 @@ def _ulp_short_loads(e_min, step_seconds, first, second):
     return first, second
 
 
+def _saturate(loads, e_min, e_max, step_seconds, cheap, last):
+    """Nudge ``loads`` of a window that starts at ``e_min`` with no PV so
+    that the carry from step ``cheap - 1`` saturates boundary ``cheap``
+    where only the scan bound's allowance tells: first the last cheap load
+    moves, an ulp of the stored energy at a time, until the headroom
+    scanned over boundary ``cheap`` plus the total before the carry rounds
+    above that boundary's ceiling (it takes a tie in both roundings; up to
+    256 steps, and about two draws in five get there), then load ``last``
+    until the requirement after it is one ulp above that ceiling, so the
+    walk cuts that boundary's take by an ulp.  The levels are summed as
+    the solver's set-up sums them."""
+
+    def levels():
+        free = e_min + np.cumsum((0.0 - np.asarray(loads)) * step_seconds)
+        return (e_max - free).tolist(), (e_min - free).tolist()
+
+    for _ in range(256):
+        ceiling, floor = levels()
+        if (ceiling[cheap - 1] - floor[cheap - 1]) + floor[cheap - 1] > ceiling[cheap - 1]:
+            break
+        loads[cheap - 1] += math.ulp(e_min - floor[cheap - 1]) / step_seconds
+    for _ in range(64):
+        ceiling, floor = levels()
+        over = floor[last] - ceiling[cheap - 1]
+        target = math.ulp(ceiling[cheap - 1])
+        if over == target:
+            break
+        loads[last] += math.copysign(math.ulp(floor[last]) / step_seconds / 2, target - over)
+
+
 _TIED = ChargingProblem(
     step_seconds=3600.0, prices=(0.1, 0.2, 0.1, 0.1), load_w=(0.0, 0.0, 500.0, 700.0), pv_w=(0.0,) * 4,
     capacity_j=3.6e6, soc_min=0.1, soc_max=1.0, soc_initial=0.1, max_grid_power_w=600.0,
@@ -359,7 +438,7 @@ _ZERO_CAP = ChargingProblem(
 @given(problem=_own_step_windows())
 @example(problem=_TIED)
 @example(problem=_ZERO_CAP)
-@settings(max_examples=400)
+@settings(max_examples=4 * _DEPTH)
 def test_own_step_purchases_match_the_greedy_reference(problem):
     """A boundary's own step buys first, without a push and a pop, when it
     sorts below the heap top: a price tie with an earlier step, a grid cap
@@ -401,7 +480,7 @@ def _long_tiered_problem(rng):
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=300)
+@settings(max_examples=3 * _DEPTH)
 def test_long_tiered_windows_match_the_greedy_reference(seed):
     """On long windows the walk's plan equals the reference greedy's bit for
     bit, or both fail at the same step for the same reason."""
@@ -647,6 +726,58 @@ def test_closed_loop_plans_match_the_greedy_reference(monkeypatch, strategy, sol
     bundle = build_bundle(scenario, strategy)
     run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, lambda output: None)
     assert len(solved) == solves
+
+
+def _outcome(solve, problem):
+    """``repr`` of solve(problem)'s plan, or the step and reason it fails at."""
+    try:
+        return repr(solve(problem))
+    except InfeasibleProblemError as exc:
+        return exc.step_index, exc.reason
+
+
+_SEED_7_DAY = {"schema_version": 1, "seed": 7, "start_epoch_seconds": 1_704_067_200, "horizon_seconds": 86_400}
+
+
+def _probe_window(step_seconds):
+    """The full first-day window of seed 7's perfect forecast at
+    ``step_seconds``, built as ``bench/probe.py solver`` builds it."""
+    scenario = scenario_from_dict({**_SEED_7_DAY, "step_seconds": step_seconds}, None)
+    controller = build_bundle(scenario, "mpc-perfect").controller
+    window = controller.forecast_provider(scenario.start_ns)
+    return ChargingProblem(
+        step_seconds=window.step_seconds,
+        prices=window.prices,
+        load_w=window.load_w,
+        pv_w=window.pv_w,
+        capacity_j=controller.capacity_j,
+        soc_min=controller.soc_min,
+        soc_max=controller.soc_max,
+        soc_initial=scenario.battery["initial_soc"],
+        max_grid_power_w=controller.max_grid_power_w,
+    )
+
+
+def test_the_workload_windows_plan_as_the_heap_walk(tmp_path, monkeypatch):
+    """The windows the planning workload solves: the full-day windows
+    ``bench/probe.py solver`` times at 240, 120, 60 and 30 s steps, and the
+    202 windows a 1 d @240 s seed-7 ``compare`` of mpc-perfect and
+    mpc-context hands the planner.  Each plan equals the heap walk's by
+    ``repr``; the 240 s day and every twentieth compare window equal the
+    reference greedy's too."""
+    windows = [_probe_window(step_seconds) for step_seconds in (240, 120, 60, 30)]
+    solve = cemsim.control.solve_charging
+    monkeypatch.setattr(cemsim.control, "solve_charging", lambda problem: windows.append(problem) or solve(problem))
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps({**_SEED_7_DAY, "step_seconds": 240}))
+    argv = ["compare", "--scenario", str(path), "--strategies", "mpc-perfect,mpc-context", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert [problem.horizon for problem in windows[:4]] == [360, 720, 1440, 2880]
+    assert len(windows) == 4 + 202
+    for problem in windows:
+        assert _outcome(solve_charging, problem) == _outcome(heap_walk_charging, problem)
+    for problem in windows[:1] + windows[4::20]:
+        _solve_like_the_reference(problem)
 
 
 def test_controller_validation():

@@ -120,6 +120,17 @@ def test_numeric_bounds_are_enforced():
         _scenario({}, seed="zero")
     with pytest.raises(ConfigurationError, match="^pv: 'peak_power_w' must be finite"):
         _scenario({}, pv={"peak_power_w": 10**400})
+    for block, key, maximum in [
+        ("pv", "peak_power_w", 1e9),
+        ("load", "base_power_w", 1e9),
+        ("load", "watts_per_effort", 1e9),
+        ("inverter", "self_power_w", 1e9),
+        ("grid", "off_peak_price", 1e3),
+        ("grid", "peak_price", 1e3),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"^{block}: '{key}' must be <= {maximum}, got 1e\\+300$"):
+            _scenario({}, **{block: {key: 1e300}})
+        assert _scenario({}, **{block: {key: maximum}}) is not None
     with pytest.raises(ConfigurationError, match="^context: 'announce_lead_hours' must be <="):
         _scenario({}, context={"announce_lead_hours": 1e308})
     with pytest.raises(ConfigurationError, match="^load: 'jobs_per_day' must be <= 100, got 101$"):
