@@ -35,6 +35,22 @@ is the package's only log record.  The ``CEMSIM_LOG`` environment
 variable sets the level (debug/info/warning/error).  So ``compare``
 alone imports and configures :mod:`logging`; ``run`` and ``validate``
 load neither it nor the planner.
+
+Run as a process (``python -m cemsim.cli`` or the ``cemsim`` script), a
+command goes through :func:`console_entry`: once :func:`main` returns, it
+flushes stdout and stderr and leaves through ``os._exit``, without the
+interpreter's teardown, which clears every module and collects the heap
+that numpy and the package built.  That teardown took 31-33 ms of CPU
+after each ``compare`` or ``forecast-eval`` and 14-16 ms after each
+``run`` or ``validate`` (bench-sized seed-7 inputs, medians of 8,
+CPython 3.11 on a 2-vCPU VM); the exit now takes 1-3 ms.  A stdout that
+cannot be flushed exits 120.  Skipping teardown loses nothing only while
+these hold:
+
+- every artifact is closed before ``main`` returns: each is written
+  inside a ``with`` block or by ``Path.write_text``;
+- nothing registers an ``atexit`` hook, which would never run;
+- ``main`` itself never exits, so tests and tracers call it in process.
 """
 
 from __future__ import annotations
@@ -47,6 +63,7 @@ from array import array
 from bisect import bisect_right
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 from .core import NS_PER_DAY, NS_PER_HOUR, BatteryMode, ConfigurationError, SimulationError
 from .engine import SimulatorStepOutput, run
@@ -76,6 +93,8 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+#: what CPython's shutdown returns when it cannot flush a standard stream
+EXIT_UNFLUSHED = 120
 
 STEP_HEADER = (
     "step_index",
@@ -542,5 +561,33 @@ def main(argv: list[str] | None = None) -> int:
         return _failed(exc, f"{Path(scenarios[0])}: " if len(scenarios) == 1 else "")
 
 
+def console_entry() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` as the whole process, then end it.
+
+    The entry of ``python -m cemsim.cli`` and of the ``cemsim`` script.
+    It flushes stdout, then stderr, and leaves through ``os._exit``, with
+    no interpreter teardown; see the module docstring for what that
+    skips and what must hold for it to lose nothing.  A flush that fails
+    (stdout a pipe whose reader has gone) exits 120, as CPython's own
+    shutdown does, with one ``error:`` line on stderr in place of its
+    unraisable-exception report.  An exception that escapes ``main`` is
+    a bug: it propagates, with its traceback and the interpreter's normal
+    exit.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            # None when the descriptor was closed before start-up
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            code = EXIT_UNFLUSHED
+            try:
+                os.write(2, f"error: {stream.name}: {exc}\n".encode())
+            except OSError:
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

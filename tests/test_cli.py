@@ -22,6 +22,7 @@ from cemsim import scenario as scenario_module
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import TimeSeriesRangeError
 from cemsim.scenario import build_bundle, load_scenario
+from test_golden import GOLDEN, artifact_hashes
 
 MIDNIGHT = 1_704_067_200
 DAY = {"seed": 7, "start_epoch_seconds": MIDNIGHT, "horizon_seconds": 86_400, "step_seconds": 60}
@@ -152,13 +153,17 @@ sys.exit(cli.main(sys.argv[2:]))
 _NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib", "dataclasses", "inspect")
 
 
-def _python(*argv, **environ):
+def _python(*argv, stdout=subprocess.PIPE, **environ):
     """``python argv...`` in a fresh interpreter that imports this cemsim;
-    ``environ`` is added to the environment, which holds no CEMSIM_LOG."""
+    ``environ`` is added to the environment, which holds no CEMSIM_LOG,
+    and a variable it sets to None is removed."""
     src = str(Path(cemsim.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "CEMSIM_LOG"}
     env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ)
-    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True, text=True)
+    env = {key: value for key, value in env.items() if value is not None}
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
 
 
 def _main_without(blocked, *args, **environ):
@@ -629,6 +634,68 @@ def test_reruns_into_different_directories_are_byte_identical(recording, tmp_pat
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "again")]) == cli.EXIT_OK
     for name in ARTIFACTS:
         assert (tmp_path / "again" / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The process entry: flush, then exit without teardown
+# ---------------------------------------------------------------------------
+#
+# The children run with their output buffered (no PYTHONUNBUFFERED), as a
+# command whose stdout is a file or a pipe does, so what they print reaches
+# the parent only through the entry's flush.
+
+
+def _process_main(argv):
+    """``cli.main(argv)`` as ``python -m cemsim.cli`` in a fresh process:
+    its stdout and stderr are copied to this process's, its exit code
+    returned."""
+    done = _python("-m", "cemsim.cli", *argv, PYTHONUNBUFFERED=None)
+    sys.stdout.write(done.stdout)
+    sys.stderr.write(done.stderr)
+    return done.returncode
+
+
+@pytest.mark.parametrize("case", ["run-2d", "replay-2d", "compare-seed7", "forecast-eval-seed7"])
+def test_a_fresh_process_writes_the_golden_artifacts_and_prints_what_main_prints(case, tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())[case]
+    in_process, fresh = (tmp_path / "main").resolve(), (tmp_path / "process").resolve()
+    in_process.mkdir()
+    fresh.mkdir()
+    assert artifact_hashes(case, fresh, _process_main) == golden
+    printed = capsys.readouterr().out
+    assert artifact_hashes(case, in_process) == golden
+    assert printed == capsys.readouterr().out.replace(str(in_process), str(fresh))
+    assert printed
+
+
+def test_a_fresh_process_exits_1_on_a_missing_scenario_and_2_past_a_recordings_end(recording, tmp_path):
+    past_end = _replay_scenario(recording, "rec", horizon_seconds=2 * 86_400)
+    for scenario, code, named in (
+        (tmp_path / "absent.json", cli.EXIT_CONFIG, "absent.json"),
+        (past_end, cli.EXIT_RUNTIME, "outside channel (1, 'pv_voltage')"),
+    ):
+        done = _python("-m", "cemsim.cli", "run", "--scenario", scenario, "--out", tmp_path / "o", PYTHONUNBUFFERED=None)
+        assert done.returncode == code, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], done.stderr
+
+
+def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):
+    """A compare whose stdout is a pipe with no reader writes its artifacts,
+    then fails to flush what it printed: exit 120, as CPython's own
+    shutdown returns, and one ``error:`` line, not a traceback."""
+    out = tmp_path / "cmp"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = ("compare", "--scenario", _scenario(tmp_path, "day", step_seconds=240), "--strategies", "default")
+        done = _python("-m", "cemsim.cli", *argv, "--out", out, stdout=write, PYTHONUNBUFFERED=None)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_UNFLUSHED == 120
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: <stdout>: ") and len(done.stderr.splitlines()) == 1, done.stderr
+    assert json.loads((out / "summary.json").read_text())["strategies"]["default"]["cost"] > 0
 
 
 # ---------------------------------------------------------------------------

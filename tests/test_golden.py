@@ -118,10 +118,11 @@ RECORDING = {"replay-2d": "run-2d", "mixed-2d": "run-2d"}
 CASE_STRATEGIES = {"compare-all4": ALL_STRATEGIES, "compare-1d-120s": "mpc-perfect,mpc-nocontext"}
 
 
-def run_case(case: str, work: Path) -> Path:
-    """Run one case in ``work``; the directory its artifacts went to."""
+def run_case(case: str, work: Path, main=cli.main) -> Path:
+    """Run one case in ``work`` through ``main`` (``cli.main`` or a stand-in
+    with its signature); the directory its artifacts went to."""
     if case in RECORDING:
-        run_case(RECORDING[case], work)
+        run_case(RECORDING[case], work, main)
     command, scenario = CASES[case]
     path = work / f"{case}.json"
     path.write_text(json.dumps({"schema_version": 1, **scenario}))
@@ -129,13 +130,13 @@ def run_case(case: str, work: Path) -> Path:
     argv = [command, "--scenario", str(path), "--out", str(out)]
     if command == "compare":
         argv += ["--strategies", CASE_STRATEGIES.get(case, STRATEGIES)]
-    assert cli.main(argv) == cli.EXIT_OK
+    assert main(argv) == cli.EXIT_OK
     return out
 
 
-def artifact_hashes(case: str, work: Path) -> dict[str, str]:
+def artifact_hashes(case: str, work: Path, main=cli.main) -> dict[str, str]:
     """SHA-256 of each artifact of one case, by file name."""
-    out = run_case(case, work)
+    out = run_case(case, work, main)
     return {
         artifact.name: hashlib.sha256(artifact.read_bytes()).hexdigest()
         for artifact in sorted(out.iterdir())
