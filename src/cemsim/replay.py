@@ -19,46 +19,45 @@ Channel names follow ``<subsystem>_<measurement>``, e.g. ``battery_soc``
 (fraction), ``pv_power`` (W), ``load_active_power`` (W),
 ``grid_active_power`` (W).
 
-Lookups copy nothing: each :class:`Channel` keeps its times in an
-``array('q')`` and its values in an ``array('d')`` with a ``memoryview``
-of each, and indexing a view yields the plain Python int or float.  A
-channel also keeps a cursor, the first knot at or after its last lookup.
-:func:`interpolate` checks the bracket ending at that knot and the one
-ending at its successor first, which is O(1) for a replay walking forward
-one step at a time, whether its steps end on knots or between them.  A
-query further ahead, as when each step skips knots, gallops forward from
-the cursor and bisects only the bracket it finds; any other query, or a
-stale cursor, costs one O(log n) :mod:`bisect` of the times view.  The
-cursor can never change a result.
-
 A recording is one time axis wherever its channels allow.  Ingestion
-gives channels with equal timestamps one shared ``array('q')`` (finding
-an equal one is one C-level array compare) and checks each distinct
-array's strict order once; every channel's values are still checked.
-Replay components resolve their channels once, at construction, into a
-:class:`_KnotWalk`.  A step ending on the knot after the last one the
-walk read (one int compare) takes every channel's value at that knot
-from a ``zip`` over their value views; any other end calls the
-module-level :func:`interpolate` once per channel, so a wrapper
-installed on ``cemsim.replay.interpolate`` sees only the lookups off
-the walk: ends off a knot, outside the recording, or on a knot further
-on.  A component whose channels hold different arrays always
-interpolates.  Both ways give the same values, clamps and errors.
+gives each distinct array of timestamps one :class:`TimeAxis`, shared by
+every channel recorded at those times (finding an equal array is one
+C-level array compare), and checks its strict order once; every
+channel's values are still checked.  Lookups copy nothing: an axis keeps
+its times in an ``array('q')`` and a channel its values in an
+``array('d')``, each with a ``memoryview``, and indexing a view yields
+the plain Python int or float.
 
-Ingestion reads the file in chunks of lines.  A chunk of plain, valid
-rows in one repeating channel order, the layout of every recording
-``run`` writes, is parsed by column: one join and one split on commas,
-then one C-level pass over each column, and each channel's rows are a
-strided slice.  Any other chunk goes to the row loop, which splits a
-plain line on commas, reads a line holding a quote, or long enough to
-hold a field over csv's size limit, through :mod:`csv`, and is the one
-source of every error message and line number.  Rows go straight into
-their channel's ``array`` pair, which becomes the channel's storage,
-unless an earlier channel holds equal times, whose array it then
-shares; only a channel whose rows arrive out of order is sorted.
+A time is looked up one way.  :meth:`TimeAxis.search` finds the knot it
+falls on, the bracket it falls in, or how far it lies outside the
+recording, searching from the axis's cursor, the first knot after the
+last time located: a time on or within the bracket after it costs a
+compare or two, any other one O(log n) :mod:`bisect` of the times view.
+:meth:`TimeAxis.locate` keeps that answer for its time and moves the
+cursor, so the replay components of one step, which read their channels
+at the step's end, share one search of their axis, and a step ending on
+the knot after the cursor costs one int compare.  A channel's value is
+then its value on the knot, which a component whose channels share the
+axis reads straight from their views, or else what :func:`interpolate`
+makes of the answer: the bracket's two values interpolated by a fraction
+that depends on the times alone, or an edge clamp or range error of the
+channel's own.  :func:`interpolate`, which a forecast also asks for
+times ahead, reads the kept answer if it is for its time and otherwise
+searches without keeping one, so it never moves the cursor the next step
+reads from.  Neither the cursor nor the kept answer, keyed on its time,
+can change a result, whoever shares the axis.
+
+Ingestion reads the file line by line through one row loop, which
+splits a plain line on commas, reads a line holding a quote, or long
+enough to hold a field over csv's size limit, through :mod:`csv`, and is
+the one source of every error message and line number.  Rows go straight
+into their channel's ``array`` pair, which becomes the channel's
+storage, unless an earlier channel holds equal times, whose axis it then
+shares; only a channel whose rows arrive out of order is sorted.  Every
+input file is read as UTF-8, whatever the locale.
 
 :class:`Channel` is a :class:`~cemsim.core.SlotRecord`, not a dataclass:
-every lookup reads its views and cursor from slots, and ingesting a
+every lookup reads its axis and views from slots, and ingesting a
 recording imports no :mod:`dataclasses`.
 
 A recording is parsed once.  :func:`ingest_timeseries` keeps the
@@ -96,7 +95,6 @@ import os
 from _blake2 import blake2b
 from array import array
 from bisect import bisect_left
-from itertools import islice
 from math import isfinite
 from operator import lt
 from sys import byteorder, float_info
@@ -168,56 +166,129 @@ class IngestError(ValueError):
     file's path and carries row context."""
 
 
+class TimeAxis:
+    """The strictly increasing times one or more channels were recorded
+    at, and where the last time located on them fell.
+
+    ``times_ns`` is the ``array('q')`` of times and ``_times`` a
+    memoryview of it.  The answer for a time is ``(index, fraction,
+    outside_ns)``: on a knot, ``(knot, None, 0)``; inside a bracket,
+    ``(later knot, fraction, 0)``; outside the recording, the nearer edge
+    knot, ``None`` and the distance from that edge in ns.  ``t_ns`` and
+    ``answer`` are the last time :meth:`locate` found and its answer;
+    ``_next`` is the first knot after that time (``len(times_ns)`` past
+    the last) and ``_next_ns`` its time (None past the last, which no int
+    equals).  Each is a hint keyed on a time, so one axis can serve every
+    channel and every replay that reads it.
+    """
+
+    __slots__ = ("times_ns", "_times", "t_ns", "answer", "_next", "_next_ns")
+
+    def __init__(self, times_ns: array) -> None:
+        self.times_ns = times_ns
+        self._times = memoryview(times_ns)
+        self.t_ns = self.answer = None
+        self._next = 0
+        self._next_ns = times_ns[0]
+
+    def search(self, t_ns: int) -> tuple[int, float | None, int]:
+        """The answer for ``t_ns``, searched from the cursor, which stays
+        where it is.  A time on or within the bracket after the cursor's
+        knot costs a compare or two; any other one bisect."""
+        times = self._times
+        last = len(times) - 1
+        if t_ns < times[0]:
+            return 0, None, times[0] - t_ns
+        if t_ns > times[last]:
+            return last, None, t_ns - times[last]
+        index = self._next
+        if index and t_ns <= times[index - 1]:
+            # at or before the last located time
+            index = bisect_left(times, t_ns, 0, index)
+        elif t_ns > times[index]:
+            # past the cursor's knot (so not past the last): the bracket
+            # after it, or a bisect of the rest
+            index += 1
+            if t_ns > times[index]:
+                index = bisect_left(times, t_ns, index + 1, last)
+        t1 = times[index]
+        if t1 == t_ns:
+            return index, None, 0
+        t0 = times[index - 1]
+        return index, (t_ns - t0) / (t1 - t0), 0
+
+    def locate(self, t_ns: int) -> None:
+        """Keep the answer for ``t_ns`` as ``answer`` and move the cursor
+        to the first knot after ``t_ns``.  A time on the cursor's knot
+        costs one int compare."""
+        if t_ns == self._next_ns:
+            index = self._next
+            self.answer = (index, None, 0)
+            index += 1
+        else:
+            self.answer = answer = self.search(t_ns)
+            index, fraction, outside_ns = answer
+            if outside_ns:
+                index = 0 if t_ns < self._times[0] else len(self._times)
+            elif fraction is None:
+                index += 1
+        self.t_ns = t_ns
+        self._next = index
+        try:
+            self._next_ns = self._times[index]
+        except IndexError:
+            self._next_ns = None
+
+
 class Channel(SlotRecord):
     """One recorded measurement series; times strictly increasing.
 
     ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
-    an ``array('d')`` of finite floats; ``_times`` and ``_values`` are
-    zero-copy memoryviews of them for scalar lookups.  ``_cursor`` is a
-    one-item list holding the index of the first knot at or after the last
-    lookup: a hint :func:`interpolate` verifies, not part of the channel's
-    value, so it is mutable in a frozen channel and never compared.  Any
-    sequences of ints and floats are accepted and copied into arrays;
-    arrays of those types are kept as given.  A time that is not an int
-    within int64 is a ``ValueError`` naming the channel, never truncated.
+    an ``array('d')`` of finite floats; ``axis`` is the :class:`TimeAxis`
+    that holds ``times_ns`` and locates times on it, and ``_values`` a
+    zero-copy memoryview of the values for scalar lookups.  Neither is
+    part of the channel's value.  Any sequences of ints and floats are
+    accepted and copied into arrays; arrays of those types are kept as
+    given.  A time that is not an int within int64 is a ``ValueError``
+    naming the channel, never truncated.
 
     ``axes``, for the channels of one recording, is one list shared by
-    every channel built from it: the time arrays of the channels built
-    so far, each checked for strict order.  A channel whose times equal
-    one of them keeps that array, unchecked, as its ``times_ns``, so
-    channels with equal timestamps share one array and its order is
-    checked once; replay components walk such an axis knot by knot.
-    Without ``axes`` the times are checked and kept on their own.
+    every channel built from it: the axes of the channels built so far,
+    each with its order checked.  A channel whose times equal one of them
+    takes that axis, and its array, unchecked, so channels with equal
+    timestamps share one axis, whose order is checked once.  Without
+    ``axes`` the times are checked and get an axis of their own.
     """
 
     _fields = ("subsystem_id", "name", "times_ns", "values")
-    __slots__ = _fields + ("_times", "_values", "_cursor")
+    __slots__ = _fields + ("axis", "_values")
 
     def __init__(
-        self, subsystem_id: int, name: str, times_ns: array, values: array, *, axes: list[array] | None = None
+        self, subsystem_id: int, name: str, times_ns: array, values: array, *, axes: list[TimeAxis] | None = None
     ) -> None:
         times = _as_array("q", times_ns, f"channel {name!r} timestamps must be integers within int64")
         values = _as_array("d", values, f"channel {name!r} values must be floats")
         _require(len(times) == len(values), "times and values must have equal length")
         _require(len(times) >= 1, f"channel {name!r} is empty")
-        times = _on_axis(times, name, [] if axes is None else axes)
+        axis = _on_axis(times, name, [] if axes is None else axes)
         if not _all_finite(values):
             raise ValueError(f"channel {name!r} contains non-finite values")
-        self._set_slots(subsystem_id, name, times, values, memoryview(times), memoryview(values), [0])
+        self._set_slots(subsystem_id, name, axis.times_ns, values, axis, memoryview(values))
 
 
-def _on_axis(times: array, name: str, axes: list[array]) -> array:
-    """The array in ``axes`` equal to ``times`` (one C-level compare
-    each), or else ``times`` itself, checked for strict order and added to
-    ``axes``.  Only a checked array joins ``axes``, so one equal to it
-    needs no check of its own."""
+def _on_axis(times: array, name: str, axes: list[TimeAxis]) -> TimeAxis:
+    """The axis in ``axes`` whose times equal ``times`` (one C-level
+    compare each), or else a new axis of ``times``, checked for strict
+    order and added to ``axes``.  Only a checked axis joins ``axes``, so
+    times equal to it need no check of their own."""
     for axis in axes:
-        if axis == times:
+        if axis.times_ns == times:
             return axis
     if not all(map(lt, times, times[1:])):
         raise ValueError(f"channel {name!r} timestamps must be strictly increasing")
-    axes.append(times)
-    return times
+    axis = TimeAxis(times)
+    axes.append(axis)
+    return axis
 
 
 def _all_finite(values: array) -> bool:
@@ -250,65 +321,29 @@ def interpolate(channel: Channel, t_ns: int, boundary_tolerance_s: float = DEFAU
     Queries within ``boundary_tolerance_s`` before the first or after the
     last sample clamp to the boundary value; anything further out raises
     :class:`TimeSeriesRangeError`.  ``t_ns`` is an int, and its distance
-    from the edge is compared with the tolerance exactly.  The lookup
-    first tries the two brackets ending at the channel's cursor and at its
-    successor.  A query ahead of both gallops forward (the next knot, then
-    16 knots on, then the last) and bisects the bracket found; any other
-    query bisects the channel's memoryviews (O(log n), no copy).
+    from the edge is compared with the tolerance exactly.  The answer is
+    the one the channel's axis keeps if it is for ``t_ns``, else the
+    axis's search, which keeps nothing: a lookup here never moves the
+    cursor the replay components read from.
     """
-    times = channel._times
+    axis = channel.axis
+    index, fraction, outside_ns = axis.answer if t_ns == axis.t_ns else axis.search(t_ns)
     values = channel._values
-    cursor = channel._cursor
-    # The cursor is a hint: the first knot at or after the last query.  A
-    # query in the bracket (times[index - 1], times[index]] ending there, or
-    # in the bracket after it, needs no bisect.  At index 0, times[-1] is
-    # the last knot, so the bracket test fails, as it must.
-    index = cursor[0]
-    t1 = times[index]
-    if t1 < t_ns <= times[-1]:
-        index += 1
-        t1 = times[index]
-        if t_ns > t1:
-            # Ahead of the bracket after the cursor, as when each step skips
-            # knots: gallop to the next knot, then 16 knots on, then the last
-            # (times[-1] >= t_ns), and bisect the bracket found.  A probe in
-            # Python costs several of bisect's compares in C, so the gallop
-            # stops there.
-            index += 1
-            t1 = times[index]
-            if t_ns > t1:
-                lo = index + 1
-                hi = index + 16
-                end = len(times) - 1
-                if hi > end:
-                    hi = end
-                if times[hi] < t_ns:
-                    lo = hi + 1
-                    hi = end
-                index = bisect_left(times, t_ns, lo, hi)
-                t1 = times[index]
-    elif not times[index - 1] < t_ns <= t1:
-        first = times[0]
-        last = times[-1]
-        if t_ns < first or t_ns > last:
-            if (first - t_ns if t_ns < first else t_ns - last) > boundary_tolerance_s * 1e9:
-                raise TimeSeriesRangeError(
-                    f"query at {t_ns} ns is outside channel "
-                    f"({channel.subsystem_id}, {channel.name!r}) range "
-                    f"[{first}, {last}] ns by more than {boundary_tolerance_s} s"
-                )
-            return values[0] if t_ns < first else values[-1]
-        # first <= t_ns <= last, so the index is in range and a miss has lo >= 0
-        index = bisect_left(times, t_ns)
-        t1 = times[index]
-    cursor[0] = index
-    if t1 == t_ns:
+    if fraction is None:
+        if outside_ns and outside_ns > boundary_tolerance_s * 1e9:
+            raise _out_of_range(channel, t_ns, boundary_tolerance_s)
         return values[index]
-    lo = index - 1
-    t0 = times[lo]
-    v0 = values[lo]
-    fraction = (t_ns - t0) / (t1 - t0)
+    v0 = values[index - 1]
     return v0 + (values[index] - v0) * fraction
+
+
+def _out_of_range(channel: Channel, t_ns: int, boundary_tolerance_s: float) -> TimeSeriesRangeError:
+    times = channel.times_ns
+    return TimeSeriesRangeError(
+        f"query at {t_ns} ns is outside channel "
+        f"({channel.subsystem_id}, {channel.name!r}) range "
+        f"[{times[0]}, {times[-1]}] ns by more than {boundary_tolerance_s} s"
+    )
 
 
 class TimeSeriesTable:
@@ -338,17 +373,6 @@ class TimeSeriesTable:
 # ---------------------------------------------------------------------------
 # Ingestion / emission
 # ---------------------------------------------------------------------------
-
-
-#: Lines _parse_timeseries reads at a time.  Each chunk is offered whole
-#: to the column pass; the strings and arrays it builds for one chunk are
-#: the pass's only memory beyond the channels themselves.
-_CHUNK_LINES = 256
-
-#: Lines of a chunk the column pass splits first.  Most chunks whose keys
-#: do not repeat in one order, as in a shuffled recording, show it within
-#: them and are declined before the rest is split.
-_PROBE_LINES = 32
 
 
 #: Directory, beside each channel CSV, of the CSVs' column caches.
@@ -477,37 +501,28 @@ def _parse_timeseries(path) -> TimeSeriesTable:
     Rows go straight into their channel's ``array('q')``/``array('d')``
     pair, which the channel keeps as its storage.
 
-    The file is read line by line, ``\r``, ``\n`` and ``\r\n`` all ending
-    a line, in chunks of ``_CHUNK_LINES`` lines.  Each chunk is first
-    offered to :func:`_take_columns`, which parses it column by column in
-    C-level passes and takes it only if every row is plain, valid and in
-    one repeating channel order, as ``run`` and :func:`emit_timeseries`
-    write a recording.  A chunk it declines goes to :func:`_ingest_rows`,
-    the row loop, which appends its rows or raises the error of its first
-    faulty line; a chunk is never split between the two, so the row loop
-    is the one source of every error message and line number.
+    The file is read as UTF-8, line by line, ``\r``, ``\n`` and ``\r\n``
+    all ending a line, and every row after the header goes through
+    :func:`_ingest_rows`, the row loop, which appends it or raises the
+    error of its line; a byte that is not UTF-8 is named by
+    :func:`_not_utf8`.
     """
     import csv
 
-    collected: dict[tuple[int, str], tuple[array, array]] = {}
-    # (subsystem_id text, name) -> the appends of its channel, so a row of
-    # a channel already seen parses only its timestamp and value
-    appenders: dict[tuple[str, str], tuple] = {}
     field_limit = csv.field_size_limit()
-    with open(path, newline="") as handle:
-        header_line = next(handle, None)
-        header = None if header_line is None else _csv_row(path, 1, header_line)
-        if header != list(CHANNEL_HEADER):
-            raise IngestError(f"{path}: bad header {header!r}")
-        line_number = 2
-        for chunk in iter(lambda: list(islice(handle, _CHUNK_LINES)), []):
-            if not _take_columns(chunk, collected, field_limit):
-                _ingest_rows(path, chunk, line_number, collected, appenders, field_limit)
-            line_number += len(chunk)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header_line = next(handle, None)
+            header = None if header_line is None else _csv_row(path, 1, header_line)
+            if header != list(CHANNEL_HEADER):
+                raise IngestError(f"{path}: bad header {header!r}")
+            collected = _ingest_rows(path, handle, field_limit)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     channels = []
-    # the time arrays of the channels built so far: a channel whose times
-    # equal one of them shares it, and only a new array's order is scanned
-    axes: list[array] = []
+    # the axes of the channels built so far: a channel whose times equal
+    # one of them shares it, and only a new axis's order is scanned
+    axes: list[TimeAxis] = []
     for (subsystem_id, name), (times, values) in sorted(collected.items()):
         try:
             # every time and value was checked as it was read, so the
@@ -531,92 +546,10 @@ def _parse_timeseries(path) -> TimeSeriesTable:
     return TimeSeriesTable(channels)
 
 
-def _take_columns(lines: list[str], collected: dict, field_limit: int) -> bool:
-    """Append a chunk of channel-CSV ``lines`` to ``collected`` column by
-    column and return True, or return False having appended nothing.
-
-    The chunk is taken only if the row loop would read every line as a
-    plain row and append it: no line holds a ``"`` or is longer than
-    ``field_limit``, each has exactly three commas, the (subsystem, name)
-    texts repeat with the period :func:`_period` finds, that period's keys
-    are known channels with distinct ``(int(subsystem), name)``, every
-    time fits an ``array('q')`` and every value is a finite float.  Then
-    each channel's rows sit one period apart, in file order, and reach its
-    arrays by one slice and one extend.  Two texts of one subsystem (``1``
-    and ``01``) in one period would interleave their rows, so such a chunk
-    is declined.
-    """
-    count = len(lines)
-    text = ",".join(lines[:_PROBE_LINES])
-    fields = text.split(",")
-    if not _period(fields):
-        return False
-    if count > _PROBE_LINES:
-        rest = ",".join(lines[_PROBE_LINES:])
-        text = f"{text},{rest}"
-        fields += rest.split(",")
-    if '"' in text or len(text) > field_limit and max(map(len, lines)) > field_limit:
-        return False
-    # Lines of three commas each split into four fields apiece, a line's
-    # ending left on its value, which float() reads as whitespace.  Four
-    # fields a line, and no line ending outside a value field, hold only
-    # if every line has three commas.
-    value_texts = fields[3::4]
-    ends = "".join(value_texts)
-    if len(fields) != 4 * count or ends.count("\n") + ends.count("\r") != text.count("\n") + text.count("\r"):
-        return False
-    period = _period(fields)
-    names = fields[2 : 4 * period : 4]
-    if not period or not KNOWN_CHANNELS.issuperset(names):
-        return False
-    try:
-        keys = list(zip(map(int, fields[1 : 4 * period : 4]), names))
-        values = array("d", map(float, value_texts))
-    except ValueError:
-        return False
-    if len(set(keys)) != period or not _all_finite(values):
-        return False
-    # a recording written by run repeats each time on a step's rows, so
-    # the slots share a few time columns: each is parsed once
-    time_texts = fields[0::4]
-    columns = []
-    previous = times = None
-    for slot in range(period):
-        texts = time_texts[slot::period]
-        if texts != previous:
-            try:
-                times = array("q", map(int, texts))
-            except (ValueError, OverflowError):
-                return False
-            previous = texts
-        columns.append(times)
-    for slot, key, times in zip(range(period), keys, columns):
-        arrays = collected.get(key)
-        if arrays is None:
-            arrays = collected[key] = (array("q"), array("d"))
-        arrays[0].extend(times)
-        arrays[1].extend(values[slot::period])
-    return True
-
-
-def _period(fields: list[str]) -> int:
-    """The period of the (subsystem, name) texts of channel-CSV ``fields``
-    split on commas, four to a row: the offset of the first repeat of row
-    0's key, or the row count if it has none.  0 if the texts do not
-    repeat with that period, or there is no row."""
-    subsystems = fields[1::4]
-    names = fields[2::4]
-    count = len(names)
-    period = next((i for i in range(1, count) if names[i] == names[0] and subsystems[i] == subsystems[0]), count)
-    if not count or names[period:] != names[:-period] or subsystems[period:] != subsystems[:-period]:
-        return 0
-    return period
-
-
-def _ingest_rows(path, lines: list[str], first_line_number: int, collected: dict, appenders: dict, field_limit: int) -> None:
-    """Append ``lines``, numbered from ``first_line_number``, to
-    ``collected`` row by row, or raise the ``IngestError`` of the first
-    faulty one.
+def _ingest_rows(path, lines: Iterable[str], field_limit: int) -> dict[tuple[int, str], tuple[array, array]]:
+    """The rows of channel-CSV ``lines``, numbered from 2, as each
+    channel's (times, values) arrays in file order, or the
+    ``IngestError`` of the first faulty line.
 
     A plain line is split on commas, as csv reads it (a blank line is a
     row of no fields).  A line holding a ``"``, or too long to be sure no
@@ -625,11 +558,15 @@ def _ingest_rows(path, lines: list[str], first_line_number: int, collected: dict
     at the end of its line or followed by anything but a comma, and a
     field over the limit, are an ``IngestError`` naming the line, so no
     field holds a line break.  A row whose timestamp text repeats the
-    previous row's reuses its parsed int.  ``appenders`` maps each
-    (subsystem text, name) already seen to its channel's two appends.
+    previous row's reuses its parsed int, as every row of one step of a
+    recording ``run`` wrote does.
     """
+    collected: dict[tuple[int, str], tuple[array, array]] = {}
+    # (subsystem_id text, name) -> the appends of its channel, so a row of
+    # a channel already seen parses only its timestamp and value
+    appenders: dict[tuple[str, str], tuple] = {}
     stamp = t_ns = None
-    for line_number, line in enumerate(lines, start=first_line_number):
+    for line_number, line in enumerate(lines, start=2):
         text = line.rstrip("\r\n")
         if '"' in text or len(text) > field_limit:
             row = _csv_row(path, line_number, line)
@@ -662,6 +599,29 @@ def _ingest_rows(path, lines: list[str], first_line_number: int, collected: dict
         if not isfinite(value):
             raise IngestError(f"{path}:{line_number}: channel {name!r} value {value_text!r} is not finite")
         appends[1](value)
+    return collected
+
+
+def _not_utf8(path) -> IngestError:
+    """The ``IngestError`` naming the first line of ``path`` that is not
+    UTF-8, for a read of it as text that failed to decode.
+
+    The file is read again, as bytes: the text layer decodes a block at a
+    time, so its error knows neither the line nor the byte's offset in
+    the file.  Lines end at ``\r``, ``\n`` or ``\r\n``, as in the text
+    read.  A text read decodes ahead of the line it returns, so the error
+    is raised before a fault on an earlier line of the same block is
+    reached.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line_number = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return IngestError(f"{path}:{line_number}: byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    return IngestError(f"{path}: not UTF-8 when read, but UTF-8 when read again")
 
 
 def _csv_row(path, line_number: int, line: str) -> list[str]:
@@ -697,44 +657,47 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
     fail on them mid-run.
     """
     records = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # json.loads raises a JSONDecodeError, or a plain ValueError for
-            # an integer literal past the interpreter's int digit limit
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise IngestError(f"{path}:{line_number}: expected an object")
-            for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
-                if key not in obj:
-                    raise IngestError(f"{path}:{line_number}: missing key {key!r}")
-                value = obj[key]
-                if type(value) is not int or not -(2**63) <= value < 2**63:
-                    raise IngestError(f"{path}:{line_number}: {key} must be an integer within int64, got {value!r}")
-            payload = obj.get("payload", {})
-            if type(payload) is not dict:
-                raise IngestError(f"{path}:{line_number}: payload must be an object, got {payload!r}")
-            for key, value in payload.items():
-                # abs() of an integer too large for a float compares exactly,
-                # so it fails the bound as NaN and the infinities do
-                if type(value) in (int, float) and not abs(value) <= float_info.max:
-                    raise IngestError(f"{path}:{line_number}: payload {key!r} must be a finite number, got {value!r}")
-            try:
-                record = ContextRecord(
-                    recorded_at_ns=obj["recorded_at_ns"],
-                    begins_at_ns=obj["begins_at_ns"],
-                    ends_at_ns=obj["ends_at_ns"],
-                    subsystem_id=obj["subsystem_id"],
-                    payload=payload,
-                )
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{path}:{line_number}: {exc}") from exc
-            records.append(record)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # json.loads raises a JSONDecodeError, or a plain ValueError for
+                # an integer literal past the interpreter's int digit limit
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise IngestError(f"{path}:{line_number}: expected an object")
+                for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
+                    if key not in obj:
+                        raise IngestError(f"{path}:{line_number}: missing key {key!r}")
+                    value = obj[key]
+                    if type(value) is not int or not -(2**63) <= value < 2**63:
+                        raise IngestError(f"{path}:{line_number}: {key} must be an integer within int64, got {value!r}")
+                payload = obj.get("payload", {})
+                if type(payload) is not dict:
+                    raise IngestError(f"{path}:{line_number}: payload must be an object, got {payload!r}")
+                for key, value in payload.items():
+                    # abs() of an integer too large for a float compares exactly,
+                    # so it fails the bound as NaN and the infinities do
+                    if type(value) in (int, float) and not abs(value) <= float_info.max:
+                        raise IngestError(f"{path}:{line_number}: payload {key!r} must be a finite number, got {value!r}")
+                try:
+                    record = ContextRecord(
+                        recorded_at_ns=obj["recorded_at_ns"],
+                        begins_at_ns=obj["begins_at_ns"],
+                        ends_at_ns=obj["ends_at_ns"],
+                        subsystem_id=obj["subsystem_id"],
+                        payload=payload,
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise IngestError(f"{path}:{line_number}: {exc}") from exc
+                records.append(record)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return tuple(records)
 
 
@@ -772,93 +735,59 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
 
 # Each component takes the recording, the subsystem id of its channels and
 # the clamping slack at the recording's edges, and resolves its channels
-# once, into a _KnotWalk that reads them all at each step's end;
-# ReplayBattery also takes the pack capacity that turns SOC differences
-# back into energy.  A step ending on the walk's next knot reads the
-# arrays; any other end calls the module-level ``interpolate`` once per
-# channel, so a wrapper installed on ``cemsim.replay.interpolate`` sees
-# those lookups only.  ``power_at``, which a forecast asks for times
-# ahead, always interpolates.  Recorded context needs no component of its
-# own: ``ScriptedContext`` plays back ingested records.  A step's clamps
-# make max's or min's own comparison in a conditional, with no call:
+# once; ReplayBattery also takes the pack capacity that turns SOC
+# differences back into energy.  A step locates its end on the axis of the
+# component's first channel.  If that end is a knot and the channels share
+# the axis, as an ingested recording's do, their values are read from
+# their views at that index, in the step itself: through a shared function
+# and a list, a 60 s replay's four components took about 1 µs more a step
+# (in process, CPython 3.11, 2-vCPU VM).  Any other end goes to _read,
+# which reads each channel through the module-level ``interpolate``, so a
+# wrapper installed on ``cemsim.replay.interpolate`` sees only the reads
+# off a knot: ends between knots, outside the recording, or on channels of
+# different axes.  ``power_at``, which a forecast asks for times ahead,
+# always interpolates.  Recorded context needs no component of its own:
+# ``ScriptedContext`` plays back ingested records.  A step's clamps make
+# max's or min's own comparison in a conditional, with no call:
 # ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)`` and ``a if a > s else s``
 # is ``max(s, a)`` for every float, -0.0 and NaN included.
 
 
-class _KnotWalk:
-    """A replay component's channels, read together at one time.
+def _channels(table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> list[Channel]:
+    """Subsystem ``subsystem_id``'s channels ``names`` after checking the
+    tolerance; ValueError names the first missing channel."""
+    _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
+    return [table.channel(subsystem_id, name) for name in names]
 
-    :meth:`read` returns the channels' values at ``t_ns``, in the order
-    the component named them.  If the channels share one ``times_ns``
-    array (an ingested recording's channels with equal timestamps do),
-    the walk keeps a next knot, at first the recording's first.  A read
-    at that knot's time (one int compare) returns the next row of a
-    ``zip`` over the channels' value views, which is the recorded values
-    exactly, as :func:`interpolate` returns them on a knot, and the knot
-    after it becomes the next.  Any other read calls :func:`interpolate`
-    on each channel in order, so its values, edge clamps and
-    ``TimeSeriesRangeError`` are the lookup's own.  If that read was on a
-    knot, as the first channel's cursor then shows, the knot after it
-    becomes the next, so a replay that starts inside the recording, or
-    meets a knot between its steps' ends, walks on from there.  It does so
-    only once until the walk next hits, so a replay whose every step skips
-    a knot pays for that check once, not every step.  Channels on
-    different arrays have no next knot (``None``, which no int equals),
-    so they always interpolate.
-    """
 
-    __slots__ = ("channels", "_tolerance_s", "_times", "_next_ns", "_index", "_later", "_rows", "_realign")
+def _shared_views(channels: list[Channel]) -> tuple[memoryview, ...] | None:
+    """The channels' value views if they share one axis, else None."""
+    axis = channels[0].axis
+    if all(channel.axis is axis for channel in channels):
+        return tuple([channel._values for channel in channels])
+    return None
 
-    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> None:
-        _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
-        # ValueError names the first missing channel
-        self.channels = channels = [table.channel(subsystem_id, name) for name in names]
-        self._tolerance_s = boundary_tolerance_s
-        shared = all(channel.times_ns is channels[0].times_ns for channel in channels)
-        self._times = channels[0]._times
-        # _next_ns is the time of knot _index; _rows (None until a read
-        # hits it) yields each knot's values from there on, and _later the
-        # times of the knots after it.  _realign: whether a read on another
-        # knot may move the walk there.
-        self._next_ns = self._times[0] if shared else None
-        self._index = 0
-        self._later = self._rows = None
-        self._realign = shared
 
-    def read(self, t_ns: int) -> tuple[float, ...] | list[float]:
-        """The channels' values at ``t_ns``, as :func:`interpolate` gives them."""
-        if t_ns == self._next_ns:
-            rows = self._rows
-            if rows is None:
-                index = self._index
-                self._later = iter(self._times[index + 1 :])
-                rows = self._rows = zip(*[channel._values[index:] for channel in self.channels])
-                self._realign = True
-            self._next_ns = next(self._later, None)
-            return next(rows)
-        channels = self.channels
-        tolerance_s = self._tolerance_s
-        # a loop, not a comprehension, which costs a function call in 3.11
-        values = []
-        for channel in channels:
-            values.append(interpolate(channel, t_ns, tolerance_s))
-        if self._realign:
-            # the cursor is the first knot at or after t_ns if t_ns was in
-            # range; a stale one fails the compare
-            times = self._times
-            index = channels[0]._cursor[0] + 1
-            if times[index - 1] == t_ns and index < len(times):
-                self._next_ns = times[index]
-                self._index = index
-                self._rows = None
-                self._realign = False
-        return values
+def _read(channels: list[Channel], t_ns: int, boundary_tolerance_s: float) -> list[float]:
+    """The channels' values at ``t_ns``, in order, each located on its
+    axis and read by :func:`interpolate`, errors included; channels
+    sharing an axis search it once."""
+    # a loop, not a comprehension, which costs a function call in 3.11
+    values = []
+    for channel in channels:
+        axis = channel.axis
+        if t_ns != axis.t_ns:
+            axis.locate(t_ns)
+        values.append(interpolate(channel, t_ns, boundary_tolerance_s))
+    return values
 
 
 class ReplayPowerSource(PowerSource):
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power")
-        self._power = self._walk.channels[2]
+        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power")
+        self._axis = self._channels[0].axis
+        self._views = _shared_views(self._channels)
+        self._power = self._channels[2]
         self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
@@ -866,7 +795,15 @@ class ReplayPowerSource(PowerSource):
         return max(interpolate(self._power, t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
-        voltage, current, power = self._walk.read(end_ns)
+        axis = self._axis
+        if end_ns != axis.t_ns:
+            axis.locate(end_ns)
+        index, fraction, outside_ns = axis.answer
+        if fraction is None and not outside_ns and self._views:
+            voltages, currents, powers = self._views
+            voltage, current, power = voltages[index], currents[index], powers[index]
+        else:
+            voltage, current, power = _read(self._channels, end_ns, self._tolerance_s)
         # positional: a keyword call costs a step record about 0.3 µs more
         return PowerSourceStepResult(
             0.0 if 0.0 > voltage else voltage,
@@ -881,8 +818,10 @@ class ReplayLoad(Load):
     hard result invariant."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power")
-        self._active = self._walk.channels[0]
+        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power")
+        self._axis = self._channels[0].axis
+        self._views = _shared_views(self._channels)
+        self._active = self._channels[0]
         self._tolerance_s = boundary_tolerance_s
 
     def power_at(self, t_ns: int) -> float:
@@ -890,7 +829,15 @@ class ReplayLoad(Load):
         return max(interpolate(self._active, t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
-        active, apparent = self._walk.read(end_ns)
+        axis = self._axis
+        if end_ns != axis.t_ns:
+            axis.locate(end_ns)
+        index, fraction, outside_ns = axis.answer
+        if fraction is None and not outside_ns and self._views:
+            actives, apparents = self._views
+            active, apparent = actives[index], apparents[index]
+        else:
+            active, apparent = _read(self._channels, end_ns, self._tolerance_s)
         if 0.0 > active:
             active = 0.0
         return LoadStepResult(active, active if active > apparent else apparent)
@@ -902,11 +849,22 @@ class ReplayGrid(Grid):
     reproduce history rather than arbitrate it."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power")
+        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power")
+        self._axis = self._channels[0].axis
+        self._views = _shared_views(self._channels)
+        self._tolerance_s = boundary_tolerance_s
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
-        active, apparent = self._walk.read(end_ns)
+        axis = self._axis
+        if end_ns != axis.t_ns:
+            axis.locate(end_ns)
+        index, fraction, outside_ns = axis.answer
+        if fraction is None and not outside_ns and self._views:
+            actives, apparents = self._views
+            active, apparent = actives[index], apparents[index]
+        else:
+            active, apparent = _read(self._channels, end_ns, self._tolerance_s)
         if 0.0 > active:
             active = 0.0
         return GridStepResult(active, active if active > apparent else apparent)
@@ -919,8 +877,11 @@ class ReplayBattery(Battery):
     state of the next, so each step reads only its end."""
 
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, capacity_j: float) -> None:
-        self._walk = _KnotWalk(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
+        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
+        self._axis = self._channels[0].axis
+        self._views = _shared_views(self._channels)
         _require(capacity_j > 0.0, "capacity_j must be > 0")
+        self._tolerance_s = boundary_tolerance_s
         self._capacity_j = capacity_j
         self._state: tuple[int, float, float] | None = None
 
@@ -928,7 +889,15 @@ class ReplayBattery(Battery):
         state = self._state
         if state is not None and state[0] == t_ns:
             return state[1], state[2]
-        soc, voltage = self._walk.read(t_ns)
+        axis = self._axis
+        if t_ns != axis.t_ns:
+            axis.locate(t_ns)
+        index, fraction, outside_ns = axis.answer
+        if fraction is None and not outside_ns and self._views:
+            socs, voltages = self._views
+            soc, voltage = socs[index], voltages[index]
+        else:
+            soc, voltage = _read(self._channels, t_ns, self._tolerance_s)
         if 0.0 > soc:
             soc = 0.0
         elif 1.0 < soc:

@@ -476,7 +476,9 @@ def load_scenario(
     if not path.is_file():
         raise ConfigurationError(f"scenario file does not exist: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data, path.parent, seed_override, step_seconds_override)
@@ -603,10 +605,11 @@ def shared_recordings() -> Iterator[None]:
 
     ``compare`` builds one bundle per strategy from one scenario, so it
     ingests each recording once.  Channels are read-only, and the cursor
-    a lookup leaves on one is a hint checked on use, so sharing cannot
-    change a value.  The tables are a scope, not a ``build_bundle``
-    argument, because ``bench/trace_cli.py`` replaces ``build_bundle``
-    with a wrapper taking (scenario, strategy) alone (ROADMAP item 13).
+    and the answer a lookup leaves on a time axis are hints keyed on the
+    time, so sharing cannot change a value.  The tables are a scope, not
+    a ``build_bundle`` argument, because ``bench/trace_cli.py`` replaces
+    ``build_bundle`` with a wrapper taking (scenario, strategy) alone
+    (ROADMAP item 13).
     The block restores the state it found, so blocks nest, an inner one
     sharing the outer tables, and the shared dict ends with its block.
     """

@@ -5,8 +5,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cemsim import replay
-
 # Single-core CI boxes make per-example deadlines flaky; determinism of the
 # code under test is asserted explicitly where it matters.
 settings.register_profile(
@@ -73,18 +71,3 @@ def estimator_server():
     server.shutdown()
     thread.join()
     server.server_close()
-
-
-@pytest.fixture
-def row_loop_chunks(monkeypatch):
-    """The first line number of each chunk ``_parse_timeseries`` hands its
-    row loop, in order: the chunks the column pass declined."""
-    entered = []
-    row_loop = replay._ingest_rows
-
-    def spy(path, lines, first_line_number, *rest):
-        entered.append(first_line_number)
-        return row_loop(path, lines, first_line_number, *rest)
-
-    monkeypatch.setattr(replay, "_ingest_rows", spy)
-    return entered

@@ -39,8 +39,8 @@ line, and ``np.diff`` wraps where two times of a channel lie more than
 ``ReplayGridReference`` and ``ReplayBatteryReference`` are the replay
 components while every step called ``interpolate`` once per channel,
 kept verbatim (with the ``_channels`` helper they shared), so the
-components that walk a shared time axis knot by knot can be compared
-with them step record for step record, errors included.
+components that locate each step's end once per time axis can be
+compared with them step record for step record, errors included.
 ``BreakpointSchedule`` and ``build_breakpoint_schedule`` are the price
 schedule while it was a list of breakpoints expanded per calendar day
 from the two-tier tariff, with a bisect per lookup, kept verbatim (the
@@ -53,7 +53,9 @@ to the same acceptance, messages, ``repr``, field values and hash.
 After them come the eleven configuration, context and scenario classes
 while they were dataclasses, kept verbatim too (the helpers they call,
 such as the job table and the array coercion, are imported from
-cemsim), so each record replacing one can be held to the same.  Their
+cemsim), so each record replacing one can be held to the same.  One
+change since: ``Channel`` no longer derives a times view and a cursor,
+which moved to the time axis its times are kept on.  Their
 ``PriceSchedule`` is the two-tier ``PriceTiers`` dataclass, renamed to
 the record that took its fields.
 """
@@ -1150,11 +1152,8 @@ class Channel:
     """One recorded measurement series; times strictly increasing.
 
     ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
-    an ``array('d')`` of finite floats; ``_times`` and ``_values`` are
-    zero-copy memoryviews of them for scalar lookups.  ``_cursor`` is a
-    one-item list holding the index of the first knot at or after the last
-    lookup: a hint :func:`interpolate` verifies, not part of the channel's
-    value, so it is mutable in a frozen channel and never compared.  Any
+    an ``array('d')`` of finite floats; ``_values`` is a zero-copy
+    memoryview of the values for scalar lookups.  Any
     sequences of ints and floats are accepted and copied into arrays;
     arrays of those types are kept as given.  A time that is not an int
     within int64 is a ``ValueError`` naming the channel, never truncated.
@@ -1164,9 +1163,7 @@ class Channel:
     name: str
     times_ns: array
     values: array
-    _times: memoryview = field(init=False, repr=False, compare=False)
     _values: memoryview = field(init=False, repr=False, compare=False)
-    _cursor: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = _as_array("q", self.times_ns, f"channel {self.name!r} timestamps must be integers within int64")
@@ -1179,9 +1176,7 @@ class Channel:
             raise ValueError(f"channel {self.name!r} contains non-finite values")
         object.__setattr__(self, "times_ns", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_times", memoryview(times))
         object.__setattr__(self, "_values", memoryview(values))
-        object.__setattr__(self, "_cursor", [0])
 
 
 @dataclass(frozen=True)

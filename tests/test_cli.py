@@ -343,26 +343,6 @@ def _recording_at_600_s(tmp_path):
     return tmp_path / "rec" / "channels.csv"
 
 
-def test_a_runs_recording_is_ingested_by_column_alone(tmp_path, monkeypatch):
-    """Every chunk of a clean recording written by run passes the column
-    pass, which parses it as the row loop does."""
-    path = _recording_at_600_s(tmp_path)
-    monkeypatch.setattr(replay, "_take_columns", lambda *args: False)
-    want = replay._parse_timeseries(path)
-    monkeypatch.undo()
-
-    def refuse(*args):
-        raise AssertionError("the row loop read a chunk of a clean recording")
-
-    monkeypatch.setattr(replay, "_ingest_rows", refuse)
-    got = replay._parse_timeseries(path)
-    assert got.keys() == want.keys() and len(got) == 10
-    for key in want.keys():
-        assert len(got.channel(*key).times_ns) == 144, key
-        assert got.channel(*key).times_ns.tobytes() == want.channel(*key).times_ns.tobytes(), key
-        assert got.channel(*key).values.tobytes() == want.channel(*key).values.tobytes(), key
-
-
 def test_a_runs_recording_shares_one_time_axis_after_a_parse_and_a_hit(tmp_path, monkeypatch):
     """The ten channels of a recording run wrote hold one ``times_ns``
     array, whether parsed or read back from the column cache, and its
@@ -373,7 +353,7 @@ def test_a_runs_recording_shares_one_time_axis_after_a_parse_and_a_hit(tmp_path,
     on_axis = replay._on_axis
 
     def counted(times, name, axes):
-        scans.append(not any(axis == times for axis in axes))
+        scans.append(not any(axis.times_ns == times for axis in axes))
         return on_axis(times, name, axes)
 
     monkeypatch.setattr(replay, "_on_axis", counted)
@@ -400,7 +380,8 @@ def test_validate_names_the_line_of_a_nan_on_a_shared_axis(tmp_path, capsys):
     assert capsys.readouterr().out == f"FAIL {path}:100: channel '{name}' value 'nan' is not finite\n"
 
 
-def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_path, row_loop_chunks):
+def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_path):
+    """A nan deep in a clean recording run wrote is named with its line."""
     path = _recording_at_600_s(tmp_path)
     lines = path.read_bytes().decode().splitlines(keepends=True)
     time_text, subsystem_text, name, _ = lines[699].split(",")
@@ -408,9 +389,6 @@ def test_a_non_finite_value_past_the_first_chunk_is_named_by_the_row_loop(tmp_pa
     path.write_bytes("".join(lines).encode())
     with pytest.raises(replay.IngestError, match=rf"channels\.csv:700: channel '{name}' value 'nan' is not finite$"):
         replay._parse_timeseries(path)
-    chunk = replay._CHUNK_LINES
-    assert chunk < 700 - 2, "line 700 must lie past the first chunk"
-    assert row_loop_chunks == [2 + (700 - 2) // chunk * chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +656,38 @@ def test_a_fresh_process_exits_1_on_a_missing_scenario_and_2_past_a_recordings_e
         assert done.returncode == code, done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], done.stderr
+
+
+def test_every_input_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, a context record's text
+    and a scenario's output directory in UTF-8 load, and a byte that is
+    not UTF-8 fails with one FAIL or error line naming its file (and, in
+    a recording file, its line), with no traceback."""
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONUNBUFFERED": None}
+    record = {"recorded_at_ns": 0, "begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1, "payload": {"text": "café build"}}
+    context = tmp_path / "context.jsonl"
+    context.write_bytes(json.dumps(record, ensure_ascii=False).encode() + b"\n")
+    scenario = tmp_path / "accented.json"
+    scenario.write_bytes(json.dumps({"schema_version": 1, **DAY, "output_dir": "résultats"}, ensure_ascii=False).encode())
+    done = _python("-m", "cemsim.cli", "validate", context, **ascii_locale)
+    assert done.returncode == cli.EXIT_OK and done.stdout == f"PASS {context}: 1 context records\n", done
+    done = _python("-m", "cemsim.cli", "run", "--scenario", scenario, "--out", tmp_path / "out", **ascii_locale)
+    assert done.returncode == cli.EXIT_OK and done.stderr == "", done.stderr
+
+    channels = tmp_path / "channels.csv"
+    channels.write_bytes(b"timestamp_ns,subsystem_id,channel,value\r\n0,1,pv_power,1\r\n60,1,pv_p\xffower,2\r\n")
+    context.write_bytes(context.read_bytes() + context.read_bytes().replace("é".encode(), b"\xe9"))
+    done = _python("-m", "cemsim.cli", "validate", context, channels, **ascii_locale)
+    assert done.returncode == cli.EXIT_CONFIG and "Traceback" not in done.stderr, done.stderr
+    assert done.stdout.splitlines() == [
+        f"FAIL {context}:2: byte 0xe9 is not UTF-8 (invalid continuation byte)",
+        f"FAIL {channels}:3: byte 0xff is not UTF-8 (invalid start byte)",
+    ]
+    scenario.write_bytes(scenario.read_bytes().replace("é".encode(), b"\xe9"))
+    done = _python("-m", "cemsim.cli", "run", "--scenario", scenario, "--out", tmp_path / "out2", **ascii_locale)
+    lines = done.stderr.splitlines()
+    assert done.returncode == cli.EXIT_CONFIG and len(lines) == 1, done.stderr
+    assert lines[0].startswith(f"error: {scenario}: scenario file {scenario} is not valid UTF-8: "), lines
 
 
 def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):

@@ -174,11 +174,35 @@ def test_interpolate_matches_the_searchsorted_reference_bitwise(case):
             assert _same_float(got, want), (t_ns, got, want)
 
 
+def _located(channel, t_ns, tolerance_s):
+    """The channel's value at ``t_ns`` as a replay step reads it: located
+    on its axis, which keeps the answer and moves its cursor."""
+    return replay._read([channel], t_ns, tolerance_s)[0]
+
+
+@given(_channel_and_queries())
+@settings(max_examples=400)
+def test_a_located_time_reads_as_the_reference_in_any_order(case):
+    """Each query located on the channel's axis, whatever the cursor the
+    query before left: the reference's bits, or its error type and
+    message; and ``interpolate``, reading the answer the axis kept, the
+    same."""
+    channel, tolerance_s, queries = case
+    for t_ns in queries:
+        want = _lookup(channel, t_ns, tolerance_s, interpolate_reference)
+        for lookup in (_located, interpolate):
+            got = _lookup(channel, t_ns, tolerance_s, lookup)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want), (t_ns, got, want)
+            else:
+                assert _same_float(got, want), (t_ns, got, want)
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3, 5, 16, 17, 18, 40])
 def test_a_walk_that_skips_knots_matches_the_reference(stride):
     """A replay stepping ``stride`` knots at a time, on knots or between
-    them, from every phase: the cursor's gallop ahead lands in the right
-    bracket however far each step skips."""
+    them, from every phase: the search ahead of the cursor lands in the
+    right bracket however far each step skips."""
     points = [(i * 60 * NS + (i % 7) * 3, math.sin(i) * 1e3) for i in range(64)]
     times = [t_ns for t_ns, _ in points]
     for phase in range(stride):
@@ -186,7 +210,7 @@ def test_a_walk_that_skips_knots_matches_the_reference(stride):
             channel = _channel("pv_power", points)
             for t_ns in times[phase::stride]:
                 want = interpolate_reference(channel, t_ns + shift, 60.0)
-                assert _same_float(interpolate(channel, t_ns + shift, 60.0), want), (stride, phase, t_ns)
+                assert _same_float(_located(channel, t_ns + shift, 60.0), want), (stride, phase, t_ns)
 
 
 def test_channel_validation():
@@ -274,6 +298,24 @@ def test_ingest_reports_the_offending_line(tmp_path):
     path.write_text("timestamp_ns,subsystem_id,channel,value\n0,1,pv_power\n")
     with pytest.raises(IngestError, match=":2"):
         ingest_timeseries(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(tmp_path, ending):
+    """A recording or context file holding a byte that is not UTF-8 is an
+    ingest error naming the file and the line, whichever line endings it
+    uses."""
+    path = tmp_path / "rec.csv"
+    rows = ["timestamp_ns,subsystem_id,channel,value", "0,1,pv_power,100", "60,1,pv_power,1\xff", "120,1,pv_power,2"]
+    path.write_bytes(ending.join(rows).encode("latin-1"))
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(path))}:3: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+        ingest_timeseries(path)
+    path = tmp_path / "ctx.jsonl"
+    record = '{"recorded_at_ns": 0, "begins_at_ns": 0, "ends_at_ns": 1, "subsystem_id": 1, "payload": {"text": "%s"}}'
+    lines = [(record % "café").encode(), b"", (record % "café").encode().replace("é".encode(), b"\xe9")]
+    path.write_bytes(ending.encode().join(lines))
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(path))}:3: byte 0xe9 is not UTF-8 \(invalid continuation byte\)$"):
+        ingest_context(path)
 
 
 def test_ingest_rejects_a_timestamp_beyond_int64_with_its_line(tmp_path):
@@ -461,27 +503,17 @@ def _ingest(ingest, path):
         return exc
 
 
-@given(
-    _recording(),
-    st.integers(1, 7) | st.just(replay._CHUNK_LINES),
-    st.integers(1, 3) | st.just(replay._PROBE_LINES),
-)
+@given(_recording())
 @settings(max_examples=300)
-def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording, chunk_lines, probe_lines):
+def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording):
     """The same channels, times and value bits (sign of zero included) as
     the numpy ingest, or the same error type and message.  A non-finite
-    value is the one change: it is reported at its line, in row order.
-    Chunks of one to seven lines put chunk edges mid-period, on an
-    unterminated last line and next to a fault, and a probe of one to
-    three lines leaves the column pass lines to split after it."""
+    value is the one change: it is reported at its line, in row order."""
     text, rows, faults = recording
     path = tmp_path_factory.mktemp("ingest") / "rec.csv"
     path.write_bytes(text.encode())
     want = _ingest(ingest_timeseries_reference, path)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(replay, "_CHUNK_LINES", chunk_lines)
-        patch.setattr(replay, "_PROBE_LINES", probe_lines)
-        got = _ingest(replay._parse_timeseries, path)
+    got = _ingest(replay._parse_timeseries, path)
     if faults:
         assert isinstance(want, IngestError), want
     if faults and faults[min(faults)] == "non-finite":
@@ -507,44 +539,40 @@ def test_ingest_matches_the_numpy_reference(tmp_path_factory, recording, chunk_l
     ],
     ids=["one-subsystem-spelt-two-ways", "subsystems-break-the-period", "names-break-the-period", "period-breaks-later"],
 )
-def test_ingest_reads_a_chunk_without_one_repeating_key_order_by_row(tmp_path, row_loop_chunks, keys):
-    """The column pass takes only a chunk whose (subsystem, name) texts
-    repeat with one period, each slot of it a distinct channel: '1' and
-    '01' are one channel, and alternating they would fill it from two
-    slots out of file order.  The row loop reads the others."""
+def test_ingest_reads_a_chunk_without_one_repeating_key_order_by_row(tmp_path, keys):
+    """Rows whose (subsystem, name) texts do not repeat in one order read
+    as the numpy ingest reads them: '1' and '01' are one channel, filled
+    in file order."""
     path = tmp_path / "rec.csv"
     rows = "".join(f"{t * NS},{subsystem},{name},{t}\n" for t, (subsystem, name) in enumerate(keys))
     path.write_text("timestamp_ns,subsystem_id,channel,value\n" + rows)
     want = ingest_timeseries_reference(path)
     got = replay._parse_timeseries(path)
-    assert row_loop_chunks == [2]
     assert got.keys() == sorted(want)
     for key, (times, values) in want.items():
         assert got.channel(*key).times_ns.tobytes() == times.tobytes(), key
         assert got.channel(*key).values.tobytes() == values.tobytes(), key
 
 
-def test_ingest_names_a_short_line_that_a_long_one_makes_up_for(tmp_path, row_loop_chunks):
-    """Joined and split on commas, a two-field and a six-field line give
-    two rows of four known, parsable fields.  The ending of the first line
-    then sits on a subsystem, not a value, so the pass declines the chunk
-    and the row loop names the short line."""
+def test_ingest_names_a_short_line_that_a_long_one_makes_up_for(tmp_path):
+    """Joined and split on commas, a two-field and a six-field line would
+    give two rows of four known, parsable fields; each line is a row, so
+    the short one is named."""
     path = tmp_path / "rec.csv"
     path.write_text(f"timestamp_ns,subsystem_id,channel,value\n0,1\npv_power,1,{60 * NS},2,pv_power,2\n")
     with pytest.raises(IngestError, match=r"rec\.csv:2: expected 4 fields, got 2$"):
         replay._parse_timeseries(path)
-    assert row_loop_chunks == [2]
 
 
-def test_ingest_names_a_fault_in_the_chunk_after_a_clean_one(tmp_path, monkeypatch, row_loop_chunks):
-    monkeypatch.setattr(replay, "_CHUNK_LINES", 4)
+def test_ingest_names_a_fault_in_the_chunk_after_a_clean_one(tmp_path):
+    """A fault after clean rows of one repeating key order is named with
+    its line."""
     path = tmp_path / "rec.csv"
     rows = [f"{t * NS},{subsystem_id},{name},{t}" for t in range(4) for subsystem_id, name in _KEYS[:2]]
     rows[6] = rows[6].rpartition(",")[0] + ",nan"
     path.write_text("\n".join(["timestamp_ns,subsystem_id,channel,value", *rows]) + "\n")
     with pytest.raises(IngestError, match=r"rec\.csv:8: channel 'pv_power' value 'nan' is not finite$"):
         replay._parse_timeseries(path)
-    assert row_loop_chunks == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +804,7 @@ def test_channels_on_one_axis_check_its_order_once_and_their_values_each():
     axes = []
     first = Channel(1, "pv_voltage", array("q", [0, 60, 120]), [1.0, 2.0, 3.0], axes=axes)
     second = Channel(1, "pv_current", array("q", [0, 60, 120]), [1.0, 2.0, 3.0], axes=axes)
-    assert second.times_ns is first.times_ns and axes == [first.times_ns]
+    assert second.times_ns is first.times_ns and second.axis is first.axis and axes == [first.axis]
     for times in ([0, 120, 60], [0, 60, 60]):
         with pytest.raises(ValueError, match=r"^channel 'pv_power' timestamps must be strictly increasing$"):
             Channel(1, "pv_power", times, [1.0, 2.0, 3.0], axes=axes)
@@ -790,25 +818,20 @@ def test_channels_on_one_axis_check_its_order_once_and_their_values_each():
 def test_finite_values_whose_sum_overflows_are_accepted(tmp_path):
     """The finiteness check sums a channel's values first, and only a sum
     that is not finite sends it value by value: two 1e308s overflow the
-    sum yet are finite, for a channel and for the column pass alike."""
+    sum yet are finite, for a channel and for an ingest alike."""
     assert list(Channel(1, "pv_power", [0, 60], [1e308, 1e308]).values) == [1e308, 1e308]
     path = tmp_path / "big.csv"
     path.write_text("timestamp_ns,subsystem_id,channel,value\n0,1,pv_power,1e308\n60,1,pv_power,1e308\n")
     assert list(ingest_timeseries(path).channel(1, "pv_power").values) == [1e308, 1e308]
-    collected = {}
-    assert replay._take_columns(["0,1,pv_power,1e308\n", "60,1,pv_power,1e308\n"], collected, 1 << 17)
-    assert list(collected[(1, "pv_power")][1]) == [1e308, 1e308]
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 def test_a_non_finite_value_keeps_its_message(tmp_path, text):
-    """NaN and either infinity are refused by the channel, declined by the
-    column pass and named with their line by the row loop."""
+    """NaN and either infinity are refused by the channel and named with
+    their line by the row loop."""
     with pytest.raises(ValueError, match=r"^channel 'pv_power' contains non-finite values$"):
         Channel(1, "pv_power", [0, 60, 120], [1.0, float(text), 3.0])
     lines = ["0,1,pv_power,1\n", f"60,1,pv_power,{text}\n", "120,1,pv_power,3\n"]
-    collected = {}
-    assert not replay._take_columns(lines, collected, 1 << 17) and not collected
     path = tmp_path / "bad.csv"
     path.write_text("timestamp_ns,subsystem_id,channel,value\n" + "".join(lines))
     with pytest.raises(IngestError) as caught:
@@ -1222,16 +1245,17 @@ def test_negative_and_negative_zero_values_replay_as_the_per_channel_lookups():
         assert [component.power_at(t).hex() for t in times] == [oracle.power_at(t).hex() for t in times]
 
 
-def _counting_lookups(monkeypatch):
-    """A list that grows by one item at each call of ``replay.interpolate``."""
+def _counting_searches(monkeypatch):
+    """A list that grows by the time searched at each call of
+    ``TimeAxis.search``."""
     calls = []
-    lookup = replay.interpolate
+    search = replay.TimeAxis.search
 
-    def counted(*args):
-        calls.append(args[1])
-        return lookup(*args)
+    def counted(axis, t_ns):
+        calls.append(t_ns)
+        return search(axis, t_ns)
 
-    monkeypatch.setattr(replay, "interpolate", counted)
+    monkeypatch.setattr(replay.TimeAxis, "search", counted)
     return calls
 
 
@@ -1248,36 +1272,65 @@ def _shared_table(count, knot_ns, **lacking):
     return TimeSeriesTable(channels)
 
 
-def test_a_replay_on_knots_interpolates_only_before_the_recording(monkeypatch):
-    """Steps that each end on the next knot read every channel there: only
-    the battery's snapshot at the run's start, a step before the first
-    knot, interpolates its two channels."""
+def test_a_replay_on_knots_searches_only_before_the_recording(monkeypatch):
+    """Steps that each end on the knot after the cursor read every channel
+    there: only the battery's snapshot at the run's start, a step before
+    the first knot, searches the axis."""
     table = _shared_table(50, 60 * NS)
-    calls = _counting_lookups(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     outputs, failure = _replayed(table, 120.0, -60 * NS, 50 * 60 * NS, 60 * NS, reference=False)
     assert failure is None and len(outputs) == 50
-    assert calls == [-60 * NS, -60 * NS]
+    assert calls == [-60 * NS]
 
 
 def test_a_replay_starting_inside_the_recording_walks_on_from_its_first_knot(monkeypatch):
-    """A run starting on knot 10 interpolates the battery there, at its
-    snapshot, and reads every later knot from the walk; each other
-    component interpolates its first step's end, then walks."""
+    """A run starting on knot 10 searches the axis once, at the battery's
+    snapshot there, and every later step ends on the knot after the
+    cursor."""
     table = _shared_table(50, 60 * NS)
-    calls = _counting_lookups(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     outputs, failure = _replayed(table, 120.0, 600 * NS, 30 * 60 * NS, 60 * NS, reference=False)
     assert failure is None and len(outputs) == 30
-    assert calls == [600 * NS] * 2 + [660 * NS] * 7
+    assert calls == [600 * NS]
 
 
-def test_channels_on_separate_axes_interpolate_every_step(monkeypatch):
-    """A load channel lacking one knot keeps its own array, so the load
-    interpolates both its channels at every step, and the other
-    components still walk."""
+@pytest.mark.parametrize("step_s", [90, 120])
+def test_the_components_of_a_step_share_one_search_of_their_axis(monkeypatch, step_s):
+    """Steps that end between knots, or skip one, search the shared axis
+    once each: the four components read the answer the first one kept."""
+    table = _shared_table(50, 60 * NS)
+    calls = _counting_searches(monkeypatch)
+    outputs, failure = _replayed(table, 120.0, 0, 36 * 60 * NS, step_s * NS, reference=False)
+    ends = [(i + 1) * step_s * NS for i in range(len(outputs))]
+    assert failure is None and ends[-1] == 36 * 60 * NS
+    assert calls == ends
+
+
+def test_channels_on_separate_axes_are_searched_apart(monkeypatch):
+    """A load channel lacking one knot keeps its own axis, which walks on
+    its own: it is searched only at the step ending where its knot is
+    missing, and the shared axis only before the recording."""
     table = _shared_table(50, 60 * NS, load_apparent_power=7)
     assert table.channel(2, "load_active_power").times_ns is not table.channel(2, "load_apparent_power").times_ns
     assert table.channel(1, "pv_power").times_ns is table.channel(4, "grid_active_power").times_ns
-    calls = _counting_lookups(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     outputs, failure = _replayed(table, 120.0, -60 * NS, 50 * 60 * NS, 60 * NS, reference=False)
     assert failure is None and len(outputs) == 50
-    assert calls == [-60 * NS] * 2 + [t for i in range(50) for t in [i * 60 * NS] * 2]
+    assert calls == [-60 * NS, 7 * 60 * NS]
+
+
+def test_a_forecast_asking_ahead_leaves_the_next_step_on_its_knot(monkeypatch):
+    """``power_at`` at the next ten step ends before each step, as a
+    planning window asks, searches without moving the cursor, so each
+    step still ends on the knot after it and searches nothing."""
+    table = _shared_table(50, 60 * NS)
+    pv, load = ReplayPowerSource(table, 1, 120.0), ReplayLoad(table, 2, 120.0)
+    calls = _counting_searches(monkeypatch)
+    for k in range(40):
+        ahead = [(k + i) * 60 * NS for i in range(10)]
+        assert [pv.power_at(t) for t in ahead] == [interpolate_reference(pv._power, t) for t in ahead]
+        assert [load.power_at(t) for t in ahead] == [interpolate_reference(load._active, t) for t in ahead]
+        searched = len(calls)
+        pv.step((k - 1) * 60 * NS, k * 60 * NS)
+        load.step((k - 1) * 60 * NS, k * 60 * NS)
+        assert len(calls) == searched, k
