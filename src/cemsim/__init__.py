@@ -77,14 +77,13 @@ _EXPORTS = {
         "rmse",
         "train_predictor",
     ),
-    "models.battery": ("BatteryLinear", "BatteryLinearConfig", "battery_linear_step"),
-    "models.grid": ("GridPriced", "GridPricedConfig", "PriceSchedule", "grid_priced_step"),
+    "models.battery": ("BatteryLinear",),
+    "models.grid": ("GridPriced", "PriceSchedule"),
     "models.inverter": ("InverterPVFirst", "InverterPVFirstConfig", "inverter_pv_first_step"),
     "models.synthetic": (
         "ScriptedContext",
         "SyntheticLoad",
         "SyntheticPowerSource",
-        "SyntheticScenarioConfig",
         "context_records_for_jobs",
         "generate_job_events",
         "unit_noise",

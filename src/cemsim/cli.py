@@ -281,13 +281,27 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
 
 
 def _default_out_dir(scenario_path: Path, scenario: Scenario, out_flag: str | None, multi: bool) -> Path:
+    """The directory a command writes its artifacts to.
+
+    A name the file-system encoding cannot encode (``résultats`` under
+    an ASCII locale) is a ``ConfigurationError`` naming the directory,
+    raised here, before any path operation fails on it.
+    """
     if out_flag is not None:
         base = Path(out_flag)
-        return base / scenario_path.stem if multi else base
-    if scenario.output_dir is not None:
+        out_dir = base / scenario_path.stem if multi else base
+    elif scenario.output_dir is not None:
         configured = Path(scenario.output_dir)
-        return configured if configured.is_absolute() else scenario.base_dir / configured
-    return scenario_path.parent / f"{scenario_path.stem}.out"
+        out_dir = configured if configured.is_absolute() else scenario.base_dir / configured
+    else:
+        out_dir = scenario_path.parent / f"{scenario_path.stem}.out"
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError:
+        raise ConfigurationError(
+            f"output directory {out_dir} cannot be encoded in the file-system encoding ({sys.getfilesystemencoding()})"
+        ) from None
+    return out_dir
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -300,10 +314,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             scenario = load_scenario(path, args.seed, args.step_seconds)
+            out_dir = _default_out_dir(path, scenario, args.out, multi).resolve()
         except _FAILURES as exc:
             codes.append(_failed(exc, f"{path}: "))
             continue
-        out_dir = _default_out_dir(path, scenario, args.out, multi).resolve()
         if out_dir in planned:
             raise ConfigurationError(f"--scenario {planned[out_dir][0]} and {path} would both write {out_dir}")
         planned[out_dir] = (path, scenario)
@@ -428,6 +442,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_forecast_eval(args: argparse.Namespace) -> int:
     path = _single_scenario(args)
     scenario = load_scenario(path, args.seed, args.step_seconds)
+    out_dir = _default_out_dir(path, scenario, args.out, False)
     families = _listed("--families", args.families, FAMILIES, scenario.forecast["families"])
     effort_fn = effort_estimator(scenario)
 
@@ -450,7 +465,6 @@ def cmd_forecast_eval(args: argparse.Namespace) -> int:
 
     rows.sort(key=lambda item: (families.index(item[0]), item[1]))
     # made only now, so a scenario that cannot be sampled leaves no directory
-    out_dir = _default_out_dir(path, scenario, args.out, False)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "rmse.csv", ("family", "resample", "rmse_w"), "%s,%d,%.17g\r\n", rows)
 

@@ -129,7 +129,8 @@ numpy is imported inside :func:`solve_charging`, its only user, so a run
 that never plans (PV-first, replay) does not pay numpy's import.
 
 The planner's four classes stay dataclasses, unlike the records of
-:mod:`cemsim.core` and the configs (see :class:`~cemsim.core.StepRecord`):
+:mod:`cemsim.core`, the inverter's config and the price schedule (see
+:class:`~cemsim.core.StepRecord`):
 this module loads only for a strategy that plans, and planning imports
 numpy, which imports :mod:`inspect` and :mod:`ast` itself, so there
 :mod:`dataclasses` adds little more than its own module.

@@ -11,9 +11,9 @@ and the store clamps to [0, capacity].  Reported deltas are post-clamp,
 positive when the battery absorbed energy.  Temperature, aging, and
 voltage sag are out of scope.
 
-:class:`BatteryLinearConfig`, read on every charging or discharging step,
-is a :class:`~cemsim.core.SlotRecord`, not a dataclass, so building a
-battery imports no :mod:`dataclasses`.
+:class:`BatteryLinear` holds its parameters as plain attributes, set
+once by its constructor, so building a battery imports no
+:mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ from ..core import (
     BatteryMode,
     BatteryStepInput,
     BatteryStepResult,
-    SlotRecord,
     _require,
 )
 
 
-class BatteryLinearConfig(SlotRecord):
-    """Parameters of the linear battery.
+class BatteryLinear(Battery):
+    """The linear battery.
 
     capacity_j : usable capacity in joules.
     eta_charge / eta_discharge : efficiencies in (0, 1].
     nominal_voltage : constant terminal voltage in V.
     initial_soc : starting state of charge, fraction of capacity.
     """
-
-    _fields = ("capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc")
-    __slots__ = _fields
 
     def __init__(
         self,
@@ -54,46 +50,13 @@ class BatteryLinearConfig(SlotRecord):
         _require(0.0 < eta_discharge <= 1.0, "eta_discharge must be in (0, 1]")
         _require(nominal_voltage > 0.0, "nominal_voltage must be > 0")
         _require(0.0 <= initial_soc <= 1.0, "initial_soc must be in [0, 1]")
-        self._set_slots(capacity_j, eta_charge, eta_discharge, nominal_voltage, initial_soc)
-
-
-def battery_linear_step(
-    energy_j: float,
-    battery_input: BatteryStepInput,
-    config: BatteryLinearConfig,
-    dt_s: float,
-) -> tuple[float, BatteryStepResult]:
-    """Advance the stored energy by one step; returns (new energy, result)."""
-    voltage = config.nominal_voltage
-    if battery_input.mode is BatteryMode.CHARGE:
-        delta = dt_s * voltage * battery_input.current * config.eta_charge
-    elif battery_input.mode is BatteryMode.DISCHARGE:
-        delta = -dt_s * voltage * battery_input.current / config.eta_discharge
-    else:
-        delta = 0.0
-    new_energy = energy_j + delta
-    if new_energy > config.capacity_j:
-        new_energy = config.capacity_j
-    elif new_energy < 0.0:
-        new_energy = 0.0
-    clamped_delta = new_energy - energy_j
-    result = BatteryStepResult(
-        new_energy / config.capacity_j, voltage, clamped_delta, clamped_delta / voltage
-    )
-    return new_energy, result
-
-
-class BatteryLinear(Battery):
-    """Stateful wrapper around :func:`battery_linear_step`."""
-
-    def __init__(self, config: BatteryLinearConfig | None = None) -> None:
-        self._config = config if config is not None else BatteryLinearConfig()
-        self._energy_j = self._config.initial_soc * self._config.capacity_j
+        self.capacity_j = capacity_j
+        self.eta_charge = eta_charge
+        self.eta_discharge = eta_discharge
+        self.nominal_voltage = nominal_voltage
+        self.initial_soc = initial_soc
+        self._energy_j = initial_soc * capacity_j
         self._idle_result: BatteryStepResult | None = None
-
-    @property
-    def config(self) -> BatteryLinearConfig:
-        return self._config
 
     @property
     def energy_j(self) -> float:
@@ -102,8 +65,8 @@ class BatteryLinear(Battery):
     def snapshot(self, now_ns: int) -> BatteryStepResult:
         """Idle result at the current store; it does not change between steps."""
         return BatteryStepResult(
-            soc=self._energy_j / self._config.capacity_j,
-            voltage=self._config.nominal_voltage,
+            soc=self._energy_j / self.capacity_j,
+            voltage=self.nominal_voltage,
             delta_energy=0.0,
             delta_charge=0.0,
         )
@@ -118,7 +81,18 @@ class BatteryLinear(Battery):
                 self._idle_result = result
             return result
         self._idle_result = None
-        self._energy_j, result = battery_linear_step(
-            self._energy_j, battery_input, self._config, (end_ns - start_ns) / NS_PER_SECOND
-        )
-        return result
+        dt_s = (end_ns - start_ns) / NS_PER_SECOND
+        energy_j = self._energy_j
+        voltage = self.nominal_voltage
+        if battery_input.mode is BatteryMode.CHARGE:
+            delta = dt_s * voltage * battery_input.current * self.eta_charge
+        else:
+            delta = -dt_s * voltage * battery_input.current / self.eta_discharge
+        new_energy = energy_j + delta
+        if new_energy > self.capacity_j:
+            new_energy = self.capacity_j
+        elif new_energy < 0.0:
+            new_energy = 0.0
+        clamped_delta = new_energy - energy_j
+        self._energy_j = new_energy
+        return BatteryStepResult(new_energy / self.capacity_j, voltage, clamped_delta, clamped_delta / voltage)

@@ -10,9 +10,10 @@ The tariff is one record, :class:`PriceSchedule`, that prices an
 instant by its time of day: it has no first or last day, and a lookup
 costs the same however long the horizon is.
 
-:class:`GridPricedConfig` and :class:`PriceSchedule`, which every step
-reads, are :class:`~cemsim.core.SlotRecord` classes, not dataclasses, so
-building a grid imports no :mod:`dataclasses`.
+:class:`PriceSchedule`, which every step reads, is a
+:class:`~cemsim.core.SlotRecord`, not a dataclass, and :class:`GridPriced`
+holds its limits as plain attributes, so building a grid imports no
+:mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -74,11 +75,9 @@ class PriceSchedule(SlotRecord):
         return [self.price_at(start_ns + i * step_ns) for i in range(count)]
 
 
-class GridPricedConfig(SlotRecord):
-    """Price schedule plus optional per-step delivery limits (W / VA)."""
-
-    _fields = ("schedule", "active_power_limit", "apparent_power_limit")
-    __slots__ = _fields
+class GridPriced(Grid):
+    """The priced grid: a price schedule plus optional per-step delivery
+    limits (W / VA)."""
 
     def __init__(
         self,
@@ -90,43 +89,29 @@ class GridPricedConfig(SlotRecord):
             _require(active_power_limit >= 0.0, "active_power_limit must be >= 0")
         if apparent_power_limit is not None:
             _require(apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
-        self._set_slots(schedule, active_power_limit, apparent_power_limit)
-
-
-def grid_priced_step(
-    grid_input: GridStepInput,
-    config: GridPricedConfig,
-    now_ns: int,
-    dt_s: float,
-) -> GridStepResult:
-    """Deliver one step: clamp to limits, flag violations, meter cost.
-
-    The price is sampled at the step's start (``now_ns``).  An apparent-power
-    clamp also caps active power, since |S| >= P must survive delivery.
-    """
-    requested_active = grid_input.requested_active_power
-    requested_apparent = grid_input.requested_apparent_power
-    delivered_active = requested_active
-    delivered_apparent = requested_apparent
-    violation = False
-    if config.active_power_limit is not None and delivered_active > config.active_power_limit:
-        delivered_active = config.active_power_limit
-        violation = True
-    if config.apparent_power_limit is not None and delivered_apparent > config.apparent_power_limit:
-        delivered_apparent = config.apparent_power_limit
-        violation = True
-    if delivered_apparent < delivered_active:
-        delivered_active = delivered_apparent
-    price = config.schedule.price_at(now_ns)
-    cost = grid_energy_cost(price, delivered_active, dt_s)
-    return GridStepResult(delivered_active, delivered_apparent, cost, violation)
-
-
-class GridPriced(Grid):
-    """Stateful wrapper around :func:`grid_priced_step`."""
-
-    def __init__(self, config: GridPricedConfig) -> None:
-        self._config = config
+        self.schedule = schedule
+        self.active_power_limit = active_power_limit
+        self.apparent_power_limit = apparent_power_limit
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
-        return grid_priced_step(grid_input, self._config, start_ns, (end_ns - start_ns) / NS_PER_SECOND)
+        """Deliver one step: clamp to limits, flag violations, meter cost.
+
+        The price is sampled at the step's start.  An apparent-power clamp
+        also caps active power, since |S| >= P must survive delivery.
+        """
+        requested_active = grid_input.requested_active_power
+        requested_apparent = grid_input.requested_apparent_power
+        delivered_active = requested_active
+        delivered_apparent = requested_apparent
+        violation = False
+        if self.active_power_limit is not None and delivered_active > self.active_power_limit:
+            delivered_active = self.active_power_limit
+            violation = True
+        if self.apparent_power_limit is not None and delivered_apparent > self.apparent_power_limit:
+            delivered_apparent = self.apparent_power_limit
+            violation = True
+        if delivered_apparent < delivered_active:
+            delivered_active = delivered_apparent
+        price = self.schedule.price_at(start_ns)
+        cost = grid_energy_cost(price, delivered_active, (end_ns - start_ns) / NS_PER_SECOND)
+        return GridStepResult(delivered_active, delivered_apparent, cost, violation)

@@ -6,7 +6,7 @@ compute jobs, and job announcements as context records.  The two-tier
 (peak/off-peak) tariff the grid prices against is
 :class:`cemsim.models.grid.PriceSchedule`, which prices every day itself.
 
-Determinism contract: identical seed and config produce bitwise-identical
+Determinism contract: identical seed and parameters produce bitwise-identical
 series.  Per-sample noise is derived from blake2b over (seed, channel,
 timestamp), so a value depends only on the sampled instant, never on how
 many steps were taken to reach it.
@@ -17,10 +17,10 @@ _blake2.blake2b``), so the digests are the same.  ``_blake2`` is cheap
 to import, while importing :mod:`hashlib` initialises OpenSSL, which no
 noise sample needs.
 
-:class:`JobEvent` is a :class:`~cemsim.core.StepRecord` tuple and
-:class:`SyntheticScenarioConfig`, whose job table every load step reads,
-a :class:`~cemsim.core.SlotRecord`; neither is a dataclass, so building
-a synthetic scenario imports no :mod:`dataclasses`.
+:class:`JobEvent` is a :class:`~cemsim.core.StepRecord` tuple, not a
+dataclass, and each component holds its parameters (the load its job
+table too) as plain attributes, so building a synthetic scenario imports
+no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..core import (
     LoadStepResult,
     PowerSource,
     PowerSourceStepResult,
-    SlotRecord,
     StepRecord,
     _require,
     context_query,
@@ -53,6 +52,10 @@ def unit_noise(seed: int, channel: str, t_ns: int) -> float:
     key = f"{seed}:{channel}:{t_ns}".encode()
     digest = blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0**64
+
+
+def hour_of_day(t_ns: int) -> float:
+    return (t_ns % NS_PER_DAY) / NS_PER_HOUR
 
 
 class JobEvent(
@@ -77,67 +80,6 @@ class JobEvent(
         return tuple.__new__(cls, (begins_at_ns, ends_at_ns, description, true_effort, watts_per_effort))
 
 
-class SyntheticScenarioConfig(SlotRecord):
-    """Everything the synthetic generator needs for one scenario.
-
-    The job table is derived once, when the config is built:
-    ``_job_edges`` holds every instant a job begins or ends, sorted, and
-    ``_job_power[i]`` the base load plus the active jobs' power over
-    ``[_job_edges[i - 1], _job_edges[i])`` (the base load alone before the
-    first edge and from the last one on).
-    """
-
-    _fields = (
-        "seed",
-        "pv_peak_power",
-        "pv_noise_amplitude",
-        "base_load",
-        "job_events",
-        "load_noise_amplitude",
-        "pv_voltage",
-        "sunrise_hour",
-        "sunset_hour",
-    )
-    __slots__ = _fields + ("_job_edges", "_job_power")
-
-    def __init__(
-        self,
-        seed: int = 0,
-        pv_peak_power: float = 600.0,
-        pv_noise_amplitude: float = 0.1,
-        base_load: float = 800.0,
-        job_events: tuple[JobEvent, ...] = (),
-        load_noise_amplitude: float = 0.0,
-        pv_voltage: float = 400.0,
-        sunrise_hour: float = 6.0,
-        sunset_hour: float = 18.0,
-    ) -> None:
-        _require(pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
-        _require(0.0 <= pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
-        _require(base_load >= 0.0, "base_load must be >= 0")
-        _require(0.0 <= load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
-        _require(pv_voltage > 0.0, "pv_voltage must be > 0")
-        _require(
-            0.0 <= sunrise_hour < sunset_hour <= 24.0,
-            "need 0 <= sunrise_hour < sunset_hour <= 24",
-        )
-        jobs = tuple(job_events)
-        edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
-        self._set_slots(
-            seed,
-            pv_peak_power,
-            pv_noise_amplitude,
-            base_load,
-            jobs,
-            load_noise_amplitude,
-            pv_voltage,
-            sunrise_hour,
-            sunset_hour,
-            tuple(edges),
-            _job_power_table(base_load, jobs, edges),
-        )
-
-
 def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[int]) -> tuple[float, ...]:
     """Base load plus active jobs' power on each segment between ``edges``.
 
@@ -160,48 +102,6 @@ def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[i
             power += jobs[i].true_effort * jobs[i].watts_per_effort
         power_table.append(power)
     return tuple(power_table)
-
-
-# ---------------------------------------------------------------------------
-# Pure sampling functions (behind each synthetic component's ``power_at``,
-# which forecasts read too, so a perfect forecast is the realized series)
-# ---------------------------------------------------------------------------
-
-
-def hour_of_day(t_ns: int) -> float:
-    return (t_ns % NS_PER_DAY) / NS_PER_HOUR
-
-
-def pv_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
-    """PV power at an instant: cosine bell over daylight, cloud-dimmed."""
-    hour = (t_ns % NS_PER_DAY) / NS_PER_HOUR
-    if hour <= config.sunrise_hour or hour >= config.sunset_hour:
-        return 0.0
-    span = config.sunset_hour - config.sunrise_hour
-    power = config.pv_peak_power * math.cos(math.pi * (hour - 12.0) / span)
-    if power <= 0.0:
-        return 0.0
-    if config.pv_noise_amplitude > 0.0:
-        dimming = config.pv_noise_amplitude * unit_noise(config.seed, "pv", t_ns)
-        power *= 1.0 - dimming
-    return power
-
-
-def load_power_at(config: SyntheticScenarioConfig, t_ns: int) -> float:
-    """Load power at an instant: base plus active jobs plus noise.
-
-    Base plus jobs is one bisect into the config's job table, so a step
-    costs the same however many jobs the horizon holds.  Like every
-    sampling function here it is plain Python: the synthetic components
-    never import numpy.
-    """
-    power = config._job_power[bisect_right(config._job_edges, t_ns)]
-    if config.load_noise_amplitude > 0.0:
-        wobble = 2.0 * unit_noise(config.seed, "load", t_ns) - 1.0
-        power += config.load_noise_amplitude * config.base_load * wobble
-        if power < 0.0:
-            return 0.0
-    return power
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +217,103 @@ def context_records_for_jobs(
 
 
 class SyntheticPowerSource(PowerSource):
-    """PV array following the scenario's diurnal bell."""
+    """PV array following a diurnal bell, cloud-dimmed by seeded noise."""
 
-    def __init__(self, config: SyntheticScenarioConfig) -> None:
-        self._config = config
+    def __init__(
+        self,
+        seed: int = 0,
+        pv_peak_power: float = 600.0,
+        pv_noise_amplitude: float = 0.1,
+        pv_voltage: float = 400.0,
+        sunrise_hour: float = 6.0,
+        sunset_hour: float = 18.0,
+    ) -> None:
+        _require(pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
+        _require(0.0 <= pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
+        _require(pv_voltage > 0.0, "pv_voltage must be > 0")
+        _require(
+            0.0 <= sunrise_hour < sunset_hour <= 24.0,
+            "need 0 <= sunrise_hour < sunset_hour <= 24",
+        )
+        self.seed = seed
+        self.pv_peak_power = pv_peak_power
+        self.pv_noise_amplitude = pv_noise_amplitude
+        self.pv_voltage = pv_voltage
+        self.sunrise_hour = sunrise_hour
+        self.sunset_hour = sunset_hour
         # Night steps all produce this exact record; share one instance.
-        self._night = PowerSourceStepResult(config.pv_voltage, 0.0, 0.0)
+        self._night = PowerSourceStepResult(pv_voltage, 0.0, 0.0)
 
     def power_at(self, t_ns: int) -> float:
-        """The PV power a step ending at ``t_ns`` reports."""
-        return pv_power_at(self._config, t_ns)
+        """PV power at an instant: cosine bell over daylight, cloud-dimmed.
+
+        It is what a step ending at ``t_ns`` reports, and what forecasts
+        read, so a perfect forecast is the realized series.
+        """
+        hour = (t_ns % NS_PER_DAY) / NS_PER_HOUR
+        if hour <= self.sunrise_hour or hour >= self.sunset_hour:
+            return 0.0
+        span = self.sunset_hour - self.sunrise_hour
+        power = self.pv_peak_power * math.cos(math.pi * (hour - 12.0) / span)
+        if power <= 0.0:
+            return 0.0
+        if self.pv_noise_amplitude > 0.0:
+            dimming = self.pv_noise_amplitude * unit_noise(self.seed, "pv", t_ns)
+            power *= 1.0 - dimming
+        return power
 
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
         power = self.power_at(end_ns)
         if power == 0.0:
             return self._night
-        voltage = self._config.pv_voltage
+        voltage = self.pv_voltage
         return PowerSourceStepResult(voltage, power / voltage, power)
 
 
 class SyntheticLoad(Load):
-    """Workstation load: base draw plus scheduled jobs, unity power factor."""
+    """Workstation load: base draw plus scheduled jobs, unity power factor.
 
-    def __init__(self, config: SyntheticScenarioConfig) -> None:
-        self._config = config
-        self._last = LoadStepResult(config.base_load, config.base_load)
+    The job table is derived once, when the load is built:
+    ``_job_edges`` holds every instant a job begins or ends, sorted, and
+    ``_job_power[i]`` the base load plus the active jobs' power over
+    ``[_job_edges[i - 1], _job_edges[i])`` (the base load alone before the
+    first edge and from the last one on).
+    """
+
+    def __init__(
+        self,
+        seed: int = 0,
+        base_load: float = 800.0,
+        job_events: tuple[JobEvent, ...] = (),
+        load_noise_amplitude: float = 0.0,
+    ) -> None:
+        _require(base_load >= 0.0, "base_load must be >= 0")
+        _require(0.0 <= load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
+        jobs = tuple(job_events)
+        edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
+        self.seed = seed
+        self.base_load = base_load
+        self.job_events = jobs
+        self.load_noise_amplitude = load_noise_amplitude
+        self._job_edges = tuple(edges)
+        self._job_power = _job_power_table(base_load, jobs, edges)
+        self._last = LoadStepResult(base_load, base_load)
 
     def power_at(self, t_ns: int) -> float:
-        """The active power a step ending at ``t_ns`` requests."""
-        return load_power_at(self._config, t_ns)
+        """Load power at an instant: base plus active jobs plus noise.
+
+        It is the active power a step ending at ``t_ns`` requests.  Base
+        plus jobs is one bisect into the job table, so a step costs the
+        same however many jobs the horizon holds.  Like every synthetic
+        component it is plain Python and never imports numpy.
+        """
+        power = self._job_power[bisect_right(self._job_edges, t_ns)]
+        if self.load_noise_amplitude > 0.0:
+            wobble = 2.0 * unit_noise(self.seed, "load", t_ns) - 1.0
+            power += self.load_noise_amplitude * self.base_load * wobble
+            if power < 0.0:
+                return 0.0
+        return power
 
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
         power = self.power_at(end_ns)

@@ -53,9 +53,10 @@ plans: the MPC branch of :func:`build_bundle` and
 :func:`forecast_provider`.  A ``default`` set-up, which every ``run``
 builds, never steps a controller, so it does not pay the planner's
 import.  :class:`Scenario` and :class:`SimulationBundle` are
-:class:`~cemsim.core.StepRecord` tuples, and the component configs a
-set-up builds are records too, so it imports no :mod:`dataclasses`
-either (only the planner keeps dataclasses).
+:class:`~cemsim.core.StepRecord` tuples, and the components a set-up
+builds hold their parameters as plain attributes or in records, so it
+imports no :mod:`dataclasses` either (only the planner keeps
+dataclasses).
 """
 
 from __future__ import annotations
@@ -86,18 +87,15 @@ from .forecast import (
     estimate_effort_remote,
     train_predictor,
 )
-from .models.battery import BatteryLinear, BatteryLinearConfig
-from .models.grid import GridPriced, GridPricedConfig, PriceSchedule
+from .models.battery import BatteryLinear
+from .models.grid import GridPriced, PriceSchedule
 from .models.inverter import InverterPVFirst, InverterPVFirstConfig
 from .models.synthetic import (
-    JobEvent,
     ScriptedContext,
     SyntheticLoad,
     SyntheticPowerSource,
-    SyntheticScenarioConfig,
     context_records_for_jobs,
     generate_job_events,
-    load_power_at,
 )
 from .replay import (
     CHANNELS,
@@ -489,38 +487,22 @@ def load_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _generator_config(scenario: Scenario, seed: int, day_count: int) -> SyntheticScenarioConfig | None:
-    """Generator settings when at least one of pv/load is synthetic, with
-    the jobs of ``day_count`` days drawn at ``seed``.
-
-    Only the synthetic side's fields are passed; a replay side keeps the
-    config's defaults, which are never sampled."""
-    pv, load = scenario.pv, scenario.load
-    fields: dict[str, Any] = {}
-    if pv["kind"] == "synthetic":
-        fields.update(
-            pv_peak_power=pv["peak_power_w"],
-            pv_noise_amplitude=pv["noise_amplitude"],
-            pv_voltage=pv["voltage"],
-            sunrise_hour=pv["sunrise_hour"],
-            sunset_hour=pv["sunset_hour"],
-        )
-    if load["kind"] == "synthetic":
-        fields.update(
-            base_load=load["base_power_w"],
-            load_noise_amplitude=load["noise_amplitude"],
-            job_events=_job_events(scenario, seed, day_count),
-        )
-    return SyntheticScenarioConfig(seed=seed, **fields) if fields else None
-
-
-def _job_events(scenario: Scenario, seed: int, day_count: int) -> tuple[JobEvent, ...]:
-    return generate_job_events(
+def _synthetic_load(scenario: Scenario, seed: int, day_count: int) -> SyntheticLoad:
+    """The scenario's synthetic load re-seeded with ``seed``, its jobs
+    drawn for ``day_count`` days from the scenario's start."""
+    block = scenario.load
+    jobs = generate_job_events(
         seed,
         day_count,
         start_ns=scenario.start_ns,
-        jobs_per_day=scenario.load["jobs_per_day"],
-        watts_per_effort=scenario.load["watts_per_effort"],
+        jobs_per_day=block["jobs_per_day"],
+        watts_per_effort=block["watts_per_effort"],
+    )
+    return SyntheticLoad(
+        seed,
+        base_load=block["base_power_w"],
+        job_events=jobs,
+        load_noise_amplitude=block["noise_amplitude"],
     )
 
 
@@ -541,11 +523,11 @@ def synthetic_load_samples(
     kind = scenario.load["kind"]
     if kind != "synthetic":
         _fail("load", f"predictor training and forecast-eval sample the load generator, so kind must be 'synthetic', got {kind!r}")
-    config = _generator_config(scenario, seed, day_count)
+    load = _synthetic_load(scenario, seed, day_count)
     step_ns = scenario.step_ns
     times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
-    loads = [load_power_at(config, t) for t in times]
-    return context_records_for_jobs(config.job_events), times, loads
+    loads = [load.power_at(t) for t in times]
+    return context_records_for_jobs(load.job_events), times, loads
 
 
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
@@ -758,33 +740,38 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; known: {list(STRATEGIES)}")
     tables = {} if _shared_tables is None else _shared_tables
-    generator = _generator_config(scenario, scenario.seed, scenario.day_count)
     schedule = price_schedule(scenario)
 
     if scenario.pv["kind"] == "synthetic":
-        pv = SyntheticPowerSource(generator)
+        block = scenario.pv
+        pv = SyntheticPowerSource(
+            scenario.seed,
+            pv_peak_power=block["peak_power_w"],
+            pv_noise_amplitude=block["noise_amplitude"],
+            pv_voltage=block["voltage"],
+            sunrise_hour=block["sunrise_hour"],
+            sunset_hour=block["sunset_hour"],
+        )
     else:
         pv = ReplayPowerSource(*_recorded(scenario.pv, tables))
 
     if scenario.load["kind"] == "synthetic":
-        load = SyntheticLoad(generator)
+        load = _synthetic_load(scenario, scenario.seed, scenario.day_count)
     else:
         load = ReplayLoad(*_recorded(scenario.load, tables))
 
     if scenario.battery["kind"] == "linear":
-        # the linear battery block's keys are BatteryLinearConfig's fields
+        # the linear battery block's keys are BatteryLinear's parameters
         fields = {key: value for key, value in scenario.battery.items() if key != "kind"}
-        battery = BatteryLinear(BatteryLinearConfig(**fields))
+        battery = BatteryLinear(**fields)
     else:
         battery = ReplayBattery(*_recorded(scenario.battery, tables), scenario.battery["capacity_j"])
 
     if scenario.grid["kind"] == "priced":
         grid = GridPriced(
-            GridPricedConfig(
-                schedule=schedule,
-                active_power_limit=scenario.grid["max_active_power_w"],
-                apparent_power_limit=scenario.grid["max_apparent_power_va"],
-            )
+            schedule,
+            active_power_limit=scenario.grid["max_active_power_w"],
+            apparent_power_limit=scenario.grid["max_apparent_power_va"],
         )
     else:
         grid = ReplayGrid(*_recorded(scenario.grid, tables))
@@ -793,7 +780,8 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     records: tuple[ContextRecord, ...] = ()
     if scenario.context["kind"] == "synthetic":
         lead_ns = int(scenario.context["announce_lead_hours"] * 3600) * NS_PER_SECOND
-        records = context_records_for_jobs(generator.job_events, announce_lead_ns=lead_ns)
+        # synthetic context needs a synthetic load, whose jobs it announces
+        records = context_records_for_jobs(load.job_events, announce_lead_ns=lead_ns)
     elif scenario.context["kind"] == "replay":
         records = ingest_context(scenario.context["file"])
     context = None if scenario.context["kind"] == "none" else ScriptedContext(records)

@@ -22,6 +22,14 @@ tolerance, where it used to round ``first - slack_ns`` to a float.
 ``load_power_reference`` is the synthetic load before its job table: every
 job tested at every instant, kept verbatim (the ``active_at`` test inlined),
 so the table lookup can be compared bit for bit.
+``pv_power_at``, ``battery_linear_step`` and ``grid_priced_step`` are the
+synthetic pv sample, the linear battery step and the priced grid step
+while each was a free function of a config record, kept verbatim (the
+step records and the cost helper they build and call qualified by
+``core.``), so the components that took their bodies can be compared with
+them step result for step result, bit for bit.  A component has the
+attributes its old config had, so it is passed as the ``config``, as it
+is to ``load_power_reference``.
 ``evaluate_families_reference`` is forecast evaluation while every
 family queried the context, built its features and trained through
 ``train_predictor`` on its own, kept verbatim, so the evaluation that
@@ -50,9 +58,9 @@ The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
 to the same acceptance, messages, ``repr``, field values and hash.
-After them come the eleven configuration, context and scenario classes
-while they were dataclasses, kept verbatim too (the helpers they call,
-such as the job table and the array coercion, are imported from
+After them come the eight configuration, context and scenario classes
+that are still records, as they were while dataclasses, kept verbatim too
+(the helpers they call, such as the array coercion, are imported from
 cemsim), so each record replacing one can be held to the same.  One
 change since: ``Channel`` no longer derives a times view and a cursor,
 which moved to the time axis its times are kept on.  Their
@@ -85,7 +93,7 @@ from cemsim.forecast import (
     rmse,
     train_predictor,
 )
-from cemsim.models.synthetic import _job_power_table, unit_noise
+from cemsim.models.synthetic import unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
     DEFAULT_BOUNDARY_TOLERANCE_S,
@@ -498,6 +506,66 @@ def load_power_reference(config, t_ns):
         if power < 0.0:
             return 0.0
     return power
+
+
+def pv_power_at(config, t_ns):
+    """PV power at an instant: cosine bell over daylight, cloud-dimmed."""
+    hour = (t_ns % NS_PER_DAY) / NS_PER_HOUR
+    if hour <= config.sunrise_hour or hour >= config.sunset_hour:
+        return 0.0
+    span = config.sunset_hour - config.sunrise_hour
+    power = config.pv_peak_power * math.cos(math.pi * (hour - 12.0) / span)
+    if power <= 0.0:
+        return 0.0
+    if config.pv_noise_amplitude > 0.0:
+        dimming = config.pv_noise_amplitude * unit_noise(config.seed, "pv", t_ns)
+        power *= 1.0 - dimming
+    return power
+
+
+def battery_linear_step(energy_j, battery_input, config, dt_s):
+    """Advance the stored energy by one step; returns (new energy, result)."""
+    voltage = config.nominal_voltage
+    if battery_input.mode is BatteryMode.CHARGE:
+        delta = dt_s * voltage * battery_input.current * config.eta_charge
+    elif battery_input.mode is BatteryMode.DISCHARGE:
+        delta = -dt_s * voltage * battery_input.current / config.eta_discharge
+    else:
+        delta = 0.0
+    new_energy = energy_j + delta
+    if new_energy > config.capacity_j:
+        new_energy = config.capacity_j
+    elif new_energy < 0.0:
+        new_energy = 0.0
+    clamped_delta = new_energy - energy_j
+    result = core.BatteryStepResult(
+        new_energy / config.capacity_j, voltage, clamped_delta, clamped_delta / voltage
+    )
+    return new_energy, result
+
+
+def grid_priced_step(grid_input, config, now_ns, dt_s):
+    """Deliver one step: clamp to limits, flag violations, meter cost.
+
+    The price is sampled at the step's start (``now_ns``).  An apparent-power
+    clamp also caps active power, since |S| >= P must survive delivery.
+    """
+    requested_active = grid_input.requested_active_power
+    requested_apparent = grid_input.requested_apparent_power
+    delivered_active = requested_active
+    delivered_apparent = requested_apparent
+    violation = False
+    if config.active_power_limit is not None and delivered_active > config.active_power_limit:
+        delivered_active = config.active_power_limit
+        violation = True
+    if config.apparent_power_limit is not None and delivered_apparent > config.apparent_power_limit:
+        delivered_apparent = config.apparent_power_limit
+        violation = True
+    if delivered_apparent < delivered_active:
+        delivered_active = delivered_apparent
+    price = config.schedule.price_at(now_ns)
+    cost = core.grid_energy_cost(price, delivered_active, dt_s)
+    return core.GridStepResult(delivered_active, delivered_apparent, cost, violation)
 
 
 def evaluate_families_reference(
@@ -995,45 +1063,6 @@ class ContextRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class BatteryLinearConfig:
-    """Parameters of the linear battery.
-
-    capacity_j : usable capacity in joules.
-    eta_charge / eta_discharge : efficiencies in (0, 1].
-    nominal_voltage : constant terminal voltage in V.
-    initial_soc : starting state of charge, fraction of capacity.
-    """
-
-    capacity_j: float = 1.8432e7  # 5.12 kWh (51.2 V x 100 Ah pack)
-    eta_charge: float = 0.95
-    eta_discharge: float = 0.95
-    nominal_voltage: float = 51.2
-    initial_soc: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require(self.capacity_j > 0.0, "capacity_j must be > 0")
-        _require(0.0 < self.eta_charge <= 1.0, "eta_charge must be in (0, 1]")
-        _require(0.0 < self.eta_discharge <= 1.0, "eta_discharge must be in (0, 1]")
-        _require(self.nominal_voltage > 0.0, "nominal_voltage must be > 0")
-        _require(0.0 <= self.initial_soc <= 1.0, "initial_soc must be in [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
-class GridPricedConfig:
-    """Price schedule plus optional per-step delivery limits (W / VA)."""
-
-    schedule: PriceSchedule
-    active_power_limit: float | None = None
-    apparent_power_limit: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.active_power_limit is not None:
-            _require(self.active_power_limit >= 0.0, "active_power_limit must be >= 0")
-        if self.apparent_power_limit is not None:
-            _require(self.apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
 class InverterPVFirstConfig:
     """PV-first dispatch parameters.
 
@@ -1105,46 +1134,6 @@ class PriceSchedule:
             0 <= self.peak_start_hour < self.peak_end_hour <= 24,
             "need 0 <= peak_start_hour < peak_end_hour <= 24",
         )
-
-
-@dataclass(frozen=True, slots=True)
-class SyntheticScenarioConfig:
-    """Everything the synthetic generator needs for one scenario.
-
-    The job table is derived once, when the config is built:
-    ``_job_edges`` holds every instant a job begins or ends, sorted, and
-    ``_job_power[i]`` the base load plus the active jobs' power over
-    ``[_job_edges[i - 1], _job_edges[i])`` (the base load alone before the
-    first edge and from the last one on).
-    """
-
-    seed: int = 0
-    pv_peak_power: float = 600.0
-    pv_noise_amplitude: float = 0.1
-    base_load: float = 800.0
-    job_events: tuple[JobEvent, ...] = ()
-    load_noise_amplitude: float = 0.0
-    pv_voltage: float = 400.0
-    sunrise_hour: float = 6.0
-    sunset_hour: float = 18.0
-    _job_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _job_power: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _require(self.pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
-        _require(0.0 <= self.pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
-        _require(self.base_load >= 0.0, "base_load must be >= 0")
-        _require(0.0 <= self.load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
-        _require(self.pv_voltage > 0.0, "pv_voltage must be > 0")
-        _require(
-            0.0 <= self.sunrise_hour < self.sunset_hour <= 24.0,
-            "need 0 <= sunrise_hour < sunset_hour <= 24",
-        )
-        jobs = tuple(self.job_events)
-        object.__setattr__(self, "job_events", jobs)
-        edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
-        object.__setattr__(self, "_job_edges", tuple(edges))
-        object.__setattr__(self, "_job_power", _job_power_table(self.base_load, jobs, edges))
 
 
 @dataclass(frozen=True, slots=True)

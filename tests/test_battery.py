@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemsim import (
-    BatteryLinear,
-    BatteryLinearConfig,
-    BatteryMode,
-    BatteryStepInput,
-    battery_linear_step,
-)
+from cemsim import BatteryLinear, BatteryMode, BatteryStepInput
 from cemsim.core import NS_PER_SECOND as NS
+from oracles import battery_linear_step
 
 # Small reference pack used by the worked examples: 1 kWh at 50 V.
 EXAMPLE = dict(capacity_j=3.6e6, nominal_voltage=50.0, eta_charge=0.9, eta_discharge=0.9)
@@ -21,8 +16,7 @@ IDLE = BatteryStepInput(BatteryMode.IDLE, 7.0)
 
 
 def _battery(initial_soc, **overrides):
-    config = BatteryLinearConfig(**{**EXAMPLE, **overrides, "initial_soc": initial_soc})
-    return BatteryLinear(config)
+    return BatteryLinear(**{**EXAMPLE, **overrides, "initial_soc": initial_soc})
 
 
 def test_idle_step_changes_nothing():
@@ -96,16 +90,16 @@ def test_idle_result_reflects_prior_charging():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BatteryLinearConfig(capacity_j=0.0)
-    with pytest.raises(ValueError):
-        BatteryLinearConfig(eta_charge=0.0)
-    with pytest.raises(ValueError):
-        BatteryLinearConfig(eta_discharge=1.2)
-    with pytest.raises(ValueError):
-        BatteryLinearConfig(initial_soc=1.5)
-    with pytest.raises(ValueError):
-        BatteryLinearConfig(nominal_voltage=-50.0)
+    with pytest.raises(ValueError, match=r"^capacity_j must be > 0$"):
+        BatteryLinear(capacity_j=0.0)
+    with pytest.raises(ValueError, match=r"^eta_charge must be in \(0, 1\]$"):
+        BatteryLinear(eta_charge=0.0)
+    with pytest.raises(ValueError, match=r"^eta_discharge must be in \(0, 1\]$"):
+        BatteryLinear(eta_discharge=1.2)
+    with pytest.raises(ValueError, match=r"^initial_soc must be in \[0, 1\]$"):
+        BatteryLinear(initial_soc=1.5)
+    with pytest.raises(ValueError, match=r"^nominal_voltage must be > 0$"):
+        BatteryLinear(nominal_voltage=-50.0)
 
 
 _random_inputs = st.lists(
@@ -126,7 +120,7 @@ def test_soc_stays_within_bounds(commands, initial_soc):
     for mode, current, seconds in commands:
         result = battery.step(0, seconds * NS, BatteryStepInput(mode, current))
         assert 0.0 <= result.soc <= 1.0
-        assert 0.0 <= battery.energy_j <= battery.config.capacity_j
+        assert 0.0 <= battery.energy_j <= battery.capacity_j
         if mode is BatteryMode.CHARGE:
             assert result.delta_energy >= 0.0
         elif mode is BatteryMode.DISCHARGE:
@@ -173,8 +167,50 @@ def test_round_trip_efficiency_is_the_product_of_the_path_efficiencies(
 
 
 def test_pure_step_function_matches_stateful_wrapper():
-    config = BatteryLinearConfig(**EXAMPLE, initial_soc=0.5)
-    energy, result = battery_linear_step(1.8e6, CHARGE, config, 3600.0)
-    battery = BatteryLinear(config)
+    """The battery steps as the free step function it replaced (kept in
+    oracles) did on the battery's parameters."""
+    battery = BatteryLinear(**EXAMPLE, initial_soc=0.5)
+    energy, result = battery_linear_step(1.8e6, CHARGE, battery, 3600.0)
     assert battery.step(0, 3600 * NS, CHARGE) == result
     assert battery.energy_j == energy
+
+
+def _bits(record):
+    return [value.hex() if type(value) is float else value for value in record]
+
+
+_EFFICIENCIES = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0))
+
+
+@given(
+    capacity_j=st.floats(min_value=1.0, max_value=1e9),
+    eta_charge=_EFFICIENCIES,
+    eta_discharge=_EFFICIENCIES,
+    nominal_voltage=st.floats(min_value=1.0, max_value=1000.0),
+    initial_soc=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)),
+    commands=st.lists(
+        st.tuples(
+            st.sampled_from(list(BatteryMode)),
+            # 1e6 A drains or fills any drawn store within a second
+            st.one_of(st.just(1e6), st.floats(min_value=0.0, max_value=500.0)),
+            st.integers(min_value=0, max_value=7200 * NS),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=300)
+def test_battery_steps_as_the_reference_step_bit_for_bit(
+    capacity_j, eta_charge, eta_discharge, nominal_voltage, initial_soc, commands
+):
+    """Over drawn parameters, modes, currents and step lengths, clamps at
+    empty and at capacity included, every step result and the stored
+    energy after it have the bits of the free step function's."""
+    battery = BatteryLinear(capacity_j, eta_charge, eta_discharge, nominal_voltage, initial_soc)
+    energy = initial_soc * capacity_j
+    start = 0
+    for mode, current, length in commands:
+        command = BatteryStepInput(mode, current)
+        energy, expected = battery_linear_step(energy, command, battery, length / NS)
+        assert _bits(battery.step(start, start + length, command)) == _bits(expected)
+        assert battery.energy_j.hex() == energy.hex()
+        start += length

@@ -690,6 +690,32 @@ def test_every_input_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert lines[0].startswith(f"error: {scenario}: scenario file {scenario} is not valid UTF-8: "), lines
 
 
+def test_an_output_directory_the_file_system_cannot_encode_is_named_and_run_goes_on(tmp_path):
+    """Under the C locale with UTF-8 mode off, a scenario whose output_dir
+    the file-system encoding cannot encode fails each command with one
+    error line naming the scenario and the directory, and no traceback;
+    run goes on with its other scenario, before or after it, and writes
+    that scenario's artifacts."""
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONUNBUFFERED": None}
+    accented = _scenario(tmp_path, "accented", output_dir="résultats")
+    plain = _scenario(tmp_path, "plain", horizon_seconds=3_600)
+    # stderr escapes what ASCII cannot encode
+    directory = str(tmp_path / "résultats").encode("ascii", "backslashreplace").decode()
+    expected = f"error: {accented}: output directory {directory} cannot be encoded in the file-system encoding (ascii)"
+    for argv in (
+        ("run", "--scenario", plain, "--scenario", accented),
+        ("run", "--scenario", accented, "--scenario", plain),
+        ("compare", "--scenario", accented, "--strategies", "default"),
+        ("forecast-eval", "--scenario", accented),
+    ):
+        summary = tmp_path / "plain.out" / "summary.json"
+        summary.unlink(missing_ok=True)
+        done = _python("-m", "cemsim.cli", *argv, **ascii_locale)
+        assert done.returncode == cli.EXIT_CONFIG and done.stderr.splitlines() == [expected], done.stderr
+        assert summary.is_file() == (argv[0] == "run"), argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["accented.json", "plain.json", "plain.out"]
+
+
 def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):
     """A compare whose stdout is a pipe with no reader writes its artifacts,
     then fails to flush what it printed: exit 120, as CPython's own

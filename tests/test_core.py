@@ -31,10 +31,9 @@ from cemsim import (
 )
 from cemsim.core import NS_PER_SECOND, StepRecord
 from cemsim.forecast import FAMILIES, Predictor
-from cemsim.models.battery import BatteryLinearConfig
-from cemsim.models.grid import GridPricedConfig, PriceSchedule
+from cemsim.models.grid import PriceSchedule
 from cemsim.models.inverter import InverterPVFirstConfig
-from cemsim.models.synthetic import JobEvent, SyntheticScenarioConfig
+from cemsim.models.synthetic import JobEvent
 from cemsim.replay import Channel
 from cemsim.scenario import Scenario, SimulationBundle
 import oracles
@@ -197,26 +196,11 @@ def test_step_records_behave_as_their_dataclass_references(name, data):
 # ---------------------------------------------------------------------------
 
 
-class _Build(namedtuple("_Build", "name args")):
-    """A record to build from each side's own class of that name."""
-
-
-def _resolve(classes, value):
-    if type(value) is _Build:
-        return getattr(classes, value.name)(*value.args)
-    if type(value) is list:
-        return [_resolve(classes, item) for item in value]
-    return value
-
-
 _RECORDS = SimpleNamespace(
     ContextRecord=ContextRecord,
-    BatteryLinearConfig=BatteryLinearConfig,
     PriceSchedule=PriceSchedule,
-    GridPricedConfig=GridPricedConfig,
     InverterPVFirstConfig=InverterPVFirstConfig,
     JobEvent=JobEvent,
-    SyntheticScenarioConfig=SyntheticScenarioConfig,
     Channel=Channel,
     Predictor=Predictor,
     Scenario=Scenario,
@@ -229,7 +213,6 @@ _NUMBER = st.one_of(
 )
 _ANY = st.one_of(_NUMBER, st.sampled_from((None, "x", True)))
 _NS = st.one_of(st.integers(-3, 3), st.sampled_from((2**63, 1.5, None, True)))
-_JOB = st.builds(lambda *args: _Build("JobEvent", args), _NS, _NS, st.just("job"), _NUMBER, _NUMBER)
 _PAYLOAD = st.one_of(
     st.dictionaries(st.sampled_from(("text", "cores")), st.one_of(st.text(max_size=2), st.integers())),
     st.sampled_from((None, 5, [("text", "x")])),
@@ -240,25 +223,15 @@ _TIMES = st.one_of(
     st.lists(st.integers(-3, 3), max_size=4, unique=True).map(lambda times: array("q", sorted(times))),
     st.sampled_from((None, "ab")),
 )
-_JOBS = [_Build("JobEvent", (0, 2, "a", 1.0, 250.0)), _Build("JobEvent", (1, 3, "b", 2.0, 250.0))]
 _BLOCK = {"kind": "synthetic"}
 
 #: For each record, valid values of its fields and a strategy per field;
 #: an example replaces a few of the valid values, so every check is reached.
 _ARGUMENTS = {
     "ContextRecord": ((0, 1, 2, 1, {"text": "x"}), (_NS, _NS, _NS, _NS, _PAYLOAD)),
-    "BatteryLinearConfig": ((1.8432e7, 0.95, 0.95, 51.2, 0.5), (_ANY,) * 5),
     "PriceSchedule": ((0.1, 0.4, 8, 20), (_ANY,) * 4),
-    "GridPricedConfig": (
-        (_Build("PriceSchedule", (0.3, 0.05, 0, 6)), None, None),
-        (st.one_of(st.lists(_ANY, max_size=4).map(lambda args: _Build("PriceSchedule", tuple(args))), _ANY), _ANY, _ANY),
-    ),
     "InverterPVFirstConfig": ((0.97, 0.95, 0.95, math.inf, math.inf, 0.1, 1.0, 0.0, None, 1.0, 1.0), (_ANY,) * 11),
     "JobEvent": ((0, 1, "job", 2.0, 250.0), (_NS, _NS, st.text(max_size=2), _ANY, _ANY)),
-    "SyntheticScenarioConfig": (
-        (0, 600.0, 0.1, 800.0, _JOBS, 0.0, 400.0, 6.0, 18.0),
-        (_ANY,) * 4 + (st.lists(_JOB, max_size=3),) + (_ANY,) * 4,
-    ),
     "Channel": (
         (1, "pv_power", [0, 1, 2], [0.5, 1.0, 2.0]),
         (_ANY, st.text(max_size=2), _TIMES, st.lists(_NUMBER, max_size=4)),
@@ -306,8 +279,8 @@ def test_records_behave_as_the_dataclasses_they_replace(name, data):
 
     def built(classes):
         try:
-            resolved = [_resolve(classes, value) for value in values[:count]]
-            args, kwargs = ((), {f.name: v for f, v in zip(given_fields, resolved)}) if by_keyword else (resolved, {})
+            chosen = values[:count]
+            args, kwargs = ((), {f.name: v for f, v in zip(given_fields, chosen)}) if by_keyword else (chosen, {})
             return getattr(classes, name)(*args, **kwargs), None
         except Exception as exc:  # every failure is compared, whatever its type
             return None, (type(exc), str(exc))

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from cemsim import (
     Aggregates,
     BatteryLinear,
-    BatteryLinearConfig,
     BatteryStepResult,
     CompensatedSum,
     ComponentStepError,
     ConfigurationError,
     Grid,
     GridPriced,
-    GridPricedConfig,
     GridStepInput,
     InverterPVFirst,
     InverterPVFirstConfig,
@@ -30,7 +28,6 @@ from cemsim import (
     Simulator,
     SyntheticLoad,
     SyntheticPowerSource,
-    SyntheticScenarioConfig,
     build_bundle,
     context_query,
     context_records_for_jobs,
@@ -89,10 +86,9 @@ class FailingLoad(Load):
 def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, start_ns=0):
     count = len(loads)
     battery = BatteryLinear(
-        BatteryLinearConfig(capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0,
-                            nominal_voltage=50.0, initial_soc=battery_soc)
+        capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0, nominal_voltage=50.0, initial_soc=battery_soc
     )
-    grid = GridPriced(GridPricedConfig(schedule=PriceSchedule(price, price)))
+    grid = GridPriced(PriceSchedule(price, price))
     return Simulator(
         start_ns,
         power_source=SequencePV(pvs if pvs is not None else [0.0] * count),
@@ -106,17 +102,13 @@ def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, sta
 
 def _synthetic_simulator(seed=0, day_count=1, jobs=True):
     events = generate_job_events(seed, day_count) if jobs else ()
-    config = SyntheticScenarioConfig(
-        seed=seed, pv_noise_amplitude=0.1,
-        load_noise_amplitude=0.05, base_load=800.0, job_events=events,
-    )
     return Simulator(
         0,
-        power_source=SyntheticPowerSource(config),
-        load=SyntheticLoad(config),
-        battery=BatteryLinear(BatteryLinearConfig()),
+        power_source=SyntheticPowerSource(seed=seed, pv_noise_amplitude=0.1),
+        load=SyntheticLoad(seed=seed, base_load=800.0, job_events=events, load_noise_amplitude=0.05),
+        battery=BatteryLinear(),
         inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
-        grid=GridPriced(GridPricedConfig(schedule=PriceSchedule(0.3, 0.3))),
+        grid=GridPriced(PriceSchedule(0.3, 0.3)),
         context=ScriptedContext(context_records_for_jobs(events)),
     )
 
@@ -216,9 +208,6 @@ def _interval_components():
     reads only its interval: synthetic PV and load, context, priced grid
     and the PV-first inverter."""
     events = generate_job_events(seed=4, day_count=3)
-    config = SyntheticScenarioConfig(
-        seed=4, pv_noise_amplitude=0.1, load_noise_amplitude=0.05, job_events=events
-    )
     records = context_records_for_jobs(events)
     schedule = PriceSchedule()
     request = GridStepInput(500.0, 600.0)
@@ -228,12 +217,16 @@ def _interval_components():
         LoadStepResult(900.0, 950.0),
     )
     return [
-        ("pv", lambda: SyntheticPowerSource(config), lambda c, a, b: c.step(a, b)),
-        ("load", lambda: SyntheticLoad(config), lambda c, a, b: c.step(a, b)),
+        ("pv", lambda: SyntheticPowerSource(seed=4, pv_noise_amplitude=0.1), lambda c, a, b: c.step(a, b)),
+        (
+            "load",
+            lambda: SyntheticLoad(seed=4, job_events=events, load_noise_amplitude=0.05),
+            lambda c, a, b: c.step(a, b),
+        ),
         ("context", lambda: ScriptedContext(records), lambda c, a, b: c.step(a, b)),
         (
             "grid",
-            lambda: GridPriced(GridPricedConfig(schedule=schedule)),
+            lambda: GridPriced(schedule),
             lambda c, a, b: c.step(a, b, request),
         ),
         (

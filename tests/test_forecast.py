@@ -27,10 +27,9 @@ from cemsim import (
 )
 from cemsim.models.synthetic import (
     JOB_TEMPLATES,
-    SyntheticScenarioConfig,
+    SyntheticLoad,
     context_records_for_jobs,
     generate_job_events,
-    load_power_at,
 )
 from oracles import evaluate_families_reference
 
@@ -230,12 +229,9 @@ def test_rmse_validates_input():
 def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_load=400.0):
     jobs = generate_job_events(seed, day_count)
     records = context_records_for_jobs(jobs)
-    config = SyntheticScenarioConfig(
-        seed=seed, base_load=base_load,
-        job_events=jobs, load_noise_amplitude=noise,
-    )
+    load = SyntheticLoad(seed=seed, base_load=base_load, job_events=jobs, load_noise_amplitude=noise)
     times = [k * NS_PER_HOUR // 2 for k in range(1, day_count * 48)]
-    observed = [load_power_at(config, t) for t in times]
+    observed = [load.power_at(t) for t in times]
     return records, times, observed
 
 

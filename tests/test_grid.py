@@ -3,28 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemsim import (
-    GridPriced,
-    GridPricedConfig,
-    GridStepInput,
-    PriceSchedule,
-    grid_energy_cost,
-    grid_priced_step,
-)
+from cemsim import GridPriced, GridStepInput, PriceSchedule, grid_energy_cost
 from cemsim.core import NS_PER_DAY, NS_PER_HOUR
-from oracles import build_breakpoint_schedule
+from oracles import build_breakpoint_schedule, grid_priced_step
 
 NS = 1_000_000_000
 FLAT = PriceSchedule(0.5, 0.5)
 
 
-def _config(**kwargs):
-    return GridPricedConfig(schedule=FLAT, **kwargs)
+def _grid(**kwargs):
+    return GridPriced(FLAT, **kwargs)
+
+
+def _hour_step(grid, request):
+    return grid.step(0, 3600 * NS, request)
 
 
 def test_delivery_is_metered_at_the_schedule_price():
     """1 kW for one hour at 0.5 per kWh costs exactly 0.5."""
-    result = grid_priced_step(GridStepInput(1000.0, 1000.0), _config(), now_ns=0, dt_s=3600.0)
+    result = _hour_step(_grid(), GridStepInput(1000.0, 1000.0))
     assert result.delivered_active_power == 1000.0
     assert result.delivered_apparent_power == 1000.0
     assert result.cost == 0.5
@@ -32,7 +29,7 @@ def test_delivery_is_metered_at_the_schedule_price():
 
 
 def test_zero_request_costs_nothing():
-    result = grid_priced_step(GridStepInput(0.0, 0.0), _config(), now_ns=0, dt_s=3600.0)
+    result = _hour_step(_grid(), GridStepInput(0.0, 0.0))
     assert result.delivered_active_power == 0.0
     assert result.cost == 0.0
     assert result.limit_violation is False
@@ -40,8 +37,7 @@ def test_zero_request_costs_nothing():
 
 def test_active_limit_clamps_and_flags():
     """An 800 W request against a 500 W limit delivers 500 W and flags it."""
-    config = _config(active_power_limit=500.0)
-    result = grid_priced_step(GridStepInput(800.0, 800.0), config, now_ns=0, dt_s=3600.0)
+    result = _hour_step(_grid(active_power_limit=500.0), GridStepInput(800.0, 800.0))
     assert result.delivered_active_power == 500.0
     assert result.limit_violation is True
     assert result.cost == grid_energy_cost(0.5, 500.0, 3600.0)
@@ -49,16 +45,15 @@ def test_active_limit_clamps_and_flags():
 
 def test_apparent_limit_drags_active_down_with_it():
     """Clamped apparent power cannot fall below the delivered active power."""
-    config = _config(apparent_power_limit=500.0)
-    result = grid_priced_step(GridStepInput(800.0, 800.0), config, now_ns=0, dt_s=3600.0)
+    result = _hour_step(_grid(apparent_power_limit=500.0), GridStepInput(800.0, 800.0))
     assert result.delivered_apparent_power == 500.0
     assert result.delivered_active_power == 500.0
     assert result.limit_violation is True
 
 
 def test_request_at_the_limit_is_not_a_violation():
-    config = _config(active_power_limit=500.0, apparent_power_limit=500.0)
-    result = grid_priced_step(GridStepInput(500.0, 500.0), config, now_ns=0, dt_s=60.0)
+    grid = _grid(active_power_limit=500.0, apparent_power_limit=500.0)
+    result = grid.step(0, 60 * NS, GridStepInput(500.0, 500.0))
     assert result.limit_violation is False
 
 
@@ -140,7 +135,7 @@ def test_tariff_prices_as_the_breakpoint_schedule_did(prices, hours, start_s, st
 def test_stateful_grid_prices_each_step_at_its_start():
     """The step that crosses a price change is billed at its start price."""
     schedule = PriceSchedule(1.0, 2.0, peak_start_hour=1, peak_end_hour=24)
-    grid = GridPriced(GridPricedConfig(schedule=schedule))
+    grid = GridPriced(schedule)
     first = grid.step(0, 3600 * NS, GridStepInput(1000.0, 1000.0))
     second = grid.step(3600 * NS, 7200 * NS, GridStepInput(1000.0, 1000.0))
     assert first.cost == grid_energy_cost(1.0, 1000.0, 3600.0)
@@ -148,22 +143,22 @@ def test_stateful_grid_prices_each_step_at_its_start():
 
 
 def test_limit_config_validation():
-    with pytest.raises(ValueError):
-        _config(active_power_limit=-1.0)
-    with pytest.raises(ValueError):
-        _config(apparent_power_limit=-1.0)
+    with pytest.raises(ValueError, match=r"^active_power_limit must be >= 0$"):
+        _grid(active_power_limit=-1.0)
+    with pytest.raises(ValueError, match=r"^apparent_power_limit must be >= 0$"):
+        _grid(apparent_power_limit=-1.0)
 
 
 @given(
     price=st.floats(min_value=0.0, max_value=10.0),
     power=st.floats(min_value=0.0, max_value=1e5),
-    dt_s=st.floats(min_value=1.0, max_value=86400.0),
+    dt_ns=st.integers(min_value=NS, max_value=86400 * NS),
 )
 @settings(max_examples=200)
-def test_unlimited_grid_delivers_requests_verbatim(price, power, dt_s):
+def test_unlimited_grid_delivers_requests_verbatim(price, power, dt_ns):
     """Without limits: delivery equals request, no violation, linear metering."""
-    config = GridPricedConfig(schedule=PriceSchedule(price, price))
-    result = grid_priced_step(GridStepInput(power, power), config, now_ns=0, dt_s=dt_s)
+    dt_s = dt_ns / NS
+    result = GridPriced(PriceSchedule(price, price)).step(0, dt_ns, GridStepInput(power, power))
     assert result.delivered_active_power == power
     assert result.delivered_apparent_power == power
     assert result.limit_violation is False
@@ -177,9 +172,42 @@ def test_unlimited_grid_delivers_requests_verbatim(price, power, dt_s):
 )
 @settings(max_examples=200)
 def test_delivery_never_exceeds_limits(power, active_limit, apparent_limit):
-    config = _config(active_power_limit=active_limit, apparent_power_limit=apparent_limit)
-    result = grid_priced_step(GridStepInput(power, power), config, now_ns=0, dt_s=60.0)
+    grid = _grid(active_power_limit=active_limit, apparent_power_limit=apparent_limit)
+    result = grid.step(0, 60 * NS, GridStepInput(power, power))
     assert result.delivered_active_power <= min(active_limit, apparent_limit)
     assert result.delivered_apparent_power <= apparent_limit
     assert result.delivered_active_power <= result.delivered_apparent_power
     assert result.limit_violation is (power > min(active_limit, apparent_limit))
+
+
+def _bits(record):
+    return [value.hex() if type(value) is float else value for value in record]
+
+
+_POWERS = st.one_of(st.sampled_from((0.0, 500.0)), st.floats(min_value=0.0, max_value=1e5))
+_LIMITS = st.one_of(st.none(), st.sampled_from((0.0, 500.0)), st.floats(min_value=0.0, max_value=1e5))
+
+
+@given(
+    prices=st.tuples(_PRICES, _PRICES),
+    hours=_HOURS,
+    active_limit=_LIMITS,
+    apparent_limit=_LIMITS,
+    steps=st.lists(
+        st.tuples(_START_S, st.integers(min_value=0, max_value=86_400 * NS), _POWERS, _POWERS),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(max_examples=300)
+def test_grid_steps_as_the_reference_step_bit_for_bit(prices, hours, active_limit, apparent_limit, steps):
+    """Over drawn tariffs, active and apparent limits (or none), requests
+    and step lengths, every step result has the bits of the free step
+    function's."""
+    grid = GridPriced(PriceSchedule(*prices, *hours), active_limit, apparent_limit)
+    for start_s, length, active, apparent in steps:
+        request = GridStepInput(active, apparent)
+        start = start_s * NS
+        result = grid.step(start, start + length, request)
+        expected = grid_priced_step(request, grid, start, length / NS)
+        assert _bits(result) == _bits(expected)

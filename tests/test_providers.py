@@ -1,6 +1,5 @@
 """Forecast providers: one window per planning day whose tail at each
 ``now`` equals direct recomputation, kept as one object while unrevised."""
-from functools import partial
 
 import pytest
 
@@ -16,7 +15,6 @@ from cemsim import (
     train_predictor,
 )
 from cemsim.core import NS_PER_DAY
-from cemsim.models.synthetic import load_power_at, pv_power_at
 from cemsim.scenario import (
     effort_estimator,
     forecast_provider,
@@ -74,12 +72,12 @@ def _assert_tail(window, now_ns, loads, pvs, prices):
 def test_perfect_windows_equal_direct_sampling():
     scenario = scenario_from_dict(TWO_DAYS, None)
     bundle, seen = _windows_of_a_run(scenario, "mpc-perfect")
-    load_config, pv_config = bundle.simulator.load._config, bundle.simulator.power_source._config
+    load, pv = bundle.simulator.load, bundle.simulator.power_source
     for now_ns, window in seen:
         count = _steps_left(scenario, now_ns)
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
-        loads = [load_power_at(load_config, t) for t in times]
-        pvs = [pv_power_at(pv_config, t) for t in times]
+        loads = [load.power_at(t) for t in times]
+        pvs = [pv.power_at(t) for t in times]
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
 
@@ -141,7 +139,7 @@ def test_context_windows_equal_direct_prediction():
         known_sets.add((now_ns // NS_PER_DAY, tuple(map(id, known))))
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
         loads = [max(predictor.predict(known, t, effort_fn), 0.0) for t in times]
-        pvs = [pv_power_at(bundle.simulator.power_source._config, t) for t in times]
+        pvs = [bundle.simulator.power_source.power_at(t) for t in times]
         prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
     # the known-record set changes inside planning days, not only at their start
@@ -186,7 +184,7 @@ def _tail(window, now_ns):
 
 def test_records_recorded_after_now_do_not_change_the_window():
     scenario = scenario_from_dict({**TWO_DAYS, "start_epoch_seconds": 0}, None)
-    config = build_bundle(scenario).simulator.power_source._config
+    pv = build_bundle(scenario).simulator.power_source
     schedule = price_schedule(scenario)
     predictor = Predictor("effort", (800.0, 0.0, 0.0, 250.0))
     known = _record(0, 3_600, 7_200, "nightly build")
@@ -196,7 +194,7 @@ def test_records_recorded_after_now_do_not_change_the_window():
     def provider(records):
         return forecast_provider(
             lambda known, t_ns: max(predictor.predict(known, t_ns), 0.0),
-            partial(pv_power_at, config),
+            pv.power_at,
             schedule,
             scenario.end_ns,
             scenario.step_ns,

@@ -163,7 +163,7 @@ def _channel_and_queries(draw):
 def test_interpolate_matches_the_searchsorted_reference_bitwise(case):
     """Knots, between knots, inside and beyond the edge slack, in any
     order or walked forward as a replay does: the same bits, or the same
-    error type and message, whatever the channel's cursor holds."""
+    error type and message, whatever its time axis's cursor holds."""
     channel, tolerance_s, queries = case
     for t_ns in queries:
         want = _lookup(channel, t_ns, tolerance_s, interpolate_reference)
@@ -1205,9 +1205,10 @@ def _float_hexes(record):
 @settings(max_examples=300)
 @given(case=_replay_case())
 def test_replay_components_match_the_per_channel_lookups(case):
-    """Replaying through the knot walk gives the step records the
-    components that interpolate every channel at every step give, bit for
-    bit, or fails with the same error at the same step."""
+    """Replaying, which locates each step's end once per time axis, gives
+    the step records the components that interpolate every channel at
+    every step give, bit for bit, or fails with the same error at the
+    same step."""
     want, want_failure = _replayed(*case, reference=True)
     got, got_failure = _replayed(*case, reference=False)
     assert got_failure == want_failure
@@ -1218,7 +1219,7 @@ def test_replay_components_match_the_per_channel_lookups(case):
 def test_negative_and_negative_zero_values_replay_as_the_per_channel_lookups():
     """Recorded values below zero, -0.0 and SOCs past either bound meet
     every clamp of the replay components: on knots and between them, the
-    knot walk's step records and ``power_at`` equal those of the
+    replay components' step records and ``power_at`` equal those of the
     components in ``oracles`` bit for bit, the sign of every zero too."""
     powers = [-3.5, -0.0, 0.0, 2.25, -0.0, -1e-300, 0.0, 5.0]
     socs = [-0.25, -0.0, 0.0, 0.5, 1.0, 1.25, -0.0, 0.75]

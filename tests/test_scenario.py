@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cemsim import (
-    BatteryLinearConfig,
+    BatteryLinear,
     Channel,
     ConfigurationError,
     InverterPVFirst,
@@ -21,7 +21,8 @@ from cemsim import (
     scenario_from_dict,
 )
 from cemsim.models.synthetic import (
-    SyntheticScenarioConfig,
+    SyntheticLoad,
+    SyntheticPowerSource,
     context_records_for_jobs,
     generate_job_events,
 )
@@ -257,7 +258,9 @@ def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
 def test_scenario_defaults_equal_component_defaults():
     bundle = build_bundle(scenario_from_dict({}, None))
     simulator = bundle.simulator
-    assert simulator.battery._config == BatteryLinearConfig()
+    battery, default_battery = simulator.battery, BatteryLinear()
+    for name in ("capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc"):
+        assert getattr(battery, name) == getattr(default_battery, name), name
     inverter, default_inverter = simulator.inverter._config, InverterPVFirstConfig()
     for name in (
         "eta_pv_to_batt",
@@ -270,11 +273,11 @@ def test_scenario_defaults_equal_component_defaults():
         "self_power",
     ):
         assert getattr(inverter, name) == getattr(default_inverter, name), name
-    pv, load, default_generator = simulator.power_source._config, simulator.load._config, SyntheticScenarioConfig()
-    for name in ("pv_peak_power", "pv_noise_amplitude", "pv_voltage", "sunrise_hour", "sunset_hour"):
-        assert getattr(pv, name) == getattr(default_generator, name), name
-    for name in ("base_load", "load_noise_amplitude"):
-        assert getattr(load, name) == getattr(default_generator, name), name
+    pv, load = simulator.power_source, simulator.load
+    for name in ("seed", "pv_peak_power", "pv_noise_amplitude", "pv_voltage", "sunrise_hour", "sunset_hour"):
+        assert getattr(pv, name) == getattr(SyntheticPowerSource(), name), name
+    for name in ("seed", "base_load", "load_noise_amplitude"):
+        assert getattr(load, name) == getattr(SyntheticLoad(), name), name
     assert load.job_events == generate_job_events(0, 1)
     assert bundle.records == context_records_for_jobs(load.job_events)
     assert bundle.schedule == PriceSchedule()
@@ -308,7 +311,7 @@ def test_synthetic_config_mirrors_the_blocks():
         load={"base_power_w": 300.0, "jobs_per_day": 3},
     )
     simulator = build_bundle(scenario).simulator
-    pv, load = simulator.power_source._config, simulator.load._config
+    pv, load = simulator.power_source, simulator.load
     assert pv.seed == load.seed == 7
     assert pv.pv_peak_power == 900.0
     assert load.base_load == 300.0
@@ -340,7 +343,7 @@ def test_training_series_runs_on_a_shifted_seed():
     assert times[0] == 1800 * NS
     assert all(load >= 0.0 for load in loads)
     # the training jobs come from seed + offset, not the evaluated seed
-    evaluated = build_bundle(scenario).simulator.load._config
+    evaluated = build_bundle(scenario).simulator.load
     train_texts = {r.text() for r in records}
     eval_texts = {r.description for r in evaluated.job_events}
     assert TRAIN_SEED_OFFSET == 1_000_003

@@ -4,58 +4,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemsim import (
+    PowerSourceStepResult,
     PriceSchedule,
     ScriptedContext,
     SyntheticLoad,
     SyntheticPowerSource,
-    SyntheticScenarioConfig,
     context_records_for_jobs,
     generate_job_events,
     unit_noise,
 )
-from cemsim.models.synthetic import JobEvent, load_power_at, pv_power_at
-from oracles import load_power_reference
+from cemsim.models.synthetic import JobEvent
+from oracles import load_power_reference, pv_power_at
 
 NS_PER_HOUR = 3_600_000_000_000
 HALF_HOUR = NS_PER_HOUR // 2
 NS_PER_DAY = 24 * NS_PER_HOUR
 
 
-def _config(**overrides):
-    defaults = dict(seed=3, pv_peak_power=600.0, pv_noise_amplitude=0.0,
-                    base_load=100.0, load_noise_amplitude=0.0)
-    return SyntheticScenarioConfig(**{**defaults, **overrides})
+def _pv(**overrides):
+    return SyntheticPowerSource(**{"seed": 3, "pv_peak_power": 600.0, "pv_noise_amplitude": 0.0, **overrides})
+
+
+def _load(**overrides):
+    return SyntheticLoad(**{"seed": 3, "base_load": 100.0, "load_noise_amplitude": 0.0, **overrides})
 
 
 def test_pv_is_dark_at_midnight_and_peaks_at_noon():
-    config = _config()
-    assert pv_power_at(config, 0) == 0.0
-    assert pv_power_at(config, 12 * NS_PER_HOUR) == 600.0
-    assert pv_power_at(config, NS_PER_DAY + 12 * NS_PER_HOUR) == 600.0
+    pv = _pv()
+    assert pv.power_at(0) == 0.0
+    assert pv.power_at(12 * NS_PER_HOUR) == 600.0
+    assert pv.power_at(NS_PER_DAY + 12 * NS_PER_HOUR) == 600.0
 
 
 def test_pv_is_zero_outside_daylight():
-    config = _config()
+    pv = _pv()
     for hour in (0, 3, 5, 6, 18, 19, 23):
-        assert pv_power_at(config, hour * NS_PER_HOUR) == 0.0
-    assert pv_power_at(config, 9 * NS_PER_HOUR) > 0.0
+        assert pv.power_at(hour * NS_PER_HOUR) == 0.0
+    assert pv.power_at(9 * NS_PER_HOUR) > 0.0
 
 
 @given(hour_ns=st.integers(min_value=0, max_value=3 * NS_PER_DAY))
 @settings(max_examples=200)
 def test_pv_noise_only_dims(hour_ns):
     """Cloud noise multiplies the clear-sky bell by a factor in (0.9, 1]."""
-    clear = pv_power_at(_config(), hour_ns)
-    dimmed = pv_power_at(_config(pv_noise_amplitude=0.1), hour_ns)
+    clear = _pv().power_at(hour_ns)
+    dimmed = _pv(pv_noise_amplitude=0.1).power_at(hour_ns)
     assert 0.0 <= dimmed <= clear
     if clear > 0.0:
         assert dimmed > 0.89 * clear
 
 
 def test_load_is_base_without_jobs():
-    config = _config()
+    load = _load()
     for hour in range(0, 24, 3):
-        assert load_power_at(config, hour * NS_PER_HOUR) == 100.0
+        assert load.power_at(hour * NS_PER_HOUR) == 100.0
 
 
 def test_job_window_adds_effort_times_watts():
@@ -67,11 +69,11 @@ def test_job_window_adds_effort_times_watts():
         true_effort=4.0,
         watts_per_effort=50.0,
     )
-    config = _config(job_events=(job,))
-    assert load_power_at(config, 9 * NS_PER_HOUR) == 100.0
-    assert load_power_at(config, 10 * NS_PER_HOUR) == 300.0
-    assert load_power_at(config, 14 * NS_PER_HOUR - 1) == 300.0
-    assert load_power_at(config, 14 * NS_PER_HOUR) == 100.0
+    load = _load(job_events=(job,))
+    assert load.power_at(9 * NS_PER_HOUR) == 100.0
+    assert load.power_at(10 * NS_PER_HOUR) == 300.0
+    assert load.power_at(14 * NS_PER_HOUR - 1) == 300.0
+    assert load.power_at(14 * NS_PER_HOUR) == 100.0
 
 
 # Efforts whose products do not add associatively, so a sum taken in
@@ -98,25 +100,25 @@ def _overlapping_jobs(draw):
 def test_load_table_equals_the_job_loop_bit_for_bit(jobs, base_load, noise):
     """The job table gives the job loop's bits at every edge, one ns either
     side of it, and between edges, with jobs overlapping in any pattern."""
-    config = _config(base_load=base_load, load_noise_amplitude=noise, job_events=jobs)
+    load = _load(base_load=base_load, load_noise_amplitude=noise, job_events=jobs)
     for hour in range(-1, 14):
         for t in (hour * NS_PER_HOUR - 1, hour * NS_PER_HOUR, hour * NS_PER_HOUR + 1, hour * NS_PER_HOUR + HALF_HOUR):
-            assert repr(load_power_at(config, t)) == repr(load_power_reference(config, t)), t
+            assert repr(load.power_at(t)) == repr(load_power_reference(load, t)), t
 
 
 def test_load_table_equals_the_job_loop_over_a_generated_month():
     jobs = generate_job_events(seed=8, day_count=30, jobs_per_day=4)
-    config = _config(job_events=jobs)
+    load = _load(job_events=jobs)
     edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
     for edge in edges:
         for t in (edge - 1, edge, edge + 1):
-            assert repr(load_power_at(config, t)) == repr(load_power_reference(config, t)), t
+            assert repr(load.power_at(t)) == repr(load_power_reference(load, t)), t
 
 
 def test_load_noise_stays_within_amplitude():
-    config = _config(load_noise_amplitude=0.05)
+    load = _load(load_noise_amplitude=0.05)
     for hour in range(24):
-        power = load_power_at(config, hour * NS_PER_HOUR)
+        power = load.power_at(hour * NS_PER_HOUR)
         assert abs(power - 100.0) <= 5.0 + 1e-9
 
 
@@ -133,29 +135,27 @@ STEP_ENDS = [(i + 1) * HALF_HOUR for i in range(48)]
 
 
 def test_power_source_component_realizes_the_sampled_series():
-    """Stepping the component reproduces pv_power_at at each step end, bit
-    for bit, and power_at is that sample."""
-    config = _config(pv_noise_amplitude=0.1)
-    source = SyntheticPowerSource(config)
+    """Stepping the component reproduces the free pv sample it replaced
+    (kept in oracles) at each step end, bit for bit, and power_at is that
+    sample."""
+    source = _pv(pv_noise_amplitude=0.1)
     realized = [source.step(i * HALF_HOUR, (i + 1) * HALF_HOUR).power for i in range(48)]
-    assert realized == [pv_power_at(config, t) for t in STEP_ENDS]
+    assert realized == [pv_power_at(source, t) for t in STEP_ENDS]
     assert realized == [source.power_at(t) for t in STEP_ENDS]
 
 
 def test_load_component_realizes_the_sampled_series():
     jobs = generate_job_events(seed=11, day_count=1)
-    config = _config(job_events=jobs, load_noise_amplitude=0.05)
-    load = SyntheticLoad(config)
+    load = _load(job_events=jobs, load_noise_amplitude=0.05)
     results = [load.step(i * HALF_HOUR, (i + 1) * HALF_HOUR) for i in range(48)]
-    assert [r.requested_active_power for r in results] == [load_power_at(config, t) for t in STEP_ENDS]
+    assert [r.requested_active_power for r in results] == [load_power_reference(load, t) for t in STEP_ENDS]
     assert [r.requested_active_power for r in results] == [load.power_at(t) for t in STEP_ENDS]
     for result in results:
         assert result.requested_apparent_power == result.requested_active_power
 
 
 def test_power_source_reports_voltage_and_current():
-    config = _config()
-    source = SyntheticPowerSource(config)
+    source = _pv()
     result = source.step(11 * NS_PER_HOUR, 12 * NS_PER_HOUR)
     assert result.voltage == 400.0
     assert result.current == result.power / 400.0
@@ -245,7 +245,68 @@ def test_tier_and_job_validation():
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ValueError):
-        _config(pv_noise_amplitude=1.5)
-    with pytest.raises(ValueError):
-        _config(sunrise_hour=19.0, sunset_hour=6.0)
+    """Each component rejects its own parameters out of range, with the
+    messages the generator's shared config gave."""
+    for overrides, message in (
+        ({"pv_peak_power": -1.0}, r"^pv_peak_power must be >= 0$"),
+        ({"pv_noise_amplitude": 1.5}, r"^pv_noise_amplitude must be in \[0, 1\]$"),
+        ({"pv_voltage": 0.0}, r"^pv_voltage must be > 0$"),
+        ({"sunrise_hour": 19.0, "sunset_hour": 6.0}, r"^need 0 <= sunrise_hour < sunset_hour <= 24$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _pv(**overrides)
+    for overrides, message in (
+        ({"base_load": -1.0}, r"^base_load must be >= 0$"),
+        ({"load_noise_amplitude": -0.1}, r"^load_noise_amplitude must be in \[0, 1\]$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _load(**overrides)
+
+
+def _bits(record):
+    return [value.hex() for value in record]
+
+
+_STEPS = st.lists(
+    st.tuples(st.integers(min_value=-NS_PER_DAY, max_value=3 * NS_PER_DAY), st.integers(min_value=0, max_value=NS_PER_DAY)),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    peak=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)),
+    noise=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    voltage=st.floats(min_value=1.0, max_value=1000.0),
+    hours=st.tuples(st.floats(min_value=0.0, max_value=24.0), st.floats(min_value=0.0, max_value=24.0)).filter(
+        lambda hours: hours[0] < hours[1]
+    ),
+    steps=_STEPS,
+)
+@settings(max_examples=300)
+def test_pv_steps_as_the_reference_sample_bit_for_bit(seed, peak, noise, voltage, hours, steps):
+    """Over drawn parameters and steps, every step result has the bits of
+    the record built from the free pv sample at the step's end."""
+    source = SyntheticPowerSource(seed, peak, noise, voltage, *hours)
+    for start, length in steps:
+        power = pv_power_at(source, start + length)
+        expected = PowerSourceStepResult(voltage, power / voltage, power)
+        assert _bits(source.step(start, start + length)) == _bits(expected)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    jobs=_overlapping_jobs(),
+    base_load=st.one_of(st.sampled_from((0.0, 0.1, 800.0)), st.floats(min_value=0.0, max_value=1e4)),
+    noise=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    steps=_STEPS,
+)
+@settings(max_examples=300)
+def test_load_steps_as_the_reference_sample_bit_for_bit(seed, jobs, base_load, noise, steps):
+    """Over drawn parameters, jobs and steps, every step result has the bits
+    of the load the job loop gives at the step's end, on both fields."""
+    load = SyntheticLoad(seed, base_load, jobs, noise)
+    for start, length in steps:
+        power = load_power_reference(load, start + length)
+        assert _bits(load.step(start, start + length)) == [power.hex(), power.hex()]
