@@ -127,21 +127,13 @@ on it; a re-solve on the same window slices that problem's tail
 
 numpy is imported inside :func:`solve_charging`, its only user, so a run
 that never plans (PV-first, replay) does not pay numpy's import.
-
-The planner's four classes stay dataclasses, unlike the records of
-:mod:`cemsim.core`, the inverter's config and the price schedule (see
-:class:`~cemsim.core.StepRecord`):
-this module loads only for a strategy that plans, and planning imports
-numpy, which imports :mod:`inspect` and :mod:`ast` itself, so there
-:mod:`dataclasses` adds little more than its own module.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from heapq import heappop, heappush
 from itertools import compress, islice
 from math import inf, isfinite
@@ -155,7 +147,9 @@ from .core import (
     InverterStepInput,
     InverterStepResult,
     SimulationError,
+    StepRecord,
     _require,
+    _tuple_new,
     grid_energy_cost,
 )
 from .models.inverter import InverterPVFirstConfig, inverter_pv_first_step
@@ -172,8 +166,14 @@ class InfeasibleProblemError(SimulationError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ChargingProblem:
+class ChargingProblem(
+    StepRecord,
+    namedtuple(
+        "ChargingProblem",
+        "step_seconds prices load_w pv_w capacity_j soc_min soc_max soc_initial max_grid_power_w",
+        defaults=(None,),
+    ),
+):
     """One planning window.
 
     prices are per kWh, sampled per step; load_w and pv_w are the expected
@@ -184,39 +184,37 @@ class ChargingProblem:
     keeps them as given); :meth:`tail` reuses them for a later start.
     """
 
-    step_seconds: float
-    prices: tuple[float, ...]
-    load_w: tuple[float, ...]
-    pv_w: tuple[float, ...]
-    capacity_j: float
-    soc_min: float
-    soc_max: float
-    soc_initial: float
-    max_grid_power_w: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", tuple(map(float, self.prices)))
-        object.__setattr__(self, "load_w", tuple(map(float, self.load_w)))
-        object.__setattr__(self, "pv_w", tuple(map(float, self.pv_w)))
-        _require(0.0 < self.step_seconds < inf, "step_seconds must be finite and > 0")
-        count = len(self.prices)
+    def __new__(
+        cls,
+        step_seconds: float,
+        prices: Sequence[float],
+        load_w: Sequence[float],
+        pv_w: Sequence[float],
+        capacity_j: float,
+        soc_min: float,
+        soc_max: float,
+        soc_initial: float,
+        max_grid_power_w: float | None = None,
+    ) -> ChargingProblem:
+        prices = tuple(map(float, prices))
+        load_w = tuple(map(float, load_w))
+        pv_w = tuple(map(float, pv_w))
+        _require(0.0 < step_seconds < inf, "step_seconds must be finite and > 0")
+        count = len(prices)
         _require(count >= 1, "the planning window must contain at least one step")
-        _require(
-            len(self.load_w) == count and len(self.pv_w) == count,
-            "prices, load_w and pv_w must have equal length",
-        )
-        _require(_finite_and_nonnegative(self.prices), "prices must be finite and >= 0")
-        _require(_finite_and_nonnegative(self.load_w), "load_w must be finite and >= 0")
-        _require(_finite_and_nonnegative(self.pv_w), "pv_w must be finite and >= 0")
-        _require(0.0 < self.capacity_j < inf, "capacity_j must be finite and > 0")
-        _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
-        self._check_soc_initial()
-        if self.max_grid_power_w is not None:
-            _require(self.max_grid_power_w >= 0.0, "max_grid_power_w must be >= 0")
-
-    def _check_soc_initial(self) -> None:
-        if not self.soc_min - 1e-9 <= self.soc_initial <= self.soc_max + 1e-9:
-            raise ValueError(f"soc_initial {self.soc_initial!r} outside [{self.soc_min}, {self.soc_max}]")
+        _require(len(load_w) == count and len(pv_w) == count, "prices, load_w and pv_w must have equal length")
+        _require(_finite_and_nonnegative(prices), "prices must be finite and >= 0")
+        _require(_finite_and_nonnegative(load_w), "load_w must be finite and >= 0")
+        _require(_finite_and_nonnegative(pv_w), "pv_w must be finite and >= 0")
+        _require(0.0 < capacity_j < inf, "capacity_j must be finite and > 0")
+        _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
+        _check_soc_initial(soc_initial, soc_min, soc_max)
+        if max_grid_power_w is not None:
+            _require(max_grid_power_w >= 0.0, "max_grid_power_w must be >= 0")
+        fields = (step_seconds, prices, load_w, pv_w, capacity_j, soc_min, soc_max, soc_initial, max_grid_power_w)
+        return _tuple_new(cls, fields)
 
     @property
     def horizon(self) -> int:
@@ -230,16 +228,16 @@ class ChargingProblem:
         """
         if not 0 <= offset < self.horizon:
             raise ValueError(f"offset {offset} outside the window's {self.horizon} steps")
-        tail = object.__new__(ChargingProblem)
-        tail.__dict__.update(
-            self.__dict__,
-            prices=self.prices[offset:],
-            load_w=self.load_w[offset:],
-            pv_w=self.pv_w[offset:],
-            soc_initial=soc_initial,
-        )
-        tail._check_soc_initial()
-        return tail
+        step_seconds, prices, load_w, pv_w, capacity_j, soc_min, soc_max, _, max_grid_power_w = self
+        _check_soc_initial(soc_initial, soc_min, soc_max)
+        series = (prices[offset:], load_w[offset:], pv_w[offset:])
+        fields = (step_seconds, *series, capacity_j, soc_min, soc_max, soc_initial, max_grid_power_w)
+        return _tuple_new(ChargingProblem, fields)
+
+
+def _check_soc_initial(soc_initial: float, soc_min: float, soc_max: float) -> None:
+    if not soc_min - 1e-9 <= soc_initial <= soc_max + 1e-9:
+        raise ValueError(f"soc_initial {soc_initial!r} outside [{soc_min}, {soc_max}]")
 
 
 def _finite_and_nonnegative(series: tuple[float, ...]) -> bool:
@@ -253,30 +251,25 @@ def _finite_and_nonnegative(series: tuple[float, ...]) -> bool:
     return all(map(isfinite, series)) and min(series) >= 0.0
 
 
-@dataclass(frozen=True)
-class ChargingPlan:
+class ChargingPlan(
+    StepRecord,
+    namedtuple("ChargingPlan", "step_seconds grid_power_w soc_trajectory prices purchased_energy_j"),
+):
     """A feasible purchase schedule and its bookkeeping.
 
-    total_cost is summed on first read: a controller that re-plans every
-    step builds many plans whose cost nobody reads.
+    soc_trajectory has horizon + 1 entries and starts at soc_initial.
+    total_cost is summed when read: a controller that re-plans every step
+    builds many plans whose cost nobody reads.
     """
 
-    step_seconds: float
-    grid_power_w: tuple[float, ...]
-    soc_trajectory: tuple[float, ...]  # length horizon + 1, starts at soc_initial
-    prices: tuple[float, ...]
-    purchased_energy_j: float
+    __slots__ = ()
 
-    @cached_property
+    @property
     def total_cost(self) -> float:
-        return _plan_cost(self.prices, self.grid_power_w, self.step_seconds)
-
-
-def _plan_cost(prices: Sequence[float], grid_power_w: Sequence[float], dt_s: float) -> float:
-    acc = CompensatedSum()
-    for price, power in zip(prices, grid_power_w):
-        acc.add(grid_energy_cost(price, power, dt_s))
-    return acc.value
+        acc = CompensatedSum()
+        for price, power in zip(self.prices, self.grid_power_w):
+            acc.add(grid_energy_cost(price, power, self.step_seconds))
+        return acc.value
 
 
 #: The fewest boundaries an array pass is tried on: a pass's dozen numpy
@@ -385,8 +378,8 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
     e_start = min(max(problem.soc_initial, problem.soc_min), problem.soc_max) * capacity
     eps = 1e-9 * max(capacity, 1.0)
 
-    load = np.asarray(problem.load_w, dtype=np.float64)
-    pv = np.asarray(problem.pv_w, dtype=np.float64)
+    load = np.fromiter(problem.load_w, np.float64, horizon)
+    pv = np.fromiter(problem.pv_w, np.float64, horizon)
     net = (pv - load) * dt  # J gained per step before purchases
 
     # free[j]: stored energy at boundary j (after step j-1) with zero purchases
@@ -532,8 +525,7 @@ def solve_charging(problem: ChargingProblem) -> ChargingPlan:
 SOC_SNAP_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ForecastWindow:
+class ForecastWindow(StepRecord, namedtuple("ForecastWindow", "start_ns step_ns load_w pv_w prices")):
     """Per-step expectations from ``start_ns`` to the planning bound.
 
     Entry i of each series covers the step
@@ -547,18 +539,14 @@ class ForecastWindow:
     values have not been revised.
     """
 
-    start_ns: int
-    step_ns: int
-    load_w: tuple[float, ...]
-    pv_w: tuple[float, ...]
-    prices: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require(self.step_ns > 0, "step_ns must be > 0")
-        _require(
-            len(self.load_w) == len(self.pv_w) == len(self.prices),
-            "forecast window series must have equal length",
-        )
+    def __new__(
+        cls, start_ns: int, step_ns: int, load_w: Sequence[float], pv_w: Sequence[float], prices: Sequence[float]
+    ) -> ForecastWindow:
+        _require(step_ns > 0, "step_ns must be > 0")
+        _require(len(load_w) == len(pv_w) == len(prices), "forecast window series must have equal length")
+        return _tuple_new(cls, (start_ns, step_ns, load_w, pv_w, prices))
 
     @property
     def step_seconds(self) -> float:
@@ -573,8 +561,9 @@ class ForecastWindow:
 ForecastProvider = Callable[[int], "ForecastWindow | None"]
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(
+    StepRecord, namedtuple("ControlDecision", "planned_grid_power_w plan planned_soc", defaults=(None,))
+):
     """First-step purchase decision; ``fallback`` marks plan-less steps.
 
     planned_soc is the plan's SOC at the decision boundary; executors use
@@ -583,9 +572,7 @@ class ControlDecision:
     is not truncated by sub-tolerance state drift.
     """
 
-    planned_grid_power_w: float | None
-    plan: "ChargingPlan | None"
-    planned_soc: float | None = None
+    __slots__ = ()
 
     @property
     def fallback(self) -> bool:
@@ -644,7 +631,7 @@ class RecedingHorizonController:
         if window is self._window and offset > self._plan_offset:
             k = offset - self._plan_offset
             if abs(soc - plan.soc_trajectory[k]) <= SOC_SNAP_TOLERANCE:
-                return ControlDecision(plan.grid_power_w[k], plan, planned_soc=plan.soc_trajectory[k])
+                return ControlDecision(plan.grid_power_w[k], plan, plan.soc_trajectory[k])
         soc_initial = min(max(soc, self.soc_min), self.soc_max)
         converted = self._converted
         if converted is not None and converted[0] is window and offset >= converted[1]:
@@ -671,7 +658,7 @@ class RecedingHorizonController:
         self._window, self._plan, self._plan_offset = window, plan, offset
         if self.first_plan is None:
             self.first_plan = plan
-        return ControlDecision(plan.grid_power_w[0], plan, planned_soc=plan.soc_trajectory[0])
+        return ControlDecision(plan.grid_power_w[0], plan, plan.soc_trajectory[0])
 
 
 class MPCInverter(Inverter):

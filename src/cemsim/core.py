@@ -104,23 +104,22 @@ class StepRecord(tuple):
     ``_asdict()`` maps field names to values, and ``dataclasses.fields``,
     ``replace`` and ``asdict`` do not apply to them.
 
-    No other class a command builds before its first step is a
-    dataclass either.  Decorating a class with ``dataclass``
-    generates its methods from source at import, and ``import
-    dataclasses`` loads ``inspect``, ``ast``, ``dis``, ``tokenize`` and
-    seven more modules; with records, a command that never plans loads
-    none of them.  :class:`ContextRecord`, the synthetic ``JobEvent``,
-    ``forecast.Predictor``, and ``scenario.Scenario`` and
-    ``SimulationBundle`` are tuple records.  A record built once and
-    read on every step is a :class:`SlotRecord`: the inverter's config,
-    which two components share, and the two classes that keep derived
-    state (a replay ``Channel``'s time axis and value view, and a
-    ``PriceSchedule``'s peak window in ns), which a tuple could not hold.
-    The components (the linear battery, the priced grid, the synthetic
-    pv and load among them) are no records: each holds its own
-    parameters as plain attributes.  Only :mod:`cemsim.control` keeps dataclasses:
-    it loads only for a strategy that plans, and planning imports numpy,
-    which imports ``inspect`` and ``ast`` itself.
+    No cemsim module uses dataclasses.  Decorating a class with
+    ``dataclass`` generates its methods from source at import, and
+    ``import dataclasses`` loads ``inspect``, ``ast``, ``dis``,
+    ``tokenize`` and seven more modules; with records, no command loads
+    it.  :class:`ContextRecord`, the synthetic ``JobEvent``,
+    ``forecast.Predictor``, ``scenario.Scenario`` and
+    ``SimulationBundle``, and the planner's ``ChargingProblem``,
+    ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision`` are
+    tuple records.  A record built once and read on every step is a
+    :class:`SlotRecord`: the inverter's config, which two components
+    share, and the two classes that keep derived state (a replay
+    ``Channel``'s time axis and value view, and a ``PriceSchedule``'s
+    peak window in ns), which a tuple could not hold.  The components
+    (the linear battery, the priced grid, the synthetic pv and load
+    among them) are no records: each holds its own parameters as plain
+    attributes.
     """
 
     __slots__ = ()

@@ -22,12 +22,13 @@ builds one feature row per sample, which every family it evaluates
 shares; each family's fit and RMSE stay bit for bit those of training
 and scoring it alone.
 
-numpy is imported inside each function that builds, fits or scores
-arrays, not at module level: the CLI imports this module for every
-command, and a PV-first or replay run never calls them, so it does not
-pay numpy's import.  For the same reason :class:`Predictor` is a
-:class:`~cemsim.core.StepRecord`, not a dataclass: importing this module
-loads no :mod:`dataclasses`.
+A feature row is a list, built by :func:`build_features` alone.  numpy
+serves only fitting and scoring, and is imported inside the functions
+that fit or score, not at module level: the CLI imports this module for
+every command, and a PV-first or replay run never calls them, so it
+does not pay numpy's import.  For the same reason :class:`Predictor` is
+a :class:`~cemsim.core.StepRecord`, like every cemsim record, so
+importing this module loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -167,27 +168,16 @@ def build_features(
     mode: str,
     t_ns: int,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
-) -> np.ndarray:
-    """Feature vector describing time ``t_ns`` given known context records.
+) -> list[float]:
+    """Feature row describing time ``t_ns`` given known context records,
+    in :func:`feature_names` order.
 
     Records not active at ``t_ns`` (begins_at <= t < ends_at) contribute
     nothing; callers pass the output of ``context_query`` at the knowledge
     time, so future-recorded records never leak in.  Non-numeric payload
     values under a cataloged field are ignored.
     """
-    import numpy as np
-
     _require(mode in FAMILIES, f"unknown feature family {mode!r}")
-    return np.asarray(_feature_row(records, mode, t_ns, effort_fn))
-
-
-def _feature_row(
-    records: Iterable[ContextRecord],
-    mode: str,
-    t_ns: int,
-    effort_fn: EffortEstimator,
-) -> list[float]:
-    """:func:`build_features` as a list, for a known family ``mode``."""
     hour = hour_of_day(t_ns)
     angle = 2.0 * math.pi * hour / 24.0
     features = [1.0, math.sin(angle), math.cos(angle)]
@@ -262,7 +252,7 @@ class Predictor(StepRecord, namedtuple("Predictor", "mode coefficients")):
         )
         return tuple.__new__(cls, (mode, coefficients))
 
-    def predict_features(self, features: np.ndarray) -> float:
+    def predict_features(self, features: Sequence[float]) -> float:
         import numpy as np
 
         return float(np.dot(np.asarray(features, dtype=np.float64), self.coefficients))
@@ -294,7 +284,7 @@ def train_predictor(
 
     _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
     index = ContextIndex(records)
-    design = np.vstack([build_features(context_query(index, t), mode, t, effort_fn) for t in times_ns])
+    design = np.array([build_features(context_query(index, t), mode, t, effort_fn) for t in times_ns])
     coefficients = fit_least_squares(design, np.asarray(observed_w, dtype=np.float64))
     return Predictor(mode=mode, coefficients=tuple(coefficients))
 
@@ -340,7 +330,7 @@ def evaluate_families(
     widest = next(family for family in FAMILIES if wanted <= set(feature_names(family)))
     names = feature_names(widest)
     index = ContextIndex(records)
-    rows = [_feature_row(context_query(index, t), widest, t, effort_fn) for t in times_ns]
+    rows = [build_features(context_query(index, t), widest, t, effort_fn) for t in times_ns]
     observed = np.asarray(observed_w[:split], dtype=np.float64)
     report: dict[str, float] = {}
     for family in families:

@@ -54,15 +54,16 @@ plans: the MPC branch of :func:`build_bundle` and
 builds, never steps a controller, so it does not pay the planner's
 import.  :class:`Scenario` and :class:`SimulationBundle` are
 :class:`~cemsim.core.StepRecord` tuples, and the components a set-up
-builds hold their parameters as plain attributes or in records, so it
-imports no :mod:`dataclasses` either (only the planner keeps
-dataclasses).
+builds hold their parameters as plain attributes or in records, so no
+set-up, planning or not, imports :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from functools import lru_cache, partial
@@ -211,9 +212,19 @@ def _schema_version(block: Mapping[str, Any], key: str, where: str) -> int:
 
 
 def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
+    """The path ``block[key]`` names, resolved against ``base_dir``; it must
+    be a file.  A name the file-system encoding cannot encode (``données``
+    under an ASCII locale) is named as such, not reported missing."""
     path = Path(_string(block, key, where))
     if not path.is_absolute():
         path = base_dir / path
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        encoding = sys.getfilesystemencoding()
+        raise ConfigurationError(
+            f"{where}: referenced file {path} cannot be encoded in the file-system encoding ({encoding})"
+        ) from None
     if not path.is_file():
         _fail(where, f"referenced file does not exist: {path}")
     return str(path)

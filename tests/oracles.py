@@ -34,7 +34,13 @@ is to ``load_power_reference``.
 family queried the context, built its features and trained through
 ``train_predictor`` on its own, kept verbatim, so the evaluation that
 queries each sample time once and shares one feature row among the
-families can be compared with it RMSE for RMSE, bit for bit.
+families can be compared with it RMSE for RMSE, bit for bit.  It trains
+and scores through this module's ``build_features`` (with its
+``_feature_row``), ``train_predictor`` and ``Predictor``: the feature
+vector while it was an ndarray, the fit while its design was a
+``np.vstack`` of those, and the predictor while it was a dataclass, kept
+verbatim, so it shares only ``fit_least_squares`` and ``rmse`` with the
+shipped evaluation, whose feature rows are lists.
 ``ingest_timeseries_reference`` is the channel-CSV ingest while it used
 numpy (``np.diff``, a stable ``np.argsort``, ``np.isfinite``), kept verbatim
 with the numpy checks of the old ``Channel`` inlined, so the builtin checks
@@ -66,6 +72,12 @@ change since: ``Channel`` no longer derives a times view and a cursor,
 which moved to the time axis its times are kept on.  Their
 ``PriceSchedule`` is the two-tier ``PriceTiers`` dataclass, renamed to
 the record that took its fields.
+Last come the planner's four classes, ``ChargingProblem``,
+``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision``, as they
+were while dataclasses, with the ``_plan_cost`` helper a plan's cost was
+summed by, kept verbatim so each record replacing one can be held to the
+same.  The solvers above build the shipped ``control.ChargingPlan``, so
+their plans compare with the shipped solver's.
 """
 from __future__ import annotations
 
@@ -75,25 +87,35 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
-from math import isfinite
+from math import inf, isfinite
 from operator import lt
 from types import MappingProxyType
 
 import numpy as np
 
-from cemsim import core
-from cemsim.control import ChargingPlan, InfeasibleProblemError
-from cemsim.core import NS_PER_DAY, NS_PER_HOUR, NS_PER_SECOND, BatteryMode, ConfigurationError, ContextIndex
+from cemsim import control, core
+from cemsim.control import InfeasibleProblemError, _finite_and_nonnegative
+from cemsim.core import (
+    NS_PER_DAY,
+    NS_PER_HOUR,
+    NS_PER_SECOND,
+    BatteryMode,
+    CompensatedSum,
+    ConfigurationError,
+    ContextIndex,
+    grid_energy_cost,
+)
 from cemsim.forecast import (
     FAMILIES,
-    build_features,
+    NUMERIC_FIELD_CATALOG,
     estimate_effort_heuristic,
     feature_names,
+    fit_least_squares,
     rmse,
-    train_predictor,
 )
-from cemsim.models.synthetic import unit_noise
+from cemsim.models.synthetic import hour_of_day, unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
     DEFAULT_BOUNDARY_TOLERANCE_S,
@@ -338,7 +360,7 @@ def greedy_charging(problem):
     energy = free + bought
     grid_power = tuple(float(v) for v in purchases / dt)
     soc_trajectory = tuple(float(v) for v in energy / capacity)
-    return ChargingPlan(
+    return control.ChargingPlan(
         step_seconds=dt,
         grid_power_w=grid_power,
         soc_trajectory=soc_trajectory,
@@ -447,7 +469,7 @@ def heap_walk_charging(problem):
             raise InfeasibleProblemError(k - 1, "shortfall exceeds storage headroom")
 
     bought[horizon] = total
-    return ChargingPlan(
+    return control.ChargingPlan(
         step_seconds=dt,
         grid_power_w=tuple([energy / dt for energy in purchases]),
         soc_trajectory=tuple(((free + bought) / capacity).tolist()),
@@ -566,6 +588,77 @@ def grid_priced_step(grid_input, config, now_ns, dt_s):
     price = config.schedule.price_at(now_ns)
     cost = core.grid_energy_cost(price, delivered_active, dt_s)
     return core.GridStepResult(delivered_active, delivered_apparent, cost, violation)
+
+
+def build_features(
+    records: Iterable[ContextRecord],
+    mode: str,
+    t_ns: int,
+    effort_fn: EffortEstimator = estimate_effort_heuristic,
+) -> np.ndarray:
+    """Feature vector describing time ``t_ns`` given known context records.
+
+    Records not active at ``t_ns`` (begins_at <= t < ends_at) contribute
+    nothing; callers pass the output of ``context_query`` at the knowledge
+    time, so future-recorded records never leak in.  Non-numeric payload
+    values under a cataloged field are ignored.
+    """
+    import numpy as np
+
+    _require(mode in FAMILIES, f"unknown feature family {mode!r}")
+    return np.asarray(_feature_row(records, mode, t_ns, effort_fn))
+
+
+def _feature_row(
+    records: Iterable[ContextRecord],
+    mode: str,
+    t_ns: int,
+    effort_fn: EffortEstimator,
+) -> list[float]:
+    """:func:`build_features` as a list, for a known family ``mode``."""
+    hour = hour_of_day(t_ns)
+    angle = 2.0 * math.pi * hour / 24.0
+    features = [1.0, math.sin(angle), math.cos(angle)]
+    if mode == "none":
+        return features
+    active = [r for r in records if r.begins_at_ns <= t_ns < r.ends_at_ns]
+    if mode in ("numeric", "combined"):
+        for field in NUMERIC_FIELD_CATALOG:
+            total = 0.0
+            present = 0.0
+            for record in active:
+                value = record.payload.get(field)
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    total += float(value)
+                    present = 1.0
+            features.append(total)
+            features.append(present)
+    if mode in ("effort", "combined"):
+        features.append(sum(effort_fn(record.text()) for record in active))
+    return features
+
+
+def train_predictor(
+    records: Sequence[ContextRecord],
+    times_ns: Sequence[int],
+    observed_w: Sequence[float],
+    mode: str,
+    effort_fn: EffortEstimator = estimate_effort_heuristic,
+) -> Predictor:
+    """Fit one family on (time, load) samples.
+
+    Features at each sample time use only records already recorded by
+    then, matching what a live forecaster could have known.
+    """
+    import numpy as np
+
+    from cemsim.core import context_query
+
+    _require(len(times_ns) == len(observed_w), "times and observations disagree on length")
+    index = ContextIndex(records)
+    design = np.vstack([build_features(context_query(index, t), mode, t, effort_fn) for t in times_ns])
+    coefficients = fit_least_squares(design, np.asarray(observed_w, dtype=np.float64))
+    return Predictor(mode=mode, coefficients=tuple(coefficients))
 
 
 def evaluate_families_reference(
@@ -1243,3 +1336,157 @@ class SimulationBundle:
     records: tuple[ContextRecord, ...]
     schedule: PriceSchedule | None
     controller: RecedingHorizonController | None
+
+
+# ---------------------------------------------------------------------------
+# Planner classes as dataclasses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChargingProblem:
+    """One planning window.
+
+    prices are per kWh, sampled per step; load_w and pv_w are the expected
+    per-step powers; capacity_j, soc bounds and the starting SOC describe
+    the storage; max_grid_power_w optionally caps each step's purchase.
+    The three series are converted to float tuples and checked here, the
+    one place a forecast window's series are (:class:`ForecastWindow`
+    keeps them as given); :meth:`tail` reuses them for a later start.
+    """
+
+    step_seconds: float
+    prices: tuple[float, ...]
+    load_w: tuple[float, ...]
+    pv_w: tuple[float, ...]
+    capacity_j: float
+    soc_min: float
+    soc_max: float
+    soc_initial: float
+    max_grid_power_w: float | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prices", tuple(map(float, self.prices)))
+        object.__setattr__(self, "load_w", tuple(map(float, self.load_w)))
+        object.__setattr__(self, "pv_w", tuple(map(float, self.pv_w)))
+        _require(0.0 < self.step_seconds < inf, "step_seconds must be finite and > 0")
+        count = len(self.prices)
+        _require(count >= 1, "the planning window must contain at least one step")
+        _require(
+            len(self.load_w) == count and len(self.pv_w) == count,
+            "prices, load_w and pv_w must have equal length",
+        )
+        _require(_finite_and_nonnegative(self.prices), "prices must be finite and >= 0")
+        _require(_finite_and_nonnegative(self.load_w), "load_w must be finite and >= 0")
+        _require(_finite_and_nonnegative(self.pv_w), "pv_w must be finite and >= 0")
+        _require(0.0 < self.capacity_j < inf, "capacity_j must be finite and > 0")
+        _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
+        self._check_soc_initial()
+        if self.max_grid_power_w is not None:
+            _require(self.max_grid_power_w >= 0.0, "max_grid_power_w must be >= 0")
+
+    def _check_soc_initial(self) -> None:
+        if not self.soc_min - 1e-9 <= self.soc_initial <= self.soc_max + 1e-9:
+            raise ValueError(f"soc_initial {self.soc_initial!r} outside [{self.soc_min}, {self.soc_max}]")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.prices)
+
+    def tail(self, offset: int, soc_initial: float) -> ChargingProblem:
+        """This window from step ``offset`` on, starting at ``soc_initial``.
+
+        The tail slices the series converted and checked when this problem
+        was built, so only ``soc_initial`` is checked again.
+        """
+        if not 0 <= offset < self.horizon:
+            raise ValueError(f"offset {offset} outside the window's {self.horizon} steps")
+        tail = object.__new__(ChargingProblem)
+        tail.__dict__.update(
+            self.__dict__,
+            prices=self.prices[offset:],
+            load_w=self.load_w[offset:],
+            pv_w=self.pv_w[offset:],
+            soc_initial=soc_initial,
+        )
+        tail._check_soc_initial()
+        return tail
+
+
+@dataclass(frozen=True)
+class ChargingPlan:
+    """A feasible purchase schedule and its bookkeeping.
+
+    total_cost is summed on first read: a controller that re-plans every
+    step builds many plans whose cost nobody reads.
+    """
+
+    step_seconds: float
+    grid_power_w: tuple[float, ...]
+    soc_trajectory: tuple[float, ...]  # length horizon + 1, starts at soc_initial
+    prices: tuple[float, ...]
+    purchased_energy_j: float
+
+    @cached_property
+    def total_cost(self) -> float:
+        return _plan_cost(self.prices, self.grid_power_w, self.step_seconds)
+
+
+def _plan_cost(prices: Sequence[float], grid_power_w: Sequence[float], dt_s: float) -> float:
+    acc = CompensatedSum()
+    for price, power in zip(prices, grid_power_w):
+        acc.add(grid_energy_cost(price, power, dt_s))
+    return acc.value
+
+
+@dataclass(frozen=True)
+class ForecastWindow:
+    """Per-step expectations from ``start_ns`` to the planning bound.
+
+    Entry i of each series covers the step
+    ``[start_ns + i * step_ns, start_ns + (i + 1) * step_ns)``.  The window's
+    shape is checked when it is built (equal lengths, ``step_ns > 0``); its
+    elements are kept as given and converted to floats and checked in one
+    place, the :class:`ChargingProblem` a controller builds on the tail
+    from the offset of its first solve on the window.  A provider hands
+    out the same window for every ``now`` it covers.  Providers keep one
+    window object per value: while they return the same object, its
+    values have not been revised.
+    """
+
+    start_ns: int
+    step_ns: int
+    load_w: tuple[float, ...]
+    pv_w: tuple[float, ...]
+    prices: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _require(self.step_ns > 0, "step_ns must be > 0")
+        _require(
+            len(self.load_w) == len(self.pv_w) == len(self.prices),
+            "forecast window series must have equal length",
+        )
+
+    @property
+    def step_seconds(self) -> float:
+        return self.step_ns / NS_PER_SECOND
+
+
+@dataclass(frozen=True)
+class ControlDecision:
+    """First-step purchase decision; ``fallback`` marks plan-less steps.
+
+    planned_soc is the plan's SOC at the decision boundary; executors use
+    it as the basis for storage-limit projections when it agrees with the
+    executed SOC within tolerance, so a plan that rides a bound exactly
+    is not truncated by sub-tolerance state drift.
+    """
+
+    planned_grid_power_w: float | None
+    plan: "ChargingPlan | None"
+    planned_soc: float | None = None
+
+    @property
+    def fallback(self) -> bool:
+        """Whether the step has no plan (callers dispatch PV-first)."""
+        return self.plan is None

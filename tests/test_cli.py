@@ -148,8 +148,8 @@ sys.exit(cli.main(sys.argv[2:]))
 # What a run or validate must never load: the planner, the logging
 # configured only by compare, numpy, hashlib, which initialises OpenSSL
 # (the noise hash is _blake2's blake2b), and dataclasses with the inspect
-# it imports (the records are StepRecord tuples; only the planner keeps
-# dataclasses).
+# it imports (every cemsim record is a StepRecord or a SlotRecord, so no
+# command loads dataclasses, a planning one included).
 _NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib", "dataclasses", "inspect")
 
 
@@ -249,6 +249,22 @@ def test_a_default_set_up_loads_no_planner_logging_hashlib_or_numpy(tmp_path):
     done = _python("-c", probe, _scenario(tmp_path, "day"), *modules)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_compare_and_forecast_eval_need_no_dataclasses(tmp_path):
+    """The planner's records are StepRecords too: with dataclasses
+    unimportable, a compare of PV-first and both MPC strategies and a
+    forecast-eval exit 0 and write the same bytes as in-process runs."""
+    scenario = _scenario(tmp_path, "day240", step_seconds=240, forecast={"resamples": 2})
+    for command, *options in (("compare", "--strategies", "default,mpc-perfect,mpc-context"), ("forecast-eval",)):
+        out, without = tmp_path / f"{command}-in-process", tmp_path / f"{command}-without"
+        assert cli.main([command, "--scenario", str(scenario), *options, "--out", str(out)]) == cli.EXIT_OK
+        done = _main_without(("dataclasses",), command, "--scenario", scenario, *options, "--out", without)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        names = sorted(path.name for path in out.iterdir())
+        assert names and names == sorted(path.name for path in without.iterdir()), command
+        for name in names:
+            assert (without / name).read_bytes() == (out / name).read_bytes(), (command, name)
 
 
 def test_compare_warns_of_an_infeasible_planning_window_on_stderr(tmp_path):
@@ -714,6 +730,29 @@ def test_an_output_directory_the_file_system_cannot_encode_is_named_and_run_goes
         assert done.returncode == cli.EXIT_CONFIG and done.stderr.splitlines() == [expected], done.stderr
         assert summary.is_file() == (argv[0] == "run"), argv
     assert sorted(path.name for path in tmp_path.iterdir()) == ["accented.json", "plain.json", "plain.out"]
+
+
+@pytest.mark.parametrize("block", ["pv", "context"])
+def test_a_recording_path_the_file_system_cannot_encode_is_named(recording, tmp_path, block):
+    """Under the C locale with UTF-8 mode off, a replay block whose file
+    name the file-system encoding cannot encode fails the run with one
+    error line naming the block and the path, and no traceback, instead
+    of reporting the file missing; in UTF-8 mode the same scenario runs."""
+    name = "context.jsonl" if block == "context" else "channels.csv"
+    (tmp_path / "données").mkdir()
+    (tmp_path / "données" / name).write_bytes((recording / "rec" / name).read_bytes())
+    replay = {"kind": "replay", "file": f"données/{name}"}
+    scenario = _scenario(tmp_path, "accented", horizon_seconds=3_600, **{block: replay})
+    # stderr escapes what ASCII cannot encode
+    path = str(tmp_path / "données" / name).encode("ascii", "backslashreplace").decode()
+    argv = ("-m", "cemsim.cli", "run", "--scenario", scenario, "--out", tmp_path / "out")
+    done = _python(*argv, LC_ALL="C", PYTHONUTF8="0", PYTHONUNBUFFERED=None)
+    assert done.returncode == cli.EXIT_CONFIG and "Traceback" not in done.stderr, done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: {scenario}: {block}: referenced file {path} cannot be encoded in the file-system encoding (ascii)"
+    ]
+    done = _python(*argv, PYTHONUTF8="1")
+    assert done.returncode == cli.EXIT_OK, done.stderr
 
 
 def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):

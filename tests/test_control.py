@@ -1,5 +1,4 @@
 """Charging plan solver and the receding-horizon control loop."""
-import dataclasses
 import json
 import math
 import random
@@ -606,7 +605,7 @@ def test_forecast_revision_forces_a_replan():
 def test_a_new_window_object_forces_a_replan_even_with_equal_values():
     """Identity, not value, tells the controller its forecast is unrevised:
     a provider that rebuilds an equal window every step re-solves every step."""
-    controller = _controller(forecast_provider=lambda now_ns: dataclasses.replace(MASTER))
+    controller = _controller(forecast_provider=lambda now_ns: MASTER._replace())
     plan = controller.decide(0, 0.5).plan
     decision = controller.decide(HOUR, plan.soc_trajectory[1])
     assert decision.plan is not plan
@@ -647,18 +646,18 @@ def test_an_int_valued_window_plans_bit_for_bit_as_its_float_copy():
 def test_re_solves_on_one_window_convert_and_check_it_once(monkeypatch):
     """A controller converts and checks a window object's series once, in
     the ChargingProblem of its first solve.  Every re-solve on that window
-    slices the converted series, checks only its starting SOC and plans bit
-    for bit as a ChargingProblem built from the window's tail."""
+    slices the converted series, checks only its starting SOC, and solves
+    a problem equal to the ChargingProblem built from the window's tail,
+    with a plan bit for bit its plan."""
     socs = [0.5 + 0.01 * k for k in range(6)]  # off the plan, so every step re-solves
-    expected = [
-        solve_charging(
-            ChargingProblem(
-                step_seconds=3600.0, prices=MASTER.prices[k:], load_w=MASTER.load_w[k:], pv_w=MASTER.pv_w[k:],
-                capacity_j=3.6e6, soc_min=0.1, soc_max=1.0, soc_initial=soc,
-            )
+    problems = [
+        ChargingProblem(
+            step_seconds=3600.0, prices=MASTER.prices[k:], load_w=MASTER.load_w[k:], pv_w=MASTER.pv_w[k:],
+            capacity_j=3.6e6, soc_min=0.1, soc_max=1.0, soc_initial=soc,
         )
         for k, soc in enumerate(socs)
     ]
+    expected = [solve_charging(problem) for problem in problems]
     check = cemsim.control._finite_and_nonnegative
     checked = []
     monkeypatch.setattr(cemsim.control, "_finite_and_nonnegative", lambda series: checked.append(series) or check(series))
@@ -667,7 +666,7 @@ def test_re_solves_on_one_window_convert_and_check_it_once(monkeypatch):
     monkeypatch.setattr(cemsim.control, "solve_charging", lambda problem: solved.append(problem) or solve(problem))
     controller = _controller()
     plans = [controller.decide(k * HOUR, soc).plan for k, soc in enumerate(socs)]
-    assert len(solved) == 6
+    assert solved == problems
     assert [repr(plan) for plan in plans] == [repr(plan) for plan in expected]
     assert [len(series) for series in checked] == [6, 6, 6]
     with pytest.raises(ValueError, match=r"^soc_initial 1\.5 outside \[0\.1, 1\.0\]$"):
@@ -678,7 +677,7 @@ def test_a_window_holding_a_nan_fails_its_first_solve():
     """A nan in a window fails the solve that first converts it, with the
     message a ChargingProblem gives; a nan before the offset of that solve
     is not in the tail it converts, as before."""
-    window = dataclasses.replace(MASTER, load_w=(200.0, 900.0, float("nan"), 1200.0, 400.0, 800.0))
+    window = MASTER._replace(load_w=(200.0, 900.0, float("nan"), 1200.0, 400.0, 800.0))
     with pytest.raises(ValueError, match="^load_w must be finite and >= 0$"):
         _controller(window).decide(0, 0.5)
     assert _controller(window).decide(3 * HOUR, 0.5).plan.prices == MASTER.prices[3:]

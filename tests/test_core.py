@@ -29,6 +29,7 @@ from cemsim import (
     context_query,
     grid_energy_cost,
 )
+from cemsim.control import ChargingPlan, ChargingProblem, ControlDecision, ForecastWindow
 from cemsim.core import NS_PER_SECOND, StepRecord
 from cemsim.forecast import FAMILIES, Predictor
 from cemsim.models.grid import PriceSchedule
@@ -205,6 +206,10 @@ _RECORDS = SimpleNamespace(
     Predictor=Predictor,
     Scenario=Scenario,
     SimulationBundle=SimulationBundle,
+    ChargingProblem=ChargingProblem,
+    ChargingPlan=ChargingPlan,
+    ForecastWindow=ForecastWindow,
+    ControlDecision=ControlDecision,
 )
 _NUMBER = st.one_of(
     st.sampled_from(_EDGE_VALUES + (math.inf, -math.inf, math.nan, 6.0, 18.0, 24.0, 400.0)),
@@ -224,6 +229,13 @@ _TIMES = st.one_of(
     st.sampled_from((None, "ab")),
 )
 _BLOCK = {"kind": "synthetic"}
+_SERIES = st.one_of(
+    st.lists(_NUMBER, max_size=3),
+    st.lists(_NUMBER, max_size=3).map(tuple),
+    st.sampled_from((None, "ab", "12", 1.0)),
+)
+_SOC = st.one_of(st.floats(0.0, 1.0), st.sampled_from((-1e-9, 1.0 + 1e-9, 1.0 + 2e-9)), _ANY)
+_PLAN = (60.0, (100.0, 0.0), (0.5, 0.6, 0.6), (0.25, 0.1), 6000.0)
 
 #: For each record, valid values of its fields and a strategy per field;
 #: an example replaces a few of the valid values, so every check is reached.
@@ -245,6 +257,29 @@ _ARGUMENTS = {
     ),
     "Scenario": ((7, 0, 86400, 60) + (_BLOCK,) * 7 + ("base", None), (st.one_of(_ANY, st.just(_BLOCK)),) * 13),
     "SimulationBundle": ((None, "default", None, (), None, None), (_ANY,) * 6),
+    "ChargingProblem": (
+        (60.0, (0.25, 0.1), (100.0, 50.0), (0.0, 20.0), 3.6e6, 0.1, 0.9, 0.5, None),
+        (_ANY, _SERIES, _SERIES, _SERIES, _ANY, _SOC, _SOC, _SOC, _ANY),
+    ),
+    "ChargingPlan": (_PLAN, (_ANY, _SERIES, _SERIES, _SERIES, _ANY)),
+    "ForecastWindow": (
+        (0, 60 * NS_PER_SECOND, (100.0, 50.0), (0, 20), (0.25, 0.1)),
+        (_NS, _NS, _SERIES, _SERIES, _SERIES),
+    ),
+    "ControlDecision": (
+        (100.0, ChargingPlan(*_PLAN), 0.5),
+        (_ANY, st.sampled_from((None, ChargingPlan(*_PLAN))), _ANY),
+    ),
+}
+
+#: The properties read from a record and its dataclass, where reading one
+#: costs little whatever the fields hold (a Scenario's step_ns would repeat
+#: a string step_seconds 10**9 times).
+_PROPERTIES = {
+    "ChargingProblem": ("horizon",),
+    "ChargingPlan": ("total_cost",),
+    "ForecastWindow": ("step_seconds",),
+    "ControlDecision": ("fallback",),
 }
 
 
@@ -259,13 +294,22 @@ def _plain(value):
     return value.tolist() if type(value) is memoryview else value
 
 
+def _read(record, name):
+    """``repr`` of the attribute ``name`` of ``record``, or the error reading it raises."""
+    try:
+        return repr(_plain(getattr(record, name)))
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("name", sorted(_ARGUMENTS))
 @given(data=st.data())
 @settings(max_examples=300)
 def test_records_behave_as_the_dataclasses_they_replace(name, data):
-    """Each configuration, context and scenario record accepts, rejects,
-    prints, compares and hashes as the dataclass it replaced (kept
-    verbatim in oracles), derives the same hidden attributes, has no
+    """Each configuration, context, scenario and planner record accepts,
+    rejects, prints, compares and hashes as the dataclass it replaced (kept
+    verbatim in oracles), derives the same hidden attributes, reads the
+    same planner properties (a plan's total_cost among them), has no
     instance dict, and raises FrozenInstanceError on any assignment or
     deletion (SimulationBundle was a mutable dataclass; it is frozen now)."""
     fields = dataclasses.fields(getattr(oracles, name))
@@ -300,6 +344,8 @@ def test_records_behave_as_the_dataclasses_they_replace(name, data):
     for f in fields:
         value, expected = _plain(getattr(record, f.name)), _plain(getattr(reference, f.name))
         assert value is expected or repr(value) == repr(expected), f.name
+    for key in _PROPERTIES.get(name, ()):
+        assert _read(record, key) == _read(reference, key), key
     assert not hasattr(record, "__dict__")
     for field_name in [f.name for f in fields] + ["not_a_field"]:
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cemsim.core
 from cemsim import (
     FAMILIES,
+    ContextIndex,
     ContextRecord,
     NUMERIC_FIELD_CATALOG,
     Predictor,
@@ -31,6 +32,7 @@ from cemsim.models.synthetic import (
     context_records_for_jobs,
     generate_job_events,
 )
+import oracles
 from oracles import evaluate_families_reference
 
 NS_PER_HOUR = 3_600_000_000_000
@@ -294,6 +296,35 @@ def test_evaluate_families_matches_the_per_family_reference(seed, day_count, noi
     assert {family: value.hex() for family, value in report.items()} == {
         family: value.hex() for family, value in expected.items()
     }
+
+
+def _hexes(values):
+    return [float(value).hex() for value in values]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    noise=st.sampled_from((0.0, 0.05, 0.2)),
+    family=st.sampled_from(FAMILIES),
+)
+@settings(max_examples=20)
+def test_feature_rows_and_fits_match_the_ndarray_reference(seed, noise, family):
+    """A feature row is a list holding, bit for bit, the values of the
+    ndarray the reference builds; a fit on one array of those rows gives
+    the coefficients of the reference's fit on their vstack, and its
+    predictions those of the reference predictor, bit for bit."""
+    records, times, observed = _job_driven_samples(seed, 2, noise)
+    index = ContextIndex(records)
+    known = [cemsim.core.context_query(index, t) for t in times]
+    for records_known, t in zip(known, times):
+        row = build_features(records_known, family, t)
+        assert type(row) is list
+        assert _hexes(row) == _hexes(oracles.build_features(records_known, family, t).tolist())
+    predictor = train_predictor(records, times, observed, family)
+    reference = oracles.train_predictor(records, times, observed, family)
+    assert _hexes(predictor.coefficients) == _hexes(reference.coefficients)
+    predicted = [predictor.predict(records_known, t) for records_known, t in zip(known, times)]
+    assert _hexes(predicted) == _hexes(reference.predict(records_known, t) for records_known, t in zip(known, times))
 
 
 def test_watts_per_effort_recovered_within_two_percent():
