@@ -79,7 +79,7 @@ _EXPORTS = {
     ),
     "models.battery": ("BatteryLinear",),
     "models.grid": ("GridPriced", "PriceSchedule"),
-    "models.inverter": ("InverterPVFirst", "InverterPVFirstConfig", "inverter_pv_first_step"),
+    "models.inverter": ("InverterPVFirst",),
     "models.synthetic": (
         "ScriptedContext",
         "SyntheticLoad",

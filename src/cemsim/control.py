@@ -143,7 +143,6 @@ from typing import Callable, Sequence
 from .core import (
     NS_PER_SECOND,
     CompensatedSum,
-    Inverter,
     InverterStepInput,
     InverterStepResult,
     SimulationError,
@@ -152,7 +151,7 @@ from .core import (
     _tuple_new,
     grid_energy_cost,
 )
-from .models.inverter import InverterPVFirstConfig, inverter_pv_first_step
+from .models.inverter import InverterPVFirst
 
 logger = logging.getLogger(__name__)
 
@@ -661,11 +660,13 @@ class RecedingHorizonController:
         return ControlDecision(plan.grid_power_w[0], plan, plan.soc_trajectory[0])
 
 
-class MPCInverter(Inverter):
+class MPCInverter(InverterPVFirst):
     """The PV-first inverter steered by a receding-horizon purchase plan.
 
-    Each step asks the controller for the step's planned purchase and
-    hands it to :func:`~cemsim.models.inverter.inverter_pv_first_step`,
+    ``MPCInverter(controller, **parameters)`` takes the parameters of
+    :class:`~cemsim.models.inverter.InverterPVFirst`.  Each step asks the
+    controller for the step's planned purchase and hands it to the
+    inherited :meth:`~cemsim.models.inverter.InverterPVFirst.dispatch`,
     which serves the deficit from it, routes any surplus into the battery
     and lets the battery cover a shortfall.  Storage limits are projected
     from the plan's SOC when the executed SOC agrees with it within
@@ -677,8 +678,8 @@ class MPCInverter(Inverter):
     models do not import controllers.
     """
 
-    def __init__(self, config: InverterPVFirstConfig, controller: RecedingHorizonController) -> None:
-        self._config = config
+    def __init__(self, controller: RecedingHorizonController, **parameters: float | None) -> None:
+        super().__init__(**parameters)
         self._controller = controller
 
     def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
@@ -688,9 +689,8 @@ class MPCInverter(Inverter):
         soc_basis = None
         if planned_soc is not None and abs(planned_soc - soc) <= SOC_SNAP_TOLERANCE:
             soc_basis = planned_soc
-        return inverter_pv_first_step(
+        return self.dispatch(
             inverter_input,
-            self._config,
             (end_ns - start_ns) / NS_PER_SECOND,
             decision.planned_grid_power_w,
             soc_basis,

@@ -112,14 +112,12 @@ class StepRecord(tuple):
     ``forecast.Predictor``, ``scenario.Scenario`` and
     ``SimulationBundle``, and the planner's ``ChargingProblem``,
     ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision`` are
-    tuple records.  A record built once and read on every step is a
-    :class:`SlotRecord`: the inverter's config, which two components
-    share, and the two classes that keep derived state (a replay
-    ``Channel``'s time axis and value view, and a ``PriceSchedule``'s
-    peak window in ns), which a tuple could not hold.  The components
-    (the linear battery, the priced grid, the synthetic pv and load
-    among them) are no records: each holds its own parameters as plain
-    attributes.
+    tuple records.  A record that keeps derived state is a
+    :class:`SlotRecord`: a replay ``Channel`` (its time axis and value
+    view) and a ``PriceSchedule`` (its peak window in ns), which a tuple
+    could not hold.  The components (the linear battery, the priced grid,
+    the synthetic pv and load and the inverter among them) are no
+    records: each holds its own parameters as plain attributes.
     """
 
     __slots__ = ()
@@ -158,9 +156,10 @@ class SlotRecord:
     specialises a slot read, not a tuple field read (a ``namedtuple``
     field is a descriptor the interpreter calls).  A call reading ten
     config fields took 120-170 ns from slots and 260-360 ns from tuple
-    fields, and one night and one day inverter step plus one grid step
-    5.4 µs with slotted configs and 6.3 µs with tuple configs (best of
-    15 timeit runs, CPython 3.11, 2-vCPU VM).
+    fields, and one night and one day inverter step plus one grid step,
+    when both read config records, 5.4 µs with slotted configs and
+    6.3 µs with tuple configs (best of 15 timeit runs, CPython 3.11,
+    2-vCPU VM).
     """
 
     __slots__ = ()

@@ -196,7 +196,7 @@ def build_features(
             features.append(total)
             features.append(present)
     if mode in ("effort", "combined"):
-        features.append(sum(effort_fn(record.text()) for record in active))
+        features.append(sum((effort_fn(record.text()) for record in active), 0.0))
     return features
 
 

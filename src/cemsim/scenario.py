@@ -90,7 +90,7 @@ from .forecast import (
 )
 from .models.battery import BatteryLinear
 from .models.grid import GridPriced, PriceSchedule
-from .models.inverter import InverterPVFirst, InverterPVFirstConfig
+from .models.inverter import InverterPVFirst
 from .models.synthetic import (
     ScriptedContext,
     SyntheticLoad,
@@ -627,31 +627,6 @@ def _recorded(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable]) -> t
     return tables[file], block["subsystem_id"], block["boundary_tolerance_s"]
 
 
-def _inverter_config(scenario: Scenario) -> InverterPVFirstConfig:
-    inv = scenario.inverter
-    battery = scenario.battery
-    if battery["kind"] == "linear":
-        eta_c = battery["eta_charge"]
-        eta_d = battery["eta_discharge"]
-    else:
-        eta_c = eta_d = 1.0
-    max_charge = inv["max_charge_power_w"]
-    max_discharge = inv["max_discharge_power_w"]
-    return InverterPVFirstConfig(
-        eta_pv_to_batt=inv["eta_pv_to_batt"],
-        eta_pv_to_load=inv["eta_pv_to_load"],
-        eta_batt_to_load=inv["eta_batt_to_load"],
-        max_charge_power=math.inf if max_charge is None else max_charge,
-        max_discharge_power=math.inf if max_discharge is None else max_discharge,
-        soc_min=inv["soc_min"],
-        soc_max=inv["soc_max"],
-        self_power=inv["self_power_w"],
-        battery_capacity=battery["capacity_j"],
-        battery_eta_charge=eta_c,
-        battery_eta_discharge=eta_d,
-    )
-
-
 def forecast_provider(
     load_at: Callable[[list[ContextRecord], int], float],
     pv_at: Callable[[int], float],
@@ -797,10 +772,20 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         records = ingest_context(scenario.context["file"])
     context = None if scenario.context["kind"] == "none" else ScriptedContext(records)
 
-    inverter_config = _inverter_config(scenario)
+    # the inverter block's keys are InverterPVFirst's parameters, plus the
+    # battery it projects storage limits for (a recorded battery names no
+    # efficiencies, so the projection takes 1); the planner's SOC band is
+    # the same block's
+    linear = scenario.battery["kind"] == "linear"
+    inverter_parameters = {key: value for key, value in scenario.inverter.items() if key != "kind"}
+    inverter_parameters.update(
+        battery_capacity_j=scenario.battery["capacity_j"],
+        battery_eta_charge=scenario.battery["eta_charge"] if linear else 1.0,
+        battery_eta_discharge=scenario.battery["eta_discharge"] if linear else 1.0,
+    )
     controller: RecedingHorizonController | None = None
     if strategy == "default":
-        inverter = InverterPVFirst(inverter_config)
+        inverter = InverterPVFirst(**inverter_parameters)
     else:
         from .control import MPCInverter, RecedingHorizonController
 
@@ -837,12 +822,12 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         provider = forecast_provider(load_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns, forecast_records)
         controller = RecedingHorizonController(
             capacity_j=scenario.battery["capacity_j"],
-            soc_min=inverter_config.soc_min,
-            soc_max=inverter_config.soc_max,
+            soc_min=inverter_parameters["soc_min"],
+            soc_max=inverter_parameters["soc_max"],
             forecast_provider=provider,
             max_grid_power_w=scenario.grid["max_active_power_w"],
         )
-        inverter = MPCInverter(inverter_config, controller)
+        inverter = MPCInverter(controller, **inverter_parameters)
 
     simulator = Simulator(
         scenario.start_ns,

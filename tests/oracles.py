@@ -64,7 +64,7 @@ The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
 to the same acceptance, messages, ``repr``, field values and hash.
-After them come the eight configuration, context and scenario classes
+After them come the seven configuration, context and scenario classes
 that are still records, as they were while dataclasses, kept verbatim too
 (the helpers they call, such as the array coercion, are imported from
 cemsim), so each record replacing one can be held to the same.  One
@@ -1153,46 +1153,6 @@ class ContextRecord:
 
     def text(self) -> str:
         return str(self.payload.get("text", ""))
-
-
-@dataclass(frozen=True, slots=True)
-class InverterPVFirstConfig:
-    """PV-first dispatch parameters.
-
-    eta_pv_to_batt / eta_pv_to_load / eta_batt_to_load : path efficiencies.
-    max_charge_power / max_discharge_power : battery-side caps in W.
-    soc_min / soc_max : battery operating window enforced by dispatch.
-    self_power : the inverter's own consumption in W, added to demand.
-    battery_capacity : battery capacity in J for energy-aware current
-        limits (None disables them).  battery_eta_charge and
-        battery_eta_discharge describe the attached battery so the
-        projection matches what the battery will actually store or drain.
-    """
-
-    eta_pv_to_batt: float = 0.97
-    eta_pv_to_load: float = 0.95
-    eta_batt_to_load: float = 0.95
-    max_charge_power: float = math.inf
-    max_discharge_power: float = math.inf
-    soc_min: float = 0.1
-    soc_max: float = 1.0
-    self_power: float = 0.0
-    battery_capacity: float | None = None
-    battery_eta_charge: float = 1.0
-    battery_eta_discharge: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("eta_pv_to_batt", "eta_pv_to_load", "eta_batt_to_load"):
-            value = getattr(self, name)
-            _require(0.0 < value <= 1.0, f"{name} must be in (0, 1]")
-        _require(self.max_charge_power >= 0.0, "max_charge_power must be >= 0")
-        _require(self.max_discharge_power >= 0.0, "max_discharge_power must be >= 0")
-        _require(0.0 <= self.soc_min < self.soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
-        _require(self.self_power >= 0.0, "self_power must be >= 0")
-        if self.battery_capacity is not None:
-            _require(self.battery_capacity > 0.0, "battery_capacity must be > 0")
-        _require(0.0 < self.battery_eta_charge <= 1.0, "battery_eta_charge must be in (0, 1]")
-        _require(0.0 < self.battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,6 @@ from cemsim import (
     ForecastWindow,
     InfeasibleProblemError,
     InverterPVFirst,
-    InverterPVFirstConfig,
     InverterStepInput,
     LoadStepResult,
     MPCInverter,
@@ -792,9 +791,9 @@ def test_controller_validation():
 # Plan-following inverter
 # ---------------------------------------------------------------------------
 
-LOSSLESS = InverterPVFirstConfig(
+LOSSLESS = dict(
     eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-    soc_min=0.0, battery_capacity=3.6e6,
+    soc_min=0.0, battery_capacity_j=3.6e6,
 )
 
 
@@ -816,7 +815,7 @@ def _mpc_input(pv_w, load_w, soc):
 def test_overbuying_routes_the_surplus_into_the_battery():
     """A 600 W plan against a 100 W deficit grid-charges the other 500 W."""
     window = ForecastWindow(0, HOUR, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
-    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
     assert result.grid_input.requested_active_power == pytest.approx(600.0, rel=1e-12)
     assert result.battery_input.mode is BatteryMode.CHARGE
@@ -826,7 +825,7 @@ def test_overbuying_routes_the_surplus_into_the_battery():
 def test_underbuying_discharges_to_cover_the_gap():
     """A 100 W plan against a 1000 W load lets the battery supply 900 W."""
     window = ForecastWindow(0, HOUR, (1000.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
@@ -837,7 +836,7 @@ def test_load_above_forecast_is_served_despite_the_plan():
     """The forecast said 100 W so the plan buys nothing; the actual 1000 W
     load drains what the battery has (900 W) and the rest goes to the grid."""
     window = ForecastWindow(0, HOUR, (100.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(LOSSLESS, _fixed_decision_controller(window))
+    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(900.0, rel=1e-9)
@@ -849,8 +848,8 @@ def test_without_a_plan_dispatch_is_plain_pv_first():
         capacity_j=3.6e6, soc_min=0.0, soc_max=1.0,
         forecast_provider=lambda now_ns: None,
     )
-    mpc = MPCInverter(LOSSLESS, controller)
-    plain = InverterPVFirst(LOSSLESS)
+    mpc = MPCInverter(controller, **LOSSLESS)
+    plain = InverterPVFirst(**LOSSLESS)
     for pv_w, load_w, soc in [(500.0, 300.0, 0.5), (0.0, 400.0, 0.8), (200.0, 200.0, 0.1)]:
         assert mpc.step(0, 3600 * NS, _mpc_input(pv_w, load_w, soc)) == plain.step(
             0, 3600 * NS, _mpc_input(pv_w, load_w, soc)

@@ -33,7 +33,6 @@ from cemsim.control import ChargingPlan, ChargingProblem, ControlDecision, Forec
 from cemsim.core import NS_PER_SECOND, StepRecord
 from cemsim.forecast import FAMILIES, Predictor
 from cemsim.models.grid import PriceSchedule
-from cemsim.models.inverter import InverterPVFirstConfig
 from cemsim.models.synthetic import JobEvent
 from cemsim.replay import Channel
 from cemsim.scenario import Scenario, SimulationBundle
@@ -200,7 +199,6 @@ def test_step_records_behave_as_their_dataclass_references(name, data):
 _RECORDS = SimpleNamespace(
     ContextRecord=ContextRecord,
     PriceSchedule=PriceSchedule,
-    InverterPVFirstConfig=InverterPVFirstConfig,
     JobEvent=JobEvent,
     Channel=Channel,
     Predictor=Predictor,
@@ -242,7 +240,6 @@ _PLAN = (60.0, (100.0, 0.0), (0.5, 0.6, 0.6), (0.25, 0.1), 6000.0)
 _ARGUMENTS = {
     "ContextRecord": ((0, 1, 2, 1, {"text": "x"}), (_NS, _NS, _NS, _NS, _PAYLOAD)),
     "PriceSchedule": ((0.1, 0.4, 8, 20), (_ANY,) * 4),
-    "InverterPVFirstConfig": ((0.97, 0.95, 0.95, math.inf, math.inf, 0.1, 1.0, 0.0, None, 1.0, 1.0), (_ANY,) * 11),
     "JobEvent": ((0, 1, "job", 2.0, 250.0), (_NS, _NS, st.text(max_size=2), _ANY, _ANY)),
     "Channel": (
         (1, "pv_power", [0, 1, 2], [0.5, 1.0, 2.0]),

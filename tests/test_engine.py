@@ -17,7 +17,6 @@ from cemsim import (
     GridPriced,
     GridStepInput,
     InverterPVFirst,
-    InverterPVFirstConfig,
     InverterStepInput,
     Load,
     LoadStepResult,
@@ -40,7 +39,7 @@ from cemsim.engine import WH_PER_J
 
 NS_PER_DAY = 86_400 * NS
 
-LOSSLESS_INVERTER = InverterPVFirstConfig(
+LOSSLESS_INVERTER = dict(
     eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1
 )
 
@@ -94,7 +93,7 @@ def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, sta
         power_source=SequencePV(pvs if pvs is not None else [0.0] * count),
         load=SequenceLoad(loads),
         battery=battery,
-        inverter=InverterPVFirst(LOSSLESS_INVERTER),
+        inverter=InverterPVFirst(**LOSSLESS_INVERTER),
         grid=grid,
         context=context,
     )
@@ -107,7 +106,7 @@ def _synthetic_simulator(seed=0, day_count=1, jobs=True):
         power_source=SyntheticPowerSource(seed=seed, pv_noise_amplitude=0.1),
         load=SyntheticLoad(seed=seed, base_load=800.0, job_events=events, load_noise_amplitude=0.05),
         battery=BatteryLinear(),
-        inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
+        inverter=InverterPVFirst(battery_capacity_j=1.8432e7),
         grid=GridPriced(PriceSchedule(0.3, 0.3)),
         context=ScriptedContext(context_records_for_jobs(events)),
     )
@@ -231,7 +230,7 @@ def _interval_components():
         ),
         (
             "inverter",
-            lambda: InverterPVFirst(InverterPVFirstConfig(battery_capacity=1.8432e7)),
+            lambda: InverterPVFirst(battery_capacity_j=1.8432e7),
             lambda c, a, b: c.step(a, b, dispatch),
         ),
     ]

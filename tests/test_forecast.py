@@ -143,6 +143,29 @@ def test_hour_encoding_is_on_the_unit_circle():
         assert features[1] ** 2 + features[2] ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
+@given(
+    family=st.sampled_from(FAMILIES),
+    hour=st.integers(0, 47),
+    count=st.integers(0, 3),
+    cores=st.one_of(st.integers(0, 64), st.floats(0.0, 64.0), st.just("many")),
+    integer_effort=st.booleans(),
+)
+@settings(max_examples=100)
+def test_every_feature_is_a_float(family, hour, count, cores, integer_effort):
+    """A row holds only floats for every family, with active records (the
+    first day) or none (the second, or no records at all), also when a
+    payload value or the effort estimator gives an int."""
+    records = [_record(0, 24, "GPU blitz compile", cores=cores) for _ in range(count)]
+
+    def effort_fn(text):
+        effort = estimate_effort_heuristic(text)
+        return int(effort) if integer_effort else effort
+
+    row = build_features(records, family, hour * NS_PER_HOUR, effort_fn)
+    assert len(row) == len(feature_names(family))
+    assert [type(value) for value in row] == [float] * len(row)
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Inverter dispatch kernel: allocation order, caps, SOC window, balance,
-with and without a planned grid purchase."""
+"""Inverter dispatch: allocation order, caps, SOC window, balance, with
+and without a planned grid purchase."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,17 +11,13 @@ from cemsim import (
     BatteryMode,
     BatteryStepResult,
     InverterPVFirst,
-    InverterPVFirstConfig,
     InverterStepInput,
     LoadStepResult,
     PowerSourceStepResult,
-    inverter_pv_first_step,
 )
 from cemsim.core import NS_PER_SECOND as NS
 
-LOSSLESS = InverterPVFirstConfig(
-    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1
-)
+LOSSLESS = dict(eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1)
 
 
 def _inverter_input(pv_w, load_w, soc, apparent_w=None):
@@ -31,8 +28,8 @@ def _inverter_input(pv_w, load_w, soc, apparent_w=None):
     )
 
 
-def _step(inverter_input, config=LOSSLESS, dt_s=3600.0, planned=None):
-    return inverter_pv_first_step(inverter_input, config, dt_s, planned)
+def _step(inverter_input, parameters=LOSSLESS, dt_s=3600.0, planned=None):
+    return InverterPVFirst(**parameters).dispatch(inverter_input, dt_s, planned)
 
 
 def test_pv_exactly_covers_load():
@@ -61,30 +58,30 @@ def test_empty_battery_defers_to_grid():
 
 def test_discharge_accounts_for_path_losses():
     """Serving 180 W of load through a 90% path drains 200 W battery-side."""
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=0.9, soc_min=0.1
     )
-    result = _step(_inverter_input(pv_w=0.0, load_w=180.0, soc=0.5), config)
+    result = _step(_inverter_input(pv_w=0.0, load_w=180.0, soc=0.5), parameters)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(200.0, rel=1e-12)
     assert result.grid_input.requested_active_power == 0.0
 
 
 def test_self_power_is_part_of_demand():
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, self_power=50.0,
+        soc_min=0.1, self_power_w=50.0,
     )
-    result = _step(_inverter_input(pv_w=0.0, load_w=0.0, soc=0.1), config)
+    result = _step(_inverter_input(pv_w=0.0, load_w=0.0, soc=0.1), parameters)
     assert result.grid_input.requested_active_power == 50.0
 
 
 def test_discharge_power_cap_splits_deficit():
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, max_discharge_power=300.0,
+        soc_min=0.1, max_discharge_power_w=300.0,
     )
-    result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.9), config)
+    result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.9), parameters)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(300.0, rel=1e-12)
     assert result.grid_input.requested_active_power == pytest.approx(700.0, rel=1e-12)
@@ -92,21 +89,21 @@ def test_discharge_power_cap_splits_deficit():
 
 def test_charge_current_limited_by_soc_headroom():
     """With the capacity known, charging cannot overshoot soc_max in one step."""
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, battery_capacity=3.6e6,
+        soc_min=0.1, battery_capacity_j=3.6e6,
     )
-    result = _step(_inverter_input(pv_w=500.0, load_w=0.0, soc=0.95), config)
+    result = _step(_inverter_input(pv_w=500.0, load_w=0.0, soc=0.95), parameters)
     # Headroom is 0.05 * 3.6e6 J = 50 W-hours-worth over the 3600 s step.
     assert result.battery_input.current * 50.0 == pytest.approx(50.0, rel=1e-12)
 
 
 def test_discharge_current_limited_by_soc_floor():
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, battery_capacity=3.6e6,
+        soc_min=0.1, battery_capacity_j=3.6e6,
     )
-    result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.2), config)
+    result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.2), parameters)
     available_w = (0.2 - 0.1) * 3.6e6 / 3600.0
     assert result.battery_input.current * 50.0 == pytest.approx(available_w, rel=1e-9)
     assert result.grid_input.requested_active_power == pytest.approx(
@@ -121,21 +118,52 @@ def test_reactive_demand_survives_full_pv_coverage():
     assert result.grid_input.requested_apparent_power == pytest.approx(200.0, rel=1e-12)
 
 
+_EFFICIENCIES = ("eta_pv_to_batt", "eta_pv_to_load", "eta_batt_to_load", "battery_eta_charge", "battery_eta_discharge")
+#: (parameters, the message naming them): one case per check, at and past
+#: each bound, nan included
+_INVALID = [
+    *(
+        ({name: value}, f"{name} must be in (0, 1]")
+        for name in _EFFICIENCIES
+        for value in (0.0, -0.5, 1.0000000000000002, math.nan)
+    ),
+    *(
+        ({name: value}, f"{name} must be >= 0")
+        for name in ("max_charge_power_w", "max_discharge_power_w", "self_power_w")
+        for value in (-1.0, -5e-324, math.nan)
+    ),
+    *(
+        (dict(zip(("soc_min", "soc_max"), band)), "need 0 <= soc_min < soc_max <= 1")
+        for band in ((0.8, 0.5), (0.5, 0.5), (-0.1, 0.5), (0.1, 1.5), (math.nan, 1.0), (0.1, math.nan))
+    ),
+    *(({"battery_capacity_j": value}, "battery_capacity_j must be > 0") for value in (0.0, -1.0, math.nan)),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        InverterPVFirstConfig(eta_pv_to_load=0.0)
-    with pytest.raises(ValueError):
-        InverterPVFirstConfig(soc_min=0.8, soc_max=0.5)
-    with pytest.raises(ValueError):
-        InverterPVFirstConfig(self_power=-1.0)
-    with pytest.raises(ValueError):
-        InverterPVFirstConfig(battery_capacity=0.0)
+    """Every check of the constructor rejects its bad values with a message
+    naming the parameter; the bounds themselves are accepted."""
+    for parameters, message in _INVALID:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InverterPVFirst(**parameters)
+    edges = dict(
+        eta_pv_to_batt=1.0, eta_pv_to_load=5e-324, eta_batt_to_load=1.0,
+        max_charge_power_w=0.0, max_discharge_power_w=math.inf, soc_min=0.0, soc_max=1.0,
+        self_power_w=0.0, battery_capacity_j=5e-324, battery_eta_charge=1.0, battery_eta_discharge=5e-324,
+    )
+    inverter = InverterPVFirst(**edges)
+    assert {name: getattr(inverter, name) for name in edges} == edges
+    uncapped = InverterPVFirst()
+    assert uncapped.max_charge_power_w == uncapped.max_discharge_power_w == math.inf
+    assert uncapped.battery_capacity_j is None
 
 
 def test_stateful_wrapper_matches_pure_function():
-    inverter = InverterPVFirst(LOSSLESS)
+    """step dispatches over its interval as dispatch does, leaving no state."""
+    inverter = InverterPVFirst(**LOSSLESS)
     inverter_input = _inverter_input(pv_w=500.0, load_w=300.0, soc=0.5)
     assert inverter.step(0, 3600 * NS, inverter_input) == _step(inverter_input)
+    assert inverter.step(0, 3600 * NS, inverter_input) == inverter.dispatch(inverter_input, 3600.0)
 
 
 # planned: None is PV-first dispatch, a float a planned grid purchase (W)
@@ -198,12 +226,12 @@ def test_lossless_dispatch_conserves_power(pv_w, load_w, soc, planned):
 @settings(max_examples=200)
 def test_soc_projection_caps_both_directions(pv_w, load_w, soc, planned, dt_s):
     """Energy-aware limits keep the projected SOC inside the window."""
-    config = InverterPVFirstConfig(
+    parameters = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, soc_max=0.9, battery_capacity=3.6e6,
+        soc_min=0.1, soc_max=0.9, battery_capacity_j=3.6e6,
         battery_eta_charge=0.95, battery_eta_discharge=0.95,
     )
-    result = _step(_inverter_input(pv_w, load_w, soc), config, dt_s, planned)
+    result = _step(_inverter_input(pv_w, load_w, soc), parameters, dt_s, planned)
     battery_power = result.battery_input.current * 50.0
     if result.battery_input.mode is BatteryMode.CHARGE:
         projected = soc + battery_power * 0.95 * dt_s / 3.6e6

@@ -18,7 +18,6 @@ import pytest
 
 from cemsim import (
     InverterPVFirst,
-    InverterPVFirstConfig,
     ReplayBattery,
     ReplayGrid,
     ReplayLoad,
@@ -101,7 +100,7 @@ def _replay_with_forecasts(table, kinds, start_ns, step_ns, count):
         power_source=pv,
         load=load,
         battery=battery_kind(table, 3, 120.0, CAPACITY_J),
-        inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=CAPACITY_J)),
+        inverter=InverterPVFirst(battery_capacity_j=CAPACITY_J),
         grid=grid_kind(table, 4, 120.0),
     )
     records, forecasts = [], []

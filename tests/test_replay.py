@@ -31,7 +31,7 @@ from cemsim import (
     ingest_timeseries,
     interpolate,
 )
-from cemsim import InverterPVFirst, InverterPVFirstConfig, Simulator, replay
+from cemsim import InverterPVFirst, Simulator, replay
 from cemsim.core import ContextRecord, SimulationError
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import CHANNEL_HEADER, CHANNELS
@@ -1182,7 +1182,7 @@ def _replayed(table, tolerance_s, start_ns, horizon_ns, step_ns, reference):
             power_source=pv(table, 1, tolerance_s),
             load=load(table, 2, tolerance_s),
             battery=battery(table, 3, tolerance_s, _CAPACITY_J),
-            inverter=InverterPVFirst(InverterPVFirstConfig(battery_capacity=_CAPACITY_J)),
+            inverter=InverterPVFirst(battery_capacity_j=_CAPACITY_J),
             grid=grid(table, 4, tolerance_s),
         )
         run(simulator, horizon_ns, step_ns, outputs.append)

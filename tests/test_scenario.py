@@ -8,7 +8,6 @@ from cemsim import (
     Channel,
     ConfigurationError,
     InverterPVFirst,
-    InverterPVFirstConfig,
     MPCInverter,
     PriceSchedule,
     ReplayLoad,
@@ -20,6 +19,7 @@ from cemsim import (
     run,
     scenario_from_dict,
 )
+from cemsim.cli import run_to_directory
 from cemsim.models.synthetic import (
     SyntheticLoad,
     SyntheticPowerSource,
@@ -261,16 +261,16 @@ def test_scenario_defaults_equal_component_defaults():
     battery, default_battery = simulator.battery, BatteryLinear()
     for name in ("capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc"):
         assert getattr(battery, name) == getattr(default_battery, name), name
-    inverter, default_inverter = simulator.inverter._config, InverterPVFirstConfig()
+    inverter, default_inverter = simulator.inverter, InverterPVFirst()
     for name in (
         "eta_pv_to_batt",
         "eta_pv_to_load",
         "eta_batt_to_load",
-        "max_charge_power",
-        "max_discharge_power",
+        "max_charge_power_w",
+        "max_discharge_power_w",
         "soc_min",
         "soc_max",
-        "self_power",
+        "self_power_w",
     ):
         assert getattr(inverter, name) == getattr(default_inverter, name), name
     pv, load = simulator.power_source, simulator.load
@@ -451,3 +451,88 @@ def test_replay_load_bundle_uses_the_recording(tmp_path):
     results = []
     run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, results.append)
     assert all(r.load.requested_active_power == 640.0 for r in results)
+
+
+@pytest.fixture(scope="module")
+def plant_recording(tmp_path_factory):
+    """channels.csv and context.jsonl of a 2 h @ 600 s PV-first run."""
+    out = tmp_path_factory.mktemp("plant") / "rec"
+    run_to_directory(_small(), out)
+    return {
+        # a recording starts at its first step's end
+        "channels": {"kind": "replay", "file": str(out / "channels.csv"), "boundary_tolerance_s": 600},
+        "context": {"kind": "replay", "file": str(out / "context.jsonl")},
+    }
+
+
+def test_the_inverter_block_reaches_dispatch_and_planning(plant_recording):
+    """Every key of the inverter block is a parameter of the inverter each
+    strategy steps, the battery block gives the capacity and efficiencies
+    it projects with, and each controller plans in the block's SOC band."""
+    block = dict(
+        eta_pv_to_batt=0.91,
+        eta_pv_to_load=0.92,
+        eta_batt_to_load=0.93,
+        max_charge_power_w=1500.0,
+        max_discharge_power_w=1200.0,
+        soc_min=0.2,
+        soc_max=0.8,
+        self_power_w=15.0,
+    )
+    battery = dict(capacity_j=7.2e6, eta_charge=0.9, eta_discharge=0.85)
+    projection = ("battery_capacity_j", "battery_eta_charge", "battery_eta_discharge")
+    for strategy in STRATEGIES:
+        bundle = _small(strategy, inverter=block, battery=battery, forecast={"train_days": 1})
+        inverter = bundle.simulator.inverter
+        assert type(inverter) is (InverterPVFirst if strategy == "default" else MPCInverter)
+        assert {key: getattr(inverter, key) for key in block} == block
+        assert [getattr(inverter, name) for name in projection] == [7.2e6, 0.9, 0.85]
+        if strategy != "default":
+            controller = bundle.controller
+            assert (controller.soc_min, controller.soc_max, controller.capacity_j) == (0.2, 0.8, 7.2e6)
+    recorded = _small(battery=dict(plant_recording["channels"], capacity_j=7.2e6)).simulator.inverter
+    assert [getattr(recorded, name) for name in projection] == [7.2e6, 1.0, 1.0]
+
+
+#: the simulator's component slot -> the scenario block that builds it
+_BLOCK_OF_SLOT = {"power_source": "pv", "load": "load", "battery": "battery", "grid": "grid", "context": "context"}
+
+
+def test_every_component_and_controller_takes_instance_patches(plant_recording):
+    """The benchmark's tracer wraps ``step`` on every component build_bundle
+    builds, and ``decide`` and ``forecast_provider`` on the controller, by
+    assigning instance attributes (a class with ``__slots__`` would refuse
+    them); the run then calls each wrapper."""
+    channels, context = plant_recording["channels"], plant_recording["context"]
+    replayed = dict(pv=channels, load=channels, battery=channels, grid=channels, context=context)
+    cases = [({"forecast": {"train_days": 1}}, strategy) for strategy in STRATEGIES]
+    cases += [(replayed, "default"), (dict(pv=channels, load=channels), "mpc-perfect")]
+    kinds = set()
+    for blocks, strategy in cases:
+        bundle = _small(strategy, **blocks)
+        calls = []
+
+        def patch(owner, name):
+            method = getattr(owner, name)
+
+            def counted(*args):
+                calls.append((owner, name))
+                return method(*args)
+
+            setattr(owner, name, counted)
+            return owner, name
+
+        simulator = bundle.simulator
+        wanted = set()
+        for slot, block in _BLOCK_OF_SLOT.items():
+            kind = getattr(bundle.scenario, block)["kind"]
+            kinds.add((block, kind))
+            if kind != "none":
+                wanted.add(patch(getattr(simulator, slot), "step"))
+        wanted.add(patch(simulator.inverter, "step"))
+        if bundle.controller is not None:
+            wanted.add(patch(bundle.controller, "decide"))
+            wanted.add(patch(bundle.controller, "forecast_provider"))
+        run(simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, [].append)
+        assert set(calls) == wanted, strategy
+    assert kinds == {(block, kind) for block in _BLOCK_OF_SLOT.values() for kind in BLOCK_TABLES[block]}
