@@ -663,13 +663,18 @@ class RecedingHorizonController:
 class MPCInverter(InverterPVFirst):
     """The PV-first inverter steered by a receding-horizon purchase plan.
 
-    ``MPCInverter(controller, **parameters)`` takes the parameters of
-    :class:`~cemsim.models.inverter.InverterPVFirst`.  Each step asks the
-    controller for the step's planned purchase and hands it to the
-    inherited :meth:`~cemsim.models.inverter.InverterPVFirst.dispatch`,
-    which serves the deficit from it, routes any surplus into the battery
-    and lets the battery cover a shortfall.  Storage limits are projected
-    from the plan's SOC when the executed SOC agrees with it within
+    ``MPCInverter(forecast_provider, max_grid_power_w=None, **parameters)``
+    takes the parameters of :class:`~cemsim.models.inverter.InverterPVFirst`,
+    of which ``battery_capacity_j`` is required, and plans with them: its
+    ``controller`` is a :class:`RecedingHorizonController` over the
+    inverter's own ``battery_capacity_j``, ``soc_min`` and ``soc_max``,
+    reading ``forecast_provider`` and capping purchases at
+    ``max_grid_power_w`` (None: no cap).  Each step asks the controller for
+    the step's planned purchase and hands it to the inherited
+    :meth:`~cemsim.models.inverter.InverterPVFirst.dispatch`, which serves
+    the deficit from it, routes any surplus into the battery and lets the
+    battery cover a shortfall.  Storage limits are projected from the
+    plan's SOC when the executed SOC agrees with it within
     :data:`SOC_SNAP_TOLERANCE`, else from the executed SOC; the plan it
     follows is the one solved on the provider's current window object
     (see :class:`RecedingHorizonController`).  When no plan is available
@@ -678,13 +683,18 @@ class MPCInverter(InverterPVFirst):
     models do not import controllers.
     """
 
-    def __init__(self, controller: RecedingHorizonController, **parameters: float | None) -> None:
+    def __init__(
+        self, forecast_provider: ForecastProvider, max_grid_power_w: float | None = None, **parameters: float | None
+    ) -> None:
         super().__init__(**parameters)
-        self._controller = controller
+        _require(self.battery_capacity_j is not None, "MPCInverter needs battery_capacity_j")
+        self.controller = RecedingHorizonController(
+            self.battery_capacity_j, self.soc_min, self.soc_max, forecast_provider, max_grid_power_w
+        )
 
     def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
         soc = inverter_input.battery.soc
-        decision = self._controller.decide(start_ns, soc)
+        decision = self.controller.decide(start_ns, soc)
         planned_soc = decision.planned_soc
         soc_basis = None
         if planned_soc is not None and abs(planned_soc - soc) <= SOC_SNAP_TOLERANCE:

@@ -112,12 +112,14 @@ class StepRecord(tuple):
     ``forecast.Predictor``, ``scenario.Scenario`` and
     ``SimulationBundle``, and the planner's ``ChargingProblem``,
     ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision`` are
-    tuple records.  A record that keeps derived state is a
-    :class:`SlotRecord`: a replay ``Channel`` (its time axis and value
-    view) and a ``PriceSchedule`` (its peak window in ns), which a tuple
-    could not hold.  The components (the linear battery, the priced grid,
-    the synthetic pv and load and the inverter among them) are no
-    records: each holds its own parameters as plain attributes.
+    tuple records, and every record is a :class:`StepRecord`.  An object
+    that keeps derived state, such as a replay ``Channel`` (its time axis
+    and value view) or a ``PriceSchedule`` (its peak window in ns), is a
+    plain ``__slots__`` class like the replay ``TimeAxis``, not a record:
+    it has no value equality, hash or frozen fields.  The components (the
+    linear battery, the priced grid, the synthetic pv and load and the
+    inverter among them) are no records either: each takes its scenario
+    block's keys as its parameters and holds them as plain attributes.
     """
 
     __slots__ = ()
@@ -138,54 +140,6 @@ class StepRecord(tuple):
     @classmethod
     def _make(cls, iterable: Iterable):
         return cls(*iterable)
-
-
-class SlotRecord:
-    """Base of the records that keep derived state in ``__slots__``.
-
-    A subclass lists its public fields in ``_fields`` and in
-    ``__slots__``, followed there by its derived attributes, if any; its
-    ``__init__`` validates and then sets every slot with
-    :meth:`_set_slots`.  As for a frozen dataclass with
-    ``field(init=False, repr=False, compare=False)`` derived fields, the
-    ``repr`` shows, equality compares (within one class) and the hash
-    hashes only the public fields, and assigning or deleting any
-    attribute raises ``dataclasses.FrozenInstanceError``.
-
-    Records built once and read on every step are slot records: CPython
-    specialises a slot read, not a tuple field read (a ``namedtuple``
-    field is a descriptor the interpreter calls).  A call reading ten
-    config fields took 120-170 ns from slots and 260-360 ns from tuple
-    fields, and one night and one day inverter step plus one grid step,
-    when both read config records, 5.4 µs with slotted configs and
-    6.3 µs with tuple configs (best of 15 timeit runs, CPython 3.11,
-    2-vCPU VM).
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def _set_slots(self, *values: object) -> None:
-        """Set the class's ``__slots__``, in order, to ``values``."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _field_values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._field_values() == other._field_values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._field_values())
 
 
 _tuple_new = tuple.__new__

@@ -1,22 +1,25 @@
 """Priced one-way grid connection.
 
 The grid delivers what was requested up to configurable per-step limits
-and meters the cost of the delivered active energy against a two-tier
-daily tariff.  Requests beyond a limit are clamped and flagged rather
-than failing the step, so a run always completes and the violation is
-visible in the results.
+(``max_active_power_w`` and ``max_apparent_power_va``, the ``grid``
+block's keys; None, no limit, is held as ``math.inf``) and meters the
+cost of the delivered active energy against a two-tier daily tariff.
+Requests beyond a limit are clamped and flagged rather than failing the
+step, so a run always completes and the violation is visible in the
+results.
 
-The tariff is one record, :class:`PriceSchedule`, that prices an
+The tariff is one object, :class:`PriceSchedule`, that prices an
 instant by its time of day: it has no first or last day, and a lookup
 costs the same however long the horizon is.
 
-:class:`PriceSchedule`, which every step reads, is a
-:class:`~cemsim.core.SlotRecord`, not a dataclass, and :class:`GridPriced`
-holds its limits as plain attributes, so building a grid imports no
-:mod:`dataclasses`.
+:class:`PriceSchedule`, which every step reads, is a plain ``__slots__``
+class, not a dataclass, and :class:`GridPriced` holds its limits as plain
+attributes, so building a grid imports no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..core import (
     NS_PER_DAY,
@@ -25,13 +28,12 @@ from ..core import (
     Grid,
     GridStepInput,
     GridStepResult,
-    SlotRecord,
     _require,
     grid_energy_cost,
 )
 
 
-class PriceSchedule(SlotRecord):
+class PriceSchedule:
     """Two-tier daily pricing: peak window price and off-peak price.
 
     ``peak_price`` holds over ``[peak_start_hour, peak_end_hour)`` of
@@ -40,8 +42,7 @@ class PriceSchedule(SlotRecord):
     the peak window's bounds in ns after midnight.
     """
 
-    _fields = ("off_peak_price", "peak_price", "peak_start_hour", "peak_end_hour")
-    __slots__ = _fields + ("_peak_start_ns", "_peak_end_ns")
+    __slots__ = ("off_peak_price", "peak_price", "peak_start_hour", "peak_end_hour", "_peak_start_ns", "_peak_end_ns")
 
     def __init__(
         self,
@@ -56,14 +57,12 @@ class PriceSchedule(SlotRecord):
             0 <= peak_start_hour < peak_end_hour <= 24,
             "need 0 <= peak_start_hour < peak_end_hour <= 24",
         )
-        self._set_slots(
-            off_peak_price,
-            peak_price,
-            peak_start_hour,
-            peak_end_hour,
-            peak_start_hour * NS_PER_HOUR,
-            peak_end_hour * NS_PER_HOUR,
-        )
+        self.off_peak_price = off_peak_price
+        self.peak_price = peak_price
+        self.peak_start_hour = peak_start_hour
+        self.peak_end_hour = peak_end_hour
+        self._peak_start_ns = peak_start_hour * NS_PER_HOUR
+        self._peak_end_ns = peak_end_hour * NS_PER_HOUR
 
     def price_at(self, when_ns: int) -> float:
         if self._peak_start_ns <= when_ns % NS_PER_DAY < self._peak_end_ns:
@@ -77,21 +76,23 @@ class PriceSchedule(SlotRecord):
 
 class GridPriced(Grid):
     """The priced grid: a price schedule plus optional per-step delivery
-    limits (W / VA)."""
+    limits (W / VA; None: no limit, held as ``math.inf``)."""
 
     def __init__(
         self,
         schedule: PriceSchedule,
-        active_power_limit: float | None = None,
-        apparent_power_limit: float | None = None,
+        max_active_power_w: float | None = None,
+        max_apparent_power_va: float | None = None,
     ) -> None:
-        if active_power_limit is not None:
-            _require(active_power_limit >= 0.0, "active_power_limit must be >= 0")
-        if apparent_power_limit is not None:
-            _require(apparent_power_limit >= 0.0, "apparent_power_limit must be >= 0")
+        if max_active_power_w is None:
+            max_active_power_w = math.inf
+        if max_apparent_power_va is None:
+            max_apparent_power_va = math.inf
+        _require(max_active_power_w >= 0.0, "max_active_power_w must be >= 0")
+        _require(max_apparent_power_va >= 0.0, "max_apparent_power_va must be >= 0")
         self.schedule = schedule
-        self.active_power_limit = active_power_limit
-        self.apparent_power_limit = apparent_power_limit
+        self.max_active_power_w = max_active_power_w
+        self.max_apparent_power_va = max_apparent_power_va
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         """Deliver one step: clamp to limits, flag violations, meter cost.
@@ -104,11 +105,11 @@ class GridPriced(Grid):
         delivered_active = requested_active
         delivered_apparent = requested_apparent
         violation = False
-        if self.active_power_limit is not None and delivered_active > self.active_power_limit:
-            delivered_active = self.active_power_limit
+        if delivered_active > self.max_active_power_w:
+            delivered_active = self.max_active_power_w
             violation = True
-        if self.apparent_power_limit is not None and delivered_apparent > self.apparent_power_limit:
-            delivered_apparent = self.apparent_power_limit
+        if delivered_apparent > self.max_apparent_power_va:
+            delivered_apparent = self.max_apparent_power_va
             violation = True
         if delivered_apparent < delivered_active:
             delivered_active = delivered_apparent

@@ -20,7 +20,12 @@ noise sample needs.
 :class:`JobEvent` is a :class:`~cemsim.core.StepRecord` tuple, not a
 dataclass, and each component holds its parameters (the load its job
 table too) as plain attributes, so building a synthetic scenario imports
-no :mod:`dataclasses`.
+no :mod:`dataclasses`.  The parameters are named after the scenario
+block keys: :class:`SyntheticPowerSource` takes the ``pv`` block's
+(``peak_power_w``, ``noise_amplitude``, ``voltage``, ``sunrise_hour``,
+``sunset_hour``) and :class:`SyntheticLoad` the ``load`` block's
+``base_power_w`` and ``noise_amplitude``, with the jobs that the block's
+``jobs_per_day`` and ``watts_per_effort`` draw as ``job_events``.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class JobEvent(
         return tuple.__new__(cls, (begins_at_ns, ends_at_ns, description, true_effort, watts_per_effort))
 
 
-def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[int]) -> tuple[float, ...]:
+def _job_power_table(base_power_w: float, jobs: tuple[JobEvent, ...], edges: list[int]) -> tuple[float, ...]:
     """Base load plus active jobs' power on each segment between ``edges``.
 
     One sweep over the edges: jobs join an active list of job indices as
@@ -89,7 +94,7 @@ def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[i
     over every job testing ``begins_at_ns <= t < ends_at_ns``, bit for bit.
     """
     by_begin = sorted(range(len(jobs)), key=lambda i: jobs[i].begins_at_ns)
-    power_table = [base_load]
+    power_table = [base_power_w]
     active: list[int] = []
     joined = 0
     for edge in edges:
@@ -97,7 +102,7 @@ def _job_power_table(base_load: float, jobs: tuple[JobEvent, ...], edges: list[i
         while joined < len(by_begin) and jobs[by_begin[joined]].begins_at_ns <= edge:
             insort(active, by_begin[joined])
             joined += 1
-        power = base_load
+        power = base_power_w
         for i in active:
             power += jobs[i].true_effort * jobs[i].watts_per_effort
         power_table.append(power)
@@ -222,27 +227,27 @@ class SyntheticPowerSource(PowerSource):
     def __init__(
         self,
         seed: int = 0,
-        pv_peak_power: float = 600.0,
-        pv_noise_amplitude: float = 0.1,
-        pv_voltage: float = 400.0,
+        peak_power_w: float = 600.0,
+        noise_amplitude: float = 0.1,
+        voltage: float = 400.0,
         sunrise_hour: float = 6.0,
         sunset_hour: float = 18.0,
     ) -> None:
-        _require(pv_peak_power >= 0.0, "pv_peak_power must be >= 0")
-        _require(0.0 <= pv_noise_amplitude <= 1.0, "pv_noise_amplitude must be in [0, 1]")
-        _require(pv_voltage > 0.0, "pv_voltage must be > 0")
+        _require(peak_power_w >= 0.0, "peak_power_w must be >= 0")
+        _require(0.0 <= noise_amplitude <= 1.0, "noise_amplitude must be in [0, 1]")
+        _require(voltage > 0.0, "voltage must be > 0")
         _require(
             0.0 <= sunrise_hour < sunset_hour <= 24.0,
             "need 0 <= sunrise_hour < sunset_hour <= 24",
         )
         self.seed = seed
-        self.pv_peak_power = pv_peak_power
-        self.pv_noise_amplitude = pv_noise_amplitude
-        self.pv_voltage = pv_voltage
+        self.peak_power_w = peak_power_w
+        self.noise_amplitude = noise_amplitude
+        self.voltage = voltage
         self.sunrise_hour = sunrise_hour
         self.sunset_hour = sunset_hour
         # Night steps all produce this exact record; share one instance.
-        self._night = PowerSourceStepResult(pv_voltage, 0.0, 0.0)
+        self._night = PowerSourceStepResult(voltage, 0.0, 0.0)
 
     def power_at(self, t_ns: int) -> float:
         """PV power at an instant: cosine bell over daylight, cloud-dimmed.
@@ -254,11 +259,11 @@ class SyntheticPowerSource(PowerSource):
         if hour <= self.sunrise_hour or hour >= self.sunset_hour:
             return 0.0
         span = self.sunset_hour - self.sunrise_hour
-        power = self.pv_peak_power * math.cos(math.pi * (hour - 12.0) / span)
+        power = self.peak_power_w * math.cos(math.pi * (hour - 12.0) / span)
         if power <= 0.0:
             return 0.0
-        if self.pv_noise_amplitude > 0.0:
-            dimming = self.pv_noise_amplitude * unit_noise(self.seed, "pv", t_ns)
+        if self.noise_amplitude > 0.0:
+            dimming = self.noise_amplitude * unit_noise(self.seed, "pv", t_ns)
             power *= 1.0 - dimming
         return power
 
@@ -266,7 +271,7 @@ class SyntheticPowerSource(PowerSource):
         power = self.power_at(end_ns)
         if power == 0.0:
             return self._night
-        voltage = self.pv_voltage
+        voltage = self.voltage
         return PowerSourceStepResult(voltage, power / voltage, power)
 
 
@@ -283,21 +288,21 @@ class SyntheticLoad(Load):
     def __init__(
         self,
         seed: int = 0,
-        base_load: float = 800.0,
+        base_power_w: float = 800.0,
         job_events: tuple[JobEvent, ...] = (),
-        load_noise_amplitude: float = 0.0,
+        noise_amplitude: float = 0.0,
     ) -> None:
-        _require(base_load >= 0.0, "base_load must be >= 0")
-        _require(0.0 <= load_noise_amplitude <= 1.0, "load_noise_amplitude must be in [0, 1]")
+        _require(base_power_w >= 0.0, "base_power_w must be >= 0")
+        _require(0.0 <= noise_amplitude <= 1.0, "noise_amplitude must be in [0, 1]")
         jobs = tuple(job_events)
         edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
         self.seed = seed
-        self.base_load = base_load
+        self.base_power_w = base_power_w
         self.job_events = jobs
-        self.load_noise_amplitude = load_noise_amplitude
+        self.noise_amplitude = noise_amplitude
         self._job_edges = tuple(edges)
-        self._job_power = _job_power_table(base_load, jobs, edges)
-        self._last = LoadStepResult(base_load, base_load)
+        self._job_power = _job_power_table(base_power_w, jobs, edges)
+        self._last = LoadStepResult(base_power_w, base_power_w)
 
     def power_at(self, t_ns: int) -> float:
         """Load power at an instant: base plus active jobs plus noise.
@@ -308,9 +313,9 @@ class SyntheticLoad(Load):
         component it is plain Python and never imports numpy.
         """
         power = self._job_power[bisect_right(self._job_edges, t_ns)]
-        if self.load_noise_amplitude > 0.0:
+        if self.noise_amplitude > 0.0:
             wobble = 2.0 * unit_noise(self.seed, "load", t_ns) - 1.0
-            power += self.load_noise_amplitude * self.base_load * wobble
+            power += self.noise_amplitude * self.base_power_w * wobble
             if power < 0.0:
                 return 0.0
         return power

@@ -56,9 +56,9 @@ storage, unless an earlier channel holds equal times, whose axis it then
 shares; only a channel whose rows arrive out of order is sorted.  Every
 input file is read as UTF-8, whatever the locale.
 
-:class:`Channel` is a :class:`~cemsim.core.SlotRecord`, not a dataclass:
-every lookup reads its axis and views from slots, and ingesting a
-recording imports no :mod:`dataclasses`.
+:class:`Channel` is a plain ``__slots__`` class, like :class:`TimeAxis`,
+not a dataclass: every lookup reads its axis and views from slots, and
+ingesting a recording imports no :mod:`dataclasses`.
 
 A recording is parsed once.  :func:`ingest_timeseries` keeps the
 channels it parsed in a column cache beside the CSV, the sidecar
@@ -113,7 +113,6 @@ from .core import (
     PowerSource,
     PowerSourceStepResult,
     SimulationError,
-    SlotRecord,
     _require,
 )
 
@@ -240,17 +239,16 @@ class TimeAxis:
             self._next_ns = None
 
 
-class Channel(SlotRecord):
+class Channel:
     """One recorded measurement series; times strictly increasing.
 
     ``times_ns`` is an ``array('q')`` of int64 nanoseconds and ``values``
     an ``array('d')`` of finite floats; ``axis`` is the :class:`TimeAxis`
     that holds ``times_ns`` and locates times on it, and ``_values`` a
-    zero-copy memoryview of the values for scalar lookups.  Neither is
-    part of the channel's value.  Any sequences of ints and floats are
-    accepted and copied into arrays; arrays of those types are kept as
-    given.  A time that is not an int within int64 is a ``ValueError``
-    naming the channel, never truncated.
+    zero-copy memoryview of the values for scalar lookups.  Any sequences
+    of ints and floats are accepted and copied into arrays; arrays of
+    those types are kept as given.  A time that is not an int within int64
+    is a ``ValueError`` naming the channel, never truncated.
 
     ``axes``, for the channels of one recording, is one list shared by
     every channel built from it: the axes of the channels built so far,
@@ -260,8 +258,7 @@ class Channel(SlotRecord):
     ``axes`` the times are checked and get an axis of their own.
     """
 
-    _fields = ("subsystem_id", "name", "times_ns", "values")
-    __slots__ = _fields + ("axis", "_values")
+    __slots__ = ("subsystem_id", "name", "times_ns", "values", "axis", "_values")
 
     def __init__(
         self, subsystem_id: int, name: str, times_ns: array, values: array, *, axes: list[TimeAxis] | None = None
@@ -273,7 +270,12 @@ class Channel(SlotRecord):
         axis = _on_axis(times, name, [] if axes is None else axes)
         if not _all_finite(values):
             raise ValueError(f"channel {name!r} contains non-finite values")
-        self._set_slots(subsystem_id, name, axis.times_ns, values, axis, memoryview(values))
+        self.subsystem_id = subsystem_id
+        self.name = name
+        self.times_ns = axis.times_ns
+        self.values = values
+        self.axis = axis
+        self._values = memoryview(values)
 
 
 def _on_axis(times: array, name: str, axes: list[TimeAxis]) -> TimeAxis:
@@ -735,13 +737,14 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
 
 # Each component takes the recording, the subsystem id of its channels and
 # the clamping slack at the recording's edges, and resolves its channels
-# once; ReplayBattery also takes the pack capacity that turns SOC
-# differences back into energy.  A step locates its end on the axis of the
-# component's first channel.  If that end is a knot and the channels share
-# the axis, as an ingested recording's do, their values are read from
-# their views at that index, in the step itself: through a shared function
-# and a list, a 60 s replay's four components took about 1 µs more a step
-# (in process, CPython 3.11, 2-vCPU VM).  Any other end goes to _read,
+# once, in the one constructor of _ReplayComponent; ReplayBattery also
+# takes the pack capacity that turns SOC differences back into energy.  A
+# step locates its end on the axis of the component's first channel.  If
+# that end is a knot and the channels share the axis, as an ingested
+# recording's do, their values are read from their views at that index,
+# in the step itself: through a shared function and a list, a 60 s
+# replay's four components took about 1 µs more a step (in process,
+# CPython 3.11, 2-vCPU VM).  Any other end goes to _read,
 # which reads each channel through the module-level ``interpolate``, so a
 # wrapper installed on ``cemsim.replay.interpolate`` sees only the reads
 # off a knot: ends between knots, outside the recording, or on channels of
@@ -751,21 +754,6 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
 # max's or min's own comparison in a conditional, with no call:
 # ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)`` and ``a if a > s else s``
 # is ``max(s, a)`` for every float, -0.0 and NaN included.
-
-
-def _channels(table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, *names: str) -> list[Channel]:
-    """Subsystem ``subsystem_id``'s channels ``names`` after checking the
-    tolerance; ValueError names the first missing channel."""
-    _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
-    return [table.channel(subsystem_id, name) for name in names]
-
-
-def _shared_views(channels: list[Channel]) -> tuple[memoryview, ...] | None:
-    """The channels' value views if they share one axis, else None."""
-    axis = channels[0].axis
-    if all(channel.axis is axis for channel in channels):
-        return tuple([channel._values for channel in channels])
-    return None
 
 
 def _read(channels: list[Channel], t_ns: int, boundary_tolerance_s: float) -> list[float]:
@@ -782,17 +770,35 @@ def _read(channels: list[Channel], t_ns: int, boundary_tolerance_s: float) -> li
     return values
 
 
-class ReplayPowerSource(PowerSource):
+class _ReplayComponent:
+    """The constructor every replay component shares.
+
+    It checks the tolerance, then resolves the class's ``_names`` in
+    subsystem ``subsystem_id`` of ``table`` (ValueError names the first
+    missing channel).  ``_axis`` is the first channel's axis, and
+    ``_views`` the channels' value views if they all share it, else None.
+    """
+
+    _names: tuple[str, ...] = ()
+
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "pv_voltage", "pv_current", "pv_power")
-        self._axis = self._channels[0].axis
-        self._views = _shared_views(self._channels)
-        self._power = self._channels[2]
+        _require(boundary_tolerance_s >= 0.0, "boundary_tolerance_s must be >= 0")
+        channels = [table.channel(subsystem_id, name) for name in self._names]
+        axis = channels[0].axis
+        self._channels = channels
+        self._axis = axis
+        self._views = None
+        if all(channel.axis is axis for channel in channels):
+            self._views = tuple([channel._values for channel in channels])
         self._tolerance_s = boundary_tolerance_s
+
+
+class ReplayPowerSource(_ReplayComponent, PowerSource):
+    _names = ("pv_voltage", "pv_current", "pv_power")
 
     def power_at(self, t_ns: int) -> float:
         """The recorded PV power at ``t_ns``, as a step ending there reports it."""
-        return max(interpolate(self._power, t_ns, self._tolerance_s), 0.0)
+        return max(interpolate(self._channels[2], t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> PowerSourceStepResult:
         axis = self._axis
@@ -812,21 +818,16 @@ class ReplayPowerSource(PowerSource):
         )
 
 
-class ReplayLoad(Load):
+class ReplayLoad(_ReplayComponent, Load):
     """Recorded load.  Apparent power is raised to active power if a
     recorded pair dips below it (measurement jitter), since |S| >= P is a
     hard result invariant."""
 
-    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "load_active_power", "load_apparent_power")
-        self._axis = self._channels[0].axis
-        self._views = _shared_views(self._channels)
-        self._active = self._channels[0]
-        self._tolerance_s = boundary_tolerance_s
+    _names = ("load_active_power", "load_apparent_power")
 
     def power_at(self, t_ns: int) -> float:
         """The recorded active power at ``t_ns``, as a step ending there requests it."""
-        return max(interpolate(self._active, t_ns, self._tolerance_s), 0.0)
+        return max(interpolate(self._channels[0], t_ns, self._tolerance_s), 0.0)
 
     def step(self, start_ns: int, end_ns: int) -> LoadStepResult:
         axis = self._axis
@@ -843,16 +844,12 @@ class ReplayLoad(Load):
         return LoadStepResult(active, active if active > apparent else apparent)
 
 
-class ReplayGrid(Grid):
+class ReplayGrid(_ReplayComponent, Grid):
     """Recorded grid exchange.  The commanded request is ignored, so the
     delivered <= requested relation cannot be enforced here; replays
     reproduce history rather than arbitrate it."""
 
-    def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float) -> None:
-        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "grid_active_power", "grid_apparent_power")
-        self._axis = self._channels[0].axis
-        self._views = _shared_views(self._channels)
-        self._tolerance_s = boundary_tolerance_s
+    _names = ("grid_active_power", "grid_apparent_power")
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         del grid_input
@@ -870,18 +867,17 @@ class ReplayGrid(Grid):
         return GridStepResult(active, active if active > apparent else apparent)
 
 
-class ReplayBattery(Battery):
+class ReplayBattery(_ReplayComponent, Battery):
     """Recorded battery.  delta_energy is the recorded SOC difference
     times ``capacity_j``; the commanded mode/current is ignored.
     The (soc, voltage) read at the end of one step is kept as the start
     state of the next, so each step reads only its end."""
 
+    _names = ("battery_soc", "battery_voltage")
+
     def __init__(self, table: TimeSeriesTable, subsystem_id: int, boundary_tolerance_s: float, capacity_j: float) -> None:
-        self._channels = _channels(table, subsystem_id, boundary_tolerance_s, "battery_soc", "battery_voltage")
-        self._axis = self._channels[0].axis
-        self._views = _shared_views(self._channels)
+        super().__init__(table, subsystem_id, boundary_tolerance_s)
         _require(capacity_j > 0.0, "capacity_j must be > 0")
-        self._tolerance_s = boundary_tolerance_s
         self._capacity_j = capacity_j
         self._state: tuple[int, float, float] | None = None
 

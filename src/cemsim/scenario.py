@@ -111,7 +111,7 @@ from .replay import (
 )
 
 if TYPE_CHECKING:
-    from .control import ForecastWindow, RecedingHorizonController
+    from .control import ForecastWindow
 
 STRATEGIES = ("default", "mpc-perfect", "mpc-context", "mpc-nocontext")
 
@@ -510,10 +510,7 @@ def _synthetic_load(scenario: Scenario, seed: int, day_count: int) -> SyntheticL
         watts_per_effort=block["watts_per_effort"],
     )
     return SyntheticLoad(
-        seed,
-        base_load=block["base_power_w"],
-        job_events=jobs,
-        load_noise_amplitude=block["noise_amplitude"],
+        seed, base_power_w=block["base_power_w"], job_events=jobs, noise_amplitude=block["noise_amplitude"]
     )
 
 
@@ -587,44 +584,60 @@ class SimulationBundle(
 
 
 #: The recordings ingested while a ``shared_recordings()`` block is open,
-#: by resolved path; None outside one, when each bundle ingests its own.
-_shared_tables: dict[str, TimeSeriesTable] | None = None
+#: by (ingest, resolved path); None outside one, when each bundle ingests
+#: its own.
+_shared: dict[tuple[Callable, str], Any] | None = None
 
 
 @contextmanager
 def shared_recordings() -> Iterator[None]:
-    """Within the block, every bundle built reads each recording from one
-    table per resolved path, ingested by the first bundle that replays it.
+    """Within the block, every bundle built reads each recording, a
+    channel table or a context file, from one ingest per resolved path,
+    made by the first bundle that replays it.
 
     ``compare`` builds one bundle per strategy from one scenario, so it
-    ingests each recording once.  Channels are read-only, and the cursor
-    and the answer a lookup leaves on a time axis are hints keyed on the
-    time, so sharing cannot change a value.  The tables are a scope, not
-    a ``build_bundle`` argument, because ``bench/trace_cli.py`` replaces
-    ``build_bundle`` with a wrapper taking (scenario, strategy) alone
-    (ROADMAP item 13).
+    ingests each recording once.  Channels and context records are
+    read-only, and the cursor and the answer a lookup leaves on a time
+    axis are hints keyed on the time, so sharing cannot change a value.
+    The recordings are a scope, not a ``build_bundle`` argument, because
+    ``bench/trace_cli.py`` replaces ``build_bundle`` with a wrapper taking
+    (scenario, strategy) alone (ROADMAP item 13).
     The block restores the state it found, so blocks nest, an inner one
-    sharing the outer tables, and the shared dict ends with its block.
+    sharing the outer recordings, and the shared dict ends with its block.
     """
-    global _shared_tables
-    outer = _shared_tables
+    global _shared
+    outer = _shared
     if outer is None:
-        _shared_tables = {}
+        _shared = {}
     try:
         yield
     finally:
-        _shared_tables = outer
+        _shared = outer
 
 
-def _recorded(block: Mapping[str, Any], tables: dict[str, TimeSeriesTable]) -> tuple[TimeSeriesTable, int, float]:
+def _ingested(recordings: dict, ingest: Callable[[str], Any], file: str) -> Any:
+    """``ingest(file)``, made once per bundle, or once per
+    ``shared_recordings()`` block.  ``recordings`` is keyed by the ingest
+    too, so a table and a context file never collide.  The callers pass
+    the module-global ``ingest_timeseries`` or ``ingest_context``, looked
+    up at the call, so a wrapper installed on either sees every ingest."""
+    key = (ingest, file)
+    if key not in recordings:
+        recordings[key] = ingest(file)
+    return recordings[key]
+
+
+def _recorded(block: Mapping[str, Any], recordings: dict) -> tuple[TimeSeriesTable, int, float]:
     """A replay block's (recording, subsystem id, boundary tolerance): the
-    leading arguments of every replay component.  ``tables`` keeps each
-    file ingested once per bundle, or once per ``shared_recordings()``
-    block."""
-    file = block["file"]
-    if file not in tables:
-        tables[file] = ingest_timeseries(file)
-    return tables[file], block["subsystem_id"], block["boundary_tolerance_s"]
+    leading arguments of every replay component."""
+    table = _ingested(recordings, ingest_timeseries, block["file"])
+    return table, block["subsystem_id"], block["boundary_tolerance_s"]
+
+
+def _parameters(block: Mapping[str, Any]) -> dict[str, Any]:
+    """A component block without its ``kind``: the pv, battery and inverter
+    blocks' keys are their components' parameters, under the same names."""
+    return {key: value for key, value in block.items() if key != "kind"}
 
 
 def forecast_provider(
@@ -725,42 +738,32 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     """Assemble a ready-to-run simulator for one scenario and strategy."""
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; known: {list(STRATEGIES)}")
-    tables = {} if _shared_tables is None else _shared_tables
+    recordings = {} if _shared is None else _shared
     schedule = price_schedule(scenario)
 
+    # Every component takes its block's keys under their own names: the pv,
+    # battery and inverter blocks pass as they are; the load's jobs_per_day
+    # and watts_per_effort draw its job_events, and the grid's tariff keys
+    # its schedule.
     if scenario.pv["kind"] == "synthetic":
-        block = scenario.pv
-        pv = SyntheticPowerSource(
-            scenario.seed,
-            pv_peak_power=block["peak_power_w"],
-            pv_noise_amplitude=block["noise_amplitude"],
-            pv_voltage=block["voltage"],
-            sunrise_hour=block["sunrise_hour"],
-            sunset_hour=block["sunset_hour"],
-        )
+        pv = SyntheticPowerSource(scenario.seed, **_parameters(scenario.pv))
     else:
-        pv = ReplayPowerSource(*_recorded(scenario.pv, tables))
+        pv = ReplayPowerSource(*_recorded(scenario.pv, recordings))
 
     if scenario.load["kind"] == "synthetic":
         load = _synthetic_load(scenario, scenario.seed, scenario.day_count)
     else:
-        load = ReplayLoad(*_recorded(scenario.load, tables))
+        load = ReplayLoad(*_recorded(scenario.load, recordings))
 
     if scenario.battery["kind"] == "linear":
-        # the linear battery block's keys are BatteryLinear's parameters
-        fields = {key: value for key, value in scenario.battery.items() if key != "kind"}
-        battery = BatteryLinear(**fields)
+        battery = BatteryLinear(**_parameters(scenario.battery))
     else:
-        battery = ReplayBattery(*_recorded(scenario.battery, tables), scenario.battery["capacity_j"])
+        battery = ReplayBattery(*_recorded(scenario.battery, recordings), scenario.battery["capacity_j"])
 
     if scenario.grid["kind"] == "priced":
-        grid = GridPriced(
-            schedule,
-            active_power_limit=scenario.grid["max_active_power_w"],
-            apparent_power_limit=scenario.grid["max_apparent_power_va"],
-        )
+        grid = GridPriced(schedule, scenario.grid["max_active_power_w"], scenario.grid["max_apparent_power_va"])
     else:
-        grid = ReplayGrid(*_recorded(scenario.grid, tables))
+        grid = ReplayGrid(*_recorded(scenario.grid, recordings))
 
     # generated announcements and recorded notes play back the same way
     records: tuple[ContextRecord, ...] = ()
@@ -769,25 +772,24 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         # synthetic context needs a synthetic load, whose jobs it announces
         records = context_records_for_jobs(load.job_events, announce_lead_ns=lead_ns)
     elif scenario.context["kind"] == "replay":
-        records = ingest_context(scenario.context["file"])
+        records = _ingested(recordings, ingest_context, scenario.context["file"])
     context = None if scenario.context["kind"] == "none" else ScriptedContext(records)
 
-    # the inverter block's keys are InverterPVFirst's parameters, plus the
-    # battery it projects storage limits for (a recorded battery names no
-    # efficiencies, so the projection takes 1); the planner's SOC band is
-    # the same block's
+    # the inverter takes the battery it projects storage limits for too (a
+    # recorded battery names no efficiencies, so the projection takes 1);
+    # an MPC inverter plans with the same capacity and SOC band
     linear = scenario.battery["kind"] == "linear"
-    inverter_parameters = {key: value for key, value in scenario.inverter.items() if key != "kind"}
+    inverter_parameters = _parameters(scenario.inverter)
     inverter_parameters.update(
         battery_capacity_j=scenario.battery["capacity_j"],
         battery_eta_charge=scenario.battery["eta_charge"] if linear else 1.0,
         battery_eta_discharge=scenario.battery["eta_discharge"] if linear else 1.0,
     )
-    controller: RecedingHorizonController | None = None
+    controller = None
     if strategy == "default":
         inverter = InverterPVFirst(**inverter_parameters)
     else:
-        from .control import MPCInverter, RecedingHorizonController
+        from .control import MPCInverter
 
         if schedule is None:
             raise ConfigurationError(f"strategy {strategy!r} needs a priced grid")
@@ -820,14 +822,8 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
 
             forecast_records = records
         provider = forecast_provider(load_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns, forecast_records)
-        controller = RecedingHorizonController(
-            capacity_j=scenario.battery["capacity_j"],
-            soc_min=inverter_parameters["soc_min"],
-            soc_max=inverter_parameters["soc_max"],
-            forecast_provider=provider,
-            max_grid_power_w=scenario.grid["max_active_power_w"],
-        )
-        inverter = MPCInverter(controller, **inverter_parameters)
+        inverter = MPCInverter(provider, scenario.grid["max_active_power_w"], **inverter_parameters)
+        controller = inverter.controller
 
     simulator = Simulator(
         scenario.start_ns,

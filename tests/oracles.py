@@ -64,14 +64,16 @@ The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
 to the same acceptance, messages, ``repr``, field values and hash.
-After them come the seven configuration, context and scenario classes
-that are still records, as they were while dataclasses, kept verbatim too
-(the helpers they call, such as the array coercion, are imported from
-cemsim), so each record replacing one can be held to the same.  One
+After them come seven configuration, context and scenario classes as
+they were while dataclasses, kept verbatim too (the helpers they call,
+such as the array coercion, are imported from cemsim), so each record
+replacing one can be held to the same.  ``Channel`` and
+``PriceSchedule`` were since replaced by plain ``__slots__`` classes,
+held to the same acceptance, messages and field values only.  One
 change since: ``Channel`` no longer derives a times view and a cursor,
 which moved to the time axis its times are kept on.  Their
 ``PriceSchedule`` is the two-tier ``PriceTiers`` dataclass, renamed to
-the record that took its fields.
+the class that took its fields.
 Last come the planner's four classes, ``ChargingProblem``,
 ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision``, as they
 were while dataclasses, with the ``_plan_cost`` helper a plan's cost was
@@ -518,13 +520,13 @@ def interpolate_reference(channel, t_ns, boundary_tolerance_s=DEFAULT_BOUNDARY_T
 
 def load_power_reference(config, t_ns):
     """Load power at an instant: base plus active jobs plus noise."""
-    power = config.base_load
+    power = config.base_power_w
     for job in config.job_events:
         if job.begins_at_ns <= t_ns < job.ends_at_ns:
             power += job.true_effort * job.watts_per_effort
-    if config.load_noise_amplitude > 0.0:
+    if config.noise_amplitude > 0.0:
         wobble = 2.0 * unit_noise(config.seed, "load", t_ns) - 1.0
-        power += config.load_noise_amplitude * config.base_load * wobble
+        power += config.noise_amplitude * config.base_power_w * wobble
         if power < 0.0:
             return 0.0
     return power
@@ -536,11 +538,11 @@ def pv_power_at(config, t_ns):
     if hour <= config.sunrise_hour or hour >= config.sunset_hour:
         return 0.0
     span = config.sunset_hour - config.sunrise_hour
-    power = config.pv_peak_power * math.cos(math.pi * (hour - 12.0) / span)
+    power = config.peak_power_w * math.cos(math.pi * (hour - 12.0) / span)
     if power <= 0.0:
         return 0.0
-    if config.pv_noise_amplitude > 0.0:
-        dimming = config.pv_noise_amplitude * unit_noise(config.seed, "pv", t_ns)
+    if config.noise_amplitude > 0.0:
+        dimming = config.noise_amplitude * unit_noise(config.seed, "pv", t_ns)
         power *= 1.0 - dimming
     return power
 
@@ -577,11 +579,11 @@ def grid_priced_step(grid_input, config, now_ns, dt_s):
     delivered_active = requested_active
     delivered_apparent = requested_apparent
     violation = False
-    if config.active_power_limit is not None and delivered_active > config.active_power_limit:
-        delivered_active = config.active_power_limit
+    if config.max_active_power_w is not None and delivered_active > config.max_active_power_w:
+        delivered_active = config.max_active_power_w
         violation = True
-    if config.apparent_power_limit is not None and delivered_apparent > config.apparent_power_limit:
-        delivered_apparent = config.apparent_power_limit
+    if config.max_apparent_power_va is not None and delivered_apparent > config.max_apparent_power_va:
+        delivered_apparent = config.max_apparent_power_va
         violation = True
     if delivered_apparent < delivered_active:
         delivered_active = delivered_apparent

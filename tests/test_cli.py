@@ -148,8 +148,8 @@ sys.exit(cli.main(sys.argv[2:]))
 # What a run or validate must never load: the planner, the logging
 # configured only by compare, numpy, hashlib, which initialises OpenSSL
 # (the noise hash is _blake2's blake2b), and dataclasses with the inspect
-# it imports (every cemsim record is a StepRecord or a SlotRecord, so no
-# command loads dataclasses, a planning one included).
+# it imports (every cemsim record is a StepRecord, so no command loads
+# dataclasses, a planning one included).
 _NOT_LOADED_BY_RUN = ("cemsim.control", "logging", "numpy", "hashlib", "dataclasses", "inspect")
 
 
@@ -336,7 +336,8 @@ def test_two_ingests_of_one_file_give_equal_channels(recording):
     first, second = replay._parse_timeseries(path), replay._parse_timeseries(path)
     assert first.keys() == second.keys()
     for key in first.keys():
-        assert first.channel(*key) == second.channel(*key), key
+        want, got = first.channel(*key), second.channel(*key)
+        assert (got.times_ns, got.values) == (want.times_ns, want.values), key
 
 
 def test_ingesting_shuffled_rows_equals_ingesting_the_sorted_file(recording, tmp_path):
@@ -516,24 +517,29 @@ def test_compares_plan_csv_parses_back_to_the_first_plan(tmp_path, monkeypatch):
 
 def test_a_replay_compare_ingests_its_recording_once(recording, tmp_path, monkeypatch):
     """compare builds one bundle per strategy; on a scenario replaying pv
-    and load from one file they share one ingest of it, and write the
-    bytes a compare whose bundles each ingest the file write."""
+    and load from one channel file and the context from a context file,
+    they share one ingest of each file, and write the bytes a compare
+    whose bundles each ingest the files write."""
     block = {"kind": "replay", "file": str(recording / "rec" / "channels.csv")}
-    path = _scenario(tmp_path, "recorded", pv=block, load=block)
+    context = {"kind": "replay", "file": str(recording / "rec" / "context.jsonl")}
+    path = _scenario(tmp_path, "recorded", pv=block, load=block, context=context)
     ingests = []
-    ingest = scenario_module.ingest_timeseries
 
-    def counted(file):
-        ingests.append(file)
-        return ingest(file)
+    def counted(ingest):
+        def ingest_and_count(file):
+            ingests.append(file)
+            return ingest(file)
 
-    monkeypatch.setattr(scenario_module, "ingest_timeseries", counted)
+        return ingest_and_count
+
+    for name in ("ingest_timeseries", "ingest_context"):
+        monkeypatch.setattr(scenario_module, name, counted(getattr(scenario_module, name)))
     argv = ["compare", "--scenario", str(path), "--strategies", "default,mpc-perfect", "--out"]
     assert cli.main([*argv, str(tmp_path / "shared")]) == cli.EXIT_OK
-    assert ingests == [block["file"]]
+    assert sorted(ingests) == [block["file"], context["file"]]
     monkeypatch.setattr(cli, "shared_recordings", contextlib.nullcontext)
     assert cli.main([*argv, str(tmp_path / "own")]) == cli.EXIT_OK
-    assert ingests == [block["file"]] * 3
+    assert sorted(ingests) == [block["file"]] * 3 + [context["file"]] * 3
     for name in ("summary.json", "running_cost.csv", "plan_mpc-perfect.csv"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name
 

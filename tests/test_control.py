@@ -797,11 +797,23 @@ LOSSLESS = dict(
 )
 
 
-def _fixed_decision_controller(window):
-    return RecedingHorizonController(
-        capacity_j=3.6e6, soc_min=0.0, soc_max=1.0,
-        forecast_provider=lambda now_ns: window,
-    )
+def test_the_mpc_inverter_plans_with_its_own_capacity_and_soc_band():
+    """The controller an MPC inverter builds takes the inverter's capacity
+    and SOC band and the given provider and grid cap; a missing capacity
+    is named."""
+    def provider(now_ns):
+        return None
+
+    inverter = MPCInverter(provider, 500.0, **dict(LOSSLESS, soc_min=0.2, soc_max=0.9))
+    controller = inverter.controller
+    assert (controller.capacity_j, controller.soc_min, controller.soc_max) == (3.6e6, 0.2, 0.9)
+    assert controller.forecast_provider is provider
+    assert controller.max_grid_power_w == 500.0
+    assert MPCInverter(provider, **LOSSLESS).controller.max_grid_power_w is None
+    with pytest.raises(ValueError, match=r"^MPCInverter needs battery_capacity_j$"):
+        MPCInverter(provider, eta_pv_to_batt=1.0)
+    with pytest.raises(ValueError, match=r"^max_grid_power_w must be >= 0$"):
+        MPCInverter(provider, -5.0, **LOSSLESS)
 
 
 def _mpc_input(pv_w, load_w, soc):
@@ -815,7 +827,7 @@ def _mpc_input(pv_w, load_w, soc):
 def test_overbuying_routes_the_surplus_into_the_battery():
     """A 600 W plan against a 100 W deficit grid-charges the other 500 W."""
     window = ForecastWindow(0, HOUR, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
-    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
     assert result.grid_input.requested_active_power == pytest.approx(600.0, rel=1e-12)
     assert result.battery_input.mode is BatteryMode.CHARGE
@@ -825,7 +837,7 @@ def test_overbuying_routes_the_surplus_into_the_battery():
 def test_underbuying_discharges_to_cover_the_gap():
     """A 100 W plan against a 1000 W load lets the battery supply 900 W."""
     window = ForecastWindow(0, HOUR, (1000.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
@@ -836,7 +848,7 @@ def test_load_above_forecast_is_served_despite_the_plan():
     """The forecast said 100 W so the plan buys nothing; the actual 1000 W
     load drains what the battery has (900 W) and the rest goes to the grid."""
     window = ForecastWindow(0, HOUR, (100.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(_fixed_decision_controller(window), **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(900.0, rel=1e-9)
@@ -844,11 +856,7 @@ def test_load_above_forecast_is_served_despite_the_plan():
 
 
 def test_without_a_plan_dispatch_is_plain_pv_first():
-    controller = RecedingHorizonController(
-        capacity_j=3.6e6, soc_min=0.0, soc_max=1.0,
-        forecast_provider=lambda now_ns: None,
-    )
-    mpc = MPCInverter(controller, **LOSSLESS)
+    mpc = MPCInverter(lambda now_ns: None, **LOSSLESS)
     plain = InverterPVFirst(**LOSSLESS)
     for pv_w, load_w, soc in [(500.0, 300.0, 0.5), (0.0, 400.0, 0.8), (200.0, 200.0, 0.1)]:
         assert mpc.step(0, 3600 * NS, _mpc_input(pv_w, load_w, soc)) == plain.step(

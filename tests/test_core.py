@@ -299,16 +299,15 @@ def _read(record, name):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("name", sorted(_ARGUMENTS))
-@given(data=st.data())
-@settings(max_examples=300)
-def test_records_behave_as_the_dataclasses_they_replace(name, data):
-    """Each configuration, context, scenario and planner record accepts,
-    rejects, prints, compares and hashes as the dataclass it replaced (kept
-    verbatim in oracles), derives the same hidden attributes, reads the
-    same planner properties (a plan's total_cost among them), has no
-    instance dict, and raises FrozenInstanceError on any assignment or
-    deletion (SimulationBundle was a mutable dataclass; it is frozen now)."""
+#: The classes that keep derived state: plain ``__slots__`` classes, not
+#: records, with no value equality, hash or frozen fields.
+_PLAIN = ("Channel", "PriceSchedule")
+
+
+def _draw_arguments(name, data):
+    """A builder of ``name`` from one drawn set of arguments, and the
+    dataclass fields: a few valid values replaced, given positionally or by
+    keyword.  The builder returns (instance, None) or (None, the failure)."""
     fields = dataclasses.fields(getattr(oracles, name))
     given_fields = [f for f in fields if f.init]
     required = sum(f.default is dataclasses.MISSING for f in given_fields)
@@ -326,6 +325,20 @@ def test_records_behave_as_the_dataclasses_they_replace(name, data):
         except Exception as exc:  # every failure is compared, whatever its type
             return None, (type(exc), str(exc))
 
+    return built, fields
+
+
+@pytest.mark.parametrize("name", sorted(set(_ARGUMENTS) - set(_PLAIN)))
+@given(data=st.data())
+@settings(max_examples=300)
+def test_records_behave_as_the_dataclasses_they_replace(name, data):
+    """Each configuration, context, scenario and planner record accepts,
+    rejects, prints, compares and hashes as the dataclass it replaced (kept
+    verbatim in oracles), derives the same hidden attributes, reads the
+    same planner properties (a plan's total_cost among them), has no
+    instance dict, and raises FrozenInstanceError on any assignment or
+    deletion (SimulationBundle was a mutable dataclass; it is frozen now)."""
+    built, fields = _draw_arguments(name, data)
     record, failure = built(_RECORDS)
     reference, reference_failure = built(oracles)
     assert failure == reference_failure
@@ -349,6 +362,29 @@ def test_records_behave_as_the_dataclasses_they_replace(name, data):
             setattr(record, field_name, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, field_name)
+
+
+@pytest.mark.parametrize("name", _PLAIN)
+@given(data=st.data())
+@settings(max_examples=300)
+def test_slot_classes_accept_and_reject_as_the_dataclasses_they_replace(name, data):
+    """``Channel`` and ``PriceSchedule`` accept and reject their arguments
+    with the messages of the dataclasses they replaced (kept verbatim in
+    oracles) and derive the same field values.  They are plain
+    ``__slots__`` classes: no instance dict, and an instance equals only
+    itself."""
+    built, fields = _draw_arguments(name, data)
+    instance, failure = built(_RECORDS)
+    reference, reference_failure = built(oracles)
+    assert failure == reference_failure
+    if reference is None:
+        return
+    for f in fields:
+        value, expected = _plain(getattr(instance, f.name)), _plain(getattr(reference, f.name))
+        assert value is expected or repr(value) == repr(expected), f.name
+    assert not hasattr(instance, "__dict__")
+    again, _ = built(_RECORDS)
+    assert instance == instance and instance != again
 
 
 def _one_of_each_record():

@@ -103,8 +103,8 @@ def _synthetic_simulator(seed=0, day_count=1, jobs=True):
     events = generate_job_events(seed, day_count) if jobs else ()
     return Simulator(
         0,
-        power_source=SyntheticPowerSource(seed=seed, pv_noise_amplitude=0.1),
-        load=SyntheticLoad(seed=seed, base_load=800.0, job_events=events, load_noise_amplitude=0.05),
+        power_source=SyntheticPowerSource(seed=seed, noise_amplitude=0.1),
+        load=SyntheticLoad(seed=seed, base_power_w=800.0, job_events=events, noise_amplitude=0.05),
         battery=BatteryLinear(),
         inverter=InverterPVFirst(battery_capacity_j=1.8432e7),
         grid=GridPriced(PriceSchedule(0.3, 0.3)),
@@ -216,10 +216,10 @@ def _interval_components():
         LoadStepResult(900.0, 950.0),
     )
     return [
-        ("pv", lambda: SyntheticPowerSource(seed=4, pv_noise_amplitude=0.1), lambda c, a, b: c.step(a, b)),
+        ("pv", lambda: SyntheticPowerSource(seed=4, noise_amplitude=0.1), lambda c, a, b: c.step(a, b)),
         (
             "load",
-            lambda: SyntheticLoad(seed=4, job_events=events, load_noise_amplitude=0.05),
+            lambda: SyntheticLoad(seed=4, job_events=events, noise_amplitude=0.05),
             lambda c, a, b: c.step(a, b),
         ),
         ("context", lambda: ScriptedContext(records), lambda c, a, b: c.step(a, b)),

@@ -251,10 +251,10 @@ def test_rmse_validates_input():
         rmse([], [])
 
 
-def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_load=400.0):
+def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_power_w=400.0):
     jobs = generate_job_events(seed, day_count)
     records = context_records_for_jobs(jobs)
-    load = SyntheticLoad(seed=seed, base_load=base_load, job_events=jobs, load_noise_amplitude=noise)
+    load = SyntheticLoad(seed=seed, base_power_w=base_power_w, job_events=jobs, noise_amplitude=noise)
     times = [k * NS_PER_HOUR // 2 for k in range(1, day_count * 48)]
     observed = [load.power_at(t) for t in times]
     return records, times, observed

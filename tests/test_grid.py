@@ -37,7 +37,7 @@ def test_zero_request_costs_nothing():
 
 def test_active_limit_clamps_and_flags():
     """An 800 W request against a 500 W limit delivers 500 W and flags it."""
-    result = _hour_step(_grid(active_power_limit=500.0), GridStepInput(800.0, 800.0))
+    result = _hour_step(_grid(max_active_power_w=500.0), GridStepInput(800.0, 800.0))
     assert result.delivered_active_power == 500.0
     assert result.limit_violation is True
     assert result.cost == grid_energy_cost(0.5, 500.0, 3600.0)
@@ -45,14 +45,14 @@ def test_active_limit_clamps_and_flags():
 
 def test_apparent_limit_drags_active_down_with_it():
     """Clamped apparent power cannot fall below the delivered active power."""
-    result = _hour_step(_grid(apparent_power_limit=500.0), GridStepInput(800.0, 800.0))
+    result = _hour_step(_grid(max_apparent_power_va=500.0), GridStepInput(800.0, 800.0))
     assert result.delivered_apparent_power == 500.0
     assert result.delivered_active_power == 500.0
     assert result.limit_violation is True
 
 
 def test_request_at_the_limit_is_not_a_violation():
-    grid = _grid(active_power_limit=500.0, apparent_power_limit=500.0)
+    grid = _grid(max_active_power_w=500.0, max_apparent_power_va=500.0)
     result = grid.step(0, 60 * NS, GridStepInput(500.0, 500.0))
     assert result.limit_violation is False
 
@@ -143,10 +143,10 @@ def test_stateful_grid_prices_each_step_at_its_start():
 
 
 def test_limit_config_validation():
-    with pytest.raises(ValueError, match=r"^active_power_limit must be >= 0$"):
-        _grid(active_power_limit=-1.0)
-    with pytest.raises(ValueError, match=r"^apparent_power_limit must be >= 0$"):
-        _grid(apparent_power_limit=-1.0)
+    with pytest.raises(ValueError, match=r"^max_active_power_w must be >= 0$"):
+        _grid(max_active_power_w=-1.0)
+    with pytest.raises(ValueError, match=r"^max_apparent_power_va must be >= 0$"):
+        _grid(max_apparent_power_va=-1.0)
 
 
 @given(
@@ -172,7 +172,7 @@ def test_unlimited_grid_delivers_requests_verbatim(price, power, dt_ns):
 )
 @settings(max_examples=200)
 def test_delivery_never_exceeds_limits(power, active_limit, apparent_limit):
-    grid = _grid(active_power_limit=active_limit, apparent_power_limit=apparent_limit)
+    grid = _grid(max_active_power_w=active_limit, max_apparent_power_va=apparent_limit)
     result = grid.step(0, 60 * NS, GridStepInput(power, power))
     assert result.delivered_active_power <= min(active_limit, apparent_limit)
     assert result.delivered_apparent_power <= apparent_limit

@@ -1,5 +1,6 @@
-"""Forecasts read the plant: MPC on a recording of pv and load equals MPC
-on the synthetic series the recording was made from, byte for byte.
+"""Forecasts read the plant: MPC on a recording of pv and load, or of pv
+and the context, equals MPC on the synthetic series the recording was
+made from, byte for byte.
 
 A PV-first ``run`` stamps every channel at a step end and writes it with
 ``%.17g``, so a replay component that interpolates at the same step ends
@@ -37,6 +38,7 @@ from oracles import (
 from test_golden import ALL_STRATEGIES, CASES
 
 REPLAY = {"kind": "replay", "file": "rec/channels.csv"}
+CONTEXT = {"kind": "replay", "file": "rec/context.jsonl"}
 
 
 def _write(work, name, scenario):
@@ -61,6 +63,11 @@ def test_mpc_on_recorded_pv_and_load_equals_mpc_on_the_generator(case, tmp_path)
     recorded_pv = _write(tmp_path, "pv", {**synthetic, "pv": REPLAY})
     expected = _compare(synthetic_path, tmp_path / "synthetic-all", ALL_STRATEGIES)
     assert _compare(recorded_pv, tmp_path / "pv-all", ALL_STRATEGIES) == expected
+
+    # pv and context replayed: the predictors read the recorded job
+    # announcements as they read the generated ones
+    recorded_context = _write(tmp_path, "pv-context", {**synthetic, "pv": REPLAY, "context": CONTEXT})
+    assert _compare(recorded_context, tmp_path / "pv-context-all", ALL_STRATEGIES) == expected
 
     # pv and load replayed: training still samples the generator, so only
     # the strategies that read no predictor

@@ -232,12 +232,18 @@ def test_channel_accepts_only_int64_integer_times(times):
         Channel(1, "pv_power", times, (1.0, 2.0))
 
 
+def _fields(channel):
+    """A channel's value: its key, times and values (a Channel, a plain
+    slots class, compares by identity)."""
+    return channel.subsystem_id, channel.name, channel.times_ns.tolist(), channel.values.tolist()
+
+
 def test_channel_keeps_int64_edge_times_and_compares_by_value():
     edges = (-(2**63), 0, 2**63 - 1)
     channel = Channel(1, "pv_power", edges, (1.0, -0.0, 5e-324))
     assert tuple(channel.times_ns) == edges
-    assert channel == Channel(1, "pv_power", list(edges), [1.0, -0.0, 5e-324])
-    assert channel != Channel(1, "pv_power", edges, (1.0, -0.0, 1e-300))
+    assert _fields(channel) == _fields(Channel(1, "pv_power", list(edges), [1.0, -0.0, 5e-324]))
+    assert _fields(channel) != _fields(Channel(1, "pv_power", edges, (1.0, -0.0, 1e-300)))
 
 
 def test_table_rejects_duplicate_channels():
@@ -812,7 +818,8 @@ def test_channels_on_one_axis_check_its_order_once_and_their_values_each():
     with pytest.raises(ValueError, match=r"^channel 'pv_power' contains non-finite values$"):
         Channel(1, "pv_power", [0, 60, 120], [1.0, math.nan, 3.0], axes=axes)
     alone = Channel(1, "pv_power", array("q", [0, 60, 120]), [1.0, 2.0, 3.0])
-    assert alone.times_ns is not first.times_ns and alone == Channel(1, "pv_power", first.times_ns, [1.0, 2.0, 3.0])
+    assert alone.times_ns is not first.times_ns
+    assert _fields(alone) == _fields(Channel(1, "pv_power", first.times_ns, [1.0, 2.0, 3.0]))
 
 
 def test_finite_values_whose_sum_overflows_are_accepted(tmp_path):
@@ -1329,8 +1336,8 @@ def test_a_forecast_asking_ahead_leaves_the_next_step_on_its_knot(monkeypatch):
     calls = _counting_searches(monkeypatch)
     for k in range(40):
         ahead = [(k + i) * 60 * NS for i in range(10)]
-        assert [pv.power_at(t) for t in ahead] == [interpolate_reference(pv._power, t) for t in ahead]
-        assert [load.power_at(t) for t in ahead] == [interpolate_reference(load._active, t) for t in ahead]
+        assert [pv.power_at(t) for t in ahead] == [interpolate_reference(table.channel(1, "pv_power"), t) for t in ahead]
+        assert [load.power_at(t) for t in ahead] == [interpolate_reference(table.channel(2, "load_active_power"), t) for t in ahead]
         searched = len(calls)
         pv.step((k - 1) * 60 * NS, k * 60 * NS)
         load.step((k - 1) * 60 * NS, k * 60 * NS)

@@ -1,5 +1,6 @@
 """Scenario schema validation and simulator assembly."""
 import json
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from cemsim import (
     BatteryLinear,
     Channel,
     ConfigurationError,
+    GridPriced,
     InverterPVFirst,
     MPCInverter,
     PriceSchedule,
@@ -255,32 +257,97 @@ def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
     assert [scenarios[-1].pv["subsystem_id"], scenarios[-1].battery["subsystem_id"], scenarios[-1].grid["subsystem_id"]] == [1, 3, 4]
 
 
+#: the model blocks and their kinds whose keys are their components' parameters
+_MODEL_KINDS = {"pv": "synthetic", "load": "synthetic", "battery": "linear", "grid": "priced", "inverter": "pv-first"}
+#: the scenario block -> the simulator's component slot it builds
+_SLOT_OF_BLOCK = {"pv": "power_source", "load": "load", "battery": "battery", "grid": "grid", "inverter": "inverter"}
+
+
+def _held(component, block, key):
+    """What ``component``, built from ``block``, holds for ``key``: the
+    attribute of the key's name, a tariff key on the grid's schedule, and
+    the load's job keys through the jobs drawn for one day."""
+    if block == "load" and key == "jobs_per_day":
+        return len(component.job_events)
+    if block == "load" and key == "watts_per_effort":
+        (watts,) = {job.watts_per_effort for job in component.job_events}
+        return watts
+    if block == "grid" and not key.startswith("max_"):
+        return getattr(component.schedule, key)
+    return getattr(component, key)
+
+
+def _as_held(value):
+    """A block value as its component holds it: a None cap is no cap."""
+    return math.inf if value is None else value
+
+
 def test_scenario_defaults_equal_component_defaults():
+    """Every model block key's default, derived from BLOCK_TABLES, is what
+    the component built from the default block holds and what the
+    component holds when built with no arguments."""
     bundle = build_bundle(scenario_from_dict({}, None))
     simulator = bundle.simulator
-    battery, default_battery = simulator.battery, BatteryLinear()
-    for name in ("capacity_j", "eta_charge", "eta_discharge", "nominal_voltage", "initial_soc"):
-        assert getattr(battery, name) == getattr(default_battery, name), name
-    inverter, default_inverter = simulator.inverter, InverterPVFirst()
-    for name in (
-        "eta_pv_to_batt",
-        "eta_pv_to_load",
-        "eta_batt_to_load",
-        "max_charge_power_w",
-        "max_discharge_power_w",
-        "soc_min",
-        "soc_max",
-        "self_power_w",
-    ):
-        assert getattr(inverter, name) == getattr(default_inverter, name), name
+    defaults = {
+        "pv": SyntheticPowerSource(),
+        "load": SyntheticLoad(job_events=generate_job_events(0, 1)),
+        "battery": BatteryLinear(),
+        "grid": GridPriced(PriceSchedule()),
+        "inverter": InverterPVFirst(),
+    }
+    for block, kind in _MODEL_KINDS.items():
+        values = getattr(bundle.scenario, block)
+        component = getattr(simulator, _SLOT_OF_BLOCK[block])
+        for key in BLOCK_TABLES[block][kind]:
+            held = _held(component, block, key)
+            assert held == _as_held(values[key]) == _held(defaults[block], block, key), (block, key)
     pv, load = simulator.power_source, simulator.load
-    for name in ("seed", "pv_peak_power", "pv_noise_amplitude", "pv_voltage", "sunrise_hour", "sunset_hour"):
-        assert getattr(pv, name) == getattr(SyntheticPowerSource(), name), name
-    for name in ("seed", "base_load", "load_noise_amplitude"):
-        assert getattr(load, name) == getattr(SyntheticLoad(), name), name
+    assert pv.seed == load.seed == SyntheticPowerSource().seed == SyntheticLoad().seed
     assert load.job_events == generate_job_events(0, 1)
     assert bundle.records == context_records_for_jobs(load.job_events)
-    assert bundle.schedule == PriceSchedule()
+    assert bundle.schedule is simulator.grid.schedule
+
+
+def _other_than(value, index):
+    """A valid value other than a key's default ``value``, distinct for
+    each ``index`` (the key's place in its table), so that two keys with
+    one default get different values: a cap for no cap, one less for an
+    int, a little under seven eighths for a float (1/8 and up for zero)."""
+    if value is None:
+        return 1000.0 + index
+    if isinstance(value, int):
+        return value - 1 if value > 0 else 1
+    return value * (0.875 - index / 64) if value else 0.125 + index / 64
+
+
+@pytest.mark.parametrize("strategy", ["default", "mpc-perfect"])
+def test_every_block_key_reaches_its_component_under_its_own_name(strategy):
+    """Each key of the pv, load, battery, grid and inverter blocks, taken
+    from BLOCK_TABLES, given a value other than its default, is held by
+    the component built from its block under the key's own name (the
+    load's job keys through the jobs drawn); an MPC inverter's controller
+    plans with the inverter's capacity and SOC band and the grid's cap."""
+    defaults = scenario_from_dict({}, None)
+    document = {
+        block: {key: _other_than(getattr(defaults, block)[key], i) for i, key in enumerate(BLOCK_TABLES[block][kind])}
+        for block, kind in _MODEL_KINDS.items()
+    }
+    bundle = build_bundle(scenario_from_dict(document, None), strategy)
+    for block, values in document.items():
+        assert len(set(values.values())) == len(values), block
+        component = getattr(bundle.simulator, _SLOT_OF_BLOCK[block])
+        for key, value in values.items():
+            assert value != getattr(defaults, block)[key], (block, key)
+            assert _held(component, block, key) == value, (block, key)
+    if strategy != "default":
+        inverter, controller = bundle.simulator.inverter, bundle.controller
+        assert controller is inverter.controller
+        assert (controller.capacity_j, controller.soc_min, controller.soc_max) == (
+            document["battery"]["capacity_j"],
+            document["inverter"]["soc_min"],
+            document["inverter"]["soc_max"],
+        )
+        assert controller.max_grid_power_w == document["grid"]["max_active_power_w"]
 
 
 def test_load_scenario_reads_and_validates(tmp_path):
@@ -313,8 +380,8 @@ def test_synthetic_config_mirrors_the_blocks():
     simulator = build_bundle(scenario).simulator
     pv, load = simulator.power_source, simulator.load
     assert pv.seed == load.seed == 7
-    assert pv.pv_peak_power == 900.0
-    assert load.base_load == 300.0
+    assert pv.peak_power_w == 900.0
+    assert load.base_power_w == 300.0
     assert len(load.job_events) == 2 * 3
 
 

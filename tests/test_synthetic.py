@@ -22,11 +22,11 @@ NS_PER_DAY = 24 * NS_PER_HOUR
 
 
 def _pv(**overrides):
-    return SyntheticPowerSource(**{"seed": 3, "pv_peak_power": 600.0, "pv_noise_amplitude": 0.0, **overrides})
+    return SyntheticPowerSource(**{"seed": 3, "peak_power_w": 600.0, "noise_amplitude": 0.0, **overrides})
 
 
 def _load(**overrides):
-    return SyntheticLoad(**{"seed": 3, "base_load": 100.0, "load_noise_amplitude": 0.0, **overrides})
+    return SyntheticLoad(**{"seed": 3, "base_power_w": 100.0, "noise_amplitude": 0.0, **overrides})
 
 
 def test_pv_is_dark_at_midnight_and_peaks_at_noon():
@@ -48,7 +48,7 @@ def test_pv_is_zero_outside_daylight():
 def test_pv_noise_only_dims(hour_ns):
     """Cloud noise multiplies the clear-sky bell by a factor in (0.9, 1]."""
     clear = _pv().power_at(hour_ns)
-    dimmed = _pv(pv_noise_amplitude=0.1).power_at(hour_ns)
+    dimmed = _pv(noise_amplitude=0.1).power_at(hour_ns)
     assert 0.0 <= dimmed <= clear
     if clear > 0.0:
         assert dimmed > 0.89 * clear
@@ -93,14 +93,14 @@ def _overlapping_jobs(draw):
 
 @given(
     jobs=_overlapping_jobs(),
-    base_load=st.sampled_from((0.1, 100.0, 800)),
+    base_power_w=st.sampled_from((0.1, 100.0, 800)),
     noise=st.sampled_from((0.0, 0.05)),
 )
 @settings(max_examples=200)
-def test_load_table_equals_the_job_loop_bit_for_bit(jobs, base_load, noise):
+def test_load_table_equals_the_job_loop_bit_for_bit(jobs, base_power_w, noise):
     """The job table gives the job loop's bits at every edge, one ns either
     side of it, and between edges, with jobs overlapping in any pattern."""
-    load = _load(base_load=base_load, load_noise_amplitude=noise, job_events=jobs)
+    load = _load(base_power_w=base_power_w, noise_amplitude=noise, job_events=jobs)
     for hour in range(-1, 14):
         for t in (hour * NS_PER_HOUR - 1, hour * NS_PER_HOUR, hour * NS_PER_HOUR + 1, hour * NS_PER_HOUR + HALF_HOUR):
             assert repr(load.power_at(t)) == repr(load_power_reference(load, t)), t
@@ -116,7 +116,7 @@ def test_load_table_equals_the_job_loop_over_a_generated_month():
 
 
 def test_load_noise_stays_within_amplitude():
-    load = _load(load_noise_amplitude=0.05)
+    load = _load(noise_amplitude=0.05)
     for hour in range(24):
         power = load.power_at(hour * NS_PER_HOUR)
         assert abs(power - 100.0) <= 5.0 + 1e-9
@@ -138,7 +138,7 @@ def test_power_source_component_realizes_the_sampled_series():
     """Stepping the component reproduces the free pv sample it replaced
     (kept in oracles) at each step end, bit for bit, and power_at is that
     sample."""
-    source = _pv(pv_noise_amplitude=0.1)
+    source = _pv(noise_amplitude=0.1)
     realized = [source.step(i * HALF_HOUR, (i + 1) * HALF_HOUR).power for i in range(48)]
     assert realized == [pv_power_at(source, t) for t in STEP_ENDS]
     assert realized == [source.power_at(t) for t in STEP_ENDS]
@@ -146,7 +146,7 @@ def test_power_source_component_realizes_the_sampled_series():
 
 def test_load_component_realizes_the_sampled_series():
     jobs = generate_job_events(seed=11, day_count=1)
-    load = _load(job_events=jobs, load_noise_amplitude=0.05)
+    load = _load(job_events=jobs, noise_amplitude=0.05)
     results = [load.step(i * HALF_HOUR, (i + 1) * HALF_HOUR) for i in range(48)]
     assert [r.requested_active_power for r in results] == [load_power_reference(load, t) for t in STEP_ENDS]
     assert [r.requested_active_power for r in results] == [load.power_at(t) for t in STEP_ENDS]
@@ -248,16 +248,16 @@ def test_scenario_config_validation():
     """Each component rejects its own parameters out of range, with the
     messages the generator's shared config gave."""
     for overrides, message in (
-        ({"pv_peak_power": -1.0}, r"^pv_peak_power must be >= 0$"),
-        ({"pv_noise_amplitude": 1.5}, r"^pv_noise_amplitude must be in \[0, 1\]$"),
-        ({"pv_voltage": 0.0}, r"^pv_voltage must be > 0$"),
+        ({"peak_power_w": -1.0}, r"^peak_power_w must be >= 0$"),
+        ({"noise_amplitude": 1.5}, r"^noise_amplitude must be in \[0, 1\]$"),
+        ({"voltage": 0.0}, r"^voltage must be > 0$"),
         ({"sunrise_hour": 19.0, "sunset_hour": 6.0}, r"^need 0 <= sunrise_hour < sunset_hour <= 24$"),
     ):
         with pytest.raises(ValueError, match=message):
             _pv(**overrides)
     for overrides, message in (
-        ({"base_load": -1.0}, r"^base_load must be >= 0$"),
-        ({"load_noise_amplitude": -0.1}, r"^load_noise_amplitude must be in \[0, 1\]$"),
+        ({"base_power_w": -1.0}, r"^base_power_w must be >= 0$"),
+        ({"noise_amplitude": -0.1}, r"^noise_amplitude must be in \[0, 1\]$"),
     ):
         with pytest.raises(ValueError, match=message):
             _load(**overrides)
@@ -298,15 +298,15 @@ def test_pv_steps_as_the_reference_sample_bit_for_bit(seed, peak, noise, voltage
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
     jobs=_overlapping_jobs(),
-    base_load=st.one_of(st.sampled_from((0.0, 0.1, 800.0)), st.floats(min_value=0.0, max_value=1e4)),
+    base_power_w=st.one_of(st.sampled_from((0.0, 0.1, 800.0)), st.floats(min_value=0.0, max_value=1e4)),
     noise=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
     steps=_STEPS,
 )
 @settings(max_examples=300)
-def test_load_steps_as_the_reference_sample_bit_for_bit(seed, jobs, base_load, noise, steps):
+def test_load_steps_as_the_reference_sample_bit_for_bit(seed, jobs, base_power_w, noise, steps):
     """Over drawn parameters, jobs and steps, every step result has the bits
     of the load the job loop gives at the step's end, on both fields."""
-    load = SyntheticLoad(seed, base_load, jobs, noise)
+    load = SyntheticLoad(seed, base_power_w, jobs, noise)
     for start, length in steps:
         power = load_power_reference(load, start + length)
         assert _bits(load.step(start, start + length)) == [power.hex(), power.hex()]
