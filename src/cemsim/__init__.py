@@ -41,7 +41,6 @@ _EXPORTS = {
         "PowerSourceStepResult",
         "SimulationError",
         "SystemComponent",
-        "compensated_total",
         "context_query",
         "grid_energy_cost",
     ),
@@ -98,7 +97,6 @@ _EXPORTS = {
         "TimeSeriesRangeError",
         "TimeSeriesTable",
         "emit_context",
-        "emit_timeseries",
         "ingest_context",
         "ingest_timeseries",
         "interpolate",

@@ -191,7 +191,7 @@ def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: Simulat
         "step_seconds": scenario.step_seconds,
         "steps": steps,
         "final_soc": last.battery.soc,
-        "aggregates": bundle.simulator.aggregates()._asdict(),
+        "aggregates": last.aggregates._asdict(),
         "maxima": bundle.simulator.maxima(),
     }
 

@@ -665,7 +665,7 @@ class MPCInverter(InverterPVFirst):
 
     ``MPCInverter(forecast_provider, max_grid_power_w=None, **parameters)``
     takes the parameters of :class:`~cemsim.models.inverter.InverterPVFirst`,
-    of which ``battery_capacity_j`` is required, and plans with them: its
+    ``battery_capacity_j`` among them, and plans with them: its
     ``controller`` is a :class:`RecedingHorizonController` over the
     inverter's own ``battery_capacity_j``, ``soc_min`` and ``soc_max``,
     reading ``forecast_provider`` and capping purchases at
@@ -687,7 +687,6 @@ class MPCInverter(InverterPVFirst):
         self, forecast_provider: ForecastProvider, max_grid_power_w: float | None = None, **parameters: float | None
     ) -> None:
         super().__init__(**parameters)
-        _require(self.battery_capacity_j is not None, "MPCInverter needs battery_capacity_j")
         self.controller = RecedingHorizonController(
             self.battery_capacity_j, self.soc_min, self.soc_max, forecast_provider, max_grid_power_w
         )

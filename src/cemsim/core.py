@@ -422,24 +422,21 @@ class Context(SystemComponent):
 # ---------------------------------------------------------------------------
 
 
-def context_query(records: Iterable[ContextRecord] | ContextIndex, now_ns: int) -> list[ContextRecord]:
-    """Records known at ``now_ns`` whose interval has not yet ended.
+def context_query(index: ContextIndex, now_ns: int) -> list[ContextRecord]:
+    """Records of ``index`` known at ``now_ns`` whose interval has not yet ended.
 
     Keeps records with ``recorded_at <= now_ns < ends_at``: the currently
     active ones and the announced-but-future ones, never records that only
     become known later (no future information leaks into a query at
     ``now_ns``).  Sorted by (begins_at, recorded_at, insertion order).
 
-    ``records`` is a :class:`ContextIndex`, which updates its answer only
-    when ``now_ns`` leaves the interval its last answer holds over, or an
-    iterable, which is wrapped in a fresh index for this one query: there
-    is one algorithm.  Callers that query the same records step after step
-    pass an index.  It uses no numpy, so a PV-first run that plays context
-    never imports it.
+    The :class:`ContextIndex` updates its answer only when ``now_ns``
+    leaves the interval its last answer holds over.  It uses no numpy, so
+    a PV-first run that plays context never imports it.  Callers look
+    this function up as a module global, so a wrapper installed on it
+    sees every query.
     """
-    if type(records) is not ContextIndex:
-        records = ContextIndex(records)
-    return records.query(now_ns)
+    return index.query(now_ns)
 
 
 class ContextIndex:
@@ -536,11 +533,3 @@ class CompensatedSum:
     @property
     def value(self) -> float:
         return self._sum + self._compensation
-
-
-def compensated_total(values: Iterable[float]) -> float:
-    """Kahan-Neumaier sum of ``values`` in iteration order."""
-    acc = CompensatedSum()
-    for value in values:
-        acc.add(value)
-    return acc.value

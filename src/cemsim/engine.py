@@ -89,7 +89,8 @@ class _Books:
     each step's movements with CompensatedSum reproduces every cumulative
     total bitwise.  Inlined here because six method calls per step are a
     measurable cost over million-step runs.  :meth:`add` returns the
-    totals after the step, as :meth:`Simulator.aggregates` reads them.
+    totals after the step, which the step's output carries as
+    ``aggregates``; a run's totals are its last step's.
     """
 
     __slots__ = (
@@ -201,17 +202,6 @@ class Simulator:
         self.last_battery_result: BatteryStepResult = battery.snapshot(start_ns)
         self._books = _Books()
         self._maxima = {key: 0.0 for key in MAXIMA_KEYS}
-
-    def aggregates(self) -> Aggregates:
-        b = self._books
-        return Aggregates(
-            b.generated + b.generated_c,
-            b.consumed + b.consumed_c,
-            b.purchased + b.purchased_c,
-            b.charged + b.charged_c,
-            b.discharged + b.discharged_c,
-            b.cost + b.cost_c,
-        )
 
     def maxima(self) -> dict[str, float]:
         return dict(self._maxima)

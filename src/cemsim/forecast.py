@@ -87,6 +87,12 @@ class RemoteEstimatorError(SimulationError):
     """The HTTP effort estimator failed (network, status, or payload)."""
 
 
+#: The longest ``timeout_s`` the remote estimator takes, one day, in
+#: seconds: well below what a socket accepts, so no timeout fails inside
+#: the connection, after the socket is open.
+MAX_TIMEOUT_S = 86400.0
+
+
 def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> float:
     """Ask an HTTP endpoint to score a job description.
 
@@ -95,8 +101,9 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> floa
     and ``https`` URLs are sent: any other scheme (``file``, ``ftp``,
     none) is refused before anything is opened, and so is a redirect to
     one.  ``timeout_s`` bounds the connect and each read, and must be > 0
-    (``ValueError``).  Any transport, status or schema problem raises
-    :class:`RemoteEstimatorError`; there is no silent fallback.
+    (``ValueError``); a longer one than :data:`MAX_TIMEOUT_S` is refused
+    before anything is opened.  Any transport, status or schema problem
+    raises :class:`RemoteEstimatorError`; there is no silent fallback.
     """
     import http.client
     import json
@@ -116,9 +123,12 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> floa
             return super().redirect_request(req, fp, code, msg, headers, newurl)
 
     _require(timeout_s > 0, f"timeout_s must be > 0, got {timeout_s!r}")
-    # urllib's URLError and HTTPError (a status >= 400) are OSErrors; a
-    # malformed or non-http(s) URL raises ValueError, and a timeout_s too
-    # large for the socket OverflowError
+    if timeout_s > MAX_TIMEOUT_S:
+        raise RemoteEstimatorError(
+            f"effort estimator request to {url!r} failed: timeout_s must be <= {MAX_TIMEOUT_S}, got {timeout_s!r}"
+        )
+    # urllib's URLError and HTTPError (a status >= 400) are OSErrors, and a
+    # malformed or non-http(s) URL raises ValueError
     try:
         require_http(url)
         request = Request(
@@ -129,7 +139,7 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> floa
         )
         with build_opener(HTTPOnlyRedirects).open(request, timeout=timeout_s) as response:
             body = response.read()
-    except (OSError, ValueError, OverflowError, http.client.HTTPException) as exc:
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise RemoteEstimatorError(f"effort estimator request to {url!r} failed: {exc}") from exc
     try:
         payload = json.loads(body)

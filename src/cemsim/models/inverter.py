@@ -16,12 +16,12 @@ is added to the grid request, so the load is always served.  The battery
 never charges and discharges in the same step.
 
 All efficiencies are multiplicative factors in (0, 1] on the named path.
-Power caps are battery-side watts.  If ``battery_capacity_j`` is set, the
-commanded current is additionally limited so the projected state of
-charge stays inside [soc_min, soc_max]; without it the SOC gates only
-check the bound at the step's start, which can overshoot within one step.
-The projection starts from ``soc_basis`` when given (a planner's SOC
-that the executed state agrees with), else from the executed SOC.
+Power caps are battery-side watts.  The inverter knows the battery's
+capacity (``battery_capacity_j`` is required), and the commanded current
+is also limited so the projected state of charge stays inside
+[soc_min, soc_max] at the step's end.  The projection starts from
+``soc_basis`` when given (a planner's SOC that the executed state agrees
+with), else from the executed SOC.
 
 The parameters are plain attributes, named after the scenario's
 ``inverter`` block keys, so building an inverter imports no
@@ -62,14 +62,17 @@ class InverterPVFirst(Inverter):
         (None: no cap, held as ``math.inf``).
     soc_min / soc_max : battery operating window enforced by dispatch.
     self_power_w : the inverter's own consumption in W, added to demand.
-    battery_capacity_j : battery capacity in J for energy-aware current
-        limits (None disables them).  battery_eta_charge and
+    battery_capacity_j : the attached battery's capacity in J, required
+        and keyword-only, which limits the current to what keeps the
+        projected SOC inside the window.  battery_eta_charge and
         battery_eta_discharge describe the attached battery so the
         projection matches what the battery will actually store or drain.
     """
 
     def __init__(
         self,
+        *,
+        battery_capacity_j: float,
         eta_pv_to_batt: float = 0.97,
         eta_pv_to_load: float = 0.95,
         eta_batt_to_load: float = 0.95,
@@ -78,7 +81,6 @@ class InverterPVFirst(Inverter):
         soc_min: float = 0.1,
         soc_max: float = 1.0,
         self_power_w: float = 0.0,
-        battery_capacity_j: float | None = None,
         battery_eta_charge: float = 1.0,
         battery_eta_discharge: float = 1.0,
     ) -> None:
@@ -96,8 +98,7 @@ class InverterPVFirst(Inverter):
         _require(max_discharge_power_w >= 0.0, "max_discharge_power_w must be >= 0")
         _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
         _require(self_power_w >= 0.0, "self_power_w must be >= 0")
-        if battery_capacity_j is not None:
-            _require(battery_capacity_j > 0.0, "battery_capacity_j must be > 0")
+        _require(battery_capacity_j > 0.0, "battery_capacity_j must be > 0")
         _require(0.0 < battery_eta_charge <= 1.0, "battery_eta_charge must be in (0, 1]")
         _require(0.0 < battery_eta_discharge <= 1.0, "battery_eta_discharge must be in (0, 1]")
         self.eta_pv_to_batt = eta_pv_to_batt
@@ -117,19 +118,13 @@ class InverterPVFirst(Inverter):
 
     def _charge_power_limit(self, soc: float, dt_s: float) -> float:
         """Battery-side W ceiling so projected SOC stays at or below soc_max."""
-        limit = self.max_charge_power_w
-        if self.battery_capacity_j is not None:
-            headroom_j = (self.soc_max - soc) * self.battery_capacity_j
-            limit = min(limit, max(headroom_j, 0.0) / (self.battery_eta_charge * dt_s))
-        return limit
+        headroom_j = (self.soc_max - soc) * self.battery_capacity_j
+        return min(self.max_charge_power_w, max(headroom_j, 0.0) / (self.battery_eta_charge * dt_s))
 
     def _discharge_power_limit(self, soc: float, dt_s: float) -> float:
         """Battery-side W ceiling so projected SOC stays at or above soc_min."""
-        limit = self.max_discharge_power_w
-        if self.battery_capacity_j is not None:
-            available_j = (soc - self.soc_min) * self.battery_capacity_j
-            limit = min(limit, max(available_j, 0.0) * self.battery_eta_discharge / dt_s)
-        return limit
+        available_j = (soc - self.soc_min) * self.battery_capacity_j
+        return min(self.max_discharge_power_w, max(available_j, 0.0) * self.battery_eta_discharge / dt_s)
 
     def dispatch(
         self,

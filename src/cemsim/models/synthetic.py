@@ -352,9 +352,5 @@ class ScriptedContext(Context):
     def __init__(self, records: tuple[ContextRecord, ...]) -> None:
         self._index = ContextIndex(records)
 
-    @property
-    def records(self) -> tuple[ContextRecord, ...]:
-        return self._index.records
-
     def step(self, start_ns: int, end_ns: int) -> tuple[ContextRecord, ...]:
         return tuple(context_query(self._index, start_ns))

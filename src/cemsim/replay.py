@@ -637,26 +637,38 @@ def _csv_row(path, line_number: int, line: str) -> list[str]:
         raise IngestError(f"{path}:{line_number}: {exc}") from exc
 
 
-def emit_timeseries(path, table: TimeSeriesTable) -> None:
-    """Write a table back to channel CSV (sorted by time, then channel)."""
-    rows = []
-    for subsystem_id, name in table.keys():
-        channel = table.channel(subsystem_id, name)
-        rows.extend((t_ns, subsystem_id, name, value) for t_ns, value in zip(channel.times_ns, channel.values))
-    rows.sort(key=lambda item: (item[0], item[1], item[2]))
-    write_csv(path, CHANNEL_HEADER, CHANNEL_ROW, rows)
+def _context_fault(obj: dict) -> str | None:
+    """The first of a context file's value rules that ``obj`` breaks, or None.
+
+    The three timestamps and ``subsystem_id`` must be integers within
+    int64: a float, a string or a bool breaks the rule, it is not
+    coerced, so a validated file replays exactly as written.  The
+    optional ``payload`` must be an object, and each number directly in
+    it finite as a float: NaN, ``Infinity`` and an integer beyond float
+    range break the rule, as a forecaster would fail on them mid-run.
+    """
+    for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
+        if key not in obj:
+            return f"missing key {key!r}"
+        value = obj[key]
+        if type(value) is not int or not -(2**63) <= value < 2**63:
+            return f"{key} must be an integer within int64, got {value!r}"
+    payload = obj.get("payload", {})
+    if type(payload) is not dict:
+        return f"payload must be an object, got {payload!r}"
+    for key, value in payload.items():
+        # abs() of an integer too large for a float compares exactly,
+        # so it fails the bound as NaN and the infinities do
+        if type(value) in (int, float) and not abs(value) <= float_info.max:
+            return f"payload {key!r} must be a finite number, got {value!r}"
+    return None
 
 
 def ingest_context(path) -> tuple[ContextRecord, ...]:
     """Parse a context JSONL file; line numbers accompany every rejection.
 
-    The three timestamps and ``subsystem_id`` must be JSON integers within
-    int64.  A float, a string or a bool is rejected with its line and key,
-    not coerced, so a validated file replays exactly as written.  The
-    optional ``payload`` must be an object, and each number directly in
-    it finite as a float: NaN, ``Infinity`` and an integer beyond float
-    range are rejected with their line and key, as a forecaster would
-    fail on them mid-run.
+    Each line is one JSON object that keeps :func:`_context_fault`'s
+    rules; a line that breaks one is rejected with its line and key.
     """
     records = []
     try:
@@ -673,27 +685,16 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
                     raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise IngestError(f"{path}:{line_number}: expected an object")
-                for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
-                    if key not in obj:
-                        raise IngestError(f"{path}:{line_number}: missing key {key!r}")
-                    value = obj[key]
-                    if type(value) is not int or not -(2**63) <= value < 2**63:
-                        raise IngestError(f"{path}:{line_number}: {key} must be an integer within int64, got {value!r}")
-                payload = obj.get("payload", {})
-                if type(payload) is not dict:
-                    raise IngestError(f"{path}:{line_number}: payload must be an object, got {payload!r}")
-                for key, value in payload.items():
-                    # abs() of an integer too large for a float compares exactly,
-                    # so it fails the bound as NaN and the infinities do
-                    if type(value) in (int, float) and not abs(value) <= float_info.max:
-                        raise IngestError(f"{path}:{line_number}: payload {key!r} must be a finite number, got {value!r}")
+                fault = _context_fault(obj)
+                if fault is not None:
+                    raise IngestError(f"{path}:{line_number}: {fault}")
                 try:
                     record = ContextRecord(
                         recorded_at_ns=obj["recorded_at_ns"],
                         begins_at_ns=obj["begins_at_ns"],
                         ends_at_ns=obj["ends_at_ns"],
                         subsystem_id=obj["subsystem_id"],
-                        payload=payload,
+                        payload=obj.get("payload", {}),
                     )
                 except (TypeError, ValueError) as exc:
                     raise IngestError(f"{path}:{line_number}: {exc}") from exc
@@ -711,23 +712,23 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
     so the file is the same on every platform (a text-mode file would
     translate the newlines) and no line waits in a text layer's pending
     chunk: the memory held is the binary buffer's, whatever the file's
-    length.
+    length.  A record that breaks a rule :func:`ingest_context` reads the
+    file by (see :func:`_context_fault`) is a ``ValueError`` naming its
+    index, raised before its line is written.
     """
     with open(path, "wb") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "recorded_at_ns": record.recorded_at_ns,
-                        "begins_at_ns": record.begins_at_ns,
-                        "ends_at_ns": record.ends_at_ns,
-                        "subsystem_id": record.subsystem_id,
-                        "payload": dict(record.payload),
-                    },
-                    sort_keys=True,
-                ).encode()
-                + b"\n"
-            )
+        for index, record in enumerate(records):
+            obj = {
+                "recorded_at_ns": record.recorded_at_ns,
+                "begins_at_ns": record.begins_at_ns,
+                "ends_at_ns": record.ends_at_ns,
+                "subsystem_id": record.subsystem_id,
+                "payload": dict(record.payload),
+            }
+            fault = _context_fault(obj)
+            if fault is not None:
+                raise ValueError(f"{path}: context record {index}: {fault}")
+            handle.write(json.dumps(obj, sort_keys=True).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------

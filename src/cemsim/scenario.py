@@ -83,6 +83,7 @@ from .core import (
 from .engine import Simulator
 from .forecast import (
     FAMILIES,
+    MAX_TIMEOUT_S,
     EffortEstimator,
     estimate_effort_heuristic,
     estimate_effort_remote,
@@ -319,7 +320,7 @@ BLOCK_TABLES: dict[str, dict[str, dict[str, Callable]]] = {
     },
     "forecast.effort_estimator": {
         "heuristic": {},
-        "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=1e-9)},
+        "remote": {"url": _string, "timeout_s": partial(_number, default=10.0, minimum=1e-9, maximum=MAX_TIMEOUT_S)},
     },
 }
 
@@ -569,14 +570,16 @@ def effort_estimator(scenario: Scenario) -> EffortEstimator:
 
 
 class SimulationBundle(
-    StepRecord, namedtuple("SimulationBundle", "scenario strategy simulator records schedule controller")
+    StepRecord, namedtuple("SimulationBundle", "scenario strategy simulator records controller")
 ):
     """Everything a runner needs: the simulator plus scenario artifacts.
 
     scenario, strategy (a name of ``STRATEGIES``), simulator, the context
-    records the plant plays, the price schedule (None without a priced
-    grid) and the controller (None for ``default``).  Unhashable, like
-    the mutable dataclass it replaces (its scenario holds dicts anyway).
+    records the plant plays, which the CLI writes, and the controller
+    (None for ``default``), which the CLI reads the first plan from.  The
+    price schedule is the priced grid's own ``schedule``.  Unhashable,
+    like the mutable dataclass it replaces (its scenario holds dicts
+    anyway).
     """
 
     __slots__ = ()
@@ -839,6 +842,5 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         strategy=strategy,
         simulator=simulator,
         records=records,
-        schedule=schedule,
         controller=controller,
     )

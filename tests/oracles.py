@@ -73,7 +73,9 @@ held to the same acceptance, messages and field values only.  One
 change since: ``Channel`` no longer derives a times view and a cursor,
 which moved to the time axis its times are kept on.  Their
 ``PriceSchedule`` is the two-tier ``PriceTiers`` dataclass, renamed to
-the class that took its fields.
+the class that took its fields.  ``SimulationBundle`` has since lost
+its ``schedule`` field, which only tests read: the priced grid holds
+the schedule.
 Last come the planner's four classes, ``ChargingProblem``,
 ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision``, as they
 were while dataclasses, with the ``_plan_cost`` helper a plan's cost was
@@ -1296,7 +1298,6 @@ class SimulationBundle:
     strategy: str
     simulator: Simulator
     records: tuple[ContextRecord, ...]
-    schedule: PriceSchedule | None
     controller: RecedingHorizonController | None
 
 

@@ -19,7 +19,7 @@ import pytest
 import cemsim
 from cemsim import cli, ingest_timeseries, replay
 from cemsim import scenario as scenario_module
-from cemsim.engine import ComponentStepError, run
+from cemsim.engine import Aggregates, ComponentStepError, run
 from cemsim.replay import TimeSeriesRangeError
 from cemsim.scenario import build_bundle, load_scenario
 from test_golden import GOLDEN, artifact_hashes
@@ -627,6 +627,24 @@ def test_the_latest_start_runs_and_its_recording_validates(tmp_path, capsys):
     assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["PASS", "PASS"]
     late = _scenario(tmp_path, "late", start_epoch_seconds=latest + 1, **fields)
     assert cli.main(["run", "--scenario", str(late), "--out", str(tmp_path / "late")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("horizon_seconds", [3600, 3630])
+def test_the_summarys_aggregates_are_the_last_steps(tmp_path, horizon_seconds):
+    """summary.json's six aggregates are the running totals on the last
+    line of steps.csv, bit for bit, whether the horizon ends on a whole
+    60 s step or in a shorter final one (30 s): a run's totals are read
+    once, from its last step."""
+    scenario = _scenario(tmp_path, "noon", start_epoch_seconds=MIDNIGHT + 43_200, horizon_seconds=horizon_seconds)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "steps.csv", newline="") as handle:
+        *_, last = csv.DictReader(handle)
+    aggregates = json.loads((out / "summary.json").read_text())["aggregates"]
+    assert sorted(aggregates) == sorted(Aggregates._fields)
+    assert int(last["time_ns"]) == (MIDNIGHT + 43_200 + horizon_seconds) * 1_000_000_000
+    assert {key: float(last[key]).hex() for key in aggregates} == {key: value.hex() for key, value in aggregates.items()}
+    assert aggregates["generated_wh"] > 0.0 and aggregates["consumed_wh"] > 0.0
 
 
 def test_reruns_into_different_directories_are_byte_identical(recording, tmp_path):

@@ -810,7 +810,7 @@ def test_the_mpc_inverter_plans_with_its_own_capacity_and_soc_band():
     assert controller.forecast_provider is provider
     assert controller.max_grid_power_w == 500.0
     assert MPCInverter(provider, **LOSSLESS).controller.max_grid_power_w is None
-    with pytest.raises(ValueError, match=r"^MPCInverter needs battery_capacity_j$"):
+    with pytest.raises(TypeError, match="battery_capacity_j"):
         MPCInverter(provider, eta_pv_to_batt=1.0)
     with pytest.raises(ValueError, match=r"^max_grid_power_w must be >= 0$"):
         MPCInverter(provider, -5.0, **LOSSLESS)

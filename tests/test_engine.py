@@ -13,6 +13,7 @@ from cemsim import (
     CompensatedSum,
     ComponentStepError,
     ConfigurationError,
+    ContextIndex,
     Grid,
     GridPriced,
     GridStepInput,
@@ -40,7 +41,7 @@ from cemsim.engine import WH_PER_J
 NS_PER_DAY = 86_400 * NS
 
 LOSSLESS_INVERTER = dict(
-    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1
+    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1, battery_capacity_j=3.6e6
 )
 
 
@@ -310,11 +311,12 @@ def test_aggregates_equal_compensated_resum_of_deltas():
 def test_context_records_flow_into_outputs():
     events = generate_job_events(seed=1, day_count=1)
     records = context_records_for_jobs(events)
+    index = ContextIndex(records)
     simulator = _synthetic_simulator(seed=1)
     outputs = _outputs(simulator, total_ns=NS_PER_DAY, step_ns=900 * NS)
-    for index, output in enumerate(outputs):
-        step_start_ns = index * 900 * NS
-        assert output.context == tuple(context_query(records, step_start_ns))
+    for step, output in enumerate(outputs):
+        step_start_ns = step * 900 * NS
+        assert output.context == tuple(context_query(index, step_start_ns))
 
 
 def test_component_failure_names_component_and_step():

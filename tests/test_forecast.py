@@ -26,6 +26,7 @@ from cemsim import (
     rmse,
     train_predictor,
 )
+from cemsim.forecast import MAX_TIMEOUT_S
 from cemsim.models.synthetic import (
     JOB_TEMPLATES,
     SyntheticLoad,
@@ -419,6 +420,28 @@ def test_remote_estimator_needs_a_positive_timeout(estimator_server):
     # positive, but too large for the socket
     with pytest.raises(RemoteEstimatorError, match="failed: "):
         estimate_effort_remote("x", f"{estimator_server.url}/ok", timeout_s=1e300)
+
+
+def test_a_timeout_past_the_maximum_opens_no_socket(estimator_server, monkeypatch):
+    """A timeout longer than MAX_TIMEOUT_S, which a socket need not accept,
+    is refused naming the URL before a socket is opened; the maximum
+    itself is sent."""
+    opened = []
+
+    class Spied(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(socket, "socket", Spied)
+    url = f"{estimator_server.url}/ok"
+    refused = f"effort estimator request to {url!r} failed: timeout_s must be <= {MAX_TIMEOUT_S}, got "
+    for timeout_s in (math.nextafter(MAX_TIMEOUT_S, math.inf), 9.3e9, 1e300, math.inf):
+        with pytest.raises(RemoteEstimatorError, match=f"^{re.escape(refused + repr(timeout_s))}$"):
+            estimate_effort_remote("x", url, timeout_s=timeout_s)
+    assert opened == []
+    assert estimate_effort_remote("x", url, timeout_s=MAX_TIMEOUT_S) == 2.5
+    assert opened
 
 
 def test_remote_estimator_unreachable_endpoint():

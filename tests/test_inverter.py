@@ -17,7 +17,13 @@ from cemsim import (
 )
 from cemsim.core import NS_PER_SECOND as NS
 
-LOSSLESS = dict(eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1)
+#: A 10 kWh battery: roomy enough that no example's step fills or drains
+#: it unless the example says so
+CAPACITY_J = 3.6e7
+
+LOSSLESS = dict(
+    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1, battery_capacity_j=CAPACITY_J
+)
 
 
 def _inverter_input(pv_w, load_w, soc, apparent_w=None):
@@ -58,9 +64,7 @@ def test_empty_battery_defers_to_grid():
 
 def test_discharge_accounts_for_path_losses():
     """Serving 180 W of load through a 90% path drains 200 W battery-side."""
-    parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=0.9, soc_min=0.1
-    )
+    parameters = dict(LOSSLESS, eta_batt_to_load=0.9)
     result = _step(_inverter_input(pv_w=0.0, load_w=180.0, soc=0.5), parameters)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(200.0, rel=1e-12)
@@ -68,19 +72,13 @@ def test_discharge_accounts_for_path_losses():
 
 
 def test_self_power_is_part_of_demand():
-    parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, self_power_w=50.0,
-    )
+    parameters = dict(LOSSLESS, self_power_w=50.0)
     result = _step(_inverter_input(pv_w=0.0, load_w=0.0, soc=0.1), parameters)
     assert result.grid_input.requested_active_power == 50.0
 
 
 def test_discharge_power_cap_splits_deficit():
-    parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, max_discharge_power_w=300.0,
-    )
+    parameters = dict(LOSSLESS, max_discharge_power_w=300.0)
     result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.9), parameters)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(300.0, rel=1e-12)
@@ -88,21 +86,15 @@ def test_discharge_power_cap_splits_deficit():
 
 
 def test_charge_current_limited_by_soc_headroom():
-    """With the capacity known, charging cannot overshoot soc_max in one step."""
-    parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, battery_capacity_j=3.6e6,
-    )
+    """Charging cannot overshoot soc_max in one step."""
+    parameters = dict(LOSSLESS, battery_capacity_j=3.6e6)
     result = _step(_inverter_input(pv_w=500.0, load_w=0.0, soc=0.95), parameters)
     # Headroom is 0.05 * 3.6e6 J = 50 W-hours-worth over the 3600 s step.
     assert result.battery_input.current * 50.0 == pytest.approx(50.0, rel=1e-12)
 
 
 def test_discharge_current_limited_by_soc_floor():
-    parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, battery_capacity_j=3.6e6,
-    )
+    parameters = dict(LOSSLESS, battery_capacity_j=3.6e6)
     result = _step(_inverter_input(pv_w=0.0, load_w=1000.0, soc=0.2), parameters)
     available_w = (0.2 - 0.1) * 3.6e6 / 3600.0
     assert result.battery_input.current * 50.0 == pytest.approx(available_w, rel=1e-9)
@@ -145,7 +137,7 @@ def test_config_validation():
     naming the parameter; the bounds themselves are accepted."""
     for parameters, message in _INVALID:
         with pytest.raises(ValueError, match=re.escape(message)):
-            InverterPVFirst(**parameters)
+            InverterPVFirst(**{"battery_capacity_j": CAPACITY_J, **parameters})
     edges = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=5e-324, eta_batt_to_load=1.0,
         max_charge_power_w=0.0, max_discharge_power_w=math.inf, soc_min=0.0, soc_max=1.0,
@@ -153,9 +145,17 @@ def test_config_validation():
     )
     inverter = InverterPVFirst(**edges)
     assert {name: getattr(inverter, name) for name in edges} == edges
-    uncapped = InverterPVFirst()
+    uncapped = InverterPVFirst(battery_capacity_j=CAPACITY_J)
     assert uncapped.max_charge_power_w == uncapped.max_discharge_power_w == math.inf
-    assert uncapped.battery_capacity_j is None
+
+
+def test_the_battery_capacity_is_required():
+    """There is no capacity-less dispatch: the capacity has no default, and
+    None is no capacity."""
+    with pytest.raises(TypeError, match="battery_capacity_j"):
+        InverterPVFirst()
+    with pytest.raises(TypeError):
+        InverterPVFirst(battery_capacity_j=None)
 
 
 def test_stateful_wrapper_matches_pure_function():
@@ -227,9 +227,7 @@ def test_lossless_dispatch_conserves_power(pv_w, load_w, soc, planned):
 def test_soc_projection_caps_both_directions(pv_w, load_w, soc, planned, dt_s):
     """Energy-aware limits keep the projected SOC inside the window."""
     parameters = dict(
-        eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-        soc_min=0.1, soc_max=0.9, battery_capacity_j=3.6e6,
-        battery_eta_charge=0.95, battery_eta_discharge=0.95,
+        LOSSLESS, soc_max=0.9, battery_capacity_j=3.6e6, battery_eta_charge=0.95, battery_eta_discharge=0.95
     )
     result = _step(_inverter_input(pv_w, load_w, soc), parameters, dt_s, planned)
     battery_power = result.battery_input.current * 50.0

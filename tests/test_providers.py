@@ -6,6 +6,7 @@ import pytest
 import cemsim.control
 import cemsim.scenario
 from cemsim import (
+    ContextIndex,
     ContextRecord,
     Predictor,
     build_bundle,
@@ -78,7 +79,7 @@ def test_perfect_windows_equal_direct_sampling():
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
         loads = [load.power_at(t) for t in times]
         pvs = [pv.power_at(t) for t in times]
-        prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
+        prices = bundle.simulator.grid.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
 
 
@@ -133,14 +134,15 @@ def test_context_windows_equal_direct_prediction():
         effort_fn=effort_fn,
     )
     known_sets = set()
+    index = ContextIndex(bundle.records)
     for now_ns, window in seen:
         count = _steps_left(scenario, now_ns)
-        known = context_query(bundle.records, now_ns)
+        known = context_query(index, now_ns)
         known_sets.add((now_ns // NS_PER_DAY, tuple(map(id, known))))
         times = [now_ns + i * scenario.step_ns for i in range(1, count + 1)]
         loads = [max(predictor.predict(known, t, effort_fn), 0.0) for t in times]
         pvs = [bundle.simulator.power_source.power_at(t) for t in times]
-        prices = bundle.schedule.prices_for_window(now_ns, scenario.step_ns, count)
+        prices = bundle.simulator.grid.schedule.prices_for_window(now_ns, scenario.step_ns, count)
         _assert_tail(window, now_ns, loads, pvs, prices)
     # the known-record set changes inside planning days, not only at their start
     assert len(known_sets) > 3 * scenario.day_count

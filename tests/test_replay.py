@@ -26,7 +26,6 @@ from cemsim import (
     TimeSeriesRangeError,
     TimeSeriesTable,
     emit_context,
-    emit_timeseries,
     ingest_context,
     ingest_timeseries,
     interpolate,
@@ -34,6 +33,7 @@ from cemsim import (
 from cemsim import InverterPVFirst, Simulator, replay
 from cemsim.core import ContextRecord, SimulationError
 from cemsim.engine import ComponentStepError, run
+from cemsim.models.synthetic import context_records_for_jobs, generate_job_events
 from cemsim.replay import CHANNEL_HEADER, CHANNELS
 
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     ingest_timeseries_reference,
     interpolate_reference,
 )
+from recordings import write_recording
 
 NS = 1_000_000_000
 
@@ -596,7 +597,7 @@ def _cached_recording(tmp_path):
         ]
     )
     path = tmp_path / "rec.csv"
-    emit_timeseries(path, table)
+    write_recording(path, table)
     return path, tmp_path / "__cemsim_cache__" / "rec.csv.columns"
 
 
@@ -852,7 +853,7 @@ def test_timeseries_round_trip_is_bit_exact(tmp_path):
         [_channel("battery_soc", list(zip(range(0, 5 * NS, NS), values)))]
     )
     path = tmp_path / "out.csv"
-    emit_timeseries(path, table)
+    write_recording(path, table)
     back = ingest_timeseries(path).channel(1, "battery_soc")
     assert [v for v in back.values] == values
 
@@ -868,7 +869,7 @@ def test_timeseries_round_trip_is_bit_exact(tmp_path):
 def test_timeseries_round_trip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("roundtrip") / "rec.csv"
     points = list(zip(range(0, len(values) * NS, NS), values))
-    emit_timeseries(path, TimeSeriesTable([_channel("load_active_power", points)]))
+    write_recording(path, TimeSeriesTable([_channel("load_active_power", points)]))
     back = ingest_timeseries(path).channel(1, "load_active_power")
     assert list(back.values) == values
 
@@ -881,6 +882,39 @@ def test_context_round_trip(tmp_path):
     path = tmp_path / "ctx.jsonl"
     emit_context(path, records)
     assert ingest_context(path) == records
+    # a generated context reads back as written, byte for byte
+    generated = context_records_for_jobs(generate_job_events(7, 3))
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    emit_context(first, generated)
+    back = ingest_context(first)
+    assert back == generated
+    emit_context(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((True, NS, 2 * NS, 1, {}), "recorded_at_ns must be an integer within int64, got True"),
+        ((0, NS, 2 * NS, False, {}), "subsystem_id must be an integer within int64, got False"),
+        ((0, NS, 2**70, 1, {}), f"ends_at_ns must be an integer within int64, got {2**70}"),
+        ((0, NS, 2 * NS, 1, {"text": "x", "cores": math.nan}), "payload 'cores' must be a finite number, got nan"),
+    ],
+)
+def test_emit_context_refuses_a_record_ingest_would_reject(tmp_path, fields, message):
+    """A record whose line ingest would reject is a ValueError naming its
+    index, raised before that line is written; ingest rejects the same
+    line, written by hand, with the same message."""
+    good = ContextRecord(0, NS, 2 * NS, 1, {"text": "nightly build"})
+    bad = ContextRecord(*fields)
+    path = tmp_path / "ctx.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: context record 1: {message}')}$"):
+        emit_context(path, [good, bad])
+    assert ingest_context(path) == (good,)
+    by_hand = tmp_path / "by-hand.jsonl"
+    by_hand.write_text(json.dumps({**bad._asdict(), "payload": dict(bad.payload)}) + "\n")
+    with pytest.raises(IngestError, match=f"^{re.escape(f'{by_hand}:1: {message}')}$"):
+        ingest_context(by_hand)
 
 
 def test_emitting_ten_times_the_context_records_holds_no_more_memory(tmp_path):

@@ -16,12 +16,12 @@ from cemsim import (
     STRATEGIES,
     TimeSeriesTable,
     build_bundle,
-    emit_timeseries,
     load_scenario,
     run,
     scenario_from_dict,
 )
 from cemsim.cli import run_to_directory
+from cemsim.forecast import MAX_TIMEOUT_S
 from cemsim.models.synthetic import (
     SyntheticLoad,
     SyntheticPowerSource,
@@ -35,6 +35,8 @@ from cemsim.scenario import (
     price_schedule,
     training_series,
 )
+
+from recordings import write_recording
 
 NS = 1_000_000_000
 NS_PER_DAY = 86_400 * NS
@@ -53,7 +55,7 @@ def _load_recording(tmp_path, hours=24, watts=500.0):
         Channel(2, "load_apparent_power", tuple(times), tuple([watts] * len(times))),
     ])
     path = tmp_path / "load.csv"
-    emit_timeseries(path, table)
+    write_recording(path, table)
     return path
 
 
@@ -222,6 +224,11 @@ def test_a_remote_estimator_needs_a_positive_timeout():
         with pytest.raises(ConfigurationError, match=r"forecast\.effort_estimator.*'timeout_s' must be >= 1e-09"):
             remote(timeout_s)
     assert remote(1e-9).forecast["effort_estimator"]["timeout_s"] == 1e-9
+    # at most a day, well within what a socket accepts
+    for timeout_s in (86_400.5, 9.3e9, 1e300):
+        with pytest.raises(ConfigurationError, match=r"forecast\.effort_estimator.*'timeout_s' must be <= 86400\.0"):
+            remote(timeout_s)
+    assert remote(86_400).forecast["effort_estimator"]["timeout_s"] == MAX_TIMEOUT_S == 86_400.0
 
 
 def test_validated_blocks_hold_exactly_their_kinds_keys(tmp_path):
@@ -293,7 +300,7 @@ def test_scenario_defaults_equal_component_defaults():
         "load": SyntheticLoad(job_events=generate_job_events(0, 1)),
         "battery": BatteryLinear(),
         "grid": GridPriced(PriceSchedule()),
-        "inverter": InverterPVFirst(),
+        "inverter": InverterPVFirst(battery_capacity_j=BatteryLinear().capacity_j),
     }
     for block, kind in _MODEL_KINDS.items():
         values = getattr(bundle.scenario, block)
@@ -305,7 +312,6 @@ def test_scenario_defaults_equal_component_defaults():
     assert pv.seed == load.seed == SyntheticPowerSource().seed == SyntheticLoad().seed
     assert load.job_events == generate_job_events(0, 1)
     assert bundle.records == context_records_for_jobs(load.job_events)
-    assert bundle.schedule is simulator.grid.schedule
 
 
 def _other_than(value, index):
@@ -473,7 +479,7 @@ def test_mpc_context_bundle_trains_a_predictor():
 def test_mpc_preconditions_are_spelled_out(tmp_path):
     _load_recording(tmp_path, hours=3)
     times = tuple(h * 3600 * NS for h in range(4))
-    emit_timeseries(tmp_path / "plant.csv", TimeSeriesTable([
+    write_recording(tmp_path / "plant.csv", TimeSeriesTable([
         Channel(3, "battery_soc", times, (0.5,) * 4),
         Channel(3, "battery_voltage", times, (51.2,) * 4),
         Channel(4, "grid_active_power", times, (0.0,) * 4),
