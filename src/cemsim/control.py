@@ -591,7 +591,8 @@ class RecedingHorizonController:
     the tail of the problem the window was converted into at its first
     solve.  A window that does not cover ``now`` and an infeasible window
     both fall back to no plan (callers dispatch PV-first), the latter with
-    a warning.
+    a warning.  Every parameter is required: an :class:`MPCInverter` passes
+    its battery's capacity, its SOC band and the grid's cap (None: no cap).
     """
 
     def __init__(
@@ -600,7 +601,7 @@ class RecedingHorizonController:
         soc_min: float,
         soc_max: float,
         forecast_provider: ForecastProvider,
-        max_grid_power_w: float | None = None,
+        max_grid_power_w: float | None,
     ) -> None:
         _require(capacity_j > 0.0, "capacity_j must be > 0")
         _require(0.0 <= soc_min < soc_max <= 1.0, "need 0 <= soc_min < soc_max <= 1")
@@ -663,13 +664,15 @@ class RecedingHorizonController:
 class MPCInverter(InverterPVFirst):
     """The PV-first inverter steered by a receding-horizon purchase plan.
 
-    ``MPCInverter(forecast_provider, max_grid_power_w=None, **parameters)``
+    ``MPCInverter(forecast_provider, *, max_grid_power_w, **parameters)``
     takes the parameters of :class:`~cemsim.models.inverter.InverterPVFirst`,
     ``battery_capacity_j`` among them, and plans with them: its
     ``controller`` is a :class:`RecedingHorizonController` over the
     inverter's own ``battery_capacity_j``, ``soc_min`` and ``soc_max``,
     reading ``forecast_provider`` and capping purchases at
-    ``max_grid_power_w`` (None: no cap).  Each step asks the controller for
+    ``max_grid_power_w``, the grid block's ``max_active_power_w`` (None: no
+    cap), a required keyword whose default is written once, in
+    ``scenario.BLOCK_TABLES``.  Each step asks the controller for
     the step's planned purchase and hands it to the inherited
     :meth:`~cemsim.models.inverter.InverterPVFirst.dispatch`, which serves
     the deficit from it, routes any surplus into the battery and lets the
@@ -684,7 +687,7 @@ class MPCInverter(InverterPVFirst):
     """
 
     def __init__(
-        self, forecast_provider: ForecastProvider, max_grid_power_w: float | None = None, **parameters: float | None
+        self, forecast_provider: ForecastProvider, *, max_grid_power_w: float | None, **parameters: float | None
     ) -> None:
         super().__init__(**parameters)
         self.controller = RecedingHorizonController(

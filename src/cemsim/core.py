@@ -455,13 +455,12 @@ class ContextIndex:
     once.  A query before ``low`` replays the edges from the first one.
     """
 
-    __slots__ = ("records", "_edges", "_changes", "_passed", "_keys", "_answer", "_low", "_high")
+    __slots__ = ("_edges", "_changes", "_passed", "_keys", "_answer", "_low", "_high")
 
     def __init__(self, records: Iterable[ContextRecord]) -> None:
-        self.records = tuple(records)
         # edge -> [(sort key, record joining at the edge, or None if leaving)]
         changes: dict[int, list] = {}
-        for index, record in enumerate(self.records):
+        for index, record in enumerate(records):
             recorded = record.recorded_at_ns
             key = (record.begins_at_ns, recorded, index)
             changes.setdefault(recorded, []).append((key, record))

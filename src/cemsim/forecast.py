@@ -93,7 +93,7 @@ class RemoteEstimatorError(SimulationError):
 MAX_TIMEOUT_S = 86400.0
 
 
-def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> float:
+def estimate_effort_remote(text: str, url: str, timeout_s: float) -> float:
     """Ask an HTTP endpoint to score a job description.
 
     POSTs ``{"text": ...}`` as JSON with :mod:`urllib.request` and
@@ -102,7 +102,9 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float = 10.0) -> floa
     none) is refused before anything is opened, and so is a redirect to
     one.  ``timeout_s`` bounds the connect and each read, and must be > 0
     (``ValueError``); a longer one than :data:`MAX_TIMEOUT_S` is refused
-    before anything is opened.  Any transport, status or schema problem
+    before anything is opened.  It is the remote estimator block's
+    ``timeout_s``, required: its default is written once, in
+    ``scenario.BLOCK_TABLES``.  Any transport, status or schema problem
     raises :class:`RemoteEstimatorError`; there is no silent fallback.
     """
     import http.client
@@ -303,14 +305,16 @@ def evaluate_families(
     records: Sequence[ContextRecord],
     times_ns: Sequence[int],
     observed_w: Sequence[float],
-    train_fraction: float = 0.7,
+    train_fraction: float,
     families: Sequence[str] = FAMILIES,
     effort_fn: EffortEstimator = estimate_effort_heuristic,
 ) -> dict[str, float]:
     """Train each family on the leading time window, report test RMSE.
 
     The split is by sample order (time-ordered input expected), so the
-    test window is strictly after the training window.
+    test window is strictly after the training window.  ``train_fraction``
+    is the forecast block's, required: its default is written once, in
+    ``scenario.DOCUMENT_TABLE``.
 
     Each sample time is queried once and described by one feature row of
     the narrowest family whose features cover every requested family's

@@ -31,6 +31,9 @@ from ..core import (
 class BatteryLinear(Battery):
     """The linear battery.
 
+    Its parameters are the ``battery`` block's keys, each a required
+    keyword; their defaults are written once, in ``scenario.BLOCK_TABLES``.
+
     capacity_j : usable capacity in joules.
     eta_charge / eta_discharge : efficiencies in (0, 1].
     nominal_voltage : constant terminal voltage in V.
@@ -38,12 +41,7 @@ class BatteryLinear(Battery):
     """
 
     def __init__(
-        self,
-        capacity_j: float = 1.8432e7,  # 5.12 kWh (51.2 V x 100 Ah pack)
-        eta_charge: float = 0.95,
-        eta_discharge: float = 0.95,
-        nominal_voltage: float = 51.2,
-        initial_soc: float = 0.5,
+        self, *, capacity_j: float, eta_charge: float, eta_discharge: float, nominal_voltage: float, initial_soc: float
     ) -> None:
         _require(capacity_j > 0.0, "capacity_j must be > 0")
         _require(0.0 < eta_charge <= 1.0, "eta_charge must be in (0, 1]")

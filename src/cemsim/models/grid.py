@@ -36,6 +36,8 @@ from ..core import (
 class PriceSchedule:
     """Two-tier daily pricing: peak window price and off-peak price.
 
+    The parameters are the ``grid`` block's tariff keys, each a required
+    keyword; their defaults are written once, in ``scenario.BLOCK_TABLES``.
     ``peak_price`` holds over ``[peak_start_hour, peak_end_hour)`` of
     every UTC day and ``off_peak_price`` at every other instant.  Prices
     are returned as given.  ``_peak_start_ns`` and ``_peak_end_ns`` are
@@ -44,13 +46,7 @@ class PriceSchedule:
 
     __slots__ = ("off_peak_price", "peak_price", "peak_start_hour", "peak_end_hour", "_peak_start_ns", "_peak_end_ns")
 
-    def __init__(
-        self,
-        off_peak_price: float = 0.10,
-        peak_price: float = 0.40,
-        peak_start_hour: int = 8,
-        peak_end_hour: int = 20,
-    ) -> None:
+    def __init__(self, *, off_peak_price: float, peak_price: float, peak_start_hour: int, peak_end_hour: int) -> None:
         _require(off_peak_price >= 0.0, "off_peak_price must be >= 0")
         _require(peak_price >= 0.0, "peak_price must be >= 0")
         _require(
@@ -76,13 +72,14 @@ class PriceSchedule:
 
 class GridPriced(Grid):
     """The priced grid: a price schedule plus optional per-step delivery
-    limits (W / VA; None: no limit, held as ``math.inf``)."""
+    limits (W / VA; None: no limit, held as ``math.inf``).
+
+    The limits are the ``grid`` block's ``max_`` keys, each a required
+    keyword; their defaults are written once, in ``scenario.BLOCK_TABLES``.
+    """
 
     def __init__(
-        self,
-        schedule: PriceSchedule,
-        max_active_power_w: float | None = None,
-        max_apparent_power_va: float | None = None,
+        self, schedule: PriceSchedule, *, max_active_power_w: float | None, max_apparent_power_va: float | None
     ) -> None:
         if max_active_power_w is None:
             max_active_power_w = math.inf

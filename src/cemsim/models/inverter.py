@@ -25,7 +25,8 @@ with), else from the executed SOC.
 
 The parameters are plain attributes, named after the scenario's
 ``inverter`` block keys, so building an inverter imports no
-:mod:`dataclasses`.  ``control.MPCInverter`` is the subclass a planner
+:mod:`dataclasses`.  Each is a required keyword: its default is written
+once, in the scenario's tables.  ``control.MPCInverter`` is the subclass a planner
 steers.
 """
 
@@ -57,14 +58,19 @@ _IDLE_BATTERY_INPUT = BatteryStepInput(BatteryMode.IDLE, 0.0)
 class InverterPVFirst(Inverter):
     """The PV-first inverter.
 
+    Every parameter is a required keyword: the ``inverter`` block's keys,
+    and the ``battery_`` ones the battery block's (``build_bundle`` passes
+    1 for the efficiencies of a recorded battery).  Their defaults are
+    written once, in ``scenario.BLOCK_TABLES``.
+
     eta_pv_to_batt / eta_pv_to_load / eta_batt_to_load : path efficiencies.
     max_charge_power_w / max_discharge_power_w : battery-side caps in W
         (None: no cap, held as ``math.inf``).
     soc_min / soc_max : battery operating window enforced by dispatch.
     self_power_w : the inverter's own consumption in W, added to demand.
-    battery_capacity_j : the attached battery's capacity in J, required
-        and keyword-only, which limits the current to what keeps the
-        projected SOC inside the window.  battery_eta_charge and
+    battery_capacity_j : the attached battery's capacity in J, which
+        limits the current to what keeps the projected SOC inside the
+        window.  battery_eta_charge and
         battery_eta_discharge describe the attached battery so the
         projection matches what the battery will actually store or drain.
     """
@@ -73,16 +79,16 @@ class InverterPVFirst(Inverter):
         self,
         *,
         battery_capacity_j: float,
-        eta_pv_to_batt: float = 0.97,
-        eta_pv_to_load: float = 0.95,
-        eta_batt_to_load: float = 0.95,
-        max_charge_power_w: float | None = None,
-        max_discharge_power_w: float | None = None,
-        soc_min: float = 0.1,
-        soc_max: float = 1.0,
-        self_power_w: float = 0.0,
-        battery_eta_charge: float = 1.0,
-        battery_eta_discharge: float = 1.0,
+        eta_pv_to_batt: float,
+        eta_pv_to_load: float,
+        eta_batt_to_load: float,
+        max_charge_power_w: float | None,
+        max_discharge_power_w: float | None,
+        soc_min: float,
+        soc_max: float,
+        self_power_w: float,
+        battery_eta_charge: float,
+        battery_eta_discharge: float,
     ) -> None:
         if max_charge_power_w is None:
             max_charge_power_w = math.inf

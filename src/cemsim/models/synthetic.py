@@ -25,7 +25,9 @@ block keys: :class:`SyntheticPowerSource` takes the ``pv`` block's
 (``peak_power_w``, ``noise_amplitude``, ``voltage``, ``sunrise_hour``,
 ``sunset_hour``) and :class:`SyntheticLoad` the ``load`` block's
 ``base_power_w`` and ``noise_amplitude``, with the jobs that the block's
-``jobs_per_day`` and ``watts_per_effort`` draw as ``job_events``.
+``jobs_per_day`` and ``watts_per_effort`` draw as ``job_events``.  Every
+parameter a scenario key feeds is a required keyword: its default is
+written once, in the scenario's tables.
 """
 
 from __future__ import annotations
@@ -155,13 +157,15 @@ JOB_DURATION_HOURS = (2.0, 6.0)
 
 
 def generate_job_events(
-    seed: int,
-    day_count: int,
-    start_ns: int = 0,
-    jobs_per_day: int = 2,
-    watts_per_effort: float = 250.0,
+    seed: int, day_count: int, *, start_ns: int, jobs_per_day: int, watts_per_effort: float
 ) -> tuple[JobEvent, ...]:
-    """Seeded random jobs, one batch per day, drawn from the template table."""
+    """Seeded random jobs, one batch per day from ``start_ns``, drawn from
+    the template table.
+
+    ``jobs_per_day`` and ``watts_per_effort`` are the ``load`` block's
+    keys and ``start_ns`` the scenario's start, each a required keyword;
+    their defaults are written once, in the scenario's tables.
+    """
     rng = random.Random(seed)
     efforts = sorted(JOB_TEMPLATES)
     events = []
@@ -186,11 +190,12 @@ def generate_job_events(
 
 
 def context_records_for_jobs(
-    job_events: tuple[JobEvent, ...],
-    subsystem_id: int = 1,
-    announce_lead_ns: int = 10 * NS_PER_HOUR,
+    job_events: tuple[JobEvent, ...], *, announce_lead_ns: int, subsystem_id: int = 1
 ) -> tuple[ContextRecord, ...]:
-    """One announcement record per job, recorded ``announce_lead_ns`` early.
+    """One announcement record per job, recorded ``announce_lead_ns`` early
+    (never before time 0).  The lead is the ``context`` block's
+    ``announce_lead_hours``, a required keyword whose default is written
+    once, in ``scenario.BLOCK_TABLES``.
 
     The payload carries the description text plus numeric hints (core and
     file counts) loosely derived from the job size; "files" is only
@@ -222,16 +227,22 @@ def context_records_for_jobs(
 
 
 class SyntheticPowerSource(PowerSource):
-    """PV array following a diurnal bell, cloud-dimmed by seeded noise."""
+    """PV array following a diurnal bell, cloud-dimmed by seeded noise.
+
+    Its parameters are the scenario's ``seed`` and the ``pv`` block's keys,
+    each a required keyword; their defaults are written once, in the
+    scenario's tables.
+    """
 
     def __init__(
         self,
-        seed: int = 0,
-        peak_power_w: float = 600.0,
-        noise_amplitude: float = 0.1,
-        voltage: float = 400.0,
-        sunrise_hour: float = 6.0,
-        sunset_hour: float = 18.0,
+        *,
+        seed: int,
+        peak_power_w: float,
+        noise_amplitude: float,
+        voltage: float,
+        sunrise_hour: float,
+        sunset_hour: float,
     ) -> None:
         _require(peak_power_w >= 0.0, "peak_power_w must be >= 0")
         _require(0.0 <= noise_amplitude <= 1.0, "noise_amplitude must be in [0, 1]")
@@ -278,6 +289,11 @@ class SyntheticPowerSource(PowerSource):
 class SyntheticLoad(Load):
     """Workstation load: base draw plus scheduled jobs, unity power factor.
 
+    Its parameters are the scenario's ``seed``, the ``load`` block's
+    ``base_power_w`` and ``noise_amplitude``, and the ``job_events`` its
+    ``jobs_per_day`` and ``watts_per_effort`` draw, each a required
+    keyword; their defaults are written once, in the scenario's tables.
+
     The job table is derived once, when the load is built:
     ``_job_edges`` holds every instant a job begins or ends, sorted, and
     ``_job_power[i]`` the base load plus the active jobs' power over
@@ -286,11 +302,7 @@ class SyntheticLoad(Load):
     """
 
     def __init__(
-        self,
-        seed: int = 0,
-        base_power_w: float = 800.0,
-        job_events: tuple[JobEvent, ...] = (),
-        noise_amplitude: float = 0.0,
+        self, *, seed: int, base_power_w: float, job_events: tuple[JobEvent, ...], noise_amplitude: float
     ) -> None:
         _require(base_power_w >= 0.0, "base_power_w must be >= 0")
         _require(0.0 <= noise_amplitude <= 1.0, "noise_amplitude must be in [0, 1]")

@@ -24,6 +24,15 @@ The ``--seed`` and
 ``--step-seconds`` overrides are written into the document before the
 walk.
 
+The tables are the one home of every default: no component constructor
+or generator has a default for a parameter a key feeds, so a default
+changes in one place.  Bounds are checked twice on purpose: the public
+constructors, which library users call directly, check their parameters
+again, and the property
+``test_the_tables_bounds_lie_within_the_constructors_bounds``
+(``tests/test_scenario.py``) builds every value a table accepts, so no
+constructor is stricter than its table.
+
 The same scenario can be assembled under different dispatch strategies:
 
 * ``default``        - plain PV-first dispatch.
@@ -249,7 +258,7 @@ def _replay_keys(subsystem_id: int) -> dict[str, Callable]:
 
 # block name -> the subsystem id of its recorded channels (pv 1, load 2, ...)
 _SUBSYSTEM_ID = {name.partition("_")[0]: subsystem_id for subsystem_id, name in CHANNELS}
-_CAPACITY_J = partial(_number, default=1.8432e7, minimum=1e-9)
+_CAPACITY_J = partial(_number, default=1.8432e7, minimum=1e-9)  # 5.12 kWh (51.2 V x 100 Ah pack)
 _OPTIONAL_LIMIT = partial(_number, default=None, minimum=0.0, allow_none=True)
 # Maxima far above any microgrid (a gigawatt, a thousand per kWh) that keep
 # every power, energy and cost a run sums finite.
@@ -511,7 +520,7 @@ def _synthetic_load(scenario: Scenario, seed: int, day_count: int) -> SyntheticL
         watts_per_effort=block["watts_per_effort"],
     )
     return SyntheticLoad(
-        seed, base_power_w=block["base_power_w"], job_events=jobs, noise_amplitude=block["noise_amplitude"]
+        seed=seed, base_power_w=block["base_power_w"], job_events=jobs, noise_amplitude=block["noise_amplitude"]
     )
 
 
@@ -536,17 +545,17 @@ def synthetic_load_samples(
     step_ns = scenario.step_ns
     times = [scenario.start_ns + (i + 1) * step_ns for i in range(count)]
     loads = [load.power_at(t) for t in times]
-    return context_records_for_jobs(load.job_events), times, loads
+    # Any lead gives the same samples: a sample reads only the records
+    # active at its own time, which every lead >= 0 has already announced.
+    return context_records_for_jobs(load.job_events, announce_lead_ns=0), times, loads
 
 
 def price_schedule(scenario: Scenario) -> PriceSchedule | None:
     """The priced grid block's two-tier tariff, which prices every instant."""
     if scenario.grid["kind"] != "priced":
         return None
-    grid = scenario.grid
-    return PriceSchedule(
-        grid["off_peak_price"], grid["peak_price"], grid["peak_start_hour"], grid["peak_end_hour"]
-    )
+    tariff = ("off_peak_price", "peak_price", "peak_start_hour", "peak_end_hour")
+    return PriceSchedule(**{key: scenario.grid[key] for key in tariff})
 
 
 def effort_estimator(scenario: Scenario) -> EffortEstimator:
@@ -749,7 +758,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
     # and watts_per_effort draw its job_events, and the grid's tariff keys
     # its schedule.
     if scenario.pv["kind"] == "synthetic":
-        pv = SyntheticPowerSource(scenario.seed, **_parameters(scenario.pv))
+        pv = SyntheticPowerSource(seed=scenario.seed, **_parameters(scenario.pv))
     else:
         pv = ReplayPowerSource(*_recorded(scenario.pv, recordings))
 
@@ -764,7 +773,8 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
         battery = ReplayBattery(*_recorded(scenario.battery, recordings), scenario.battery["capacity_j"])
 
     if scenario.grid["kind"] == "priced":
-        grid = GridPriced(schedule, scenario.grid["max_active_power_w"], scenario.grid["max_apparent_power_va"])
+        limits = ("max_active_power_w", "max_apparent_power_va")
+        grid = GridPriced(schedule, **{key: scenario.grid[key] for key in limits})
     else:
         grid = ReplayGrid(*_recorded(scenario.grid, recordings))
 
@@ -825,7 +835,7 @@ def build_bundle(scenario: Scenario, strategy: str = "default") -> SimulationBun
 
             forecast_records = records
         provider = forecast_provider(load_at, pv.power_at, schedule, scenario.end_ns, scenario.step_ns, forecast_records)
-        inverter = MPCInverter(provider, scenario.grid["max_active_power_w"], **inverter_parameters)
+        inverter = MPCInverter(provider, max_grid_power_w=scenario.grid["max_active_power_w"], **inverter_parameters)
         controller = inverter.controller
 
     simulator = Simulator(

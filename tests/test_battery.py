@@ -91,15 +91,15 @@ def test_idle_result_reflects_prior_charging():
 
 def test_config_validation():
     with pytest.raises(ValueError, match=r"^capacity_j must be > 0$"):
-        BatteryLinear(capacity_j=0.0)
+        _battery(0.5, capacity_j=0.0)
     with pytest.raises(ValueError, match=r"^eta_charge must be in \(0, 1\]$"):
-        BatteryLinear(eta_charge=0.0)
+        _battery(0.5, eta_charge=0.0)
     with pytest.raises(ValueError, match=r"^eta_discharge must be in \(0, 1\]$"):
-        BatteryLinear(eta_discharge=1.2)
+        _battery(0.5, eta_discharge=1.2)
     with pytest.raises(ValueError, match=r"^initial_soc must be in \[0, 1\]$"):
-        BatteryLinear(initial_soc=1.5)
+        _battery(1.5)
     with pytest.raises(ValueError, match=r"^nominal_voltage must be > 0$"):
-        BatteryLinear(nominal_voltage=-50.0)
+        _battery(0.5, nominal_voltage=-50.0)
 
 
 _random_inputs = st.lists(
@@ -205,7 +205,13 @@ def test_battery_steps_as_the_reference_step_bit_for_bit(
     """Over drawn parameters, modes, currents and step lengths, clamps at
     empty and at capacity included, every step result and the stored
     energy after it have the bits of the free step function's."""
-    battery = BatteryLinear(capacity_j, eta_charge, eta_discharge, nominal_voltage, initial_soc)
+    battery = BatteryLinear(
+        capacity_j=capacity_j,
+        eta_charge=eta_charge,
+        eta_discharge=eta_discharge,
+        nominal_voltage=nominal_voltage,
+        initial_soc=initial_soc,
+    )
     energy = initial_soc * capacity_j
     start = 0
     for mode, current, length in commands:

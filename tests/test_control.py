@@ -31,6 +31,7 @@ from cemsim import (
     solve_charging,
 )
 from cemsim.core import NS_PER_SECOND as NS
+from defaults import defaults
 from oracles import (
     brute_force_charging,
     greedy_charging,
@@ -560,7 +561,7 @@ MASTER = ForecastWindow(
 def _controller(window=MASTER, **overrides):
     kwargs = dict(
         capacity_j=3.6e6, soc_min=0.1, soc_max=1.0,
-        forecast_provider=lambda now_ns: window,
+        forecast_provider=lambda now_ns: window, max_grid_power_w=None,
     )
     kwargs.update(overrides)
     return RecedingHorizonController(**kwargs)
@@ -791,9 +792,17 @@ def test_controller_validation():
 # Plan-following inverter
 # ---------------------------------------------------------------------------
 
-LOSSLESS = dict(
-    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0,
-    soc_min=0.0, battery_capacity_j=3.6e6,
+#: the default inverter block with lossless paths, SOC down to 0 and a
+#: lossless 1 kWh battery
+LOSSLESS = defaults(
+    "inverter",
+    eta_pv_to_batt=1.0,
+    eta_pv_to_load=1.0,
+    eta_batt_to_load=1.0,
+    soc_min=0.0,
+    battery_capacity_j=3.6e6,
+    battery_eta_charge=1.0,
+    battery_eta_discharge=1.0,
 )
 
 
@@ -804,16 +813,17 @@ def test_the_mpc_inverter_plans_with_its_own_capacity_and_soc_band():
     def provider(now_ns):
         return None
 
-    inverter = MPCInverter(provider, 500.0, **dict(LOSSLESS, soc_min=0.2, soc_max=0.9))
+    inverter = MPCInverter(provider, max_grid_power_w=500.0, **dict(LOSSLESS, soc_min=0.2, soc_max=0.9))
     controller = inverter.controller
     assert (controller.capacity_j, controller.soc_min, controller.soc_max) == (3.6e6, 0.2, 0.9)
     assert controller.forecast_provider is provider
     assert controller.max_grid_power_w == 500.0
-    assert MPCInverter(provider, **LOSSLESS).controller.max_grid_power_w is None
+    assert MPCInverter(provider, max_grid_power_w=None, **LOSSLESS).controller.max_grid_power_w is None
+    without = {name: value for name, value in LOSSLESS.items() if name != "battery_capacity_j"}
     with pytest.raises(TypeError, match="battery_capacity_j"):
-        MPCInverter(provider, eta_pv_to_batt=1.0)
+        MPCInverter(provider, max_grid_power_w=None, **without)
     with pytest.raises(ValueError, match=r"^max_grid_power_w must be >= 0$"):
-        MPCInverter(provider, -5.0, **LOSSLESS)
+        MPCInverter(provider, max_grid_power_w=-5.0, **LOSSLESS)
 
 
 def _mpc_input(pv_w, load_w, soc):
@@ -827,7 +837,7 @@ def _mpc_input(pv_w, load_w, soc):
 def test_overbuying_routes_the_surplus_into_the_battery():
     """A 600 W plan against a 100 W deficit grid-charges the other 500 W."""
     window = ForecastWindow(0, HOUR, (100.0, 1000.0), (0.0, 0.0), (0.1, 1.0))
-    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, max_grid_power_w=None, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=100.0, soc=0.5))
     assert result.grid_input.requested_active_power == pytest.approx(600.0, rel=1e-12)
     assert result.battery_input.mode is BatteryMode.CHARGE
@@ -837,7 +847,7 @@ def test_overbuying_routes_the_surplus_into_the_battery():
 def test_underbuying_discharges_to_cover_the_gap():
     """A 100 W plan against a 1000 W load lets the battery supply 900 W."""
     window = ForecastWindow(0, HOUR, (1000.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, max_grid_power_w=None, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.grid_input.requested_active_power == pytest.approx(100.0, rel=1e-9)
     assert result.battery_input.mode is BatteryMode.DISCHARGE
@@ -848,7 +858,7 @@ def test_load_above_forecast_is_served_despite_the_plan():
     """The forecast said 100 W so the plan buys nothing; the actual 1000 W
     load drains what the battery has (900 W) and the rest goes to the grid."""
     window = ForecastWindow(0, HOUR, (100.0,), (0.0,), (5.0,))
-    inverter = MPCInverter(lambda now_ns: window, **LOSSLESS)
+    inverter = MPCInverter(lambda now_ns: window, max_grid_power_w=None, **LOSSLESS)
     result = inverter.step(0, 3600 * NS, _mpc_input(pv_w=0.0, load_w=1000.0, soc=0.9))
     assert result.battery_input.mode is BatteryMode.DISCHARGE
     assert result.battery_input.current * 50.0 == pytest.approx(900.0, rel=1e-9)
@@ -856,7 +866,7 @@ def test_load_above_forecast_is_served_despite_the_plan():
 
 
 def test_without_a_plan_dispatch_is_plain_pv_first():
-    mpc = MPCInverter(lambda now_ns: None, **LOSSLESS)
+    mpc = MPCInverter(lambda now_ns: None, max_grid_power_w=None, **LOSSLESS)
     plain = InverterPVFirst(**LOSSLESS)
     for pv_w, load_w, soc in [(500.0, 300.0, 0.5), (0.0, 400.0, 0.8), (200.0, 200.0, 0.1)]:
         assert mpc.step(0, 3600 * NS, _mpc_input(pv_w, load_w, soc)) == plain.step(

@@ -301,20 +301,27 @@ def _read(record, name):
 #: The classes that keep derived state: plain ``__slots__`` classes, not
 #: records, with no value equality, hash or frozen fields.
 _PLAIN = ("Channel", "PriceSchedule")
+#: The classes that take every field as a required keyword, because a
+#: scenario key feeds each: they are built from every field, by keyword.
+_KEYWORD_ONLY = ("PriceSchedule",)
 
 
 def _draw_arguments(name, data):
     """A builder of ``name`` from one drawn set of arguments, and the
     dataclass fields: a few valid values replaced, given positionally or by
-    keyword.  The builder returns (instance, None) or (None, the failure)."""
+    keyword (every field by keyword for _KEYWORD_ONLY).  The builder
+    returns (instance, None) or (None, the failure)."""
     fields = dataclasses.fields(getattr(oracles, name))
     given_fields = [f for f in fields if f.init]
     required = sum(f.default is dataclasses.MISSING for f in given_fields)
     valid, strategies = _ARGUMENTS[name]
     changed = data.draw(st.sets(st.integers(0, len(valid) - 1), max_size=3), label="fields changed")
     values = [data.draw(strategies[i], label=given_fields[i].name) if i in changed else v for i, v in enumerate(valid)]
-    count = data.draw(st.integers(required, len(given_fields)), label="fields given")
-    by_keyword = data.draw(st.booleans(), label="by keyword")
+    if name in _KEYWORD_ONLY:
+        count, by_keyword = len(given_fields), True
+    else:
+        count = data.draw(st.integers(required, len(given_fields)), label="fields given")
+        by_keyword = data.draw(st.booleans(), label="by keyword")
 
     def built(classes):
         try:

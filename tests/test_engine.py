@@ -15,7 +15,6 @@ from cemsim import (
     ConfigurationError,
     ContextIndex,
     Grid,
-    GridPriced,
     GridStepInput,
     InverterPVFirst,
     InverterStepInput,
@@ -23,25 +22,26 @@ from cemsim import (
     LoadStepResult,
     PowerSource,
     PowerSourceStepResult,
-    PriceSchedule,
     ScriptedContext,
     Simulator,
     SyntheticLoad,
     SyntheticPowerSource,
     build_bundle,
     context_query,
-    context_records_for_jobs,
-    generate_job_events,
     run,
     scenario_from_dict,
 )
 from cemsim.core import NS_PER_SECOND as NS
 from cemsim.engine import WH_PER_J
+from defaults import default_announcements, default_grid, default_jobs, defaults
 
 NS_PER_DAY = 86_400 * NS
 
+#: the default inverter block's keys, projecting storage limits as if the
+#: battery were lossless; each use adds its battery's capacity
+INVERTER = defaults("inverter", battery_eta_charge=1.0, battery_eta_discharge=1.0)
 LOSSLESS_INVERTER = dict(
-    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1, battery_capacity_j=3.6e6
+    INVERTER, eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1, battery_capacity_j=3.6e6
 )
 
 
@@ -88,7 +88,7 @@ def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, sta
     battery = BatteryLinear(
         capacity_j=3.6e6, eta_charge=1.0, eta_discharge=1.0, nominal_voltage=50.0, initial_soc=battery_soc
     )
-    grid = GridPriced(PriceSchedule(price, price))
+    grid = default_grid(off_peak_price=price, peak_price=price)
     return Simulator(
         start_ns,
         power_source=SequencePV(pvs if pvs is not None else [0.0] * count),
@@ -101,15 +101,16 @@ def _simulator(loads=(), pvs=None, price=0.5, battery_soc=0.1, context=None, sta
 
 
 def _synthetic_simulator(seed=0, day_count=1, jobs=True):
-    events = generate_job_events(seed, day_count) if jobs else ()
+    events = default_jobs(seed, day_count) if jobs else ()
+    battery = BatteryLinear(**defaults("battery"))
     return Simulator(
         0,
-        power_source=SyntheticPowerSource(seed=seed, noise_amplitude=0.1),
+        power_source=SyntheticPowerSource(**defaults("pv", seed=seed, noise_amplitude=0.1)),
         load=SyntheticLoad(seed=seed, base_power_w=800.0, job_events=events, noise_amplitude=0.05),
-        battery=BatteryLinear(),
-        inverter=InverterPVFirst(battery_capacity_j=1.8432e7),
-        grid=GridPriced(PriceSchedule(0.3, 0.3)),
-        context=ScriptedContext(context_records_for_jobs(events)),
+        battery=battery,
+        inverter=InverterPVFirst(**INVERTER, battery_capacity_j=battery.capacity_j),
+        grid=default_grid(off_peak_price=0.3, peak_price=0.3),
+        context=ScriptedContext(default_announcements(events)),
     )
 
 
@@ -207,9 +208,8 @@ def _interval_components():
     """(name, component factory, step call) for each component whose step
     reads only its interval: synthetic PV and load, context, priced grid
     and the PV-first inverter."""
-    events = generate_job_events(seed=4, day_count=3)
-    records = context_records_for_jobs(events)
-    schedule = PriceSchedule()
+    events = default_jobs(4, 3)
+    records = default_announcements(events)
     request = GridStepInput(500.0, 600.0)
     dispatch = InverterStepInput(
         PowerSourceStepResult(400.0, 1.0, 400.0),
@@ -217,21 +217,21 @@ def _interval_components():
         LoadStepResult(900.0, 950.0),
     )
     return [
-        ("pv", lambda: SyntheticPowerSource(seed=4, noise_amplitude=0.1), lambda c, a, b: c.step(a, b)),
+        ("pv", lambda: SyntheticPowerSource(**defaults("pv", seed=4, noise_amplitude=0.1)), lambda c, a, b: c.step(a, b)),
         (
             "load",
-            lambda: SyntheticLoad(seed=4, job_events=events, noise_amplitude=0.05),
+            lambda: SyntheticLoad(seed=4, base_power_w=800.0, job_events=events, noise_amplitude=0.05),
             lambda c, a, b: c.step(a, b),
         ),
         ("context", lambda: ScriptedContext(records), lambda c, a, b: c.step(a, b)),
         (
             "grid",
-            lambda: GridPriced(schedule),
+            default_grid,
             lambda c, a, b: c.step(a, b, request),
         ),
         (
             "inverter",
-            lambda: InverterPVFirst(battery_capacity_j=1.8432e7),
+            lambda: InverterPVFirst(**INVERTER, battery_capacity_j=1.8432e7),
             lambda c, a, b: c.step(a, b, dispatch),
         ),
     ]
@@ -309,8 +309,7 @@ def test_aggregates_equal_compensated_resum_of_deltas():
 
 
 def test_context_records_flow_into_outputs():
-    events = generate_job_events(seed=1, day_count=1)
-    records = context_records_for_jobs(events)
+    records = default_announcements(default_jobs(1, 1))
     index = ContextIndex(records)
     simulator = _synthetic_simulator(seed=1)
     outputs = _outputs(simulator, total_ns=NS_PER_DAY, step_ns=900 * NS)

@@ -31,9 +31,9 @@ from cemsim.models.synthetic import (
     JOB_TEMPLATES,
     SyntheticLoad,
     context_records_for_jobs,
-    generate_job_events,
 )
 import oracles
+from defaults import default_announcements, default_jobs, defaults
 from oracles import evaluate_families_reference
 
 NS_PER_HOUR = 3_600_000_000_000
@@ -252,18 +252,28 @@ def test_rmse_validates_input():
         rmse([], [])
 
 
-def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_power_w=400.0):
-    jobs = generate_job_events(seed, day_count)
-    records = context_records_for_jobs(jobs)
+def _job_driven_samples(seed=11, day_count=10, noise=0.0, base_power_w=400.0, announce_lead_ns=None):
+    """Announcements of the default load block's jobs (with the default
+    context block's lead unless ``announce_lead_ns`` is given), half-hourly
+    sample times and the load at each."""
+    jobs = default_jobs(seed, day_count)
+    if announce_lead_ns is None:
+        records = default_announcements(jobs)
+    else:
+        records = context_records_for_jobs(jobs, announce_lead_ns=announce_lead_ns)
     load = SyntheticLoad(seed=seed, base_power_w=base_power_w, job_events=jobs, noise_amplitude=noise)
     times = [k * NS_PER_HOUR // 2 for k in range(1, day_count * 48)]
     observed = [load.power_at(t) for t in times]
     return records, times, observed
 
 
+#: the default forecast block's training share of the samples
+TRAIN_FRACTION = defaults("forecast")["train_fraction"]
+
+
 def test_effort_family_beats_the_context_free_baseline():
     records, times, observed = _job_driven_samples(noise=0.05)
-    report = evaluate_families(records, times, observed)
+    report = evaluate_families(records, times, observed, TRAIN_FRACTION)
     assert set(report) == {"none", "numeric", "effort", "combined"}
     assert report["effort"] < report["none"]
     assert report["combined"] < report["none"]
@@ -274,14 +284,32 @@ def test_families_tie_when_context_carries_no_signal():
     # (ridge shrinkage leaves sub-0.1 W residue on rank-deficient families)
     records, times, _ = _job_driven_samples()
     flat = [300.0] * len(times)
-    report = evaluate_families(records, times, flat)
+    report = evaluate_families(records, times, flat, TRAIN_FRACTION)
     assert max(report.values()) <= 0.1
+
+
+def test_the_announcement_lead_moves_no_fit_and_no_score():
+    """Training and scoring read each sample's records at the sample's own
+    time and keep only the records active then, which every lead >= 0 has
+    already announced.  So announcements made 0, 10 or 100 h ahead give
+    every family the same coefficients and the same RMSE, bit for bit: the
+    lead the scenario's training samples are announced with cannot move a
+    forecast."""
+    outcomes = []
+    for lead_h in (0, 10, 100):
+        records, times, observed = _job_driven_samples(day_count=3, noise=0.05, announce_lead_ns=lead_h * NS_PER_HOUR)
+        early = [record for record in records if record.recorded_at_ns < record.begins_at_ns]
+        assert len(early) == (0 if lead_h == 0 else len(records))
+        coefficients = [train_predictor(records, times, observed, family).coefficients for family in FAMILIES]
+        report = evaluate_families(records, times, observed, TRAIN_FRACTION)
+        outcomes.append(repr((coefficients, report)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_evaluate_families_validation():
     records, times, observed = _job_driven_samples(day_count=2)
     with pytest.raises(ValueError):
-        evaluate_families(records, times, observed, families=("effort", "psychic"))
+        evaluate_families(records, times, observed, TRAIN_FRACTION, families=("effort", "psychic"))
     with pytest.raises(ValueError):
         evaluate_families(records, times, observed, train_fraction=0.0)
     with pytest.raises(ValueError):

@@ -3,16 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemsim import GridPriced, GridStepInput, PriceSchedule, grid_energy_cost
+from cemsim import GridStepInput, PriceSchedule, grid_energy_cost
 from cemsim.core import NS_PER_DAY, NS_PER_HOUR
+from defaults import default_grid
 from oracles import build_breakpoint_schedule, grid_priced_step
 
 NS = 1_000_000_000
-FLAT = PriceSchedule(0.5, 0.5)
 
 
-def _grid(**kwargs):
-    return GridPriced(FLAT, **kwargs)
+def _grid(**limits):
+    """A flat 0.5 per kWh grid with the default grid block's limits, or ``limits``."""
+    return default_grid(off_peak_price=0.5, peak_price=0.5, **limits)
+
+
+def _tariff(prices, hours):
+    """The tariff of (off-peak, peak) ``prices`` with peak ``hours`` (start, end)."""
+    return PriceSchedule(off_peak_price=prices[0], peak_price=prices[1], peak_start_hour=hours[0], peak_end_hour=hours[1])
 
 
 def _hour_step(grid, request):
@@ -58,7 +64,7 @@ def test_request_at_the_limit_is_not_a_violation():
 
 
 def test_price_schedule_is_right_open():
-    schedule = PriceSchedule(1.0, 2.0, peak_start_hour=1, peak_end_hour=2)
+    schedule = _tariff((1.0, 2.0), (1, 2))
     assert schedule.price_at(3600 * NS - 1) == 1.0
     assert schedule.price_at(3600 * NS) == 2.0
     assert schedule.price_at(7200 * NS - 1) == 2.0
@@ -67,8 +73,10 @@ def test_price_schedule_is_right_open():
 
 def test_a_tariff_prices_every_day():
     """The tariff has no first or last day: the same hours are peak on
-    every day, before 1970 and thousands of days past any horizon alike."""
-    schedule = PriceSchedule()
+    every day, before 1970 and thousands of days past any horizon alike;
+    the default grid block's tariff is 0.10 off-peak and 0.40 over
+    08:00-20:00."""
+    schedule = default_grid().schedule
     for day in (-10_000, -1, 0, 1, 2, 365, 10_000):
         midnight = day * NS_PER_DAY
         assert schedule.price_at(midnight - 1) == 0.10
@@ -77,23 +85,23 @@ def test_a_tariff_prices_every_day():
         assert schedule.price_at(midnight + 8 * NS_PER_HOUR) == 0.40
         assert schedule.price_at(midnight + 20 * NS_PER_HOUR - 1) == 0.40
         assert schedule.price_at(midnight + 20 * NS_PER_HOUR) == 0.10
-    night = PriceSchedule(0.3, 0.05, peak_start_hour=0, peak_end_hour=6)
+    night = _tariff((0.3, 0.05), (0, 6))
     assert night.prices_for_window(-NS_PER_HOUR, NS_PER_HOUR, 3) == [0.3, 0.05, 0.05]
     assert night.prices_for_window(1000 * NS_PER_DAY + 5 * NS_PER_HOUR, NS_PER_HOUR, 2) == [0.05, 0.3]
 
 
 def test_price_schedule_validation():
     with pytest.raises(ValueError, match="off_peak_price must be >= 0"):
-        PriceSchedule(off_peak_price=-0.1)
+        default_grid(off_peak_price=-0.1)
     with pytest.raises(ValueError, match="peak_price must be >= 0"):
-        PriceSchedule(peak_price=-0.1)
+        default_grid(peak_price=-0.1)
     for start, end in ((20, 8), (8, 8), (-1, 8), (8, 25)):
         with pytest.raises(ValueError, match="need 0 <= peak_start_hour < peak_end_hour <= 24"):
-            PriceSchedule(peak_start_hour=start, peak_end_hour=end)
+            default_grid(peak_start_hour=start, peak_end_hour=end)
 
 
 def test_prices_for_window_samples_step_starts():
-    schedule = PriceSchedule(1.0, 2.0, peak_start_hour=1, peak_end_hour=24)
+    schedule = _tariff((1.0, 2.0), (1, 24))
     assert schedule.prices_for_window(0, 3600 * NS, 3) == [1.0, 2.0, 2.0]
     assert schedule.prices_for_window(1800 * NS, 1800 * NS, 2) == [1.0, 2.0]
 
@@ -119,7 +127,7 @@ def test_tariff_prices_as_the_breakpoint_schedule_did(prices, hours, start_s, st
     """Over a horizon of up to 20 d, the tariff gives every step start, and
     each instant next to a price change, the price the breakpoint schedule
     built for the calendar days the horizon touches gave (kept in oracles)."""
-    schedule = PriceSchedule(*prices, *hours)
+    schedule = _tariff(prices, hours)
     start_ns = start_s * NS
     step_ns = step_s * NS
     count = min(steps, 20 * NS_PER_DAY // step_ns)
@@ -134,8 +142,7 @@ def test_tariff_prices_as_the_breakpoint_schedule_did(prices, hours, start_s, st
 
 def test_stateful_grid_prices_each_step_at_its_start():
     """The step that crosses a price change is billed at its start price."""
-    schedule = PriceSchedule(1.0, 2.0, peak_start_hour=1, peak_end_hour=24)
-    grid = GridPriced(schedule)
+    grid = default_grid(off_peak_price=1.0, peak_price=2.0, peak_start_hour=1, peak_end_hour=24)
     first = grid.step(0, 3600 * NS, GridStepInput(1000.0, 1000.0))
     second = grid.step(3600 * NS, 7200 * NS, GridStepInput(1000.0, 1000.0))
     assert first.cost == grid_energy_cost(1.0, 1000.0, 3600.0)
@@ -158,7 +165,7 @@ def test_limit_config_validation():
 def test_unlimited_grid_delivers_requests_verbatim(price, power, dt_ns):
     """Without limits: delivery equals request, no violation, linear metering."""
     dt_s = dt_ns / NS
-    result = GridPriced(PriceSchedule(price, price)).step(0, dt_ns, GridStepInput(power, power))
+    result = default_grid(off_peak_price=price, peak_price=price).step(0, dt_ns, GridStepInput(power, power))
     assert result.delivered_active_power == power
     assert result.delivered_apparent_power == power
     assert result.limit_violation is False
@@ -204,7 +211,14 @@ def test_grid_steps_as_the_reference_step_bit_for_bit(prices, hours, active_limi
     """Over drawn tariffs, active and apparent limits (or none), requests
     and step lengths, every step result has the bits of the free step
     function's."""
-    grid = GridPriced(PriceSchedule(*prices, *hours), active_limit, apparent_limit)
+    grid = default_grid(
+        off_peak_price=prices[0],
+        peak_price=prices[1],
+        peak_start_hour=hours[0],
+        peak_end_hour=hours[1],
+        max_active_power_w=active_limit,
+        max_apparent_power_va=apparent_limit,
+    )
     for start_s, length, active, apparent in steps:
         request = GridStepInput(active, apparent)
         start = start_s * NS

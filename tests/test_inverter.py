@@ -16,13 +16,23 @@ from cemsim import (
     PowerSourceStepResult,
 )
 from cemsim.core import NS_PER_SECOND as NS
+from defaults import defaults
 
 #: A 10 kWh battery: roomy enough that no example's step fills or drains
 #: it unless the example says so
 CAPACITY_J = 3.6e7
 
-LOSSLESS = dict(
-    eta_pv_to_batt=1.0, eta_pv_to_load=1.0, eta_batt_to_load=1.0, soc_min=0.1, battery_capacity_j=CAPACITY_J
+#: the default inverter block (no caps, no self power, SOC up to 1) with
+#: lossless paths, a 0.1 SOC floor and a lossless battery of CAPACITY_J
+LOSSLESS = defaults(
+    "inverter",
+    eta_pv_to_batt=1.0,
+    eta_pv_to_load=1.0,
+    eta_batt_to_load=1.0,
+    soc_min=0.1,
+    battery_capacity_j=CAPACITY_J,
+    battery_eta_charge=1.0,
+    battery_eta_discharge=1.0,
 )
 
 
@@ -137,7 +147,7 @@ def test_config_validation():
     naming the parameter; the bounds themselves are accepted."""
     for parameters, message in _INVALID:
         with pytest.raises(ValueError, match=re.escape(message)):
-            InverterPVFirst(**{"battery_capacity_j": CAPACITY_J, **parameters})
+            InverterPVFirst(**{**LOSSLESS, **parameters})
     edges = dict(
         eta_pv_to_batt=1.0, eta_pv_to_load=5e-324, eta_batt_to_load=1.0,
         max_charge_power_w=0.0, max_discharge_power_w=math.inf, soc_min=0.0, soc_max=1.0,
@@ -145,17 +155,18 @@ def test_config_validation():
     )
     inverter = InverterPVFirst(**edges)
     assert {name: getattr(inverter, name) for name in edges} == edges
-    uncapped = InverterPVFirst(battery_capacity_j=CAPACITY_J)
+    uncapped = InverterPVFirst(**dict(LOSSLESS, max_charge_power_w=None, max_discharge_power_w=None))
     assert uncapped.max_charge_power_w == uncapped.max_discharge_power_w == math.inf
 
 
 def test_the_battery_capacity_is_required():
     """There is no capacity-less dispatch: the capacity has no default, and
     None is no capacity."""
-    with pytest.raises(TypeError, match="battery_capacity_j"):
-        InverterPVFirst()
+    without = {name: value for name, value in LOSSLESS.items() if name != "battery_capacity_j"}
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'battery_capacity_j'"):
+        InverterPVFirst(**without)
     with pytest.raises(TypeError):
-        InverterPVFirst(battery_capacity_j=None)
+        InverterPVFirst(**without, battery_capacity_j=None)
 
 
 def test_stateful_wrapper_matches_pure_function():

@@ -28,6 +28,7 @@ from cemsim import (
     ingest_timeseries,
 )
 from cemsim.scenario import build_bundle, load_scenario
+from defaults import defaults
 from oracles import (
     ReplayBatteryReference,
     ReplayGridReference,
@@ -107,7 +108,10 @@ def _replay_with_forecasts(table, kinds, start_ns, step_ns, count):
         power_source=pv,
         load=load,
         battery=battery_kind(table, 3, 120.0, CAPACITY_J),
-        inverter=InverterPVFirst(battery_capacity_j=CAPACITY_J),
+        # a recorded battery names no efficiencies, so the projection takes 1
+        inverter=InverterPVFirst(
+            **defaults("inverter", battery_capacity_j=CAPACITY_J, battery_eta_charge=1.0, battery_eta_discharge=1.0)
+        ),
         grid=grid_kind(table, 4, 120.0),
     )
     records, forecasts = [], []

@@ -33,7 +33,6 @@ from cemsim import (
 from cemsim import InverterPVFirst, Simulator, replay
 from cemsim.core import ContextRecord, SimulationError
 from cemsim.engine import ComponentStepError, run
-from cemsim.models.synthetic import context_records_for_jobs, generate_job_events
 from cemsim.replay import CHANNEL_HEADER, CHANNELS
 
 from oracles import (
@@ -44,6 +43,7 @@ from oracles import (
     ingest_timeseries_reference,
     interpolate_reference,
 )
+from defaults import default_announcements, default_jobs, defaults
 from recordings import write_recording
 
 NS = 1_000_000_000
@@ -883,7 +883,7 @@ def test_context_round_trip(tmp_path):
     emit_context(path, records)
     assert ingest_context(path) == records
     # a generated context reads back as written, byte for byte
-    generated = context_records_for_jobs(generate_job_events(7, 3))
+    generated = default_announcements(default_jobs(7, 3))
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     emit_context(first, generated)
     back = ingest_context(first)
@@ -1223,7 +1223,10 @@ def _replayed(table, tolerance_s, start_ns, horizon_ns, step_ns, reference):
             power_source=pv(table, 1, tolerance_s),
             load=load(table, 2, tolerance_s),
             battery=battery(table, 3, tolerance_s, _CAPACITY_J),
-            inverter=InverterPVFirst(battery_capacity_j=_CAPACITY_J),
+            # a recorded battery names no efficiencies, so the projection takes 1
+            inverter=InverterPVFirst(
+                **defaults("inverter", battery_capacity_j=_CAPACITY_J, battery_eta_charge=1.0, battery_eta_discharge=1.0)
+            ),
             grid=grid(table, 4, tolerance_s),
         )
         run(simulator, horizon_ns, step_ns, outputs.append)

@@ -1,8 +1,11 @@
 """Scenario schema validation and simulator assembly."""
+import inspect
 import json
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cemsim import (
     BatteryLinear,
@@ -12,10 +15,13 @@ from cemsim import (
     InverterPVFirst,
     MPCInverter,
     PriceSchedule,
+    RecedingHorizonController,
     ReplayLoad,
     STRATEGIES,
     TimeSeriesTable,
     build_bundle,
+    estimate_effort_remote,
+    evaluate_families,
     load_scenario,
     run,
     scenario_from_dict,
@@ -29,9 +35,12 @@ from cemsim.models.synthetic import (
     generate_job_events,
 )
 from cemsim.scenario import (
+    _ORDERED_KEYS,
     BLOCK_TABLES,
     DOCUMENT_TABLE,
     TRAIN_SEED_OFFSET,
+    _integer,
+    _number,
     price_schedule,
     training_series,
 )
@@ -289,29 +298,34 @@ def _as_held(value):
     return math.inf if value is None else value
 
 
-def test_scenario_defaults_equal_component_defaults():
-    """Every model block key's default, derived from BLOCK_TABLES, is what
-    the component built from the default block holds and what the
-    component holds when built with no arguments."""
-    bundle = build_bundle(scenario_from_dict({}, None))
-    simulator = bundle.simulator
-    defaults = {
-        "pv": SyntheticPowerSource(),
-        "load": SyntheticLoad(job_events=generate_job_events(0, 1)),
-        "battery": BatteryLinear(),
-        "grid": GridPriced(PriceSchedule()),
-        "inverter": InverterPVFirst(battery_capacity_j=BatteryLinear().capacity_j),
-    }
-    for block, kind in _MODEL_KINDS.items():
-        values = getattr(bundle.scenario, block)
-        component = getattr(simulator, _SLOT_OF_BLOCK[block])
-        for key in BLOCK_TABLES[block][kind]:
-            held = _held(component, block, key)
-            assert held == _as_held(values[key]) == _held(defaults[block], block, key), (block, key)
-    pv, load = simulator.power_source, simulator.load
-    assert pv.seed == load.seed == SyntheticPowerSource().seed == SyntheticLoad().seed
-    assert load.job_events == generate_job_events(0, 1)
-    assert bundle.records == context_records_for_jobs(load.job_events)
+#: each constructor or function a scenario key feeds -> the parameters the
+#: keys feed (the load's jobs through jobs_per_day and watts_per_effort,
+#: the inverter's battery_ keys through the battery block)
+_FED_BY_KEYS = {
+    SyntheticPowerSource: {"seed", *BLOCK_TABLES["pv"]["synthetic"]},
+    SyntheticLoad: {"seed", "base_power_w", "job_events", "noise_amplitude"},
+    generate_job_events: {"start_ns", "jobs_per_day", "watts_per_effort"},
+    context_records_for_jobs: {"announce_lead_ns"},
+    BatteryLinear: set(BLOCK_TABLES["battery"]["linear"]),
+    PriceSchedule: {key for key in BLOCK_TABLES["grid"]["priced"] if not key.startswith("max_")},
+    GridPriced: {key for key in BLOCK_TABLES["grid"]["priced"] if key.startswith("max_")},
+    InverterPVFirst: {*BLOCK_TABLES["inverter"]["pv-first"], "battery_capacity_j", "battery_eta_charge", "battery_eta_discharge"},
+    MPCInverter: {"max_grid_power_w"},
+    RecedingHorizonController: {"capacity_j", "soc_min", "soc_max", "max_grid_power_w"},
+    estimate_effort_remote: {"timeout_s"},
+    evaluate_families: {"train_fraction"},
+}
+
+
+def test_no_constructor_or_function_restates_a_table_default():
+    """BLOCK_TABLES and DOCUMENT_TABLE are the one home of a default: no
+    parameter a scenario key feeds has a default of its own, so a default
+    changes in one place."""
+    for target, names in _FED_BY_KEYS.items():
+        parameters = inspect.signature(target).parameters
+        assert names <= set(parameters), (target, names - set(parameters))
+        defaulted = {name for name in names if parameters[name].default is not inspect.Parameter.empty}
+        assert not defaulted, (target, defaulted)
 
 
 def _other_than(value, index):
@@ -329,31 +343,81 @@ def _other_than(value, index):
 @pytest.mark.parametrize("strategy", ["default", "mpc-perfect"])
 def test_every_block_key_reaches_its_component_under_its_own_name(strategy):
     """Each key of the pv, load, battery, grid and inverter blocks, taken
-    from BLOCK_TABLES, given a value other than its default, is held by
-    the component built from its block under the key's own name (the
-    load's job keys through the jobs drawn); an MPC inverter's controller
+    from BLOCK_TABLES, is held by the component built from its block under
+    the key's own name (the load's job keys through the jobs drawn): its
+    table default when the document names no key, and a value other than
+    its default when the document gives one.  The announcements lead their
+    jobs by the context block's lead, and an MPC inverter's controller
     plans with the inverter's capacity and SOC band and the grid's cap."""
     defaults = scenario_from_dict({}, None)
     document = {
         block: {key: _other_than(getattr(defaults, block)[key], i) for i, key in enumerate(BLOCK_TABLES[block][kind])}
         for block, kind in _MODEL_KINDS.items()
     }
-    bundle = build_bundle(scenario_from_dict(document, None), strategy)
     for block, values in document.items():
         assert len(set(values.values())) == len(values), block
-        component = getattr(bundle.simulator, _SLOT_OF_BLOCK[block])
-        for key, value in values.items():
-            assert value != getattr(defaults, block)[key], (block, key)
-            assert _held(component, block, key) == value, (block, key)
-    if strategy != "default":
-        inverter, controller = bundle.simulator.inverter, bundle.controller
-        assert controller is inverter.controller
-        assert (controller.capacity_j, controller.soc_min, controller.soc_max) == (
-            document["battery"]["capacity_j"],
-            document["inverter"]["soc_min"],
-            document["inverter"]["soc_max"],
-        )
-        assert controller.max_grid_power_w == document["grid"]["max_active_power_w"]
+        assert all(value != getattr(defaults, block)[key] for key, value in values.items()), block
+    table_defaults = {block: {key: getattr(defaults, block)[key] for key in values} for block, values in document.items()}
+    lead_h = _other_than(defaults.context["announce_lead_hours"], 0)
+    for given_document, values in (({}, table_defaults), ({**document, "context": {"announce_lead_hours": lead_h}}, document)):
+        bundle = build_bundle(scenario_from_dict(given_document, None), strategy)
+        for block, block_values in values.items():
+            component = getattr(bundle.simulator, _SLOT_OF_BLOCK[block])
+            for key, value in block_values.items():
+                assert _held(component, block, key) == _as_held(value), (block, key)
+        lead_ns = int(bundle.scenario.context["announce_lead_hours"] * 3600) * NS
+        assert bundle.records == context_records_for_jobs(bundle.simulator.load.job_events, announce_lead_ns=lead_ns)
+        if strategy != "default":
+            inverter, controller = bundle.simulator.inverter, bundle.controller
+            assert controller is inverter.controller
+            assert (controller.capacity_j, controller.soc_min, controller.soc_max) == (
+                values["battery"]["capacity_j"],
+                values["inverter"]["soc_min"],
+                values["inverter"]["soc_max"],
+            )
+            assert controller.max_grid_power_w == values["grid"]["max_active_power_w"]
+
+
+def _accepted(entry):
+    """Values the numeric table ``entry`` accepts: its default, its minimum
+    and maximum, values between them, and None where it allows none."""
+    assert entry.func in (_number, _integer), entry
+    bounds = entry.keywords
+    low, high = bounds.get("minimum"), bounds.get("maximum")
+    if entry.func is _integer:
+        between = st.integers(low, high)
+    else:
+        between = st.floats(low, high, allow_nan=False, allow_infinity=False)
+    values = st.sampled_from([value for value in (bounds.get("default"), low, high) if value is not None]) | between
+    return st.none() | values if bounds.get("allow_none") else values
+
+
+@st.composite
+def _table_blocks(draw):
+    """Each kinded block of its default kind, every key drawn from its own
+    BLOCK_TABLES entry, each ordered pair of _ORDERED_KEYS in order."""
+    blocks = {
+        block: {key: draw(_accepted(entry)) for key, entry in BLOCK_TABLES[block][kind].items()}
+        for block, kind in DOCUMENT_TABLE.items()
+        if isinstance(kind, str)
+    }
+    for block, low, high in _ORDERED_KEYS:
+        pair = sorted((blocks[block][low], blocks[block][high]))
+        assume(pair[0] < pair[1])
+        blocks[block][low], blocks[block][high] = pair
+    return blocks
+
+
+@given(blocks=_table_blocks())
+def test_the_tables_bounds_lie_within_the_constructors_bounds(blocks):
+    """The public constructors check their parameters again, so each bound
+    is written twice: once in BLOCK_TABLES, once in a constructor.  Every
+    value a table accepts (its default, its bounds and values between them,
+    ordered pairs in order) builds a bundle, PV-first and planned, without
+    a constructor raising.  A key added to a table is drawn as it is."""
+    scenario = scenario_from_dict({"horizon_seconds": 3600, **blocks}, None)
+    for strategy in ("default", "mpc-perfect"):
+        build_bundle(scenario, strategy)
 
 
 def test_load_scenario_reads_and_validates(tmp_path):

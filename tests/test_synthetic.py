@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cemsim import (
     PowerSourceStepResult,
-    PriceSchedule,
     ScriptedContext,
     SyntheticLoad,
     SyntheticPowerSource,
@@ -14,6 +13,7 @@ from cemsim import (
     unit_noise,
 )
 from cemsim.models.synthetic import JobEvent
+from defaults import default_grid, default_jobs, defaults
 from oracles import load_power_reference, pv_power_at
 
 NS_PER_HOUR = 3_600_000_000_000
@@ -22,11 +22,13 @@ NS_PER_DAY = 24 * NS_PER_HOUR
 
 
 def _pv(**overrides):
-    return SyntheticPowerSource(**{"seed": 3, "peak_power_w": 600.0, "noise_amplitude": 0.0, **overrides})
+    """The default pv block at 600 W peak without noise, ``overrides`` applied."""
+    parameters = {"seed": 3, "peak_power_w": 600.0, "noise_amplitude": 0.0, **overrides}
+    return SyntheticPowerSource(**defaults("pv", **parameters))
 
 
 def _load(**overrides):
-    return SyntheticLoad(**{"seed": 3, "base_power_w": 100.0, "noise_amplitude": 0.0, **overrides})
+    return SyntheticLoad(**{"seed": 3, "base_power_w": 100.0, "job_events": (), "noise_amplitude": 0.0, **overrides})
 
 
 def test_pv_is_dark_at_midnight_and_peaks_at_noon():
@@ -107,7 +109,7 @@ def test_load_table_equals_the_job_loop_bit_for_bit(jobs, base_power_w, noise):
 
 
 def test_load_table_equals_the_job_loop_over_a_generated_month():
-    jobs = generate_job_events(seed=8, day_count=30, jobs_per_day=4)
+    jobs = default_jobs(8, 30, jobs_per_day=4)
     load = _load(job_events=jobs)
     edges = sorted({job.begins_at_ns for job in jobs} | {job.ends_at_ns for job in jobs})
     for edge in edges:
@@ -145,7 +147,7 @@ def test_power_source_component_realizes_the_sampled_series():
 
 
 def test_load_component_realizes_the_sampled_series():
-    jobs = generate_job_events(seed=11, day_count=1)
+    jobs = default_jobs(11, 1)
     load = _load(job_events=jobs, noise_amplitude=0.05)
     results = [load.step(i * HALF_HOUR, (i + 1) * HALF_HOUR) for i in range(48)]
     assert [r.requested_active_power for r in results] == [load_power_reference(load, t) for t in STEP_ENDS]
@@ -167,9 +169,7 @@ def test_power_source_reports_voltage_and_current():
 def test_scripted_context_reveals_records_at_step_start():
     """A record becomes visible on the first step that starts at or after
     its recording time, never earlier."""
-    records = context_records_for_jobs(
-        generate_job_events(seed=5, day_count=1), announce_lead_ns=0
-    )
+    records = context_records_for_jobs(default_jobs(5, 1), announce_lead_ns=0)
     record = records[0]
     context = ScriptedContext(records)
     before = context.step(record.recorded_at_ns - NS_PER_HOUR, record.recorded_at_ns)
@@ -178,30 +178,39 @@ def test_scripted_context_reveals_records_at_step_start():
     assert record in at
 
 
+def _jobs(seed, day_count, **overrides):
+    return generate_job_events(
+        seed, day_count, **{"start_ns": 0, "jobs_per_day": 2, "watts_per_effort": 250.0, **overrides}
+    )
+
+
 def test_generate_job_events_is_seeded():
-    a = generate_job_events(seed=4, day_count=3)
-    b = generate_job_events(seed=4, day_count=3)
-    c = generate_job_events(seed=5, day_count=3)
+    a = _jobs(4, 3)
+    b = _jobs(4, 3)
+    c = _jobs(5, 3)
     assert a == b
     assert a != c
     assert len(a) == 6
 
 
 def test_generated_jobs_fall_in_their_day_window():
-    for job in generate_job_events(seed=9, day_count=2, jobs_per_day=3):
-        begin_hour = (job.begins_at_ns % NS_PER_DAY) / NS_PER_HOUR
+    start_ns = 5 * NS_PER_DAY
+    jobs = _jobs(9, 2, start_ns=start_ns, jobs_per_day=3, watts_per_effort=40.0)
+    assert len(jobs) == 6
+    for index, job in enumerate(jobs):
+        begin_ns = job.begins_at_ns - start_ns - index // 3 * NS_PER_DAY
         duration_h = (job.ends_at_ns - job.begins_at_ns) / NS_PER_HOUR
-        assert 7.0 <= begin_hour <= 19.0
+        assert 7.0 <= begin_ns / NS_PER_HOUR <= 19.0
         assert 2.0 <= duration_h <= 6.0
-        assert job.watts_per_effort == 250.0
+        assert job.watts_per_effort == 40.0
         assert job.true_effort >= 1.0
 
 
 def test_job_announcements_carry_numeric_hints():
-    """Announcements lead by ten hours; cores always present, files only for
-    the heavier jobs."""
-    jobs = generate_job_events(seed=2, day_count=2)
-    records = context_records_for_jobs(jobs)
+    """Announcements lead by the given lead, never before time 0; cores
+    always present, files only for the heavier jobs."""
+    jobs = _jobs(2, 2)
+    records = context_records_for_jobs(jobs, announce_lead_ns=10 * NS_PER_HOUR)
     assert len(records) == len(jobs)
     for job, record in zip(jobs, records):
         assert record.recorded_at_ns == max(job.begins_at_ns - 10 * NS_PER_HOUR, 0)
@@ -216,7 +225,7 @@ def test_job_announcements_carry_numeric_hints():
 
 
 def test_two_tier_price_schedule():
-    schedule = PriceSchedule()
+    schedule = default_grid().schedule
     assert schedule.price_at(7 * NS_PER_HOUR) == 0.10
     assert schedule.price_at(8 * NS_PER_HOUR) == 0.40
     assert schedule.price_at(20 * NS_PER_HOUR - 1) == 0.40
@@ -228,16 +237,16 @@ def test_two_tier_price_schedule():
 
 
 def test_peak_to_midnight_needs_no_trailing_breakpoint():
-    schedule = PriceSchedule(peak_start_hour=8, peak_end_hour=24)
+    schedule = default_grid(peak_start_hour=8, peak_end_hour=24).schedule
     assert schedule.price_at(NS_PER_DAY - 1) == 0.40
     assert schedule.price_at(NS_PER_DAY) == 0.10
 
 
 def test_tier_and_job_validation():
     with pytest.raises(ValueError):
-        PriceSchedule(peak_start_hour=20, peak_end_hour=8)
+        default_grid(peak_start_hour=20, peak_end_hour=8)
     with pytest.raises(ValueError):
-        PriceSchedule(off_peak_price=-0.1)
+        default_grid(off_peak_price=-0.1)
     with pytest.raises(ValueError):
         JobEvent(10, 10, "x", 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -288,7 +297,9 @@ _STEPS = st.lists(
 def test_pv_steps_as_the_reference_sample_bit_for_bit(seed, peak, noise, voltage, hours, steps):
     """Over drawn parameters and steps, every step result has the bits of
     the record built from the free pv sample at the step's end."""
-    source = SyntheticPowerSource(seed, peak, noise, voltage, *hours)
+    source = SyntheticPowerSource(
+        seed=seed, peak_power_w=peak, noise_amplitude=noise, voltage=voltage, sunrise_hour=hours[0], sunset_hour=hours[1]
+    )
     for start, length in steps:
         power = pv_power_at(source, start + length)
         expected = PowerSourceStepResult(voltage, power / voltage, power)
@@ -306,7 +317,7 @@ def test_pv_steps_as_the_reference_sample_bit_for_bit(seed, peak, noise, voltage
 def test_load_steps_as_the_reference_sample_bit_for_bit(seed, jobs, base_power_w, noise, steps):
     """Over drawn parameters, jobs and steps, every step result has the bits
     of the load the job loop gives at the step's end, on both fields."""
-    load = SyntheticLoad(seed, base_power_w, jobs, noise)
+    load = SyntheticLoad(seed=seed, base_power_w=base_power_w, job_events=jobs, noise_amplitude=noise)
     for start, length in steps:
         power = load_power_reference(load, start + length)
         assert _bits(load.step(start, start + length)) == [power.hex(), power.hex()]
