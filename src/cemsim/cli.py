@@ -84,6 +84,7 @@ from .scenario import (
     SimulationBundle,
     build_bundle,
     checked_names,
+    checked_path,
     effort_estimator,
     load_scenario,
     shared_recordings,
@@ -284,8 +285,8 @@ def _default_out_dir(scenario_path: Path, scenario: Scenario, out_flag: str | No
     """The directory a command writes its artifacts to.
 
     A name the file-system encoding cannot encode (``résultats`` under
-    an ASCII locale) is a ``ConfigurationError`` naming the directory,
-    raised here, before any path operation fails on it.
+    an ASCII locale) is a ``ConfigurationError`` naming the directory
+    (:func:`~cemsim.scenario.checked_path`).
     """
     if out_flag is not None:
         base = Path(out_flag)
@@ -295,13 +296,7 @@ def _default_out_dir(scenario_path: Path, scenario: Scenario, out_flag: str | No
         out_dir = configured if configured.is_absolute() else scenario.base_dir / configured
     else:
         out_dir = scenario_path.parent / f"{scenario_path.stem}.out"
-    try:
-        os.fsencode(out_dir)
-    except UnicodeEncodeError:
-        raise ConfigurationError(
-            f"output directory {out_dir} cannot be encoded in the file-system encoding ({sys.getfilesystemencoding()})"
-        ) from None
-    return out_dir
+    return checked_path(out_dir, "output directory")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

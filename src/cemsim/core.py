@@ -16,15 +16,19 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from math import isfinite
+from sys import float_info
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 NS_PER_SECOND = 1_000_000_000
 NS_PER_HOUR = 3_600_000_000_000
 NS_PER_DAY = 86_400_000_000_000
 JOULES_PER_KWH = 3.6e6
+#: The largest int64: a recording stores its times, and a context file its
+#: times and subsystem ids, as int64.
+INT64_MAX = 2**63 - 1
 
 
 class ConfigurationError(Exception):
@@ -323,6 +327,20 @@ class ContextRecord(
     a note that only becomes known once its interval is over is rejected.
     payload is a read-only mapping; by convention a "text" key holds the
     human-readable description.
+
+    A record is valid by construction, and its rule is the one a context
+    file is read by (``replay.ingest_context``), so a record written to
+    one reads back equal if JSON can hold its payload.  ``__new__``
+    checks, in order, and raises a ``ValueError`` naming the first fault:
+
+    * the three times and ``subsystem_id`` are ints within int64: a
+      float, a string or a bool is refused, not coerced, so a record
+      replays exactly as written;
+    * ``payload`` is a mapping, and each number directly in it is finite
+      as a float: NaN, the infinities and an int beyond float range are
+      refused, as a forecaster would fail on them mid-run;
+    * ``begins_at_ns`` precedes ``ends_at_ns``, and so does
+      ``recorded_at_ns``.
     """
 
     __slots__ = ()
@@ -339,9 +357,18 @@ class ContextRecord(
             ("recorded_at_ns", recorded_at_ns),
             ("begins_at_ns", begins_at_ns),
             ("ends_at_ns", ends_at_ns),
+            ("subsystem_id", subsystem_id),
         ):
-            _require(isinstance(value, int), f"{name} must be an int")
-        _require(isinstance(subsystem_id, int), "subsystem_id must be an int")
+            if type(value) is not int or not -INT64_MAX - 1 <= value <= INT64_MAX:
+                raise ValueError(f"{name} must be an integer within int64, got {value!r}")
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"payload must be an object, got {payload!r}")
+        payload = MappingProxyType(dict(payload))
+        for key, value in payload.items():
+            # abs() of an int too large for a float compares exactly, so it
+            # fails the bound as NaN and the infinities do
+            if isinstance(value, (int, float)) and not abs(value) <= float_info.max:
+                raise ValueError(f"payload {key!r} must be a finite number, got {value!r}")
         _require(
             begins_at_ns < ends_at_ns,
             f"begins_at_ns ({begins_at_ns}) must precede ends_at_ns ({ends_at_ns})",
@@ -350,9 +377,7 @@ class ContextRecord(
             recorded_at_ns < ends_at_ns,
             f"recorded_at_ns ({recorded_at_ns}) must precede ends_at_ns ({ends_at_ns})",
         )
-        return _tuple_new(
-            cls, (recorded_at_ns, begins_at_ns, ends_at_ns, subsystem_id, MappingProxyType(dict(payload)))
-        )
+        return _tuple_new(cls, (recorded_at_ns, begins_at_ns, ends_at_ns, subsystem_id, payload))
 
     def text(self) -> str:
         return str(self.payload.get("text", ""))

@@ -100,9 +100,9 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float) -> float:
     expects ``{"effort": x}`` with a finite x >= 0 back.  Only ``http``
     and ``https`` URLs are sent: any other scheme (``file``, ``ftp``,
     none) is refused before anything is opened, and so is a redirect to
-    one.  ``timeout_s`` bounds the connect and each read, and must be > 0
-    (``ValueError``); a longer one than :data:`MAX_TIMEOUT_S` is refused
-    before anything is opened.  It is the remote estimator block's
+    one.  ``timeout_s`` bounds the connect and each read; one not in
+    (0, :data:`MAX_TIMEOUT_S`] is a ``ValueError``, raised before anything
+    is opened.  It is the remote estimator block's
     ``timeout_s``, required: its default is written once, in
     ``scenario.BLOCK_TABLES``.  Any transport, status or schema problem
     raises :class:`RemoteEstimatorError`; there is no silent fallback.
@@ -124,11 +124,7 @@ def estimate_effort_remote(text: str, url: str, timeout_s: float) -> float:
             require_http(newurl)
             return super().redirect_request(req, fp, code, msg, headers, newurl)
 
-    _require(timeout_s > 0, f"timeout_s must be > 0, got {timeout_s!r}")
-    if timeout_s > MAX_TIMEOUT_S:
-        raise RemoteEstimatorError(
-            f"effort estimator request to {url!r} failed: timeout_s must be <= {MAX_TIMEOUT_S}, got {timeout_s!r}"
-        )
+    _require(0 < timeout_s <= MAX_TIMEOUT_S, f"timeout_s must be in (0, {MAX_TIMEOUT_S}], got {timeout_s!r}")
     # urllib's URLError and HTTPError (a status >= 400) are OSErrors, and a
     # malformed or non-http(s) URL raises ValueError
     try:

@@ -13,7 +13,9 @@ so values round-trip bit-exactly):
 * time series CSV with header ``timestamp_ns,subsystem_id,channel,value``
 * context JSON lines with keys ``recorded_at_ns``, ``begins_at_ns``,
   ``ends_at_ns``, ``subsystem_id``, ``payload`` (payload carries "text"
-  plus arbitrary numeric fields)
+  plus arbitrary numeric fields); a line holds what a
+  :class:`~cemsim.core.ContextRecord` accepts, whose constructor states
+  the rule
 
 Channel names follow ``<subsystem>_<measurement>``, e.g. ``battery_soc``
 (fraction), ``pv_power`` (W), ``load_active_power`` (W),
@@ -97,7 +99,7 @@ from array import array
 from bisect import bisect_left
 from math import isfinite
 from operator import lt
-from sys import byteorder, float_info
+from sys import byteorder
 from typing import Iterable
 
 from .core import (
@@ -637,38 +639,15 @@ def _csv_row(path, line_number: int, line: str) -> list[str]:
         raise IngestError(f"{path}:{line_number}: {exc}") from exc
 
 
-def _context_fault(obj: dict) -> str | None:
-    """The first of a context file's value rules that ``obj`` breaks, or None.
-
-    The three timestamps and ``subsystem_id`` must be integers within
-    int64: a float, a string or a bool breaks the rule, it is not
-    coerced, so a validated file replays exactly as written.  The
-    optional ``payload`` must be an object, and each number directly in
-    it finite as a float: NaN, ``Infinity`` and an integer beyond float
-    range break the rule, as a forecaster would fail on them mid-run.
-    """
-    for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
-        if key not in obj:
-            return f"missing key {key!r}"
-        value = obj[key]
-        if type(value) is not int or not -(2**63) <= value < 2**63:
-            return f"{key} must be an integer within int64, got {value!r}"
-    payload = obj.get("payload", {})
-    if type(payload) is not dict:
-        return f"payload must be an object, got {payload!r}"
-    for key, value in payload.items():
-        # abs() of an integer too large for a float compares exactly,
-        # so it fails the bound as NaN and the infinities do
-        if type(value) in (int, float) and not abs(value) <= float_info.max:
-            return f"payload {key!r} must be a finite number, got {value!r}"
-    return None
-
-
 def ingest_context(path) -> tuple[ContextRecord, ...]:
     """Parse a context JSONL file; line numbers accompany every rejection.
 
-    Each line is one JSON object that keeps :func:`_context_fault`'s
-    rules; a line that breaks one is rejected with its line and key.
+    Each line is one JSON object holding the four int keys of a
+    :class:`~cemsim.core.ContextRecord` and, optionally, its ``payload``
+    (an empty one if absent).  A line that is not JSON, not an object or
+    misses a key is rejected here; any other fault is the record's own
+    ``ValueError``, raised by its constructor, which holds the rule.
+    Either is an ``IngestError`` naming the file and the line.
     """
     records = []
     try:
@@ -685,18 +664,17 @@ def ingest_context(path) -> tuple[ContextRecord, ...]:
                     raise IngestError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise IngestError(f"{path}:{line_number}: expected an object")
-                fault = _context_fault(obj)
-                if fault is not None:
-                    raise IngestError(f"{path}:{line_number}: {fault}")
                 try:
                     record = ContextRecord(
-                        recorded_at_ns=obj["recorded_at_ns"],
-                        begins_at_ns=obj["begins_at_ns"],
-                        ends_at_ns=obj["ends_at_ns"],
-                        subsystem_id=obj["subsystem_id"],
-                        payload=obj.get("payload", {}),
+                        obj["recorded_at_ns"],
+                        obj["begins_at_ns"],
+                        obj["ends_at_ns"],
+                        obj["subsystem_id"],
+                        obj.get("payload", {}),
                     )
-                except (TypeError, ValueError) as exc:
+                except KeyError as exc:
+                    raise IngestError(f"{path}:{line_number}: missing key {exc.args[0]!r}") from None
+                except ValueError as exc:
                     raise IngestError(f"{path}:{line_number}: {exc}") from exc
                 records.append(record)
     except UnicodeDecodeError:
@@ -712,12 +690,13 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
     so the file is the same on every platform (a text-mode file would
     translate the newlines) and no line waits in a text layer's pending
     chunk: the memory held is the binary buffer's, whatever the file's
-    length.  A record that breaks a rule :func:`ingest_context` reads the
-    file by (see :func:`_context_fault`) is a ``ValueError`` naming its
-    index, raised before its line is written.
+    length.  Nothing is checked here: a :class:`~cemsim.core.ContextRecord`
+    keeps the rule :func:`ingest_context` reads the file by, so a record
+    whose payload JSON can hold (string keys, JSON values) reads back
+    equal.
     """
     with open(path, "wb") as handle:
-        for index, record in enumerate(records):
+        for record in records:
             obj = {
                 "recorded_at_ns": record.recorded_at_ns,
                 "begins_at_ns": record.begins_at_ns,
@@ -725,9 +704,6 @@ def emit_context(path, records: Iterable[ContextRecord]) -> None:
                 "subsystem_id": record.subsystem_id,
                 "payload": dict(record.payload),
             }
-            fault = _context_fault(obj)
-            if fault is not None:
-                raise ValueError(f"{path}: context record {index}: {fault}")
             handle.write(json.dumps(obj, sort_keys=True).encode() + b"\n")
 
 

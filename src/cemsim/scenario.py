@@ -83,6 +83,7 @@ from .core import (
     ConfigurationError,
     ContextIndex,
     ContextRecord,
+    INT64_MAX,
     NS_PER_DAY,
     NS_PER_HOUR,
     NS_PER_SECOND,
@@ -130,9 +131,6 @@ STRATEGIES = ("default", "mpc-perfect", "mpc-context", "mpc-nocontext")
 TRAIN_SEED_OFFSET = 1_000_003
 
 SCHEMA_VERSION = 1
-
-#: The latest time a recording can hold: it stores int64 nanoseconds.
-INT64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +219,27 @@ def _schema_version(block: Mapping[str, Any], key: str, where: str) -> int:
     return version
 
 
-def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
-    """The path ``block[key]`` names, resolved against ``base_dir``; it must
-    be a file.  A name the file-system encoding cannot encode (``données``
-    under an ASCII locale) is named as such, not reported missing."""
-    path = Path(_string(block, key, where))
-    if not path.is_absolute():
-        path = base_dir / path
+def checked_path(path: Path, what: str) -> Path:
+    """``path``, if the file-system encoding can encode it; otherwise a
+    ``ConfigurationError`` naming it as ``{what} {path}``, raised before
+    any path operation fails on it (``données`` under an ASCII locale)."""
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
-        encoding = sys.getfilesystemencoding()
         raise ConfigurationError(
-            f"{where}: referenced file {path} cannot be encoded in the file-system encoding ({encoding})"
+            f"{what} {path} cannot be encoded in the file-system encoding ({sys.getfilesystemencoding()})"
         ) from None
+    return path
+
+
+def _resolve_file(block: Mapping[str, Any], key: str, where: str, base_dir: Path) -> str:
+    """The path ``block[key]`` names, resolved against ``base_dir``; it must
+    be a file.  A name the file-system encoding cannot encode is named as
+    such (:func:`checked_path`), not reported missing."""
+    path = Path(_string(block, key, where))
+    if not path.is_absolute():
+        path = base_dir / path
+    checked_path(path, f"{where}: referenced file")
     if not path.is_file():
         _fail(where, f"referenced file does not exist: {path}")
     return str(path)

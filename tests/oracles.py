@@ -76,6 +76,11 @@ which moved to the time axis its times are kept on.  Their
 the class that took its fields.  ``SimulationBundle`` has since lost
 its ``schedule`` field, which only tests read: the priced grid holds
 the schedule.
+``_context_fault`` is the rule a context file's values were read by
+while it was written in ``cemsim.replay``, beside the record's own
+checks, kept verbatim; ``context_rule_fault`` adds the ``ContextRecord``
+dataclass's interval checks after it, so the record that now holds the
+whole rule can be held to the file's rule, fault and message alike.
 Last come the planner's four classes, ``ChargingProblem``,
 ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision``, as they
 were while dataclasses, with the ``_plan_cost`` helper a plan's cost was
@@ -95,6 +100,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from math import inf, isfinite
 from operator import lt
+from sys import float_info
 from types import MappingProxyType
 
 import numpy as np
@@ -1157,6 +1163,49 @@ class ContextRecord:
 
     def text(self) -> str:
         return str(self.payload.get("text", ""))
+
+
+def _context_fault(obj: dict) -> str | None:
+    """The first of a context file's value rules that ``obj`` breaks, or None.
+
+    The three timestamps and ``subsystem_id`` must be integers within
+    int64: a float, a string or a bool breaks the rule, it is not
+    coerced, so a validated file replays exactly as written.  The
+    optional ``payload`` must be an object, and each number directly in
+    it finite as a float: NaN, ``Infinity`` and an integer beyond float
+    range break the rule, as a forecaster would fail on them mid-run.
+    """
+    for key in ("recorded_at_ns", "begins_at_ns", "ends_at_ns", "subsystem_id"):
+        if key not in obj:
+            return f"missing key {key!r}"
+        value = obj[key]
+        if type(value) is not int or not -(2**63) <= value < 2**63:
+            return f"{key} must be an integer within int64, got {value!r}"
+    payload = obj.get("payload", {})
+    if type(payload) is not dict:
+        return f"payload must be an object, got {payload!r}"
+    for key, value in payload.items():
+        # abs() of an integer too large for a float compares exactly,
+        # so it fails the bound as NaN and the infinities do
+        if type(value) in (int, float) and not abs(value) <= float_info.max:
+            return f"payload {key!r} must be a finite number, got {value!r}"
+    return None
+
+
+def context_rule_fault(obj: dict) -> str | None:
+    """The first fault of ``obj`` under a context file's whole rule:
+    :func:`_context_fault`, then the interval checks of the
+    :class:`ContextRecord` dataclass; None if it keeps the rule."""
+    fault = _context_fault(obj)
+    if fault is not None:
+        return fault
+    try:
+        ContextRecord(
+            obj["recorded_at_ns"], obj["begins_at_ns"], obj["ends_at_ns"], obj["subsystem_id"], obj.get("payload", {})
+        )
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True, slots=True)

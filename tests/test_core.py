@@ -334,22 +334,11 @@ def _draw_arguments(name, data):
     return built, fields
 
 
-@pytest.mark.parametrize("name", sorted(set(_ARGUMENTS) - set(_PLAIN)))
-@given(data=st.data())
-@settings(max_examples=300)
-def test_records_behave_as_the_dataclasses_they_replace(name, data):
-    """Each configuration, context, scenario and planner record accepts,
-    rejects, prints, compares and hashes as the dataclass it replaced (kept
-    verbatim in oracles), derives the same hidden attributes, reads the
-    same planner properties (a plan's total_cost among them), has no
-    instance dict, and raises FrozenInstanceError on any assignment or
-    deletion (SimulationBundle was a mutable dataclass; it is frozen now)."""
-    built, fields = _draw_arguments(name, data)
-    record, failure = built(_RECORDS)
-    reference, reference_failure = built(oracles)
-    assert failure == reference_failure
-    if reference is None:
-        return
+def _assert_behaves_as_its_dataclass(name, built, fields, record, reference):
+    """``record`` prints, compares and hashes as ``reference``, the
+    dataclass built from the same arguments by ``built``, derives the same
+    hidden attributes and planner properties, has no instance dict, and
+    raises FrozenInstanceError on any assignment or deletion."""
     assert repr(record) == repr(reference)
     assert _hash_outcome(record) == _hash_outcome(reference)
     again, _ = built(_RECORDS)
@@ -368,6 +357,56 @@ def test_records_behave_as_the_dataclasses_they_replace(name, data):
             setattr(record, field_name, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, field_name)
+
+
+@pytest.mark.parametrize("name", sorted(set(_ARGUMENTS) - set(_PLAIN) - {"ContextRecord"}))
+@given(data=st.data())
+@settings(max_examples=300)
+def test_records_behave_as_the_dataclasses_they_replace(name, data):
+    """Each configuration, scenario and planner record accepts, rejects,
+    prints, compares and hashes as the dataclass it replaced (kept
+    verbatim in oracles), derives the same hidden attributes, reads the
+    same planner properties (a plan's total_cost among them), has no
+    instance dict, and raises FrozenInstanceError on any assignment or
+    deletion (SimulationBundle was a mutable dataclass; it is frozen now).
+    ContextRecord, which now keeps a context file's rule, has its own
+    test below."""
+    built, fields = _draw_arguments(name, data)
+    record, failure = built(_RECORDS)
+    reference, reference_failure = built(oracles)
+    assert failure == reference_failure
+    if reference is not None:
+        _assert_behaves_as_its_dataclass(name, built, fields, record, reference)
+
+
+def _context_rule(*args, **kwargs):
+    """A builder holding a context record to a context file's rule
+    (``oracles.context_rule_fault``): its ValueError, or the dataclass."""
+    obj = dict(zip(ContextRecord._fields, args), **kwargs)
+    fault = oracles.context_rule_fault(obj)
+    if fault is not None:
+        raise ValueError(fault)
+    return oracles.ContextRecord(**obj)
+
+
+@given(data=st.data())
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
+def test_context_record_keeps_the_file_rule_and_behaves_as_its_dataclass(data):
+    """ContextRecord, drawn from the arguments the dataclass test drew
+    (2**63, True, 1.5, None and list or int payloads among them), accepts
+    exactly what a context file's rule accepts and refuses the rest with
+    the rule's ValueError, the dataclass it replaced (kept verbatim in
+    oracles) accepting the input or not.  What it accepts, the dataclass
+    accepts too, and the record prints, compares and hashes as it."""
+    built, fields = _draw_arguments("ContextRecord", data)
+    record, failure = built(_RECORDS)
+    _, rule_failure = built(SimpleNamespace(ContextRecord=_context_rule))
+    assert failure == rule_failure
+    if failure is None:
+        reference, reference_failure = built(oracles)
+        assert reference_failure is None
+        _assert_behaves_as_its_dataclass("ContextRecord", built, fields, record, reference)
 
 
 @pytest.mark.parametrize("name", _PLAIN)

@@ -40,6 +40,7 @@ from oracles import (
     ReplayGridReference,
     ReplayLoadReference,
     ReplayPowerSourceReference,
+    context_rule_fault,
     ingest_timeseries_reference,
     interpolate_reference,
 )
@@ -900,21 +901,97 @@ def test_context_round_trip(tmp_path):
         ((0, NS, 2**70, 1, {}), f"ends_at_ns must be an integer within int64, got {2**70}"),
         ((0, NS, 2 * NS, 1, {"text": "x", "cores": math.nan}), "payload 'cores' must be a finite number, got nan"),
     ],
+    ids=["bool-time", "bool-subsystem", "time-past-int64", "nan-payload"],
 )
-def test_emit_context_refuses_a_record_ingest_would_reject(tmp_path, fields, message):
-    """A record whose line ingest would reject is a ValueError naming its
-    index, raised before that line is written; ingest rejects the same
-    line, written by hand, with the same message."""
-    good = ContextRecord(0, NS, 2 * NS, 1, {"text": "nightly build"})
-    bad = ContextRecord(*fields)
-    path = tmp_path / "ctx.jsonl"
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: context record 1: {message}')}$"):
-        emit_context(path, [good, bad])
-    assert ingest_context(path) == (good,)
+def test_a_record_ingest_would_reject_cannot_be_built(tmp_path, fields, message):
+    """A record whose line ingest would reject is a ValueError of its
+    constructor, so emit_context is never handed one; ingest rejects the
+    same line, written by hand, with the same message after its file and
+    line."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ContextRecord(*fields)
     by_hand = tmp_path / "by-hand.jsonl"
-    by_hand.write_text(json.dumps({**bad._asdict(), "payload": dict(bad.payload)}) + "\n")
+    by_hand.write_text(json.dumps(dict(zip(ContextRecord._fields, fields))) + "\n")
     with pytest.raises(IngestError, match=f"^{re.escape(f'{by_hand}:1: {message}')}$"):
         ingest_context(by_hand)
+
+
+_INT64_EDGES = (-(2**63) - 1, -(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1, 2**63)
+#: A time or subsystem id off the usual: the int64 edges +-1, and what is
+#: not an int.
+_ODD_INT = st.one_of(st.sampled_from(_INT64_EDGES), st.booleans(), st.floats(), st.text(max_size=2), st.none())
+#: The usual times and subsystem id: small ints, mostly in order, so the
+#: interval checks pass and fail.
+_SMALL_INTS = {
+    "recorded_at_ns": st.integers(-2, 2),
+    "begins_at_ns": st.integers(-2, 1),
+    "ends_at_ns": st.integers(0, 3),
+    "subsystem_id": st.integers(-2, 2),
+}
+#: A payload value the rule accepts, nested values unchecked.
+_FINE_VALUE = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.sampled_from((10**308, -(10**308), 1e308)),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+#: A payload off the usual: an object holding NaN, an infinity or an int
+#: beyond float range, or, as a JSON line can hold it, a list, null or int.
+_ODD_PAYLOAD = st.one_of(
+    st.builds(
+        lambda fine, key, value: {**fine, key: value},
+        st.dictionaries(st.text(max_size=3), _FINE_VALUE, max_size=2),
+        st.text(max_size=3),
+        st.sampled_from((math.nan, math.inf, -math.inf, 2**1024, -(10**400))),
+    ),
+    st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2),
+    st.none(),
+    st.integers(),
+)
+
+
+def _typed(payload):
+    """The payload's items in key order with each value's repr, which tells
+    1 from 1.0 and True, and -0.0 from 0.0."""
+    return [(key, repr(value)) for key, value in sorted(payload.items())]
+
+
+@given(data=st.data())
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
+def test_a_context_record_keeps_the_rule_its_file_is_read_by(tmp_path_factory, data):
+    """ContextRecord accepts exactly the five-field objects a context
+    file's rule accepts (``oracles.context_rule_fault``: the values rule
+    ingest used to check on its own, then the intervals).  An accepted
+    record is written by emit_context and read back by ingest_context
+    equal, each payload value of its type; so is the object written as a
+    line by hand.  A refused one raises the rule's message, which ingest
+    gives the line after its file and line number.  An object holds small
+    ints but for the few drawn odd, and a payload that may be odd."""
+    odd = data.draw(st.sets(st.sampled_from(tuple(_SMALL_INTS)), max_size=2), label="odd ints")
+    obj = {name: data.draw(_ODD_INT if name in odd else small, label=name) for name, small in _SMALL_INTS.items()}
+    fine_payload = st.dictionaries(st.text(max_size=3), _FINE_VALUE, max_size=3)
+    obj["payload"] = data.draw(_ODD_PAYLOAD if data.draw(st.booleans(), label="odd payload") else fine_payload)
+    directory = tmp_path_factory.mktemp("rule")
+    by_hand = directory / "by-hand.jsonl"
+    by_hand.write_text(json.dumps(obj) + "\n")
+    fault = context_rule_fault(obj)
+    if fault is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            ContextRecord(**obj)
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{by_hand}:1: {fault}')}$"):
+            ingest_context(by_hand)
+        return
+    record = ContextRecord(**obj)
+    emitted = directory / "emitted.jsonl"
+    emit_context(emitted, [record])
+    for path in (emitted, by_hand):
+        (back,) = ingest_context(path)
+        assert back == record
+        assert _typed(back.payload) == _typed(record.payload)
 
 
 def test_emitting_ten_times_the_context_records_holds_no_more_memory(tmp_path):
