@@ -139,16 +139,26 @@ def _failed(exc: Exception, where: str = "") -> int:
 
 # A step's line of steps.csv, byte for byte as csv.writer writes it:
 # "%.17g" is format(v, ".17g"), no field needs quoting, and lines end "\r\n".
-# Every field is formatted on every line, a value repeated from the last
-# step too: skipping the repeats costs more than it saves.  Over the 10,080
-# lines of a PV-first week @ 60 s (best of 31, CPython 3.11, 2-vCPU VM) a
-# line formatted as str took 5.7-5.8 µs as is, 6.8-7.1 µs with a last-value
-# memo per field and 8.0-8.5 µs with a dict of texts by value, which also
-# grew to 55,000 entries, as the running aggregates never repeat.  The
-# template is bytes, encoded once here, and the artifacts are opened "wb":
-# bytes %-formatting prints the same digits, and no line goes through a
+# A record's fields are formatted once per record object, not once per
+# line.  A component hands back the same record object while its inputs
+# repeat (see cemsim.engine), so the sink keeps the bytes of the last pv,
+# load, battery and grid record it saw, and of the inverter result's
+# battery input, grid input and drawn power, and formats a record only
+# when it is another object than last step's.  A line then costs at most
+# seven identity tests; _STEP_LINE joins the kept bytes with the step
+# index, time and the six running aggregates, which change every step.
+# Keying on values does not pay: over the 10,080 lines of a PV-first week
+# @ 60 s (best of 31, CPython 3.11, 2-vCPU VM) a line formatted as str
+# whole took 5.7-5.8 µs, 6.8-7.1 µs with a last-value memo per field (22
+# float compares, a zero formatted again for its sign) and 8.0-8.5 µs with
+# a dict of texts by value, which grew to 55,000 entries.  The templates
+# are bytes, encoded once here, and the artifacts are opened "wb": bytes
+# %-formatting prints the same digits, and no line goes through a
 # TextIOWrapper's encoding and pending-chunk list on its way to the file.
-_STEP_TEMPLATE = (",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n").encode()
+_TWO_FLOATS = b"%.17g,%.17g"
+_THREE_FLOATS = b"%.17g,%.17g,%.17g"
+_FOUR_FLOATS = b"%.17g,%.17g,%.17g,%.17g"
+_STEP_LINE = b"%d,%d," + b"%s," * 7 + _THREE_FLOATS + b"," + _THREE_FLOATS + b"\r\n"
 
 # The battery mode's bytes on a step line, keyed by the mode's ``_value_``:
 # a plain attribute read, where Enum's ``.value`` is a Python-level
@@ -173,13 +183,14 @@ _CHANNEL_TEMPLATE = "".join(
     CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}").replace("%d", "%s").replace("%.17g", "%s")
     for subsystem_id, name in CHANNELS
 ).encode()
-_channel_fields = itemgetter(
-    *(
-        position
-        for _, name in CHANNELS
-        for position in (STEP_HEADER.index("time_ns"), STEP_HEADER.index(_STEP_FIELD_OF_CHANNEL.get(name, name)))
-    )
+_CHANNEL_POSITIONS = tuple(
+    position
+    for _, name in CHANNELS
+    for position in (STEP_HEADER.index("time_ns"), STEP_HEADER.index(_STEP_FIELD_OF_CHANNEL.get(name, name)))
 )
+_channel_fields = itemgetter(*_CHANNEL_POSITIONS)
+# A step line is split only as far as its last field a channel repeats.
+_CHANNEL_SPLIT = max(_CHANNEL_POSITIONS) + 1
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
@@ -211,15 +222,18 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
 
     Both CSVs are written as the steps happen, so memory stays flat over
     the horizon.  They are opened in binary mode and written as bytes:
-    steps.csv holds one line per step, formatted by one bytes
-    ``%``-template.  channels.csv holds each step's lines in
-    ``replay.CHANNELS`` order, so its rows are sorted by time and ingest
-    without a sort.  Every value on them (the time and ten of the step's
-    floats) is already on the step line, so the channel lines reuse the
-    step line's formatted fields, split out by position, instead of
-    formatting each number a second time.  context.jsonl is written as
-    bytes too, by :func:`~cemsim.replay.emit_context`, so all three have
-    the same bytes on every platform.
+    steps.csv holds one line per step, joined by one bytes
+    ``%``-template from the step's index, time and aggregates and the
+    bytes of its records' fields, each record formatted once however many
+    steps hand back the same record object.  channels.csv holds each
+    step's lines in ``replay.CHANNELS`` order, so its rows are sorted by
+    time and ingest without a sort.  Every value on them (the time and ten
+    of the step's floats) is already on the step line, so the channel
+    lines reuse the step line's formatted fields, split out by position
+    from its first 17, instead of formatting each number a second time.
+    context.jsonl is written as bytes too, by
+    :func:`~cemsim.replay.emit_context`, so all three have the same bytes
+    on every platform.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,47 +245,51 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
         write_step = steps_handle.write
         write_channels = channels_handle.write
 
+        # the record each kept field's bytes were formatted from
+        pv = load = battery = grid = inverter = battery_input = grid_input = None
+        pv_bytes = load_bytes = battery_bytes = grid_bytes = drawn_bytes = battery_input_bytes = grid_input_bytes = b""
+
         def sink(output: SimulatorStepOutput) -> None:
-            nonlocal last_output
+            nonlocal last_output, pv, load, battery, grid, inverter, battery_input, grid_input
+            nonlocal pv_bytes, load_bytes, battery_bytes, grid_bytes, drawn_bytes, battery_input_bytes, grid_input_bytes
             last_output = output
-            pv = output.power_source
-            load = output.load
-            inverter = output.inverter
-            battery = output.battery
-            grid = output.grid
-            aggregates = output.aggregates
-            line = (
-                _STEP_TEMPLATE
-                % (
-                    output.step_index,
-                    output.time_ns,
-                    pv.voltage,
-                    pv.current,
-                    pv.power,
-                    load.requested_active_power,
-                    load.requested_apparent_power,
-                    _MODE_BYTES[inverter.battery_input.mode._value_],
-                    inverter.battery_input.current,
-                    battery.soc,
-                    battery.voltage,
-                    battery.delta_energy,
-                    battery.delta_charge,
-                    inverter.grid_input.requested_active_power,
-                    inverter.grid_input.requested_apparent_power,
-                    grid.delivered_active_power,
-                    grid.delivered_apparent_power,
-                    grid.cost,
-                    inverter.pv_power_drawn,
-                    aggregates.generated_wh,
-                    aggregates.consumed_wh,
-                    aggregates.purchased_wh,
-                    aggregates.charged_wh,
-                    aggregates.discharged_wh,
-                    aggregates.cost,
-                )
+            step_index, time_ns, _, step_pv, step_load, step_inverter, step_battery, step_grid, aggregates = output
+            if step_pv is not pv:
+                pv = step_pv
+                pv_bytes = _THREE_FLOATS % pv
+            if step_load is not load:
+                load = step_load
+                load_bytes = _TWO_FLOATS % load
+            if step_inverter is not inverter:
+                inverter = step_inverter
+                step_grid_input, step_battery_input, drawn = inverter
+                drawn_bytes = b"%.17g" % drawn
+                if step_battery_input is not battery_input:
+                    battery_input = step_battery_input
+                    battery_input_bytes = b"%s,%.17g" % (_MODE_BYTES[battery_input.mode._value_], battery_input.current)
+                if step_grid_input is not grid_input:
+                    grid_input = step_grid_input
+                    grid_input_bytes = _TWO_FLOATS % grid_input
+            if step_battery is not battery:
+                battery = step_battery
+                battery_bytes = _FOUR_FLOATS % battery
+            if step_grid is not grid:
+                grid = step_grid
+                grid_bytes = _THREE_FLOATS % grid[:3]
+            line = _STEP_LINE % (
+                step_index,
+                time_ns,
+                pv_bytes,
+                load_bytes,
+                battery_input_bytes,
+                battery_bytes,
+                grid_input_bytes,
+                grid_bytes,
+                drawn_bytes,
+                *aggregates,
             )
             write_step(line)
-            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(b",")))
+            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(b",", _CHANNEL_SPLIT)))
 
         steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
 

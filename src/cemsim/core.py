@@ -316,6 +316,23 @@ class InverterStepResult(StepRecord, namedtuple("InverterStepResult", "grid_inpu
         return _tuple_new(cls, (grid_input, battery_input, drawn))
 
 
+def _holds_json(value: object) -> bool:
+    """Whether a JSON line holds ``value`` and reads it back equal: a str,
+    a bool, None, a number finite as a float, or a list or str-keyed dict
+    of those."""
+    if value is None or isinstance(value, str):
+        return True
+    if isinstance(value, (int, float)):
+        # abs() of an int too large for a float compares exactly, so it
+        # fails the bound as NaN and the infinities do
+        return abs(value) <= float_info.max
+    if isinstance(value, list):
+        return all(map(_holds_json, value))
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _holds_json(item) for key, item in value.items())
+    return False
+
+
 class ContextRecord(
     StepRecord, namedtuple("ContextRecord", "recorded_at_ns begins_at_ns ends_at_ns subsystem_id payload")
 ):
@@ -330,15 +347,20 @@ class ContextRecord(
 
     A record is valid by construction, and its rule is the one a context
     file is read by (``replay.ingest_context``), so a record written to
-    one reads back equal if JSON can hold its payload.  ``__new__``
+    one reads back equal.  ``__new__``
     checks, in order, and raises a ``ValueError`` naming the first fault:
 
     * the three times and ``subsystem_id`` are ints within int64: a
       float, a string or a bool is refused, not coerced, so a record
       replays exactly as written;
-    * ``payload`` is a mapping, and each number directly in it is finite
-      as a float: NaN, the infinities and an int beyond float range are
-      refused, as a forecaster would fail on them mid-run;
+    * ``payload`` is a mapping whose keys are strings, and every value
+      in it, nested ones included, is a string, a bool, None, a number
+      finite as a float, or a list or string-keyed dict of those: what a
+      JSON line holds and reads back equal.  NaN, the infinities and an
+      int beyond float range are refused, as a forecaster would fail on
+      them mid-run, and so are a set, a tuple and a non-string key,
+      which a file cannot hold or would read back as another type; the
+      message names the payload key;
     * ``begins_at_ns`` precedes ``ends_at_ns``, and so does
       ``recorded_at_ns``.
     """
@@ -365,10 +387,15 @@ class ContextRecord(
             raise ValueError(f"payload must be an object, got {payload!r}")
         payload = MappingProxyType(dict(payload))
         for key, value in payload.items():
-            # abs() of an int too large for a float compares exactly, so it
-            # fails the bound as NaN and the infinities do
-            if isinstance(value, (int, float)) and not abs(value) <= float_info.max:
-                raise ValueError(f"payload {key!r} must be a finite number, got {value!r}")
+            if not isinstance(key, str):
+                raise ValueError(f"payload key {key!r} must be a string")
+            if not _holds_json(value):
+                if isinstance(value, (int, float)):
+                    raise ValueError(f"payload {key!r} must be a finite number, got {value!r}")
+                raise ValueError(
+                    f"payload {key!r} must hold only strings, booleans, null, finite numbers, lists and objects"
+                    f" with string keys, got {value!r}"
+                )
         _require(
             begins_at_ns < ends_at_ns,
             f"begins_at_ns ({begins_at_ns}) must precede ends_at_ns ({ends_at_ns})",

@@ -18,6 +18,24 @@ index.  Any other exception keeps its own type and passes through
 unwrapped, so a configuration error that surfaces mid-step is still
 reported as one: it subclasses only ``Exception``.
 
+Same inputs, same record: a component whose step's inputs repeat hands
+back its previous record, the same object, instead of building an equal
+one.  The synthetic pv returns one night record, the synthetic load its
+last record while the demand holds, the linear battery one idle record
+while it idles, and a replay component its last record while the knots
+it reads repeat bitwise.  The PV-first inverter then returns its last
+result while its pv, battery and load records are the same objects and
+the step is as long, and the priced grid its last result while its grid
+input and price are the same objects and the step is as long; the sink
+that writes the artifacts formats a record once per object.  Identity is
+the key because it costs one pointer compare and cannot be fooled: a
+record is immutable, and a step is a function of its input records, its
+length and its component's parameters, so the same objects give the
+same bits.  A value compare would cost a float compare a field and take
+``-0.0`` for ``0.0``, so the replay components, which read knots rather
+than records, compare the knots' int64 bits.  A reused record passed its
+checks when it was built.
+
 Cumulative energy aggregates are kept in watt-hours with compensated
 summation, so the final totals equal the compensated sum of the per-step
 energy movements exactly.  Maxima (voltages, currents, requested grid

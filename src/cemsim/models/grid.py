@@ -76,6 +76,19 @@ class GridPriced(Grid):
 
     The limits are the ``grid`` block's ``max_`` keys, each a required
     keyword; their defaults are written once, in ``scenario.BLOCK_TABLES``.
+
+    Same inputs, same record: :meth:`step` returns the last step's
+    :class:`~cemsim.core.GridStepResult`, the same object, when its grid
+    input is the very object of the last step, the schedule's price for
+    the step's start is the same price object, and the step is as long.
+    A result is a function of those three and the limits, which the
+    constructor sets once.  The input is an immutable record the
+    inverter hands back unchanged when its own inputs repeat.  The price
+    is keyed by identity because ``price_at`` returns one of the
+    schedule's two price objects, while a value compare would take a
+    ``-0.0`` tariff, which the table's minimum lets through, for a
+    ``0.0`` one.  A reused result passed its record's checks when it was
+    built.
     """
 
     def __init__(
@@ -90,6 +103,8 @@ class GridPriced(Grid):
         self.schedule = schedule
         self.max_active_power_w = max_active_power_w
         self.max_apparent_power_va = max_apparent_power_va
+        # the last step's grid input, price object, length in ns and result
+        self._last = (None, None, None, None)
 
     def step(self, start_ns: int, end_ns: int, grid_input: GridStepInput) -> GridStepResult:
         """Deliver one step: clamp to limits, flag violations, meter cost.
@@ -97,6 +112,11 @@ class GridPriced(Grid):
         The price is sampled at the step's start.  An apparent-power clamp
         also caps active power, since |S| >= P must survive delivery.
         """
+        price = self.schedule.price_at(start_ns)
+        step_ns = end_ns - start_ns
+        last_input, last_price, last_step_ns, result = self._last
+        if grid_input is last_input and price is last_price and step_ns == last_step_ns:
+            return result
         requested_active = grid_input.requested_active_power
         requested_apparent = grid_input.requested_apparent_power
         delivered_active = requested_active
@@ -110,6 +130,7 @@ class GridPriced(Grid):
             violation = True
         if delivered_apparent < delivered_active:
             delivered_active = delivered_apparent
-        price = self.schedule.price_at(start_ns)
-        cost = grid_energy_cost(price, delivered_active, (end_ns - start_ns) / NS_PER_SECOND)
-        return GridStepResult(delivered_active, delivered_apparent, cost, violation)
+        cost = grid_energy_cost(price, delivered_active, step_ns / NS_PER_SECOND)
+        result = GridStepResult(delivered_active, delivered_apparent, cost, violation)
+        self._last = (grid_input, price, step_ns, result)
+        return result

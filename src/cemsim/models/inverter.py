@@ -73,6 +73,21 @@ class InverterPVFirst(Inverter):
         window.  battery_eta_charge and
         battery_eta_discharge describe the attached battery so the
         projection matches what the battery will actually store or drain.
+
+    Same inputs, same record: :meth:`step` returns the last step's
+    :class:`~cemsim.core.InverterStepResult`, the same object, when the
+    pv, battery and load records it is handed are the very objects of
+    the last step and the step is as long.  The key is identity, not
+    value: a component hands back its previous record when nothing
+    changed (the synthetic night pv record, the load's last record, the
+    idle battery's record), a record is immutable, and :meth:`dispatch`
+    is a function of its fields, the step length and the parameters,
+    which the constructor sets once.  So a reused result is the one
+    dispatch would return, bit for bit, and it passed its record's
+    checks when it was built; comparing values would cost a float
+    compare a field and take -0.0 for 0.0.  :meth:`dispatch` keeps
+    nothing, and ``control.MPCInverter``, which overrides :meth:`step`,
+    decides every step.
     """
 
     def __init__(
@@ -118,9 +133,19 @@ class InverterPVFirst(Inverter):
         self.battery_capacity_j = battery_capacity_j
         self.battery_eta_charge = battery_eta_charge
         self.battery_eta_discharge = battery_eta_discharge
+        # the last step's pv, battery and load records, its length in ns
+        # and its result
+        self._last = (None, None, None, None, None)
 
     def step(self, start_ns: int, end_ns: int, inverter_input: InverterStepInput) -> InverterStepResult:
-        return self.dispatch(inverter_input, (end_ns - start_ns) / NS_PER_SECOND)
+        pv, battery, load = inverter_input
+        step_ns = end_ns - start_ns
+        last_pv, last_battery, last_load, last_step_ns, result = self._last
+        if pv is last_pv and battery is last_battery and load is last_load and step_ns == last_step_ns:
+            return result
+        result = self.dispatch(inverter_input, step_ns / NS_PER_SECOND)
+        self._last = (pv, battery, load, step_ns, result)
+        return result
 
     def _charge_power_limit(self, soc: float, dt_s: float) -> float:
         """Battery-side W ceiling so projected SOC stays at or below soc_max."""

@@ -60,6 +60,12 @@ schedule while it was a list of breakpoints expanded per calendar day
 from the two-tier tariff, with a bisect per lookup, kept verbatim (the
 schedule as its dataclass), so the tariff that prices by time of day can
 be compared with it price for price.
+``STEP_TEMPLATE``, ``step_line`` and ``channel_lines`` are the run
+writer's lines while every field of a step line was formatted on every
+line by one template, kept verbatim, and a channels.csv line per
+channel formatted on its own by ``CHANNEL_ROW``, so the writer that
+formats each record once per record object and splits channel lines out
+of the step line can be compared with them byte for byte.
 The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held
@@ -78,9 +84,14 @@ its ``schedule`` field, which only tests read: the priced grid holds
 the schedule.
 ``_context_fault`` is the rule a context file's values were read by
 while it was written in ``cemsim.replay``, beside the record's own
-checks, kept verbatim; ``context_rule_fault`` adds the ``ContextRecord``
-dataclass's interval checks after it, so the record that now holds the
-whole rule can be held to the file's rule, fault and message alike.
+checks, kept verbatim.  ``context_rule_fault`` takes its int and payload
+type checks, then holds each payload item to what a context file can
+hold and read back equal (``_payload_item_fault``: a string key and a
+value JSON writes, reads back equal and whose numbers are finite as
+floats, judged by a round trip through :mod:`json`), then adds the
+``ContextRecord`` dataclass's interval checks, so the record that now
+holds the whole rule can be held to the file's rule, fault and message
+alike.
 Last come the planner's four classes, ``ChargingProblem``,
 ``ChargingPlan``, ``ForecastWindow`` and ``ControlDecision``, as they
 were while dataclasses, with the ``_plan_cost`` helper a plan's cost was
@@ -92,6 +103,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import json
 import math
 from array import array
 from collections import deque
@@ -128,6 +140,8 @@ from cemsim.forecast import (
 from cemsim.models.synthetic import hour_of_day, unit_noise
 from cemsim.replay import (
     CHANNEL_HEADER,
+    CHANNEL_ROW,
+    CHANNELS,
     DEFAULT_BOUNDARY_TOLERANCE_S,
     KNOWN_CHANNELS,
     IngestError,
@@ -574,6 +588,68 @@ def battery_linear_step(energy_j, battery_input, config, dt_s):
         new_energy / config.capacity_j, voltage, clamped_delta, clamped_delta / voltage
     )
     return new_energy, result
+
+
+#: A step's line of steps.csv while every field was formatted on every line.
+STEP_TEMPLATE = (",".join(["%d", "%d"] + ["%.17g"] * 5 + ["%s"] + ["%.17g"] * 17) + "\r\n").encode()
+_MODE_BYTES = {mode._value_: mode._value_.encode() for mode in BatteryMode}
+
+
+def step_line(output) -> bytes:
+    """The steps.csv line of one ``SimulatorStepOutput``, every field
+    formatted, as the writer made it with ``STEP_TEMPLATE``."""
+    pv = output.power_source
+    load = output.load
+    inverter = output.inverter
+    battery = output.battery
+    grid = output.grid
+    aggregates = output.aggregates
+    return STEP_TEMPLATE % (
+        output.step_index,
+        output.time_ns,
+        pv.voltage,
+        pv.current,
+        pv.power,
+        load.requested_active_power,
+        load.requested_apparent_power,
+        _MODE_BYTES[inverter.battery_input.mode._value_],
+        inverter.battery_input.current,
+        battery.soc,
+        battery.voltage,
+        battery.delta_energy,
+        battery.delta_charge,
+        inverter.grid_input.requested_active_power,
+        inverter.grid_input.requested_apparent_power,
+        grid.delivered_active_power,
+        grid.delivered_apparent_power,
+        grid.cost,
+        inverter.pv_power_drawn,
+        aggregates.generated_wh,
+        aggregates.consumed_wh,
+        aggregates.purchased_wh,
+        aggregates.charged_wh,
+        aggregates.discharged_wh,
+        aggregates.cost,
+    )
+
+
+def channel_lines(output) -> bytes:
+    """The channels.csv lines of one ``SimulatorStepOutput``, in
+    ``CHANNELS`` order, each value formatted on its own by ``CHANNEL_ROW``."""
+    values = {
+        "pv_voltage": output.power_source.voltage,
+        "pv_current": output.power_source.current,
+        "pv_power": output.power_source.power,
+        "load_active_power": output.load.requested_active_power,
+        "load_apparent_power": output.load.requested_apparent_power,
+        "battery_soc": output.battery.soc,
+        "battery_voltage": output.battery.voltage,
+        "battery_current": output.inverter.battery_input.current,
+        "grid_active_power": output.grid.delivered_active_power,
+        "grid_apparent_power": output.grid.delivered_apparent_power,
+    }
+    lines = [CHANNEL_ROW % (output.time_ns, subsystem_id, name, values[name]) for subsystem_id, name in CHANNELS]
+    return "".join(lines).encode()
 
 
 def grid_priced_step(grid_input, config, now_ns, dt_s):
@@ -1192,13 +1268,52 @@ def _context_fault(obj: dict) -> str | None:
     return None
 
 
+def _payload_item_fault(key, value) -> str | None:
+    """The fault of one payload item under a context file's rule, or None.
+
+    The key must be a string.  A number must be finite as a float; any
+    other value must be what JSON writes and reads back equal, every
+    number in it finite as a float, so a set, a tuple, a dict with a key
+    that is not a string, or a nested NaN or infinity is refused."""
+    if not isinstance(key, str):
+        return f"payload key {key!r} must be a string"
+    if isinstance(value, (int, float)):
+        if not abs(value) <= float_info.max:
+            return f"payload {key!r} must be a finite number, got {value!r}"
+        return None
+    finite = []
+
+    def read_int(text):
+        finite.append(isfinite(float(text)))
+        return int(text)
+
+    try:
+        back = json.loads(json.dumps(value, allow_nan=False), parse_int=read_int)
+    except (TypeError, ValueError):
+        back = finite = None
+    if finite is None or not all(finite) or back != value:
+        return (
+            f"payload {key!r} must hold only strings, booleans, null, finite numbers, lists and objects"
+            f" with string keys, got {value!r}"
+        )
+    return None
+
+
 def context_rule_fault(obj: dict) -> str | None:
-    """The first fault of ``obj`` under a context file's whole rule:
-    :func:`_context_fault`, then the interval checks of the
-    :class:`ContextRecord` dataclass; None if it keeps the rule."""
-    fault = _context_fault(obj)
+    """The first fault of ``obj`` under a context file's whole rule: the
+    int and payload type checks of :func:`_context_fault`, then each
+    payload item's :func:`_payload_item_fault` in order, then the
+    interval checks of the :class:`ContextRecord` dataclass; None if it
+    keeps the rule."""
+    fault = _context_fault({**obj, "payload": {}})
+    if fault is None and type(obj.get("payload", {})) is not dict:
+        fault = _context_fault(obj)
     if fault is not None:
         return fault
+    for key, value in obj.get("payload", {}).items():
+        fault = _payload_item_fault(key, value)
+        if fault is not None:
+            return fault
     try:
         ContextRecord(
             obj["recorded_at_ns"], obj["begins_at_ns"], obj["ends_at_ns"], obj["subsystem_id"], obj.get("payload", {})

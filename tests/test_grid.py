@@ -193,24 +193,43 @@ def _bits(record):
 
 _POWERS = st.one_of(st.sampled_from((0.0, 500.0)), st.floats(min_value=0.0, max_value=1e5))
 _LIMITS = st.one_of(st.none(), st.sampled_from((0.0, 500.0)), st.floats(min_value=0.0, max_value=1e5))
+#: a tariff's price, or a zero of either sign: equal as floats, but a
+#: -0.0 price meters a -0.0 cost
+_SIGNED_PRICES = st.one_of(_PRICES, st.sampled_from((0.0, -0.0)))
+#: how a step's request relates to the last step's: the same object, an
+#: equal but distinct one, or a request of newly drawn powers
+_REPEAT = st.sampled_from(("same", "equal", "changed"))
 
 
 @given(
-    prices=st.tuples(_PRICES, _PRICES),
+    prices=st.tuples(_SIGNED_PRICES, _SIGNED_PRICES),
     hours=_HOURS,
     active_limit=_LIMITS,
     apparent_limit=_LIMITS,
     steps=st.lists(
-        st.tuples(_START_S, st.integers(min_value=0, max_value=86_400 * NS), _POWERS, _POWERS),
+        st.tuples(
+            _START_S,
+            # None: as long as the step before (60 s for the first)
+            st.one_of(st.none(), st.integers(min_value=0, max_value=86_400 * NS)),
+            _REPEAT,
+            _POWERS,
+            _POWERS,
+        ),
         min_size=1,
         max_size=10,
     ),
 )
-@settings(max_examples=300)
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
 def test_grid_steps_as_the_reference_step_bit_for_bit(prices, hours, active_limit, apparent_limit, steps):
-    """Over drawn tariffs, active and apparent limits (or none), requests
-    and step lengths, every step result has the bits of the free step
-    function's."""
+    """Over drawn tariffs (zeros of either sign among the prices), active
+    and apparent limits (or none), requests and step lengths, every step
+    result has the bits of the free step function's.  A request repeats
+    as the same object, as an equal but distinct object, or changes, and a
+    step is as long as the one before or not.  The grid returns its last
+    result, the same object, exactly when the request is the last step's
+    object, the step is as long and its start's price is the same price
+    object as the last step's."""
     grid = default_grid(
         off_peak_price=prices[0],
         peak_price=prices[1],
@@ -219,9 +238,24 @@ def test_grid_steps_as_the_reference_step_bit_for_bit(prices, hours, active_limi
         max_active_power_w=active_limit,
         max_apparent_power_va=apparent_limit,
     )
-    for start_s, length, active, apparent in steps:
-        request = GridStepInput(active, apparent)
+    last = None
+    for start_s, length, repeat, active, apparent in steps:
+        if last is None:
+            request, length = GridStepInput(active, apparent), 60 * NS if length is None else length
+        else:
+            last_start, last_length, last_request, last_result = last
+            request = {
+                "same": last_request,
+                "equal": GridStepInput(*last_request),
+                "changed": GridStepInput(active, apparent),
+            }[repeat]
+            length = last_length if length is None else length
         start = start_s * NS
         result = grid.step(start, start + length, request)
         expected = grid_priced_step(request, grid, start, length / NS)
         assert _bits(result) == _bits(expected)
+        if last is not None:
+            same_price = grid.schedule.price_at(start) is grid.schedule.price_at(last_start)
+            reused = request is last_request and length == last_length and same_price
+            assert (result is last_result) == reused
+        last = (start, length, request, result)

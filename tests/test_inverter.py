@@ -1,6 +1,7 @@
 """Inverter dispatch: allocation order, caps, SOC window, balance, with
 and without a planned grid purchase."""
 import math
+import operator
 import re
 
 import pytest
@@ -14,8 +15,11 @@ from cemsim import (
     InverterStepInput,
     LoadStepResult,
     PowerSourceStepResult,
+    scenario_from_dict,
 )
 from cemsim.core import NS_PER_SECOND as NS
+from cemsim.engine import run
+from cemsim.scenario import build_bundle
 from defaults import defaults
 
 #: A 10 kWh battery: roomy enough that no example's step fills or drains
@@ -169,12 +173,74 @@ def test_the_battery_capacity_is_required():
         InverterPVFirst(**without, battery_capacity_j=None)
 
 
-def test_stateful_wrapper_matches_pure_function():
-    """step dispatches over its interval as dispatch does, leaving no state."""
+#: how a step's input record relates to the last step's: the same
+#: object, an equal but distinct one, or a record of newly drawn values
+_REPEAT = st.sampled_from(("same", "equal", "changed"))
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            # all three the same objects as often as any other mix
+            st.one_of(st.just(("same",) * 3), st.tuples(_REPEAT, _REPEAT, _REPEAT)),
+            st.one_of(st.sampled_from((60, 3600)), st.integers(1, 7200)),
+            st.floats(min_value=0.0, max_value=2000.0),
+            st.floats(min_value=0.0, max_value=2000.0),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
+def test_stateful_wrapper_matches_pure_function(steps):
+    """step dispatches over its interval as dispatch does, bit for bit,
+    over runs of steps whose pv, battery and load records each repeat as
+    the same object, repeat as an equal but distinct object, or change,
+    and whose length holds or changes.  It returns its last result, the
+    same object, exactly when all three records are the last step's
+    objects and the step is as long; dispatch keeps no state."""
     inverter = InverterPVFirst(**LOSSLESS)
-    inverter_input = _inverter_input(pv_w=500.0, load_w=300.0, soc=0.5)
-    assert inverter.step(0, 3600 * NS, inverter_input) == _step(inverter_input)
-    assert inverter.step(0, 3600 * NS, inverter_input) == inverter.dispatch(inverter_input, 3600.0)
+    records = last = None
+    start_ns = 0
+    for repeats, step_s, pv_w, load_w, soc in steps:
+        drawn = _inverter_input(pv_w, load_w, soc)
+        if records is None:
+            chosen = tuple(drawn)
+        else:
+            chosen = tuple(
+                old if repeat == "same" else type(old)(*old) if repeat == "equal" else new
+                for repeat, old, new in zip(repeats, records, drawn)
+            )
+        inverter_input = InverterStepInput(*chosen)
+        result = inverter.step(start_ns, start_ns + step_s * NS, inverter_input)
+        expected = _step(inverter_input, dt_s=float(step_s))
+        assert repr(result) == repr(expected)
+        assert inverter.dispatch(inverter_input, float(step_s)) == expected
+        reused = last is not None and step_s == last[0] and all(map(operator.is_, chosen, records))
+        assert (last is not None and result is last[1]) == reused
+        records, last = chosen, (step_s, result)
+        start_ns += step_s * NS
+
+
+def test_a_pv_first_run_dispatches_only_when_its_inputs_change(monkeypatch):
+    """The 2 d @ 60 s PV-first run of the golden tests (seed 7) dispatches
+    1,581 of its 2,880 steps: at night, while the load holds and the
+    battery idles, its inputs are the same records as the step before,
+    and the inverter hands back its last result."""
+    calls = []
+    dispatch = InverterPVFirst.dispatch
+
+    def counted(self, *args):
+        calls.append(args)
+        return dispatch(self, *args)
+
+    monkeypatch.setattr(InverterPVFirst, "dispatch", counted)
+    document = {"seed": 7, "start_epoch_seconds": 1_704_067_200, "horizon_seconds": 2 * 86_400, "step_seconds": 60}
+    bundle = build_bundle(scenario_from_dict(document, None))
+    steps = run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, lambda output: None)
+    assert (steps, len(calls)) == (2_880, 1_581)
 
 
 # planned: None is PV-first dispatch, a float a planned grid purchase (W)

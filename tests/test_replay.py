@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 from array import array
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -30,19 +31,22 @@ from cemsim import (
     ingest_timeseries,
     interpolate,
 )
-from cemsim import InverterPVFirst, Simulator, replay
+from cemsim import InverterPVFirst, Simulator, cli, replay
 from cemsim.core import ContextRecord, SimulationError
 from cemsim.engine import ComponentStepError, run
 from cemsim.replay import CHANNEL_HEADER, CHANNELS
+from cemsim.scenario import Scenario, SimulationBundle
 
 from oracles import (
     ReplayBatteryReference,
     ReplayGridReference,
     ReplayLoadReference,
     ReplayPowerSourceReference,
+    channel_lines,
     context_rule_fault,
     ingest_timeseries_reference,
     interpolate_reference,
+    step_line,
 )
 from defaults import default_announcements, default_jobs, defaults
 from recordings import write_recording
@@ -928,35 +932,56 @@ _SMALL_INTS = {
     "ends_at_ns": st.integers(0, 3),
     "subsystem_id": st.integers(-2, 2),
 }
-#: A payload value the rule accepts, nested values unchecked.
+_NOT_FINITE = (math.nan, math.inf, -math.inf, 2**1024, -(10**400))
+#: A payload value the rule mostly accepts; a list of floats may hold an
+#: infinity, which it refuses.
 _FINE_VALUE = st.one_of(
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(),
-    st.sampled_from((10**308, -(10**308), 1e308)),
+    st.sampled_from((10**308, -(10**308), 1e308, -0.0)),
     st.text(max_size=3),
     st.none(),
     st.lists(st.floats(allow_nan=False), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.one_of(st.integers(), st.text(max_size=2), st.none()), max_size=2),
 )
-#: A payload off the usual: an object holding NaN, an infinity or an int
-#: beyond float range, or, as a JSON line can hold it, a list, null or int.
+#: A payload value a JSON line cannot hold or reads back as another one: a
+#: number that is not finite as a float, at the top or nested, a set, a
+#: tuple, bytes, or a nested object with a key that is not a string.
+_ODD_VALUE = st.one_of(
+    st.sampled_from(_NOT_FINITE),
+    st.lists(st.sampled_from(_NOT_FINITE), min_size=1, max_size=2),
+    st.builds(lambda value: {"m": [1, value]}, st.sampled_from(_NOT_FINITE)),
+    st.sets(st.integers(0, 3), max_size=2),
+    st.tuples(st.integers(0, 3)),
+    st.just(b"x"),
+    st.dictionaries(st.one_of(st.integers(0, 3), st.booleans(), st.none()), st.integers(0, 3), min_size=1, max_size=1),
+    st.lists(st.sets(st.integers(0, 3), max_size=1), min_size=1, max_size=1),
+)
+#: A payload key that is not a string: JSON writes some of them as one.
+_ODD_KEY = st.one_of(st.integers(-2, 2), st.booleans(), st.none(), st.floats(-2.0, 2.0), st.tuples(st.integers(0, 1)))
+_FINE_PAYLOAD = st.dictionaries(st.text(max_size=3), _FINE_VALUE, max_size=2)
+#: A payload off the usual: an object holding an odd value or keyed by an
+#: odd key, or, as a JSON line can hold it, a list, null or int.
 _ODD_PAYLOAD = st.one_of(
-    st.builds(
-        lambda fine, key, value: {**fine, key: value},
-        st.dictionaries(st.text(max_size=3), _FINE_VALUE, max_size=2),
-        st.text(max_size=3),
-        st.sampled_from((math.nan, math.inf, -math.inf, 2**1024, -(10**400))),
-    ),
+    st.builds(lambda fine, key, value: {**fine, key: value}, _FINE_PAYLOAD, st.text(max_size=3), _ODD_VALUE),
+    st.builds(lambda fine, key, value: {**fine, key: value}, _FINE_PAYLOAD, _ODD_KEY, _FINE_VALUE),
     st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2),
     st.none(),
     st.integers(),
 )
 
 
-def _typed(payload):
-    """The payload's items in key order with each value's repr, which tells
-    1 from 1.0 and True, and -0.0 from 0.0."""
-    return [(key, repr(value)) for key, value in sorted(payload.items())]
+def _typed(value):
+    """``value`` with each item of every mapping in key order (emit_context
+    sorts the keys of nested objects too), each list item in place and
+    every other value as its repr, which tells 1 from 1.0 and True, and
+    -0.0 from 0.0."""
+    if isinstance(value, Mapping):
+        return [(key, _typed(item)) for key, item in sorted(value.items())]
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return repr(value)
 
 
 @given(data=st.data())
@@ -965,31 +990,52 @@ def _typed(payload):
 def test_a_context_record_keeps_the_rule_its_file_is_read_by(tmp_path_factory, data):
     """ContextRecord accepts exactly the five-field objects a context
     file's rule accepts (``oracles.context_rule_fault``: the values rule
-    ingest used to check on its own, then the intervals).  An accepted
-    record is written by emit_context and read back by ingest_context
-    equal, each payload value of its type; so is the object written as a
-    line by hand.  A refused one raises the rule's message, which ingest
-    gives the line after its file and line number.  An object holds small
-    ints but for the few drawn odd, and a payload that may be odd."""
+    ingest used to check on its own, each payload item's key and value as
+    a file can hold them, then the intervals).  An accepted record is
+    written by emit_context and read back by ingest_context equal, each
+    payload value of its type; so is the object written as a line by
+    hand.  A refused one raises the rule's message.  Written by hand, an
+    object JSON can write is read as the rule judges what the line holds:
+    refused with that message after the file and line number, or read
+    back as the record of what it holds (an int key is a string there).
+    An object holds small ints but for the few drawn odd, and a payload
+    that may be odd: a value that is not finite, nested or not, a set, a
+    tuple, bytes, or a key that is not a string."""
     odd = data.draw(st.sets(st.sampled_from(tuple(_SMALL_INTS)), max_size=2), label="odd ints")
     obj = {name: data.draw(_ODD_INT if name in odd else small, label=name) for name, small in _SMALL_INTS.items()}
     fine_payload = st.dictionaries(st.text(max_size=3), _FINE_VALUE, max_size=3)
     obj["payload"] = data.draw(_ODD_PAYLOAD if data.draw(st.booleans(), label="odd payload") else fine_payload)
     directory = tmp_path_factory.mktemp("rule")
-    by_hand = directory / "by-hand.jsonl"
-    by_hand.write_text(json.dumps(obj) + "\n")
     fault = context_rule_fault(obj)
     if fault is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
             ContextRecord(**obj)
-        with pytest.raises(IngestError, match=f"^{re.escape(f'{by_hand}:1: {fault}')}$"):
+    else:
+        record = ContextRecord(**obj)
+        emitted = directory / "emitted.jsonl"
+        emit_context(emitted, [record])
+        (back,) = ingest_context(emitted)
+        assert back == record
+        assert _typed(back.payload) == _typed(record.payload)
+    try:
+        line = json.dumps(obj)
+    except (TypeError, ValueError):
+        # a set, bytes, a tuple key or an int past the digit limit: no line
+        # holds the object
+        assert fault is not None
+        return
+    by_hand = directory / "by-hand.jsonl"
+    by_hand.write_text(line + "\n")
+    held = json.loads(line)
+    held_fault = context_rule_fault(held)
+    if held_fault is not None:
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{by_hand}:1: {held_fault}')}$"):
             ingest_context(by_hand)
         return
-    record = ContextRecord(**obj)
-    emitted = directory / "emitted.jsonl"
-    emit_context(emitted, [record])
-    for path in (emitted, by_hand):
-        (back,) = ingest_context(path)
+    (back,) = ingest_context(by_hand)
+    assert back == ContextRecord(**held)
+    assert _typed(back.payload) == _typed(held["payload"])
+    if fault is None:
         assert back == record
         assert _typed(back.payload) == _typed(record.payload)
 
@@ -1069,25 +1115,40 @@ def test_context_ingest_accepts_only_int64_integers(tmp_path, key, value):
         ('{"cores": Infinity}', "payload 'cores' must be a finite number"),
         ('{"cores": -Infinity}', "payload 'cores' must be a finite number"),
         ('{"cores": 2' + "0" * 400 + "}", "payload 'cores' must be a finite number"),
+        ('{"n": [NaN]}', r"payload 'n' must hold only strings, booleans, null, finite numbers, .* got \[nan\]"),
+        ('{"n": {"m": -Infinity}}', r"payload 'n' must hold only strings, .* got \{'m': -inf\}"),
         # past the int digit limit (CPython 3.10.7+) json.loads itself fails
         ('{"cores": 2' + "0" * 5000 + "}", "(invalid JSON: Exceeds the limit|payload 'cores' must be a finite)"),
     ],
-    ids=["pairs", "string", "null", "nan", "infinity", "-infinity", "int-beyond-float", "int-beyond-digit-limit"],
+    ids=[
+        "pairs",
+        "string",
+        "null",
+        "nan",
+        "infinity",
+        "-infinity",
+        "int-beyond-float",
+        "int-beyond-digit-limit",
+        "nested-nan",
+        "nested-infinity",
+    ],
 )
 def test_context_ingest_rejects_a_payload_a_forecast_cannot_read(tmp_path, payload, message):
     """A payload that is not an object, or holds a number that is not finite
-    as a float, is rejected with its line instead of being rewritten as an
-    object or failing a forecast mid-run."""
+    as a float, at its top or nested, is rejected with its line instead of
+    being rewritten as an object or failing a forecast mid-run."""
     fields = '"recorded_at_ns": 0, "begins_at_ns": 1, "ends_at_ns": 2, "subsystem_id": 1'
     path = tmp_path / "ctx.jsonl"
     path.write_text("{" + fields + "}\n{" + fields + ', "payload": ' + payload + "}\n")
     with pytest.raises(IngestError, match=rf"ctx\.jsonl:2: {message}"):
         ingest_context(path)
     # finite numbers of any size a float holds, bools, strings and nested
-    # values pass as written
-    path.write_text("{" + fields + ', "payload": {"cores": 1' + "0" * 300 + ', "f": 1e308, "ok": true, "n": [NaN]}}\n')
+    # lists and objects of those pass as written
+    nested = '"n": [1.5, null, {"m": "x"}]'
+    path.write_text("{" + fields + ', "payload": {"cores": 1' + "0" * 300 + ', "f": 1e308, "ok": true, ' + nested + "}}\n")
     (record,) = ingest_context(path)
     assert record.payload["cores"] == 10**300 and record.payload["ok"] is True
+    assert record.payload["n"] == [1.5, None, {"m": "x"}]
 
 
 def test_context_ingest_skips_blank_lines(tmp_path):
@@ -1242,7 +1303,14 @@ def _replay_case(draw):
 
     The knots are evenly spaced, or have one knot dropped or one extra
     knot between two; a few channels may lack one row, and so keep an
-    axis of their own.  The grid's step is 1, 2 or 3 knot spacings, half
+    axis of their own.  Some knots repeat the knot before them in every
+    channel, and some values the value before them in their channel
+    alone, so runs of equal knots build on the components' reuse of
+    their last record, and a run in some of a component's channels
+    does not; any other value may be 0.0 or -0.0 instead of a
+    drawn one (the battery voltage excepted, which must stay above 0),
+    so a zero's neighbour may be the other zero, equal as a float but
+    not bitwise.  The grid's step is 1, 2 or 3 knot spacings, half
     of one or one and a half; it starts on a knot, half a spacing off
     one, or before the first knot by up to the edge tolerance or a
     nanosecond more, and ends before, on or past the last knot, within
@@ -1260,15 +1328,24 @@ def _replay_case(draw):
     elif layout == "extra":
         times.insert(where, times[where - 1] + knot_ns // 3)
     lacking = draw(st.sets(st.sampled_from([name for _, name in CHANNELS]), max_size=3))
+    repeated = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
     axes = []
     channels = []
     for subsystem_id, name in sorted(CHANNELS):
+        value = _CHANNEL_VALUES.get(name, _POWER)
+        if name != "battery_voltage":
+            value = st.one_of(value, value, st.sampled_from((0.0, -0.0)))
+        values = []
+        for repeat in repeated:
+            # a knot repeats in every channel, or in this one alone
+            repeat = repeat or draw(st.integers(0, 3)) == 0
+            values.append(values[-1] if repeat and values else draw(value))
         own = list(times)
         if name in lacking:
-            del own[draw(st.integers(0, len(own) - 1))]
+            missing = draw(st.integers(0, len(own) - 1))
+            del own[missing], values[missing]
             if not own:
-                own = times[:1]
-        values = draw(st.lists(_CHANNEL_VALUES.get(name, _POWER), min_size=len(own), max_size=len(own)))
+                own, values = times[:1], [draw(value)]
         channels.append(Channel(subsystem_id, name, array("q", own), values, axes=axes))
     table = TimeSeriesTable(channels)
 
@@ -1284,28 +1361,34 @@ def _replay_case(draw):
     return table, tolerance_s, start_ns, max(end_ns - start_ns, 1), step_ns
 
 
-def _replayed(table, tolerance_s, start_ns, horizon_ns, step_ns, reference):
-    """The step records of an all-replay run of ``table`` and how it
-    failed: (type, message, step index, cause type), or None."""
+def _replay_simulator(table, tolerance_s, start_ns, reference):
+    """An all-replay simulator of ``table`` from ``start_ns``, of the
+    ``oracles`` components if ``reference``, with a PV-first inverter."""
     kinds = (
         (ReplayPowerSourceReference, ReplayLoadReference, ReplayBatteryReference, ReplayGridReference)
         if reference
         else (ReplayPowerSource, ReplayLoad, ReplayBattery, ReplayGrid)
     )
     pv, load, battery, grid = kinds
+    return Simulator(
+        start_ns,
+        power_source=pv(table, 1, tolerance_s),
+        load=load(table, 2, tolerance_s),
+        battery=battery(table, 3, tolerance_s, _CAPACITY_J),
+        # a recorded battery names no efficiencies, so the projection takes 1
+        inverter=InverterPVFirst(
+            **defaults("inverter", battery_capacity_j=_CAPACITY_J, battery_eta_charge=1.0, battery_eta_discharge=1.0)
+        ),
+        grid=grid(table, 4, tolerance_s),
+    )
+
+
+def _replayed(table, tolerance_s, start_ns, horizon_ns, step_ns, reference):
+    """The step records of an all-replay run of ``table`` and how it
+    failed: (type, message, step index, cause type), or None."""
     outputs = []
     try:
-        simulator = Simulator(
-            start_ns,
-            power_source=pv(table, 1, tolerance_s),
-            load=load(table, 2, tolerance_s),
-            battery=battery(table, 3, tolerance_s, _CAPACITY_J),
-            # a recorded battery names no efficiencies, so the projection takes 1
-            inverter=InverterPVFirst(
-                **defaults("inverter", battery_capacity_j=_CAPACITY_J, battery_eta_charge=1.0, battery_eta_discharge=1.0)
-            ),
-            grid=grid(table, 4, tolerance_s),
-        )
+        simulator = _replay_simulator(table, tolerance_s, start_ns, reference)
         run(simulator, horizon_ns, step_ns, outputs.append)
     except ComponentStepError as exc:
         return outputs, (type(exc), str(exc), exc.step_index, type(exc.__cause__))
@@ -1323,7 +1406,8 @@ def _float_hexes(record):
     return []
 
 
-@settings(max_examples=300)
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
 @given(case=_replay_case())
 def test_replay_components_match_the_per_channel_lookups(case):
     """Replaying, which locates each step's end once per time axis, gives
@@ -1337,34 +1421,56 @@ def test_replay_components_match_the_per_channel_lookups(case):
     assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
 
 
-def test_negative_and_negative_zero_values_replay_as_the_per_channel_lookups():
+def test_negative_and_negative_zero_values_replay_as_the_per_channel_lookups(tmp_path):
     """Recorded values below zero, -0.0 and SOCs past either bound meet
     every clamp of the replay components: on knots and between them, the
     replay components' step records and ``power_at`` equal those of the
-    components in ``oracles`` bit for bit, the sign of every zero too."""
+    components in ``oracles`` bit for bit, the sign of every zero too.
+    Each knot's values hold for one knot, then for runs of three, where
+    the components, the inverter and the writer reuse records, and then
+    every value but the battery voltage is a zero whose sign flips every
+    two knots, all channels at once: a -0.0 next to a 0.0 must never be
+    taken for it.  Written through
+    ``run_to_directory``, every steps.csv and channels.csv line equals
+    the one the reference writer in ``oracles`` formats, field by field,
+    from the reference components' step records."""
     powers = [-3.5, -0.0, 0.0, 2.25, -0.0, -1e-300, 0.0, 5.0]
     socs = [-0.25, -0.0, 0.0, 0.5, 1.0, 1.25, -0.0, 0.75]
     count = 16
-    axes = []
-    channels = []
-    for shift, (subsystem_id, name) in enumerate(sorted(CHANNELS)):
-        if name == "battery_voltage":
-            values = [48.0 + i % 3 for i in range(count)]
-        else:
-            pattern = socs if name == "battery_soc" else powers
-            values = [pattern[(i + shift) % len(pattern)] for i in range(count)]
-        channels.append(Channel(subsystem_id, name, array("q", [i * 60 * NS for i in range(count)]), values, axes=axes))
-    table = TimeSeriesTable(channels)
-    for step_ns in (60 * NS, 30 * NS, 90 * NS):
-        case = (table, 60.0, 0, (count - 1) * 60 * NS, step_ns)
-        want, want_failure = _replayed(*case, reference=True)
-        got, got_failure = _replayed(*case, reference=False)
-        assert want_failure is None and got_failure is None
-        assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
-    times = [i * 30 * NS for i in range(2 * count - 1)]
-    for kind, reference, subsystem_id in ((ReplayPowerSource, ReplayPowerSourceReference, 1), (ReplayLoad, ReplayLoadReference, 2)):
-        component, oracle = kind(table, subsystem_id, 60.0), reference(table, subsystem_id, 60.0)
-        assert [component.power_at(t).hex() for t in times] == [oracle.power_at(t).hex() for t in times]
+    horizon_ns = (count - 1) * 60 * NS
+    for run_length, powers, socs in ((1, powers, socs), (3, powers, socs), (2, [0.0, -0.0], [0.0, -0.0])):
+        axes = []
+        channels = []
+        for shift, (subsystem_id, name) in enumerate(sorted(CHANNELS)):
+            if name == "battery_voltage":
+                values = [48.0 + i // run_length % 3 for i in range(count)]
+            else:
+                pattern = socs if name == "battery_soc" else powers
+                values = [pattern[(i // run_length + shift) % len(pattern)] for i in range(count)]
+            times = array("q", [i * 60 * NS for i in range(count)])
+            channels.append(Channel(subsystem_id, name, times, values, axes=axes))
+        table = TimeSeriesTable(channels)
+        for step_ns in (60 * NS, 30 * NS, 90 * NS):
+            case = (table, 60.0, 0, horizon_ns, step_ns)
+            want, want_failure = _replayed(*case, reference=True)
+            got, got_failure = _replayed(*case, reference=False)
+            assert want_failure is None and got_failure is None
+            assert [_float_hexes(output) for output in got] == [_float_hexes(output) for output in want]
+            scenario = Scenario(0, 0, horizon_ns // NS, step_ns // NS, {}, {}, {}, {}, {}, {}, {}, tmp_path)
+            bundle = SimulationBundle(scenario, "default", _replay_simulator(table, 60.0, 0, reference=False), (), None)
+            out = tmp_path / f"runs-of-{run_length}-at-{step_ns // NS}-s"
+            cli.run_to_directory(bundle, out)
+            steps = (out / "steps.csv").read_bytes().splitlines(keepends=True)
+            assert steps[1:] == [step_line(output) for output in want]
+            channel_block = (out / "channels.csv").read_bytes().split(b"\r\n", 1)[1]
+            assert channel_block == b"".join(channel_lines(output) for output in want)
+        times = [i * 30 * NS for i in range(2 * count - 1)]
+        for kind, reference, subsystem_id in (
+            (ReplayPowerSource, ReplayPowerSourceReference, 1),
+            (ReplayLoad, ReplayLoadReference, 2),
+        ):
+            component, oracle = kind(table, subsystem_id, 60.0), reference(table, subsystem_id, 60.0)
+            assert [component.power_at(t).hex() for t in times] == [oracle.power_at(t).hex() for t in times]
 
 
 def _counting_searches(monkeypatch):
