@@ -139,26 +139,42 @@ def _failed(exc: Exception, where: str = "") -> int:
 
 # A step's line of steps.csv, byte for byte as csv.writer writes it:
 # "%.17g" is format(v, ".17g"), no field needs quoting, and lines end "\r\n".
-# A record's fields are formatted once per record object, not once per
-# line.  A component hands back the same record object while its inputs
-# repeat (see cemsim.engine), so the sink keeps the bytes of the last pv,
-# load, battery and grid record it saw, and of the inverter result's
-# battery input, grid input and drawn power, and formats a record only
-# when it is another object than last step's.  A line then costs at most
-# seven identity tests; _STEP_LINE joins the kept bytes with the step
-# index, time and the six running aggregates, which change every step.
-# Keying on values does not pay: over the 10,080 lines of a PV-first week
-# @ 60 s (best of 31, CPython 3.11, 2-vCPU VM) a line formatted as str
-# whole took 5.7-5.8 µs, 6.8-7.1 µs with a last-value memo per field (22
-# float compares, a zero formatted again for its sign) and 8.0-8.5 µs with
-# a dict of texts by value, which grew to 55,000 entries.  The templates
-# are bytes, encoded once here, and the artifacts are opened "wb": bytes
-# %-formatting prints the same digits, and no line goes through a
-# TextIOWrapper's encoding and pending-chunk list on its way to the file.
+# The sink keeps the bytes of every field of the line and formats a field
+# again only when what it was formatted from is another object than last
+# step's.  A component hands back the same record object while its inputs
+# repeat (see cemsim.engine), so the pv, load, battery and grid records and
+# the inverter result's battery input, grid input and drawn power are
+# keyed on their record objects; the six running totals are keyed on their
+# float objects, which the books hand back unchanged for a zero movement.
+# A line then costs at most thirteen identity tests, two ints formatted
+# and two joins, the second for its channels.csv lines (below).  Equal
+# non-zero binary64 values have identical bits, so when a record is
+# formatted, a field that equals a field the step already holds and is
+# not zero takes that field's bytes: the grid request's apparent power its
+# active power's, the delivered active power the requested one's, the
+# delivered apparent power the delivered active one's, and the drawn power
+# the pv power's.  A zero is formatted afresh, as 0.0 equals -0.0.  On a
+# PV-first week (seed 7) each pair is equal on every step; a 17-digit
+# "%.17g" costs 0.37 µs, a zero 0.11 µs and the join of a line's 25 fields
+# 0.35 µs (timeit, CPython 3.11, 2-vCPU VM), and the writer alone takes
+# 5.6-5.7 µs a line over the week's captured outputs (best of 21), 7.1
+# keying records alone.  Only those four pairs are
+# compared: keying on values in general does not pay.  Over the same
+# 10,080 lines (best of 31) a line formatted as str whole took 5.7-5.8 µs,
+# 6.8-7.1 µs with a last-value memo per field (22 float compares, a zero
+# formatted again for its sign) and 8.0-8.5 µs with a dict of texts by
+# value, which grew to 55,000 entries.  The templates are bytes, encoded
+# once here, and the artifacts are opened "wb": bytes %-formatting prints
+# the same digits, and no line goes through a TextIOWrapper's encoding and
+# pending-chunk list on its way to the file.
 _TWO_FLOATS = b"%.17g,%.17g"
 _THREE_FLOATS = b"%.17g,%.17g,%.17g"
 _FOUR_FLOATS = b"%.17g,%.17g,%.17g,%.17g"
-_STEP_LINE = b"%d,%d," + b"%s," * 7 + _THREE_FLOATS + b"," + _THREE_FLOATS + b"\r\n"
+
+# Lines reach the two files in blocks of this many steps, one write a
+# file a block, instead of two writes a line: a block of a PV-first week
+# holds about 66 kB of steps.csv and 120 kB of channels.csv.
+_BLOCK_LINES = 256
 
 # The battery mode's bytes on a step line, keyed by the mode's ``_value_``:
 # a plain attribute read, where Enum's ``.value`` is a Python-level
@@ -173,24 +189,19 @@ _STEP_FIELD_OF_CHANNEL = {
     "grid_apparent_power": "grid_delivered_apparent_power",
 }
 
-# CHANNEL_ROW once per recorded channel, its subsystem_id and name filled
-# in, its time and value left as "%s" for bytes already formatted.
-# _channel_fields picks each line's (time_ns, value) out of the split step
-# line, in CHANNELS order.  The step line formats time_ns with "%d" and
-# every value with "%.17g", as CHANNEL_ROW does, so the reused bytes are
-# byte for byte what formatting the numbers again would print.
-_CHANNEL_TEMPLATE = "".join(
-    CHANNEL_ROW.replace("%d,%s", f"{subsystem_id},{name}").replace("%d", "%s").replace("%.17g", "%s")
+# A step's channels.csv lines are its time's bytes joined over ten pieces,
+# CHANNEL_ROW less its leading time, once per recorded channel in CHANNELS
+# order, its subsystem_id and name filled in and its value the step
+# line's bytes.  The pieces change only when a pv, load, battery,
+# battery-input or grid record does; they are then cut out of one
+# %-template, "|" (which no number's bytes hold) parting them, and a
+# leading "|" makes the first piece b"", so the join starts with the time.
+# _channel_values picks the ten values out of the step line's fields.
+_CHANNEL_PIECES = "".join(
+    "|" + CHANNEL_ROW.removeprefix("%d").replace("%d,%s", f"{subsystem_id},{name}").replace("%.17g", "%s")
     for subsystem_id, name in CHANNELS
 ).encode()
-_CHANNEL_POSITIONS = tuple(
-    position
-    for _, name in CHANNELS
-    for position in (STEP_HEADER.index("time_ns"), STEP_HEADER.index(_STEP_FIELD_OF_CHANNEL.get(name, name)))
-)
-_channel_fields = itemgetter(*_CHANNEL_POSITIONS)
-# A step line is split only as far as its last field a channel repeats.
-_CHANNEL_SPLIT = max(_CHANNEL_POSITIONS) + 1
+_channel_values = itemgetter(*(STEP_HEADER.index(_STEP_FIELD_OF_CHANNEL.get(name, name)) for _, name in CHANNELS))
 
 
 def _summary_payload(scenario: Scenario, bundle: SimulationBundle, last: SimulatorStepOutput, steps: int) -> dict:
@@ -221,19 +232,22 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     scenario's context records) and summary.json; returns the summary.
 
     Both CSVs are written as the steps happen, so memory stays flat over
-    the horizon.  They are opened in binary mode and written as bytes:
-    steps.csv holds one line per step, joined by one bytes
-    ``%``-template from the step's index, time and aggregates and the
-    bytes of its records' fields, each record formatted once however many
-    steps hand back the same record object.  channels.csv holds each
-    step's lines in ``replay.CHANNELS`` order, so its rows are sorted by
-    time and ingest without a sort.  Every value on them (the time and ten
-    of the step's floats) is already on the step line, so the channel
-    lines reuse the step line's formatted fields, split out by position
-    from its first 17, instead of formatting each number a second time.
-    context.jsonl is written as bytes too, by
-    :func:`~cemsim.replay.emit_context`, so all three have the same bytes
-    on every platform.
+    the horizon.  They are opened in binary mode and written as bytes, in
+    blocks of ``_BLOCK_LINES`` steps; a run that fails writes the steps
+    before the failing one all the same.  steps.csv holds one line per
+    step, the join of the bytes of its fields: each record's fields are
+    formatted once however many steps hand back the same record object,
+    each running aggregate once however many steps hand back the same
+    total object, and a field equal to a non-zero field the step already
+    holds (the grid request's apparent power, the delivered grid powers,
+    the drawn pv power) takes its bytes.  channels.csv holds each step's
+    lines in ``replay.CHANNELS`` order, so its rows are sorted by time and
+    ingest without a sort.  Every value on them (the time and ten of the
+    step's floats) is on the step line, so they are the time's bytes
+    joined over ten pieces holding the step line's value bytes, cut anew
+    only when a record they show changes.  context.jsonl is written as
+    bytes too, by :func:`~cemsim.replay.emit_context`, so all three have
+    the same bytes on every platform.
     """
     scenario = bundle.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,56 +256,89 @@ def run_to_directory(bundle: SimulationBundle, out_dir: Path) -> dict:
     with open(out_dir / "steps.csv", "wb") as steps_handle, open(out_dir / "channels.csv", "wb") as channels_handle:
         steps_handle.write((",".join(STEP_HEADER) + "\r\n").encode())
         channels_handle.write((",".join(CHANNEL_HEADER) + "\r\n").encode())
-        write_step = steps_handle.write
-        write_channels = channels_handle.write
+        block_lines = _BLOCK_LINES
+        step_lines: list[bytes] = []
+        channel_blocks: list[bytes] = []
 
-        # the record each kept field's bytes were formatted from
-        pv = load = battery = grid = inverter = battery_input = grid_input = None
-        pv_bytes = load_bytes = battery_bytes = grid_bytes = drawn_bytes = battery_input_bytes = grid_input_bytes = b""
+        def write_pending() -> None:
+            steps_handle.write(b"".join(step_lines))
+            channels_handle.write(b"".join(channel_blocks))
+            step_lines.clear()
+            channel_blocks.clear()
+
+        # the bytes of each field of a step line, in STEP_HEADER order (0 the
+        # index, 1 the time, 2-4 pv, 5-6 load, 7-8 battery input, 9-12
+        # battery, 13-14 grid input, 15-17 grid, 18 drawn power, 19-24 the
+        # totals, the last ending the line), and what they were formatted from
+        fields = [b""] * len(STEP_HEADER)
+        pv = load = battery = grid = inverter = battery_input = grid_input = pieces = None
+        totals = (None,) * 6
 
         def sink(output: SimulatorStepOutput) -> None:
-            nonlocal last_output, pv, load, battery, grid, inverter, battery_input, grid_input
-            nonlocal pv_bytes, load_bytes, battery_bytes, grid_bytes, drawn_bytes, battery_input_bytes, grid_input_bytes
+            nonlocal last_output, pv, load, battery, grid, inverter, battery_input, grid_input, pieces, totals
             last_output = output
             step_index, time_ns, _, step_pv, step_load, step_inverter, step_battery, step_grid, aggregates = output
+            fields[0] = b"%d" % step_index
+            fields[1] = time = b"%d" % time_ns
+            stale = False
             if step_pv is not pv:
                 pv = step_pv
-                pv_bytes = _THREE_FLOATS % pv
+                fields[2:5] = (_THREE_FLOATS % pv).split(b",")
+                stale = True
             if step_load is not load:
                 load = step_load
-                load_bytes = _TWO_FLOATS % load
+                fields[5:7] = (_TWO_FLOATS % load).split(b",")
+                stale = True
             if step_inverter is not inverter:
                 inverter = step_inverter
                 step_grid_input, step_battery_input, drawn = inverter
-                drawn_bytes = b"%.17g" % drawn
                 if step_battery_input is not battery_input:
                     battery_input = step_battery_input
-                    battery_input_bytes = b"%s,%.17g" % (_MODE_BYTES[battery_input.mode._value_], battery_input.current)
+                    fields[7] = _MODE_BYTES[battery_input.mode._value_]
+                    fields[8] = b"%.17g" % battery_input.current
+                    stale = True
                 if step_grid_input is not grid_input:
                     grid_input = step_grid_input
-                    grid_input_bytes = _TWO_FLOATS % grid_input
+                    active, apparent = grid_input
+                    fields[13] = b"%.17g" % active
+                    fields[14] = fields[13] if apparent == active and apparent else b"%.17g" % apparent
+                fields[18] = fields[4] if drawn == pv.power and drawn else b"%.17g" % drawn
             if step_battery is not battery:
                 battery = step_battery
-                battery_bytes = _FOUR_FLOATS % battery
+                fields[9:13] = (_FOUR_FLOATS % battery).split(b",")
+                stale = True
             if step_grid is not grid:
                 grid = step_grid
-                grid_bytes = _THREE_FLOATS % grid[:3]
-            line = _STEP_LINE % (
-                step_index,
-                time_ns,
-                pv_bytes,
-                load_bytes,
-                battery_input_bytes,
-                battery_bytes,
-                grid_input_bytes,
-                grid_bytes,
-                drawn_bytes,
-                *aggregates,
-            )
-            write_step(line)
-            write_channels(_CHANNEL_TEMPLATE % _channel_fields(line.split(b",", _CHANNEL_SPLIT)))
+                active, apparent, cost, _ = grid
+                fields[15] = fields[13] if active == grid_input.requested_active_power and active else b"%.17g" % active
+                fields[16] = fields[15] if apparent == active and apparent else b"%.17g" % apparent
+                fields[17] = b"%.17g" % cost
+                stale = True
+            generated, consumed, purchased, charged, discharged, cost = aggregates
+            if generated is not totals[0]:
+                fields[19] = b"%.17g" % generated
+            if consumed is not totals[1]:
+                fields[20] = b"%.17g" % consumed
+            if purchased is not totals[2]:
+                fields[21] = b"%.17g" % purchased
+            if charged is not totals[3]:
+                fields[22] = b"%.17g" % charged
+            if discharged is not totals[4]:
+                fields[23] = b"%.17g" % discharged
+            if cost is not totals[5]:
+                fields[24] = b"%.17g\r\n" % cost
+            totals = aggregates
+            if stale:
+                pieces = (_CHANNEL_PIECES % _channel_values(fields)).split(b"|")
+            step_lines.append(b",".join(fields))
+            channel_blocks.append(time.join(pieces))
+            if len(step_lines) == block_lines:
+                write_pending()
 
-        steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
+        try:
+            steps = run(bundle.simulator, scenario.horizon_ns, scenario.step_ns, sink=sink)
+        finally:
+            write_pending()
 
     emit_context(out_dir / "context.jsonl", bundle.records)
     summary = _summary_payload(scenario, bundle, last_output, steps)

@@ -26,8 +26,10 @@ while it idles, and a replay component its last record while the knots
 it reads repeat bitwise.  The PV-first inverter then returns its last
 result while its pv, battery and load records are the same objects and
 the step is as long, and the priced grid its last result while its grid
-input and price are the same objects and the step is as long; the sink
-that writes the artifacts formats a record once per object.  Identity is
+input and price are the same objects and the step is as long.  The books
+keep the contract too: a running total whose step moved it by zero is
+last step's float object (see :class:`_Books`).  The sink that writes
+the artifacts formats a record, and a total, once per object.  Identity is
 the key because it costs one pointer compare and cannot be fooled: a
 record is immutable, and a step is a function of its input records, its
 length and its component's parameters, so the same objects give the
@@ -109,6 +111,15 @@ class _Books:
     measurable cost over million-step runs.  :meth:`add` returns the
     totals after the step, which the step's output carries as
     ``aggregates``; a run's totals are its last step's.
+
+    A movement of zero, of either sign, leaves its total as it was, so
+    :meth:`add` skips it and hands back last step's total object.  That is
+    exact: the sums start at +0.0, and a round-to-nearest sum is -0.0 only
+    when both addends are, so neither a sum nor its compensation is ever
+    -0.0; ``s + ±0.0`` is ``s`` bit for bit and the compensation gains
+    +0.0.  A sum that overflows makes its total nan at once, as its
+    compensation turns infinite of the other sign, and nan it stays,
+    skipped or not.
     """
 
     __slots__ = (
@@ -118,11 +129,13 @@ class _Books:
         "charged", "charged_c",
         "discharged", "discharged_c",
         "cost", "cost_c",
+        "last",
     )
 
     def __init__(self) -> None:
         for name in self.__slots__:
             setattr(self, name, 0.0)
+        self.last = _tuple_new(Aggregates, (0.0,) * len(Aggregates._fields))
 
     def add(
         self,
@@ -133,41 +146,57 @@ class _Books:
         discharged: float,
         cost: float,
     ) -> Aggregates:
-        s = self.generated
-        t = s + generated
-        self.generated_c += (s - t) + generated if abs(s) >= abs(generated) else (generated - t) + s
-        self.generated = t
-        s = self.consumed
-        t = s + consumed
-        self.consumed_c += (s - t) + consumed if abs(s) >= abs(consumed) else (consumed - t) + s
-        self.consumed = t
-        s = self.purchased
-        t = s + purchased
-        self.purchased_c += (s - t) + purchased if abs(s) >= abs(purchased) else (purchased - t) + s
-        self.purchased = t
-        s = self.charged
-        t = s + charged
-        self.charged_c += (s - t) + charged if abs(s) >= abs(charged) else (charged - t) + s
-        self.charged = t
-        s = self.discharged
-        t = s + discharged
-        self.discharged_c += (s - t) + discharged if abs(s) >= abs(discharged) else (discharged - t) + s
-        self.discharged = t
-        s = self.cost
-        t = s + cost
-        self.cost_c += (s - t) + cost if abs(s) >= abs(cost) else (cost - t) + s
-        self.cost = t
-        return _tuple_new(
-            Aggregates,
-            (
-                self.generated + self.generated_c,
-                self.consumed + self.consumed_c,
-                self.purchased + self.purchased_c,
-                self.charged + self.charged_c,
-                self.discharged + self.discharged_c,
-                self.cost + self.cost_c,
-            ),
-        )
+        last = self.last
+        if generated:
+            s = self.generated
+            t = s + generated
+            self.generated_c += (s - t) + generated if abs(s) >= abs(generated) else (generated - t) + s
+            self.generated = t
+            generated = t + self.generated_c
+        else:
+            generated = last[0]
+        if consumed:
+            s = self.consumed
+            t = s + consumed
+            self.consumed_c += (s - t) + consumed if abs(s) >= abs(consumed) else (consumed - t) + s
+            self.consumed = t
+            consumed = t + self.consumed_c
+        else:
+            consumed = last[1]
+        if purchased:
+            s = self.purchased
+            t = s + purchased
+            self.purchased_c += (s - t) + purchased if abs(s) >= abs(purchased) else (purchased - t) + s
+            self.purchased = t
+            purchased = t + self.purchased_c
+        else:
+            purchased = last[2]
+        if charged:
+            s = self.charged
+            t = s + charged
+            self.charged_c += (s - t) + charged if abs(s) >= abs(charged) else (charged - t) + s
+            self.charged = t
+            charged = t + self.charged_c
+        else:
+            charged = last[3]
+        if discharged:
+            s = self.discharged
+            t = s + discharged
+            self.discharged_c += (s - t) + discharged if abs(s) >= abs(discharged) else (discharged - t) + s
+            self.discharged = t
+            discharged = t + self.discharged_c
+        else:
+            discharged = last[4]
+        if cost:
+            s = self.cost
+            t = s + cost
+            self.cost_c += (s - t) + cost if abs(s) >= abs(cost) else (cost - t) + s
+            self.cost = t
+            cost = t + self.cost_c
+        else:
+            cost = last[5]
+        self.last = last = _tuple_new(Aggregates, (generated, consumed, purchased, charged, discharged, cost))
+        return last
 
 
 class Aggregates(

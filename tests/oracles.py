@@ -64,8 +64,9 @@ be compared with it price for price.
 writer's lines while every field of a step line was formatted on every
 line by one template, kept verbatim, and a channels.csv line per
 channel formatted on its own by ``CHANNEL_ROW``, so the writer that
-formats each record once per record object and splits channel lines out
-of the step line can be compared with them byte for byte.
+formats each record once per record object and each running total once
+per float object, reuses the bytes of equal non-zero fields and joins
+channel lines over cached pieces can be compared with them byte for byte.
 The step records at the end are the eight component records of
 ``cemsim.core`` while they were frozen slotted dataclasses, with the two
 check helpers they called, kept verbatim so each tuple record can be held

@@ -11,17 +11,32 @@ import re
 import socket
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cemsim
 from cemsim import cli, ingest_timeseries, replay
 from cemsim import scenario as scenario_module
-from cemsim.engine import Aggregates, ComponentStepError, run
+from cemsim.core import (
+    BatteryMode,
+    BatteryStepInput,
+    BatteryStepResult,
+    GridStepInput,
+    GridStepResult,
+    InverterStepResult,
+    LoadStepResult,
+    PowerSourceStepResult,
+)
+from cemsim.engine import Aggregates, ComponentStepError, SimulatorStepOutput, run
 from cemsim.replay import TimeSeriesRangeError
-from cemsim.scenario import build_bundle, load_scenario
+from cemsim.scenario import Scenario, SimulationBundle, build_bundle, load_scenario
+from oracles import channel_lines, step_line
 from test_golden import GOLDEN, artifact_hashes
 
 MIDNIGHT = 1_704_067_200
@@ -652,6 +667,161 @@ def test_reruns_into_different_directories_are_byte_identical(recording, tmp_pat
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "again")]) == cli.EXIT_OK
     for name in ARTIFACTS:
         assert (tmp_path / "again" / name).read_bytes() == (recording / "rec" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The run writer against the reference writer
+# ---------------------------------------------------------------------------
+
+
+def test_a_failing_run_leaves_every_step_before_the_failing_one(recording):
+    """A replay past its recording's end fails at step k: steps.csv holds
+    its header and k lines and channels.csv its header and 10·k lines,
+    each the reference writer's, the lines of the last, partial write
+    block included."""
+    path = _replay_scenario(recording, "rec", horizon_seconds=2 * 86_400)
+    out = recording / "failed"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_RUNTIME
+    bundle = build_bundle(load_scenario(path, None, None))
+    outputs = []
+    with pytest.raises(ComponentStepError) as failure:
+        run(bundle.simulator, bundle.scenario.horizon_ns, bundle.scenario.step_ns, outputs.append)
+    k = failure.value.step_index
+    assert len(outputs) == k and k % cli._BLOCK_LINES
+    steps = (out / "steps.csv").read_bytes().splitlines(keepends=True)
+    assert steps[0] == (",".join(cli.STEP_HEADER) + "\r\n").encode()
+    assert steps[1:] == [step_line(output) for output in outputs]
+    header, channels = (out / "channels.csv").read_bytes().split(b"\r\n", 1)
+    assert header == ",".join(replay.CHANNEL_HEADER).encode()
+    assert channels.count(b"\r\n") == len(replay.CHANNELS) * k
+    assert channels == b"".join(channel_lines(output) for output in outputs)
+
+
+# a record field: a zero of either sign, the least subnormal, or a number
+_FIELDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(min_value=0.0, max_value=1e9))
+# a running total: as a field, or below zero
+_TOTALS = st.one_of(_FIELDS, st.floats(min_value=-1e9, max_value=0.0))
+
+
+def _distinct(value):
+    """A float object with the bits of ``value`` that is not ``value``."""
+    return float(repr(value))
+
+
+@st.composite
+def _linked(draw, anchor):
+    """A field linked to ``anchor``: the same object, an equal one (an
+    equal non-zero value, or a zero of the same sign), the zero of the
+    other sign, or a greater value, so never below ``anchor``."""
+    relation = draw(st.sampled_from(("same", "equal", "other zero", "greater")))
+    if relation == "same":
+        return anchor
+    if relation == "equal":
+        return _distinct(anchor)
+    if relation == "other zero" and anchor == 0.0:
+        return -anchor
+    return anchor + draw(st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def _writer_case(draw):
+    """Step outputs whose records each repeat as the same object, repeat as
+    an equal distinct one, or change; whose four linked fields (the grid
+    request's apparent power to its active power, the delivered active
+    power to the requested one, the delivered apparent power to the
+    delivered active one, the drawn power to the pv power) are each the
+    same object, equal, zeros of opposite signs or unequal; and whose
+    totals each hold, repeat as an equal object, flip a zero's sign or
+    move.  Then whether the run fails after them."""
+
+    # mostly the same object, so a step often changes one record alone
+    def repeat(record, new):
+        how = "new" if record is None else draw(st.sampled_from(("same", "same", "same", "equal", "new")))
+        if how == "same":
+            return record
+        return type(record)(*record) if how == "equal" else new()
+
+    def new_pv():
+        return PowerSourceStepResult(draw(_FIELDS), draw(_FIELDS), draw(_FIELDS))
+
+    def new_load():
+        active = draw(_FIELDS)
+        return LoadStepResult(active, draw(_linked(active)))
+
+    def new_battery_input():
+        return BatteryStepInput(draw(st.sampled_from(BatteryMode)), draw(_FIELDS))
+
+    def new_grid_input():
+        active = draw(_FIELDS)
+        return GridStepInput(active, draw(_linked(active)))
+
+    def new_inverter():
+        grid_input = repeat(inverter and inverter.grid_input, new_grid_input)
+        battery_input = repeat(inverter and inverter.battery_input, new_battery_input)
+        return InverterStepResult(grid_input, battery_input, draw(_linked(pv.power)))
+
+    def new_battery():
+        delta_energy = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e6, max_value=1e6)))
+        voltage = draw(st.floats(min_value=1.0, max_value=100.0))
+        return BatteryStepResult(draw(st.floats(min_value=0.0, max_value=1.0)), voltage, delta_energy, delta_energy / voltage)
+
+    def new_grid():
+        active = draw(_linked(inverter.grid_input.requested_active_power))
+        return GridStepResult(active, draw(_linked(active)), draw(_TOTALS))
+
+    def total(last):
+        how = "move" if last is None else draw(st.sampled_from(("hold", "equal", "other zero", "move")))
+        if how == "hold":
+            return last
+        if how == "equal":
+            return _distinct(last)
+        return -last if how == "other zero" and last == 0.0 else draw(_TOTALS)
+
+    outputs = []
+    pv = load = inverter = battery = grid = None
+    totals = (None,) * len(Aggregates._fields)
+    time_ns = draw(st.integers(min_value=0, max_value=2**62))
+    for step_index in range(draw(st.integers(min_value=1, max_value=12))):
+        pv = repeat(pv, new_pv)
+        load = repeat(load, new_load)
+        inverter = repeat(inverter, new_inverter)
+        battery = repeat(battery, new_battery)
+        grid = repeat(grid, new_grid)
+        totals = Aggregates(*map(total, totals))
+        time_ns += draw(st.integers(min_value=1, max_value=10**12))
+        outputs.append(SimulatorStepOutput(step_index, time_ns, None, pv, load, inverter, battery, grid, totals))
+    return outputs, draw(st.booleans())
+
+
+# three times the loaded profile's examples: 300, or 3,000 under cemsim-deep
+@settings(max_examples=3 * settings.default.max_examples)
+@given(case=_writer_case())
+def test_the_writer_writes_every_line_the_reference_writer_does(case):
+    """However the records, the linked fields and the totals of a run's
+    steps repeat, every steps.csv and channels.csv line ``run_to_directory``
+    writes is the reference writer's, in write blocks of three steps, and
+    a run that fails leaves every line before the failure."""
+    outputs, fails = case
+
+    def replayed_run(simulator, total_ns, step_ns, sink):
+        for output in outputs:
+            sink(output)
+        if fails:
+            raise ComponentStepError("grid", len(outputs), ValueError("no grid"))
+        return len(outputs)
+
+    scenario = Scenario(7, 0, 60 * len(outputs), 60, {}, {}, {}, {}, {}, {}, {}, Path("."))
+    bundle = SimulationBundle(scenario, "default", SimpleNamespace(maxima=dict), (), None)
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run", replayed_run)
+        patch.setattr(cli, "_BLOCK_LINES", 3)
+        out = Path(work)
+        with pytest.raises(ComponentStepError) if fails else contextlib.nullcontext():
+            cli.run_to_directory(bundle, out)
+        steps = (out / "steps.csv").read_bytes()
+        channels = (out / "channels.csv").read_bytes()
+    assert steps == b"".join([(",".join(cli.STEP_HEADER) + "\r\n").encode(), *map(step_line, outputs)])
+    assert channels == b"".join([(",".join(replay.CHANNEL_HEADER) + "\r\n").encode(), *map(channel_lines, outputs)])
 
 
 # ---------------------------------------------------------------------------

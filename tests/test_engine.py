@@ -3,7 +3,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemsim import (
@@ -32,7 +32,7 @@ from cemsim import (
     scenario_from_dict,
 )
 from cemsim.core import NS_PER_SECOND as NS
-from cemsim.engine import WH_PER_J
+from cemsim.engine import WH_PER_J, _Books
 from defaults import default_announcements, default_grid, default_jobs, defaults
 
 NS_PER_DAY = 86_400 * NS
@@ -305,7 +305,37 @@ def test_aggregates_equal_compensated_resum_of_deltas():
         )
         for accumulator, delta, total in zip(accumulators, deltas, output.aggregates):
             accumulator.add(delta)
-            assert accumulator.value == total
+            assert accumulator.value.hex() == total.hex()
+
+
+# zeros of both signs, negatives, subnormals and magnitudes whose sums
+# overflow, which turns a total nan
+_MOVEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(min_value=-1e4, max_value=1e4),
+)
+
+
+@given(steps=st.lists(st.tuples(*[_MOVEMENTS] * len(Aggregates._fields)), min_size=1, max_size=30))
+@example(steps=[(1e308, -1e308, 1e-300, 0.0, -0.0, 5e-324)] * 2 + [(0.0,) * 6, (-0.0,) * 6, (1.0,) * 6])
+def test_books_add_as_compensated_sums_and_hand_back_a_total_a_zero_left(steps):
+    """Each of the books' six totals is CompensatedSum's over the same
+    movements, bit for bit (``float.hex``, so every nan is one), at every
+    step; and a total whose movement was zero, of either sign, is last
+    step's total object."""
+    books = _Books()
+    accumulators = [CompensatedSum() for _ in Aggregates._fields]
+    last = books.last
+    for movements in steps:
+        totals = books.add(*movements)
+        assert type(totals) is Aggregates
+        for accumulator, movement, total, previous in zip(accumulators, movements, totals, last):
+            accumulator.add(movement)
+            assert total.hex() == accumulator.value.hex()
+            if movement == 0.0:
+                assert total is previous
+        last = totals
 
 
 def test_context_records_flow_into_outputs():
